@@ -4,19 +4,20 @@
 //! zero-copy chunk multicast onto per-session bounded queues, per-session
 //! reassembly — at session counts 1/8/64 (unshaped, deep queues, so the
 //! numbers are the fan-out's own overhead, not WAN pacing), with every
-//! session wave spread over 4 shared viewpoints.  Both plane implementations
-//! run: the classic thread-per-session plane and the executor-backed async
-//! plane, whose OS thread count is the worker-pool size regardless of scale.
+//! session wave spread over 4 shared viewpoints.  The plane's OS thread
+//! count is the worker-pool size regardless of scale.
 //!
 //! Besides the criterion output, a custom `main` writes a
 //! `BENCH_service.json` baseline (median seconds per 8-frame campaign,
 //! per-session-frame fan-out cost, and the shared-render hit rate at each
 //! scale — the broker's 1-vs-64 "more with less" number) to `target/` and
 //! the workspace root so successive runs can be diffed mechanically.  The
-//! headline additions are the 10 000-session `exhibit_floor` variant on the
-//! async plane, with the process's peak thread count recorded alongside the
-//! per-session-frame cost, and a broker shard sweep that climbs to the
-//! 50 000- and 100 000-session floors.
+//! headline additions are the 10 000-session `exhibit_floor` variant, with
+//! the process's peak thread count recorded alongside the per-session-frame
+//! cost, and a broker shard sweep that climbs to the 50 000- and
+//! 100 000-session floors.  The `async_cases` / `*_async` key names date from
+//! when a second, thread-per-session plane ran beside this one; they stay so
+//! the committed baseline gates continuously across its retirement.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use netlogger::{MetricsHub, MetricsSnapshot};
@@ -27,15 +28,14 @@ use std::time::Instant;
 use visapult_core::protocol::{FramePayload, HeavyPayload, LightPayload};
 use visapult_core::transport::{striped_link, TransportConfig};
 use visapult_core::{
-    AsyncPlane, FanoutPlane, PlaneKind, QualityTier, ServiceConfig, ServiceRunReport, ServiceStats, SessionBroker,
-    SessionSpec, ShardedBroker,
+    FanoutPlane, QualityTier, ServiceConfig, ServiceRunReport, ServiceStats, SessionSpec, ShardedBroker,
 };
 
 const TEX: usize = 128; // 128x128 RGBA8 = 64 KB per frame
 const FRAMES: u32 = 8;
 const VIEWPOINTS: u32 = 4;
-/// Async-plane worker pool for the baseline runs: fixed so the JSON is
-/// comparable across machines.
+/// Worker pool for the baseline runs: fixed so the JSON is comparable across
+/// machines.
 const WORKERS: usize = 4;
 
 fn sample_frame(frame: u32) -> FramePayload {
@@ -73,48 +73,17 @@ fn schedule(sessions: u32) -> Vec<SessionSpec> {
         .collect()
 }
 
-/// One 8-frame campaign through the selected plane at `sessions` concurrent
-/// sessions; returns the service stats for the hit-rate report.  Wave
-/// latencies, queue depths and (async) executor introspection land in `hub`
-/// when it is enabled; pass [`MetricsHub::disabled`] for an unmetered run.
-fn fan_out_on(plane: PlaneKind, sessions: u32, hub: &MetricsHub) -> ServiceStats {
-    let transport = TransportConfig::default().with_stripes(4).with_chunk_bytes(16 * 1024);
-    let config = ServiceConfig {
-        max_sessions: sessions.max(128) as usize,
-        link_capacity_units: u64::from(sessions.max(128)) * 8,
-        render_slots: VIEWPOINTS,
-        queue_depth: 4096,
-        ..ServiceConfig::default()
-    };
-    let (tx, rx) = striped_link(&transport);
-    let broker = SessionBroker::new(config, schedule(sessions));
-    let handle = {
-        let transport = transport.clone();
-        let hub = hub.clone();
-        std::thread::spawn(move || match plane {
-            PlaneKind::Threaded => FanoutPlane::drive_metered(broker, vec![rx], Vec::new(), &transport, &hub),
-            PlaneKind::Async => {
-                AsyncPlane::with_workers(WORKERS).drive_metered(broker, vec![rx], Vec::new(), &transport, &hub)
-            }
-        })
-    };
-    for f in 0..FRAMES {
-        tx.send_frame(&sample_frame(f)).unwrap();
-    }
-    drop(tx);
-    handle.join().unwrap().stats
-}
-
-/// One 8-frame campaign through the async plane with the broker split into
-/// `shards` viewpoint-hash shards (`shards = 1` is the classic unsharded
-/// drive, the baseline the sweep is judged against).  The worker budget is
-/// fixed: sharded drives split the `WORKERS` pool across per-shard
-/// executors, so up to `shards = WORKERS` the sweep measures
-/// serialization, not extra threads.  Past that each shard still needs
-/// its one mandatory worker (a shard's consumers must poll somewhere),
-/// so `shards = 8` runs 8 single-worker pools — part of what sharding
-/// buys, but a caveat the crossover analysis must carry.
-fn fan_out_sharded(sessions: u32, shards: usize, hub: &MetricsHub) -> ServiceRunReport {
+/// One 8-frame campaign through the plane at `sessions` concurrent sessions
+/// with the broker split into `shards` viewpoint-hash shards.  Wave
+/// latencies, queue depths and executor introspection land in `hub` when it
+/// is enabled; pass [`MetricsHub::disabled`] for an unmetered run.  The
+/// worker budget is fixed: the `WORKERS` pool splits across per-shard
+/// executors, so up to `shards = WORKERS` a shard sweep measures
+/// serialization, not extra threads.  Past that each shard still needs its
+/// one mandatory worker (a shard's consumers must poll somewhere), so
+/// `shards = 8` runs 8 single-worker pools — part of what sharding buys, but
+/// a caveat the crossover analysis must carry.
+fn fan_out(sessions: u32, shards: usize, hub: &MetricsHub) -> ServiceRunReport {
     let transport = TransportConfig::default().with_stripes(4).with_chunk_bytes(16 * 1024);
     let config = ServiceConfig {
         max_sessions: sessions.max(128) as usize,
@@ -125,18 +94,12 @@ fn fan_out_sharded(sessions: u32, shards: usize, hub: &MetricsHub) -> ServiceRun
         ..ServiceConfig::default()
     };
     let (tx, rx) = striped_link(&transport);
+    let broker = ShardedBroker::new(config, schedule(sessions));
     let handle = {
         let transport = transport.clone();
         let hub = hub.clone();
         std::thread::spawn(move || {
-            let plane = AsyncPlane::with_workers(WORKERS);
-            if shards > 1 {
-                let broker = ShardedBroker::new(config, schedule(sessions));
-                plane.drive_sharded_metered(broker, vec![rx], Vec::new(), &transport, &hub)
-            } else {
-                let broker = SessionBroker::new(config, schedule(sessions));
-                plane.drive_metered(broker, vec![rx], Vec::new(), &transport, &hub)
-            }
+            FanoutPlane::drive_with(broker, vec![rx], Vec::new(), &transport, Some(WORKERS), &hub)
         })
     };
     for f in 0..FRAMES {
@@ -148,12 +111,10 @@ fn fan_out_sharded(sessions: u32, shards: usize, hub: &MetricsHub) -> ServiceRun
 
 fn bench_service_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_fanout_8_frames");
-    for plane in [PlaneKind::Threaded, PlaneKind::Async] {
-        for sessions in [1u32, 8, 64] {
-            group.bench_with_input(BenchmarkId::new(plane.label(), sessions), &sessions, |b, &n| {
-                b.iter(|| black_box(fan_out_on(plane, n, &MetricsHub::disabled()).frames_completed));
-            });
-        }
+    for sessions in [1u32, 8, 64] {
+        group.bench_with_input(BenchmarkId::from_parameter(sessions), &sessions, |b, &n| {
+            b.iter(|| black_box(fan_out(n, 1, &MetricsHub::disabled()).stats.frames_completed));
+        });
     }
     group.finish();
 }
@@ -191,13 +152,13 @@ fn live_threads() -> usize {
         .unwrap_or(0)
 }
 
-fn baseline_cases(plane: PlaneKind, samples: usize) -> Vec<(u32, f64, ServiceStats)> {
+fn baseline_cases(samples: usize) -> Vec<(u32, f64, ServiceStats)> {
     [1u32, 8, 64]
         .iter()
         .map(|&n| {
-            let stats = fan_out_on(plane, n, &MetricsHub::disabled());
+            let stats = fan_out(n, 1, &MetricsHub::disabled()).stats;
             let median = median_secs(samples, || {
-                black_box(fan_out_on(plane, n, &MetricsHub::disabled()).frames_completed);
+                black_box(fan_out(n, 1, &MetricsHub::disabled()).stats.frames_completed);
             });
             (n, median, stats)
         })
@@ -240,7 +201,7 @@ fn latency_json(hub: &MetricsHub) -> String {
 }
 
 /// The `"exec"` JSON block: the worker pool's introspection counters folded
-/// out of every metered async campaign the hub saw.
+/// out of every metered campaign the hub saw.
 fn exec_json(hub: &MetricsHub) -> String {
     let snap = hub.snapshot("bench");
     let c = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
@@ -268,9 +229,9 @@ struct FloorReport {
     hub: MetricsHub,
 }
 
-/// The 10 000-session `exhibit_floor` variant on the async plane: the same
-/// 4-viewpoint standing crowd the bundled scenario's floor stage models,
-/// scaled two orders of magnitude past what thread-per-session can carry.
+/// The 10 000-session `exhibit_floor` variant: the same 4-viewpoint standing
+/// crowd the bundled scenario's floor stage models, scaled two orders of
+/// magnitude past what a thread per session could carry.
 /// Each sample is an off/on *pair* — the unmetered campaign, then the same
 /// campaign with a live hub — so thermal and cache drift hit both medians
 /// equally and their delta isolates the telemetry overhead the CI gate
@@ -290,15 +251,15 @@ fn exhibit_floor_10k(samples: usize) -> FloorReport {
     };
     let off = MetricsHub::disabled();
     let hub = MetricsHub::enabled();
-    let stats = fan_out_on(PlaneKind::Async, SESSIONS, &off);
+    let stats = fan_out(SESSIONS, 1, &off).stats;
     let mut off_times = Vec::with_capacity(samples);
     let mut on_times = Vec::with_capacity(samples);
     for sample_no in 1..=samples {
         off_times.push(timed_secs(|| {
-            black_box(fan_out_on(PlaneKind::Async, SESSIONS, &off).frames_completed);
+            black_box(fan_out(SESSIONS, 1, &off).stats.frames_completed);
         }));
         on_times.push(timed_secs(|| {
-            black_box(fan_out_on(PlaneKind::Async, SESSIONS, &hub).frames_completed);
+            black_box(fan_out(SESSIONS, 1, &hub).stats.frames_completed);
             hub.record_snapshot(&format!("floor:sample:{sample_no}"));
         }));
     }
@@ -314,7 +275,7 @@ fn exhibit_floor_10k(samples: usize) -> FloorReport {
 }
 
 /// The shard sweep: S ∈ {1, 2, 4, 8} broker shards at 64 / 1 000 / 10 000
-/// sessions on the async plane, all under the same fixed worker budget, then
+/// sessions, all under the same fixed worker budget, then
 /// S ∈ {1, 2, 4} at the 50 000 and 100 000 floors (fewer samples — each
 /// campaign is seconds long, and the regime question at that scale is shard
 /// scaling, not run-to-run noise).  Finds where the crossover sits — at
@@ -343,9 +304,9 @@ fn shard_sweep(snapshots: &mut Vec<MetricsSnapshot>) -> String {
         let mut cells = Vec::new();
         for &shards in shard_counts {
             let hub = MetricsHub::when(sessions >= 10_000);
-            let report = fan_out_sharded(sessions, shards, &hub);
+            let report = fan_out(sessions, shards, &hub);
             let median = median_secs(samples, || {
-                black_box(fan_out_sharded(sessions, shards, &hub).stats.frames_completed);
+                black_box(fan_out(sessions, shards, &hub).stats.frames_completed);
             });
             if hub.is_enabled() {
                 snapshots.push(hub.snapshot(&format!("sweep:{sessions}x{shards}")));
@@ -394,8 +355,7 @@ fn shard_sweep(snapshots: &mut Vec<MetricsSnapshot>) -> String {
 
 fn write_baseline() {
     let samples = 15;
-    let threaded = baseline_cases(PlaneKind::Threaded, samples);
-    let asynced = baseline_cases(PlaneKind::Async, samples);
+    let cases = baseline_cases(samples);
     // The 10k sweep is one campaign per sample; a handful of samples keeps
     // the bench minutes-free while the median still rejects a cold outlier.
     let floor_samples = 3;
@@ -403,14 +363,13 @@ fn write_baseline() {
     let floor_session_frames = 10_000.0 * f64::from(FRAMES);
     let floor_overhead = (floor.telemetry_median_s - floor.median_s) / floor.median_s * 100.0;
 
-    let scaling = threaded[2].1 / threaded[0].1;
+    let scaling = cases[2].1 / cases[0].1;
     let mut snapshots = floor.hub.take_snapshots();
     let sweep = shard_sweep(&mut snapshots);
     persist_snapshots(&snapshots);
     let json = format!(
-        "{{\n  \"bench\": \"service_fanout_8_frames\",\n  \"frames\": {FRAMES},\n  \"viewpoints\": {VIEWPOINTS},\n  \"samples\": {samples},\n  \"cases\": {{\n{}\n  }},\n  \"async_workers\": {WORKERS},\n  \"async_cases\": {{\n{}\n  }},\n  \"exhibit_floor_10k_async\": {{\n    \"sessions\": 10000,\n    \"workers\": {WORKERS},\n    \"samples\": {floor_samples},\n    \"median_s\": {:.9},\n    \"us_per_session_frame\": {:.3},\n    \"peak_process_threads\": {},\n    \"shared_render_hit_rate\": {:.4},\n    \"telemetry_median_s\": {:.9},\n    \"telemetry_overhead_percent\": {floor_overhead:.2},\n    {},\n    {}\n  }},\n{sweep},\n  \"wall_time_64x_vs_1x\": {scaling:.2},\n  \"render_ratio_at_64\": {:.4}\n}}\n",
-        case_json(&threaded),
-        case_json(&asynced),
+        "{{\n  \"bench\": \"service_fanout_8_frames\",\n  \"frames\": {FRAMES},\n  \"viewpoints\": {VIEWPOINTS},\n  \"samples\": {samples},\n  \"async_workers\": {WORKERS},\n  \"async_cases\": {{\n{}\n  }},\n  \"exhibit_floor_10k_async\": {{\n    \"sessions\": 10000,\n    \"workers\": {WORKERS},\n    \"samples\": {floor_samples},\n    \"median_s\": {:.9},\n    \"us_per_session_frame\": {:.3},\n    \"peak_process_threads\": {},\n    \"shared_render_hit_rate\": {:.4},\n    \"telemetry_median_s\": {:.9},\n    \"telemetry_overhead_percent\": {floor_overhead:.2},\n    {},\n    {}\n  }},\n{sweep},\n  \"wall_time_64x_vs_1x\": {scaling:.2},\n  \"render_ratio_at_64\": {:.4}\n}}\n",
+        case_json(&cases),
         floor.median_s,
         floor.median_s / floor_session_frames * 1e6,
         floor.peak_threads,
@@ -418,7 +377,7 @@ fn write_baseline() {
         floor.telemetry_median_s,
         latency_json(&floor.hub),
         exec_json(&floor.hub),
-        threaded[2].2.render_ratio(),
+        cases[2].2.render_ratio(),
     );
     report_baseline("service", &json);
 }

@@ -1,11 +1,10 @@
-//! Quick probe: per-session-frame cost of a service plane at a given scale.
-//! Usage: probe_floor [sessions] [shards] [samples] [frames] [async|threaded]
-//! (the threaded plane ignores `shards` > 1 sharding only when unsupported).
+//! Quick probe: per-session-frame cost of the fan-out plane at a given scale.
+//! Usage: probe_floor [sessions] [shards] [samples] [frames]
 //!
 //! The plane self-reports through the metrics hub: every sampled campaign
 //! runs metered, and the probe ends by printing the accumulated wave-latency
-//! histogram, queue-depth high-waters, and (async) executor introspection —
-//! the same instruments the pipeline's `[telemetry]` table records.
+//! histogram, queue-depth high-waters, and executor introspection — the same
+//! instruments the pipeline's `[telemetry]` table records.
 
 use netlogger::MetricsHub;
 use std::sync::Arc;
@@ -13,7 +12,7 @@ use std::time::Instant;
 use visapult_bench::render_metrics_table;
 use visapult_core::protocol::{FramePayload, HeavyPayload, LightPayload};
 use visapult_core::transport::{striped_link, TransportConfig};
-use visapult_core::{AsyncPlane, FanoutPlane, QualityTier, ServiceConfig, SessionBroker, SessionSpec, ShardedBroker};
+use visapult_core::{FanoutPlane, QualityTier, ServiceConfig, SessionSpec, ShardedBroker};
 
 const TEX: usize = 128;
 const VIEWPOINTS: u32 = 4;
@@ -59,14 +58,14 @@ fn workers() -> usize {
         .unwrap_or(WORKERS)
 }
 
-fn run(sessions: u32, shards: usize, frames: u32, threaded: bool, hub: &MetricsHub) -> f64 {
+fn run(sessions: u32, shards: usize, frames: u32, hub: &MetricsHub) -> f64 {
     let transport = TransportConfig::default().with_stripes(4).with_chunk_bytes(16 * 1024);
     let config = ServiceConfig {
         max_sessions: sessions.max(128) as usize,
         link_capacity_units: u64::from(sessions.max(128)) * 8,
         render_slots: VIEWPOINTS,
         queue_depth: 4096,
-        shards: (shards > 1).then_some(shards),
+        shards: Some(shards),
         ..ServiceConfig::default()
     };
     let (tx, rx) = striped_link(&transport);
@@ -75,24 +74,8 @@ fn run(sessions: u32, shards: usize, frames: u32, threaded: bool, hub: &MetricsH
         let transport = transport.clone();
         let hub = hub.clone();
         std::thread::spawn(move || {
-            if threaded {
-                if shards > 1 {
-                    let broker = ShardedBroker::new(config, schedule(sessions));
-                    FanoutPlane::drive_sharded_metered(broker, vec![rx], Vec::new(), &transport, &hub)
-                } else {
-                    let broker = SessionBroker::new(config, schedule(sessions));
-                    FanoutPlane::drive_metered(broker, vec![rx], Vec::new(), &transport, &hub)
-                }
-            } else {
-                let plane = AsyncPlane::with_workers(workers());
-                if shards > 1 {
-                    let broker = ShardedBroker::new(config, schedule(sessions));
-                    plane.drive_sharded_metered(broker, vec![rx], Vec::new(), &transport, &hub)
-                } else {
-                    let broker = SessionBroker::new(config, schedule(sessions));
-                    plane.drive_metered(broker, vec![rx], Vec::new(), &transport, &hub)
-                }
-            }
+            let broker = ShardedBroker::new(config, schedule(sessions));
+            FanoutPlane::drive_with(broker, vec![rx], Vec::new(), &transport, Some(workers()), &hub)
         })
     };
     for f in 0..frames {
@@ -110,17 +93,13 @@ fn main() {
     let shards: usize = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(1);
     let samples: usize = args.get(3).and_then(|a| a.parse().ok()).unwrap_or(3);
     let frames: u32 = args.get(4).and_then(|a| a.parse().ok()).unwrap_or(8);
-    let threaded = args.get(5).map(|a| a == "threaded").unwrap_or(false);
-    let plane = if threaded { "threaded" } else { "async" };
     let hub = MetricsHub::enabled();
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| run(sessions, shards, frames, threaded, &hub))
-        .collect();
+    let mut times: Vec<f64> = (0..samples).map(|_| run(sessions, shards, frames, &hub)).collect();
     times.sort_by(|a, b| a.total_cmp(b));
     let median = times[times.len() / 2];
     let us = median / (f64::from(sessions) * f64::from(frames.max(1))) * 1e6;
     println!(
-        "plane={plane} sessions={sessions} shards={shards} frames={frames} samples={samples} median_s={median:.4} us_per_session_frame={us:.3}"
+        "sessions={sessions} shards={shards} frames={frames} samples={samples} median_s={median:.4} us_per_session_frame={us:.3}"
     );
     print!(
         "{}",

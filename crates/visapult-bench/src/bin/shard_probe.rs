@@ -4,13 +4,12 @@
 //! wall == CPU on a single-core box means the cost is real work.
 //! Not part of the committed baselines — a scratch tool for perf triage.
 
+use netlogger::MetricsHub;
 use std::sync::Arc;
 use std::time::Instant;
 use visapult_core::protocol::{FramePayload, HeavyPayload, LightPayload};
 use visapult_core::transport::{striped_link, TransportConfig};
-use visapult_core::{
-    AsyncPlane, QualityTier, ServiceConfig, ServiceRunReport, SessionBroker, SessionSpec, ShardedBroker,
-};
+use visapult_core::{FanoutPlane, QualityTier, ServiceConfig, ServiceRunReport, SessionSpec, ShardedBroker};
 
 const TEX: usize = 128;
 const VIEWPOINTS: u32 = 4;
@@ -59,7 +58,7 @@ fn schedule(sessions: u32) -> Vec<SessionSpec> {
         .collect()
 }
 
-fn fan_out_sharded_on(sessions: u32, shards: usize, force_sharded: bool) -> ServiceRunReport {
+fn fan_out(sessions: u32, shards: usize) -> ServiceRunReport {
     let transport = TransportConfig::default().with_stripes(4).with_chunk_bytes(16 * 1024);
     let config = ServiceConfig {
         max_sessions: sessions.max(128) as usize,
@@ -73,14 +72,15 @@ fn fan_out_sharded_on(sessions: u32, shards: usize, force_sharded: bool) -> Serv
     let handle = {
         let transport = transport.clone();
         std::thread::spawn(move || {
-            let plane = AsyncPlane::with_workers(workers());
-            if shards > 1 || force_sharded {
-                let broker = ShardedBroker::new(config, schedule(sessions));
-                plane.drive_sharded(broker, vec![rx], Vec::new(), &transport)
-            } else {
-                let broker = SessionBroker::new(config, schedule(sessions));
-                plane.drive(broker, vec![rx], Vec::new(), &transport)
-            }
+            let broker = ShardedBroker::new(config, schedule(sessions));
+            FanoutPlane::drive_with(
+                broker,
+                vec![rx],
+                Vec::new(),
+                &transport,
+                Some(workers()),
+                &MetricsHub::disabled(),
+            )
         })
     };
     for f in 0..frames() {
@@ -104,14 +104,14 @@ fn main() {
     let sessions: u32 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(10_000);
     let samples: usize = std::env::args().nth(3).and_then(|a| a.parse().ok()).unwrap_or(3);
     // Warm the allocator/page cache once so the first cell isn't penalized.
-    let _ = fan_out_sharded_on(sessions.min(1000), 1, false);
-    for (shards, forced) in [(1usize, false), (1, true), (2, true), (4, true), (8, true)] {
+    let _ = fan_out(sessions.min(1000), 1);
+    for shards in [1usize, 2, 4, 8] {
         let mut walls = Vec::new();
         let mut last = None;
         for _ in 0..samples {
             let cpu0 = cpu_secs();
             let t = Instant::now();
-            let report = fan_out_sharded_on(sessions, shards, forced);
+            let report = fan_out(sessions, shards);
             walls.push((t.elapsed().as_secs_f64(), cpu_secs() - cpu0));
             last = Some(report);
         }
@@ -120,8 +120,7 @@ fn main() {
         let report = last.unwrap();
         let holds: u64 = report.shard_locks.iter().map(|l| l.hold_ns).sum();
         println!(
-            "shards={shards}{} wall={wall:.3}s cpu={cpu:.2}s lock_hold={:.3}s delivered={} dropped={}",
-            if forced { " (sharded-driver)" } else { " (classic)" },
+            "shards={shards} wall={wall:.3}s cpu={cpu:.2}s lock_hold={:.3}s delivered={} dropped={}",
             holds as f64 / 1e9,
             report.stats.chunks_delivered,
             report.stats.chunks_dropped,

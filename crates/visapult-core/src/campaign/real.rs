@@ -22,7 +22,7 @@ use crate::backend::BackendReport;
 use crate::config::PipelineConfig;
 use crate::error::VisapultError;
 use crate::pipeline::Pipeline;
-use crate::service::{PlaneKind, ServiceConfig, ServiceRunReport, SessionSpec};
+use crate::service::{ServiceConfig, ServiceRunReport, SessionSpec};
 use crate::transport::{TransportConfig, TransportStats};
 use crate::viewer::ViewerReport;
 use dpss::{BlockCache, CacheConfig, CacheStats, DatasetDescriptor, DpssClient, DpssCluster, StripeLayout};
@@ -55,20 +55,10 @@ pub struct ServicePlan {
     pub config: ServiceConfig,
     /// Sessions offered over the campaign, in schedule order.
     pub sessions: Vec<SessionSpec>,
-    /// Which real-mode plane implementation serves the sessions (`None` =
-    /// [`PlaneKind::Threaded`]).  Pure execution-cost knob: deterministic
-    /// stats and fingerprints are identical either way.
-    pub plane: Option<PlaneKind>,
-    /// Worker-pool threads for the async plane (`None` = sized to the
-    /// machine; ignored by the threaded plane).
+    /// Worker-pool threads for the fan-out plane (`None` = sized to the
+    /// machine, clamped 2..=8).  Pure execution-cost knob: deterministic
+    /// stats and fingerprints are identical whatever its value.
     pub workers: Option<usize>,
-}
-
-impl ServicePlan {
-    /// The plane implementation this plan selects.
-    pub fn plane_kind(&self) -> PlaneKind {
-        self.plane.unwrap_or_default()
-    }
 }
 
 /// Configuration of a real-mode campaign.

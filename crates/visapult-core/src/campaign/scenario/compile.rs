@@ -17,7 +17,7 @@ use crate::campaign::sim::{SimCampaignConfig, SimTransportModel, DEFAULT_WAN_EFF
 use crate::config::{ExecutionMode, PipelineConfig};
 use crate::error::VisapultError;
 use crate::pipeline::Pipeline;
-use crate::service::{shard_overprovision, BackendPlacement, PlaneKind, QualityTier, ServiceConfig, SessionSpec};
+use crate::service::{shard_overprovision, BackendPlacement, QualityTier, ServiceConfig, SessionSpec};
 use crate::transport::{TcpTuning, TransportConfig};
 use dpss::{CacheConfig, DatasetDescriptor, DpssSimModel};
 use netsim::{TcpModel, TestbedKind};
@@ -218,9 +218,6 @@ impl ScenarioSpec {
                 if svc.workers == Some(0) {
                     return Err(bad("service workers must be positive".to_string()));
                 }
-                if svc.workers.is_some() && svc.plane.unwrap_or_default() != PlaneKind::Async {
-                    return Err(bad("service workers only applies to plane = \"async\"".to_string()));
-                }
                 let shard_count = svc.shards.unwrap_or(1);
                 if shard_count == 0 {
                     return Err(bad("service shards must be positive".to_string()));
@@ -314,7 +311,6 @@ impl ScenarioSpec {
                 Some(ResolvedService {
                     config,
                     by_stage,
-                    plane: svc.plane,
                     workers: svc.workers,
                 })
             }
@@ -430,10 +426,8 @@ pub struct ResolvedService {
     pub config: ServiceConfig,
     /// Session schedules, indexed like `ResolvedScenario::stages`.
     pub by_stage: Vec<Vec<SessionSpec>>,
-    /// Real-path plane implementation (`None` = threaded).  Not part of the
-    /// deterministic telemetry, so not fingerprinted.
-    pub plane: Option<PlaneKind>,
-    /// Async-plane worker-pool size (`None` = sized to the machine).
+    /// Fan-out plane worker-pool size (`None` = sized to the machine).  Not
+    /// part of the deterministic telemetry, so not fingerprinted.
     pub workers: Option<usize>,
 }
 
@@ -601,7 +595,6 @@ impl ResolvedScenario {
         self.service.as_ref().map(|svc| ServicePlan {
             config: svc.config.clone(),
             sessions: svc.by_stage.get(stage_index).cloned().unwrap_or_default(),
-            plane: svc.plane,
             workers: svc.workers,
         })
     }

@@ -391,7 +391,7 @@ impl CampaignReport {
         }
         // Event multiset, order-independent: sort rendered lines first.
         // SERVICE_TELEMETRY carries wall-clock-dependent lock hold times on
-        // the threaded plane, so it is excluded like the timing counters —
+        // the real path, so it is excluded like the timing counters —
         // which is also what keeps fingerprints byte-identical with the
         // metrics plane on or off.
         let deterministic_times = self.path == ExecutionPath::VirtualTime;

@@ -8,7 +8,7 @@
 use crate::config::ExecutionMode;
 use crate::error::VisapultError;
 use crate::platform::ComputePlatform;
-use crate::service::{BackendPlacement, PlaneKind, QualityTier};
+use crate::service::{BackendPlacement, QualityTier};
 use crate::transport::TcpTuning;
 use netsim::{Testbed, TestbedKind};
 use serde::{Deserialize, Serialize};
@@ -208,17 +208,12 @@ pub struct ServiceTableSpec {
     pub render_slots: Option<u32>,
     /// Bounded per-session fan-out queue depth in chunks (defaults to 64).
     pub queue_depth: Option<usize>,
-    /// Real-path plane implementation: `"threaded"` (the default; one OS
-    /// thread per session) or `"async"` (polled tasks over a bounded worker
-    /// pool).  Deterministic telemetry and replay fingerprints are identical
-    /// either way — this knob trades OS threads for memory, nothing else.
-    pub plane: Option<PlaneKind>,
-    /// Worker-pool threads when `plane = "async"` (defaults to the machine's
-    /// parallelism, clamped to 2..=8; ignored by the threaded plane).
+    /// Worker-pool threads of the real-path fan-out plane (defaults to the
+    /// machine's parallelism, clamped to 2..=8).  Scheduling only:
+    /// deterministic telemetry and replay fingerprints do not depend on it.
     pub workers: Option<usize>,
     /// Independent broker shards sessions partition into by viewpoint hash
-    /// (defaults to 1 — the classic single broker, byte-identical replay
-    /// fingerprints).  Must be at least 1 and at most `max_sessions`.
+    /// (defaults to 1).  Must be at least 1 and at most `max_sessions`.
     pub shards: Option<usize>,
     /// Staged session-arrival mixes, each bound to a stage by name.
     pub arrivals: Option<Vec<SessionArrivalSpec>>,

@@ -5,7 +5,7 @@ use super::*;
 use crate::campaign::sim::SimTransportModel;
 use crate::config::ExecutionMode;
 use crate::error::VisapultError;
-use crate::service::{BackendPlacement, PlaneKind, QualityTier};
+use crate::service::{BackendPlacement, QualityTier};
 use crate::transport::TcpTuning;
 use dpss::CacheStats;
 use netlogger::tags;
@@ -66,7 +66,6 @@ fn spec_round_trips_through_toml() {
             join_spread_percent: Some(25.0),
             dwell_frames: Some(1),
         }]),
-        plane: None,
         workers: None,
         shards: None,
     });
@@ -648,7 +647,6 @@ fn invalid_service_specs_are_rejected() {
             render_slots: None,
             queue_depth: None,
             arrivals: None,
-            plane: None,
             workers: None,
             shards: None,
         });
@@ -904,7 +902,6 @@ fn service_spec(path: ExecutionPath) -> ScenarioSpec {
                 dwell_frames: None,
             },
         ]),
-        plane: None,
         workers: None,
         shards: None,
     });
@@ -973,7 +970,7 @@ fn fingerprint_covers_service_config_and_lifecycle() {
 }
 
 #[test]
-fn service_plane_knob_parses_and_validates() {
+fn service_workers_knob_parses_and_validates() {
     let doc = r#"
 [scenario]
 name = "svc-async"
@@ -990,6 +987,7 @@ execution = "serial"
 
 [service]
 max_sessions = 4
+# The retired plane selector: files that still carry it must keep loading.
 plane = "async"
 workers = 3
 
@@ -999,26 +997,16 @@ share = 100.0
 "#;
     let spec = ScenarioSpec::from_toml_str(doc).unwrap();
     let svc_table = spec.service.as_ref().unwrap();
-    assert_eq!(svc_table.plane, Some(PlaneKind::Async));
     assert_eq!(svc_table.workers, Some(3));
     let resolved = spec.resolve().unwrap();
     let svc = resolved.service.as_ref().unwrap();
-    assert_eq!(svc.plane, Some(PlaneKind::Async));
     assert_eq!(svc.workers, Some(3));
     let plan = resolved
         .stage_real_config(&resolved.stages[0], 0)
         .service
         .expect("service plan");
-    assert_eq!(plan.plane_kind(), PlaneKind::Async);
     assert_eq!(plan.workers, Some(3));
-    // Workers without the async plane is a config error, as is a zero pool.
-    let mut threaded = spec.clone();
-    threaded.service.as_mut().unwrap().plane = Some(PlaneKind::Threaded);
-    let err = threaded.resolve().unwrap_err().to_string();
-    assert!(err.contains("workers"), "got: {err}");
-    let mut implicit = spec.clone();
-    implicit.service.as_mut().unwrap().plane = None;
-    assert!(implicit.resolve().is_err());
+    // A zero pool is a config error.
     let mut zero = spec.clone();
     zero.service.as_mut().unwrap().workers = Some(0);
     let err = zero.resolve().unwrap_err().to_string();
@@ -1026,27 +1014,25 @@ share = 100.0
 }
 
 #[test]
-fn async_plane_reports_the_same_fingerprint_and_deterministic_stats() {
-    // The plane knob trades OS threads for a worker pool; it is scheduling
-    // only.  Same spec, same seed, same fingerprint, same deterministic
-    // stats — on the real path where the plane actually runs, and on the
-    // virtual path where the replay ignores it.
+fn worker_pool_size_moves_neither_fingerprint_nor_deterministic_stats() {
+    // The workers knob sizes the plane's pool; it is scheduling only.  Same
+    // spec, same seed, same fingerprint, same deterministic stats — on the
+    // real path where the plane actually runs, and on the virtual path where
+    // the replay ignores it.
     for path in ExecutionPath::ALL {
-        let threaded = run_scenario(&service_spec(path)).unwrap();
+        let default_pool = run_scenario(&service_spec(path)).unwrap();
         let mut spec = service_spec(path);
-        let svc = spec.service.as_mut().unwrap();
-        svc.plane = Some(PlaneKind::Async);
-        svc.workers = Some(2);
-        let asynced = run_scenario(&spec).unwrap();
+        spec.service.as_mut().unwrap().workers = Some(2);
+        let two_workers = run_scenario(&spec).unwrap();
         assert_eq!(
-            threaded.replay_fingerprint(),
-            asynced.replay_fingerprint(),
-            "{} plane knob moved the fingerprint",
+            default_pool.replay_fingerprint(),
+            two_workers.replay_fingerprint(),
+            "{} workers knob moved the fingerprint",
             path.label()
         );
         let (t, a) = (
-            &threaded.service.as_ref().unwrap().totals,
-            &asynced.service.as_ref().unwrap().totals,
+            &default_pool.service.as_ref().unwrap().totals,
+            &two_workers.service.as_ref().unwrap().totals,
         );
         assert_eq!(
             (
@@ -1061,7 +1047,7 @@ fn async_plane_reports_the_same_fingerprint_and_deterministic_stats() {
                 a.sessions_rejected,
                 a.sessions_evicted
             ),
-            "{} lifecycle drifted across planes",
+            "{} lifecycle drifted across pool sizes",
             path.label()
         );
         assert_eq!(
@@ -1077,7 +1063,7 @@ fn async_plane_reports_the_same_fingerprint_and_deterministic_stats() {
                 a.peak_live_sessions,
                 a.flow_limited_sessions
             ),
-            "{} shared-render accounting drifted across planes",
+            "{} shared-render accounting drifted across pool sizes",
             path.label()
         );
     }

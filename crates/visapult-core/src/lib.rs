@@ -26,8 +26,8 @@
 //! more than the two bundled capability sets
 //! ([`pipeline::PathCapabilities`]); both produce byte-identical
 //! [`CampaignReport::replay_fingerprint`]s for the same spec.  The legacy
-//! per-path entry points (`run_real_campaign`, `run_sim_campaign`,
-//! `run_service_plane`) survive as thin deprecated facades over the builder.
+//! per-path entry points (`run_real_campaign`, `run_sim_campaign`) survive
+//! as thin deprecated facades over the builder.
 //!
 //! Supporting modules: the light/heavy payload wire [`protocol`], the
 //! multi-session [`service`] layer (session broker, shared-render fan-out,
@@ -72,16 +72,14 @@ pub use error::VisapultError;
 pub use model::OverlapModel;
 pub use pipeline::{
     AsyncPlane, Clock, Fabric, FabricLinks, FanoutPlane, FarmRun, ModelFarm, ModeledFabric, MultiBackendFarm,
-    PathCapabilities, PhaseMeans, Pipeline, PipelineBuilder, PlaneSession, RenderFarm, ReplayPlane, ServicePlane,
-    StageArtifacts, StageContext, StripedFabric, ThreadFarm, VirtualClock, WallClock,
+    PathCapabilities, PhaseMeans, Pipeline, PipelineBuilder, PlaneKind, PlaneSession, RenderFarm, ReplayPlane,
+    ServicePlane, StageArtifacts, StageContext, StripedFabric, ThreadFarm, VirtualClock, WallClock,
 };
 pub use platform::ComputePlatform;
 pub use protocol::{FramePayload, FrameSegments, HeavyPayload, LightPayload};
-#[allow(deprecated)] // the facade stays re-exported while callers migrate to the builder
-pub use service::run_service_plane;
 pub use service::{
-    log_service_telemetry, BackendPlacement, PlaneKind, QualityTier, RejectReason, ServiceConfig, ServiceRunReport,
-    ServiceStats, SessionBroker, SessionDelivery, SessionEvent, SessionSpec, ShardLockStats, ShardedBroker,
+    log_service_telemetry, BackendPlacement, QualityTier, RejectReason, ServiceConfig, ServiceRunReport, ServiceStats,
+    SessionBroker, SessionDelivery, SessionEvent, SessionSpec, ShardLockStats, ShardedBroker,
 };
 pub use transport::{
     drain_frames, plan_chunks, striped_link, FrameAssembler, FrameChunk, StripeReceiver, StripeSender, TcpTuning,

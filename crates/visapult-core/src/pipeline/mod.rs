@@ -53,7 +53,7 @@ mod plane;
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use fabric::{Fabric, FabricLinks, ModeledFabric, StripedFabric};
 pub use farm::{ModelFarm, MultiBackendFarm, RenderFarm, ThreadFarm};
-pub use plane::{AsyncPlane, FanoutPlane, PlaneSession, ReplayPlane, ServicePlane};
+pub use plane::{AsyncPlane, FanoutPlane, PlaneKind, PlaneSession, ReplayPlane, ServicePlane};
 
 use crate::backend::BackendReport;
 use crate::campaign::real::{RealCampaignConfig, RealDataPath, RealDpssEnv, ServicePlan};

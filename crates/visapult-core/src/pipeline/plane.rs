@@ -2,24 +2,25 @@
 //!
 //! With a [`ServicePlan`] configured, the real plane ([`FanoutPlane`])
 //! splices the shared-render broker between the backend links and the
-//! primary viewer: chunks forward to the primary with the classic blocking
-//! backpressure while zero-copy clones multicast onto per-session bounded
-//! queues.  The replay plane ([`ReplayPlane`]) advances the *identical*
-//! deterministic broker state machine over the same frame counter without
-//! moving a byte, and folds the offered fan-out load in from the modeled
-//! chunk plan — so the lifecycle and shared-render telemetry is
-//! byte-identical across paths.
+//! primary viewer: chunks forward to the primary under backpressure while
+//! zero-copy clones multicast onto per-session bounded queues.  The replay
+//! plane ([`ReplayPlane`]) advances the *identical* deterministic broker
+//! state machine over the same frame counter without moving a byte, and
+//! folds the offered fan-out load in from the modeled chunk plan — so the
+//! lifecycle and shared-render telemetry is byte-identical across paths.
 
-use super::{modeled_segment_lens, FabricLinks, FarmRun, StageContext};
+use super::{modeled_segment_lens, FabricLinks, FarmRun, StageContext, WallClock};
+use crate::campaign::real::ServicePlan;
 use crate::error::VisapultError;
-use crate::service::asyncplane::{drive_async_service_plane_metered, drive_sharded_async_plane_metered};
-use crate::service::fanout::{drive_service_plane_metered, drive_sharded_service_plane_metered, PlaneTelemetry};
+use crate::service::asyncplane::drive_fanout_on;
+use crate::service::fanout::PlaneTelemetry;
 use crate::service::{
-    log_service_stats_sampled, log_service_telemetry, log_shard_overprovision, shard_overprovision, PlaneKind,
-    ServiceRunReport, SessionBroker, ShardedBroker,
+    log_service_stats_sampled, log_service_telemetry, log_shard_overprovision, shard_overprovision, ServiceRunReport,
+    SessionBroker, ShardedBroker,
 };
 use crate::transport::{plan_chunks, striped_link, StripeReceiver, StripeSender, TransportConfig};
 use netlogger::{Collector, MetricsHub};
+use std::sync::Arc;
 
 /// The fan-out capability: given the fabric's links, optionally splice a
 /// session-serving plane between the farm and the viewer.
@@ -47,275 +48,120 @@ pub trait PlaneSession {
     ) -> Result<Option<ServiceRunReport>, VisapultError>;
 }
 
-/// The real shared-render fan-out plane.
-///
-/// Splices whichever implementation the stage's [`ServicePlan`] selects
-/// ([`crate::service::PlaneKind`]): the classic thread-per-session plane or
-/// the executor-backed async plane.  [`AsyncPlane`] forces the async
-/// implementation regardless of the plan.
-///
-/// [`ServicePlan`]: crate::campaign::real::ServicePlan
+/// The real shared-render fan-out plane: session consumers, stripe pumps and
+/// pacers run as polled tasks over a bounded worker pool
+/// ([`crate::service::asyncplane`]), so OS thread count is the pool size —
+/// independent of session count.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FanoutPlane;
 
 impl FanoutPlane {
-    /// Run the threaded fan-out plane over a set of backend links directly —
-    /// the supported entry point for harnesses that drive the plane without
-    /// a full pipeline (benchmarks, plane-level tests).  One thread per PE
-    /// link forwards chunks to the primary viewer (blocking backpressure)
-    /// and multicasts zero-copy clones to every admitted session.
+    /// Run the fan-out plane over a set of backend links directly — the
+    /// supported entry point for harnesses that drive the plane without a
+    /// full pipeline (benchmarks, plane-level tests).  Chunks forward to the
+    /// primary viewer links (when given) and multicast as zero-copy clones
+    /// to every admitted session.  A plain [`SessionBroker`] is the
+    /// one-shard [`ShardedBroker`].  The call blocks until the campaign
+    /// drains; the work runs on the default worker pool, unmetered.
+    ///
+    /// [`SessionBroker`]: crate::service::SessionBroker
     pub fn drive(
-        broker: SessionBroker,
+        broker: impl Into<ShardedBroker>,
         inputs: Vec<StripeReceiver>,
         primary: Vec<StripeSender>,
         transport: &TransportConfig,
     ) -> ServiceRunReport {
-        Self::drive_metered(broker, inputs, primary, transport, &MetricsHub::disabled())
+        Self::drive_with(broker, inputs, primary, transport, None, &MetricsHub::disabled())
     }
 
-    /// [`FanoutPlane::drive`] with a live [`MetricsHub`]: wave latencies,
-    /// queue-depth high-waters and fan-out counters land in `hub` — how the
-    /// benchmarks extract per-stage percentiles without a full pipeline.
-    pub fn drive_metered(
-        broker: SessionBroker,
+    /// [`FanoutPlane::drive`] with an explicit worker-pool size (`None` =
+    /// sized to the machine, clamped 2..=8; split evenly across broker
+    /// shards) and a [`MetricsHub`]: wave latencies, queue-depth high-waters,
+    /// fan-out counters and the executors' introspection counters (`exec/*`)
+    /// land in `hub` — how the benchmarks extract per-stage percentiles
+    /// without a full pipeline.  The disabled hub costs nothing.
+    pub fn drive_with(
+        broker: impl Into<ShardedBroker>,
         inputs: Vec<StripeReceiver>,
         primary: Vec<StripeSender>,
         transport: &TransportConfig,
+        workers: Option<usize>,
         hub: &MetricsHub,
     ) -> ServiceRunReport {
-        drive_service_plane_metered(broker, inputs, primary, transport, &PlaneTelemetry::new(hub.clone(), 0))
-    }
-
-    /// Run the threaded plane over a [`ShardedBroker`]: each shard lives
-    /// behind its own counted lock, and the report carries per-shard
-    /// [`crate::service::ShardLockStats`].
-    pub fn drive_sharded(
-        broker: ShardedBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-    ) -> ServiceRunReport {
-        Self::drive_sharded_metered(broker, inputs, primary, transport, &MetricsHub::disabled())
-    }
-
-    /// [`FanoutPlane::drive_sharded`] with a live [`MetricsHub`].
-    pub fn drive_sharded_metered(
-        broker: ShardedBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-        hub: &MetricsHub,
-    ) -> ServiceRunReport {
-        drive_sharded_service_plane_metered(broker, inputs, primary, transport, &PlaneTelemetry::new(hub.clone(), 0))
+        drive_fanout_on(
+            Arc::new(WallClock),
+            broker.into(),
+            inputs,
+            primary,
+            transport,
+            workers,
+            &PlaneTelemetry::new(hub.clone(), 0),
+        )
     }
 }
 
 impl ServicePlane for FanoutPlane {
+    /// Wire the plane between the backend links and fresh primary viewer
+    /// links, then run it on its own coordinator thread (the farm must not
+    /// block on the plane).
     fn splice(
         &self,
         ctx: &StageContext<'_>,
         links: FabricLinks,
     ) -> Result<(FabricLinks, Box<dyn PlaneSession>), VisapultError> {
-        let plane = ctx.service.as_ref().map(|plan| plan.plane_kind()).unwrap_or_default();
-        splice_fanout(ctx, links, plane, None)
-    }
-}
-
-/// The executor-backed fan-out plane, forced regardless of the stage plan's
-/// `plane` knob: session consumers, stripe pumps, and pacers run as polled
-/// tasks over a bounded worker pool, so OS thread count is the pool size —
-/// independent of session count.  Select it with
-/// `Pipeline::builder(..).service_plane(Box::new(AsyncPlane::default()))`, or
-/// declaratively with `[service] plane = "async"` (which routes through
-/// [`FanoutPlane`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AsyncPlane {
-    /// Worker-pool threads (`None` = sized to the machine, clamped 2..=8).
-    pub workers: Option<usize>,
-}
-
-impl AsyncPlane {
-    /// A plane with an explicit worker-pool size.
-    pub fn with_workers(workers: usize) -> AsyncPlane {
-        AsyncPlane { workers: Some(workers) }
-    }
-
-    /// Run the async fan-out plane over a set of backend links directly —
-    /// the executor-backed twin of [`FanoutPlane::drive`].  The call blocks
-    /// until the campaign drains, but every consumer, pump, and pacer runs
-    /// as a polled task on the worker pool.
-    pub fn drive(
-        &self,
-        broker: SessionBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-    ) -> ServiceRunReport {
-        self.drive_metered(broker, inputs, primary, transport, &MetricsHub::disabled())
-    }
-
-    /// [`AsyncPlane::drive`] with a live [`MetricsHub`]: on top of the
-    /// fan-out metrics, the executor's introspection counters (`exec/*` —
-    /// polls, poll nanoseconds, parks, wakes, idle sweeps, run-queue
-    /// high-water) fold into `hub` when the pool winds down.
-    pub fn drive_metered(
-        &self,
-        broker: SessionBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-        hub: &MetricsHub,
-    ) -> ServiceRunReport {
-        drive_async_service_plane_metered(
-            broker,
-            inputs,
-            primary,
-            transport,
-            self.workers,
-            &PlaneTelemetry::new(hub.clone(), 0),
-        )
-    }
-
-    /// Run the async plane over a [`ShardedBroker`]: each shard gets its own
-    /// lock *and its own executor pool*, so the task-queue serialization
-    /// shards along with the broker.  The report carries per-shard
-    /// [`crate::service::ShardLockStats`].
-    pub fn drive_sharded(
-        &self,
-        broker: ShardedBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-    ) -> ServiceRunReport {
-        self.drive_sharded_metered(broker, inputs, primary, transport, &MetricsHub::disabled())
-    }
-
-    /// [`AsyncPlane::drive_sharded`] with a live [`MetricsHub`]: every shard
-    /// executor's introspection counters fold into `hub`.
-    pub fn drive_sharded_metered(
-        &self,
-        broker: ShardedBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-        hub: &MetricsHub,
-    ) -> ServiceRunReport {
-        drive_sharded_async_plane_metered(
-            broker,
-            inputs,
-            primary,
-            transport,
-            self.workers,
-            &PlaneTelemetry::new(hub.clone(), 0),
-        )
-    }
-}
-
-impl ServicePlane for AsyncPlane {
-    fn splice(
-        &self,
-        ctx: &StageContext<'_>,
-        links: FabricLinks,
-    ) -> Result<(FabricLinks, Box<dyn PlaneSession>), VisapultError> {
-        // An explicit builder worker count wins; otherwise the plan's.
-        let workers = self.workers.or_else(|| ctx.service.as_ref().and_then(|p| p.workers));
-        splice_fanout(ctx, links, PlaneKind::Async, workers)
-    }
-}
-
-/// Shared splice body: wire the plane between the backend links and fresh
-/// primary viewer links, then run the selected implementation on its own
-/// coordinator thread (the farm must not block on the plane).
-fn splice_fanout(
-    ctx: &StageContext<'_>,
-    links: FabricLinks,
-    plane: PlaneKind,
-    workers_override: Option<usize>,
-) -> Result<(FabricLinks, Box<dyn PlaneSession>), VisapultError> {
-    let Some(plan) = &ctx.service else {
-        return Ok((links, Box::new(NoSession)));
-    };
-    // The backend links feed the plane; the viewer moves onto fresh
-    // primary links.  The primary links are an unpaced copy of the
-    // transport config: the backend link already applied any WAN
-    // pacing, shaping twice would halve the rate.
-    let FabricLinks {
-        senders,
-        receivers: plane_inputs,
-        stats,
-    } = links;
-    let primary_config = TransportConfig {
-        pace_rate_mbps: None,
-        ..ctx.transport.clone()
-    };
-    let mut primary_txs = Vec::with_capacity(ctx.pipeline.pes);
-    let mut primary_rxs = Vec::with_capacity(ctx.pipeline.pes);
-    for _ in 0..ctx.pipeline.pes {
-        let (tx, rx) = striped_link(&primary_config);
-        primary_txs.push(tx);
-        primary_rxs.push(rx);
-    }
-    let workers = workers_override.or(plan.workers);
-    let plane_transport = ctx.transport.clone();
-    // The stage's metrics hub rides into the plane thread: wave latencies,
-    // queue high-waters and (async) executor introspection all land in the
-    // same hub the pipeline folds into the campaign's TelemetryReport.
-    let plane_telemetry = PlaneTelemetry::new(ctx.metrics.clone(), ctx.telemetry.snapshot_frames);
-    // `shards = 1` takes the classic single-broker path bit for bit; above 1
-    // the sessions partition into independent broker shards.
-    let sharded = if plan.config.shard_count() > 1 {
-        Some(ShardedBroker::new(plan.config.clone(), plan.sessions.clone()))
-    } else {
-        None
-    };
-    let broker = if sharded.is_none() {
-        Some(SessionBroker::new(plan.config.clone(), plan.sessions.clone()))
-    } else {
-        None
-    };
-    let handle = std::thread::Builder::new()
-        .name("visapult-service-plane".to_string())
-        .spawn(move || match (plane, sharded) {
-            (PlaneKind::Threaded, Some(sharded)) => drive_sharded_service_plane_metered(
-                sharded,
-                plane_inputs,
-                primary_txs,
-                &plane_transport,
-                &plane_telemetry,
-            ),
-            (PlaneKind::Async, Some(sharded)) => drive_sharded_async_plane_metered(
-                sharded,
-                plane_inputs,
-                primary_txs,
-                &plane_transport,
-                workers,
-                &plane_telemetry,
-            ),
-            (PlaneKind::Threaded, None) => drive_service_plane_metered(
-                broker.expect("unsharded broker"),
-                plane_inputs,
-                primary_txs,
-                &plane_transport,
-                &plane_telemetry,
-            ),
-            (PlaneKind::Async, None) => drive_async_service_plane_metered(
-                broker.expect("unsharded broker"),
-                plane_inputs,
-                primary_txs,
-                &plane_transport,
-                workers,
-                &plane_telemetry,
-            ),
-        })
-        .expect("spawn service plane");
-    Ok((
-        FabricLinks {
+        let Some(plan) = &ctx.service else {
+            return Ok((links, Box::new(NoSession)));
+        };
+        // The backend links feed the plane; the viewer moves onto fresh
+        // primary links.  The primary links are an unpaced copy of the
+        // transport config: the backend link already applied any WAN
+        // pacing, shaping twice would halve the rate.
+        let FabricLinks {
             senders,
-            receivers: primary_rxs,
+            receivers: plane_inputs,
             stats,
-        },
-        Box::new(FanoutSession { handle }),
-    ))
+        } = links;
+        let primary_config = TransportConfig {
+            pace_rate_mbps: None,
+            ..ctx.transport.clone()
+        };
+        let mut primary_txs = Vec::with_capacity(ctx.pipeline.pes);
+        let mut primary_rxs = Vec::with_capacity(ctx.pipeline.pes);
+        for _ in 0..ctx.pipeline.pes {
+            let (tx, rx) = striped_link(&primary_config);
+            primary_txs.push(tx);
+            primary_rxs.push(rx);
+        }
+        let workers = plan.workers;
+        let plane_transport = ctx.transport.clone();
+        // The stage's metrics hub rides into the plane thread: wave
+        // latencies, queue high-waters and executor introspection all land
+        // in the same hub the pipeline folds into the campaign's
+        // TelemetryReport.
+        let plane_telemetry = PlaneTelemetry::new(ctx.metrics.clone(), ctx.telemetry.snapshot_frames);
+        let broker = ShardedBroker::new(plan.config.clone(), plan.sessions.clone());
+        let handle = std::thread::Builder::new()
+            .name("visapult-service-plane".to_string())
+            .spawn(move || {
+                drive_fanout_on(
+                    Arc::new(WallClock),
+                    broker,
+                    plane_inputs,
+                    primary_txs,
+                    &plane_transport,
+                    workers,
+                    &plane_telemetry,
+                )
+            })?;
+        Ok((
+            FabricLinks {
+                senders,
+                receivers: primary_rxs,
+                stats,
+            },
+            Box::new(FanoutSession { handle }),
+        ))
+    }
 }
 
 /// A live fan-out plane thread, joined once the farm completes.
@@ -352,8 +198,8 @@ impl PlaneSession for FanoutSession {
     }
 }
 
-/// The deterministic broker replay: the identical [`SessionBroker`] state
-/// machine the real plane drives, advanced over the same frame counter.
+/// The deterministic broker replay: the identical broker state machine the
+/// real plane drives, advanced over the same frame counter.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayPlane;
 
@@ -390,26 +236,16 @@ impl PlaneSession for ReplaySession {
         let chunks = plans.len() as u64 * ctx.pipeline.pes as u64;
         let bytes = plans.iter().map(|p| p.len as u64).sum::<u64>() * ctx.pipeline.pes as u64;
         let per_frame = vec![(chunks, bytes); timesteps];
-        // The replay twin of the real plane's shard gating: above one shard
-        // the identical ShardedBroker composite replays the partitioned
-        // decisions, so fingerprinted telemetry matches the real path.
-        let (stats, events) = if plan.config.shard_count() > 1 {
-            let mut broker = ShardedBroker::new(plan.config.clone(), plan.sessions.clone());
-            if timesteps > 0 {
-                broker.advance_to(timesteps as u32 - 1);
-            }
-            broker.finish();
-            broker.fold_fanout_load(&per_frame);
-            (broker.stats(), broker.events())
-        } else {
-            let mut broker = SessionBroker::new(plan.config.clone(), plan.sessions.clone());
-            if timesteps > 0 {
-                broker.advance_to(timesteps as u32 - 1);
-            }
-            broker.finish();
-            broker.fold_fanout_load(&per_frame);
-            (broker.stats().clone(), broker.events().to_vec())
-        };
+        // The identical ShardedBroker composite the real plane drives (one
+        // shard unless the plan asks for more), so fingerprinted telemetry
+        // matches the real path.
+        let mut broker = ShardedBroker::new(plan.config.clone(), plan.sessions.clone());
+        if timesteps > 0 {
+            broker.advance_to(timesteps as u32 - 1);
+        }
+        broker.finish();
+        broker.fold_fanout_load(&per_frame);
+        let (stats, events) = (broker.stats(), broker.events());
         let logger = collector.logger("service", "session-broker");
         // The identical deterministic sampling as the real path: the same
         // session ids keep their lifelines, so NLV overlays line up.
@@ -450,5 +286,57 @@ impl PlaneSession for NoSession {
         _collector: &Collector,
     ) -> Result<Option<ServiceRunReport>, VisapultError> {
         Ok(None)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Ledger compile surface
+// ---------------------------------------------------------------------------
+// `PlaneKind`, `AsyncPlane` and `ServicePlan::plane_kind` exist only because
+// the frozen benchmark (`crates/visapult-bench/src/bin/ledger/`, which a PR
+// may not edit) still names them; nothing in this crate selects on them, and
+// all three go in the next `benchmark` PR.
+
+/// Which plane a [`ServicePlan`] selects — always [`PlaneKind::Async`]: there
+/// is one fan-out plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlaneKind {
+    /// The retired thread-per-session plane (never selected).
+    Threaded,
+    /// The executor-backed plane behind [`FanoutPlane`].
+    Async,
+}
+
+impl ServicePlan {
+    /// The plane this plan selects: always [`PlaneKind::Async`].
+    pub fn plane_kind(&self) -> PlaneKind {
+        PlaneKind::Async
+    }
+}
+
+/// [`FanoutPlane`] with a worker-pool size attached.
+#[derive(Debug, Clone, Copy)]
+pub struct AsyncPlane {
+    /// Worker-pool threads (`None` = sized to the machine, clamped 2..=8).
+    pub workers: Option<usize>,
+}
+
+impl AsyncPlane {
+    /// Forwards to [`FanoutPlane::drive_with`], unmetered.
+    pub fn drive(
+        &self,
+        broker: SessionBroker,
+        inputs: Vec<StripeReceiver>,
+        primary: Vec<StripeSender>,
+        transport: &TransportConfig,
+    ) -> ServiceRunReport {
+        FanoutPlane::drive_with(
+            broker,
+            inputs,
+            primary,
+            transport,
+            self.workers,
+            &MetricsHub::disabled(),
+        )
     }
 }

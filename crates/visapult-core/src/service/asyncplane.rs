@@ -1,34 +1,31 @@
-//! The executor-backed fan-out plane: 10k sessions for the price of memory.
+//! The fan-out plane: every session for the price of memory, not threads.
 //!
-//! The threaded plane ([`super::fanout`]) spends one OS thread per session
-//! consumer and one per backend PE link — fine on an exhibit floor, fatal for
-//! the ROADMAP's "millions of users" direction.  This plane keeps the same
-//! broker, the same multicast/degradation seam, and the same report assembly
-//! (all shared `pub(crate)` helpers in `fanout`), but runs every unit of work
-//! as a polled state-machine task on a small [`exec::Executor`] worker pool:
+//! One implementation serves one session and a hundred thousand alike.  Every
+//! unit of work is a polled state-machine task on a small [`exec::Executor`]
+//! worker pool, so OS thread count is the pool size — independent of the
+//! session count — and the broker is always a [`ShardedBroker`] (a plain
+//! [`super::SessionBroker`] is its one-shard case):
 //!
-//! * `PumpTask` — one per backend PE link.  Polls chunks off the striped
-//!   link with `try_recv`, drives broker churn from the frame counter,
-//!   forwards to the primary viewer (non-blocking with a carried chunk, so a
-//!   full primary queue parks *this task*, not an OS thread), and multicasts
-//!   zero-copy clones through the shared degradation seam.
+//! * `ShardPumpTask` — one per backend PE link.  Polls chunks off the striped
+//!   link with `try_recv`, accounts the offered load, forwards to the primary
+//!   viewer (non-blocking with a carried chunk, so a full primary queue parks
+//!   *this task*, not an OS thread), and pushes one refcounted clone into
+//!   every shard's bounded fan lane.  It never touches a broker lock.
+//! * `ShardFanTask` — one per broker shard, polling on that shard's own
+//!   executor.  Drains the shard's lane, drives that shard's broker churn
+//!   from the frame counter, and multicasts zero-copy clones over that
+//!   shard's endpoints through the shared degradation seam
+//!   ([`super::fanout`]).  The multicast loop — the dominant cost at 10k
+//!   sessions — runs shard-parallel.
 //! * `ConsumerTask` — one per admitted session.  Drains the session's own
 //!   bounded queue, paces through the session's [`netsim::StripePacer`]
 //!   against the [`Clock`] (a pacing delay becomes an `Idle` poll with a
-//!   deadline, not a sleeping thread), reassembles frames, and surfaces the
-//!   same typed errors as the threaded consumer.
-//! * `ShardPumpTask` + `ShardFanTask` — the sharded plane splits the pump in
-//!   two.  The per-PE pump only accounts each chunk, forwards the primary
-//!   viewer, and pushes one refcounted clone into every shard's bounded fan
-//!   lane; a per-shard fan task (polling on that shard's own executor) drives
-//!   that shard's broker churn and multicasts over that shard's endpoints
-//!   only.  The multicast loop — the dominant cost at 10k sessions — runs
-//!   shard-parallel instead of serialized on one pump.
+//!   deadline, not a sleeping thread), reassembles frames, and surfaces
+//!   anomalies as the typed errors the viewer itself would report.
 //!
-//! OS thread count is therefore the worker-pool size — independent of the
-//! session count — and the deterministic half of [`super::ServiceStats`]
-//! is byte-identical to the threaded plane because both drive the identical
-//! [`SessionBroker`] through the identical seam functions.
+//! The deterministic half of [`super::ServiceStats`] is byte-identical to the
+//! virtual-time replay because both advance the identical broker state
+//! machine over the same frame counter.
 
 use super::fanout::{
     consume_chunk, empty_delivery, fold_report, session_link, surface_pending_frames, PeOutcome, PlaneTelemetry,
@@ -36,7 +33,7 @@ use super::fanout::{
 };
 use super::sharded::CountedLock;
 use super::{ServiceRunReport, SessionBroker, SessionDelivery, SessionEvent, ShardedBroker};
-use crate::pipeline::{Clock, WallClock};
+use crate::pipeline::Clock;
 use crate::transport::{FrameChunk, StripeReceiver, StripeSender, TransportConfig, TransportError};
 use crossbeam::channel::{bounded, ReadyHook, Receiver, Sender, TryRecvError, TrySendError};
 use exec::{Executor, Poll, Spawner, Task, TaskHandle, Waker};
@@ -77,9 +74,9 @@ fn wake_hook(waker: Waker) -> ReadyHook {
     Arc::new(move || waker.wake())
 }
 
-/// Broker + endpoints + consumer-task registry, shared by every pump.  One
-/// per shard on the sharded plane (with its own lock and its own executor's
-/// spawner); the classic plane is the one-shard instance.
+/// One broker shard's plane-side state: broker, endpoints, and consumer-task
+/// registry, behind the shard's own lock and served by the shard's own
+/// executor.
 struct AsyncState {
     broker: SessionBroker,
     endpoints: Vec<Arc<SessionEndpoint>>,
@@ -87,8 +84,9 @@ struct AsyncState {
     /// append-only): O(1) Left/Evicted closes instead of an O(live) scan.
     endpoint_of: HashMap<usize, usize>,
     consumers: Vec<(usize, TaskHandle, Slot<SessionDelivery>)>,
-    /// Global schedule index per local broker index (empty = identity, the
-    /// unsharded plane).
+    /// Global schedule index per local broker index.  Endpoints, consumers
+    /// and deliveries are keyed globally so shard outputs merge without
+    /// collisions.
     globals: Vec<usize>,
     /// Decode memo shared by every consumer this shard spawns: sessions all
     /// receive the same multicast chunks, so each frame decodes once.
@@ -96,14 +94,9 @@ struct AsyncState {
 }
 
 impl AsyncState {
-    fn global(&self, session: usize) -> usize {
-        self.globals.get(session).copied().unwrap_or(session)
-    }
-
     /// Advance the broker to `frame`, materializing queues and consumer
-    /// *tasks* for admissions and closing the delivery window for
-    /// leaves/evictions.  The mirror of the threaded plane's `observe_frame`,
-    /// with `spawner.spawn` where that one spawns a thread.
+    /// tasks for admissions and closing the delivery window for
+    /// leaves/evictions.
     fn observe_frame(&mut self, frame: u32, transport: &TransportConfig, spawner: &Spawner, clock: &Arc<dyn Clock>) {
         if frame < self.broker.next_frame() {
             return;
@@ -115,7 +108,7 @@ impl AsyncState {
             match event {
                 SessionEvent::Admitted { session } => {
                     let spec = self.broker.spec(session).clone();
-                    let global = self.global(session);
+                    let global = self.globals[session];
                     let (tx, rx, pacer) = session_link(&spec, self.broker.config().queue_depth, transport);
                     let out = slot();
                     let handle = spawner.spawn(Box::new(ConsumerTask {
@@ -132,7 +125,7 @@ impl AsyncState {
                     self.endpoints.push(SessionEndpoint::new(global, spec, tx));
                 }
                 SessionEvent::Left { session } | SessionEvent::Evicted { session } => {
-                    let global = self.global(session);
+                    let global = self.globals[session];
                     if let Some(&i) = self.endpoint_of.get(&global) {
                         self.endpoints[i].close_at(at);
                     }
@@ -141,33 +134,6 @@ impl AsyncState {
             }
         }
     }
-}
-
-/// One backend PE link as a polled task: the async twin of the threaded
-/// plane's per-PE thread body, chunk for chunk.
-struct PumpTask {
-    rx: StripeReceiver,
-    primary_tx: Option<StripeSender>,
-    /// A chunk received and accounted but still owed to the primary viewer:
-    /// its full queue parks this task (backpressure through `Idle`), never a
-    /// worker thread.
-    carry: Option<FrameChunk>,
-    /// Every broker shard behind its own counted lock, paired with the
-    /// spawner consumers of that shard spawn on (the classic plane is one
-    /// shard on the pump's own executor).
-    shards: Vec<(Arc<CountedLock<AsyncState>>, Spawner)>,
-    transport: TransportConfig,
-    clock: Arc<dyn Clock>,
-    endpoints: Vec<Arc<SessionEndpoint>>,
-    snapshot_frame: Option<u32>,
-    skips: HashSet<(usize, u32)>,
-    /// The current frame's chunks, held back so the multicast can burst each
-    /// session's whole wave contiguously (one consumer wake per frame).
-    wave: WaveBuffer,
-    outcome: Option<PeOutcome>,
-    out: Slot<PeOutcome>,
-    telemetry: PlaneTelemetry,
-    meter: WaveMeter,
 }
 
 /// Forward `chunk` to the primary viewer if one is attached.  Returns the
@@ -189,99 +155,7 @@ fn forward_primary_chunk(primary_tx: &mut Option<StripeSender>, chunk: FrameChun
     }
 }
 
-impl Task for PumpTask {
-    fn bind(&mut self, waker: Waker) {
-        // Everything this task can park on wakes it: a chunk arriving on the
-        // backend link (or the link closing), and — when a full primary
-        // viewer queue leaves a chunk carried — a slot freeing up there.
-        let hook = wake_hook(waker);
-        self.rx.set_data_hook(Arc::clone(&hook));
-        if let Some(tx) = &self.primary_tx {
-            tx.set_space_hook(hook);
-        }
-    }
-
-    fn poll(&mut self) -> Poll {
-        let mut progressed = false;
-        let mut budget = POLL_BUDGET;
-        loop {
-            // Settle the carried chunk before receiving another: primary
-            // forwarding keeps the blocking plane's per-link ordering.
-            if let Some(chunk) = self.carry.take() {
-                match forward_primary_chunk(&mut self.primary_tx, chunk) {
-                    Ok(chunk) => {
-                        let outcome = self.outcome.as_mut().expect("pump still running");
-                        // Session-major wave burst: buffer until the frame's
-                        // chunks are all in, then hand every session its run
-                        // contiguously — one consumer wake per wave instead
-                        // of one per chunk (see [`WaveBuffer`]).
-                        if self.wave.push(chunk) {
-                            self.meter
-                                .multicast(&self.wave.take(), &self.endpoints, &mut self.skips, outcome);
-                        }
-                        progressed = true;
-                    }
-                    Err(chunk) => {
-                        // Primary full: the space hook re-queues this task.
-                        self.carry = Some(chunk);
-                        return if progressed { Poll::Progress } else { Poll::Blocked };
-                    }
-                }
-            }
-            if budget == 0 {
-                return Poll::Progress;
-            }
-            match self.rx.try_recv_chunk() {
-                Some(chunk) => {
-                    budget -= 1;
-                    let frame = chunk.frame;
-                    let outcome = self.outcome.as_mut().expect("pump still running");
-                    outcome.record_offered(&chunk);
-                    // A chunk for a new (rank, frame) closes the buffered
-                    // wave: flush it against the snapshot it belongs to,
-                    // *before* churn refreshes the endpoints.
-                    if self.wave.must_flush_before(&chunk) {
-                        self.meter
-                            .multicast(&self.wave.take(), &self.endpoints, &mut self.skips, outcome);
-                    }
-                    // Drive churn from the frame counter, then refresh the
-                    // endpoint snapshot — same high-water rule and the same
-                    // correctness argument as the threaded plane; shards are
-                    // locked one at a time, in shard order.
-                    if self.snapshot_frame.map(|f| frame > f).unwrap_or(true) {
-                        self.endpoints.clear();
-                        for (shard, spawner) in &self.shards {
-                            let mut st = shard.lock();
-                            st.observe_frame(frame, &self.transport, spawner, &self.clock);
-                            self.endpoints.extend(st.endpoints.iter().cloned());
-                        }
-                        self.snapshot_frame = Some(frame);
-                        self.meter.observe_depths(self.endpoints.len(), self.rx.queued_chunks());
-                        self.telemetry.observe_frame(frame);
-                    }
-                    self.carry = Some(chunk);
-                }
-                None => {
-                    if self.rx.is_closed() {
-                        // Backend link drained and closed: flush the
-                        // trailing (possibly mid-frame) wave; this PE is
-                        // done.
-                        let outcome = self.outcome.as_mut().expect("pump still running");
-                        self.meter
-                            .multicast(&self.wave.take(), &self.endpoints, &mut self.skips, outcome);
-                        fill(&self.out, self.outcome.take().expect("pump finishes once"));
-                        return Poll::Ready;
-                    }
-                    // Link empty: the data hook re-queues this task on the
-                    // next arrival (or on close).
-                    return if progressed { Poll::Progress } else { Poll::Blocked };
-                }
-            }
-        }
-    }
-}
-
-/// The sharded plane's per-PE pump: accounts offered load, forwards the
+/// The per-PE pump: accounts offered load, forwards the
 /// primary viewer, and hands each chunk (a refcounted clone) to every shard's
 /// fan lane.  It never touches a broker lock and never walks an endpoint
 /// list — the multicast work happens shard-parallel in [`ShardFanTask`]s.
@@ -318,8 +192,8 @@ impl Task for ShardPumpTask {
         let mut budget = POLL_BUDGET;
         loop {
             // Settle the carries before receiving another chunk: primary
-            // first, then the remaining fan lanes, preserving the blocking
-            // plane's per-link ordering.
+            // first, then the remaining fan lanes, preserving per-link
+            // chunk order.
             if let Some(chunk) = self.carry.take() {
                 match forward_primary_chunk(&mut self.primary_tx, chunk) {
                     Ok(chunk) => self.fan_carry = Some((0, chunk)),
@@ -421,10 +295,16 @@ impl Task for ShardFanTask {
                         self.meter
                             .multicast(&self.wave.take(), &self.endpoints, &mut self.skips, outcome);
                     }
-                    // Same high-water churn rule as the pump on the classic
-                    // plane, but the lock is held only to advance the broker
-                    // and clone out the endpoint list — the multicast itself
-                    // runs lock-free on the snapshot.
+                    // Drive churn from the frame counter and refresh the
+                    // endpoint snapshot only on a new high-water frame.
+                    // Endpoints are append-only and sessions join only at
+                    // frame boundaries (admissions for frame f complete
+                    // under the shard lock before this snapshot), so a
+                    // snapshot taken at frame f is a superset of the
+                    // endpoints any chunk of frame ≤ f can belong to —
+                    // `wants(frame)` does the per-chunk filtering.  The lock
+                    // is held only to advance the broker and clone out the
+                    // endpoint list; the multicast runs lock-free.
                     if self.snapshot_frame.map(|f| frame > f).unwrap_or(true) {
                         {
                             let mut st = self.shard.lock();
@@ -464,9 +344,9 @@ impl Task for ShardFanTask {
     }
 }
 
-/// One session consumer as a polled task: the async twin of
-/// `run_session_consumer`, with the pacer's delay expressed as a deadline on
-/// the [`Clock`] instead of a thread sleep.
+/// One session consumer as a polled task, with the pacer's delay expressed
+/// as a deadline on the [`Clock`] instead of a thread sleep — so the same
+/// body is drivable by a virtual clock without sleeping.
 struct ConsumerTask {
     rx: StripeReceiver,
     pacer: Option<StripePacer>,
@@ -534,40 +414,6 @@ impl Task for ConsumerTask {
     }
 }
 
-/// The async fan-out plane on the wall clock (the production entry).
-#[cfg_attr(not(test), allow(dead_code))] // production callers go through the metered twin
-pub(crate) fn drive_async_service_plane(
-    broker: SessionBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-    workers: Option<usize>,
-) -> ServiceRunReport {
-    drive_async_service_plane_metered(broker, inputs, primary, transport, workers, &PlaneTelemetry::disabled())
-}
-
-/// The async plane on the wall clock with telemetry wiring — what the
-/// pipeline (and the benches, through [`crate::pipeline::AsyncPlane`])
-/// actually call.
-pub(crate) fn drive_async_service_plane_metered(
-    broker: SessionBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-    workers: Option<usize>,
-    telemetry: &PlaneTelemetry,
-) -> ServiceRunReport {
-    drive_async_service_plane_on(
-        &(Arc::new(WallClock) as Arc<dyn Clock>),
-        broker,
-        inputs,
-        primary,
-        transport,
-        workers,
-        telemetry,
-    )
-}
-
 /// Fold one executor pool's introspection counters into the metrics hub —
 /// *before* the pool is dropped, which is when the worker cells die.
 fn fold_exec_stats(telemetry: &PlaneTelemetry, stats: &exec::ExecutorStats) {
@@ -593,91 +439,24 @@ fn fold_exec_stats(telemetry: &PlaneTelemetry, stats: &exec::ExecutorStats) {
     }
 }
 
-/// The async fan-out plane implementation, on an explicit clock.
+/// The fan-out plane, on an explicit clock: the one driver behind
+/// [`crate::pipeline::FanoutPlane`].
 ///
-/// Blocking facade over the task pool: spawns one [`PumpTask`] per backend PE
-/// link (consumers spawn as the broker admits them), waits the pumps out,
-/// finishes the broker, waits the consumers out, and assembles the report
-/// through the same fold as the threaded plane.  The caller blocks; the work
-/// runs on `workers` pool threads (default [`exec::default_workers`]).
-pub(crate) fn drive_async_service_plane_on(
-    clock: &Arc<dyn Clock>,
-    broker: SessionBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-    workers: Option<usize>,
-    telemetry: &PlaneTelemetry,
-) -> ServiceRunReport {
-    let executor = Executor::new(workers.unwrap_or_else(exec::default_workers));
-    let spawner = executor.spawner();
-    let shard = Arc::new(CountedLock::new(AsyncState {
-        broker,
-        endpoints: Vec::new(),
-        endpoint_of: HashMap::new(),
-        consumers: Vec::new(),
-        globals: Vec::new(),
-        decode: Arc::new(crate::transport::SharedDecode::new()),
-    }));
-    shard.lockdep_label("async-plane-shard");
-    let shards = vec![(Arc::clone(&shard), spawner.clone())];
-    let outcomes = run_async_pumps(clock, &spawner, &shards, inputs, primary, transport, telemetry);
-    let deliveries = wait_shard_deliveries(&shards);
-    // All tasks finished; harvest the pool's introspection counters, then
-    // tear it down before folding.
-    fold_exec_stats(telemetry, &executor.stats());
-    drop(executor);
-    drop(shards);
-    let st = match Arc::try_unwrap(shard) {
-        Ok(lock) => lock.into_inner(),
-        Err(_) => unreachable!("pump tasks have finished"),
-    };
-    fold_report(st.broker, &outcomes, deliveries)
-}
-
-/// The sharded async plane on the wall clock.
-#[cfg_attr(not(test), allow(dead_code))] // production callers go through the metered twin
-pub(crate) fn drive_sharded_async_plane(
-    broker: ShardedBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-    workers: Option<usize>,
-) -> ServiceRunReport {
-    drive_sharded_async_plane_metered(broker, inputs, primary, transport, workers, &PlaneTelemetry::disabled())
-}
-
-/// The sharded async plane on the wall clock with telemetry wiring.
-pub(crate) fn drive_sharded_async_plane_metered(
-    broker: ShardedBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-    workers: Option<usize>,
-    telemetry: &PlaneTelemetry,
-) -> ServiceRunReport {
-    drive_sharded_async_plane_on(
-        &(Arc::new(WallClock) as Arc<dyn Clock>),
-        broker,
-        inputs,
-        primary,
-        transport,
-        workers,
-        telemetry,
-    )
-}
-
-/// The sharded async plane: each broker shard gets its own counted lock *and
-/// its own executor* — the shard's consumers, and its [`ShardFanTask`], spawn
-/// and poll on its private pool (of `workers / shards` threads, at least 1),
-/// so the per-executor task queue mutex, the idle sweeps over live consumers,
-/// *and the multicast loop itself* shard along with the broker.  Pumps are
-/// lightweight (account, forward the primary, feed the fan lanes) and spawn
-/// round-robin across the shard executors — a dedicated pump pool would add
-/// an OS thread that mostly idles, which on a loaded box steals cycles from
-/// the real work.
-pub(crate) fn drive_sharded_async_plane_on(
-    clock: &Arc<dyn Clock>,
+/// Each broker shard gets its own counted lock *and its own executor* — the
+/// shard's consumers, and its [`ShardFanTask`], spawn and poll on its private
+/// pool (of `workers / shards` threads, at least 1), so the per-executor task
+/// queue mutex, the idle sweeps over live consumers, *and the multicast loop
+/// itself* shard along with the broker.  Pumps are lightweight (account,
+/// forward the primary, feed the fan lanes) and spawn round-robin across the
+/// shard executors — a dedicated pump pool would add an OS thread that mostly
+/// idles, which on a loaded box steals cycles from the real work.
+///
+/// The caller blocks until the backend links close and every consumer has
+/// drained; the work runs on `workers` pool threads (default
+/// [`exec::default_workers`]).  The report carries one
+/// [`super::ShardLockStats`] per shard.
+pub(crate) fn drive_fanout_on(
+    clock: Arc<dyn Clock>,
     broker: ShardedBroker,
     inputs: Vec<StripeReceiver>,
     primary: Vec<StripeSender>,
@@ -713,7 +492,7 @@ pub(crate) fn drive_sharded_async_plane_on(
             (lock, executor.spawner())
         })
         .collect();
-    let outcomes = run_sharded_async_pumps(clock, &shards, inputs, primary, transport, telemetry);
+    let outcomes = run_pumps(&clock, &shards, inputs, primary, transport, telemetry);
     let deliveries = wait_shard_deliveries(&shards);
     // All tasks finished; harvest every pool's introspection counters (the
     // cells die with the pools), then tear them down before folding.
@@ -731,77 +510,23 @@ pub(crate) fn drive_sharded_async_plane_on(
         };
         brokers.push(st.broker);
     }
-    let mut report = fold_report(
+    fold_report(
         ShardedBroker::from_parts(config, brokers, globals),
         &outcomes,
         deliveries,
-    );
-    report.shard_locks = shard_locks;
-    report
+        shard_locks,
+    )
 }
 
-/// Spawn one [`PumpTask`] per backend PE link on `pump_spawner` and block
-/// until every pump finishes (the backend links closed and every carried
-/// chunk settled).
-fn run_async_pumps(
-    clock: &Arc<dyn Clock>,
-    pump_spawner: &Spawner,
-    shards: &[(Arc<CountedLock<AsyncState>>, Spawner)],
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-    telemetry: &PlaneTelemetry,
-) -> Vec<PeOutcome> {
-    assert!(
-        primary.is_empty() || primary.len() == inputs.len(),
-        "primary forwarding needs one link per PE"
-    );
-    // Frame 0 joins happen before any chunk moves.
-    for (shard, spawner) in shards {
-        shard.lock().observe_frame(0, transport, spawner, clock);
-    }
-    let pumps: Vec<(TaskHandle, Slot<PeOutcome>)> = inputs
-        .into_iter()
-        .zip(primary.into_iter().map(Some).chain(std::iter::repeat_with(|| None)))
-        .map(|(rx, primary_tx)| {
-            let out = slot();
-            let handle = pump_spawner.spawn(Box::new(PumpTask {
-                rx,
-                primary_tx,
-                carry: None,
-                shards: shards.to_vec(),
-                transport: transport.clone(),
-                clock: Arc::clone(clock),
-                endpoints: Vec::new(),
-                snapshot_frame: None,
-                skips: HashSet::new(),
-                wave: WaveBuffer::new(),
-                outcome: Some(PeOutcome::new()),
-                out: Arc::clone(&out),
-                telemetry: telemetry.clone(),
-                meter: telemetry.meter(),
-            }));
-            (handle, out)
-        })
-        .collect();
-    for (handle, _) in &pumps {
-        handle.wait();
-    }
-    pumps
-        .iter()
-        .map(|(_, out)| take(out).expect("pump wrote its outcome"))
-        .collect()
-}
-
-/// The sharded plane's pump stage: one [`ShardFanTask`] per shard (on that
-/// shard's executor), one [`ShardPumpTask`] per backend PE link (round-robin
-/// across the shard executors), and a bounded fan lane between them.  Blocks
+/// The pump stage: one [`ShardFanTask`] per shard (on that shard's executor),
+/// one [`ShardPumpTask`] per backend PE link (round-robin across the shard
+/// executors), and a bounded fan lane between them.  Blocks
 /// until every pump *and every fan task* finishes — the fan tasks hold
 /// endpoint clones that keep session queues open, so they must drain before
 /// deliveries are waited.  Returns the pump outcomes (offered load + primary)
 /// followed by the fan outcomes (per-shard delivery counters);
 /// `fold_report` sums them.
-fn run_sharded_async_pumps(
+fn run_pumps(
     clock: &Arc<dyn Clock>,
     shards: &[(Arc<CountedLock<AsyncState>>, Spawner)],
     inputs: Vec<StripeReceiver>,
@@ -902,156 +627,274 @@ fn wait_shard_deliveries(shards: &[(Arc<CountedLock<AsyncState>>, Spawner)]) -> 
 
 #[cfg(test)]
 mod tests {
-    use super::super::fanout::tests::fan_out_with;
     use super::super::{QualityTier, ServiceConfig, SessionSpec};
     use super::*;
-    use crate::pipeline::VirtualClock;
+    use crate::pipeline::{VirtualClock, WallClock};
+    use crate::protocol::{FramePayload, FrameSegments};
+    use crate::test_support::sample_frame;
+    use crate::transport::{drain_frames, plan_chunks, striped_link};
     use crate::viewer::ViewerError;
+    use netlogger::metrics::MetricsHub;
+
+    /// Shard counts every shard-sensitive behaviour is pinned at: the
+    /// degenerate one-shard plane and a real partition.
+    const SHARD_COUNTS: [usize; 2] = [1, 4];
 
     fn spec(name: &str, viewpoint: u32, tier: QualityTier) -> SessionSpec {
         SessionSpec::new(name, viewpoint, tier)
     }
 
-    fn tiny_config() -> ServiceConfig {
+    fn tiny_config(shards: usize, queue_depth: usize) -> ServiceConfig {
         ServiceConfig {
             max_sessions: 4,
             link_capacity_units: 8,
             render_slots: 2,
-            queue_depth: 8,
+            queue_depth,
+            shards: Some(shards),
             ..ServiceConfig::default()
         }
     }
 
-    fn drive_async_2(
-        broker: SessionBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        transport: &TransportConfig,
-    ) -> ServiceRunReport {
-        drive_async_service_plane(broker, inputs, primary, transport, Some(2))
-    }
-
-    #[test]
-    fn async_plane_multicasts_every_frame_to_every_session_and_the_primary() {
-        let schedule = vec![
-            spec("a", 0, QualityTier::Standard),
-            spec("b", 0, QualityTier::Standard),
-            spec("c", 1, QualityTier::Standard),
-        ];
-        let config = ServiceConfig {
-            queue_depth: 64,
-            ..tiny_config()
-        };
-        let (report, primary_frames) = fan_out_with(drive_async_2, schedule, config, 3, 2);
-        assert_eq!(primary_frames.len(), 6);
-        assert_eq!(report.sessions.len(), 3);
-        for s in &report.sessions {
-            assert_eq!(s.frames_completed, 6, "session {}: {:?}", s.name, s.errors);
-            assert!(s.errors.is_empty(), "{:?}", s.errors);
+    /// Drive the plane end to end over a synthetic backend of `pes` links
+    /// and `frames` frames, draining the primary viewer links alongside.
+    fn fan_out_on(
+        clock: Arc<dyn Clock>,
+        schedule: Vec<SessionSpec>,
+        config: ServiceConfig,
+        frames: u32,
+        pes: usize,
+    ) -> (ServiceRunReport, Vec<FramePayload>) {
+        let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(256);
+        let broker = ShardedBroker::new(config, schedule);
+        let mut backend_txs = Vec::new();
+        let mut backend_rxs = Vec::new();
+        let mut primary_txs = Vec::new();
+        let mut primary_rxs = Vec::new();
+        for _ in 0..pes {
+            let (tx, rx) = striped_link(&transport);
+            backend_txs.push(tx);
+            backend_rxs.push(rx);
+            let (tx, rx) = striped_link(&transport);
+            primary_txs.push(tx);
+            primary_rxs.push(rx);
         }
-        assert_eq!(report.stats.frames_completed, 18);
-        assert_eq!(report.stats.fanout_chunks, report.stats.chunks_delivered);
-        assert_eq!(report.stats.chunks_dropped, 0);
-        assert_eq!(report.stats.render_requests, 9);
-        assert_eq!(report.stats.renders_performed, 6);
+        std::thread::scope(|scope| {
+            let plane = {
+                let transport = transport.clone();
+                scope.spawn(move || {
+                    let telemetry = PlaneTelemetry::new(MetricsHub::disabled(), 0);
+                    drive_fanout_on(clock, broker, backend_rxs, primary_txs, &transport, Some(2), &telemetry)
+                })
+            };
+            let drains: Vec<_> = primary_rxs
+                .into_iter()
+                .map(|mut rx| scope.spawn(move || drain_frames(&mut rx).unwrap()))
+                .collect();
+            for f in 0..frames {
+                for (pe, tx) in backend_txs.iter().enumerate() {
+                    tx.send_frame(&sample_frame(pe as u32, f, 16)).unwrap();
+                }
+            }
+            drop(backend_txs);
+            let report = plane.join().unwrap();
+            let mut primary_frames = Vec::new();
+            for d in drains {
+                primary_frames.extend(d.join().unwrap());
+            }
+            (report, primary_frames)
+        })
+    }
+
+    fn fan_out(
+        schedule: Vec<SessionSpec>,
+        config: ServiceConfig,
+        frames: u32,
+        pes: usize,
+    ) -> (ServiceRunReport, Vec<FramePayload>) {
+        fan_out_on(Arc::new(WallClock), schedule, config, frames, pes)
     }
 
     #[test]
-    fn async_plane_degrades_a_slow_session_with_typed_missing_frames() {
-        // The async twin of the threaded plane's degradation test: the same
-        // full-queue seam must surface the same typed MissingFrame partial
-        // composites for the overflowing session only.
-        let mut slow = spec("slow", 0, QualityTier::Standard).paced_at_mbps(0.2);
-        slow.stripes = 1;
-        let schedule = vec![spec("healthy", 0, QualityTier::Standard), slow];
-        let config = ServiceConfig {
-            queue_depth: 16,
-            ..tiny_config()
-        };
-        let (report, primary_frames) = fan_out_with(drive_async_2, schedule, config, 6, 1);
-        assert_eq!(primary_frames.len(), 6);
-        let healthy = report.sessions.iter().find(|s| s.name == "healthy").unwrap();
-        let slow = report.sessions.iter().find(|s| s.name == "slow").unwrap();
-        assert_eq!(healthy.frames_completed, 6);
-        assert!(healthy.errors.is_empty(), "{:?}", healthy.errors);
-        assert!(
-            slow.frames_skipped > 0,
-            "the 1-chunk queue behind a 0.2 Mbps pacer must overflow: {slow:?}"
-        );
-        assert!(slow
-            .errors
-            .iter()
-            .all(|e| matches!(e, ViewerError::MissingFrame { .. })));
-        assert_eq!(report.stats.frames_skipped, slow.frames_skipped);
-        assert!(report.stats.chunks_dropped > 0);
+    fn plane_multicasts_every_frame_to_every_session_and_the_primary() {
+        for shards in SHARD_COUNTS {
+            let schedule = vec![
+                spec("a", 0, QualityTier::Standard),
+                spec("b", 0, QualityTier::Standard),
+                spec("c", 1, QualityTier::Standard),
+            ];
+            let (report, primary_frames) = fan_out(schedule, tiny_config(shards, 64), 3, 2);
+            // The primary viewer path got every frame untouched.
+            assert_eq!(primary_frames.len(), 6, "S={shards}");
+            // Every session assembled every (rank, frame): 3 sessions x 2 PEs x 3.
+            assert_eq!(report.sessions.len(), 3, "S={shards}");
+            for s in &report.sessions {
+                assert_eq!(s.frames_completed, 6, "S={shards} session {}: {:?}", s.name, s.errors);
+                assert_eq!(s.frames_skipped, 0);
+                assert!(s.errors.is_empty(), "{:?}", s.errors);
+            }
+            assert_eq!(report.stats.frames_completed, 18);
+            // Offered fan-out load: every chunk x 3 live sessions, delivered in
+            // full on these deep queues.
+            assert_eq!(report.stats.fanout_chunks, report.stats.chunks_delivered);
+            assert_eq!(report.stats.chunks_dropped, 0);
+            // Shared renders: 3 frames x 3 sessions requested, 2 viewpoints each
+            // frame actually rendered.
+            assert_eq!(report.stats.render_requests, 9);
+            assert_eq!(report.stats.renders_performed, 6);
+        }
     }
 
     #[test]
-    fn async_plane_honors_session_windows_and_mid_run_churn() {
-        let schedule = vec![
-            spec("whole", 0, QualityTier::Standard),
-            spec("window", 0, QualityTier::Standard).with_window(1, Some(3)),
-        ];
-        let config = ServiceConfig {
-            queue_depth: 64,
-            ..tiny_config()
-        };
-        let (report, _) = fan_out_with(drive_async_2, schedule, config, 4, 1);
-        let whole = report.sessions.iter().find(|s| s.name == "whole").unwrap();
-        let window = report.sessions.iter().find(|s| s.name == "window").unwrap();
-        assert_eq!(whole.frames_completed, 4);
-        assert_eq!(window.frames_completed, 2, "{window:?}");
+    fn slow_session_is_degraded_without_stalling_the_healthy_one() {
+        // `slow` drains a single-stripe 16-chunk queue through a
+        // dial-up-grade pacer; `healthy` has four stripes (4 x 16 = 64
+        // slots, more than the whole campaign's 42 chunks, so it can never
+        // overflow).  The plane must skip frames for `slow` (it keeps
+        // partial composites) while `healthy` and the primary receive
+        // everything.
+        for shards in SHARD_COUNTS {
+            let mut slow = spec("slow", 0, QualityTier::Standard).paced_at_mbps(0.2);
+            slow.stripes = 1;
+            let schedule = vec![spec("healthy", 0, QualityTier::Standard), slow];
+            let (report, primary_frames) = fan_out(schedule, tiny_config(shards, 16), 6, 1);
+            assert_eq!(primary_frames.len(), 6, "S={shards}");
+            let healthy = report.sessions.iter().find(|s| s.name == "healthy").unwrap();
+            let slow = report.sessions.iter().find(|s| s.name == "slow").unwrap();
+            assert_eq!(healthy.frames_completed, 6, "S={shards}");
+            assert!(healthy.errors.is_empty(), "{:?}", healthy.errors);
+            assert!(
+                slow.frames_skipped > 0,
+                "S={shards}: the 16-chunk queue behind a 0.2 Mbps pacer must overflow: {slow:?}"
+            );
+            // Degraded frames surface as typed MissingFrame partials, not
+            // silence.
+            assert!(slow
+                .errors
+                .iter()
+                .all(|e| matches!(e, ViewerError::MissingFrame { .. })));
+            assert_eq!(
+                report.stats.frames_skipped, slow.frames_skipped,
+                "only the slow session was degraded"
+            );
+            assert!(report.stats.chunks_dropped > 0);
+        }
     }
 
     #[test]
-    fn async_multicast_is_zero_copy() {
-        let schedule = vec![
-            spec("a", 0, QualityTier::Standard),
-            spec("b", 0, QualityTier::Standard),
-            spec("c", 1, QualityTier::Standard),
-        ];
-        let config = ServiceConfig {
-            queue_depth: 64,
-            ..tiny_config()
-        };
-        let before = bytes::deep_copy_count();
-        let (report, _) = fan_out_with(drive_async_2, schedule, config, 2, 1);
-        assert_eq!(
-            bytes::deep_copy_count() - before,
-            0,
-            "the async plane must multicast by refcount, not memcpy"
-        );
-        assert_eq!(report.stats.frames_completed, 6);
+    fn sessions_joining_and_leaving_mid_run_receive_only_their_window() {
+        for shards in SHARD_COUNTS {
+            let schedule = vec![
+                spec("whole", 0, QualityTier::Standard),
+                spec("window", 0, QualityTier::Standard).with_window(1, Some(3)),
+            ];
+            let (report, _) = fan_out(schedule, tiny_config(shards, 64), 4, 1);
+            let whole = report.sessions.iter().find(|s| s.name == "whole").unwrap();
+            let window = report.sessions.iter().find(|s| s.name == "window").unwrap();
+            assert_eq!(whole.frames_completed, 4, "S={shards}");
+            // Frames 1 and 2 only.
+            assert_eq!(window.frames_completed, 2, "S={shards}: {window:?}");
+            // Offered load reflects the window: frames 0 and 3 fan out to one
+            // session, frames 1 and 2 to two.
+            let plan = plan_chunks(FrameSegments::encode(&sample_frame(0, 0, 16)).lens(), 256, 2).len() as u64;
+            assert_eq!(report.stats.fanout_chunks, plan * (1 + 2 + 2 + 1));
+        }
     }
 
     #[test]
-    fn async_paced_consumers_on_a_virtual_clock_never_sleep() {
+    fn plane_reports_per_shard_locks_and_matches_a_pure_broker_replay() {
+        // Capacity holds the whole schedule however the viewpoints hash, so
+        // all six sessions assemble every (rank, frame); the lifecycle events
+        // and the deterministic counters replay bit-identically against a
+        // pure ShardedBroker run, and each shard reports its lock counters.
+        for shards in SHARD_COUNTS {
+            let schedule: Vec<SessionSpec> = (0..6u32)
+                .map(|vp| spec(&format!("s{vp}"), vp, QualityTier::Standard).with_window(vp % 2, None))
+                .collect();
+            let config = ServiceConfig {
+                max_sessions: 8,
+                link_capacity_units: 32,
+                render_slots: 8,
+                queue_depth: 64,
+                shards: Some(shards),
+                ..ServiceConfig::default()
+            };
+            let (report, primary_frames) = fan_out(schedule.clone(), config.clone(), 3, 2);
+            assert_eq!(primary_frames.len(), 6, "S={shards}");
+            assert_eq!(report.sessions.len(), 6);
+            for (i, s) in report.sessions.iter().enumerate() {
+                let frames = if i % 2 == 0 { 6 } else { 4 };
+                assert_eq!(
+                    s.frames_completed, frames,
+                    "S={shards} session {}: {:?}",
+                    s.name, s.errors
+                );
+                assert!(s.errors.is_empty(), "{:?}", s.errors);
+            }
+            // Deliveries come back in global schedule order despite sharding.
+            let names: Vec<&str> = report.sessions.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(names, vec!["s0", "s1", "s2", "s3", "s4", "s5"]);
+            // One lock entry per shard, every shard locked at least for the
+            // frame-0 observe.
+            assert_eq!(report.shard_locks.len(), shards);
+            for (i, l) in report.shard_locks.iter().enumerate() {
+                assert_eq!(l.shard, i);
+                assert!(l.acquisitions > 0, "{l:?}");
+            }
+            let mut replay = ShardedBroker::new(config, schedule);
+            replay.advance_to(2);
+            replay.finish();
+            assert_eq!(report.events, replay.events(), "S={shards}");
+            let deterministic = |s: &super::super::ServiceStats| {
+                (
+                    s.sessions_offered,
+                    s.sessions_admitted,
+                    s.sessions_rejected,
+                    s.sessions_evicted,
+                    s.peak_live_sessions,
+                    s.render_requests,
+                    s.renders_performed,
+                    s.flow_limited_sessions,
+                )
+            };
+            assert_eq!(
+                deterministic(&report.stats),
+                deterministic(&replay.stats()),
+                "S={shards}"
+            );
+        }
+    }
+
+    #[test]
+    fn multicast_is_zero_copy() {
+        for shards in SHARD_COUNTS {
+            let schedule = vec![
+                spec("a", 0, QualityTier::Standard),
+                spec("b", 0, QualityTier::Standard),
+                spec("c", 1, QualityTier::Standard),
+            ];
+            let before = bytes::deep_copy_count();
+            let (report, _) = fan_out(schedule, tiny_config(shards, 64), 2, 1);
+            assert_eq!(
+                bytes::deep_copy_count() - before,
+                0,
+                "S={shards}: fan-out must multicast by refcount, not memcpy"
+            );
+            assert_eq!(report.stats.frames_completed, 6);
+        }
+    }
+
+    #[test]
+    fn paced_consumers_on_a_virtual_clock_never_sleep() {
+        // A 0.01 Mbps pacer over this campaign would sleep for minutes of
+        // wall time; on the virtual clock the identical consumer body must
+        // finish immediately with the identical deterministic stats — pacing
+        // goes through the Clock seam, not `thread::sleep`.
         let mut crawl = spec("crawl", 0, QualityTier::Standard).paced_at_mbps(0.01);
+        // Deep enough that nothing overflows: delivery is deterministic.
         crawl.queue_depth = Some(4096);
         let schedule = vec![spec("healthy", 0, QualityTier::Standard), crawl];
-        let config = ServiceConfig {
-            queue_depth: 4096,
-            ..tiny_config()
-        };
-        let virtual_clock: Arc<dyn Clock> = Arc::new(VirtualClock);
         let started = std::time::Instant::now();
-        let (report, _) = fan_out_with(
-            move |broker, inputs, primary, transport| {
-                drive_async_service_plane_on(
-                    &virtual_clock,
-                    broker,
-                    inputs,
-                    primary,
-                    transport,
-                    Some(2),
-                    &PlaneTelemetry::disabled(),
-                )
-            },
-            schedule,
-            config,
-            4,
-            1,
-        );
+        let (report, _) = fan_out_on(Arc::new(VirtualClock), schedule, tiny_config(1, 4096), 4, 1);
         assert!(
             started.elapsed() < Duration::from_secs(30),
             "virtual-clock pacing must not sleep out the modeled delays"
@@ -1060,101 +903,5 @@ mod tests {
             assert_eq!(s.frames_completed, 4, "session {}: {:?}", s.name, s.errors);
             assert!(s.errors.is_empty(), "{:?}", s.errors);
         }
-    }
-
-    #[test]
-    fn sharded_async_plane_matches_the_sharded_threaded_plane() {
-        // Both sharded planes drive the identical ShardedBroker through the
-        // identical seams, so events and the deterministic stats must agree
-        // bit for bit — and each reports one lock entry per shard.
-        fn shard_broker_of(broker: SessionBroker) -> ShardedBroker {
-            let schedule: Vec<SessionSpec> = (0..broker.session_count()).map(|i| broker.spec(i).clone()).collect();
-            ShardedBroker::new(broker.config().clone(), schedule)
-        }
-        let schedule: Vec<SessionSpec> = (0..6u32)
-            .map(|vp| spec(&format!("s{vp}"), vp, QualityTier::Standard))
-            .collect();
-        let config = ServiceConfig {
-            max_sessions: 8,
-            link_capacity_units: 32,
-            render_slots: 8,
-            queue_depth: 64,
-            shards: Some(2),
-            ..ServiceConfig::default()
-        };
-        let (threaded, _) = fan_out_with(
-            |broker, inputs, primary, transport| {
-                super::super::fanout::drive_sharded_service_plane(shard_broker_of(broker), inputs, primary, transport)
-            },
-            schedule.clone(),
-            config.clone(),
-            4,
-            2,
-        );
-        let (async_run, _) = fan_out_with(
-            |broker, inputs, primary, transport| {
-                drive_sharded_async_plane(shard_broker_of(broker), inputs, primary, transport, Some(2))
-            },
-            schedule,
-            config,
-            4,
-            2,
-        );
-        assert_eq!(threaded.events, async_run.events, "identical broker decisions");
-        let deterministic = |r: &ServiceRunReport| {
-            let s = &r.stats;
-            (
-                s.sessions_offered,
-                s.sessions_admitted,
-                s.sessions_rejected,
-                s.peak_live_sessions,
-                s.render_requests,
-                s.renders_performed,
-                s.fanout_chunks,
-                s.fanout_bytes,
-            )
-        };
-        assert_eq!(deterministic(&threaded), deterministic(&async_run));
-        assert_eq!(async_run.shard_locks.len(), 2);
-        assert!(async_run.shard_locks.iter().all(|l| l.acquisitions > 0));
-    }
-
-    #[test]
-    fn async_plane_and_threaded_plane_report_identical_deterministic_stats() {
-        let schedule = vec![
-            spec("a", 0, QualityTier::Standard),
-            spec("b", 0, QualityTier::Standard).with_window(1, Some(3)),
-            spec("c", 1, QualityTier::Interactive),
-            spec("d", 2, QualityTier::Preview),
-        ];
-        let config = ServiceConfig {
-            queue_depth: 64,
-            ..tiny_config()
-        };
-        let (threaded, _) = fan_out_with(
-            super::super::fanout::drive_service_plane,
-            schedule.clone(),
-            config.clone(),
-            4,
-            2,
-        );
-        let (async_run, _) = fan_out_with(drive_async_2, schedule, config, 4, 2);
-        assert_eq!(threaded.events, async_run.events, "identical broker decisions");
-        let deterministic = |r: &ServiceRunReport| {
-            let s = &r.stats;
-            (
-                s.sessions_offered,
-                s.sessions_admitted,
-                s.sessions_rejected,
-                s.sessions_evicted,
-                s.peak_live_sessions,
-                s.render_requests,
-                s.renders_performed,
-                s.flow_limited_sessions,
-                s.fanout_chunks,
-                s.fanout_bytes,
-            )
-        };
-        assert_eq!(deterministic(&threaded), deterministic(&async_run));
     }
 }

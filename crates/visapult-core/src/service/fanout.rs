@@ -1,26 +1,16 @@
-//! The thread-per-session fan-out plane, plus the plane plumbing shared with
-//! [`super::asyncplane`].
+//! The fan-out seam: everything behaviour-defining about serving a session,
+//! independent of how the work is scheduled.
 //!
-//! One OS thread per backend PE link consumes stripe chunks and (1) forwards
-//! each chunk to the primary viewer's corresponding link — blocking, so the
-//! paper's single-viewer backpressure semantics are preserved — and (2)
-//! multicasts a zero-copy clone to every session live at the chunk's frame;
-//! one OS thread per admitted session drains its queue through the session's
-//! own pacer.  Simple and fine at exhibit scale, but threads grow with
-//! sessions — the async plane exists for the 10k-session regime.
-//!
-//! Everything behavior-defining is factored into `pub(crate)` helpers both
-//! planes call — `multicast_wave` (including the queue-full degradation
-//! seam), `session_link`, `consume_chunk`, `surface_pending_frames`,
-//! `fold_report` — so the two planes cannot drift apart in semantics, only
-//! in scheduling.
+//! The plane's tasks ([`super::asyncplane`]) decide *when* a chunk moves;
+//! this module decides *what happens* to it — `multicast_wave` (including
+//! the queue-full degradation seam), `session_link`, `consume_chunk`,
+//! `surface_pending_frames`, `fold_report` — plus the telemetry wiring a
+//! plane run carries.
 
-use super::sharded::CountedLock;
-use super::{ServiceRunReport, ServiceStats, SessionBroker, SessionDelivery, SessionEvent, SessionSpec, ShardedBroker};
-use crate::pipeline::{Clock, WallClock};
+use super::{ServiceRunReport, SessionDelivery, SessionSpec, ShardLockStats, ShardedBroker};
 use crate::transport::{
-    striped_link, AssemblyEvent, FrameAssembler, FrameChunk, SharedDecode, StripeReceiver, StripeSender,
-    TransportConfig, TransportError,
+    striped_link, AssemblyEvent, FrameAssembler, FrameChunk, StripeReceiver, StripeSender, TransportConfig,
+    TransportError,
 };
 use crate::viewer::ViewerError;
 use netlogger::metrics::{CounterHandle, HighWaterHandle, Histo, MetricsHub};
@@ -31,18 +21,18 @@ use std::sync::Arc;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// Plane telemetry plumbing (shared by both plane implementations)
+// Plane telemetry plumbing
 // ---------------------------------------------------------------------------
 
 /// Telemetry wiring threaded through a plane run: the metrics hub, the
 /// frame-cadence snapshot knob, and the gate that makes each cadence boundary
-/// snapshot exactly once no matter how many pumps observe it.
+/// snapshot exactly once no matter how many fan tasks observe it.
 #[derive(Clone)]
 pub(crate) struct PlaneTelemetry {
     pub(crate) hub: MetricsHub,
     snapshot_frames: u32,
     /// Highest frame boundary a periodic snapshot has been recorded for,
-    /// shared by every pump: `fetch_max` elects exactly one snapshotter.
+    /// shared by every fan task: `fetch_max` elects exactly one snapshotter.
     snap_gate: Arc<AtomicU32>,
 }
 
@@ -53,11 +43,6 @@ impl PlaneTelemetry {
             snapshot_frames,
             snap_gate: Arc::new(AtomicU32::new(0)),
         }
-    }
-
-    /// The no-op wiring for un-instrumented entry points.
-    pub(crate) fn disabled() -> PlaneTelemetry {
-        PlaneTelemetry::new(MetricsHub::disabled(), 0)
     }
 
     /// Record the `frame:<n>` time-series snapshot when `frame` crosses a
@@ -72,7 +57,7 @@ impl PlaneTelemetry {
         }
     }
 
-    /// Pre-resolved per-pump handles for the wave fast path.
+    /// Pre-resolved per-task handles for the wave fast path.
     pub(crate) fn meter(&self) -> WaveMeter {
         WaveMeter {
             live: self.hub.is_enabled(),
@@ -85,7 +70,7 @@ impl PlaneTelemetry {
     }
 }
 
-/// One pump's multicast instrumentation: when telemetry is off every record
+/// One fan task's multicast instrumentation: when telemetry is off every record
 /// is an inlined no-op and the `Instant` reads are skipped entirely, so the
 /// disabled fast path is byte-for-byte the bare [`multicast_wave`] call.
 pub(crate) struct WaveMeter {
@@ -129,10 +114,10 @@ impl WaveMeter {
 }
 
 // ---------------------------------------------------------------------------
-// Plumbing shared by both plane implementations
+// Endpoints, waves and the degradation seam
 // ---------------------------------------------------------------------------
 
-/// A session's fan-out endpoint, shared by every per-PE pump.
+/// A session's fan-out endpoint, shared by its shard's fan task snapshots.
 ///
 /// Endpoints are never removed mid-run: stripe interleaving means a chunk of
 /// frame `f` can be observed after the broker has already processed frame
@@ -191,7 +176,7 @@ pub(crate) fn session_link(
     (tx, rx, pacer)
 }
 
-/// What one PE pump observed (whichever plane ran it).
+/// What one pump or fan task observed.
 pub(crate) struct PeOutcome {
     /// (chunks, bytes) emitted per frame by this PE (deterministic).
     pub(crate) per_frame: Vec<(u64, u64)>,
@@ -276,7 +261,7 @@ impl WaveBuffer {
 /// Multicast one buffered wave, session-major: every endpoint receives its
 /// whole run of chunks back to back.
 ///
-/// This is *the* degradation seam, shared verbatim by both planes: a full
+/// This is *the* degradation seam: a full
 /// session queue degrades that session for the rest of this (rank, frame) —
 /// it keeps its partial composite and surfaces a typed `MissingFrame` — while
 /// the farm and every other session keep moving.  Per session this performs
@@ -374,52 +359,13 @@ pub(crate) fn empty_delivery(spec: &SessionSpec) -> SessionDelivery {
     }
 }
 
-/// The broker shapes [`fold_report`] can finalize: the plain
-/// [`SessionBroker`] and the sharded composite present identical folding
-/// surfaces, so both planes (and both broker shapes) assemble reports through
-/// one code path.
-pub(crate) trait FoldableBroker {
-    fn fold_fanout_load(&mut self, per_frame: &[(u64, u64)]);
-    fn folded_stats(&self) -> ServiceStats;
-    fn folded_events(&self) -> Vec<(u32, SessionEvent)>;
-}
-
-impl FoldableBroker for SessionBroker {
-    fn fold_fanout_load(&mut self, per_frame: &[(u64, u64)]) {
-        SessionBroker::fold_fanout_load(self, per_frame);
-    }
-
-    fn folded_stats(&self) -> ServiceStats {
-        self.stats().clone()
-    }
-
-    fn folded_events(&self) -> Vec<(u32, SessionEvent)> {
-        self.events().to_vec()
-    }
-}
-
-impl FoldableBroker for ShardedBroker {
-    fn fold_fanout_load(&mut self, per_frame: &[(u64, u64)]) {
-        ShardedBroker::fold_fanout_load(self, per_frame);
-    }
-
-    fn folded_stats(&self) -> ServiceStats {
-        self.stats()
-    }
-
-    fn folded_events(&self) -> Vec<(u32, SessionEvent)> {
-        self.events()
-    }
-}
-
 /// Fold the deterministic offered load and the timing-dependent delivery
-/// outcomes into the final report.  `broker` must already be finished; both
-/// planes end through this single function so their reports are assembled
-/// identically.
-pub(crate) fn fold_report<B: FoldableBroker>(
-    mut broker: B,
+/// outcomes into the final report.  `broker` must already be finished.
+pub(crate) fn fold_report(
+    mut broker: ShardedBroker,
     outcomes: &[PeOutcome],
     mut deliveries: Vec<(usize, SessionDelivery)>,
+    shard_locks: Vec<ShardLockStats>,
 ) -> ServiceRunReport {
     deliveries.sort_by_key(|&(session, _)| session);
     let frames = outcomes.iter().map(|o| o.per_frame.len()).max().unwrap_or(0);
@@ -431,8 +377,8 @@ pub(crate) fn fold_report<B: FoldableBroker>(
         }
     }
     broker.fold_fanout_load(&per_frame);
-    let events = broker.folded_events();
-    let mut stats = broker.folded_stats();
+    let events = broker.events();
+    let mut stats = broker.stats();
     for o in outcomes {
         stats.chunks_delivered += o.delivered;
         stats.chunks_dropped += o.dropped.values().sum::<u64>();
@@ -451,661 +397,6 @@ pub(crate) fn fold_report<B: FoldableBroker>(
         stats,
         sessions,
         events,
-        shard_locks: Vec::new(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The threaded plane
-// ---------------------------------------------------------------------------
-
-struct PlaneState {
-    broker: SessionBroker,
-    endpoints: Vec<Arc<SessionEndpoint>>,
-    /// Position in `endpoints` per global session index.  Endpoints are
-    /// append-only, so the map only grows; it turns the Left/Evicted close
-    /// into an O(1) lookup instead of an O(live) scan.
-    endpoint_of: HashMap<usize, usize>,
-    consumers: Vec<(usize, std::thread::JoinHandle<SessionDelivery>)>,
-    /// Global schedule index per local broker index (empty = identity, the
-    /// unsharded plane).  Endpoints, consumers and deliveries are keyed
-    /// globally so shard outputs merge without collisions.
-    globals: Vec<usize>,
-    /// Decode memo shared by every consumer this shard spawns: sessions all
-    /// receive the same multicast chunks, so each frame decodes once.
-    decode: Arc<SharedDecode>,
-}
-
-impl PlaneState {
-    fn global(&self, session: usize) -> usize {
-        self.globals.get(session).copied().unwrap_or(session)
-    }
-
-    /// Advance the broker to `frame`, materializing queues and consumers for
-    /// admissions and closing the delivery window for leaves/evictions.
-    fn observe_frame(&mut self, frame: u32, transport: &TransportConfig, clock: &Arc<dyn Clock>) {
-        if frame < self.broker.next_frame() {
-            return;
-        }
-        let before = self.broker.events().len();
-        self.broker.advance_to(frame);
-        let new: Vec<(u32, SessionEvent)> = self.broker.events()[before..].to_vec();
-        for (at, event) in new {
-            self.apply(at, event, transport, clock);
-        }
-    }
-
-    fn apply(&mut self, at: u32, event: SessionEvent, transport: &TransportConfig, clock: &Arc<dyn Clock>) {
-        match event {
-            SessionEvent::Admitted { session } => {
-                let spec = self.broker.spec(session).clone();
-                let global = self.global(session);
-                let (tx, rx, pacer) = session_link(&spec, self.broker.config().queue_depth, transport);
-                let consumer_spec = spec.clone();
-                let consumer_clock = Arc::clone(clock);
-                let consumer_decode = Arc::clone(&self.decode);
-                let handle = std::thread::Builder::new()
-                    .name(format!("visapult-session-{global}"))
-                    .spawn(move || run_session_consumer(rx, &consumer_spec, pacer, &consumer_clock, consumer_decode))
-                    .expect("spawn session consumer");
-                self.consumers.push((global, handle));
-                self.endpoint_of.insert(global, self.endpoints.len());
-                self.endpoints.push(SessionEndpoint::new(global, spec, tx));
-            }
-            SessionEvent::Left { session } | SessionEvent::Evicted { session } => {
-                let global = self.global(session);
-                if let Some(&i) = self.endpoint_of.get(&global) {
-                    self.endpoints[i].close_at(at);
-                }
-            }
-            SessionEvent::Rejected { .. } => {}
-        }
-    }
-}
-
-/// Drain one session's queue: pace each chunk through the session's own
-/// modeled WAN — waiting on the [`Clock`], so the same body is drivable by a
-/// virtual clock without sleeping — reassemble frames, and record every
-/// anomaly as a typed [`ViewerError`].
-fn run_session_consumer(
-    mut rx: StripeReceiver,
-    spec: &SessionSpec,
-    mut pacer: Option<StripePacer>,
-    clock: &Arc<dyn Clock>,
-    decode: Arc<SharedDecode>,
-) -> SessionDelivery {
-    let mut delivery = empty_delivery(spec);
-    let mut assembler = FrameAssembler::with_shared_decode(decode);
-    // Runs until every plane endpoint is dropped: the session is over.
-    while let Ok(chunk) = rx.recv_chunk() {
-        if let Some(p) = &mut pacer {
-            // The session's own WAN, felt for real: drain no faster than the
-            // modeled last mile, which backpressures only this queue.
-            let delay = p.consume(chunk.stripe as usize, chunk.payload.len() as u64);
-            if !delay.is_zero() {
-                let deadline = clock.monotonic_now() + delay;
-                clock.pace_until(deadline);
-            }
-        }
-        consume_chunk(&mut delivery, &mut assembler, chunk);
-    }
-    surface_pending_frames(&assembler, &mut delivery);
-    delivery
-}
-
-/// The threaded fan-out plane on the wall clock (the production entry).
-pub(crate) fn drive_service_plane(
-    broker: SessionBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-) -> ServiceRunReport {
-    drive_service_plane_metered(broker, inputs, primary, transport, &PlaneTelemetry::disabled())
-}
-
-/// The threaded plane on the wall clock with telemetry wiring — what the
-/// pipeline (and the benches, through [`crate::pipeline::FanoutPlane`])
-/// actually call.
-pub(crate) fn drive_service_plane_metered(
-    broker: SessionBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-    telemetry: &PlaneTelemetry,
-) -> ServiceRunReport {
-    drive_service_plane_on(
-        &(Arc::new(WallClock) as Arc<dyn Clock>),
-        broker,
-        inputs,
-        primary,
-        transport,
-        telemetry,
-    )
-}
-
-/// The threaded fan-out plane implementation, on an explicit clock.
-///
-/// Returns once the backend links close and every consumer has drained.
-pub(crate) fn drive_service_plane_on(
-    clock: &Arc<dyn Clock>,
-    broker: SessionBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-    telemetry: &PlaneTelemetry,
-) -> ServiceRunReport {
-    let shard = Arc::new(CountedLock::new(PlaneState {
-        broker,
-        endpoints: Vec::new(),
-        endpoint_of: HashMap::new(),
-        consumers: Vec::new(),
-        globals: Vec::new(),
-        decode: Arc::new(SharedDecode::new()),
-    }));
-    shard.lockdep_label("fanout-plane-shard");
-    let outcomes = run_plane_pumps(
-        clock,
-        std::slice::from_ref(&shard),
-        inputs,
-        primary,
-        transport,
-        telemetry,
-    );
-    // Campaign over: every remaining session leaves, queues disconnect,
-    // consumers drain and report.
-    let (broker, deliveries) = finish_shard(shard);
-    fold_report(broker, &outcomes, deliveries)
-}
-
-/// The sharded threaded plane on the wall clock.
-#[cfg_attr(not(test), allow(dead_code))] // production callers go through the metered twin
-pub(crate) fn drive_sharded_service_plane(
-    broker: ShardedBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-) -> ServiceRunReport {
-    drive_sharded_service_plane_metered(broker, inputs, primary, transport, &PlaneTelemetry::disabled())
-}
-
-/// The sharded threaded plane on the wall clock with telemetry wiring.
-pub(crate) fn drive_sharded_service_plane_metered(
-    broker: ShardedBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-    telemetry: &PlaneTelemetry,
-) -> ServiceRunReport {
-    drive_sharded_service_plane_on(
-        &(Arc::new(WallClock) as Arc<dyn Clock>),
-        broker,
-        inputs,
-        primary,
-        transport,
-        telemetry,
-    )
-}
-
-/// The sharded threaded plane: each broker shard lives behind its own
-/// [`CountedLock`], pumps advance every shard at frame boundaries and
-/// multicast over the concatenated endpoint snapshots, and the shard reports
-/// fold back into one [`ServiceRunReport`] (with per-shard lock counters).
-pub(crate) fn drive_sharded_service_plane_on(
-    clock: &Arc<dyn Clock>,
-    broker: ShardedBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-    telemetry: &PlaneTelemetry,
-) -> ServiceRunReport {
-    let (config, brokers, globals) = broker.into_parts();
-    // One memo for the whole plane: shards receive the same multicast
-    // frames, so a frame decodes once no matter how the floor is sharded.
-    let decode = Arc::new(SharedDecode::new());
-    let shards: Vec<Arc<CountedLock<PlaneState>>> = brokers
-        .into_iter()
-        .zip(&globals)
-        .enumerate()
-        .map(|(i, (broker, shard_globals))| {
-            let lock = Arc::new(CountedLock::new(PlaneState {
-                broker,
-                endpoints: Vec::new(),
-                endpoint_of: HashMap::new(),
-                consumers: Vec::new(),
-                globals: shard_globals.clone(),
-                decode: Arc::clone(&decode),
-            }));
-            lock.lockdep_label(&format!("fanout-shard-{i}"));
-            lock
-        })
-        .collect();
-    let outcomes = run_plane_pumps(clock, &shards, inputs, primary, transport, telemetry);
-    let mut shard_locks = Vec::with_capacity(shards.len());
-    let mut brokers = Vec::with_capacity(shards.len());
-    let mut deliveries = Vec::new();
-    for (i, shard) in shards.into_iter().enumerate() {
-        shard_locks.push(shard.stats(i));
-        let (broker, shard_deliveries) = finish_shard(shard);
-        brokers.push(broker);
-        deliveries.extend(shard_deliveries);
-    }
-    let mut report = fold_report(
-        ShardedBroker::from_parts(config, brokers, globals),
-        &outcomes,
-        deliveries,
-    );
-    report.shard_locks = shard_locks;
-    report
-}
-
-/// Tear one shard down after every pump has exited: remaining sessions
-/// leave, queues disconnect, consumers drain and report (keyed globally).
-fn finish_shard(shard: Arc<CountedLock<PlaneState>>) -> (SessionBroker, Vec<(usize, SessionDelivery)>) {
-    let mut st = match Arc::try_unwrap(shard) {
-        Ok(lock) => lock.into_inner(),
-        Err(_) => unreachable!("plane threads have joined"),
-    };
-    st.broker.finish();
-    st.endpoints.clear();
-    let deliveries = st
-        .consumers
-        .into_iter()
-        .map(|(session, handle)| (session, handle.join().expect("session consumer")))
-        .collect();
-    (st.broker, deliveries)
-}
-
-/// One pump thread per backend PE link, over one *or many* broker shards:
-/// frame-boundary churn advances every shard, and the multicast fast path
-/// runs over the concatenated endpoint snapshot — so the unsharded plane is
-/// exactly the one-shard instance of this loop.
-fn run_plane_pumps(
-    clock: &Arc<dyn Clock>,
-    shards: &[Arc<CountedLock<PlaneState>>],
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-    telemetry: &PlaneTelemetry,
-) -> Vec<PeOutcome> {
-    assert!(
-        primary.is_empty() || primary.len() == inputs.len(),
-        "primary forwarding needs one link per PE"
-    );
-    // Frame 0 joins happen before any chunk moves.
-    for shard in shards {
-        shard.lock().observe_frame(0, transport, clock);
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .into_iter()
-            .zip(primary.into_iter().map(Some).chain(std::iter::repeat_with(|| None)))
-            .map(|(mut rx, mut primary_tx)| {
-                let shards = shards.to_vec();
-                let transport = transport.clone();
-                let clock = Arc::clone(clock);
-                let telemetry = telemetry.clone();
-                scope.spawn(move || {
-                    let meter = telemetry.meter();
-                    let mut outcome = PeOutcome::new();
-                    // (session, frame) pairs degraded on this PE's link
-                    // (session indices are global, so shard sets are
-                    // disjoint).
-                    let mut skips: HashSet<(usize, u32)> = HashSet::new();
-                    // Endpoint snapshot, refreshed only when this thread
-                    // observes a new high-water frame.  Endpoints are
-                    // append-only and sessions only join at frame
-                    // boundaries (admissions for frame f complete under the
-                    // shard lock before any thread can snapshot at f), so a
-                    // snapshot taken at frame f is a superset of the
-                    // endpoints any chunk of frame ≤ f can belong to —
-                    // `wants(frame)` does the per-chunk filtering.  This
-                    // keeps the locks and the Vec clones off the per-chunk
-                    // fast path.
-                    let mut endpoints: Vec<Arc<SessionEndpoint>> = Vec::new();
-                    let mut snapshot_frame: Option<u32> = None;
-                    let mut wave = WaveBuffer::new();
-                    while let Ok(chunk) = rx.recv_chunk() {
-                        let frame = chunk.frame;
-                        outcome.record_offered(&chunk);
-                        // A chunk for a new (rank, frame) closes the
-                        // buffered wave: flush it against the snapshot it
-                        // belongs to, *before* churn refreshes endpoints.
-                        if wave.must_flush_before(&chunk) {
-                            meter.multicast(&wave.take(), &endpoints, &mut skips, &mut outcome);
-                        }
-                        // Drive churn from the frame counter, then refresh
-                        // the endpoint snapshot (Arc clones; no shard lock
-                        // is held across sends, and shards are locked one
-                        // at a time in shard order).
-                        if snapshot_frame.map(|f| frame > f).unwrap_or(true) {
-                            endpoints.clear();
-                            for shard in &shards {
-                                let mut st = shard.lock();
-                                st.observe_frame(frame, &transport, &clock);
-                                endpoints.extend(st.endpoints.iter().cloned());
-                            }
-                            snapshot_frame = Some(frame);
-                            meter.observe_depths(endpoints.len(), rx.queued_chunks());
-                            telemetry.observe_frame(frame);
-                        }
-                        if let Some(tx) = &primary_tx {
-                            if tx.send_raw_chunk(chunk.clone()).is_err() {
-                                // The viewer got everything it expected and
-                                // hung up; keep serving the sessions.
-                                primary_tx = None;
-                            }
-                        }
-                        if wave.push(chunk) {
-                            meter.multicast(&wave.take(), &endpoints, &mut skips, &mut outcome);
-                        }
-                    }
-                    // The link can close mid-frame; whatever the trailing
-                    // wave collected still belongs to the sessions.
-                    meter.multicast(&wave.take(), &endpoints, &mut skips, &mut outcome);
-                    outcome
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("plane thread")).collect()
-    })
-}
-
-#[cfg(test)]
-pub(crate) mod tests {
-    use super::*;
-    use crate::pipeline::VirtualClock;
-    use crate::service::{QualityTier, ServiceConfig};
-    use crate::test_support::sample_frame;
-    use crate::transport::{drain_frames, plan_chunks};
-    use std::time::Duration;
-
-    fn spec(name: &str, viewpoint: u32, tier: QualityTier) -> SessionSpec {
-        SessionSpec::new(name, viewpoint, tier)
-    }
-
-    fn tiny_config() -> ServiceConfig {
-        ServiceConfig {
-            max_sessions: 4,
-            link_capacity_units: 8,
-            render_slots: 2,
-            queue_depth: 8,
-            ..ServiceConfig::default()
-        }
-    }
-
-    /// Drive a plane implementation end to end over a synthetic backend.
-    /// Shared with the async plane's tests so both run the same campaigns.
-    pub(crate) fn fan_out_with(
-        drive: impl FnOnce(SessionBroker, Vec<StripeReceiver>, Vec<StripeSender>, &TransportConfig) -> ServiceRunReport
-            + Send,
-        schedule: Vec<SessionSpec>,
-        config: ServiceConfig,
-        frames: u32,
-        pes: usize,
-    ) -> (ServiceRunReport, Vec<crate::protocol::FramePayload>) {
-        let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(256);
-        let broker = SessionBroker::new(config, schedule);
-        let mut backend_txs = Vec::new();
-        let mut backend_rxs = Vec::new();
-        let mut primary_txs = Vec::new();
-        let mut primary_rxs = Vec::new();
-        for _ in 0..pes {
-            let (tx, rx) = striped_link(&transport);
-            backend_txs.push(tx);
-            backend_rxs.push(rx);
-            let (tx, rx) = striped_link(&transport);
-            primary_txs.push(tx);
-            primary_rxs.push(rx);
-        }
-        let (report, primary_frames) = std::thread::scope(|scope| {
-            let plane = {
-                let transport = transport.clone();
-                scope.spawn(move || drive(broker, backend_rxs, primary_txs, &transport))
-            };
-            let drains: Vec<_> = primary_rxs
-                .into_iter()
-                .map(|mut rx| scope.spawn(move || drain_frames(&mut rx).unwrap()))
-                .collect();
-            for f in 0..frames {
-                for (pe, tx) in backend_txs.iter().enumerate() {
-                    tx.send_frame(&sample_frame(pe as u32, f, 16)).unwrap();
-                }
-            }
-            drop(backend_txs);
-            let report = plane.join().unwrap();
-            let mut primary_frames = Vec::new();
-            for d in drains {
-                primary_frames.extend(d.join().unwrap());
-            }
-            (report, primary_frames)
-        });
-        (report, primary_frames)
-    }
-
-    fn fan_out(
-        schedule: Vec<SessionSpec>,
-        config: ServiceConfig,
-        frames: u32,
-        pes: usize,
-    ) -> (ServiceRunReport, Vec<crate::protocol::FramePayload>) {
-        fan_out_with(drive_service_plane, schedule, config, frames, pes)
-    }
-
-    #[test]
-    fn plane_multicasts_every_frame_to_every_session_and_the_primary() {
-        let schedule = vec![
-            spec("a", 0, QualityTier::Standard),
-            spec("b", 0, QualityTier::Standard),
-            spec("c", 1, QualityTier::Standard),
-        ];
-        let config = ServiceConfig {
-            queue_depth: 64,
-            ..tiny_config()
-        };
-        let (report, primary_frames) = fan_out(schedule, config, 3, 2);
-        // The primary viewer path got every frame untouched.
-        assert_eq!(primary_frames.len(), 6);
-        // Every session assembled every (rank, frame): 3 sessions x 2 PEs x 3.
-        assert_eq!(report.sessions.len(), 3);
-        for s in &report.sessions {
-            assert_eq!(s.frames_completed, 6, "session {}: {:?}", s.name, s.errors);
-            assert_eq!(s.frames_skipped, 0);
-            assert!(s.errors.is_empty(), "{:?}", s.errors);
-        }
-        assert_eq!(report.stats.frames_completed, 18);
-        // Offered fan-out load: every chunk x 3 live sessions, delivered in
-        // full on these deep queues.
-        assert_eq!(report.stats.fanout_chunks, report.stats.chunks_delivered);
-        assert_eq!(report.stats.chunks_dropped, 0);
-        // Shared renders: 3 frames x 3 sessions requested, 2 viewpoints each
-        // frame actually rendered.
-        assert_eq!(report.stats.render_requests, 9);
-        assert_eq!(report.stats.renders_performed, 6);
-    }
-
-    #[test]
-    fn slow_session_is_degraded_without_stalling_the_healthy_one() {
-        // `slow` drains a single-stripe 16-chunk queue through a
-        // dial-up-grade pacer; `healthy` has four stripes (4 x 16 = 64
-        // slots, more than the whole campaign's 42 chunks, so it can never
-        // overflow).  The plane must skip frames for `slow` (it keeps
-        // partial composites) while `healthy` and the primary receive
-        // everything.
-        let mut slow = spec("slow", 0, QualityTier::Standard).paced_at_mbps(0.2);
-        slow.stripes = 1;
-        let schedule = vec![spec("healthy", 0, QualityTier::Standard), slow];
-        let config = ServiceConfig {
-            queue_depth: 16,
-            ..tiny_config()
-        };
-        let (report, primary_frames) = fan_out(schedule, config, 6, 1);
-        assert_eq!(primary_frames.len(), 6);
-        let healthy = report.sessions.iter().find(|s| s.name == "healthy").unwrap();
-        let slow = report.sessions.iter().find(|s| s.name == "slow").unwrap();
-        assert_eq!(healthy.frames_completed, 6);
-        assert!(healthy.errors.is_empty(), "{:?}", healthy.errors);
-        assert!(
-            slow.frames_skipped > 0,
-            "the 1-chunk queue behind a 0.2 Mbps pacer must overflow: {slow:?}"
-        );
-        // Degraded frames surface as typed MissingFrame partials, not
-        // silence.
-        assert!(slow
-            .errors
-            .iter()
-            .all(|e| matches!(e, ViewerError::MissingFrame { .. })));
-        assert_eq!(
-            report.stats.frames_skipped, slow.frames_skipped,
-            "only the slow session was degraded"
-        );
-        assert!(report.stats.chunks_dropped > 0);
-    }
-
-    #[test]
-    fn sessions_joining_and_leaving_mid_run_receive_only_their_window() {
-        let schedule = vec![
-            spec("whole", 0, QualityTier::Standard),
-            spec("window", 0, QualityTier::Standard).with_window(1, Some(3)),
-        ];
-        let config = ServiceConfig {
-            queue_depth: 64,
-            ..tiny_config()
-        };
-        let (report, _) = fan_out(schedule, config, 4, 1);
-        let whole = report.sessions.iter().find(|s| s.name == "whole").unwrap();
-        let window = report.sessions.iter().find(|s| s.name == "window").unwrap();
-        assert_eq!(whole.frames_completed, 4);
-        // Frames 1 and 2 only.
-        assert_eq!(window.frames_completed, 2, "{window:?}");
-        // Offered load reflects the window: frames 0 and 3 fan out to one
-        // session, frames 1 and 2 to two.
-        let per_frame_chunks = report.stats.fanout_chunks;
-        let plan = plan_chunks(
-            crate::protocol::FrameSegments::encode(&sample_frame(0, 0, 16)).lens(),
-            256,
-            2,
-        )
-        .len() as u64;
-        assert_eq!(per_frame_chunks, plan * (1 + 2 + 2 + 1));
-    }
-
-    #[test]
-    fn sharded_plane_serves_every_session_and_reports_per_shard_locks() {
-        // Two shards over four viewpoints: capacity shares (4 sessions, 16
-        // units, 4 slots per shard) hold the whole schedule even if the hash
-        // lands everyone on one shard, so all four sessions assemble every
-        // (rank, frame), and the deterministic halves replay bit-identically
-        // against a pure ShardedBroker run.
-        let schedule: Vec<SessionSpec> = (0..4u32)
-            .map(|vp| spec(&format!("s{vp}"), vp, QualityTier::Standard))
-            .collect();
-        let config = ServiceConfig {
-            max_sessions: 8,
-            link_capacity_units: 32,
-            render_slots: 8,
-            queue_depth: 64,
-            shards: Some(2),
-            ..ServiceConfig::default()
-        };
-        let (report, primary_frames) = fan_out_with(
-            |broker, inputs, primary, transport| {
-                let schedule: Vec<SessionSpec> = (0..broker.session_count()).map(|i| broker.spec(i).clone()).collect();
-                let sharded = ShardedBroker::new(broker.config().clone(), schedule);
-                drive_sharded_service_plane(sharded, inputs, primary, transport)
-            },
-            schedule.clone(),
-            config.clone(),
-            3,
-            2,
-        );
-        assert_eq!(primary_frames.len(), 6);
-        assert_eq!(report.sessions.len(), 4);
-        for s in &report.sessions {
-            assert_eq!(s.frames_completed, 6, "session {}: {:?}", s.name, s.errors);
-            assert!(s.errors.is_empty(), "{:?}", s.errors);
-        }
-        // Deliveries come back in global schedule order despite sharding.
-        let names: Vec<&str> = report.sessions.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["s0", "s1", "s2", "s3"]);
-        // Per-shard lock telemetry: one entry per shard, every shard locked
-        // at least for the frame-0 observe.
-        assert_eq!(report.shard_locks.len(), 2);
-        for (i, l) in report.shard_locks.iter().enumerate() {
-            assert_eq!(l.shard, i);
-            assert!(l.acquisitions > 0, "{l:?}");
-        }
-        // The deterministic halves match a pure broker replay.
-        let mut replay = ShardedBroker::new(config, schedule);
-        replay.advance_to(2);
-        replay.finish();
-        assert_eq!(report.events, replay.events());
-        let replayed = replay.stats();
-        assert_eq!(report.stats.sessions_admitted, replayed.sessions_admitted);
-        assert_eq!(report.stats.sessions_rejected, replayed.sessions_rejected);
-        assert_eq!(report.stats.renders_performed, replayed.renders_performed);
-        assert_eq!(report.stats.peak_live_sessions, replayed.peak_live_sessions);
-    }
-
-    #[test]
-    fn multicast_is_zero_copy() {
-        let schedule = vec![
-            spec("a", 0, QualityTier::Standard),
-            spec("b", 0, QualityTier::Standard),
-            spec("c", 1, QualityTier::Standard),
-        ];
-        let config = ServiceConfig {
-            queue_depth: 64,
-            ..tiny_config()
-        };
-        let before = bytes::deep_copy_count();
-        let (report, _) = fan_out(schedule, config, 2, 1);
-        assert_eq!(
-            bytes::deep_copy_count() - before,
-            0,
-            "fan-out must multicast by refcount, not memcpy"
-        );
-        assert_eq!(report.stats.frames_completed, 6);
-    }
-
-    #[test]
-    fn paced_consumers_on_a_virtual_clock_never_sleep() {
-        // A 0.01 Mbps pacer over this campaign would sleep for minutes of
-        // wall time; on the virtual clock the identical consumer body must
-        // finish immediately with the identical deterministic stats — pacing
-        // goes through the Clock seam, not `thread::sleep`.
-        let mut crawl = spec("crawl", 0, QualityTier::Standard).paced_at_mbps(0.01);
-        // Deep enough that nothing overflows: delivery is deterministic.
-        crawl.queue_depth = Some(4096);
-        let schedule = vec![spec("healthy", 0, QualityTier::Standard), crawl];
-        let config = ServiceConfig {
-            queue_depth: 4096,
-            ..tiny_config()
-        };
-        let virtual_clock: Arc<dyn Clock> = Arc::new(VirtualClock);
-        let started = std::time::Instant::now();
-        let (report, _) = fan_out_with(
-            move |broker, inputs, primary, transport| {
-                drive_service_plane_on(
-                    &virtual_clock,
-                    broker,
-                    inputs,
-                    primary,
-                    transport,
-                    &PlaneTelemetry::disabled(),
-                )
-            },
-            schedule,
-            config,
-            4,
-            1,
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "virtual-clock pacing must not sleep out the modeled delays"
-        );
-        for s in &report.sessions {
-            assert_eq!(s.frames_completed, 4, "session {}: {:?}", s.name, s.errors);
-            assert!(s.errors.is_empty(), "{:?}", s.errors);
-        }
+        shard_locks,
     }
 }

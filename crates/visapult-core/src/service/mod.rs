@@ -21,12 +21,12 @@
 //!   multicasting every stripe chunk zero-copy ([`bytes::Bytes`] clones) onto
 //!   per-session bounded queues.  A slow session's full queue degrades *that
 //!   session* (the rest of the frame is skipped for it, leaving a partial
-//!   composite) instead of stalling the farm or the other sessions.  Two
-//!   interchangeable implementations exist, selected by [`PlaneKind`]: the
-//!   classic thread-per-session [`fanout`] plane and the executor-backed
-//!   [`asyncplane`], which multiplexes every consumer, pump, and pacer as
-//!   polled tasks over a bounded worker pool so session count buys memory,
-//!   not OS threads.
+//!   composite) instead of stalling the farm or the other sessions.  There
+//!   is one implementation, [`asyncplane`]: every consumer, pump, and pacer
+//!   is a polled task over a bounded worker pool, so session count buys
+//!   memory, not OS threads; the behaviour-defining seam functions it calls
+//!   live in [`fanout`].  The broker it drives is always a [`ShardedBroker`]
+//!   — a plain [`SessionBroker`] is the one-shard case.
 //! * Per-session flow adaptation: each session drains its queue through its
 //!   own [`netsim::StripePacer`] (derived from a per-session
 //!   [`netsim::TcpModel`] by the scenario layer), so every session
@@ -40,7 +40,7 @@
 //! counters (chunks actually delivered or dropped, frames skipped) are
 //! excluded, exactly as wall-clock timestamps are.
 
-use crate::transport::{StripeReceiver, StripeSender, TcpTuning, TransportConfig};
+use crate::transport::TcpTuning;
 use crate::viewer::ViewerError;
 use ledger::{AdmissionLedger, CapacityView, SessionProfile};
 use netlogger::{tags, FieldValue, NetLogger};
@@ -54,7 +54,6 @@ mod ledger;
 mod oracle;
 pub mod sharded;
 
-pub(crate) use fanout::drive_service_plane;
 pub use sharded::{ShardLockStats, ShardedBroker};
 
 // ---------------------------------------------------------------------------
@@ -209,8 +208,8 @@ pub struct ServiceConfig {
     /// for).
     pub farm_egress_mbps: Option<f64>,
     /// Independent broker shards the service layer partitions sessions into
-    /// by viewpoint hash (`None` = 1, the classic single broker).  At 1 the
-    /// sharded path is byte-identical to the plain [`SessionBroker`]; above
+    /// by viewpoint hash (`None` = 1).  At 1 the sharded broker is
+    /// byte-identical to the plain [`SessionBroker`]; above
     /// 1 each shard owns a proportional share of the capacity below.
     pub shards: Option<usize>,
     /// Render backends the farm's slots are split across (`None` = 1, the
@@ -745,37 +744,8 @@ impl SessionBroker {
 }
 
 // ---------------------------------------------------------------------------
-// Plane selection and run reports
+// Run reports
 // ---------------------------------------------------------------------------
-
-/// Which real-mode plane implementation serves the sessions.
-///
-/// Both planes drive the identical [`SessionBroker`] state machine and share
-/// the multicast/degradation logic chunk for chunk, so the deterministic half
-/// of [`ServiceStats`] is byte-identical between them (and to the virtual-time
-/// replay) — the choice is purely an execution-cost knob and is therefore
-/// *not* folded into replay fingerprints.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlaneKind {
-    /// One OS thread per backend PE link plus one per session consumer
-    /// ([`fanout`]).  Fine at exhibit scale; threads grow with sessions.
-    #[default]
-    Threaded,
-    /// Session consumers, stripe pumps, and pacers as polled tasks
-    /// multiplexed over a small worker pool ([`asyncplane`]).  OS threads are
-    /// bounded by the pool size, so 10k sessions cost memory, not threads.
-    Async,
-}
-
-impl PlaneKind {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlaneKind::Threaded => "threaded",
-            PlaneKind::Async => "async",
-        }
-    }
-}
 
 /// What one session actually received (real path only).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -810,30 +780,9 @@ pub struct ServiceRunReport {
     pub sessions: Vec<SessionDelivery>,
     /// Every broker lifecycle decision, with the frame it occurred at.
     pub events: Vec<(u32, SessionEvent)>,
-    /// Per-shard lock acquisition/contention/hold counters (timing-dependent;
-    /// empty on the classic unsharded path and on replay).
+    /// Per-shard lock acquisition/contention/hold counters, one entry per
+    /// broker shard (timing-dependent; empty on replay).
     pub shard_locks: Vec<ShardLockStats>,
-}
-
-/// Run the shared-render fan-out plane over one campaign.
-///
-/// Deprecated facade over the plane implementation the unified pipeline
-/// driver splices in (`pipeline::FanoutPlane` is the `ServicePlane`
-/// capability of the real path); use [`crate::pipeline::FanoutPlane::drive`]
-/// to run the plane directly, or the `pipeline::Pipeline` builder to run it
-/// inside a campaign.
-#[deprecated(
-    since = "0.1.0",
-    note = "splice the plane through the `pipeline::Pipeline` builder's service seam, or run it \
-            directly with `pipeline::FanoutPlane::drive`"
-)]
-pub fn run_service_plane(
-    broker: SessionBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    transport: &TransportConfig,
-) -> ServiceRunReport {
-    drive_service_plane(broker, inputs, primary, transport)
 }
 
 // ---------------------------------------------------------------------------
@@ -1219,13 +1168,6 @@ mod tests {
         let mut broker = SessionBroker::new(config, schedule);
         broker.advance_to(0);
         assert_eq!(broker.stats().flow_limited_sessions, 1);
-    }
-
-    #[test]
-    fn plane_kind_defaults_to_threaded_and_parses_the_toml_spellings() {
-        assert_eq!(PlaneKind::default(), PlaneKind::Threaded);
-        assert_eq!(PlaneKind::Threaded.label(), "threaded");
-        assert_eq!(PlaneKind::Async.label(), "async");
     }
 
     #[test]

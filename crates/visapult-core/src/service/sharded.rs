@@ -14,6 +14,8 @@
 //! byte-identical to the plain broker, so replay fingerprints only move when
 //! a scenario actually asks for sharding.
 //!
+//! A plain [`SessionBroker`] converts into the one-shard composite
+//! (`From<SessionBroker>`), so the fan-out plane only ever drives this type.
 //! The plane-side shards live behind counted locks, whose
 //! acquisition/contention/hold counters ([`ShardLockStats`]) are reported so
 //! a shard sweep can show where the lock time went.
@@ -231,7 +233,7 @@ impl ShardedBroker {
     }
 
     /// Split into the per-shard brokers and their global index maps (the
-    /// planes put each broker behind its own lock), keeping the config.
+    /// plane puts each broker behind its own lock), keeping the config.
     pub(crate) fn into_parts(self) -> (ServiceConfig, Vec<SessionBroker>, Vec<Vec<usize>>) {
         (self.config, self.shards, self.globals)
     }
@@ -296,6 +298,19 @@ impl ShardedBroker {
             }
         }
         merged
+    }
+}
+
+/// A plain broker is the one-shard sharded broker: its schedule order is
+/// already the global order.  This is how single-broker callers reach the one
+/// fan-out plane.
+impl From<SessionBroker> for ShardedBroker {
+    fn from(broker: SessionBroker) -> ShardedBroker {
+        ShardedBroker {
+            config: broker.config().clone(),
+            globals: vec![(0..broker.session_count()).collect()],
+            shards: vec![broker],
+        }
     }
 }
 

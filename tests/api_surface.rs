@@ -100,7 +100,6 @@ const EXPECTED: &[&str] = &[
     "run_real_campaign",
     "run_real_campaign_in_env",
     "run_scenario",
-    "run_service_plane",
     "run_sim_campaign",
     "striped_link",
 ];

@@ -1,31 +1,48 @@
 //! Integration tests of the multi-session service layer: the session broker,
-//! the shared-render fan-out planes (threaded and async), admission control
-//! under churn, and the `exhibit_floor` acceptance sweep — including the
-//! property that a degraded session can never corrupt a healthy session's
-//! composite, on either plane.
+//! the shared-render fan-out plane, admission control under churn, and the
+//! `exhibit_floor` acceptance sweep — including the property that a degraded
+//! session can never corrupt a healthy session's composite.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use visapult::core::transport::striped_link;
 use visapult::core::{
-    plan_chunks, run_scenario, AsyncPlane, ExecutionPath, FanoutPlane, FramePayload, FrameSegments, HeavyPayload,
-    LightPayload, PlaneKind, QualityTier, ScenarioSpec, ServiceConfig, ServiceRunReport, SessionBroker, SessionSpec,
-    ShardedBroker, StripeReceiver, TransportConfig, ViewerError,
+    plan_chunks, run_scenario, ExecutionPath, FanoutPlane, FramePayload, FrameSegments, HeavyPayload, LightPayload,
+    QualityTier, ScenarioSpec, ServiceConfig, ServiceRunReport, ServiceStats, SessionBroker, SessionSpec,
+    ShardedBroker, TransportConfig, ViewerError,
 };
+use visapult::netlogger::MetricsHub;
 
-const BOTH_PLANES: [PlaneKind; 2] = [PlaneKind::Threaded, PlaneKind::Async];
+/// The ten counters of [`ServiceStats`] that are pure functions of the
+/// schedule, the capacity config and the chunk plan.
+fn deterministic(s: &ServiceStats) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64) {
+    (
+        s.sessions_offered,
+        s.sessions_admitted,
+        s.sessions_rejected,
+        s.sessions_evicted,
+        s.peak_live_sessions,
+        s.render_requests,
+        s.renders_performed,
+        s.flow_limited_sessions,
+        s.fanout_chunks,
+        s.fanout_bytes,
+    )
+}
 
-/// Drive the selected plane implementation over backend links.
-fn drive_plane(
-    plane: PlaneKind,
-    broker: SessionBroker,
-    inputs: Vec<StripeReceiver>,
-    transport: &TransportConfig,
-) -> ServiceRunReport {
-    match plane {
-        PlaneKind::Threaded => FanoutPlane::drive(broker, inputs, Vec::new(), transport),
-        PlaneKind::Async => AsyncPlane::with_workers(3).drive(broker, inputs, Vec::new(), transport),
-    }
+/// The arrival-mix strategy the broker properties share: per session a
+/// (join, dwell, viewpoint, tier) draw, clamped into the campaign.
+fn schedule_of(mix: &[(u32, u32, u32, usize)], frames: u32) -> Vec<SessionSpec> {
+    let tiers = [QualityTier::Preview, QualityTier::Standard, QualityTier::Interactive];
+    mix.iter()
+        .enumerate()
+        .map(|(i, &(join, dwell, viewpoint, tier))| {
+            let mut spec = SessionSpec::new(format!("s{i}"), viewpoint, tiers[tier]);
+            spec.join_frame = join.min(frames - 1);
+            spec.leave_frame = Some((spec.join_frame + dwell).min(frames));
+            spec
+        })
+        .collect()
 }
 
 fn payload(rank: u32, frame: u32, tex: usize) -> FramePayload {
@@ -51,11 +68,11 @@ fn payload(rank: u32, frame: u32, tex: usize) -> FramePayload {
     }
 }
 
-/// Drive `frames` timesteps from `pes` PEs through the selected fan-out plane.
-fn run_plane(
-    plane: PlaneKind,
-    schedule: Vec<SessionSpec>,
-    config: ServiceConfig,
+/// Drive `frames` timesteps from `pes` PEs through the fan-out plane (on a
+/// pool of `workers`), over whichever broker shape the caller built.
+fn run_plane_over(
+    broker: impl Into<ShardedBroker> + Send + 'static,
+    workers: usize,
     transport: &TransportConfig,
     frames: u32,
     tex: usize,
@@ -68,10 +85,18 @@ fn run_plane(
         txs.push(tx);
         rxs.push(rx);
     }
-    let broker = SessionBroker::new(config, schedule);
     let handle = {
         let transport = transport.clone();
-        std::thread::spawn(move || drive_plane(plane, broker, rxs, &transport))
+        std::thread::spawn(move || {
+            FanoutPlane::drive_with(
+                broker,
+                rxs,
+                Vec::new(),
+                &transport,
+                Some(workers),
+                &MetricsHub::disabled(),
+            )
+        })
     };
     let senders: Vec<_> = txs
         .into_iter()
@@ -88,6 +113,18 @@ fn run_plane(
         s.join().unwrap();
     }
     handle.join().unwrap()
+}
+
+/// [`run_plane_over`] a plain [`SessionBroker`] on three workers.
+fn run_plane(
+    schedule: Vec<SessionSpec>,
+    config: ServiceConfig,
+    transport: &TransportConfig,
+    frames: u32,
+    tex: usize,
+    pes: usize,
+) -> ServiceRunReport {
+    run_plane_over(SessionBroker::new(config, schedule), 3, transport, frames, tex, pes)
 }
 
 #[test]
@@ -215,92 +252,83 @@ stripes = 1
 #[test]
 fn late_and_corrupt_chunks_surface_as_typed_errors_in_every_session() {
     use visapult::core::FrameChunk;
-    // The typed-error seam is shared by both plane implementations: the
-    // async plane must surface the same LateStripe / Corrupt / MissingFrame
-    // errors, per session, as the threaded plane.
-    for plane in BOTH_PLANES {
-        let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(512);
-        let (backend_tx, backend_rx) = striped_link(&transport);
-        let schedule = vec![
-            SessionSpec::new("s0", 0, QualityTier::Standard),
-            SessionSpec::new("s1", 1, QualityTier::Standard),
-        ];
-        let broker = SessionBroker::new(ServiceConfig::default(), schedule);
-        let handle = {
-            let transport = transport.clone();
-            std::thread::spawn(move || drive_plane(plane, broker, vec![backend_rx], &transport))
-        };
-        backend_tx.send_frame(&payload(0, 0, 8)).unwrap();
-        // A straggler for the already-complete frame 0: every session must
-        // report LateStripe, none may treat it as data.
+    let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(512);
+    let (backend_tx, backend_rx) = striped_link(&transport);
+    let schedule = vec![
+        SessionSpec::new("s0", 0, QualityTier::Standard),
+        SessionSpec::new("s1", 1, QualityTier::Standard),
+    ];
+    let broker = SessionBroker::new(ServiceConfig::default(), schedule);
+    let handle = {
+        let transport = transport.clone();
+        std::thread::spawn(move || FanoutPlane::drive(broker, vec![backend_rx], Vec::new(), &transport))
+    };
+    backend_tx.send_frame(&payload(0, 0, 8)).unwrap();
+    // A straggler for the already-complete frame 0: every session must
+    // report LateStripe, none may treat it as data.
+    backend_tx
+        .send_raw_chunk(FrameChunk {
+            frame: 0,
+            rank: 0,
+            seq: 0,
+            total: 4,
+            stripe: 1,
+            stripe_seq: 99,
+            segment: 0,
+            payload: bytes::Bytes::from(vec![0u8; 16]),
+        })
+        .unwrap();
+    // Two copies of chunk 0 of a never-completed frame 7: the duplicate
+    // is corrupt, typed, and per-session.
+    for _ in 0..2 {
         backend_tx
             .send_raw_chunk(FrameChunk {
-                frame: 0,
+                frame: 7,
                 rank: 0,
                 seq: 0,
-                total: 4,
-                stripe: 1,
-                stripe_seq: 99,
+                total: 9,
+                stripe: 0,
+                stripe_seq: 100,
                 segment: 0,
-                payload: bytes::Bytes::from(vec![0u8; 16]),
+                payload: bytes::Bytes::from(vec![1u8; 16]),
             })
             .unwrap();
-        // Two copies of chunk 0 of a never-completed frame 7: the duplicate
-        // is corrupt, typed, and per-session.
-        for _ in 0..2 {
-            backend_tx
-                .send_raw_chunk(FrameChunk {
-                    frame: 7,
-                    rank: 0,
-                    seq: 0,
-                    total: 9,
-                    stripe: 0,
-                    stripe_seq: 100,
-                    segment: 0,
-                    payload: bytes::Bytes::from(vec![1u8; 16]),
-                })
-                .unwrap();
-        }
-        drop(backend_tx);
-        let report = handle.join().unwrap();
-        assert_eq!(report.sessions.len(), 2);
-        for s in &report.sessions {
-            assert_eq!(s.frames_completed, 1, "{}: {}", plane.label(), s.name);
-            assert!(
-                s.errors
-                    .iter()
-                    .any(|e| matches!(e, ViewerError::LateStripe { frame: 0, .. })),
-                "{}: {}: {:?}",
-                plane.label(),
-                s.name,
-                s.errors
-            );
-            assert!(
-                s.errors.iter().any(|e| matches!(e, ViewerError::Corrupt { .. })),
-                "{}: {}: {:?}",
-                plane.label(),
-                s.name,
-                s.errors
-            );
-            assert!(
-                s.errors
-                    .iter()
-                    .any(|e| matches!(e, ViewerError::MissingFrame { frame: 7, .. })),
-                "{}: {}: {:?}",
-                plane.label(),
-                s.name,
-                s.errors
-            );
-        }
+    }
+    drop(backend_tx);
+    let report = handle.join().unwrap();
+    assert_eq!(report.sessions.len(), 2);
+    for s in &report.sessions {
+        assert_eq!(s.frames_completed, 1, "{}", s.name);
+        assert!(
+            s.errors
+                .iter()
+                .any(|e| matches!(e, ViewerError::LateStripe { frame: 0, .. })),
+            "{}: {:?}",
+            s.name,
+            s.errors
+        );
+        assert!(
+            s.errors.iter().any(|e| matches!(e, ViewerError::Corrupt { .. })),
+            "{}: {:?}",
+            s.name,
+            s.errors
+        );
+        assert!(
+            s.errors
+                .iter()
+                .any(|e| matches!(e, ViewerError::MissingFrame { frame: 7, .. })),
+            "{}: {:?}",
+            s.name,
+            s.errors
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Whatever the chunking, stripe width or frame count — and whichever
-    /// plane implementation runs the fan-out — a session degraded by a
-    /// saturated queue behind a dial-up-grade pacer loses only its own
+    /// Whatever the chunking, stripe width or frame count, a session degraded
+    /// by a saturated queue behind a dial-up-grade pacer loses only its own
     /// frames: the healthy session assembles every frame with zero
     /// anomalies, nobody ever sees a Corrupt error, and the plane's chunk
     /// accounting stays exact (every owed chunk is either delivered or
@@ -322,65 +350,51 @@ proptest! {
         )
         .len() as u32
             * frames;
-        for plane in BOTH_PLANES {
-            let mut healthy = SessionSpec::new("healthy", 0, QualityTier::Interactive);
-            // Deep enough for the whole campaign on any one stripe: the
-            // healthy session can never overflow, whatever the chunk
-            // distribution.
-            healthy.queue_depth = Some(total_chunks as usize);
-            let mut degraded = SessionSpec::new("degraded", 0, QualityTier::Preview).paced_at_mbps(0.2);
-            degraded.stripes = 1;
-            degraded.queue_depth = Some(3);
-            let config = ServiceConfig::default();
-            let report = run_plane(plane, vec![healthy, degraded], config, &transport, frames, tex, 1);
+        let mut healthy = SessionSpec::new("healthy", 0, QualityTier::Interactive);
+        // Deep enough for the whole campaign on any one stripe: the healthy
+        // session can never overflow, whatever the chunk distribution.
+        healthy.queue_depth = Some(total_chunks as usize);
+        let mut degraded = SessionSpec::new("degraded", 0, QualityTier::Preview).paced_at_mbps(0.2);
+        degraded.stripes = 1;
+        degraded.queue_depth = Some(3);
+        let config = ServiceConfig::default();
+        let report = run_plane(vec![healthy, degraded], config, &transport, frames, tex, 1);
 
-            let healthy = report.sessions.iter().find(|s| s.name == "healthy").unwrap();
-            let degraded = report.sessions.iter().find(|s| s.name == "degraded").unwrap();
-            // The healthy session is untouched by its neighbour's collapse.
-            prop_assert_eq!(healthy.frames_completed, u64::from(frames), "{}: {:?}", plane.label(), healthy.errors);
-            prop_assert_eq!(healthy.frames_skipped, 0);
-            prop_assert!(healthy.errors.is_empty(), "{}: healthy session saw {:?}", plane.label(), healthy.errors);
-            // The degraded session lost frames — and only to typed,
-            // partial-composite skips, never corruption.
-            prop_assert!(degraded.frames_skipped > 0, "{}: queue never overflowed: {degraded:?}", plane.label());
-            prop_assert!(
-                degraded.errors.iter().all(|e| matches!(e, ViewerError::MissingFrame { .. })),
-                "{}: {:?}",
-                plane.label(),
-                degraded.errors
-            );
-            prop_assert!(degraded.frames_completed < u64::from(frames));
-            // Exact accounting: owed = delivered + dropped.
-            prop_assert_eq!(
-                report.stats.fanout_chunks,
-                report.stats.chunks_delivered + report.stats.chunks_dropped
-            );
-        }
+        let healthy = report.sessions.iter().find(|s| s.name == "healthy").unwrap();
+        let degraded = report.sessions.iter().find(|s| s.name == "degraded").unwrap();
+        // The healthy session is untouched by its neighbour's collapse.
+        prop_assert_eq!(healthy.frames_completed, u64::from(frames), "{:?}", healthy.errors);
+        prop_assert_eq!(healthy.frames_skipped, 0);
+        prop_assert!(healthy.errors.is_empty(), "healthy session saw {:?}", healthy.errors);
+        // The degraded session lost frames — and only to typed,
+        // partial-composite skips, never corruption.
+        prop_assert!(degraded.frames_skipped > 0, "queue never overflowed: {degraded:?}");
+        prop_assert!(
+            degraded.errors.iter().all(|e| matches!(e, ViewerError::MissingFrame { .. })),
+            "{:?}",
+            degraded.errors
+        );
+        prop_assert!(degraded.frames_completed < u64::from(frames));
+        // Exact accounting: owed = delivered + dropped.
+        prop_assert_eq!(
+            report.stats.fanout_chunks,
+            report.stats.chunks_delivered + report.stats.chunks_dropped
+        );
     }
 
-    /// The plane implementations are interchangeable on the deterministic
-    /// half of the report: whatever the arrival mix (random joins, dwells,
-    /// tiers, viewpoints, over-subscription forcing rejections and
-    /// evictions), the threaded and async planes drive the identical broker
-    /// state machine to the identical lifecycle, shared-render and
-    /// offered-load stats.
+    /// The plane adds scheduling, never decisions: whatever the arrival mix
+    /// (random joins, dwells, tiers, viewpoints, over-subscription forcing
+    /// rejections and evictions), a real fan-out run reports exactly the
+    /// lifecycle events and the ten deterministic counters of a pure
+    /// [`SessionBroker`] replay over the same frame counter and chunk plan —
+    /// and keeps exact chunk accounting whatever the timing.
     #[test]
-    fn threaded_and_async_planes_agree_on_deterministic_stats(
+    fn the_plane_matches_a_pure_broker_replay_on_deterministic_stats(
         mix in proptest::collection::vec((0u32..5, 1u32..6, 0u32..4, 0usize..3), 1..12),
         frames in 4u32..7,
         pes in 1usize..3,
     ) {
-        let tiers = [QualityTier::Preview, QualityTier::Standard, QualityTier::Interactive];
-        let schedule: Vec<SessionSpec> = mix
-            .iter()
-            .enumerate()
-            .map(|(i, &(join, dwell, viewpoint, tier))| {
-                let mut spec = SessionSpec::new(format!("s{i}"), viewpoint, tiers[tier]);
-                spec.join_frame = join.min(frames - 1);
-                spec.leave_frame = Some((spec.join_frame + dwell).min(frames));
-                spec
-            })
-            .collect();
+        let schedule = schedule_of(&mix, frames);
         // Tight capacity so bigger mixes exercise rejection and eviction.
         let config = ServiceConfig {
             max_sessions: 6,
@@ -390,36 +404,50 @@ proptest! {
             ..ServiceConfig::default()
         };
         let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(512);
-        let reports: Vec<ServiceRunReport> = BOTH_PLANES
-            .iter()
-            .map(|&plane| run_plane(plane, schedule.clone(), config.clone(), &transport, frames, 8, pes))
-            .collect();
-        let (threaded, asynced) = (&reports[0], &reports[1]);
-        prop_assert_eq!(&threaded.events, &asynced.events, "lifecycle event streams diverged");
-        let deterministic = |s: &visapult::core::ServiceStats| {
-            (
-                s.sessions_offered,
-                s.sessions_admitted,
-                s.sessions_rejected,
-                s.sessions_evicted,
-                s.peak_live_sessions,
-                s.render_requests,
-                s.renders_performed,
-                s.flow_limited_sessions,
-                s.fanout_chunks,
-                s.fanout_bytes,
-            )
+        let report = run_plane(schedule.clone(), config.clone(), &transport, frames, 8, pes);
+
+        let mut replay = SessionBroker::new(config, schedule);
+        replay.advance_to(frames - 1);
+        replay.finish();
+        let segments = FrameSegments::encode(&payload(0, 0, 8));
+        let plan = plan_chunks(segments.lens(), transport.chunk_bytes, transport.stripes);
+        let chunks = plan.len() as u64 * pes as u64;
+        let bytes = plan.iter().map(|c| c.len as u64).sum::<u64>() * pes as u64;
+        replay.fold_fanout_load(&vec![(chunks, bytes); frames as usize]);
+
+        prop_assert_eq!(&report.events[..], replay.events(), "lifecycle event streams diverged");
+        prop_assert_eq!(deterministic(&report.stats), deterministic(replay.stats()));
+        prop_assert_eq!(
+            report.stats.fanout_chunks,
+            report.stats.chunks_delivered + report.stats.chunks_dropped,
+            "accounting leaked"
+        );
+    }
+
+    /// A plain [`SessionBroker`] handed to the plane *is* the one-shard
+    /// [`ShardedBroker`]: both shapes report identical events and
+    /// deterministic stats, behind exactly one shard lock.
+    #[test]
+    fn a_session_broker_and_its_one_shard_equivalent_drive_identically(
+        mix in proptest::collection::vec((0u32..5, 1u32..6, 0u32..4, 0usize..3), 1..12),
+        frames in 4u32..7,
+    ) {
+        let schedule = schedule_of(&mix, frames);
+        let config = ServiceConfig {
+            max_sessions: 6,
+            link_capacity_units: 10,
+            render_slots: 2,
+            queue_depth: 64,
+            shards: Some(1),
+            ..ServiceConfig::default()
         };
-        prop_assert_eq!(deterministic(&threaded.stats), deterministic(&asynced.stats));
-        // Both planes keep exact chunk accounting whatever the timing.
-        for (r, plane) in reports.iter().zip(BOTH_PLANES) {
-            prop_assert_eq!(
-                r.stats.fanout_chunks,
-                r.stats.chunks_delivered + r.stats.chunks_dropped,
-                "{} accounting leaked",
-                plane.label()
-            );
-        }
+        let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(512);
+        let plain = run_plane_over(SessionBroker::new(config.clone(), schedule.clone()), 2, &transport, frames, 8, 1);
+        let sharded = run_plane_over(ShardedBroker::new(config, schedule), 2, &transport, frames, 8, 1);
+        prop_assert_eq!(&plain.events, &sharded.events, "lifecycle event streams diverged");
+        prop_assert_eq!(deterministic(&plain.stats), deterministic(&sharded.stats));
+        prop_assert_eq!(plain.shard_locks.len(), 1);
+        prop_assert_eq!(sharded.shard_locks.len(), 1);
     }
 
     /// `shards = 1` is not "approximately" the plain broker — it IS the
@@ -432,17 +460,7 @@ proptest! {
         mix in proptest::collection::vec((0u32..5, 1u32..6, 0u32..4, 0usize..3), 1..16),
         frames in 3u32..8,
     ) {
-        let tiers = [QualityTier::Preview, QualityTier::Standard, QualityTier::Interactive];
-        let schedule: Vec<SessionSpec> = mix
-            .iter()
-            .enumerate()
-            .map(|(i, &(join, dwell, viewpoint, tier))| {
-                let mut spec = SessionSpec::new(format!("s{i}"), viewpoint, tiers[tier]);
-                spec.join_frame = join.min(frames - 1);
-                spec.leave_frame = Some((spec.join_frame + dwell).min(frames));
-                spec
-            })
-            .collect();
+        let schedule = schedule_of(&mix, frames);
         // Tight capacity so bigger mixes exercise rejection and eviction.
         let config = ServiceConfig {
             max_sessions: 6,
@@ -468,11 +486,11 @@ proptest! {
 }
 
 /// The headline scale smoke: ten thousand sessions multiplexed over the
-/// async plane's bounded worker pool.  Ignored by default — run it in
+/// plane's bounded worker pool.  Ignored by default — run it in
 /// release with `cargo test --release --test service -- --ignored`.
 #[test]
 #[ignore = "10k-session scale smoke; run in release with -- --ignored"]
-fn ten_thousand_sessions_ride_the_async_plane_on_a_bounded_pool() {
+fn ten_thousand_sessions_ride_the_plane_on_a_bounded_pool() {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn live_threads() -> usize {
@@ -511,7 +529,7 @@ fn ten_thousand_sessions_ride_the_async_plane_on_a_bounded_pool() {
             }
         })
     };
-    let report = run_plane(PlaneKind::Async, schedule, config, &transport, FRAMES, 16, 1);
+    let report = run_plane(schedule, config, &transport, FRAMES, 16, 1);
     stop.store(true, Ordering::Relaxed);
     monitor.join().unwrap();
     assert_eq!(report.stats.sessions_admitted, SESSIONS as u64);
@@ -524,18 +542,18 @@ fn ten_thousand_sessions_ride_the_async_plane_on_a_bounded_pool() {
     // Thread-per-session would sit at ~10k threads; the pool keeps the whole
     // process within a few dozen (workers + PEs + harness).
     assert!(peak > 0, "thread monitor never sampled");
-    assert!(peak < 64, "async plane leaked threads: peak {peak}");
+    assert!(peak < 64, "the plane leaked threads: peak {peak}");
 }
 
-/// The exhibit-floor ceiling: one hundred thousand sessions over the sharded
-/// async plane (4 viewpoint-hash shards, one per distinct viewpoint).  At
+/// The exhibit-floor ceiling: one hundred thousand sessions over 4
+/// viewpoint-hash shards (one per distinct viewpoint).  At
 /// this scale the indexed admission ledger is load-bearing — the old
 /// every-session-every-frame scan would spend its whole budget in
 /// `advance_to`.  Ignored by default — run it in release with
 /// `cargo test --release --test service -- --ignored`.
 #[test]
 #[ignore = "100k-session scale smoke; run in release with -- --ignored"]
-fn one_hundred_thousand_sessions_ride_the_sharded_async_plane() {
+fn one_hundred_thousand_sessions_ride_four_shards() {
     const SESSIONS: usize = 100_000;
     const SHARDS: usize = 4;
     const FRAMES: u32 = 2;
@@ -551,17 +569,7 @@ fn one_hundred_thousand_sessions_ride_the_sharded_async_plane() {
         ..ServiceConfig::default()
     };
     let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(4096);
-    let (tx, rx) = striped_link(&transport);
-    let handle = {
-        let transport = transport.clone();
-        let broker = ShardedBroker::new(config, schedule);
-        std::thread::spawn(move || AsyncPlane::with_workers(4).drive_sharded(broker, vec![rx], Vec::new(), &transport))
-    };
-    for f in 0..FRAMES {
-        tx.send_frame(&payload(0, f, 16)).unwrap();
-    }
-    drop(tx);
-    let report = handle.join().unwrap();
+    let report = run_plane_over(ShardedBroker::new(config, schedule), 4, &transport, FRAMES, 16, 1);
     assert_eq!(report.stats.sessions_admitted, SESSIONS as u64);
     assert_eq!(report.stats.peak_live_sessions, SESSIONS as u64);
     assert_eq!(

@@ -1,15 +1,13 @@
 //! Telemetry-plane integration tests: replay fingerprints are byte-identical
 //! with the `[telemetry]` table on or off (on both execution paths), and the
-//! threaded and async fan-out planes expose the same `fanout/*` metric set —
-//! the executor's `exec/*` introspection is the async plane's documented
-//! extra.
+//! fan-out plane's `fanout/*` + `exec/*` metric key set is pinned.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use visapult::core::transport::striped_link;
 use visapult::core::{
-    run_scenario, AsyncPlane, ExecutionPath, FanoutPlane, FramePayload, HeavyPayload, LightPayload, PlaneKind,
-    QualityTier, ScenarioSpec, ServiceConfig, SessionBroker, SessionSpec, TelemetrySpec, TransportConfig,
+    run_scenario, ExecutionPath, FanoutPlane, FramePayload, HeavyPayload, LightPayload, QualityTier, ScenarioSpec,
+    ServiceConfig, SessionBroker, SessionSpec, TelemetrySpec, TransportConfig,
 };
 use visapult::netlogger::{MetricsHub, MetricsSnapshot};
 
@@ -63,7 +61,7 @@ fn payload(frame: u32) -> FramePayload {
 }
 
 /// Run a small metered campaign and return the hub's final snapshot.
-fn metered_snapshot(plane: PlaneKind) -> MetricsSnapshot {
+fn metered_snapshot() -> MetricsSnapshot {
     let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(4 * 1024);
     let config = ServiceConfig {
         max_sessions: 128,
@@ -81,19 +79,14 @@ fn metered_snapshot(plane: PlaneKind) -> MetricsSnapshot {
     let handle = {
         let transport = transport.clone();
         let hub = hub.clone();
-        std::thread::spawn(move || match plane {
-            PlaneKind::Threaded => FanoutPlane::drive_metered(broker, vec![rx], Vec::new(), &transport, &hub),
-            PlaneKind::Async => {
-                AsyncPlane::with_workers(2).drive_metered(broker, vec![rx], Vec::new(), &transport, &hub)
-            }
-        })
+        std::thread::spawn(move || FanoutPlane::drive_with(broker, vec![rx], Vec::new(), &transport, Some(2), &hub))
     };
     for f in 0..4 {
         tx.send_frame(&payload(f)).unwrap();
     }
     drop(tx);
     assert!(handle.join().unwrap().stats.frames_completed > 0);
-    hub.snapshot(&format!("{plane:?}"))
+    hub.snapshot("plane")
 }
 
 fn keys_with_prefix(snap: &MetricsSnapshot, prefix: &str) -> BTreeSet<String> {
@@ -106,41 +99,41 @@ fn keys_with_prefix(snap: &MetricsSnapshot, prefix: &str) -> BTreeSet<String> {
         .collect()
 }
 
-/// Both planes must record the identical `fanout/*` instrument set, so
-/// dashboards and baseline comparisons work unchanged whichever plane a
-/// deployment picks.  `exec/*` is async-only by design.
+/// The plane's instrument set is a contract: dashboards and baseline
+/// comparisons key on these names, so additions and removals are deliberate.
 #[test]
-fn threaded_and_async_planes_expose_the_same_fanout_metrics() {
-    let threaded = metered_snapshot(PlaneKind::Threaded);
-    let asynced = metered_snapshot(PlaneKind::Async);
-    if threaded.histograms.is_empty() && asynced.histograms.is_empty() {
-        // Telemetry feature compiled out: both hubs are no-ops — parity
-        // trivially holds and there is nothing further to check.
+fn the_plane_exposes_a_pinned_fanout_and_exec_metric_set() {
+    let snap = metered_snapshot();
+    if snap.histograms.is_empty() {
+        // Telemetry feature compiled out: the hub is a no-op and there is
+        // nothing to pin.
         return;
     }
-
-    let threaded_fanout = keys_with_prefix(&threaded, "fanout/");
-    let async_fanout = keys_with_prefix(&asynced, "fanout/");
+    let expected = |keys: &[&str]| keys.iter().map(|k| k.to_string()).collect::<BTreeSet<_>>();
     assert_eq!(
-        threaded_fanout, async_fanout,
-        "fanout/* metric presence must match between planes"
+        keys_with_prefix(&snap, "fanout/"),
+        expected(&[
+            "fanout/chunks",
+            "fanout/endpoints",
+            "fanout/queue_depth",
+            "fanout/wave_us",
+            "fanout/waves",
+        ])
     );
-    for key in ["fanout/wave_us", "fanout/waves", "fanout/chunks", "fanout/endpoints"] {
-        assert!(threaded_fanout.contains(key), "missing {key} on the threaded plane");
-    }
-    let wave = threaded.histograms.get("fanout/wave_us").expect("wave histogram");
+    assert_eq!(
+        keys_with_prefix(&snap, "exec/"),
+        expected(&[
+            "exec/idle_sweeps",
+            "exec/parks",
+            "exec/poll_ns",
+            "exec/polls",
+            "exec/run_queue_depth",
+            "exec/spawns",
+            "exec/wakes",
+            "exec/worker_mean_poll_ns",
+            "exec/workers",
+        ])
+    );
+    let wave = snap.histograms.get("fanout/wave_us").expect("wave histogram");
     assert!(wave.count > 0, "wave latencies recorded");
-
-    // Executor introspection is the async plane's extra — and only its.
-    assert!(keys_with_prefix(&threaded, "exec/").is_empty());
-    let exec = keys_with_prefix(&asynced, "exec/");
-    for key in [
-        "exec/polls",
-        "exec/parks",
-        "exec/wakes",
-        "exec/spawns",
-        "exec/run_queue_depth",
-    ] {
-        assert!(exec.contains(key), "missing {key} on the async plane");
-    }
 }

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 use visapult::core::transport::striped_link;
 use visapult::core::{
-    AsyncPlane, FanoutPlane, FramePayload, HeavyPayload, LightPayload, PlaneKind, QualityTier, ServiceConfig,
-    SessionBroker, SessionSpec, TransportConfig,
+    FanoutPlane, FramePayload, HeavyPayload, LightPayload, QualityTier, ServiceConfig, SessionBroker, SessionSpec,
+    TransportConfig,
 };
 use visapult::netlogger::metrics::live_record_ops;
 use visapult::netlogger::MetricsHub;
@@ -38,8 +38,8 @@ fn payload(frame: u32) -> FramePayload {
     }
 }
 
-/// One 4-frame, 4-session campaign through the selected plane with `hub`.
-fn run_metered(plane: PlaneKind, hub: &MetricsHub) -> u64 {
+/// One 4-frame, 4-session campaign through the plane with `hub`.
+fn run_metered(hub: &MetricsHub) -> u64 {
     let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(4 * 1024);
     let config = ServiceConfig {
         max_sessions: 128,
@@ -56,12 +56,7 @@ fn run_metered(plane: PlaneKind, hub: &MetricsHub) -> u64 {
     let handle = {
         let transport = transport.clone();
         let hub = hub.clone();
-        std::thread::spawn(move || match plane {
-            PlaneKind::Threaded => FanoutPlane::drive_metered(broker, vec![rx], Vec::new(), &transport, &hub),
-            PlaneKind::Async => {
-                AsyncPlane::with_workers(2).drive_metered(broker, vec![rx], Vec::new(), &transport, &hub)
-            }
-        })
+        std::thread::spawn(move || FanoutPlane::drive_with(broker, vec![rx], Vec::new(), &transport, Some(2), &hub))
     };
     for f in 0..4 {
         tx.send_frame(&payload(f)).unwrap();
@@ -72,12 +67,10 @@ fn run_metered(plane: PlaneKind, hub: &MetricsHub) -> u64 {
 
 #[test]
 fn disabled_telemetry_does_zero_atomics_on_the_chunk_hot_path() {
-    // Both planes, no-op hub: every instrument handle is the None variant,
-    // so the campaign must not touch a single metric atomic.
+    // No-op hub: every instrument handle is the None variant, so the
+    // campaign must not touch a single metric atomic.
     let before = live_record_ops();
-    for plane in [PlaneKind::Threaded, PlaneKind::Async] {
-        assert!(run_metered(plane, &MetricsHub::disabled()) > 0);
-    }
+    assert!(run_metered(&MetricsHub::disabled()) > 0);
     assert_eq!(
         live_record_ops() - before,
         0,
@@ -90,7 +83,7 @@ fn disabled_telemetry_does_zero_atomics_on_the_chunk_hot_path() {
     let hub = MetricsHub::enabled();
     if hub.is_enabled() {
         let before = live_record_ops();
-        assert!(run_metered(PlaneKind::Threaded, &hub) > 0);
+        assert!(run_metered(&hub) > 0);
         assert!(
             live_record_ops() > before,
             "a live hub records on the same instrumented path"
