@@ -13,7 +13,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use dpss::{BlockCache, CacheConfig, DatasetDescriptor, DpssClient, DpssCluster, StripeLayout};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
+use visapult_bench::{median_secs, report_baseline};
 
 fn populated_cluster() -> (DpssCluster, DatasetDescriptor) {
     let cluster = DpssCluster::new(StripeLayout::four_server());
@@ -59,19 +59,6 @@ fn bench_cached_vs_uncached(c: &mut Criterion) {
 
 criterion_group!(benches, bench_cached_vs_uncached);
 
-/// Median seconds per call of `f` over `samples` timed calls.
-fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
-}
-
 fn write_baseline() {
     let (cluster, descriptor) = populated_cluster();
     let len = descriptor.bytes_per_timestep().bytes();
@@ -102,18 +89,6 @@ fn write_baseline() {
         uncached_s / warm_s,
     );
     report_baseline("cache", &json);
-}
-
-fn report_baseline(name: &str, json: &str) {
-    let written = visapult_bench::persist_baseline(name, json);
-    if written.is_empty() {
-        println!("\nbaseline (nowhere writable):\n{json}");
-    } else {
-        for path in &written {
-            println!("\nwrote baseline {}", path.display());
-        }
-        println!("{json}");
-    }
 }
 
 fn main() {

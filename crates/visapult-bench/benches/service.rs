@@ -379,7 +379,7 @@ fn write_baseline() {
         exec_json(&floor.hub),
         cases[2].2.render_ratio(),
     );
-    report_baseline("service", &json);
+    visapult_bench::report_baseline("service", &json);
 }
 
 /// The JSONL snapshot time series the CI run uploads as an artifact: one
@@ -396,18 +396,6 @@ fn persist_snapshots(snapshots: &[MetricsSnapshot]) {
     match wrote {
         Ok(()) => println!("wrote telemetry snapshots {}", path.display()),
         Err(e) => eprintln!("telemetry snapshots not written: {e}"),
-    }
-}
-
-fn report_baseline(name: &str, json: &str) {
-    let written = visapult_bench::persist_baseline(name, json);
-    if written.is_empty() {
-        println!("\nbaseline (nowhere writable):\n{json}");
-    } else {
-        for path in &written {
-            println!("\nwrote baseline {}", path.display());
-        }
-        println!("{json}");
     }
 }
 

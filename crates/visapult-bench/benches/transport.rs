@@ -14,7 +14,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
+use visapult_bench::{median_secs, report_baseline};
 use visapult_core::protocol::{encode_heavy, encode_light, FramePayload, HeavyPayload, LightPayload};
 use visapult_core::transport::{striped_link, TransportConfig};
 
@@ -83,19 +83,6 @@ fn bench_striped_roundtrip(c: &mut Criterion) {
 
 criterion_group!(benches, bench_striped_roundtrip);
 
-/// Median seconds per call of `f` over `samples` timed calls.
-fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
-}
-
 fn write_baseline() {
     let frame = sample_frame();
     let bytes = frame.wire_bytes();
@@ -128,18 +115,6 @@ fn write_baseline() {
         legacy_s / stripe_s[1],
     );
     report_baseline("transport", &json);
-}
-
-fn report_baseline(name: &str, json: &str) {
-    let written = visapult_bench::persist_baseline(name, json);
-    if written.is_empty() {
-        println!("\nbaseline (nowhere writable):\n{json}");
-    } else {
-        for path in &written {
-            println!("\nwrote baseline {}", path.display());
-        }
-        println!("{json}");
-    }
 }
 
 fn main() {

@@ -3,10 +3,17 @@
 //! Per-PE render cost as a function of slab size and image resolution; these
 //! are the numbers that calibrate the `ComputePlatform` sample rates used by
 //! the virtual-time campaigns.
+//!
+//! Besides the criterion output, a custom `main` writes a
+//! `BENCH_volren.json` baseline: median seconds per `render_region` call for
+//! the three slab-to-image shapes the ledger's workloads run the kernel in —
+//! image larger than the slab's footprint, a small multiple of it, and smaller
+//! — so the distinct-ray kernel's cost is committed and gated in each regime.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use volren::{combustion_jet, render_region, Axis, RenderSettings, TransferFunction};
+use visapult_bench::{median_secs, report_baseline};
+use volren::{combustion_jet, render_region, render_region_rgba8, Axis, RenderSettings, TransferFunction};
 
 fn bench_slab_sizes(c: &mut Criterion) {
     let tf = TransferFunction::combustion_default();
@@ -47,4 +54,62 @@ fn bench_image_sizes(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_slab_sizes, bench_image_sizes);
-criterion_main!(benches);
+
+/// The kernel's three regimes, each the per-PE slab and image of a ledger
+/// workload: (name, slab dims, image edge).
+const SHAPES: [(&str, (usize, usize, usize), usize); 3] = [
+    // wan_wire: every voxel column is named by 64 pixels.
+    ("upsampled", (64, 64, 4), 512),
+    // corridor_stream: every column is named by 4 pixels.
+    ("matched", (128, 128, 32), 256),
+    // The playbacks: one column in 16 is named at all.
+    ("downsampled", (128, 128, 16), 32),
+];
+
+fn write_baseline() {
+    let tf = TransferFunction::combustion_default();
+    let samples = 30;
+    let cases: Vec<String> = SHAPES
+        .iter()
+        .map(|&(name, dims, edge)| {
+            let slab = combustion_jet(dims, 0.5, 9);
+            let range = slab.value_range();
+            let settings = RenderSettings::with_size(edge, edge);
+            render_region(&slab, Axis::Z, &tf, range, &settings); // warm
+            let median_s = median_secs(samples, || {
+                black_box(render_region(black_box(&slab), Axis::Z, &tf, range, &settings));
+            });
+            let rgba8_s = median_secs(samples, || {
+                black_box(render_region_rgba8(black_box(&slab), Axis::Z, &tf, range, &settings));
+            });
+            // One ray per distinct column, one sample per voxel along it at
+            // the default unit step, before early termination.
+            let cast_samples = dims.0.min(edge) * dims.1.min(edge) * dims.2;
+            format!(
+                "    \"{name}\": {{ \"median_s\": {median_s:.9}, \"rgba8_s\": {rgba8_s:.9}, \"slab\": \"{}x{}x{}\", \"image\": {edge}, \"cast_samples\": {cast_samples}, \"ns_per_cast_sample\": {:.2} }}",
+                dims.0,
+                dims.1,
+                dims.2,
+                median_s * 1e9 / cast_samples as f64,
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"bench\": \"volren_render_region\",\n  \"samples\": {samples},\n  \"cases\": {{\n{}\n  }}\n}}\n",
+        cases.join(",\n")
+    );
+    report_baseline("volren", &json);
+}
+
+fn main() {
+    // `cargo test` runs bench targets with `--test`; do nothing there.
+    if std::env::args().any(|a| a == "--test") {
+        return;
+    }
+    // Baseline first, on a cold process; VISAPULT_BASELINE_ONLY=1 regenerates
+    // the committed JSON without the criterion groups (as in `service`).
+    write_baseline();
+    if std::env::var_os("VISAPULT_BASELINE_ONLY").is_none() {
+        benches();
+    }
+}

@@ -99,6 +99,33 @@ pub fn persist_baseline(name: &str, json: &str) -> Vec<PathBuf> {
         .collect()
 }
 
+/// [`persist_baseline`], then print where the baseline went and the record
+/// itself — the tail every baseline-writing bench ends with.
+pub fn report_baseline(name: &str, json: &str) {
+    let written = persist_baseline(name, json);
+    if written.is_empty() {
+        println!("\nbaseline (nowhere writable):\n{json}");
+    } else {
+        for path in &written {
+            println!("\nwrote baseline {}", path.display());
+        }
+        println!("{json}");
+    }
+}
+
+/// Median seconds per call of `f` over `samples` timed calls.
+pub fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = (0..samples)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(|a, b| a.total_cmp(b));
+    times[times.len() / 2]
+}
+
 /// Which way a gated bench metric improves.  The regression gate is
 /// *direction-aware*: a throughput that climbs and a latency that falls are
 /// both improvements, and neither may fail CI — only movement in the wrong

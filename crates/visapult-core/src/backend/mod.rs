@@ -23,7 +23,7 @@ use parcomm::{ProcessGroup, Rank, World};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use volren::{render_region, AmrHierarchy, Axis, Volume};
+use volren::{render_region_rgba8, AmrHierarchy, Axis, Volume};
 
 /// Per-PE execution summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,7 +79,7 @@ fn slab_quad_vectors(dims: (usize, usize, usize), pe: usize, total: usize) -> ([
 
 /// Render one loaded slab and package the light + heavy payloads.
 fn render_and_package(config: &PipelineConfig, rank: usize, frame: usize, volume: &Volume) -> FramePayload {
-    let image = render_region(volume, Axis::Z, &config.transfer, config.value_range, &config.render);
+    let texture = render_region_rgba8(volume, Axis::Z, &config.transfer, config.value_range, &config.render);
     // AMR grid geometry for this slab, shifted into whole-volume coordinates.
     let origin = slab_origin(&config.dataset, rank, config.pes);
     let amr = AmrHierarchy::from_volume(volume, 16, 0.3, 2);
@@ -108,9 +108,10 @@ fn render_and_package(config: &PipelineConfig, rank: usize, frame: usize, volume
     let heavy = HeavyPayload {
         frame: frame as u32,
         rank: rank as u32,
-        // The render output is wrapped into a shared buffer here and never
-        // copied again on its way to the viewer's scene graph.
-        texture_rgba8: image.to_rgba8().into(),
+        // The renderer emits the wire format directly; its output is wrapped
+        // into a shared buffer here and never copied again on its way to the
+        // viewer's scene graph.
+        texture_rgba8: texture.into(),
         geometry: Arc::new(geometry),
     };
     FramePayload { light, heavy }
@@ -215,23 +216,23 @@ fn run_pe_overlapped(
     let reader_log = log.cloned();
     // The double-buffered reader thread: loads the requested timestep's slab
     // into its half of the buffer and emits the load-phase NetLogger events.
-    let mut group: ProcessGroup<Option<Volume>> = ProcessGroup::spawn(
+    // A failed load is stored, not raised: the reader must return so that
+    // semaphore B is posted, or the renderer would wait for it forever.
+    let mut group: ProcessGroup<Option<Result<Volume, VisapultError>>> = ProcessGroup::spawn(
         || None,
         move |timestep, slot| {
             if let Some(l) = &reader_log {
                 l.log_with(tags::BE_LOAD_START, [(tags::FIELD_FRAME, timestep as u64)]);
             }
-            let volume = reader_source
-                .load_slab(timestep, r, pes)
-                .expect("reader thread failed to load a slab");
-            let bytes = reader_source.slab_bytes(timestep, r, pes);
-            *slot = Some(volume);
-            if let Some(l) = &reader_log {
+            let loaded = reader_source.load_slab(timestep, r, pes);
+            if let (Some(l), Ok(_)) = (&reader_log, &loaded) {
+                let bytes = reader_source.slab_bytes(timestep, r, pes);
                 l.log_with(
                     tags::BE_LOAD_END,
                     [(tags::FIELD_FRAME, timestep as u64), (tags::FIELD_BYTES, bytes)],
                 );
             }
+            *slot = Some(loaded);
         },
     );
 
@@ -254,18 +255,19 @@ fn run_pe_overlapped(
         if frame + 1 < config.timesteps {
             group.request(frame + 1);
         }
-        let payload = {
-            let slot = group.buffer(frame);
-            let volume = slot.as_ref().expect("requested slab must be resident");
-            if let Some(l) = log {
-                l.log_with(tags::BE_RENDER_START, [(tags::FIELD_FRAME, frame as u64)]);
-            }
-            let payload = render_and_package(config, r, frame, volume);
-            if let Some(l) = log {
-                l.log_with(tags::BE_RENDER_END, [(tags::FIELD_FRAME, frame as u64)]);
-            }
-            payload
-        };
+        // Taking the slab out releases the slot for timestep N+2; a load that
+        // failed on the reader thread surfaces here, as `?` does in serial mode.
+        let volume = group
+            .buffer(frame)
+            .take()
+            .ok_or_else(|| VisapultError::Protocol(format!("PE {r}: slab for timestep {frame} is not resident")))??;
+        if let Some(l) = log {
+            l.log_with(tags::BE_RENDER_START, [(tags::FIELD_FRAME, frame as u64)]);
+        }
+        let payload = render_and_package(config, r, frame, &volume);
+        if let Some(l) = log {
+            l.log_with(tags::BE_RENDER_END, [(tags::FIELD_FRAME, frame as u64)]);
+        }
         bytes_loaded += source.slab_bytes(frame, r, pes);
         wire_bytes += send_frame(link, payload, log, frame)?;
         if let Some(l) = log {
@@ -476,6 +478,55 @@ mod tests {
         let analysis = netlogger::ProfileAnalysis::from_log(&log);
         assert_eq!(analysis.frames.len(), 2);
         assert!(analysis.frames.iter().all(|f| f.bytes_loaded > 0));
+    }
+
+    /// A source whose load of one timestep fails, as a DPSS server going away
+    /// mid-run does.
+    struct FailingSource {
+        inner: SyntheticSource,
+        fail_at: usize,
+    }
+
+    impl DataSource for FailingSource {
+        fn descriptor(&self) -> &DatasetDescriptor {
+            self.inner.descriptor()
+        }
+
+        fn load_slab(&self, timestep: usize, pe: usize, total_pes: usize) -> Result<Volume, VisapultError> {
+            if timestep == self.fail_at {
+                return Err(VisapultError::Dpss(dpss::DpssError::Closed));
+            }
+            self.inner.load_slab(timestep, pe, total_pes)
+        }
+    }
+
+    #[test]
+    fn a_failed_slab_load_is_an_error_not_a_hang_in_both_modes() {
+        for mode in [ExecutionMode::Serial, ExecutionMode::Overlapped] {
+            let config = PipelineConfig::small(2, 4, mode);
+            let source: Arc<dyn DataSource> = Arc::new(FailingSource {
+                inner: SyntheticSource::new(DatasetDescriptor::small_combustion(4), 7),
+                fail_at: 2,
+            });
+            let (senders, receivers) = links(2, &TransportConfig::default());
+            let drains = spawn_drains(receivers);
+            // Run on a thread so a PE stuck waiting for its reader fails the
+            // test instead of hanging it.
+            let (done, outcome) = std::sync::mpsc::channel();
+            let backend_source = Arc::clone(&source);
+            let backend = std::thread::spawn(move || {
+                let _ = done.send(run_backend(&config, backend_source, senders, None));
+            });
+            let result = outcome
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{mode:?} back end hung on a failed slab load"));
+            assert!(matches!(result, Err(VisapultError::Dpss(_))), "{mode:?}: {result:?}");
+            backend.join().unwrap();
+            // Timesteps 0 and 1 were shipped by both PEs before the failure.
+            assert_eq!(join_drains(drains).len(), 4, "{mode:?}");
+            // Each reader thread owned a clone of the source; all are joined.
+            assert_eq!(Arc::strong_count(&source), 1, "{mode:?} leaked a reader thread");
+        }
     }
 
     #[test]

@@ -25,6 +25,11 @@ pub struct AmrBox {
 impl AmrBox {
     /// The twelve edges of the box as line segments (pairs of endpoints).
     pub fn edges(&self) -> Vec<([f32; 3], [f32; 3])> {
+        self.edge_array().to_vec()
+    }
+
+    /// [`AmrBox::edges`] without the allocation.
+    fn edge_array(&self) -> [([f32; 3], [f32; 3]); 12] {
         let (x0, y0, z0) = self.origin;
         let (sx, sy, sz) = self.size;
         let (x1, y1, z1) = (x0 + sx, y0 + sy, z0 + sz);
@@ -38,7 +43,7 @@ impl AmrBox {
             [x1, y1, z1],
             [x0, y1, z1],
         ];
-        let pairs = [
+        const PAIRS: [(usize, usize); 12] = [
             (0, 1),
             (1, 2),
             (2, 3),
@@ -52,7 +57,7 @@ impl AmrBox {
             (2, 6),
             (3, 7),
         ];
-        pairs.iter().map(|&(a, b)| (corners[a], corners[b])).collect()
+        PAIRS.map(|(a, b)| (corners[a], corners[b]))
     }
 }
 
@@ -179,16 +184,17 @@ impl AmrHierarchy {
     /// shipped to the viewer's scene graph ("typically tens of kilobytes for
     /// the AMR grid data per timestep", Appendix A).
     pub fn to_line_segments(&self) -> Vec<([f32; 3], [f32; 3])> {
-        self.levels
-            .iter()
-            .flat_map(|boxes| boxes.iter().flat_map(AmrBox::edges))
-            .collect()
+        let mut segments = Vec::with_capacity(self.total_boxes() * 12);
+        for b in self.levels.iter().flatten() {
+            segments.extend_from_slice(&b.edge_array());
+        }
+        segments
     }
 
-    /// Serialized size of the line geometry in bytes (two 3-float endpoints
-    /// per segment).
+    /// Serialized size of the line geometry in bytes (twelve segments per
+    /// box, two 3-float endpoints per segment).
     pub fn geometry_bytes(&self) -> u64 {
-        (self.to_line_segments().len() * 2 * 3 * 4) as u64
+        (self.total_boxes() * 12 * 24) as u64
     }
 }
 
@@ -245,6 +251,23 @@ mod tests {
         let h = AmrHierarchy::from_volume(&v, 16, 0.15, 3);
         let bytes = h.geometry_bytes();
         assert!(bytes > 5_000 && bytes < 1_000_000, "got {bytes} bytes");
+    }
+
+    #[test]
+    fn line_segments_keep_level_then_box_then_edge_order() {
+        // The viewer's geometry block is fingerprinted, so the order is part
+        // of the contract: levels coarse to fine, boxes in level order, each
+        // box's twelve edges in `edges()` order.
+        let v = combustion_jet((32, 32, 32), 0.5, 3);
+        let h = AmrHierarchy::from_volume(&v, 16, 0.25, 3);
+        assert!(h.populated_levels() >= 2);
+        let expected: Vec<_> = h.levels.iter().flatten().flat_map(AmrBox::edges).collect();
+        let segments = h.to_line_segments();
+        assert_eq!(segments, expected);
+        assert_eq!(segments[0], ([0.0, 0.0, 0.0], [16.0, 0.0, 0.0]));
+        assert_eq!(segments[11], ([0.0, 16.0, 0.0], [0.0, 16.0, 16.0]));
+        assert_eq!(segments[12].0, [16.0, 0.0, 0.0], "second level-0 box follows in X");
+        assert_eq!(h.geometry_bytes(), (segments.len() * 2 * 3 * 4) as u64);
     }
 
     #[test]

@@ -8,6 +8,13 @@
 
 use serde::{Deserialize, Serialize};
 
+/// One channel of the 8-bit wire format: the single quantisation expression
+/// behind [`RgbaImage::to_rgba8`] and the renderer's direct RGBA8 output.
+#[inline]
+pub(crate) fn quantize_channel(v: f32) -> u8 {
+    (v.clamp(0.0, 1.0) * 255.0).round() as u8
+}
+
 /// A floating-point RGBA image (straight, non-premultiplied alpha).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RgbaImage {
@@ -41,6 +48,11 @@ impl RgbaImage {
     /// Raw pixel floats (RGBA interleaved).
     pub fn data(&self) -> &[f32] {
         &self.data
+    }
+
+    /// Mutable raw pixel floats, for the renderer to write finished rows into.
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
     }
 
     /// Size of the image when shipped over the wire as 8-bit RGBA.
@@ -106,10 +118,7 @@ impl RgbaImage {
 
     /// Convert to 8-bit RGBA bytes (the heavy-payload wire format).
     pub fn to_rgba8(&self) -> Vec<u8> {
-        self.data
-            .iter()
-            .map(|v| (v.clamp(0.0, 1.0) * 255.0).round() as u8)
-            .collect()
+        self.data.iter().map(|&v| quantize_channel(v)).collect()
     }
 
     /// Reconstruct from 8-bit RGBA bytes.

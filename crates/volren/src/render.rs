@@ -5,7 +5,9 @@
 //! * [`render_region`] — the axis-aligned orthographic ray caster each back
 //!   end PE runs over its slab of data.  Rays travel along a principal axis,
 //!   so sampling needs no interpolation and the result is exactly the 2-D
-//!   texture the IBRAVR viewer expects for that slab.
+//!   texture the IBRAVR viewer expects for that slab.  [`render_region_rgba8`]
+//!   is the same render quantised straight into the heavy payload's 8-bit
+//!   wire format.
 //! * [`render_view`] — a general orthographic ray caster with trilinear
 //!   sampling for arbitrary view orientations.  It is far slower and is used
 //!   only as the ground truth against which IBRAVR artifacts are measured
@@ -13,9 +15,30 @@
 //!
 //! Both composite front-to-back with the Porter–Duff `over` operator and
 //! opacity-correct samples for step size.
+//!
+//! # Distinct-ray casting
+//!
+//! A pixel of the axis-aligned render names a voxel column `(u, v)` by
+//! nearest-voxel lookup, so an image at least as large as the slab's
+//! footprint names every column several times over (four times for 256² over
+//! 128×128, 64 times for 512² over 64×64).  The kernel behind
+//! [`render_region`] evaluates the two pixel→voxel maps once, casts each
+//! *distinct* column once — at most `min(image, footprint)` rays — and
+//! replicates the finished ray into every pixel that named it.  Rays are
+//! walked a row of columns at a time with the sample index outermost, so
+//! consecutive reads are unit-stride in X for `Axis::Z` and `Axis::Y`; for
+//! `Axis::X` the ray itself is the unit-stride run and is walked whole.
+//!
+//! **Bit-identity.**  A ray's result depends only on its column: the
+//! classify → blend → early-terminate → finalize sequence, the `f32`
+//! expressions of the pixel maps and the sample positions `0, step, 2·step …`
+//! are those of a per-pixel march, applied in the same order per ray.  The
+//! output is therefore bit-for-bit what casting every pixel separately gives
+//! (the test module keeps that per-pixel loop as its oracle) and image hashes
+//! in replay fingerprints do not move.
 
 use crate::camera::{Axis, ViewOrientation};
-use crate::composite::RgbaImage;
+use crate::composite::{quantize_channel, RgbaImage};
 use crate::transfer::TransferFunction;
 use crate::volume::Volume;
 use serde::{Deserialize, Serialize};
@@ -74,6 +97,130 @@ fn finalize(acc: [f32; 4]) -> [f32; 4] {
     }
 }
 
+/// One image direction's pixel → voxel map with the duplicates folded out.
+struct PixelMap {
+    /// The distinct voxel coordinates the pixels name, in pixel order.
+    coords: Vec<usize>,
+    /// For each pixel, the index into `coords` of the voxel it names.
+    slots: Vec<usize>,
+}
+
+impl PixelMap {
+    /// Map `pixels` pixel centres onto `voxels` voxels (nearest voxel).
+    fn new(pixels: usize, voxels: usize) -> Self {
+        let mut coords = Vec::new();
+        let mut slots = Vec::with_capacity(pixels);
+        for p in 0..pixels {
+            let c = ((p as f32 + 0.5) / pixels as f32 * voxels as f32) as usize;
+            let c = c.min(voxels - 1);
+            // The map is monotone in `p`, so folding equal neighbours folds
+            // every duplicate.
+            if coords.last() != Some(&c) {
+                coords.push(c);
+            }
+            slots.push(coords.len() - 1);
+        }
+        PixelMap { coords, slots }
+    }
+}
+
+/// The ray kernel behind [`render_region`] and [`render_region_rgba8`]: cast
+/// each distinct voxel column once, finalize it once, and replicate it into
+/// every pixel that names it (see the module docs).
+///
+/// `classify(norm, spacing)` turns a normalized sample into an
+/// opacity-corrected RGBA; `write` turns a finalized straight-alpha pixel into
+/// the four output channels.  `out` holds `width × height × 4` channels,
+/// row-major.
+fn cast_distinct_rays<T: Copy>(
+    volume: &Volume,
+    axis: Axis,
+    value_range: (f32, f32),
+    settings: &RenderSettings,
+    classify: impl Fn(f32, f32) -> [f32; 4],
+    write: impl Fn([f32; 4]) -> [T; 4],
+    out: &mut [T],
+) {
+    let (width, height) = (settings.image_width, settings.image_height);
+    assert!(width > 0 && height > 0, "image dimensions must be positive");
+    assert_eq!(
+        out.len(),
+        width * height * 4,
+        "output must hold width x height RGBA pixels"
+    );
+    let (nx, ny, nz) = volume.dims();
+    let data = volume.data();
+    // Sample `s` of the ray through column `(u, v)` is
+    // `data[s * stride_s + u * stride_u + v * stride_v]`.
+    let (ray_len, img_u, img_v, stride_s, stride_u, stride_v) = match axis {
+        Axis::X => (nx, ny, nz, 1, nx, nx * ny),
+        Axis::Y => (ny, nx, nz, nx, 1, nx * ny),
+        Axis::Z => (nz, nx, ny, nx * ny, 1, nx),
+    };
+    let columns = PixelMap::new(width, img_u);
+    let rows = PixelMap::new(height, img_v);
+
+    let span = (value_range.1 - value_range.0).max(1e-20);
+    // Spacing ratio for opacity correction: a transfer function calibrated
+    // for unit steps through the full volume.
+    let spacing = settings.step.max(0.05);
+    // Take one sample into a ray's accumulator; true once the ray is opaque
+    // enough to stop.
+    let take = |acc: &mut [f32; 4], raw: f32| {
+        let norm = (raw - value_range.0) / span;
+        blend_front_to_back(acc, classify(norm, spacing));
+        acc[3] >= settings.early_termination
+    };
+
+    let mut accs = vec![[0.0f32; 4]; columns.coords.len()];
+    let mut stops = vec![false; columns.coords.len()];
+    let mut finished: Vec<[T; 4]> = Vec::with_capacity(columns.coords.len());
+    let row_len = width * 4;
+    for py in 0..height {
+        let (above, row) = out[..(py + 1) * row_len].split_at_mut(py * row_len);
+        if py > 0 && rows.slots[py] == rows.slots[py - 1] {
+            row.copy_from_slice(&above[(py - 1) * row_len..]);
+            continue;
+        }
+        let row_base = rows.coords[rows.slots[py]] * stride_v;
+        accs.fill([0.0; 4]);
+        if stride_s == 1 {
+            // The ray is the unit-stride run (`Axis::X`): walk each whole.
+            for (acc, &u) in accs.iter_mut().zip(&columns.coords) {
+                let ray = &data[row_base + u * stride_u..];
+                let mut t = 0.0f32;
+                while (t as usize) < ray_len {
+                    if take(acc, ray[(t as usize) * stride_s]) {
+                        break;
+                    }
+                    t += spacing;
+                }
+            }
+        } else {
+            // The row of columns is the unit-stride run: advance every live
+            // ray of the row one sample at a time.
+            stops.fill(false);
+            let mut live = accs.len();
+            let mut t = 0.0f32;
+            while live > 0 && (t as usize) < ray_len {
+                let line = &data[row_base + (t as usize) * stride_s..];
+                for ((acc, stop), &u) in accs.iter_mut().zip(&mut stops).zip(&columns.coords) {
+                    if !*stop && take(acc, line[u * stride_u]) {
+                        *stop = true;
+                        live -= 1;
+                    }
+                }
+                t += spacing;
+            }
+        }
+        finished.clear();
+        finished.extend(accs.iter().map(|&acc| write(finalize(acc))));
+        for (pixel, &slot) in row.chunks_exact_mut(4).zip(&columns.slots) {
+            pixel.copy_from_slice(&finished[slot]);
+        }
+    }
+}
+
 /// Render a (sub)volume along a principal axis.
 ///
 /// The image plane is spanned by the two axes perpendicular to `axis`, with
@@ -81,6 +228,10 @@ fn finalize(acc: [f32; 4]) -> [f32; 4] {
 /// are taken at voxel centres along the ray, front (low index) to back (high
 /// index), normalized against `value_range` so that slabs rendered separately
 /// by different PEs use a consistent classification.
+///
+/// Each pixel shows the voxel column nearest its centre.  Columns are cast
+/// once each however many pixels name them, and the result is bit-identical
+/// to marching a ray per pixel (see the module docs).
 pub fn render_region(
     volume: &Volume,
     axis: Axis,
@@ -88,46 +239,40 @@ pub fn render_region(
     value_range: (f32, f32),
     settings: &RenderSettings,
 ) -> RgbaImage {
-    let dims = volume.dims();
-    let (ray_len, img_u, img_v): (usize, usize, usize) = match axis {
-        Axis::X => (dims.0, dims.1, dims.2),
-        Axis::Y => (dims.1, dims.0, dims.2),
-        Axis::Z => (dims.2, dims.0, dims.1),
-    };
     let mut image = RgbaImage::new(settings.image_width, settings.image_height);
-    let span = (value_range.1 - value_range.0).max(1e-20);
-    // Spacing ratio for opacity correction: a transfer function calibrated
-    // for unit steps through the full volume.
-    let spacing = settings.step.max(0.05);
-
-    for py in 0..settings.image_height {
-        // Map pixel to volume coordinate in the v (image Y) direction.
-        let v = ((py as f32 + 0.5) / settings.image_height as f32 * img_v as f32) as usize;
-        let v = v.min(img_v - 1);
-        for px in 0..settings.image_width {
-            let u = ((px as f32 + 0.5) / settings.image_width as f32 * img_u as f32) as usize;
-            let u = u.min(img_u - 1);
-            let mut acc = [0.0f32; 4];
-            let mut t = 0.0f32;
-            while (t as usize) < ray_len {
-                let s = t as usize;
-                let raw = match axis {
-                    Axis::X => volume.get(s, u, v),
-                    Axis::Y => volume.get(u, s, v),
-                    Axis::Z => volume.get(u, v, s),
-                };
-                let norm = (raw - value_range.0) / span;
-                let sample = transfer.evaluate_corrected(norm, spacing);
-                blend_front_to_back(&mut acc, sample);
-                if acc[3] >= settings.early_termination {
-                    break;
-                }
-                t += spacing;
-            }
-            image.set(px, py, finalize(acc));
-        }
-    }
+    cast_distinct_rays(
+        volume,
+        axis,
+        value_range,
+        settings,
+        |norm, spacing| transfer.evaluate_corrected(norm, spacing),
+        |pixel| pixel,
+        image.data_mut(),
+    );
     image
+}
+
+/// [`render_region`] quantised to 8-bit RGBA, the heavy payload's texture
+/// format: byte for byte `render_region(..).to_rgba8()`, without the
+/// intermediate floating-point image.
+pub fn render_region_rgba8(
+    volume: &Volume,
+    axis: Axis,
+    transfer: &TransferFunction,
+    value_range: (f32, f32),
+    settings: &RenderSettings,
+) -> Vec<u8> {
+    let mut bytes = vec![0u8; settings.image_width * settings.image_height * 4];
+    cast_distinct_rays(
+        volume,
+        axis,
+        value_range,
+        settings,
+        |norm, spacing| transfer.evaluate_corrected(norm, spacing),
+        |pixel| pixel.map(quantize_channel),
+        &mut bytes,
+    );
+    bytes
 }
 
 /// Trilinear sample of the volume at a (possibly fractional) position given
@@ -261,9 +406,195 @@ pub fn render_cost_samples(region_cells: usize, settings: &RenderSettings) -> u6
 mod tests {
     use super::*;
     use crate::data::combustion_jet;
+    use proptest::prelude::*;
+    use std::cell::Cell;
 
     fn test_volume() -> Volume {
         combustion_jet((32, 24, 24), 0.5, 7)
+    }
+
+    /// The oracle: `render_region` as it was before distinct-ray casting, one
+    /// ray marched per pixel, kept verbatim.  The kernel must reproduce it bit
+    /// for bit.
+    fn render_region_per_pixel(
+        volume: &Volume,
+        axis: Axis,
+        transfer: &TransferFunction,
+        value_range: (f32, f32),
+        settings: &RenderSettings,
+    ) -> RgbaImage {
+        let dims = volume.dims();
+        let (ray_len, img_u, img_v): (usize, usize, usize) = match axis {
+            Axis::X => (dims.0, dims.1, dims.2),
+            Axis::Y => (dims.1, dims.0, dims.2),
+            Axis::Z => (dims.2, dims.0, dims.1),
+        };
+        let mut image = RgbaImage::new(settings.image_width, settings.image_height);
+        let span = (value_range.1 - value_range.0).max(1e-20);
+        // Spacing ratio for opacity correction: a transfer function calibrated
+        // for unit steps through the full volume.
+        let spacing = settings.step.max(0.05);
+
+        for py in 0..settings.image_height {
+            // Map pixel to volume coordinate in the v (image Y) direction.
+            let v = ((py as f32 + 0.5) / settings.image_height as f32 * img_v as f32) as usize;
+            let v = v.min(img_v - 1);
+            for px in 0..settings.image_width {
+                let u = ((px as f32 + 0.5) / settings.image_width as f32 * img_u as f32) as usize;
+                let u = u.min(img_u - 1);
+                let mut acc = [0.0f32; 4];
+                let mut t = 0.0f32;
+                while (t as usize) < ray_len {
+                    let s = t as usize;
+                    let raw = match axis {
+                        Axis::X => volume.get(s, u, v),
+                        Axis::Y => volume.get(u, s, v),
+                        Axis::Z => volume.get(u, v, s),
+                    };
+                    let norm = (raw - value_range.0) / span;
+                    let sample = transfer.evaluate_corrected(norm, spacing);
+                    blend_front_to_back(&mut acc, sample);
+                    if acc[3] >= settings.early_termination {
+                        break;
+                    }
+                    t += spacing;
+                }
+                image.set(px, py, finalize(acc));
+            }
+        }
+        image
+    }
+
+    const AXES: [Axis; 3] = [Axis::X, Axis::Y, Axis::Z];
+
+    fn transfer_functions() -> [TransferFunction; 3] {
+        [
+            TransferFunction::Grayscale { opacity: 0.8 },
+            TransferFunction::combustion_default(),
+            TransferFunction::Peak {
+                center: 0.4,
+                width: 0.25,
+                color: [0.2, 0.9, 0.4],
+                opacity: 0.9,
+            },
+        ]
+    }
+
+    /// The contract, for one case: the f32 image has the oracle's bits and the
+    /// RGBA8 writer has `to_rgba8()`'s bytes.
+    fn assert_matches_oracle(volume: &Volume, axis: Axis, transfer: &TransferFunction, settings: &RenderSettings) {
+        let range = volume.value_range();
+        let oracle = render_region_per_pixel(volume, axis, transfer, range, settings);
+        let image = render_region(volume, axis, transfer, range, settings);
+        let case = || format!("dims {:?} {axis:?} {transfer:?} {settings:?}", volume.dims());
+        assert_eq!((image.width(), image.height()), (oracle.width(), oracle.height()));
+        let differing = image
+            .data()
+            .iter()
+            .zip(oracle.data())
+            .position(|(a, b)| a.to_bits() != b.to_bits());
+        assert_eq!(
+            differing,
+            None,
+            "f32 channel differs from the per-pixel oracle: {}",
+            case()
+        );
+        let bytes = render_region_rgba8(volume, axis, transfer, range, settings);
+        assert!(
+            bytes == oracle.to_rgba8(),
+            "RGBA8 writer differs from to_rgba8(): {}",
+            case()
+        );
+    }
+
+    /// Odd, thin and slab-shaped volumes; images that up-sample, down-sample
+    /// and divide unevenly; steps finer and coarser than a voxel; thresholds
+    /// that stop rays early, late and never.  One test per axis so the grid
+    /// (2 160 cases, most of the time in the oracle) spreads over the cores.
+    fn fixed_grid_matches_oracle(axis: Axis) {
+        for dims in [(17, 9, 5), (8, 8, 1), (64, 64, 4), (5, 31, 12)] {
+            let volume = combustion_jet(dims, 0.5, 7);
+            for (width, height) in [(16, 16), (64, 48), (7, 130), (256, 256), (1, 1)] {
+                for step in [0.3, 0.5, 1.0, 2.0] {
+                    for early_termination in [0.5, 0.98, 2.0] {
+                        let settings = RenderSettings {
+                            step,
+                            early_termination,
+                            ..RenderSettings::with_size(width, height)
+                        };
+                        for transfer in &transfer_functions() {
+                            assert_matches_oracle(&volume, axis, transfer, &settings);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_to_the_per_pixel_oracle_along_x() {
+        fixed_grid_matches_oracle(Axis::X);
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_to_the_per_pixel_oracle_along_y() {
+        fixed_grid_matches_oracle(Axis::Y);
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_to_the_per_pixel_oracle_along_z() {
+        fixed_grid_matches_oracle(Axis::Z);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn kernel_is_bit_identical_to_the_per_pixel_oracle_on_sampled_cases(
+            dims in (1usize..20, 1usize..20, 1usize..12),
+            image in (1usize..70, 1usize..70),
+            pick in (0usize..3, 0usize..3),
+            step in 0.01f32..3.0,
+            early_termination in 0.2f32..1.2,
+            seed in 0u64..1000,
+        ) {
+            let volume = combustion_jet(dims, 0.5, seed);
+            let settings = RenderSettings {
+                step,
+                early_termination,
+                ..RenderSettings::with_size(image.0, image.1)
+            };
+            assert_matches_oracle(&volume, AXES[pick.0], &transfer_functions()[pick.1], &settings);
+        }
+    }
+
+    #[test]
+    fn an_upsampled_slab_classifies_each_voxel_at_most_once() {
+        // wan_wire's shape: 512² pixels over a 64×64 footprint name every
+        // column 64 times; the kernel must still visit each voxel once.
+        let volume = combustion_jet((64, 64, 4), 0.5, 9);
+        let transfer = TransferFunction::combustion_default();
+        let settings = RenderSettings::with_size(512, 512);
+        let calls = Cell::new(0usize);
+        let mut image = RgbaImage::new(512, 512);
+        cast_distinct_rays(
+            &volume,
+            Axis::Z,
+            volume.value_range(),
+            &settings,
+            |norm, spacing| {
+                calls.set(calls.get() + 1);
+                transfer.evaluate_corrected(norm, spacing)
+            },
+            |pixel| pixel,
+            image.data_mut(),
+        );
+        assert!(calls.get() <= 64 * 64 * 4, "{} classifications", calls.get());
+        assert!(calls.get() > 0);
+        assert_eq!(
+            image,
+            render_region(&volume, Axis::Z, &transfer, volume.value_range(), &settings)
+        );
     }
 
     #[test]
