@@ -529,19 +529,21 @@ mod tests {
 
     #[test]
     fn disabled_hub_handles_perform_zero_record_ops() {
+        // Asserted on the handles, not on the process-global
+        // `live_record_ops` counter sibling tests bump concurrently; the
+        // counter proof runs alone in `tests/telemetry_noop.rs`.
         let hub = MetricsHub::disabled();
         let h = hub.histogram("x");
         let c = hub.counter("y");
         let g = hub.high_water("z");
-        let before = live_record_ops();
         for i in 0..10_000 {
             h.record(i);
             c.add(1);
             g.observe(i);
         }
-        assert_eq!(live_record_ops() - before, 0, "disabled handles must not touch atomics");
         assert!(!h.is_live());
-        assert!(hub.snapshot("t").histograms.is_empty());
+        let snap = hub.snapshot("t");
+        assert!(snap.histograms.is_empty() && snap.counters.is_empty() && snap.high_waters.is_empty());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Criterion bench: the zero-copy data plane and the sharded block cache.
 //!
 //! Measures `read_range` cold (every block fetched from the servers) against
-//! `read_range` warm (every block served from the sharded LRU cache), plus
-//! the legacy copying `read_at` path for reference — the microbenchmark
-//! behind the PR's "cache hits are refcount bumps, not transfers" claim.
+//! `read_range` warm (every block served from the sharded LRU cache) — the
+//! microbenchmark behind the "cache hits are refcount bumps, not transfers"
+//! claim.
 //!
 //! Besides the criterion output, a custom `main` writes a
 //! `target/BENCH_cache.json` baseline (median seconds per op and derived
@@ -45,15 +45,6 @@ fn bench_cached_vs_uncached(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::from_parameter("cached-warm"), &len, |b, &len| {
         b.iter(|| black_box(warm.read_range("bench-cache", 0, len).unwrap()));
     });
-
-    let legacy = DpssClient::new(cluster, "viz");
-    group.bench_with_input(BenchmarkId::from_parameter("legacy-read-at"), &len, |b, &len| {
-        let mut buf = vec![0u8; len as usize];
-        b.iter(|| {
-            legacy.read_at("bench-cache", 0, &mut buf).unwrap();
-            black_box(buf[0]);
-        });
-    });
     group.finish();
 }
 
@@ -73,19 +64,12 @@ fn write_baseline() {
     let warm_s = median_secs(samples, || {
         black_box(warm.read_range("bench-cache", 0, len).unwrap());
     });
-    let legacy = DpssClient::new(cluster, "viz");
-    let mut buf = vec![0u8; len as usize];
-    let legacy_s = median_secs(samples, || {
-        legacy.read_at("bench-cache", 0, &mut buf).unwrap();
-        black_box(buf[0]);
-    });
 
     let mbps = |s: f64| len as f64 / s / 1e6;
     let json = format!(
-        "{{\n  \"bench\": \"cache_read_range\",\n  \"bytes_per_op\": {len},\n  \"samples\": {samples},\n  \"cases\": {{\n    \"uncached\": {{ \"median_s\": {uncached_s:.9}, \"mbytes_per_s\": {:.1} }},\n    \"cached_warm\": {{ \"median_s\": {warm_s:.9}, \"mbytes_per_s\": {:.1} }},\n    \"legacy_read_at\": {{ \"median_s\": {legacy_s:.9}, \"mbytes_per_s\": {:.1} }}\n  }},\n  \"warm_speedup_vs_uncached\": {:.2}\n}}\n",
+        "{{\n  \"bench\": \"cache_read_range\",\n  \"bytes_per_op\": {len},\n  \"samples\": {samples},\n  \"cases\": {{\n    \"uncached\": {{ \"median_s\": {uncached_s:.9}, \"mbytes_per_s\": {:.1} }},\n    \"cached_warm\": {{ \"median_s\": {warm_s:.9}, \"mbytes_per_s\": {:.1} }}\n  }},\n  \"warm_speedup_vs_uncached\": {:.2}\n}}\n",
         mbps(uncached_s),
         mbps(warm_s),
-        mbps(legacy_s),
         uncached_s / warm_s,
     );
     report_baseline("cache", &json);

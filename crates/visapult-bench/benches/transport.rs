@@ -3,8 +3,7 @@
 //! Measures one frame's trip across the striped link — zero-copy segment
 //! encode, chunking, stripe fan-out, out-of-order reassembly, decode — at
 //! stripe counts 1/4/8 (unshaped, so the numbers are the transport's own
-//! overhead, not the pacing), plus the legacy copying `encode_heavy` path
-//! for reference.
+//! overhead, not the pacing).
 //!
 //! Besides the criterion output, a custom `main` writes a
 //! `target/BENCH_transport.json` baseline (median seconds per frame and
@@ -15,7 +14,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
 use visapult_bench::{median_secs, report_baseline};
-use visapult_core::protocol::{encode_heavy, encode_light, FramePayload, HeavyPayload, LightPayload};
+use visapult_core::protocol::{FramePayload, HeavyPayload, LightPayload};
 use visapult_core::transport::{striped_link, TransportConfig};
 
 const TEX: usize = 256; // 256x256 RGBA8 = 256 KB per frame
@@ -71,13 +70,6 @@ fn bench_striped_roundtrip(c: &mut Criterion) {
             b.iter(|| black_box(roundtrip(&frame, s)));
         });
     }
-    group.bench_with_input(BenchmarkId::from_parameter("legacy-copy-encode"), &0, |b, _| {
-        b.iter(|| {
-            let light = encode_light(&frame.light);
-            let heavy = encode_heavy(&frame.heavy);
-            black_box(light.len() + heavy.len())
-        });
-    });
     group.finish();
 }
 
@@ -96,23 +88,16 @@ fn write_baseline() {
             })
         })
         .collect();
-    let legacy_s = median_secs(samples, || {
-        let light = encode_light(&frame.light);
-        let heavy = encode_heavy(&frame.heavy);
-        black_box(light.len() + heavy.len());
-    });
 
     let mbps = |s: f64| bytes as f64 / s / 1e6;
     let json = format!(
-        "{{\n  \"bench\": \"transport_frame_roundtrip\",\n  \"bytes_per_op\": {bytes},\n  \"samples\": {samples},\n  \"cases\": {{\n    \"stripes_1\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_4\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_8\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"legacy_copy_encode\": {{ \"median_s\": {legacy_s:.9}, \"mbytes_per_s\": {:.1} }}\n  }},\n  \"zero_copy_roundtrip_vs_legacy_encode\": {:.2}\n}}\n",
+        "{{\n  \"bench\": \"transport_frame_roundtrip\",\n  \"bytes_per_op\": {bytes},\n  \"samples\": {samples},\n  \"cases\": {{\n    \"stripes_1\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_4\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_8\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }}\n  }}\n}}\n",
         stripe_s[0],
         mbps(stripe_s[0]),
         stripe_s[1],
         mbps(stripe_s[1]),
         stripe_s[2],
         mbps(stripe_s[2]),
-        mbps(legacy_s),
-        legacy_s / stripe_s[1],
     );
     report_baseline("transport", &json);
 }

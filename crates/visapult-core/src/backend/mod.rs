@@ -12,11 +12,14 @@
 //! to the viewer.  In [`ExecutionMode::Overlapped`] each rank runs the
 //! Appendix B process group: a detached reader thread loads timestep N+1 into
 //! the other half of a double buffer while the rank renders timestep N.
+//! The ranks run as `backends` contiguous partitions, each paced by its own
+//! per-frame barrier; one partition is the paper's single back end.
 
 use crate::config::{ExecutionMode, PipelineConfig};
 use crate::data_source::{slab_origin, DataSource};
 use crate::error::VisapultError;
 use crate::protocol::{FramePayload, HeavyPayload, LightPayload};
+use crate::service::sharded::share;
 use crate::transport::StripeSender;
 use netlogger::{tags, NetLogger};
 use parcomm::{ProcessGroup, Rank, World};
@@ -289,63 +292,98 @@ fn run_pe_overlapped(
 }
 
 /// Run the full back end: one rank per PE, each shipping its payloads down
-/// its own viewer link.
+/// its own viewer link, the PEs split into `backends` contiguous partitions
+/// that each pace themselves with their own per-frame barrier.
 ///
 /// `viewer_links` must contain exactly `config.pes` striped senders (one per
 /// PE).  `logger`, when provided, is specialized per PE into
 /// `backend-worker-<rank>` program names on `pe-<rank>` hosts.
+///
+/// Frame content is a pure function of `(config, global rank, frame)`, so
+/// `backends` changes who paces whom but never what any PE renders;
+/// `backends = 1` is the degenerate partition, one back end behind one
+/// barrier.  Partitions are sized like the admission layer's capacity split
+/// ([`crate::service::ServiceConfig`]), so rank ownership and render-slot
+/// accounting agree.
 pub fn run_backend(
     config: &PipelineConfig,
     source: Arc<dyn DataSource>,
     viewer_links: Vec<StripeSender>,
     logger: Option<NetLogger>,
+    backends: usize,
 ) -> Result<BackendReport, VisapultError> {
     config.validate().map_err(VisapultError::Config)?;
+    let pes = config.pes;
     if config.axis != Axis::Z {
         return Err(VisapultError::Config(
             "the real-mode back end decomposes along Z; use the virtual-time campaign for other axes".to_string(),
         ));
     }
-    if viewer_links.len() != config.pes {
+    if viewer_links.len() != pes {
         return Err(VisapultError::Config(format!(
-            "expected {} viewer links, got {}",
-            config.pes,
+            "expected {pes} viewer links, got {}",
             viewer_links.len()
         )));
     }
+    if backends == 0 || backends > pes {
+        return Err(VisapultError::Config(format!(
+            "farm backends ({backends}) must be between 1 and pes ({pes})"
+        )));
+    }
+    let mut partitions: Vec<Vec<StripeSender>> = Vec::with_capacity(backends);
+    let mut rest = viewer_links;
+    for b in 0..backends {
+        let tail = rest.split_off(share(pes as u64, backends, b) as usize);
+        partitions.push(std::mem::replace(&mut rest, tail));
+    }
+
     let start = Instant::now();
-    let per_pe = run_backend_partition(config, &source, &viewer_links, logger.as_ref(), 0)?;
+    let results: Vec<Result<Vec<PeReport>, VisapultError>> = std::thread::scope(|scope| {
+        let mut first_rank = 0usize;
+        let handles: Vec<_> = partitions
+            .into_iter()
+            .enumerate()
+            .map(|(b, links)| {
+                let (source, log) = (&source, logger.as_ref());
+                let first = first_rank;
+                first_rank += links.len();
+                // The partition owns its links: they close, and the viewer
+                // sees the end of the stream, as soon as its PEs are done.
+                std::thread::Builder::new()
+                    .name(format!("visapult-backend-{b}"))
+                    .spawn_scoped(scope, move || run_backend_partition(config, source, &links, log, first))
+                    .expect("spawn backend partition thread")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("backend partition thread panicked"))
+            .collect()
+    });
+    let elapsed = start.elapsed();
+
+    let mut per_pe = Vec::with_capacity(pes);
+    for partition in results {
+        per_pe.extend(partition?);
+    }
     Ok(BackendReport {
         frames_rendered: config.timesteps,
         per_pe,
-        elapsed: start.elapsed(),
+        elapsed,
     })
 }
 
 /// Run one contiguous slice of the back end's PEs: global ranks
 /// `first_rank .. first_rank + viewer_links.len()`, one OS thread per rank,
 /// barriering only within the slice.
-///
-/// This is the unit [`crate::pipeline::MultiBackendFarm`] schedules: each
-/// backend runs its own partition against the shared data source, and frame
-/// content stays a pure function of `(config, global rank, frame)` — the
-/// partitioning never changes what any PE renders, only who paces whom.
-pub fn run_backend_partition(
+fn run_backend_partition(
     config: &PipelineConfig,
     source: &Arc<dyn DataSource>,
     viewer_links: &[StripeSender],
     logger: Option<&NetLogger>,
     first_rank: usize,
 ) -> Result<Vec<PeReport>, VisapultError> {
-    if first_rank + viewer_links.len() > config.pes {
-        return Err(VisapultError::Config(format!(
-            "backend partition {}..{} overruns {} PEs",
-            first_rank,
-            first_rank + viewer_links.len(),
-            config.pes
-        )));
-    }
-    let results: Vec<Result<PeReport, VisapultError>> = World::run::<(), _, _>(viewer_links.len(), |rank| {
+    World::run::<(), _, _>(viewer_links.len(), |rank| {
         let r = first_rank + rank.rank();
         let pe_log = logger.map(|l| l.for_program(format!("backend-worker-{r}")).for_host(format!("pe-{r}")));
         let link = &viewer_links[rank.rank()];
@@ -353,12 +391,9 @@ pub fn run_backend_partition(
             ExecutionMode::Serial => run_pe_serial(config, source, r, &rank, link, pe_log.as_ref()),
             ExecutionMode::Overlapped => run_pe_overlapped(config, source, r, &rank, link, pe_log.as_ref()),
         }
-    });
-    let mut per_pe = Vec::with_capacity(results.len());
-    for r in results {
-        per_pe.push(r?);
-    }
-    Ok(per_pe)
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -383,7 +418,7 @@ mod tests {
         // back end would block on a full queue with no reader (that is the
         // backpressure working as designed).
         let drains = spawn_drains(receivers);
-        let report = run_backend(&config, source, senders, None).unwrap();
+        let report = run_backend(&config, source, senders, None, 1).unwrap();
         (report, join_drains(drains))
     }
 
@@ -443,7 +478,19 @@ mod tests {
         let (config, source) = setup(2, 2, ExecutionMode::Serial);
         // Wrong number of viewer links.
         let (tx, _rx) = striped_link(&TransportConfig::default());
-        let err = run_backend(&config, source, vec![tx], None);
+        let err = run_backend(&config, Arc::clone(&source), vec![tx], None, 1);
+        assert!(matches!(err, Err(VisapultError::Config(_))));
+        // No partitions, or more partitions than PEs to put in them.
+        for backends in [0, 3] {
+            let (senders, _receivers) = links(2, &TransportConfig::default());
+            let err = run_backend(&config, Arc::clone(&source), senders, None, backends);
+            assert!(matches!(err, Err(VisapultError::Config(_))), "backends = {backends}");
+        }
+        // Any axis but Z.
+        let mut config = config;
+        config.axis = Axis::X;
+        let (senders, _receivers) = links(2, &TransportConfig::default());
+        let err = run_backend(&config, source, senders, None, 1);
         assert!(matches!(err, Err(VisapultError::Config(_))));
     }
 
@@ -458,6 +505,7 @@ mod tests {
             source,
             senders,
             Some(collector.logger("backend", "backend-master")),
+            1,
         )
         .unwrap();
         join_drains(drains);
@@ -515,7 +563,7 @@ mod tests {
             let (done, outcome) = std::sync::mpsc::channel();
             let backend_source = Arc::clone(&source);
             let backend = std::thread::spawn(move || {
-                let _ = done.send(run_backend(&config, backend_source, senders, None));
+                let _ = done.send(run_backend(&config, backend_source, senders, None, 1));
             });
             let result = outcome
                 .recv_timeout(Duration::from_secs(60))

@@ -13,11 +13,10 @@
 //!   network/platform models on a virtual clock, reproducing the paper's
 //!   timing figures without the original testbeds.
 //!
-//! The [`real`] and [`sim`] modules keep the legacy per-path configuration
-//! surfaces ([`real::RealCampaignConfig`], [`sim::SimCampaignConfig`]) and
-//! deprecated single-stage facades over the builder, so existing callers
-//! migrate incrementally; [`sim::SimCampaignConfig::model`] remains the
-//! supported raw-model entry the figure binaries use.
+//! [`real`] holds what a real-path stage carries beyond the shared pipeline
+//! shape (data path, persistent DPSS deployment, service plan); [`sim`] holds
+//! the calibrated stage model, whose [`sim::SimCampaignConfig::model`] is the
+//! raw-model entry the figure binaries use.
 
 pub mod real;
 pub mod scenario;

@@ -12,12 +12,12 @@ use super::spec::TelemetrySpec;
 use super::spec::{
     build_testbed, ExecutionPath, PlatformSpec, RealPathSpec, ScenarioSpec, SimPathSpec, StageSpec, TransportSpec,
 };
-use crate::campaign::real::{RealCampaignConfig, RealDataPath, RealDpssEnv, ServicePlan};
+use crate::campaign::real::{RealDataPath, RealDpssEnv, ServicePlan};
 use crate::campaign::sim::{SimCampaignConfig, SimTransportModel, DEFAULT_WAN_EFFICIENCY};
 use crate::config::{ExecutionMode, PipelineConfig};
 use crate::error::VisapultError;
 use crate::pipeline::Pipeline;
-use crate::service::{shard_overprovision, BackendPlacement, QualityTier, ServiceConfig, SessionSpec};
+use crate::service::{shard_overprovision, QualityTier, ServiceConfig, SessionSpec};
 use crate::transport::{TcpTuning, TransportConfig};
 use dpss::{CacheConfig, DatasetDescriptor, DpssSimModel};
 use netsim::{TcpModel, TestbedKind};
@@ -189,7 +189,7 @@ impl ScenarioSpec {
         };
 
         // The render-farm shape: how many independent back-end partitions the
-        // real path runs, and how shared renders are placed across them.
+        // real path runs (placement is the broker's business, below).
         let farm_backends = self.farm.as_ref().and_then(|f| f.backends).unwrap_or(1);
         if farm_backends == 0 {
             return Err(bad("farm backends must be positive".to_string()));
@@ -200,7 +200,6 @@ impl ScenarioSpec {
                 self.pipeline.pes
             )));
         }
-        let farm_placement = self.farm.as_ref().and_then(|f| f.placement).unwrap_or_default();
 
         // The service layer: broker capacity plus per-stage session
         // schedules, with every session's last-mile pacing derived from the
@@ -364,7 +363,6 @@ impl ScenarioSpec {
             cache,
             service,
             farm_backends,
-            farm_placement,
             telemetry,
         })
     }
@@ -475,8 +473,6 @@ pub struct ResolvedScenario {
     pub service: Option<ResolvedService>,
     /// Render-farm partition count for the real path (1 = one shared farm).
     pub farm_backends: usize,
-    /// How shared renders are placed across farm backends.
-    pub farm_placement: BackendPlacement,
     /// Metrics-plane knobs (enabled with full lifeline emission by default).
     pub telemetry: ResolvedTelemetry,
 }
@@ -597,18 +593,6 @@ impl ResolvedScenario {
             sessions: svc.by_stage.get(stage_index).cloned().unwrap_or_default(),
             workers: svc.workers,
         })
-    }
-
-    /// The real-path configuration for one stage.
-    pub fn stage_real_config(&self, stage: &ResolvedStage, stage_index: usize) -> RealCampaignConfig {
-        RealCampaignConfig {
-            pipeline: self.stage_pipeline(stage),
-            data_path: self.real_data_path(),
-            transport: self.stage_transport_config(stage),
-            viewer_image: self.real.viewer_image.unwrap_or((192, 192)),
-            seed: self.stage_seed(stage_index),
-            service: self.stage_service_plan(stage_index),
-        }
     }
 
     /// The dataset the persistent DPSS deployment stages: named and sized so

@@ -1,11 +1,8 @@
 //! The declarative scenario engine: one TOML spec, two execution paths.
 //!
-//! The seed's campaign layer grew two parallel drivers — [`super::real`] with
-//! `RealCampaignConfig` and [`super::sim`] with `SimCampaignConfig` — each
-//! with its own configuration surface and its own pipeline-driving control
-//! flow.  A [`ScenarioSpec`] replaces both entry points with a single
-//! declarative description (in the style of contender campaign files and
-//! deterministic scenario-replay harnesses): the reconstructed testbed, the
+//! A [`ScenarioSpec`] is the one description of a campaign (in the style of
+//! contender campaign files and deterministic scenario-replay harnesses),
+//! whichever execution path runs it: the reconstructed testbed, the
 //! pipeline decomposition, the dataset scale, and a *staged workload mix* —
 //! sequential stages that split the timestep budget by percentage share and
 //! may override the execution mode per stage (e.g. a serial probe stage

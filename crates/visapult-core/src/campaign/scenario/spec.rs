@@ -220,13 +220,13 @@ pub struct ServiceTableSpec {
 }
 
 /// `[farm]` — the render-farm shape: how many backends the farm runs and how
-/// viewpoints place onto them.  Present with `backends > 1`, the real path
-/// renders PE slices on independent backends ([`MultiBackendFarm`]) and the
-/// service broker charges each viewpoint against its owning backend's share
-/// of the render slots; the virtual-time path replays the identical
-/// placement-aware admission.
+/// viewpoints place onto them.  The real farm ([`ThreadFarm`]) runs its PEs
+/// as `backends` contiguous, independently paced partitions — one by default
+/// — and the service broker charges each viewpoint against its owning
+/// backend's share of the render slots; the virtual-time path replays the
+/// identical placement-aware admission.
 ///
-/// [`MultiBackendFarm`]: crate::pipeline::MultiBackendFarm
+/// [`ThreadFarm`]: crate::pipeline::ThreadFarm
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FarmTableSpec {
     /// Render backends (defaults to 1 — the classic single-backend farm).

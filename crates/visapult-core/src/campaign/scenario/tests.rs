@@ -627,12 +627,9 @@ share = 50.0
     assert_eq!(crowd[3].leave_frame, None, "join 3 + dwell 2 runs past the stage");
     assert!(crowd.iter().all(|s| s.tier == QualityTier::Preview));
     assert!(crowd.iter().all(|s| s.pace_rate_mbps.unwrap() > 0.0));
-    // The real-path stage config carries the plan; the warmup stage has
+    // The stage's service plan carries the schedule; the warmup stage has
     // an empty schedule but the same capacity.
-    let plan = resolved
-        .stage_real_config(&resolved.stages[1], 1)
-        .service
-        .expect("service plan");
+    let plan = resolved.stage_service_plan(1).expect("service plan");
     assert_eq!(plan.sessions.len(), 4);
     assert_eq!(plan.config, svc.config);
 }
@@ -726,7 +723,8 @@ fn invalid_shard_and_farm_shapes_are_rejected() {
     });
     let resolved = spec.resolve().unwrap();
     assert_eq!(resolved.farm_backends, 2);
-    assert_eq!(resolved.farm_placement, BackendPlacement::LeastLoaded);
+    let broker = &resolved.service.as_ref().unwrap().config;
+    assert_eq!(broker.backend_placement(), BackendPlacement::LeastLoaded);
 }
 
 #[test]
@@ -833,6 +831,48 @@ fn a_partitioned_real_farm_renders_the_same_pixels_as_the_single_farm() {
         one.log.with_tag(tags::BE_LOAD_END).count(),
         two.log.with_tag(tags::BE_LOAD_END).count()
     );
+}
+
+#[test]
+fn a_caller_supplied_farm_that_delegates_to_the_thread_farm_still_partitions() {
+    use crate::pipeline::{FabricLinks, FarmRun, Pipeline, RenderFarm, StageContext, ThreadFarm};
+    use std::sync::{Arc, Mutex};
+
+    // What a timing decorator does: wrap `ThreadFarm`.  The partition count
+    // travels in the stage context, so swapping the farm cannot lose it.
+    struct Delegating(Arc<Mutex<Vec<usize>>>);
+    impl RenderFarm for Delegating {
+        fn run_stage(
+            &self,
+            ctx: &StageContext<'_>,
+            links: FabricLinks,
+            collector: &netlogger::Collector,
+        ) -> Result<FarmRun, VisapultError> {
+            self.0.lock().unwrap().push(ctx.farm_backends);
+            ThreadFarm.run_stage(ctx, links, collector)
+        }
+    }
+
+    let mut spec = minimal_spec(ExecutionPath::Real);
+    spec.farm = Some(FarmTableSpec {
+        backends: Some(2),
+        placement: None,
+    });
+    let default = run_scenario(&spec).unwrap();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let swapped = Pipeline::builder(spec)
+        .render_farm(Box::new(Delegating(Arc::clone(&seen))))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(*seen.lock().unwrap(), vec![2], "the farm was handed both partitions");
+    assert_ne!(default.stages[0].metrics.image_hash, 0, "the real path rendered");
+    assert_eq!(
+        default.stages[0].metrics.image_hash,
+        swapped.stages[0].metrics.image_hash
+    );
+    assert_eq!(default.replay_fingerprint(), swapped.replay_fingerprint());
 }
 
 #[test]
@@ -1001,10 +1041,7 @@ share = 100.0
     let resolved = spec.resolve().unwrap();
     let svc = resolved.service.as_ref().unwrap();
     assert_eq!(svc.workers, Some(3));
-    let plan = resolved
-        .stage_real_config(&resolved.stages[0], 0)
-        .service
-        .expect("service plan");
+    let plan = resolved.stage_service_plan(0).expect("service plan");
     assert_eq!(plan.workers, Some(3));
     // A zero pool is a config error.
     let mut zero = spec.clone();

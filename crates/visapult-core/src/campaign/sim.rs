@@ -304,17 +304,6 @@ impl SimCampaignConfig {
     }
 }
 
-/// Run a virtual-time campaign.
-#[deprecated(
-    since = "0.1.0",
-    note = "drive campaigns through the `pipeline::Pipeline` builder (`run_scenario` compiles a \
-            `ScenarioSpec` into one); for raw access to the calibrated stage model use \
-            `SimCampaignConfig::model`"
-)]
-pub fn run_sim_campaign(config: &SimCampaignConfig) -> Result<SimCampaignReport, VisapultError> {
-    config.model()
-}
-
 /// The calibrated stage model itself: compute the per-frame schedule and
 /// emit the NetLogger events the real pipeline would have produced into
 /// `collector` (the virtual-time render farm passes the pipeline's shared

@@ -25,9 +25,9 @@
 //! [`ExecutionPath::Real`] and [`ExecutionPath::VirtualTime`] are nothing
 //! more than the two bundled capability sets
 //! ([`pipeline::PathCapabilities`]); both produce byte-identical
-//! [`CampaignReport::replay_fingerprint`]s for the same spec.  The legacy
-//! per-path entry points (`run_real_campaign`, `run_sim_campaign`) survive
-//! as thin deprecated facades over the builder.
+//! [`CampaignReport::replay_fingerprint`]s for the same spec.  There is no
+//! other campaign entry point; [`SimCampaignConfig::model`] gives the figure
+//! binaries raw access to the calibrated stage model.
 //!
 //! Supporting modules: the light/heavy payload wire [`protocol`], the
 //! multi-session [`service`] layer (session broker, shared-render fan-out,
@@ -55,25 +55,21 @@ pub mod viewer;
 pub(crate) mod test_support;
 
 pub use baseline::{StrategyBandwidth, VisualizationStrategy};
-#[allow(deprecated)] // the facades stay re-exported while callers migrate to the builder
-pub use campaign::real::{run_real_campaign, run_real_campaign_in_env};
-pub use campaign::real::{RealCampaignConfig, RealCampaignReport, RealDataPath, RealDpssEnv, ServicePlan};
+pub use campaign::real::{RealDataPath, RealDpssEnv, ServicePlan};
 pub use campaign::scenario::{
     run_scenario, CacheReport, CacheSpec, CampaignReport, ExecutionPath, FarmTableSpec, PlatformSpec,
     ResolvedTelemetry, ScenarioSpec, ServiceReport, ServiceTableSpec, SessionArrivalSpec, StageReport, StageSpec,
     TelemetryReport, TelemetrySpec, TransportReport, TransportSpec,
 };
-#[allow(deprecated)] // the facade stays re-exported while callers migrate to the builder
-pub use campaign::sim::run_sim_campaign;
 pub use campaign::sim::{SimCampaignConfig, SimCampaignReport, SimTransportModel};
 pub use config::{ExecutionMode, PipelineConfig};
 pub use data_source::{DataSource, DpssDataSource, SyntheticSource};
 pub use error::VisapultError;
 pub use model::OverlapModel;
 pub use pipeline::{
-    AsyncPlane, Clock, Fabric, FabricLinks, FanoutPlane, FarmRun, ModelFarm, ModeledFabric, MultiBackendFarm,
-    PathCapabilities, PhaseMeans, Pipeline, PipelineBuilder, PlaneKind, PlaneSession, RenderFarm, ReplayPlane,
-    ServicePlane, StageArtifacts, StageContext, StripedFabric, ThreadFarm, VirtualClock, WallClock,
+    AsyncPlane, Clock, Fabric, FabricLinks, FanoutPlane, FarmRun, ModelFarm, ModeledFabric, PathCapabilities,
+    PhaseMeans, Pipeline, PipelineBuilder, PlaneKind, PlaneSession, RenderFarm, ReplayPlane, ServicePlane,
+    StageArtifacts, StageContext, StripedFabric, ThreadFarm, VirtualClock, WallClock,
 };
 pub use platform::ComputePlatform;
 pub use protocol::{FramePayload, FrameSegments, HeavyPayload, LightPayload};

@@ -2,21 +2,20 @@
 //!
 //! The thread farm ([`ThreadFarm`]) is the real thing — a data source onto
 //! the staged DPSS deployment, `run_backend`'s thread-per-PE load/render
-//! loop shipping frames into the fabric, and the progressive compositor
-//! viewer draining the other end.  The model farm ([`ModelFarm`]) drives the
-//! identical stage through the calibrated network/platform models on the
-//! virtual clock, emitting the NetLogger events the real pipeline would
-//! have produced.
+//! loop shipping frames into the fabric (as `[farm] backends` independently
+//! paced partitions of the PEs; one by default), and the progressive
+//! compositor viewer draining the other end.  The model farm ([`ModelFarm`])
+//! drives the identical stage through the calibrated network/platform models
+//! on the virtual clock, emitting the NetLogger events the real pipeline
+//! would have produced.
 
 use super::{hash_image, FabricLinks, FarmRun, PhaseMeans, StageContext};
-use crate::backend::{run_backend, run_backend_partition, BackendReport, PeReport};
+use crate::backend::run_backend;
 use crate::campaign::real::RealDataPath;
 use crate::campaign::sim::model_stage;
 use crate::data_source::{DataSource, DpssDataSource, SyntheticSource};
 use crate::error::VisapultError;
-use crate::service::sharded::share;
-use crate::service::BackendPlacement;
-use crate::viewer::{Viewer, ViewerConfig, ViewerReport};
+use crate::viewer::{Viewer, ViewerConfig};
 use netlogger::Collector;
 use std::sync::Arc;
 
@@ -34,12 +33,14 @@ pub trait RenderFarm {
 }
 
 /// The real farm: OS threads, genuine software volume rendering, a live
-/// viewer compositing at the far end of the fabric.
+/// viewer compositing at the far end of the fabric.  The PEs run as
+/// [`StageContext::farm_backends`] back-end partitions feeding the one
+/// viewer; the composite is identical whatever that count.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadFarm;
 
 /// Build the stage's data source: synthetic frames or the staged DPSS
-/// deployment, shared by every backend partition that loads from it.
+/// deployment.
 fn stage_source(ctx: &StageContext<'_>, collector: &Collector) -> Result<Arc<dyn DataSource>, VisapultError> {
     Ok(match ctx.data_path {
         RealDataPath::Synthetic => Arc::new(SyntheticSource::new(ctx.pipeline.dataset.clone(), ctx.seed)),
@@ -55,42 +56,6 @@ fn stage_source(ctx: &StageContext<'_>, collector: &Collector) -> Result<Arc<dyn
     })
 }
 
-/// Spawn the progressive compositor viewer on its own thread, draining the
-/// far end of the fabric while the back end runs.
-fn spawn_viewer(
-    ctx: &StageContext<'_>,
-    collector: &Collector,
-    receivers: Vec<crate::transport::StripeReceiver>,
-) -> std::thread::JoinHandle<ViewerReport> {
-    let viewer = Viewer::new(ViewerConfig {
-        volume_dims: ctx.pipeline.dataset.dims,
-        image_size: ctx.viewer_image,
-        view: volren::ViewOrientation::new(8.0, 4.0),
-        expected_frames: ctx.pipeline.timesteps,
-    });
-    let viewer_logger = collector.logger("desktop", "viewer-master");
-    std::thread::Builder::new()
-        .name("visapult-viewer".to_string())
-        .spawn(move || viewer.run(receivers, Some(viewer_logger)))
-        .expect("spawn viewer thread")
-}
-
-/// Assemble the real-path [`FarmRun`] from a backend report and the drained
-/// viewer's composite.
-fn real_farm_run(backend: BackendReport, viewer_report: ViewerReport) -> FarmRun {
-    FarmRun {
-        total_time: backend.elapsed.as_secs_f64(),
-        frames_rendered: backend.frames_rendered,
-        frames_received: viewer_report.frames_received,
-        bytes_loaded: backend.total_bytes_loaded(),
-        wire_bytes: backend.total_wire_bytes(),
-        image_hash: hash_image(&viewer_report.final_image.to_rgba8()),
-        means: None,
-        backend: Some(backend),
-        viewer: Some(viewer_report),
-    }
-}
-
 impl RenderFarm for ThreadFarm {
     fn run_stage(
         &self,
@@ -102,126 +67,31 @@ impl RenderFarm for ThreadFarm {
         let backend_logger = collector.logger("backend-host", "backend-master");
         let FabricLinks { senders, receivers, .. } = links;
 
-        // The viewer runs on its own thread while the back end runs here.
-        let viewer_handle = spawn_viewer(ctx, collector, receivers);
-        let backend = run_backend(&ctx.pipeline, source, senders, Some(backend_logger))?;
-        let viewer_report = viewer_handle.join().expect("viewer thread panicked");
-        Ok(real_farm_run(backend, viewer_report))
-    }
-}
-
-/// The partitioned real farm: `backends` independent back-end partitions,
-/// each owning a contiguous slice of the PEs, all loading from one shared
-/// data source and feeding one shared viewer.
-///
-/// Frame content is a pure function of `(config, global rank, frame)`, so
-/// the partitioning changes scheduling — each partition paces itself with
-/// its own per-frame barrier — but never the composite: the image hash is
-/// identical to [`ThreadFarm`]'s by construction.  Render-slot admission
-/// against the per-backend capacity split lives in
-/// [`crate::service::ServiceConfig`]; `placement` records how shared renders
-/// are routed and is fingerprinted when more than one backend is engaged.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiBackendFarm {
-    backends: usize,
-    placement: BackendPlacement,
-}
-
-impl MultiBackendFarm {
-    /// A farm of `backends` partitions with the given placement policy.
-    pub fn new(backends: usize, placement: BackendPlacement) -> Self {
-        Self {
-            backends: backends.max(1),
-            placement,
-        }
-    }
-
-    /// How many independent back-end partitions this farm runs.
-    pub fn backends(&self) -> usize {
-        self.backends
-    }
-
-    /// How shared renders are placed across the partitions.
-    pub fn placement(&self) -> BackendPlacement {
-        self.placement
-    }
-}
-
-impl RenderFarm for MultiBackendFarm {
-    fn run_stage(
-        &self,
-        ctx: &StageContext<'_>,
-        links: FabricLinks,
-        collector: &Collector,
-    ) -> Result<FarmRun, VisapultError> {
-        let pes = ctx.pipeline.pes;
-        if self.backends > pes {
-            return Err(VisapultError::Config(format!(
-                "farm backends ({}) cannot exceed pes ({pes})",
-                self.backends
-            )));
-        }
-        let source = stage_source(ctx, collector)?;
-        let backend_logger = collector.logger("backend-host", "backend-master");
-        let FabricLinks { senders, receivers, .. } = links;
-        if senders.len() != pes {
-            return Err(VisapultError::Config(format!(
-                "expected {pes} viewer links, got {}",
-                senders.len()
-            )));
-        }
-        let viewer_handle = spawn_viewer(ctx, collector, receivers);
-
-        // Carve the PEs into contiguous per-backend slices, sized like the
-        // admission layer's capacity split so rank ownership and slot
-        // accounting agree.
-        let mut slices: Vec<Vec<crate::transport::StripeSender>> = Vec::with_capacity(self.backends);
-        let mut rest = senders;
-        for b in 0..self.backends {
-            let take = share(pes as u64, self.backends, b) as usize;
-            let tail = rest.split_off(take);
-            slices.push(std::mem::replace(&mut rest, tail));
-        }
-
-        let start = std::time::Instant::now();
-        let results: Vec<Result<Vec<PeReport>, VisapultError>> = std::thread::scope(|scope| {
-            let mut first_rank = 0usize;
-            let handles: Vec<_> = slices
-                .into_iter()
-                .enumerate()
-                .map(|(b, partition_links)| {
-                    let source = Arc::clone(&source);
-                    let log = backend_logger.clone();
-                    let config = &ctx.pipeline;
-                    let first = first_rank;
-                    first_rank += partition_links.len();
-                    std::thread::Builder::new()
-                        .name(format!("visapult-backend-{b}"))
-                        .spawn_scoped(scope, move || {
-                            run_backend_partition(config, &source, &partition_links, Some(&log), first)
-                        })
-                        .expect("spawn backend partition thread")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("backend partition thread panicked"))
-                .collect()
+        // The progressive compositor viewer drains the far end of the fabric
+        // on its own thread while the back end runs here.
+        let viewer = Viewer::new(ViewerConfig {
+            volume_dims: ctx.pipeline.dataset.dims,
+            image_size: ctx.viewer_image,
+            view: volren::ViewOrientation::new(8.0, 4.0),
+            expected_frames: ctx.pipeline.timesteps,
         });
-        let elapsed = start.elapsed();
-
-        let mut per_pe = Vec::with_capacity(pes);
-        for partition in results {
-            per_pe.extend(partition?);
-        }
-        per_pe.sort_by_key(|p| p.rank);
-        let backend = BackendReport {
-            frames_rendered: ctx.pipeline.timesteps,
-            per_pe,
-            elapsed,
-        };
+        let viewer_logger = collector.logger("desktop", "viewer-master");
+        let viewer_handle = std::thread::Builder::new()
+            .name("visapult-viewer".to_string())
+            .spawn(move || viewer.run(receivers, Some(viewer_logger)))
+            .expect("spawn viewer thread");
+        let backend = run_backend(&ctx.pipeline, source, senders, Some(backend_logger), ctx.farm_backends)?;
         let viewer_report = viewer_handle.join().expect("viewer thread panicked");
-        Ok(real_farm_run(backend, viewer_report))
+        Ok(FarmRun {
+            total_time: backend.elapsed.as_secs_f64(),
+            frames_rendered: backend.frames_rendered,
+            frames_received: viewer_report.frames_received,
+            bytes_loaded: backend.total_bytes_loaded(),
+            wire_bytes: backend.total_wire_bytes(),
+            image_hash: hash_image(&viewer_report.final_image.to_rgba8()),
+            means: None,
+            viewer: Some(viewer_report),
+        })
     }
 }
 
@@ -263,7 +133,6 @@ impl RenderFarm for ModelFarm {
             wire_bytes: wire_per_frame * timesteps as u64,
             image_hash: 0,
             means: Some(means),
-            backend: None,
             viewer: None,
         })
     }

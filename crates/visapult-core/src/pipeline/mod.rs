@@ -52,11 +52,10 @@ mod plane;
 
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use fabric::{Fabric, FabricLinks, ModeledFabric, StripedFabric};
-pub use farm::{ModelFarm, MultiBackendFarm, RenderFarm, ThreadFarm};
+pub use farm::{ModelFarm, RenderFarm, ThreadFarm};
 pub use plane::{AsyncPlane, FanoutPlane, PlaneKind, PlaneSession, ReplayPlane, ServicePlane};
 
-use crate::backend::BackendReport;
-use crate::campaign::real::{RealCampaignConfig, RealDataPath, RealDpssEnv, ServicePlan};
+use crate::campaign::real::{RealDataPath, RealDpssEnv, ServicePlan};
 use crate::campaign::scenario::report::{fnv1a, CampaignReport, StageMetrics, StageReport, FNV_OFFSET};
 use crate::campaign::scenario::{
     CacheReport, ExecutionPath, ResolvedScenario, ResolvedTelemetry, ScenarioSpec, ServiceReport, TelemetryReport,
@@ -75,8 +74,7 @@ use netlogger::{tags, Collector, Event, EventLog, FieldValue, NetLogger, Profile
 
 /// Everything one stage execution needs, whichever capability set drives it.
 ///
-/// Built by [`Pipeline::run`] from a [`ResolvedScenario`] stage, or by the
-/// deprecated facades from their legacy config structs.
+/// Built by [`Pipeline::run`] from a [`ResolvedScenario`] stage.
 pub struct StageContext<'a> {
     /// The shared pipeline shape (dataset, PEs, timesteps, mode, render).
     pub pipeline: PipelineConfig,
@@ -89,6 +87,9 @@ pub struct StageContext<'a> {
     pub seed: u64,
     /// Where the real farm reads its data from.
     pub data_path: RealDataPath,
+    /// How many contiguous, independently paced back-end partitions the real
+    /// farm splits the PEs into (`[farm] backends`; 1 = the single back end).
+    pub farm_backends: usize,
     /// The multi-session service plan (`None` = classic single-viewer
     /// wiring; both the fan-out plane and its replay key off this).
     pub service: Option<ServicePlan>,
@@ -158,7 +159,7 @@ pub struct PhaseMeans {
 }
 
 /// What a [`RenderFarm`] produced for one stage: the deterministic counters
-/// every report needs, plus the path-specific artifacts the facades repackage.
+/// every report needs, plus the real path's own artifacts.
 pub struct FarmRun {
     /// End-to-end stage time in seconds (wall clock, or modeled).
     pub total_time: f64,
@@ -175,15 +176,12 @@ pub struct FarmRun {
     /// Modeled phase means (`None` = derive them from the stage log's
     /// wall-clock phase analysis).
     pub means: Option<PhaseMeans>,
-    /// The real back end's report (real farm only).
-    pub backend: Option<BackendReport>,
     /// The real viewer's report (real farm only).
     pub viewer: Option<ViewerReport>,
 }
 
 /// Everything one stage execution produced: what [`Pipeline::run`]
-/// folds into a [`StageReport`] and the deprecated facades repackage into
-/// their legacy report types.
+/// folds into a [`StageReport`].
 pub struct StageArtifacts {
     /// The render farm's outcome.
     pub run: FarmRun,
@@ -291,7 +289,7 @@ impl PathCapabilities {
 /// the service plane, run the farm (load → render → stripe → composite),
 /// then collect the service, transport and cache telemetry through the
 /// shared emitters.  This is the *only* stage driver — both execution paths
-/// and all the deprecated facades run through it.
+/// run through it.
 pub(crate) fn drive_stage(caps: &PathCapabilities, ctx: &StageContext<'_>) -> Result<StageArtifacts, VisapultError> {
     ctx.pipeline.validate().map_err(VisapultError::Config)?;
     let collector = caps.clock.collector();
@@ -546,6 +544,7 @@ impl Pipeline {
                 viewer_image: resolved.real.viewer_image.unwrap_or((192, 192)),
                 seed: resolved.stage_seed(i),
                 data_path: resolved.real_data_path(),
+                farm_backends: resolved.farm_backends,
                 service: resolved.stage_service_plan(i),
                 env: real_env.as_ref(),
                 sim: (resolved.path == ExecutionPath::VirtualTime).then(|| resolved.stage_sim_config(stage, i)),
@@ -624,29 +623,6 @@ impl Pipeline {
             notes: resolved.validation_notes(),
         })
     }
-
-    /// Run a single legacy-config stage through the shared control flow —
-    /// what the deprecated `run_real_campaign*` facades delegate to.
-    pub(crate) fn drive_real_stage(
-        config: &RealCampaignConfig,
-        env: Option<&RealDpssEnv>,
-    ) -> Result<StageArtifacts, VisapultError> {
-        let caps = PathCapabilities::real();
-        let ctx = StageContext {
-            pipeline: config.pipeline.clone(),
-            transport: config.transport.clone(),
-            viewer_image: config.viewer_image,
-            seed: config.seed,
-            data_path: config.data_path,
-            service: config.service.clone(),
-            env,
-            sim: None,
-            cache_replay: None,
-            metrics: MetricsHub::disabled(),
-            telemetry: ResolvedTelemetry::default(),
-        };
-        drive_stage(&caps, &ctx)
-    }
 }
 
 /// Builder for a [`Pipeline`]: override the execution path, or swap any of
@@ -706,18 +682,10 @@ impl PipelineBuilder {
         }
         let resolved = self.spec.resolve()?;
         let defaults = PathCapabilities::for_path(resolved.path);
-        // A `[farm] backends > 1` spec partitions the real farm unless the
-        // caller swapped in their own; the virtual path models one farm.
-        let default_farm = if self.farm.is_none() && resolved.path == ExecutionPath::Real && resolved.farm_backends > 1
-        {
-            Box::new(MultiBackendFarm::new(resolved.farm_backends, resolved.farm_placement)) as Box<dyn RenderFarm>
-        } else {
-            defaults.farm
-        };
         let caps = PathCapabilities {
             clock: self.clock.unwrap_or(defaults.clock),
             fabric: self.fabric.unwrap_or(defaults.fabric),
-            farm: self.farm.unwrap_or(default_farm),
+            farm: self.farm.unwrap_or(defaults.farm),
             plane: self.plane.unwrap_or(defaults.plane),
         };
         Ok(Pipeline { resolved, caps })

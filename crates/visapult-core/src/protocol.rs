@@ -130,21 +130,6 @@ pub fn encode_light(p: &LightPayload) -> Vec<u8> {
     frame_message(TYPE_LIGHT, &body)
 }
 
-/// Encode a heavy payload (including the message header).
-pub fn encode_heavy(p: &HeavyPayload) -> Vec<u8> {
-    let mut body = BytesMut::with_capacity(16 + p.texture_rgba8.len() + p.geometry.len() * 24);
-    body.put_u32(p.frame);
-    body.put_u32(p.rank);
-    body.put_u32(p.texture_rgba8.len() as u32);
-    body.put_slice(&p.texture_rgba8);
-    body.put_u32(p.geometry.len() as u32);
-    for (a, b) in p.geometry.iter() {
-        put_vec3(&mut body, *a);
-        put_vec3(&mut body, *b);
-    }
-    frame_message(TYPE_HEAVY, &body)
-}
-
 fn frame_message(msg_type: u8, body: &[u8]) -> Vec<u8> {
     let mut out = BytesMut::with_capacity(9 + body.len());
     out.put_u32(MAGIC);
@@ -178,76 +163,21 @@ pub fn decode_light(msg: &[u8]) -> Result<LightPayload, VisapultError> {
     })
 }
 
-/// Decode a heavy payload from a full message (header included), copying the
-/// texture out of the message buffer.  When the message already lives in a
-/// shared [`Bytes`] buffer, prefer [`decode_heavy_shared`], which slices the
-/// texture zero-copy instead.
-pub fn decode_heavy(msg: &[u8]) -> Result<HeavyPayload, VisapultError> {
-    decode_heavy_inner(msg, |start, len| Bytes::from(msg[start..start + len].to_vec()))
-}
-
-/// Decode a heavy payload from a shared message buffer.  The returned
-/// payload's texture is an O(1) slice of `msg` — the raw pixel data read off
-/// the socket is never copied again.
-pub fn decode_heavy_shared(msg: &Bytes) -> Result<HeavyPayload, VisapultError> {
-    decode_heavy_inner(msg, |start, len| msg.slice(start..start + len))
-}
-
-fn decode_heavy_inner(msg: &[u8], texture: impl FnOnce(usize, usize) -> Bytes) -> Result<HeavyPayload, VisapultError> {
-    let (msg_type, mut body) = split_message(msg)?;
-    if msg_type != TYPE_HEAVY {
-        return Err(VisapultError::Protocol(format!(
-            "expected heavy payload, got type {msg_type}"
-        )));
-    }
-    if body.remaining() < 12 {
-        return Err(VisapultError::Protocol("heavy payload truncated".to_string()));
-    }
-    let frame = body.get_u32();
-    let rank = body.get_u32();
-    let tex_len = body.get_u32() as usize;
-    if body.remaining() < tex_len {
-        return Err(VisapultError::Protocol("heavy payload texture truncated".to_string()));
-    }
-    // Hand the extractor the texture's absolute position in `msg` (derived
-    // from how far the body cursor has advanced, so there is exactly one
-    // source of truth for the layout) and a shared message buffer can be
-    // sliced in place.
-    let tex_start = body.as_ptr() as usize - msg.as_ptr() as usize;
-    let texture_rgba8 = texture(tex_start, tex_len);
-    let mut body = &body[tex_len..];
-    if body.remaining() < 4 {
-        return Err(VisapultError::Protocol(
-            "heavy payload geometry count missing".to_string(),
-        ));
-    }
-    let seg_count = body.get_u32() as usize;
-    if body.remaining() < seg_count * 24 {
-        return Err(VisapultError::Protocol("heavy payload geometry truncated".to_string()));
-    }
-    let mut geometry = Vec::with_capacity(seg_count);
-    for _ in 0..seg_count {
-        geometry.push((get_vec3(&mut body), get_vec3(&mut body)));
-    }
-    Ok(HeavyPayload {
-        frame,
-        rank,
-        texture_rgba8,
-        geometry: Arc::new(geometry),
-    })
-}
-
-fn split_message(msg: &[u8]) -> Result<(u8, &[u8]), VisapultError> {
-    if msg.len() < 9 {
+/// Parse a 9-byte message header into `(type, body length)`, checking the
+/// magic word.
+fn parse_header(mut header: &[u8]) -> Result<(u8, usize), VisapultError> {
+    if header.remaining() < 9 {
         return Err(VisapultError::Protocol("message shorter than header".to_string()));
     }
-    let mut header = &msg[..9];
     let magic = header.get_u32();
     if magic != MAGIC {
         return Err(VisapultError::Protocol(format!("bad magic {magic:#x}")));
     }
-    let msg_type = header.get_u8();
-    let len = header.get_u32() as usize;
+    Ok((header.get_u8(), header.get_u32() as usize))
+}
+
+fn split_message(msg: &[u8]) -> Result<(u8, &[u8]), VisapultError> {
+    let (msg_type, len) = parse_header(msg)?;
     if msg.len() < 9 + len {
         return Err(VisapultError::Protocol(format!(
             "message body truncated: expected {len} bytes, have {}",
@@ -260,11 +190,14 @@ fn split_message(msg: &[u8]) -> Result<(u8, &[u8]), VisapultError> {
 /// One frame split into its wire segments, each a shared [`Bytes`] buffer —
 /// the zero-copy encoding the striped transport ships.
 ///
-/// Concatenated in order the four segments are byte-identical to
-/// `encode_light(..) ‖ encode_heavy(..)`, but the texture segment is an O(1)
-/// refcount bump of the payload's own buffer rather than a copy, so a frame
-/// can be chunked onto stripes and reassembled on the far side without its
-/// pixel data ever being memcpy'd.
+/// Concatenated in order the four segments are the wire format — the light
+/// message followed by the heavy message, which is what [`write_frame`] puts
+/// on a byte stream — but the texture segment is an O(1) refcount bump of the
+/// payload's own buffer rather than a copy, so a frame can be chunked onto
+/// stripes and reassembled on the far side without its pixel data ever being
+/// memcpy'd.  This is the only heavy-payload codec: [`read_frame`] slices the
+/// received message back into segments and decodes through
+/// [`FrameSegments::decode`].
 #[derive(Debug, Clone)]
 pub struct FrameSegments {
     /// The complete light-payload message (header + body).
@@ -309,6 +242,26 @@ impl FrameSegments {
         }
     }
 
+    /// Slice a received light message and heavy message back into wire
+    /// segments (O(1) windows into `heavy`, no copy).  Only the split points
+    /// are checked here; [`FrameSegments::decode`] validates the content.
+    fn from_messages(light: Bytes, heavy: &Bytes) -> Result<FrameSegments, VisapultError> {
+        if heavy.len() < HEAVY_HEADER_LEN {
+            return Err(VisapultError::Protocol("heavy header truncated".to_string()));
+        }
+        let mut tex_len_word = &heavy[HEAVY_HEADER_LEN - 4..HEAVY_HEADER_LEN];
+        let texture_end = HEAVY_HEADER_LEN + tex_len_word.get_u32() as usize;
+        if heavy.len() < texture_end {
+            return Err(VisapultError::Protocol("heavy payload texture truncated".to_string()));
+        }
+        Ok(FrameSegments {
+            light,
+            heavy_header: heavy.slice(..HEAVY_HEADER_LEN),
+            texture: heavy.slice(HEAVY_HEADER_LEN..texture_end),
+            geometry: heavy.slice(texture_end..),
+        })
+    }
+
     /// True when `other` views the exact same four buffer windows — the
     /// identity test a shared decode memo uses to prove two reassemblies are
     /// byte-for-byte the same frame without comparing the bytes.  Same
@@ -346,17 +299,13 @@ impl FrameSegments {
         if h.remaining() < HEAVY_HEADER_LEN {
             return Err(VisapultError::Protocol("heavy header truncated".to_string()));
         }
-        let magic = h.get_u32();
-        if magic != MAGIC {
-            return Err(VisapultError::Protocol(format!("bad magic {magic:#x}")));
-        }
-        let msg_type = h.get_u8();
+        let (msg_type, body_len) = parse_header(h)?;
         if msg_type != TYPE_HEAVY {
             return Err(VisapultError::Protocol(format!(
                 "expected heavy payload, got type {msg_type}"
             )));
         }
-        let body_len = h.get_u32() as usize;
+        h = &h[9..];
         let frame = h.get_u32();
         let rank = h.get_u32();
         let tex_len = h.get_u32() as usize;
@@ -416,20 +365,42 @@ impl FrameSegments {
 /// Write one frame (light then heavy, the order the paper prescribes) to a
 /// byte stream — used when the back-end → viewer link is a real TCP socket.
 pub fn write_frame<W: Write>(w: &mut W, frame: &FramePayload) -> Result<(), VisapultError> {
-    w.write_all(&encode_light(&frame.light))?;
-    w.write_all(&encode_heavy(&frame.heavy))?;
+    let segments = FrameSegments::encode(frame);
+    for segment in [
+        &segments.light,
+        &segments.heavy_header,
+        &segments.texture,
+        &segments.geometry,
+    ] {
+        w.write_all(segment)?;
+    }
     w.flush()?;
     Ok(())
 }
 
-/// Read one complete message (header + body) from a byte stream into a
-/// shared buffer, so decoders can slice it zero-copy.
-fn read_message<R: Read>(r: &mut R) -> Result<Bytes, VisapultError> {
+/// The largest message body [`read_frame`] accepts.  The paper's heavy
+/// payloads are 0.25–1 MB of texture plus tens of kilobytes of grid lines;
+/// this leaves two orders of magnitude of headroom while keeping what a
+/// hostile length word can make the reader allocate small.
+const MAX_MESSAGE_LEN: usize = 64 << 20;
+
+/// Read one complete message (header + body) of type `expected` from a byte
+/// stream into a shared buffer, so decoders can slice it zero-copy.  The
+/// header is validated before the body is allocated.
+fn read_message<R: Read>(r: &mut R, expected: u8) -> Result<Bytes, VisapultError> {
     let mut header = [0u8; 9];
     r.read_exact(&mut header)?;
-    let mut h = &header[4..];
-    let _type = h.get_u8();
-    let len = h.get_u32() as usize;
+    let (msg_type, len) = parse_header(&header)?;
+    if msg_type != expected {
+        return Err(VisapultError::Protocol(format!(
+            "expected message type {expected}, got type {msg_type}"
+        )));
+    }
+    if len > MAX_MESSAGE_LEN {
+        return Err(VisapultError::Protocol(format!(
+            "message body of {len} bytes exceeds the {MAX_MESSAGE_LEN}-byte limit"
+        )));
+    }
     let mut msg = Vec::with_capacity(9 + len);
     msg.extend_from_slice(&header);
     msg.resize(9 + len, 0);
@@ -440,16 +411,31 @@ fn read_message<R: Read>(r: &mut R) -> Result<Bytes, VisapultError> {
 /// Read one frame (light then heavy) from a byte stream.  The heavy texture
 /// is decoded as a zero-copy slice of the received message buffer.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<FramePayload, VisapultError> {
-    let light_msg = read_message(r)?;
-    let light = decode_light(&light_msg)?;
-    let heavy_msg = read_message(r)?;
-    let heavy = decode_heavy_shared(&heavy_msg)?;
-    Ok(FramePayload { light, heavy })
+    let light = read_message(r, TYPE_LIGHT)?;
+    let heavy = read_message(r, TYPE_HEAVY)?;
+    FrameSegments::from_messages(light, &heavy)?.decode()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The stream encoding of a heavy payload, written the way the stream
+    /// codec [`FrameSegments`] replaced wrote it: one copied buffer.  Kept as
+    /// the byte-identity oracle that pins the wire format.
+    fn encode_heavy(p: &HeavyPayload) -> Vec<u8> {
+        let mut body = BytesMut::with_capacity(16 + p.texture_rgba8.len() + p.geometry.len() * 24);
+        body.put_u32(p.frame);
+        body.put_u32(p.rank);
+        body.put_u32(p.texture_rgba8.len() as u32);
+        body.put_slice(&p.texture_rgba8);
+        body.put_u32(p.geometry.len() as u32);
+        for (a, b) in p.geometry.iter() {
+            put_vec3(&mut body, *a);
+            put_vec3(&mut body, *b);
+        }
+        frame_message(TYPE_HEAVY, &body)
+    }
 
     fn sample_frame() -> FramePayload {
         FramePayload {
@@ -473,6 +459,12 @@ mod tests {
         }
     }
 
+    fn stream_of(frame: &FramePayload) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, frame).unwrap();
+        buf
+    }
+
     #[test]
     fn light_payload_roundtrip_and_size() {
         let f = sample_frame();
@@ -484,38 +476,31 @@ mod tests {
     }
 
     #[test]
-    fn heavy_payload_roundtrip() {
+    fn received_messages_split_into_zero_copy_segments() {
         let f = sample_frame();
-        let enc = encode_heavy(&f.heavy);
-        let dec = decode_heavy(&enc).unwrap();
-        assert_eq!(dec, f.heavy);
-        assert_eq!(f.heavy.payload_bytes(), (8 * 8 * 4 + 2 * 24) as u64);
+        let light = Bytes::from(encode_light(&f.light));
+        let heavy = Bytes::from(encode_heavy(&f.heavy));
+        let segments = FrameSegments::from_messages(light, &heavy).unwrap();
+        // The texture segment literally is a window into the message buffer,
+        // and decode passes it through.
+        let window = heavy.slice(HEAVY_HEADER_LEN..HEAVY_HEADER_LEN + f.heavy.texture_rgba8.len());
+        assert!(segments.texture.ptr_eq(&window));
+        let back = segments.decode().unwrap();
+        assert_eq!(back, f);
+        assert!(back.heavy.texture_rgba8.ptr_eq(&window));
+        // A heavy message cut short of its header, or of its texture, has no
+        // split points.
+        let light = Bytes::from(encode_light(&f.light));
+        assert!(FrameSegments::from_messages(light.clone(), &heavy.slice(..HEAVY_HEADER_LEN - 1)).is_err());
+        assert!(FrameSegments::from_messages(light, &heavy.slice(..HEAVY_HEADER_LEN + 10)).is_err());
     }
 
     #[test]
-    fn shared_decode_slices_the_texture_zero_copy() {
-        let f = sample_frame();
-        let msg = Bytes::from(encode_heavy(&f.heavy));
-        let before = bytes::deep_copy_count();
-        let dec = decode_heavy_shared(&msg).unwrap();
-        assert_eq!(dec, f.heavy);
-        assert_eq!(
-            bytes::deep_copy_count(),
-            before,
-            "shared decode must not copy the texture"
-        );
-        // The decoded texture literally is a window into the message buffer.
-        assert!(dec.texture_rgba8.ptr_eq(&msg.slice(21..21 + dec.texture_rgba8.len())));
-        // Truncation errors still apply.
-        assert!(decode_heavy_shared(&msg.slice(..msg.len() - 10)).is_err());
-    }
-
-    #[test]
-    fn segment_encode_matches_the_legacy_wire_format() {
+    fn segment_encode_matches_the_stream_oracle_byte_for_byte() {
         let f = sample_frame();
         let segments = FrameSegments::encode(&f);
-        let mut legacy = encode_light(&f.light);
-        legacy.extend_from_slice(&encode_heavy(&f.heavy));
+        let mut oracle = encode_light(&f.light);
+        oracle.extend_from_slice(&encode_heavy(&f.heavy));
         let mut concat = Vec::new();
         for seg in [
             &segments.light,
@@ -525,8 +510,9 @@ mod tests {
         ] {
             concat.extend_from_slice(seg);
         }
-        assert_eq!(concat, legacy, "segments concatenate to the legacy encoding");
-        assert_eq!(segments.wire_bytes(), legacy.len() as u64);
+        assert_eq!(concat, oracle, "segments concatenate to the stream encoding");
+        assert_eq!(stream_of(&f), concat, "write_frame writes exactly the segments");
+        assert_eq!(segments.wire_bytes(), oracle.len() as u64);
         assert_eq!(segments.heavy_header.len(), HEAVY_HEADER_LEN);
         // The payload-side accessor agrees with the encoded reality, so
         // telemetry logged before a send matches the counters summed after.
@@ -577,8 +563,11 @@ mod tests {
     #[test]
     fn type_confusion_is_rejected() {
         let f = sample_frame();
-        assert!(decode_light(&encode_heavy(&f.heavy)).is_err());
-        assert!(decode_heavy(&encode_light(&f.light)).is_err());
+        let (light, heavy) = (encode_light(&f.light), encode_heavy(&f.heavy));
+        assert!(decode_light(&heavy).is_err());
+        // A stream carrying the two messages in the wrong order.
+        let swapped = [heavy, light].concat();
+        assert!(read_frame(&mut swapped.as_slice()).is_err());
     }
 
     #[test]
@@ -587,18 +576,63 @@ mod tests {
         let mut enc = encode_light(&f.light);
         enc[0] ^= 0xff; // break the magic
         assert!(decode_light(&enc).is_err());
-
-        let enc = encode_heavy(&f.heavy);
-        assert!(decode_heavy(&enc[..enc.len() - 10]).is_err());
         assert!(decode_light(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
+    fn a_hostile_length_word_is_refused_before_anything_is_allocated() {
+        let mut stream = MAGIC.to_be_bytes().to_vec();
+        stream.push(TYPE_LIGHT);
+        stream.extend_from_slice(&[0xff; 4]);
+        let err = read_frame(&mut stream.as_slice()).unwrap_err();
+        // Refused on the length itself: had the 4 GiB body been allocated and
+        // read, the error would be the stream running dry instead.
+        assert!(
+            matches!(&err, VisapultError::Protocol(m) if m.contains("exceeds")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_stream_with_bad_magic_is_refused() {
+        let mut stream = stream_of(&sample_frame());
+        stream[0] ^= 0xff;
+        let err = read_frame(&mut stream.as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, VisapultError::Protocol(m) if m.contains("magic")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_stream_truncated_mid_body_is_an_error() {
+        let stream = stream_of(&sample_frame());
+        // Cut inside the heavy body, inside the light body, and inside a header.
+        for keep in [stream.len() - 10, 30, 4] {
+            assert!(read_frame(&mut &stream[..keep]).is_err(), "kept {keep} bytes");
+        }
+    }
+
+    #[test]
+    fn a_light_heavy_pair_that_disagree_on_identity_is_refused() {
+        let f = sample_frame();
+        for (frame, rank) in [(f.light.frame + 1, f.light.rank), (f.light.frame, f.light.rank + 1)] {
+            let mut other = f.heavy.clone();
+            other.frame = frame;
+            other.rank = rank;
+            let stream = [encode_light(&f.light), encode_heavy(&other)].concat();
+            let err = read_frame(&mut stream.as_slice()).unwrap_err();
+            assert!(
+                matches!(&err, VisapultError::Protocol(m) if m.contains("identity")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
     fn stream_roundtrip_over_a_cursor() {
         let f = sample_frame();
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &f).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
+        let mut cursor = std::io::Cursor::new(stream_of(&f));
         let back = read_frame(&mut cursor).unwrap();
         assert_eq!(back, f);
     }
@@ -628,6 +662,7 @@ mod tests {
     #[test]
     fn wire_bytes_counts_light_and_heavy() {
         let f = sample_frame();
+        assert_eq!(f.heavy.payload_bytes(), (8 * 8 * 4 + 2 * 24) as u64);
         assert_eq!(
             f.wire_bytes(),
             LightPayload::ENCODED_LEN as u64 + f.heavy.payload_bytes()

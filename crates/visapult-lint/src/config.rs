@@ -61,8 +61,6 @@ struct RawFingerprint {
 #[derive(Debug, Deserialize)]
 struct RawOutput {
     crates: Option<Vec<String>>,
-    deprecated: Option<Vec<String>>,
-    facade_files: Option<Vec<String>>,
 }
 
 #[derive(Debug, Deserialize)]
@@ -118,11 +116,6 @@ pub struct LintConfig {
     /// Crate roots held to output hygiene (no println!/eprintln! outside
     /// tests and bins).
     pub output_crates: Vec<String>,
-    /// Deprecated facade identifiers banned outside their facade modules.
-    pub deprecated: Vec<String>,
-    /// The facade modules (and their re-export sites) where the deprecated
-    /// names legitimately appear.
-    pub facade_files: Vec<String>,
     /// The justified suppressions.
     pub allow: Vec<AllowEntry>,
 }
@@ -145,11 +138,7 @@ impl LintConfig {
             skip: None,
         });
         let fp = rules.fingerprint.unwrap_or(RawFingerprint { files: None });
-        let out = rules.output.unwrap_or(RawOutput {
-            crates: None,
-            deprecated: None,
-            facade_files: None,
-        });
+        let out = rules.output.unwrap_or(RawOutput { crates: None });
 
         let mut allow = Vec::new();
         for (i, e) in raw.allow.unwrap_or_default().into_iter().enumerate() {
@@ -207,8 +196,6 @@ impl LintConfig {
             determinism_skip: det.skip.unwrap_or_default(),
             fingerprint_files: fp.files.unwrap_or_default(),
             output_crates: out.crates.unwrap_or_default(),
-            deprecated: out.deprecated.unwrap_or_default(),
-            facade_files: out.facade_files.unwrap_or_default(),
             allow,
         })
     }

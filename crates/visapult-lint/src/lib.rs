@@ -20,8 +20,7 @@
 //! 4. **unsafe-hygiene** — `unsafe` requires an adjacent `// SAFETY:`
 //!    comment (the workspace is currently `#![forbid(unsafe_code)]`
 //!    throughout, so this rule guards the door).
-//! 5. **output-hygiene** — library crates never print, and the deprecated
-//!    campaign facades are referenced only from their facade modules.
+//! 5. **output-hygiene** — library crates never print.
 //!
 //! Suppressions live in the root `lint.toml` as `[[allow]]` entries, each
 //! requiring a one-line justification; entries that stop matching real source

@@ -231,13 +231,11 @@ fn unsafe_hygiene(file: &str, lines: &[SourceLine], out: &mut Vec<Finding>) {
 }
 
 /// Rule 5 — output hygiene: library crates never print (reports flow through
-/// `CampaignReport`/NetLogger), and the deprecated campaign facades are only
-/// referenced from their own facade modules.
+/// `CampaignReport`/NetLogger).
 fn output_hygiene(file: &str, lines: &[SourceLine], cfg: &LintConfig, out: &mut Vec<Finding>) {
     if !cfg.output_crates.iter().any(|c| path_matches(file, c)) {
         return;
     }
-    let in_facade = cfg.facade_files.iter().any(|f| path_matches(file, f));
     const PRINTS: [&str; 4] = ["println!", "eprintln!", "print!", "eprint!"];
     for (i, l) in lines.iter().enumerate() {
         if l.in_test {
@@ -254,22 +252,6 @@ fn output_hygiene(file: &str, lines: &[SourceLine], cfg: &LintConfig, out: &mut 
                 ));
             }
         }
-        if !in_facade {
-            for name in &cfg.deprecated {
-                if has_word(&l.code, name) {
-                    out.push(finding(
-                        "output-hygiene",
-                        file,
-                        i,
-                        l,
-                        format!(
-                            "deprecated facade `{name}` referenced outside its facade module \
-                                 (use the Pipeline builder)"
-                        ),
-                    ));
-                }
-            }
-        }
     }
 }
 
@@ -282,7 +264,6 @@ mod tests {
         let mut cfg = LintConfig::from_toml("").unwrap();
         cfg.fingerprint_files = fp_files.iter().map(|s| s.to_string()).collect();
         cfg.output_crates = out_crates.iter().map(|s| s.to_string()).collect();
-        cfg.deprecated = vec!["run_real_campaign".to_string()];
         cfg
     }
 
@@ -337,14 +318,5 @@ mod tests {
         let lines = scan(src, false);
         let f = check_file("core/src/lib.rs", &lines, &cfg_with(&[], &["core/"]));
         assert_eq!(f.iter().filter(|f| f.rule == "output-hygiene").count(), 1, "{f:?}");
-    }
-
-    #[test]
-    fn deprecated_facades_flagged_outside_facade_modules() {
-        let mut cfg = cfg_with(&[], &["core/"]);
-        cfg.facade_files = vec!["core/src/facade.rs".to_string()];
-        let lines = scan("let r = run_real_campaign(&c);\n", false);
-        assert_eq!(check_file("core/src/other.rs", &lines, &cfg).len(), 1);
-        assert!(check_file("core/src/facade.rs", &lines, &cfg).is_empty());
     }
 }

@@ -32,7 +32,3 @@ pub fn peek(ptr: *const u32) -> u32 {
 pub fn shout() {
     println!("library crates must not print");
 }
-
-pub fn legacy() {
-    run_real_campaign();
-}

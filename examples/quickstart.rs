@@ -61,23 +61,4 @@ fn main() {
     println!("NLV lifeline plot of the run:");
     let plot = LifelinePlot::new(&report.log, NlvOptions::default().with_width(90));
     println!("{}", plot.render());
-
-    // ---- migration guide ----------------------------------------------
-    // Before the unified driver, single campaigns ran through per-path
-    // entry points.  Those facades still work (deprecated, delegating to
-    // the same builder), and produce the same deterministic results:
-    #[allow(deprecated)] // quickstart doubles as the facade migration guide
-    {
-        use visapult::core::{run_real_campaign, ExecutionMode, PipelineConfig, RealCampaignConfig};
-        let legacy = run_real_campaign(&RealCampaignConfig::small(PipelineConfig::small(
-            2,
-            2,
-            ExecutionMode::Serial,
-        )))
-        .expect("legacy facade still works");
-        println!(
-            "deprecated facade check: run_real_campaign delivered {} payloads (now spelled `Pipeline::builder(spec).build()?.run()?`)",
-            legacy.viewer.frames_received
-        );
-    }
 }

@@ -385,8 +385,17 @@ impl From<BytesMut> for Vec<u8> {
 mod tests {
     use super::*;
 
+    /// `deep_copy_count` is process-global and these tests run on parallel
+    /// threads: the ones that diff it take turns.
+    static COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn counter_turn() -> std::sync::MutexGuard<'static, ()> {
+        COUNTER.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn bytes_clone_and_slice_share_the_allocation() {
+        let _turn = counter_turn();
         let base = Bytes::from(vec![1u8, 2, 3, 4, 5, 6, 7, 8]);
         let before = deep_copy_count();
         let clone = base.clone();
@@ -400,6 +409,7 @@ mod tests {
 
     #[test]
     fn bytes_deep_copies_are_counted() {
+        let _turn = counter_turn();
         let base = Bytes::from(vec![9u8; 32]);
         let before = deep_copy_count();
         let _ = base.to_vec();
@@ -416,6 +426,7 @@ mod tests {
 
     #[test]
     fn try_join_rejoins_contiguous_slices_without_copying() {
+        let _turn = counter_turn();
         let base = Bytes::from((0u8..64).collect::<Vec<u8>>());
         let before = deep_copy_count();
         let a = base.slice(..20);
@@ -433,6 +444,7 @@ mod tests {
 
     #[test]
     fn freeze_is_zero_copy() {
+        let _turn = counter_turn();
         let mut buf = BytesMut::with_capacity(8);
         buf.put_u32(0xAABBCCDD);
         let before = deep_copy_count();

@@ -32,7 +32,6 @@ const EXPECTED: &[&str] = &[
     "LightPayload",
     "ModelFarm",
     "ModeledFabric",
-    "MultiBackendFarm",
     "OverlapModel",
     "PathCapabilities",
     "PhaseMeans",
@@ -43,8 +42,6 @@ const EXPECTED: &[&str] = &[
     "PlaneSession",
     "PlatformSpec",
     "QualityTier",
-    "RealCampaignConfig",
-    "RealCampaignReport",
     "RealDataPath",
     "RealDpssEnv",
     "RejectReason",
@@ -97,10 +94,7 @@ const EXPECTED: &[&str] = &[
     "drain_frames",
     "log_service_telemetry",
     "plan_chunks",
-    "run_real_campaign",
-    "run_real_campaign_in_env",
     "run_scenario",
-    "run_sim_campaign",
     "striped_link",
 ];
 

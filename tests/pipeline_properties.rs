@@ -2,8 +2,8 @@
 //! spanning crates.
 
 use proptest::prelude::*;
-use visapult::core::protocol::{decode_heavy, decode_light, encode_heavy, encode_light};
-use visapult::core::{HeavyPayload, LightPayload, OverlapModel};
+use visapult::core::protocol::{decode_light, encode_light};
+use visapult::core::{FramePayload, FrameSegments, HeavyPayload, LightPayload, OverlapModel};
 use visapult::dpss::StripeLayout;
 use visapult::volren::{decompose, Axis, Decomposition, RgbaImage};
 
@@ -143,7 +143,22 @@ proptest! {
             texture_rgba8: texture.into(),
             geometry: std::sync::Arc::new(geometry),
         };
-        let decoded = decode_heavy(&encode_heavy(&p)).unwrap();
+        // The metadata the decoder cross-checks the heavy payload against.
+        let light = LightPayload {
+            frame,
+            rank,
+            texture_width: p.texture_rgba8.len() as u32,
+            texture_height: 1,
+            bytes_per_pixel: 1,
+            quad_center: [0.0; 3],
+            quad_u: [1.0, 0.0, 0.0],
+            quad_v: [0.0, 1.0, 0.0],
+            geometry_segments: p.geometry.len() as u32,
+        };
+        let decoded = FrameSegments::encode(&FramePayload { light, heavy: p.clone() })
+            .decode()
+            .unwrap()
+            .heavy;
         // NaNs break PartialEq; compare field by field with bitwise floats.
         prop_assert_eq!(decoded.frame, p.frame);
         prop_assert_eq!(decoded.rank, p.rank);
