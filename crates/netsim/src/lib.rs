@@ -13,38 +13,26 @@
 //!   reproduces the "first frame is slow until the window opens" behaviour
 //!   observed in the paper's Figure 17 and the benefit of striped sockets
 //!   used by the DPSS client.
-//! * [`flow`] — a fluid-flow, max–min fair-share simulator for concurrent
-//!   transfers over a shared topology.  This is what makes "adding back-end
-//!   nodes does not make loads faster once the WAN is saturated"
-//!   (paper Figure 14) fall out of the model.
 //! * [`topology`] / [`testbeds`] — named reconstructions of the paper's
 //!   network configurations.
 //! * [`shaper`] — token-bucket shaping used when the pipeline runs over real
 //!   loopback sockets, so that real-mode runs exhibit WAN-like pacing.
-//! * [`event`] — a small discrete-event queue used by the virtual-time
-//!   campaign driver in `visapult-core`.
 //!
 //! All models are deterministic given a seed; randomness is confined to
 //! explicitly requested jitter.
 
 #![forbid(unsafe_code)]
 
-pub mod event;
-pub mod flow;
 pub mod link;
 pub mod shaper;
-pub mod stats;
 pub mod tcp;
 pub mod testbeds;
 pub mod time;
 pub mod topology;
 pub mod units;
 
-pub use event::EventQueue;
-pub use flow::{Flow, FlowId, FlowSim, FlowSimReport};
 pub use link::{Link, LinkId, LinkKind};
 pub use shaper::{StripePacer, TokenBucket};
-pub use stats::ThroughputMeter;
 pub use tcp::{TcpConfig, TcpModel, TransferTimeline};
 pub use testbeds::{Testbed, TestbedKind};
 pub use time::{SimDuration, SimTime};

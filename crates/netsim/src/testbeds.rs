@@ -63,11 +63,6 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// Number of back-end processing elements this testbed was built for.
-    pub fn backend_count(&self) -> usize {
-        self.backend_hosts.len()
-    }
-
     /// Route from the DPSS to back-end PE `pe`.
     pub fn data_route(&self, pe: usize) -> Route {
         self.topology
@@ -501,7 +496,7 @@ mod tests {
         let tb = Testbed::nton_cplant(8);
         let bn = tb.data_bottleneck().mbps();
         assert!(bn > 550.0 && bn < 625.0, "got {bn}");
-        assert_eq!(tb.backend_count(), 8);
+        assert_eq!(tb.backend_hosts.len(), 8);
     }
 
     #[test]
@@ -545,7 +540,7 @@ mod tests {
             Testbed::sc99_booth(4),
             Testbed::future_oc192(4),
         ] {
-            for pe in 0..tb.backend_count() {
+            for pe in 0..tb.backend_hosts.len() {
                 assert!(!tb.data_route(pe).links.is_empty(), "{}: pe{} data route", tb.name, pe);
                 assert!(
                     !tb.viewer_route(pe).links.is_empty(),

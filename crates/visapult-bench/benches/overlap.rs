@@ -24,7 +24,7 @@ fn run_mode(mode: ExecutionMode) -> u64 {
         // link would backpressure the back end.
         drains.push(std::thread::spawn(move || drain_frames(&mut rx).unwrap()));
     }
-    let report = run_backend(&config, source, senders, None, 1).unwrap();
+    let report = run_backend(&config, source, senders, None).unwrap();
     for d in drains {
         d.join().unwrap();
     }

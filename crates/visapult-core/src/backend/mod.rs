@@ -12,14 +12,12 @@
 //! to the viewer.  In [`ExecutionMode::Overlapped`] each rank runs the
 //! Appendix B process group: a detached reader thread loads timestep N+1 into
 //! the other half of a double buffer while the rank renders timestep N.
-//! The ranks run as `backends` contiguous partitions, each paced by its own
-//! per-frame barrier; one partition is the paper's single back end.
+//! All ranks are one parallel job, paced by one per-frame barrier.
 
 use crate::config::{ExecutionMode, PipelineConfig};
 use crate::data_source::{slab_origin, DataSource};
 use crate::error::VisapultError;
 use crate::protocol::{FramePayload, HeavyPayload, LightPayload};
-use crate::service::sharded::share;
 use crate::transport::StripeSender;
 use netlogger::{tags, NetLogger};
 use parcomm::{ProcessGroup, Rank, World};
@@ -154,17 +152,14 @@ fn send_frame(
 }
 
 /// Run one PE in serial (load, then render, then send, per frame).
-///
-/// `r` is the PE's *global* rank (what names its slab and its payloads);
-/// `rank` only paces the partition it runs in via the per-frame barrier.
 fn run_pe_serial(
     config: &PipelineConfig,
     source: &Arc<dyn DataSource>,
-    r: usize,
     rank: &Rank<()>,
     link: &StripeSender,
     log: Option<&NetLogger>,
 ) -> Result<PeReport, VisapultError> {
+    let r = rank.rank();
     let mut bytes_loaded = 0u64;
     let mut wire_bytes = 0u64;
     for frame in 0..config.timesteps {
@@ -204,16 +199,14 @@ fn run_pe_serial(
 }
 
 /// Run one PE with overlapped loading and rendering (Appendix B).
-///
-/// `r` is the PE's *global* rank; `rank` only paces its partition.
 fn run_pe_overlapped(
     config: &PipelineConfig,
     source: &Arc<dyn DataSource>,
-    r: usize,
     rank: &Rank<()>,
     link: &StripeSender,
     log: Option<&NetLogger>,
 ) -> Result<PeReport, VisapultError> {
+    let r = rank.rank();
     let pes = config.pes;
     let reader_source = Arc::clone(source);
     let reader_log = log.cloned();
@@ -292,108 +285,44 @@ fn run_pe_overlapped(
 }
 
 /// Run the full back end: one rank per PE, each shipping its payloads down
-/// its own viewer link, the PEs split into `backends` contiguous partitions
-/// that each pace themselves with their own per-frame barrier.
+/// its own viewer link, all paced by one per-frame barrier.
 ///
 /// `viewer_links` must contain exactly `config.pes` striped senders (one per
 /// PE).  `logger`, when provided, is specialized per PE into
 /// `backend-worker-<rank>` program names on `pe-<rank>` hosts.
-///
-/// Frame content is a pure function of `(config, global rank, frame)`, so
-/// `backends` changes who paces whom but never what any PE renders;
-/// `backends = 1` is the degenerate partition, one back end behind one
-/// barrier.  Partitions are sized like the admission layer's capacity split
-/// ([`crate::service::ServiceConfig`]), so rank ownership and render-slot
-/// accounting agree.
 pub fn run_backend(
     config: &PipelineConfig,
     source: Arc<dyn DataSource>,
     viewer_links: Vec<StripeSender>,
     logger: Option<NetLogger>,
-    backends: usize,
 ) -> Result<BackendReport, VisapultError> {
     config.validate().map_err(VisapultError::Config)?;
-    let pes = config.pes;
-    if config.axis != Axis::Z {
-        return Err(VisapultError::Config(
-            "the real-mode back end decomposes along Z; use the virtual-time campaign for other axes".to_string(),
-        ));
-    }
-    if viewer_links.len() != pes {
+    if viewer_links.len() != config.pes {
         return Err(VisapultError::Config(format!(
-            "expected {pes} viewer links, got {}",
+            "expected {} viewer links, got {}",
+            config.pes,
             viewer_links.len()
         )));
     }
-    if backends == 0 || backends > pes {
-        return Err(VisapultError::Config(format!(
-            "farm backends ({backends}) must be between 1 and pes ({pes})"
-        )));
-    }
-    let mut partitions: Vec<Vec<StripeSender>> = Vec::with_capacity(backends);
-    let mut rest = viewer_links;
-    for b in 0..backends {
-        let tail = rest.split_off(share(pes as u64, backends, b) as usize);
-        partitions.push(std::mem::replace(&mut rest, tail));
-    }
-
     let start = Instant::now();
-    let results: Vec<Result<Vec<PeReport>, VisapultError>> = std::thread::scope(|scope| {
-        let mut first_rank = 0usize;
-        let handles: Vec<_> = partitions
-            .into_iter()
-            .enumerate()
-            .map(|(b, links)| {
-                let (source, log) = (&source, logger.as_ref());
-                let first = first_rank;
-                first_rank += links.len();
-                // The partition owns its links: they close, and the viewer
-                // sees the end of the stream, as soon as its PEs are done.
-                std::thread::Builder::new()
-                    .name(format!("visapult-backend-{b}"))
-                    .spawn_scoped(scope, move || run_backend_partition(config, source, &links, log, first))
-                    .expect("spawn backend partition thread")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("backend partition thread panicked"))
-            .collect()
-    });
-    let elapsed = start.elapsed();
-
-    let mut per_pe = Vec::with_capacity(pes);
-    for partition in results {
-        per_pe.extend(partition?);
-    }
-    Ok(BackendReport {
-        frames_rendered: config.timesteps,
-        per_pe,
-        elapsed,
-    })
-}
-
-/// Run one contiguous slice of the back end's PEs: global ranks
-/// `first_rank .. first_rank + viewer_links.len()`, one OS thread per rank,
-/// barriering only within the slice.
-fn run_backend_partition(
-    config: &PipelineConfig,
-    source: &Arc<dyn DataSource>,
-    viewer_links: &[StripeSender],
-    logger: Option<&NetLogger>,
-    first_rank: usize,
-) -> Result<Vec<PeReport>, VisapultError> {
-    World::run::<(), _, _>(viewer_links.len(), |rank| {
-        let r = first_rank + rank.rank();
-        let pe_log = logger.map(|l| l.for_program(format!("backend-worker-{r}")).for_host(format!("pe-{r}")));
-        let link = &viewer_links[rank.rank()];
+    let per_pe = World::run::<(), _, _>(config.pes, |rank| {
+        let r = rank.rank();
+        let pe_log = logger
+            .as_ref()
+            .map(|l| l.for_program(format!("backend-worker-{r}")).for_host(format!("pe-{r}")));
+        let link = &viewer_links[r];
         match config.mode {
-            ExecutionMode::Serial => run_pe_serial(config, source, r, &rank, link, pe_log.as_ref()),
-            ExecutionMode::Overlapped => run_pe_overlapped(config, source, r, &rank, link, pe_log.as_ref()),
+            ExecutionMode::Serial => run_pe_serial(config, &source, &rank, link, pe_log.as_ref()),
+            ExecutionMode::Overlapped => run_pe_overlapped(config, &source, &rank, link, pe_log.as_ref()),
         }
     })
     .into_iter()
-    .collect()
+    .collect::<Result<Vec<PeReport>, VisapultError>>()?;
+    Ok(BackendReport {
+        frames_rendered: config.timesteps,
+        per_pe,
+        elapsed: start.elapsed(),
+    })
 }
 
 #[cfg(test)]
@@ -418,7 +347,7 @@ mod tests {
         // back end would block on a full queue with no reader (that is the
         // backpressure working as designed).
         let drains = spawn_drains(receivers);
-        let report = run_backend(&config, source, senders, None, 1).unwrap();
+        let report = run_backend(&config, source, senders, None).unwrap();
         (report, join_drains(drains))
     }
 
@@ -478,19 +407,7 @@ mod tests {
         let (config, source) = setup(2, 2, ExecutionMode::Serial);
         // Wrong number of viewer links.
         let (tx, _rx) = striped_link(&TransportConfig::default());
-        let err = run_backend(&config, Arc::clone(&source), vec![tx], None, 1);
-        assert!(matches!(err, Err(VisapultError::Config(_))));
-        // No partitions, or more partitions than PEs to put in them.
-        for backends in [0, 3] {
-            let (senders, _receivers) = links(2, &TransportConfig::default());
-            let err = run_backend(&config, Arc::clone(&source), senders, None, backends);
-            assert!(matches!(err, Err(VisapultError::Config(_))), "backends = {backends}");
-        }
-        // Any axis but Z.
-        let mut config = config;
-        config.axis = Axis::X;
-        let (senders, _receivers) = links(2, &TransportConfig::default());
-        let err = run_backend(&config, source, senders, None, 1);
+        let err = run_backend(&config, source, vec![tx], None);
         assert!(matches!(err, Err(VisapultError::Config(_))));
     }
 
@@ -505,7 +422,6 @@ mod tests {
             source,
             senders,
             Some(collector.logger("backend", "backend-master")),
-            1,
         )
         .unwrap();
         join_drains(drains);
@@ -563,7 +479,7 @@ mod tests {
             let (done, outcome) = std::sync::mpsc::channel();
             let backend_source = Arc::clone(&source);
             let backend = std::thread::spawn(move || {
-                let _ = done.send(run_backend(&config, backend_source, senders, None, 1));
+                let _ = done.send(run_backend(&config, backend_source, senders, None));
             });
             let result = outcome
                 .recv_timeout(Duration::from_secs(60))

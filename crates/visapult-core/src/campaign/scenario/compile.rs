@@ -22,7 +22,7 @@ use crate::transport::{TcpTuning, TransportConfig};
 use dpss::{CacheConfig, DatasetDescriptor, DpssSimModel};
 use netsim::{TcpModel, TestbedKind};
 use serde::{Deserialize, Serialize};
-use volren::{Axis, RenderSettings, TransferFunction};
+use volren::{RenderSettings, TransferFunction};
 
 impl ScenarioSpec {
     /// Validate the spec and resolve every default.
@@ -44,16 +44,11 @@ impl ScenarioSpec {
             .as_ref()
             .and_then(|d| d.name.clone())
             .unwrap_or_else(|| format!("combustion-{}x{}x{}", dims.0, dims.1, dims.2));
-        let axis = self.pipeline.axis.unwrap_or(Axis::Z);
-        let axis_extent = [dims.0, dims.1, dims.2][axis.index()];
-        if self.pipeline.pes > axis_extent {
+        if self.pipeline.pes > dims.2 {
             return Err(bad(format!(
-                "cannot cut {axis_extent} planes into {} slabs along {axis:?}",
-                self.pipeline.pes
+                "cannot cut {} Z planes into {} slabs",
+                dims.2, self.pipeline.pes
             )));
-        }
-        if self.scenario.path == ExecutionPath::Real && axis != Axis::Z {
-            return Err(bad("the real back end decomposes along Z".to_string()));
         }
 
         let image = self.render.as_ref().and_then(|r| r.image).unwrap_or((64, 64));
@@ -188,19 +183,6 @@ impl ScenarioSpec {
             }
         };
 
-        // The render-farm shape: how many independent back-end partitions the
-        // real path runs (placement is the broker's business, below).
-        let farm_backends = self.farm.as_ref().and_then(|f| f.backends).unwrap_or(1);
-        if farm_backends == 0 {
-            return Err(bad("farm backends must be positive".to_string()));
-        }
-        if farm_backends > self.pipeline.pes {
-            return Err(bad(format!(
-                "farm backends ({farm_backends}) cannot exceed pes ({})",
-                self.pipeline.pes
-            )));
-        }
-
         // The service layer: broker capacity plus per-stage session
         // schedules, with every session's last-mile pacing derived from the
         // testbed's viewer route under that session's own TCP stack.
@@ -241,8 +223,6 @@ impl ScenarioSpec {
                     queue_depth,
                     farm_egress_mbps: Some(farm_egress),
                     shards: svc.shards,
-                    backends: self.farm.as_ref().and_then(|f| f.backends),
-                    placement: self.farm.as_ref().and_then(|f| f.placement),
                 };
                 let mut by_stage: Vec<Vec<SessionSpec>> = vec![Vec::new(); stages.len()];
                 for (ai, arrival) in svc.arrivals.as_deref().unwrap_or_default().iter().enumerate() {
@@ -342,7 +322,6 @@ impl ScenarioSpec {
             platform,
             pes: self.pipeline.pes,
             streams_per_pe: self.pipeline.streams_per_pe.unwrap_or(4),
-            axis,
             dims,
             dataset_name,
             image,
@@ -362,7 +341,6 @@ impl ScenarioSpec {
             transport_emulate_wan: tspec.emulate_wan.unwrap_or(false),
             cache,
             service,
-            farm_backends,
             telemetry,
         })
     }
@@ -446,8 +424,6 @@ pub struct ResolvedScenario {
     pub pes: usize,
     /// DPSS client streams per PE.
     pub streams_per_pe: u32,
-    /// Slab axis.
-    pub axis: Axis,
     /// Dataset dims.
     pub dims: (usize, usize, usize),
     /// Dataset name.
@@ -471,8 +447,6 @@ pub struct ResolvedScenario {
     pub cache: Option<CacheConfig>,
     /// Multi-session service layer (None = classic single-viewer wiring).
     pub service: Option<ResolvedService>,
-    /// Render-farm partition count for the real path (1 = one shared farm).
-    pub farm_backends: usize,
     /// Metrics-plane knobs (enabled with full lifeline emission by default).
     pub telemetry: ResolvedTelemetry,
 }
@@ -511,7 +485,6 @@ impl ResolvedScenario {
             pes: self.pes,
             timesteps: stage.timesteps,
             mode: stage.mode,
-            axis: self.axis,
             render: RenderSettings::with_size(self.image.0, self.image.1),
             transfer: TransferFunction::combustion_default(),
             streams_per_pe: self.streams_per_pe,

@@ -39,9 +39,9 @@ pub use report::{
     CacheReport, CampaignReport, ServiceReport, StageMetrics, StageReport, TelemetryReport, TransportReport,
 };
 pub use spec::{
-    build_testbed, CacheSpec, DatasetSpec, ExecutionPath, FarmTableSpec, PipelineSpec, PlatformSpec, RealPathSpec,
-    RenderSpec, ScenarioMeta, ScenarioSpec, ServiceTableSpec, SessionArrivalSpec, SimPathSpec, StageSpec,
-    TelemetrySpec, TestbedSpec, TransportSpec,
+    build_testbed, CacheSpec, DatasetSpec, ExecutionPath, PipelineSpec, PlatformSpec, RealPathSpec, RenderSpec,
+    ScenarioMeta, ScenarioSpec, ServiceTableSpec, SessionArrivalSpec, SimPathSpec, StageSpec, TelemetrySpec,
+    TestbedSpec, TransportSpec,
 };
 
 #[cfg(test)]

@@ -361,17 +361,12 @@ impl CampaignReport {
             ] {
                 fnv1a(&mut h, &v.to_le_bytes());
             }
-            // Sharding and backend placement change the broker's capacity
-            // partitioning, so they are replayable identity — but only when
-            // engaged, so legacy single-shard fingerprints stay stable.
+            // Sharding changes the broker's capacity partitioning, so it is
+            // replayable identity — but only when engaged, so single-shard
+            // fingerprints stay stable.
             if svc.config.shard_count() > 1 {
                 fnv1a(&mut h, b"shards");
                 fnv1a(&mut h, &(svc.config.shard_count() as u64).to_le_bytes());
-            }
-            if svc.config.backend_count() > 1 {
-                fnv1a(&mut h, b"backends");
-                fnv1a(&mut h, &(svc.config.backend_count() as u64).to_le_bytes());
-                fnv1a(&mut h, svc.config.backend_placement().label().as_bytes());
             }
         }
         // The cache configuration and totals are part of the replayable

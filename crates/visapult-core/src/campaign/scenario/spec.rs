@@ -8,11 +8,10 @@
 use crate::config::ExecutionMode;
 use crate::error::VisapultError;
 use crate::platform::ComputePlatform;
-use crate::service::{BackendPlacement, QualityTier};
+use crate::service::QualityTier;
 use crate::transport::TcpTuning;
 use netsim::{Testbed, TestbedKind};
 use serde::{Deserialize, Serialize};
-use volren::Axis;
 
 /// Which execution path a scenario compiles to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -109,17 +108,15 @@ pub struct TestbedSpec {
     pub platform: Option<PlatformSpec>,
 }
 
-/// `[pipeline]` — PEs, timestep budget, decomposition, default mode.
+/// `[pipeline]` — PEs, timestep budget, default mode.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineSpec {
-    /// Number of back-end processing elements (= slabs).
+    /// Number of back-end processing elements (= Z slabs).
     pub pes: usize,
     /// Total timestep budget, split across stages by share.
     pub timesteps: usize,
     /// Default execution mode (stages may override).
     pub execution: ExecutionMode,
-    /// Slab-decomposition axis (defaults to Z, the paper's choice).
-    pub axis: Option<Axis>,
     /// Striped DPSS client streams per PE (defaults to 4).
     pub streams_per_pe: Option<u32>,
 }
@@ -217,24 +214,6 @@ pub struct ServiceTableSpec {
     pub shards: Option<usize>,
     /// Staged session-arrival mixes, each bound to a stage by name.
     pub arrivals: Option<Vec<SessionArrivalSpec>>,
-}
-
-/// `[farm]` — the render-farm shape: how many backends the farm runs and how
-/// viewpoints place onto them.  The real farm ([`ThreadFarm`]) runs its PEs
-/// as `backends` contiguous, independently paced partitions — one by default
-/// — and the service broker charges each viewpoint against its owning
-/// backend's share of the render slots; the virtual-time path replays the
-/// identical placement-aware admission.
-///
-/// [`ThreadFarm`]: crate::pipeline::ThreadFarm
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FarmTableSpec {
-    /// Render backends (defaults to 1 — the classic single-backend farm).
-    pub backends: Option<usize>,
-    /// Viewpoint-to-backend placement when `backends > 1`:
-    /// `"viewpoint_hash"` (static partition, the default) or
-    /// `"least_loaded"` (pooled work-conserving packing).
-    pub placement: Option<BackendPlacement>,
 }
 
 /// `[[service.arrivals]]` — one wave of sessions arriving during one stage.
@@ -335,8 +314,6 @@ pub struct ScenarioSpec {
     /// Multi-session service layer (optional; omitted means the classic
     /// single-viewer pipeline).
     pub service: Option<ServiceTableSpec>,
-    /// Render-farm shape (optional; omitted means one backend).
-    pub farm: Option<FarmTableSpec>,
     /// Staged workload mix (optional; one full-budget stage by default).
     pub stages: Option<Vec<StageSpec>>,
     /// Metrics plane (optional; omitted means enabled with full lifeline
@@ -435,7 +412,6 @@ impl ScenarioSpec {
                 pes,
                 timesteps,
                 execution: ExecutionMode::Serial,
-                axis: None,
                 streams_per_pe: None,
             },
             dataset: Some(DatasetSpec {
@@ -453,7 +429,6 @@ impl ScenarioSpec {
             transport: None,
             cache: None,
             service: None,
-            farm: None,
             stages: if stages.is_empty() { None } else { Some(stages) },
             telemetry: None,
         }

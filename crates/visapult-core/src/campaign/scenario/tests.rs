@@ -5,7 +5,7 @@ use super::*;
 use crate::campaign::sim::SimTransportModel;
 use crate::config::ExecutionMode;
 use crate::error::VisapultError;
-use crate::service::{BackendPlacement, QualityTier};
+use crate::service::QualityTier;
 use crate::transport::TcpTuning;
 use dpss::CacheStats;
 use netlogger::tags;
@@ -27,7 +27,6 @@ fn minimal_spec(path: ExecutionPath) -> ScenarioSpec {
             pes: 2,
             timesteps: 2,
             execution: ExecutionMode::Serial,
-            axis: None,
             streams_per_pe: None,
         },
         dataset: None,
@@ -37,7 +36,6 @@ fn minimal_spec(path: ExecutionPath) -> ScenarioSpec {
         transport: None,
         cache: None,
         service: None,
-        farm: None,
         stages: None,
         telemetry: None,
     }
@@ -690,7 +688,7 @@ fn invalid_service_specs_are_rejected() {
 }
 
 #[test]
-fn invalid_shard_and_farm_shapes_are_rejected() {
+fn invalid_shard_shapes_are_rejected() {
     let err = |spec: &ScenarioSpec| spec.resolve().unwrap_err().to_string();
     // Zero shards.
     let mut spec = service_spec(ExecutionPath::VirtualTime);
@@ -700,31 +698,11 @@ fn invalid_shard_and_farm_shapes_are_rejected() {
     let mut spec = service_spec(ExecutionPath::VirtualTime);
     spec.service.as_mut().unwrap().shards = Some(9);
     assert!(err(&spec).contains("cannot exceed max_sessions"), "{}", err(&spec));
-    // Zero backends.
-    let mut spec = minimal_spec(ExecutionPath::VirtualTime);
-    spec.farm = Some(FarmTableSpec {
-        backends: Some(0),
-        placement: None,
-    });
-    assert!(err(&spec).contains("farm backends must be positive"), "{}", err(&spec));
-    // More backends than PEs: a backend would own no render partition.
-    let mut spec = minimal_spec(ExecutionPath::VirtualTime);
-    spec.farm = Some(FarmTableSpec {
-        backends: Some(3),
-        placement: None,
-    });
-    assert!(err(&spec).contains("cannot exceed pes"), "{}", err(&spec));
-    // The boundary cases resolve: shards == max_sessions, backends == pes.
+    // The boundary case resolves: shards == max_sessions.
     let mut spec = service_spec(ExecutionPath::VirtualTime);
     spec.service.as_mut().unwrap().shards = Some(8);
-    spec.farm = Some(FarmTableSpec {
-        backends: Some(2),
-        placement: Some(BackendPlacement::LeastLoaded),
-    });
     let resolved = spec.resolve().unwrap();
-    assert_eq!(resolved.farm_backends, 2);
-    let broker = &resolved.service.as_ref().unwrap().config;
-    assert_eq!(broker.backend_placement(), BackendPlacement::LeastLoaded);
+    assert_eq!(resolved.service.as_ref().unwrap().config.shard_count(), 8);
 }
 
 #[test]
@@ -807,40 +785,11 @@ fn overprovisioned_shards_warn_without_failing() {
 }
 
 #[test]
-fn a_partitioned_real_farm_renders_the_same_pixels_as_the_single_farm() {
-    // Frame content is a pure function of (config, global rank, frame), so
-    // splitting the PE ranks across backends must not move a single pixel
-    // or counter — only the pacing (and the fingerprinted farm shape).
-    let one = run_scenario(&minimal_spec(ExecutionPath::Real)).unwrap();
-    let mut spec = minimal_spec(ExecutionPath::Real);
-    spec.farm = Some(FarmTableSpec {
-        backends: Some(2),
-        placement: None,
-    });
-    let two = run_scenario(&spec).unwrap();
-    assert_eq!(one.frames_received(), two.frames_received());
-    assert_eq!(one.stages.len(), two.stages.len());
-    for (a, b) in one.stages.iter().zip(&two.stages) {
-        assert_ne!(a.metrics.image_hash, 0, "the real path rendered");
-        assert_eq!(a.metrics.image_hash, b.metrics.image_hash, "stage {}", a.name);
-        assert_eq!(a.metrics.frames_received, b.metrics.frames_received);
-        assert_eq!(a.metrics.bytes_loaded, b.metrics.bytes_loaded);
-    }
-    // Same per-PE backend log coverage from the partitioned farm.
-    assert_eq!(
-        one.log.with_tag(tags::BE_LOAD_END).count(),
-        two.log.with_tag(tags::BE_LOAD_END).count()
-    );
-}
-
-#[test]
-fn a_caller_supplied_farm_that_delegates_to_the_thread_farm_still_partitions() {
+fn a_caller_supplied_farm_that_delegates_to_the_thread_farm_matches_the_default_builder() {
     use crate::pipeline::{FabricLinks, FarmRun, Pipeline, RenderFarm, StageContext, ThreadFarm};
-    use std::sync::{Arc, Mutex};
 
-    // What a timing decorator does: wrap `ThreadFarm`.  The partition count
-    // travels in the stage context, so swapping the farm cannot lose it.
-    struct Delegating(Arc<Mutex<Vec<usize>>>);
+    // What a timing decorator does: wrap `ThreadFarm`.
+    struct Delegating;
     impl RenderFarm for Delegating {
         fn run_stage(
             &self,
@@ -848,25 +797,18 @@ fn a_caller_supplied_farm_that_delegates_to_the_thread_farm_still_partitions() {
             links: FabricLinks,
             collector: &netlogger::Collector,
         ) -> Result<FarmRun, VisapultError> {
-            self.0.lock().unwrap().push(ctx.farm_backends);
             ThreadFarm.run_stage(ctx, links, collector)
         }
     }
 
-    let mut spec = minimal_spec(ExecutionPath::Real);
-    spec.farm = Some(FarmTableSpec {
-        backends: Some(2),
-        placement: None,
-    });
+    let spec = minimal_spec(ExecutionPath::Real);
     let default = run_scenario(&spec).unwrap();
-    let seen = Arc::new(Mutex::new(Vec::new()));
     let swapped = Pipeline::builder(spec)
-        .render_farm(Box::new(Delegating(Arc::clone(&seen))))
+        .render_farm(Box::new(Delegating))
         .build()
         .unwrap()
         .run()
         .unwrap();
-    assert_eq!(*seen.lock().unwrap(), vec![2], "the farm was handed both partitions");
     assert_ne!(default.stages[0].metrics.image_hash, 0, "the real path rendered");
     assert_eq!(
         default.stages[0].metrics.image_hash,
@@ -876,38 +818,21 @@ fn a_caller_supplied_farm_that_delegates_to_the_thread_farm_still_partitions() {
 }
 
 #[test]
-fn engaged_shard_and_backend_knobs_are_replay_identity() {
+fn an_engaged_shard_knob_is_replay_identity() {
     let fp = |spec: &ScenarioSpec| run_scenario(spec).unwrap().replay_fingerprint();
     let base = service_spec(ExecutionPath::VirtualTime);
     let base_fp = fp(&base);
 
-    // An explicit single shard / single backend is the default spelled out:
-    // the legacy fingerprint must not move.
+    // An explicit single shard is the default spelled out: the fingerprint
+    // must not move.
     let mut explicit = base.clone();
     explicit.service.as_mut().unwrap().shards = Some(1);
-    explicit.farm = Some(FarmTableSpec {
-        backends: Some(1),
-        placement: None,
-    });
-    assert_eq!(base_fp, fp(&explicit), "shards=1/backends=1 must stay byte-identical");
+    assert_eq!(base_fp, fp(&explicit), "shards=1 must stay byte-identical");
 
-    // Engaging either knob partitions capacity, so it is replay identity.
+    // Engaging the knob partitions capacity, so it is replay identity.
     let mut sharded = base.clone();
     sharded.service.as_mut().unwrap().shards = Some(2);
     assert_ne!(base_fp, fp(&sharded), "fingerprint misses the shards knob");
-
-    let mut farmed = base.clone();
-    farmed.farm = Some(FarmTableSpec {
-        backends: Some(2),
-        placement: None,
-    });
-    let farmed_fp = fp(&farmed);
-    assert_ne!(base_fp, farmed_fp, "fingerprint misses the backends knob");
-
-    // Placement only matters once backends > 1 — and then it matters.
-    let mut packed = farmed.clone();
-    packed.farm.as_mut().unwrap().placement = Some(BackendPlacement::LeastLoaded);
-    assert_ne!(farmed_fp, fp(&packed), "fingerprint misses the placement knob");
 }
 
 fn service_spec(path: ExecutionPath) -> ScenarioSpec {

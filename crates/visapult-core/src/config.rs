@@ -2,7 +2,7 @@
 
 use dpss::DatasetDescriptor;
 use serde::{Deserialize, Serialize};
-use volren::{Axis, RenderSettings, TransferFunction};
+use volren::{RenderSettings, TransferFunction};
 
 /// Whether each back-end PE loads and renders serially or overlapped
 /// (pipelined with a detached reader thread), the central comparison of §4.3.
@@ -33,14 +33,12 @@ impl ExecutionMode {
 pub struct PipelineConfig {
     /// The dataset to visualize.
     pub dataset: DatasetDescriptor,
-    /// Number of back-end processing elements (= number of slabs).
+    /// Number of back-end processing elements (= number of Z slabs).
     pub pes: usize,
     /// Number of timesteps to process (clamped to the dataset's count).
     pub timesteps: usize,
     /// Serial or overlapped load/render in each PE.
     pub mode: ExecutionMode,
-    /// Axis the slab decomposition is perpendicular to.
-    pub axis: Axis,
     /// Per-PE texture rendering settings.
     pub render: RenderSettings,
     /// Transfer function used by every PE.
@@ -60,7 +58,6 @@ impl PipelineConfig {
             pes: pes.max(1),
             timesteps: timesteps.max(1),
             mode,
-            axis: Axis::Z,
             render: RenderSettings::with_size(64, 64),
             transfer: TransferFunction::combustion_default(),
             streams_per_pe: 4,
@@ -76,7 +73,6 @@ impl PipelineConfig {
             pes: pes.max(1),
             timesteps: timesteps.max(1),
             mode,
-            axis: Axis::Z,
             render: RenderSettings::with_size(512, 512),
             transfer: TransferFunction::combustion_default(),
             streams_per_pe: 4,
@@ -99,12 +95,9 @@ impl PipelineConfig {
                 self.timesteps, self.dataset.timesteps
             ));
         }
-        let axis_extent = [self.dataset.dims.0, self.dataset.dims.1, self.dataset.dims.2][self.axis.index()];
-        if self.pes > axis_extent {
-            return Err(format!(
-                "cannot cut {axis_extent} planes into {} slabs along {:?}",
-                self.pes, self.axis
-            ));
+        let z_planes = self.dataset.dims.2;
+        if self.pes > z_planes {
+            return Err(format!("cannot cut {z_planes} Z planes into {} slabs", self.pes));
         }
         Ok(())
     }

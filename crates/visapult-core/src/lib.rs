@@ -57,9 +57,9 @@ pub(crate) mod test_support;
 pub use baseline::{StrategyBandwidth, VisualizationStrategy};
 pub use campaign::real::{RealDataPath, RealDpssEnv, ServicePlan};
 pub use campaign::scenario::{
-    run_scenario, CacheReport, CacheSpec, CampaignReport, ExecutionPath, FarmTableSpec, PlatformSpec,
-    ResolvedTelemetry, ScenarioSpec, ServiceReport, ServiceTableSpec, SessionArrivalSpec, StageReport, StageSpec,
-    TelemetryReport, TelemetrySpec, TransportReport, TransportSpec,
+    run_scenario, CacheReport, CacheSpec, CampaignReport, ExecutionPath, PlatformSpec, ResolvedTelemetry, ScenarioSpec,
+    ServiceReport, ServiceTableSpec, SessionArrivalSpec, StageReport, StageSpec, TelemetryReport, TelemetrySpec,
+    TransportReport, TransportSpec,
 };
 pub use campaign::sim::{SimCampaignConfig, SimCampaignReport, SimTransportModel};
 pub use config::{ExecutionMode, PipelineConfig};
@@ -74,8 +74,8 @@ pub use pipeline::{
 pub use platform::ComputePlatform;
 pub use protocol::{FramePayload, FrameSegments, HeavyPayload, LightPayload};
 pub use service::{
-    log_service_telemetry, BackendPlacement, QualityTier, RejectReason, ServiceConfig, ServiceRunReport, ServiceStats,
-    SessionBroker, SessionDelivery, SessionEvent, SessionSpec, ShardLockStats, ShardedBroker,
+    log_service_telemetry, QualityTier, RejectReason, ServiceConfig, ServiceRunReport, ServiceStats, SessionBroker,
+    SessionDelivery, SessionEvent, SessionSpec, ShardLockStats, ShardedBroker,
 };
 pub use transport::{
     drain_frames, plan_chunks, striped_link, FrameAssembler, FrameChunk, StripeReceiver, StripeSender, TcpTuning,

@@ -2,9 +2,8 @@
 //!
 //! The thread farm ([`ThreadFarm`]) is the real thing — a data source onto
 //! the staged DPSS deployment, `run_backend`'s thread-per-PE load/render
-//! loop shipping frames into the fabric (as `[farm] backends` independently
-//! paced partitions of the PEs; one by default), and the progressive
-//! compositor viewer draining the other end.  The model farm ([`ModelFarm`])
+//! loop shipping frames into the fabric, and the progressive compositor
+//! viewer draining the other end.  The model farm ([`ModelFarm`])
 //! drives the identical stage through the calibrated network/platform models
 //! on the virtual clock, emitting the NetLogger events the real pipeline
 //! would have produced.
@@ -33,9 +32,7 @@ pub trait RenderFarm {
 }
 
 /// The real farm: OS threads, genuine software volume rendering, a live
-/// viewer compositing at the far end of the fabric.  The PEs run as
-/// [`StageContext::farm_backends`] back-end partitions feeding the one
-/// viewer; the composite is identical whatever that count.
+/// viewer compositing at the far end of the fabric.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadFarm;
 
@@ -80,7 +77,7 @@ impl RenderFarm for ThreadFarm {
             .name("visapult-viewer".to_string())
             .spawn(move || viewer.run(receivers, Some(viewer_logger)))
             .expect("spawn viewer thread");
-        let backend = run_backend(&ctx.pipeline, source, senders, Some(backend_logger), ctx.farm_backends)?;
+        let backend = run_backend(&ctx.pipeline, source, senders, Some(backend_logger))?;
         let viewer_report = viewer_handle.join().expect("viewer thread panicked");
         Ok(FarmRun {
             total_time: backend.elapsed.as_secs_f64(),

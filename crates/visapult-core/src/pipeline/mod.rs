@@ -87,9 +87,6 @@ pub struct StageContext<'a> {
     pub seed: u64,
     /// Where the real farm reads its data from.
     pub data_path: RealDataPath,
-    /// How many contiguous, independently paced back-end partitions the real
-    /// farm splits the PEs into (`[farm] backends`; 1 = the single back end).
-    pub farm_backends: usize,
     /// The multi-session service plan (`None` = classic single-viewer
     /// wiring; both the fan-out plane and its replay key off this).
     pub service: Option<ServicePlan>,
@@ -194,33 +191,15 @@ pub struct StageArtifacts {
     pub service: Option<ServiceRunReport>,
     /// The stage's complete NetLogger log.
     pub log: EventLog,
-    /// Wall-clock phase analysis (real stages only; virtual stages carry
-    /// their means in [`FarmRun::means`]).
-    pub analysis: Option<ProfileAnalysis>,
+    /// The stage's phase means: [`FarmRun::means`] when the farm modeled
+    /// them, otherwise measured from the stage log's wall-clock analysis.
+    pub means: PhaseMeans,
 }
 
 impl StageArtifacts {
     /// Fold this stage's artifacts into the unified per-stage metrics.
-    pub fn stage_metrics(&self, ctx: &StageContext<'_>) -> StageMetrics {
-        let frame_bytes = ctx.pipeline.dataset.bytes_per_timestep().bytes();
-        let means = match &self.run.means {
-            Some(m) => m.clone(),
-            None => {
-                let analysis = self.analysis.as_ref().expect("real stages carry an analysis");
-                let load = analysis.load_stats().mean;
-                PhaseMeans {
-                    load,
-                    render: analysis.render_stats().mean,
-                    send: analysis.send_stats().mean,
-                    load_throughput_mbps: if load > 0.0 {
-                        frame_bytes as f64 * 8.0 / load / 1e6
-                    } else {
-                        0.0
-                    },
-                    seconds_per_timestep: self.run.total_time / ctx.pipeline.timesteps as f64,
-                }
-            }
-        };
+    pub fn stage_metrics(&self) -> StageMetrics {
+        let means = &self.means;
         StageMetrics {
             total_time: self.run.total_time,
             mean_load_time: means.load,
@@ -306,14 +285,29 @@ pub(crate) fn drive_stage(caps: &PathCapabilities, ctx: &StageContext<'_>) -> Re
     let transport = caps.fabric.collect(ctx, &run, &sender_stats, &collector);
     let cache = collect_cache(ctx, cache_before, &run, &collector);
     let log = collector.finish();
-    let analysis = run.means.is_none().then(|| ProfileAnalysis::from_log(&log));
+    let means = run.means.clone().unwrap_or_else(|| {
+        let analysis = ProfileAnalysis::from_log(&log);
+        let load = analysis.load_stats().mean;
+        let frame_bytes = ctx.pipeline.dataset.bytes_per_timestep().bytes();
+        PhaseMeans {
+            load,
+            render: analysis.render_stats().mean,
+            send: analysis.send_stats().mean,
+            load_throughput_mbps: if load > 0.0 {
+                frame_bytes as f64 * 8.0 / load / 1e6
+            } else {
+                0.0
+            },
+            seconds_per_timestep: run.total_time / ctx.pipeline.timesteps as f64,
+        }
+    });
     Ok(StageArtifacts {
         run,
         transport,
         cache,
         service,
         log,
-        analysis,
+        means,
     })
 }
 
@@ -544,7 +538,6 @@ impl Pipeline {
                 viewer_image: resolved.real.viewer_image.unwrap_or((192, 192)),
                 seed: resolved.stage_seed(i),
                 data_path: resolved.real_data_path(),
-                farm_backends: resolved.farm_backends,
                 service: resolved.stage_service_plan(i),
                 env: real_env.as_ref(),
                 sim: (resolved.path == ExecutionPath::VirtualTime).then(|| resolved.stage_sim_config(stage, i)),
@@ -561,7 +554,7 @@ impl Pipeline {
                 telemetry.merge_shard_locks(&svc.shard_locks);
             }
             hub.record_snapshot(&format!("stage:{}", stage.name));
-            let metrics = artifacts.stage_metrics(&ctx);
+            let metrics = artifacts.stage_metrics();
             cache_totals.hits += metrics.cache.hits;
             cache_totals.misses += metrics.cache.misses;
             cache_totals.evictions += metrics.cache.evictions;

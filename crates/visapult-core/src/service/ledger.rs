@@ -13,8 +13,7 @@
 //! * `units_in_use` — a running accumulator of live tier costs (the
 //!   link-capacity check becomes one comparison);
 //! * `viewpoint_refs` — live sessions per viewpoint, so the shared-render
-//!   accounting (distinct live viewpoints, and each backend's distinct
-//!   charge under viewpoint-hash placement) is O(1) per join/leave;
+//!   accounting (distinct live viewpoints) is O(1) per join/leave;
 //! * `by_seq` — the live set keyed by a monotonic admission sequence, so
 //!   admission order survives O(log N) removals (the order the scan broker
 //!   got for free from its vector);
@@ -42,9 +41,6 @@ pub(crate) struct SessionProfile {
     pub viewpoint: u32,
     /// Eviction priority of the session's tier (0 = first to evict).
     pub priority: u8,
-    /// Owning render backend under viewpoint-hash placement (0 when the
-    /// ledger is not tracking per-backend charges).
-    pub backend: usize,
 }
 
 /// A read-only snapshot of admission capacity: either the live ledger itself
@@ -60,8 +56,6 @@ pub(crate) trait CapacityView {
     fn distinct_viewpoints(&self) -> u32;
     /// True when at least one live session in the view holds `viewpoint`.
     fn holds_viewpoint(&self, viewpoint: u32) -> bool;
-    /// Distinct viewpoints the view charges to render `backend`.
-    fn backend_distinct(&self, backend: usize) -> u32;
 }
 
 /// The incrementally-maintained live-session index.
@@ -81,26 +75,20 @@ pub(crate) struct AdmissionLedger {
     units_in_use: u64,
     /// Live sessions per viewpoint; `len()` is the distinct-viewpoint count.
     viewpoint_refs: HashMap<u32, u32>,
-    /// Distinct live viewpoints charged to each render backend.  Empty unless
-    /// the config runs several backends under viewpoint-hash placement.
-    per_backend: Vec<u32>,
     /// The live set bucketed by tier priority, same keys as `by_seq`: the
     /// eviction cascade's candidate index.
     by_priority: [BTreeMap<u64, usize>; 3],
 }
 
 impl AdmissionLedger {
-    /// An empty ledger over `profiles`; `backends` is `Some(n)` only when
-    /// per-backend render-slot charges must be tracked (several backends
-    /// under viewpoint-hash placement).
-    pub(crate) fn new(profiles: Vec<SessionProfile>, backends: Option<usize>) -> AdmissionLedger {
+    /// An empty ledger over `profiles`.
+    pub(crate) fn new(profiles: Vec<SessionProfile>) -> AdmissionLedger {
         AdmissionLedger {
             seq_of: vec![None; profiles.len()],
             by_seq: BTreeMap::new(),
             next_seq: 0,
             units_in_use: 0,
             viewpoint_refs: HashMap::new(),
-            per_backend: vec![0; backends.unwrap_or(0)],
             by_priority: [BTreeMap::new(), BTreeMap::new(), BTreeMap::new()],
             profiles,
         }
@@ -127,11 +115,7 @@ impl AdmissionLedger {
         self.by_seq.insert(seq, session);
         self.by_priority[usize::from(p.priority)].insert(seq, session);
         self.units_in_use += p.cost;
-        let refs = self.viewpoint_refs.entry(p.viewpoint).or_insert(0);
-        *refs += 1;
-        if *refs == 1 && !self.per_backend.is_empty() {
-            self.per_backend[p.backend] += 1;
-        }
+        *self.viewpoint_refs.entry(p.viewpoint).or_insert(0) += 1;
     }
 
     /// Remove a live `session` (leave or eviction): O(log live).
@@ -145,9 +129,6 @@ impl AdmissionLedger {
         *refs -= 1;
         if *refs == 0 {
             self.viewpoint_refs.remove(&p.viewpoint);
-            if !self.per_backend.is_empty() {
-                self.per_backend[p.backend] -= 1;
-            }
         }
     }
 
@@ -164,7 +145,6 @@ impl AdmissionLedger {
         }
         self.units_in_use = 0;
         self.viewpoint_refs.clear();
-        self.per_backend.iter_mut().for_each(|n| *n = 0);
         live
     }
 
@@ -186,7 +166,6 @@ impl AdmissionLedger {
             removed_units: 0,
             vp_removed: HashMap::new(),
             freed_distinct: 0,
-            freed_backend: vec![0; self.per_backend.len()],
         }
     }
 }
@@ -207,10 +186,6 @@ impl CapacityView for AdmissionLedger {
     fn holds_viewpoint(&self, viewpoint: u32) -> bool {
         self.viewpoint_refs.contains_key(&viewpoint)
     }
-
-    fn backend_distinct(&self, backend: usize) -> u32 {
-        self.per_backend[backend]
-    }
 }
 
 /// A what-if overlay on the ledger: victims marked removed here subtract
@@ -226,9 +201,6 @@ pub(crate) struct Trial<'a> {
     vp_removed: HashMap<u32, u32>,
     /// Viewpoints whose every live holder is removed in this trial.
     freed_distinct: u32,
-    /// Per-backend count of fully freed viewpoints (same indexing as the
-    /// ledger's `per_backend`; empty when untracked).
-    freed_backend: Vec<u32>,
 }
 
 impl Trial<'_> {
@@ -245,9 +217,6 @@ impl Trial<'_> {
         *removed += 1;
         if *removed == self.ledger.viewpoint_refs[&p.viewpoint] {
             self.freed_distinct += 1;
-            if !self.freed_backend.is_empty() {
-                self.freed_backend[p.backend] += 1;
-            }
         }
     }
 
@@ -260,9 +229,6 @@ impl Trial<'_> {
             .expect("restore of a non-removed session");
         if *removed == self.ledger.viewpoint_refs[&p.viewpoint] {
             self.freed_distinct -= 1;
-            if !self.freed_backend.is_empty() {
-                self.freed_backend[p.backend] -= 1;
-            }
         }
         *removed -= 1;
         if *removed == 0 {
@@ -290,10 +256,6 @@ impl CapacityView for Trial<'_> {
         let held = self.ledger.viewpoint_refs.get(&viewpoint).copied().unwrap_or(0);
         held > self.vp_removed.get(&viewpoint).copied().unwrap_or(0)
     }
-
-    fn backend_distinct(&self, backend: usize) -> u32 {
-        self.ledger.per_backend[backend] - self.freed_backend[backend]
-    }
 }
 
 #[cfg(test)]
@@ -302,35 +264,26 @@ mod tests {
 
     fn profiles() -> Vec<SessionProfile> {
         // Sessions 0..5: viewpoints 0,0,1,2,2 / costs 1,2,4,2,1 /
-        // priorities 0,1,2,1,0; two backends owning {0,2} and {1}.
-        [
-            (0u32, 1u64, 0u8, 0usize),
-            (0, 2, 1, 0),
-            (1, 4, 2, 1),
-            (2, 2, 1, 0),
-            (2, 1, 0, 0),
-        ]
-        .into_iter()
-        .map(|(viewpoint, cost, priority, backend)| SessionProfile {
-            cost,
-            viewpoint,
-            priority,
-            backend,
-        })
-        .collect()
+        // priorities 0,1,2,1,0.
+        [(0u32, 1u64, 0u8), (0, 2, 1), (1, 4, 2), (2, 2, 1), (2, 1, 0)]
+            .into_iter()
+            .map(|(viewpoint, cost, priority)| SessionProfile {
+                cost,
+                viewpoint,
+                priority,
+            })
+            .collect()
     }
 
     #[test]
     fn insert_and_remove_keep_every_counter_exact() {
-        let mut ledger = AdmissionLedger::new(profiles(), Some(2));
+        let mut ledger = AdmissionLedger::new(profiles());
         for s in 0..5 {
             ledger.insert(s);
         }
         assert_eq!(ledger.live_count(), 5);
         assert_eq!(ledger.units_in_use(), 10);
         assert_eq!(ledger.distinct_viewpoints(), 3);
-        assert_eq!(ledger.backend_distinct(0), 2);
-        assert_eq!(ledger.backend_distinct(1), 1);
         assert_eq!(ledger.live_in_admission_order(), vec![0, 1, 2, 3, 4]);
 
         ledger.remove(1);
@@ -339,7 +292,6 @@ mod tests {
         ledger.remove(0);
         assert!(!ledger.holds_viewpoint(0));
         assert_eq!(ledger.distinct_viewpoints(), 2);
-        assert_eq!(ledger.backend_distinct(0), 1, "viewpoint 0 freed its backend charge");
         assert_eq!(ledger.live_in_admission_order(), vec![2, 3, 4]);
 
         // Re-admission lands at the back of the order, like a vector push.
@@ -351,7 +303,7 @@ mod tests {
 
     #[test]
     fn candidates_walk_lowest_tier_first_most_recent_first() {
-        let mut ledger = AdmissionLedger::new(profiles(), None);
+        let mut ledger = AdmissionLedger::new(profiles());
         for s in [2, 0, 1, 4, 3] {
             ledger.insert(s);
         }
@@ -366,7 +318,7 @@ mod tests {
 
     #[test]
     fn trial_overlays_removals_without_touching_the_ledger() {
-        let mut ledger = AdmissionLedger::new(profiles(), Some(2));
+        let mut ledger = AdmissionLedger::new(profiles());
         for s in 0..5 {
             ledger.insert(s);
         }
@@ -379,10 +331,8 @@ mod tests {
         trial.remove(1);
         assert!(!trial.holds_viewpoint(0), "both holders removed");
         assert_eq!(trial.distinct_viewpoints(), 2);
-        assert_eq!(trial.backend_distinct(0), 1);
         trial.restore(1);
         assert!(trial.holds_viewpoint(0));
-        assert_eq!(trial.backend_distinct(0), 2);
         assert_eq!(trial.units_in_use(), 9);
         drop(trial);
         // The ledger itself never moved.
@@ -393,7 +343,7 @@ mod tests {
 
     #[test]
     fn drain_returns_admission_order_and_resets_everything() {
-        let mut ledger = AdmissionLedger::new(profiles(), Some(2));
+        let mut ledger = AdmissionLedger::new(profiles());
         for s in [3, 1, 4] {
             ledger.insert(s);
         }
@@ -401,7 +351,6 @@ mod tests {
         assert_eq!(ledger.live_count(), 0);
         assert_eq!(ledger.units_in_use(), 0);
         assert_eq!(ledger.distinct_viewpoints(), 0);
-        assert_eq!(ledger.backend_distinct(0), 0);
         assert_eq!(ledger.seq(3), None);
         // The ledger stays usable after a drain.
         ledger.insert(2);

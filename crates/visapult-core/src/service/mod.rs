@@ -163,34 +163,6 @@ impl SessionSpec {
     }
 }
 
-/// How the farm places distinct viewpoints onto render backends when the
-/// service runs more than one backend ([`ServiceConfig::backends`]).
-///
-/// TOML spellings: `"viewpoint_hash"` and `"least_loaded"`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BackendPlacement {
-    /// Every viewpoint hashes to one owning backend, and that backend's
-    /// share of the render slots must hold it.  A static partition: a join
-    /// can be rejected for render slots even while another backend still has
-    /// free slots.
-    #[default]
-    ViewpointHash,
-    /// Viewpoints go wherever slots are free.  Work-conserving best-case
-    /// packing: since every viewpoint fits on any backend, admission is
-    /// exactly the pooled single-backend check.
-    LeastLoaded,
-}
-
-impl BackendPlacement {
-    /// Short label for reports (also the TOML spelling).
-    pub fn label(&self) -> &'static str {
-        match self {
-            BackendPlacement::ViewpointHash => "viewpoint_hash",
-            BackendPlacement::LeastLoaded => "least_loaded",
-        }
-    }
-}
-
 /// Modeled capacity the broker admits against.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceConfig {
@@ -212,28 +184,12 @@ pub struct ServiceConfig {
     /// byte-identical to the plain [`SessionBroker`]; above
     /// 1 each shard owns a proportional share of the capacity below.
     pub shards: Option<usize>,
-    /// Render backends the farm's slots are split across (`None` = 1, the
-    /// classic single backend).
-    pub backends: Option<usize>,
-    /// Viewpoint-to-backend placement policy when `backends > 1` (`None` =
-    /// [`BackendPlacement::ViewpointHash`]).
-    pub placement: Option<BackendPlacement>,
 }
 
 impl ServiceConfig {
     /// Broker shards the service layer runs (at least 1).
     pub fn shard_count(&self) -> usize {
         self.shards.unwrap_or(1).max(1)
-    }
-
-    /// Render backends the farm's slots are split across (at least 1).
-    pub fn backend_count(&self) -> usize {
-        self.backends.unwrap_or(1).max(1)
-    }
-
-    /// The viewpoint placement policy the farm admits against.
-    pub fn backend_placement(&self) -> BackendPlacement {
-        self.placement.unwrap_or_default()
     }
 }
 
@@ -246,8 +202,6 @@ impl Default for ServiceConfig {
             queue_depth: 64,
             farm_egress_mbps: None,
             shards: None,
-            backends: None,
-            placement: None,
         }
     }
 }
@@ -470,22 +424,12 @@ impl SessionBroker {
             sessions_offered: schedule.len() as u64,
             ..ServiceStats::default()
         };
-        let backends = config.backend_count();
-        // Per-backend distinct-viewpoint charges only exist under
-        // viewpoint-hash placement across several backends; pooled checks
-        // need just the global refcount map.
-        let track_backends = backends > 1 && config.backend_placement() == BackendPlacement::ViewpointHash;
         let profiles: Vec<SessionProfile> = schedule
             .iter()
             .map(|s| SessionProfile {
                 cost: s.tier.cost_units(),
                 viewpoint: s.viewpoint,
                 priority: s.tier.priority(),
-                backend: if track_backends {
-                    sharded::shard_for_viewpoint(s.viewpoint, backends)
-                } else {
-                    0
-                },
             })
             .collect();
         let mut joins_at: HashMap<u32, Vec<usize>> = HashMap::new();
@@ -498,7 +442,7 @@ impl SessionBroker {
         }
         SessionBroker {
             state: vec![SessionState::Pending; schedule.len()],
-            ledger: AdmissionLedger::new(profiles, track_backends.then_some(backends)),
+            ledger: AdmissionLedger::new(profiles),
             joins_at,
             leaves_at,
             next_frame: 0,
@@ -560,12 +504,9 @@ impl SessionBroker {
     /// capacity, render slots) is decision-bearing: it picks the reject
     /// reason, exactly as the scan implementation's checks did.
     ///
-    /// The render-slot check is O(1) against the view's refcounts.  Under
-    /// viewpoint-hash placement only the incoming viewpoint's owning backend
-    /// is probed: every view this is called on is a subset of an admitted
-    /// (hence feasible) live set, so no *other* backend can newly
-    /// oversubscribe — the scan oracle's any-backend sweep agrees on every
-    /// reachable state, which the differential property tests pin.
+    /// The render-slot check is O(1) against the view's refcounts: only the
+    /// distinct-viewpoint total can block, and a viewpoint already rendered
+    /// adds no charge.
     fn admission_block_at<V: CapacityView>(&self, view: &V, incoming: usize) -> Option<RejectReason> {
         if view.live_count() + 1 > self.config.max_sessions {
             return Some(RejectReason::SessionSlots);
@@ -574,18 +515,7 @@ impl SessionBroker {
             return Some(RejectReason::LinkCapacity);
         }
         let vp = self.schedule[incoming].viewpoint;
-        let backends = self.config.backend_count();
-        let blocked = if backends == 1 || self.config.backend_placement() == BackendPlacement::LeastLoaded {
-            // Pooled: only the distinct-viewpoint total can block.
-            view.distinct_viewpoints() + u32::from(!view.holds_viewpoint(vp)) > self.config.render_slots
-        } else if view.holds_viewpoint(vp) {
-            // The viewpoint is already rendered; joining adds no charge.
-            false
-        } else {
-            let b = sharded::shard_for_viewpoint(vp, backends);
-            u64::from(view.backend_distinct(b)) + 1 > sharded::share(u64::from(self.config.render_slots), backends, b)
-        };
-        if blocked {
+        if view.distinct_viewpoints() + u32::from(!view.holds_viewpoint(vp)) > self.config.render_slots {
             return Some(RejectReason::RenderSlots);
         }
         None
@@ -1168,85 +1098,6 @@ mod tests {
         let mut broker = SessionBroker::new(config, schedule);
         broker.advance_to(0);
         assert_eq!(broker.stats().flow_limited_sessions, 1);
-    }
-
-    #[test]
-    fn placement_defaults_to_viewpoint_hash_and_labels_match_the_toml_spellings() {
-        assert_eq!(BackendPlacement::default(), BackendPlacement::ViewpointHash);
-        assert_eq!(BackendPlacement::ViewpointHash.label(), "viewpoint_hash");
-        assert_eq!(BackendPlacement::LeastLoaded.label(), "least_loaded");
-        let config = ServiceConfig::default();
-        assert_eq!(config.shard_count(), 1);
-        assert_eq!(config.backend_count(), 1);
-        assert_eq!(config.backend_placement(), BackendPlacement::ViewpointHash);
-    }
-
-    #[test]
-    fn viewpoint_hash_placement_charges_each_backends_slot_share() {
-        // 4 render slots over 2 backends = 2 slots each.  Four distinct
-        // viewpoints all hashing to the same backend overflow that backend's
-        // share under viewpoint-hash placement even though the pooled total
-        // (4 <= 4) would fit; least-loaded packs them across both backends
-        // and admits all four.
-        let backend_of = |vp: u32| sharded::shard_for_viewpoint(vp, 2);
-        let owner = backend_of(0);
-        let colliding: Vec<u32> = (0..64).filter(|&vp| backend_of(vp) == owner).take(4).collect();
-        assert_eq!(colliding.len(), 4, "viewpoint hash must collide within 64 keys");
-        let schedule: Vec<SessionSpec> = colliding
-            .iter()
-            .map(|&vp| spec(&format!("s{vp}"), vp, QualityTier::Preview))
-            .collect();
-        let hashed = ServiceConfig {
-            max_sessions: 8,
-            link_capacity_units: 64,
-            render_slots: 4,
-            queue_depth: 8,
-            backends: Some(2),
-            placement: Some(BackendPlacement::ViewpointHash),
-            ..ServiceConfig::default()
-        };
-        let mut broker = SessionBroker::new(hashed.clone(), schedule.clone());
-        broker.advance_to(0);
-        assert_eq!(broker.stats().sessions_admitted, 2);
-        assert_eq!(broker.stats().sessions_rejected, 2);
-        assert!(broker.events().iter().any(|&(_, e)| matches!(
-            e,
-            SessionEvent::Rejected {
-                reason: RejectReason::RenderSlots,
-                ..
-            }
-        )));
-        let pooled = ServiceConfig {
-            placement: Some(BackendPlacement::LeastLoaded),
-            ..hashed
-        };
-        let mut broker = SessionBroker::new(pooled, schedule);
-        broker.advance_to(0);
-        assert_eq!(broker.stats().sessions_admitted, 4);
-        assert_eq!(broker.stats().sessions_rejected, 0);
-    }
-
-    #[test]
-    fn single_backend_admission_is_unchanged_by_the_backend_knobs() {
-        let schedule = vec![
-            spec("a", 0, QualityTier::Standard),
-            spec("b", 1, QualityTier::Standard),
-            spec("c", 2, QualityTier::Standard),
-        ];
-        let run = |config: ServiceConfig| {
-            let mut b = SessionBroker::new(config, schedule.clone());
-            b.advance_to(1);
-            b.finish();
-            (b.stats().clone(), b.events().to_vec())
-        };
-        let classic = run(tiny_config());
-        let explicit = run(ServiceConfig {
-            backends: Some(1),
-            placement: Some(BackendPlacement::ViewpointHash),
-            shards: Some(1),
-            ..tiny_config()
-        });
-        assert_eq!(classic, explicit);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //!
 //! The differential property tests at the bottom drive both brokers over
 //! randomized arrival mixes (joins, dwells, tiers, viewpoints, capacities,
-//! backend placements, shard counts) and require decision-for-decision
-//! equality: identical event streams (admission order, reject reasons,
-//! eviction victim order including the spare-minimization pass), identical
-//! per-advance returns, identical stats, identical live sets.
+//! shard counts) and require decision-for-decision equality: identical event
+//! streams (admission order, reject reasons, eviction victim order including
+//! the spare-minimization pass), identical per-advance returns, identical
+//! stats, identical live sets.
 
-use super::{sharded, BackendPlacement, RejectReason, ServiceConfig, ServiceStats, SessionEvent, SessionSpec};
+use super::{RejectReason, ServiceConfig, ServiceStats, SessionEvent, SessionSpec};
 use std::collections::HashSet;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,25 +92,10 @@ impl ScanBroker {
         }
         let mut viewpoints: HashSet<u32> = live.iter().map(|&s| self.schedule[s].viewpoint).collect();
         viewpoints.insert(self.schedule[incoming].viewpoint);
-        if self.render_slots_blocked(&viewpoints) {
+        if viewpoints.len() as u32 > self.config.render_slots {
             return Some(RejectReason::RenderSlots);
         }
         None
-    }
-
-    fn render_slots_blocked(&self, viewpoints: &HashSet<u32>) -> bool {
-        let backends = self.config.backend_count();
-        if backends == 1 || self.config.backend_placement() == BackendPlacement::LeastLoaded {
-            return viewpoints.len() as u32 > self.config.render_slots;
-        }
-        let mut per_backend = vec![0u64; backends];
-        for &vp in viewpoints {
-            per_backend[sharded::shard_for_viewpoint(vp, backends)] += 1;
-        }
-        per_backend
-            .iter()
-            .enumerate()
-            .any(|(b, &n)| n > sharded::share(u64::from(self.config.render_slots), backends, b))
     }
 
     fn try_admit(&mut self, frame: u32, session: usize) {
@@ -316,29 +301,6 @@ mod differential {
                 link_capacity_units: link_units,
                 render_slots,
                 queue_depth: 8,
-                ..ServiceConfig::default()
-            };
-            assert_identical(&config, &schedule_from(&mix, frames), frames);
-        }
-
-        /// Multi-backend render farms under both placement policies: the
-        /// per-backend distinct-viewpoint charge must stay exact through
-        /// joins, leaves, evictions and spares.
-        #[test]
-        fn indexed_ledger_matches_the_scan_oracle_across_backends(
-            mix in arrival_mix(),
-            frames in 3u32..8,
-            backends in 1usize..4,
-            placement in 0usize..2,
-            render_slots in 1u32..7,
-        ) {
-            let config = ServiceConfig {
-                max_sessions: 8,
-                link_capacity_units: 18,
-                render_slots,
-                queue_depth: 8,
-                backends: Some(backends),
-                placement: Some([BackendPlacement::ViewpointHash, BackendPlacement::LeastLoaded][placement]),
                 ..ServiceConfig::default()
             };
             assert_identical(&config, &schedule_from(&mix, frames), frames);

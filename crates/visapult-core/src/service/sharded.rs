@@ -26,9 +26,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// FNV-1a shard assignment: the owning shard (or backend) of a viewpoint.
-/// Shared by the broker partition and the per-backend render-slot charge so
-/// "same viewpoint, same owner" holds across the whole service layer.
+/// FNV-1a shard assignment: the owning shard of a viewpoint.
 pub(crate) fn shard_for_viewpoint(viewpoint: u32, shards: usize) -> usize {
     debug_assert!(shards >= 1);
     let mut h: u64 = 0xcbf29ce484222325;
@@ -147,8 +145,6 @@ impl ShardedBroker {
                     queue_depth: config.queue_depth,
                     farm_egress_mbps: config.farm_egress_mbps,
                     shards: None,
-                    backends: config.backends,
-                    placement: config.placement,
                 };
                 SessionBroker::new(shard_config, shard_schedule)
             })

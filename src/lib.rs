@@ -9,7 +9,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`netsim`]      | WAN testbed models, TCP dynamics, fair-share flow simulation, token-bucket shaping |
+//! | [`netsim`]      | WAN testbed models, TCP dynamics, token-bucket shaping |
 //! | [`netlogger`]   | NetLogger-style event logging, NLV lifeline plots, phase analysis |
 //! | [`parcomm`]     | MPI-like rank communicator and the Appendix B reader/render process groups |
 //! | [`dpss`]        | the Distributed Parallel Storage System: master, block servers, client API, HPSS staging |

@@ -9,7 +9,6 @@
 /// Every name re-exported at the `visapult_core` crate root, sorted.
 const EXPECTED: &[&str] = &[
     "AsyncPlane",
-    "BackendPlacement",
     "CacheReport",
     "CacheSpec",
     "CampaignReport",
@@ -23,7 +22,6 @@ const EXPECTED: &[&str] = &[
     "FabricLinks",
     "FanoutPlane",
     "FarmRun",
-    "FarmTableSpec",
     "FrameAssembler",
     "FrameChunk",
     "FramePayload",

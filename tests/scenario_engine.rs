@@ -150,3 +150,175 @@ fn spec_toml_round_trip_preserves_bundled_scenarios() {
         assert_eq!(back, spec, "{name} did not round-trip:\n{text}");
     }
 }
+
+/// Every key path a `Value` tree sets, table arrays flattened
+/// (`stages.share`, not `stages.0.share`).
+fn key_paths(value: &serde::Value, prefix: &str, out: &mut std::collections::BTreeSet<String>) {
+    use serde::Value;
+    match value {
+        Value::Null => {}
+        Value::Map(entries) => {
+            for (key, v) in entries {
+                let path = if prefix.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{prefix}.{key}")
+                };
+                key_paths(v, &path, out);
+            }
+        }
+        Value::Seq(items) if items.iter().any(|i| matches!(i, Value::Map(_))) => {
+            for item in items {
+                key_paths(item, prefix, out);
+            }
+        }
+        _ => {
+            out.insert(prefix.to_string());
+        }
+    }
+}
+
+/// Knobs nothing under `scenarios/` or the ledger's `workloads/` sets, each
+/// with the one caller that keeps it alive.  A knob with no traffic and no
+/// entry here fails the census below; so does an entry that gained traffic.
+const DRIVEN_ONLY_BY: [(&str, &str); 4] = [
+    (
+        "real.stream_rate_mbps",
+        "tests/end_to_end.rs::shaped_dpss_link_slows_loading_but_not_correctness",
+    ),
+    (
+        "service.arrivals.tuning",
+        "tests/service.rs::service_layer_leaves_the_primary_composite_untouched",
+    ),
+    (
+        "service.arrivals.stripes",
+        "tests/service.rs::service_layer_leaves_the_primary_composite_untouched",
+    ),
+    ("service.shards", "crates/visapult-bench/benches/service.rs"),
+];
+
+#[test]
+fn every_spec_knob_has_traffic_or_a_named_driver() {
+    use serde::Serialize;
+    use std::collections::BTreeSet;
+    use visapult::core::campaign::scenario::{
+        CacheSpec, DatasetSpec, PipelineSpec, PlatformSpec, RealPathSpec, RenderSpec, ScenarioMeta, ServiceTableSpec,
+        SessionArrivalSpec, SimPathSpec, StageSpec, TelemetrySpec, TestbedSpec, TransportSpec,
+    };
+    use visapult::core::{ExecutionMode, QualityTier, TcpTuning};
+    use visapult::netsim::TestbedKind;
+
+    // Every settable value, set.  No `..` anywhere: a new field does not
+    // compile until it is listed here, and then it needs traffic below.
+    let everything = ScenarioSpec {
+        scenario: ScenarioMeta {
+            name: "census".to_string(),
+            description: Some("every knob set".to_string()),
+            seed: 1,
+            path: ExecutionPath::VirtualTime,
+        },
+        testbed: TestbedSpec {
+            kind: TestbedKind::LanSmp,
+            platform: Some(PlatformSpec::E4500),
+        },
+        pipeline: PipelineSpec {
+            pes: 2,
+            timesteps: 2,
+            execution: ExecutionMode::Serial,
+            streams_per_pe: Some(4),
+        },
+        dataset: Some(DatasetSpec {
+            dims: Some((32, 32, 32)),
+            name: Some("census".to_string()),
+        }),
+        render: Some(RenderSpec { image: Some((64, 64)) }),
+        real: Some(RealPathSpec {
+            use_dpss: Some(true),
+            stream_rate_mbps: Some(100.0),
+            emulate_wan: Some(false),
+            viewer_image: Some((192, 192)),
+        }),
+        sim: Some(SimPathSpec {
+            app_efficiency: Some(1.0),
+            wan_efficiency: Some(0.75),
+        }),
+        transport: Some(TransportSpec {
+            stripes: Some(4),
+            chunk_kb: Some(8),
+            queue_depth: Some(32),
+            tcp: Some(TcpTuning::WanTuned),
+            emulate_wan: Some(false),
+        }),
+        cache: Some(CacheSpec {
+            capacity_blocks: Some(64),
+            shards: Some(2),
+        }),
+        service: Some(ServiceTableSpec {
+            max_sessions: Some(8),
+            link_capacity_units: Some(64),
+            render_slots: Some(2),
+            queue_depth: Some(16),
+            workers: Some(2),
+            shards: Some(1),
+            arrivals: Some(vec![SessionArrivalSpec {
+                stage: "full".to_string(),
+                sessions: 2,
+                viewpoints: Some(1),
+                tier: Some(QualityTier::Standard),
+                tuning: Some(TcpTuning::WanTuned),
+                stripes: Some(2),
+                join_spread_percent: Some(0.0),
+                dwell_frames: Some(1),
+            }]),
+        }),
+        stages: Some(vec![StageSpec {
+            name: "full".to_string(),
+            share: 100.0,
+            execution: Some(ExecutionMode::Serial),
+            stripes: Some(2),
+        }]),
+        telemetry: Some(TelemetrySpec {
+            enable: Some(true),
+            sample_every: Some(1),
+            snapshot_frames: Some(0),
+        }),
+    };
+    everything.resolve().expect("the census spec is a valid scenario");
+    let mut knobs = BTreeSet::new();
+    key_paths(&everything.serialize(), "", &mut knobs);
+
+    // What actually runs: the bundled scenarios and the benchmark's
+    // workloads, as written (parsed as documents, so a key counts only if a
+    // file spells it out).
+    let mut traffic = BTreeSet::new();
+    let root = env!("CARGO_MANIFEST_DIR");
+    for dir in ["scenarios", "crates/visapult-bench/src/bin/ledger/workloads"] {
+        let mut files = 0;
+        for entry in std::fs::read_dir(format!("{root}/{dir}")).unwrap_or_else(|e| panic!("{dir}: {e}")) {
+            let path = entry.unwrap().path();
+            if path.extension().and_then(|e| e.to_str()) != Some("toml") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let doc = toml::parse_document(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            key_paths(&doc, "", &mut traffic);
+            files += 1;
+        }
+        assert!(files > 0, "{dir} holds no .toml file");
+    }
+
+    let excused: BTreeSet<String> = DRIVEN_ONLY_BY.iter().map(|(k, _)| k.to_string()).collect();
+    let idle: Vec<&String> = knobs.difference(&traffic).filter(|k| !excused.contains(*k)).collect();
+    assert!(
+        idle.is_empty(),
+        "no scenario or workload sets {idle:?}: give each traffic, delete it, or name its one driver in DRIVEN_ONLY_BY"
+    );
+    let stale: Vec<&String> = excused
+        .iter()
+        .filter(|k| traffic.contains(*k) || !knobs.contains(*k))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "DRIVEN_ONLY_BY entries {stale:?} now have traffic (or no longer exist): drop them"
+    );
+}
