@@ -114,17 +114,6 @@ impl StripeLayout {
         }
         pieces
     }
-
-    /// How many of the blocks in `[offset, offset+len)` land on each server.
-    /// A well-balanced layout gives every server about the same count, which
-    /// is what lets the client's per-server threads run at equal rates.
-    pub fn server_block_counts(&self, offset: u64, len: u64) -> Vec<u64> {
-        let mut counts = vec![0u64; self.servers];
-        for (block, _, _) in self.split_range(offset, len) {
-            counts[self.locate(block).server] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +200,10 @@ mod tests {
     fn large_reads_balance_across_servers() {
         let l = StripeLayout::four_server();
         // A 160 MB timestep read should hit all four servers almost equally.
-        let counts = l.server_block_counts(0, 160_000_000);
+        let mut counts = vec![0u64; l.servers];
+        for (block, _, _) in l.split_range(0, 160_000_000) {
+            counts[l.locate(block).server] += 1;
+        }
         let min = *counts.iter().min().unwrap();
         let max = *counts.iter().max().unwrap();
         assert!(max - min <= 1, "imbalanced: {counts:?}");

@@ -33,7 +33,6 @@ use crate::server::DpssCluster;
 use bytes::Bytes;
 use netlogger::NetLogger;
 use netsim::{Bandwidth, TokenBucket};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// An open dataset handle with Unix-like position semantics.
@@ -53,11 +52,6 @@ impl DpssFile {
     /// Current file position.
     pub fn position(&self) -> u64 {
         self.position
-    }
-
-    /// Whether the handle is still open.
-    pub fn is_open(&self) -> bool {
-        self.open
     }
 }
 
@@ -159,13 +153,10 @@ impl DpssClient {
         let size = file.descriptor.total_size().bytes();
         let new = match from {
             SeekFrom::Start(o) => o,
-            SeekFrom::Current(delta) => {
-                let cur = file.position as i64 + delta;
-                if cur < 0 {
-                    return Err(DpssError::OutOfBounds { offset: 0, size });
-                }
-                cur as u64
-            }
+            SeekFrom::Current(delta) => file
+                .position
+                .checked_add_signed(delta)
+                .ok_or(DpssError::OutOfBounds { offset: 0, size })?,
         };
         if new > size {
             return Err(DpssError::OutOfBounds { offset: new, size });
@@ -224,31 +215,11 @@ impl DpssClient {
         if let Some(log) = &self.logger {
             log.log_with("DPSS_READ_START", [("NL.bytes", request.len)]);
         }
-        // Same accounting as read_range: misses (and uncached fetches) cross
-        // the emulated WAN and are shaped; cache hits are free.
+        // A whole-block piece: same miss routine, shaping and accounting as
+        // every piece of a `read_range`.
         let mut shaper = self.stream_rate.map(TokenBucket::with_default_burst);
         let mut tally = ReadTally::default();
-        let block = match &self.cache {
-            None => {
-                let data = self.cluster.service_read(&request)?;
-                if let Some(tb) = shaper.as_mut() {
-                    tb.throttle(data.len() as u64);
-                }
-                data
-            }
-            Some(cache) => {
-                let (block, hit) = cache.get_or_fetch(request.block, || self.cluster.service_read(&request))?;
-                if hit {
-                    tally.hits += 1;
-                } else {
-                    tally.misses += 1;
-                    if let Some(tb) = shaper.as_mut() {
-                        tb.throttle(block.len() as u64);
-                    }
-                }
-                block
-            }
-        };
+        let block = self.fetch_piece(dataset, &request, shaper.as_mut(), &mut tally)?;
         self.log_read_end(request.len, &tally);
         Ok(block)
     }
@@ -269,70 +240,59 @@ impl DpssClient {
             let guard = master.read();
             guard.resolve(&self.client_name, dataset, offset, len)?
         };
-        let mut pieces: Vec<Option<Bytes>> = vec![None; requests.len()];
+        let mut pieces: Vec<(usize, Bytes)> = Vec::with_capacity(requests.len());
         let mut total = ReadTally::default();
 
         // Fast path: pieces already resident in the cache are served under
         // the shard locks alone — no worker threads, no server locks, no
-        // shaper.  A fully warm range never leaves this loop.
-        if let Some(cache) = &self.cache {
-            for (i, req) in requests.iter().enumerate() {
-                if let Some(block) = cache.try_get(req.block) {
-                    let start = req.in_block_offset as usize;
-                    pieces[i] = Some(block.slice(start..start + req.len as usize));
-                    total.hits += 1;
-                }
-            }
-        }
-
-        // Whatever is left goes to one worker thread per server, exactly as
-        // §3.5 describes the multi-threaded client library.
+        // shaper.  A fully warm range never gets past this loop.  Whatever
+        // is left goes to one worker thread per server, exactly as §3.5
+        // describes the multi-threaded client library.
         let mut groups: Vec<Vec<(usize, PhysicalBlockRequest)>> = vec![Vec::new(); self.cluster.server_count()];
         for (i, req) in requests.iter().enumerate() {
-            if pieces[i].is_none() {
-                groups[req.server].push((i, *req));
+            match self.cache.as_ref().and_then(|cache| cache.try_get(req.block)) {
+                Some(block) => {
+                    let start = req.in_block_offset as usize;
+                    pieces.push((i, block.slice(start..start + req.len as usize)));
+                    total.hits += 1;
+                }
+                None => groups[req.server].push((i, *req)),
             }
         }
-        if groups.iter().any(|g| !g.is_empty()) {
-            let results: Mutex<Vec<(usize, Bytes)>> = Mutex::new(Vec::new());
-            let error: Mutex<Option<DpssError>> = Mutex::new(None);
-            let tally: Mutex<ReadTally> = Mutex::new(ReadTally::default());
-            std::thread::scope(|scope| {
-                for group in groups.iter().filter(|g| !g.is_empty()) {
-                    let results = &results;
-                    let error = &error;
-                    let tally = &tally;
-                    let stream_rate = self.stream_rate;
-                    scope.spawn(move || {
-                        let mut shaper = stream_rate.map(TokenBucket::with_default_burst);
-                        let mut local = ReadTally::default();
-                        for (i, req) in group {
-                            match self.fetch_piece(dataset, req, shaper.as_mut(), &mut local) {
-                                Ok(piece) => results.lock().push((*i, piece)),
-                                Err(e) => {
-                                    *error.lock() = Some(e);
-                                    return;
-                                }
+        if pieces.len() < requests.len() {
+            // Each worker hands its pieces and tally back through its join
+            // handle; the scope has joined them all before the first error
+            // (in server order) is returned.
+            let fetched = std::thread::scope(|scope| {
+                let workers: Vec<_> = groups
+                    .iter()
+                    .filter(|group| !group.is_empty())
+                    .map(|group| {
+                        scope.spawn(move || {
+                            let mut shaper = self.stream_rate.map(TokenBucket::with_default_burst);
+                            let mut tally = ReadTally::default();
+                            let mut fetched = Vec::with_capacity(group.len());
+                            for (i, req) in group {
+                                fetched.push((*i, self.fetch_piece(dataset, req, shaper.as_mut(), &mut tally)?));
                             }
-                        }
-                        let mut t = tally.lock();
-                        t.hits += local.hits;
-                        t.misses += local.misses;
-                    });
-                }
-            });
-            if let Some(e) = error.into_inner() {
-                return Err(e);
+                            Ok::<_, DpssError>((fetched, tally))
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|worker| worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                    .collect::<Result<Vec<_>, _>>()
+            })?;
+            for (fetched, tally) in fetched {
+                pieces.extend(fetched);
+                total.hits += tally.hits;
+                total.misses += tally.misses;
             }
-            for (i, piece) in results.into_inner() {
-                pieces[i] = Some(piece);
-            }
-            let t = tally.into_inner();
-            total.hits += t.hits;
-            total.misses += t.misses;
+            pieces.sort_unstable_by_key(|&(i, _)| i);
         }
 
-        let pieces: Vec<Bytes> = pieces.into_iter().map(|p| p.expect("every piece fetched")).collect();
+        let pieces: Vec<Bytes> = pieces.into_iter().map(|(_, piece)| piece).collect();
         let assembled = Bytes::gather(&pieces);
         debug_assert_eq!(assembled.len() as u64, len);
         self.log_read_end(len, &total);
@@ -440,7 +400,6 @@ mod tests {
         let (cluster, desc, data) = small_cluster_with_data();
         let client = DpssClient::new(cluster, "viz");
         let mut file = client.dpss_open("demo").unwrap();
-        assert!(file.is_open());
         assert_eq!(file.descriptor().name, "demo");
 
         let mut buf = vec![0u8; 1000];
@@ -460,7 +419,6 @@ mod tests {
         assert_eq!(step, &data[ts1 as usize..ts1 as usize + 2048]);
 
         client.dpss_close(&mut file);
-        assert!(!file.is_open());
         assert!(matches!(client.dpss_read(&mut file, &mut buf), Err(DpssError::Closed)));
     }
 
@@ -560,6 +518,13 @@ mod tests {
         assert!(client.dpss_lseek(&mut file, SeekFrom::Start(size)).is_ok());
         assert!(client.dpss_lseek(&mut file, SeekFrom::Start(size + 1)).is_err());
         assert!(client.dpss_lseek(&mut file, SeekFrom::Current(-1_000_000_000)).is_err());
+        // Position `size` plus i64::MAX overflows an i64: an error, not a
+        // debug-build panic or a release-build wrap.
+        assert!(matches!(
+            client.dpss_lseek(&mut file, SeekFrom::Current(i64::MAX)),
+            Err(DpssError::OutOfBounds { .. })
+        ));
+        assert_eq!(file.position(), size);
         assert!(client.dpss_open("missing").is_err());
     }
 

@@ -50,11 +50,6 @@ impl DatasetDescriptor {
         Self::new("combustion-small", (80, 32, 32), 4, timesteps.max(1))
     }
 
-    /// The cosmology dataset shown at SC99 (cube grid).
-    pub fn paper_cosmology() -> Self {
-        Self::new("cosmology-512", (512, 512, 512), 4, 100)
-    }
-
     /// Number of values in one timestep.
     pub fn values_per_timestep(&self) -> usize {
         self.dims.0 * self.dims.1 * self.dims.2

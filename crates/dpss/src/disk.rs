@@ -36,16 +36,6 @@ impl DiskModel {
         }
     }
 
-    /// A faster SCSI drive of the same era (~15 MB/s sustained).
-    pub fn scsi_2000() -> Self {
-        DiskModel {
-            seek: SimDuration::from_millis(6),
-            rotational_latency: SimDuration::from_millis(3),
-            transfer_rate: Bandwidth::from_mbytes_per_sec(15.0),
-            capacity: DataSize::from_gb(73),
-        }
-    }
-
     /// Time to service one read of `size` bytes.
     ///
     /// `sequential` reads (the common case for block-striped dataset scans)
@@ -106,7 +96,7 @@ mod tests {
 
     #[test]
     fn read_time_scales_with_size() {
-        let d = DiskModel::scsi_2000();
+        let d = DiskModel::commodity_2000();
         let small = d.read_time(DataSize::from_bytes(64 * 1024), true);
         let big = d.read_time(DataSize::from_mb(1), true);
         assert!(big > small);

@@ -79,13 +79,6 @@ impl HpssArchive {
         );
     }
 
-    /// Names of archived files, sorted.
-    pub fn file_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.files.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Look up an archived file.
     pub fn file(&self, name: &str) -> Result<&HpssFile, DpssError> {
         self.files
@@ -100,13 +93,6 @@ impl HpssArchive {
         let size = f.descriptor.total_size();
         let mount = if f.on_tape { self.tape_mount } else { SimDuration::ZERO };
         Ok(mount + self.transfer_rate.time_to_send(size))
-    }
-
-    /// Modeled time HPSS needs to satisfy a request for just `want` bytes:
-    /// the whole file must still be retrieved first, which is exactly why a
-    /// block-level cache in front of it pays off.
-    pub fn partial_read_time(&self, name: &str, _want: DataSize) -> Result<SimDuration, DpssError> {
-        self.full_file_retrieval_time(name)
     }
 
     /// Stage a file into the DPSS cache: register the dataset with the DPSS
@@ -169,7 +155,6 @@ mod tests {
         let t = a.full_file_retrieval_time(&d.name).unwrap();
         // 60 s mount plus ~1.3 MB at 15 MB/s.
         assert!(t.as_secs_f64() > 60.0);
-        assert!(a.partial_read_time(&d.name, DataSize::from_kb(4)).unwrap() == t);
         assert!(a.full_file_retrieval_time("missing").is_err());
     }
 
@@ -207,13 +192,5 @@ mod tests {
         let mut buf = vec![0u8; len as usize];
         reader.read_at(&d.name, off, &mut buf).unwrap();
         assert_eq!(buf, &content[off as usize..(off + len) as usize]);
-    }
-
-    #[test]
-    fn file_names_sorted() {
-        let mut a = HpssArchive::new();
-        a.archive(DatasetDescriptor::new("zeta", (8, 8, 8), 4, 1));
-        a.archive(DatasetDescriptor::new("alpha", (8, 8, 8), 4, 1));
-        assert_eq!(a.file_names(), vec!["alpha".to_string(), "zeta".to_string()]);
     }
 }

@@ -73,11 +73,6 @@ impl DpssMaster {
         self.acl = Some(clients.into_iter().map(Into::into).collect());
     }
 
-    /// Remove access control (open access).
-    pub fn clear_access_list(&mut self) {
-        self.acl = None;
-    }
-
     /// Check whether a client may use the cache.
     pub fn check_access(&self, client: &str) -> Result<(), DpssError> {
         match &self.acl {
@@ -109,18 +104,6 @@ impl DpssMaster {
             .get(name)
             .map(|e| &e.descriptor)
             .ok_or_else(|| DpssError::UnknownDataset(name.to_string()))
-    }
-
-    /// Names of all registered datasets, sorted.
-    pub fn dataset_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.datasets.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Total logical blocks allocated so far.
-    pub fn allocated_blocks(&self) -> u64 {
-        self.next_block
     }
 
     /// Resolve a byte range of a dataset into physical block requests.
@@ -270,8 +253,6 @@ mod tests {
             m.resolve("stranger", &d.name, 0, 1024),
             Err(DpssError::AccessDenied("stranger".to_string()))
         );
-        m.clear_access_list();
-        assert!(m.resolve("stranger", &d.name, 0, 1024).is_ok());
     }
 
     #[test]
@@ -302,10 +283,6 @@ mod tests {
         let start_b = m.register_dataset(b.clone());
         assert_eq!(start_a, 0);
         assert_eq!(start_b, m.layout().blocks_for(a.total_size().bytes()));
-        assert_eq!(
-            m.dataset_names(),
-            vec!["combustion-small".to_string(), "other".to_string()]
-        );
         // Physical locations of the two datasets' first blocks differ.
         let ra = m.resolve("c", &a.name, 0, 64).unwrap();
         let rb = m.resolve("c", &b.name, 0, 64).unwrap();

@@ -147,11 +147,6 @@ impl BlockServer {
         self.id
     }
 
-    /// Number of disks attached.
-    pub fn disk_count(&self) -> usize {
-        self.disks.len()
-    }
-
     /// Bytes currently stored across all disks (logical high-water marks).
     pub fn used_bytes(&self) -> u64 {
         self.disks.iter().map(|d| d.len() as u64).sum()

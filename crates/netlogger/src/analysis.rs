@@ -56,16 +56,6 @@ impl PhaseStats {
             std_dev: var.sqrt(),
         }
     }
-
-    /// Coefficient of variation (std dev / mean); the paper discusses the
-    /// increased *variability* of load times in overlapped mode (Fig. 15).
-    pub fn coefficient_of_variation(&self) -> f64 {
-        if self.mean.abs() < f64::EPSILON {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
 }
 
 /// Per-frame summary of the back-end pipeline phases.
@@ -242,27 +232,12 @@ impl ProfileAnalysis {
         PhaseStats::from_samples("send", &self.frames.iter().map(|f| f.send_time).collect::<Vec<_>>())
     }
 
-    /// Statistics over end-to-end frame times.
-    pub fn frame_stats(&self) -> PhaseStats {
-        PhaseStats::from_samples("frame", &self.frames.iter().map(|f| f.frame_time).collect::<Vec<_>>())
-    }
-
     /// Mean aggregate load throughput across frames, in Mbps.
     pub fn mean_load_throughput_mbps(&self) -> f64 {
         if self.frames.is_empty() {
             return 0.0;
         }
         self.frames.iter().map(|f| f.load_throughput_mbps).sum::<f64>() / self.frames.len() as f64
-    }
-
-    /// Mean load throughput excluding the first frame — the paper notes the
-    /// first timestep is slower "until the TCP window fully opened".
-    pub fn warm_load_throughput_mbps(&self) -> f64 {
-        if self.frames.len() < 2 {
-            return self.mean_load_throughput_mbps();
-        }
-        let warm = &self.frames[1..];
-        warm.iter().map(|f| f.load_throughput_mbps).sum::<f64>() / warm.len() as f64
     }
 
     /// A compact text table of the per-frame summaries.
@@ -532,34 +507,8 @@ mod tests {
         assert_eq!(load.count, 5);
         assert!((load.mean - 3.0).abs() < 1e-9);
         assert!(load.std_dev < 1e-9);
-        assert!(load.coefficient_of_variation() < 1e-9);
         let render = a.render_stats();
         assert!((render.mean - 8.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warm_throughput_excludes_first_frame() {
-        // Hand-build a log where frame 0 loads in 6 s and frame 1 in 3 s.
-        let c = Collector::virtual_time();
-        let clock = c.clock().clone();
-        let log0 = c.logger("smp", "backend-worker-0");
-        clock.set(0.0);
-        log0.log_with(tags::BE_LOAD_START, [(tags::FIELD_FRAME, 0u64)]);
-        clock.set(6.0);
-        log0.log_with(
-            tags::BE_LOAD_END,
-            [(tags::FIELD_FRAME, 0u64), (tags::FIELD_BYTES, 160_000_000u64)],
-        );
-        clock.set(6.5);
-        log0.log_with(tags::BE_LOAD_START, [(tags::FIELD_FRAME, 1u64)]);
-        clock.set(9.5);
-        log0.log_with(
-            tags::BE_LOAD_END,
-            [(tags::FIELD_FRAME, 1u64), (tags::FIELD_BYTES, 160_000_000u64)],
-        );
-        let log = c.finish();
-        let a = ProfileAnalysis::from_log(&log);
-        assert!(a.warm_load_throughput_mbps() > a.mean_load_throughput_mbps());
     }
 
     #[test]

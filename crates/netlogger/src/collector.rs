@@ -60,16 +60,6 @@ impl EventLog {
         self.events.iter().filter(move |e| e.tag == tag)
     }
 
-    /// Events from a given program.
-    pub fn from_program<'a>(&'a self, program: &'a str) -> impl Iterator<Item = &'a Event> + 'a {
-        self.events.iter().filter(move |e| e.program == program)
-    }
-
-    /// Events for a given frame number.
-    pub fn for_frame(&self, frame: i64) -> impl Iterator<Item = &Event> + '_ {
-        self.events.iter().filter(move |e| e.frame() == Some(frame))
-    }
-
     /// The distinct (host, program) pairs present, sorted.
     pub fn sources(&self) -> Vec<(String, String)> {
         let set: BTreeSet<(String, String)> = self
@@ -108,22 +98,6 @@ impl EventLog {
             .find(|e| e.host == host && e.program == program && e.tag == tag && (frame.is_none() || e.frame() == frame))
     }
 
-    /// Duration between a start tag and an end tag for a given program and
-    /// frame (matching the paper's "displacement along the horizontal axis
-    /// between the tags ..." methodology).  Returns `None` if either event is
-    /// missing.
-    pub fn span_between(&self, program: &str, frame: Option<i64>, start_tag: &str, end_tag: &str) -> Option<f64> {
-        let start = self
-            .events
-            .iter()
-            .find(|e| e.program == program && e.tag == start_tag && (frame.is_none() || e.frame() == frame))?;
-        let end = self
-            .events
-            .iter()
-            .find(|e| e.program == program && e.tag == end_tag && (frame.is_none() || e.frame() == frame))?;
-        Some(end.timestamp - start.timestamp)
-    }
-
     /// Merge another log into this one.
     pub fn merge(&mut self, other: EventLog) {
         self.events.extend(other.events);
@@ -150,17 +124,6 @@ impl EventLog {
                 events.push(e);
             }
         }
-        Ok(EventLog::from_events(events))
-    }
-
-    /// Serialize to a JSON array.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.events).expect("event logs are always serializable")
-    }
-
-    /// Deserialize from a JSON array.
-    pub fn from_json(json: &str) -> Result<EventLog, serde_json::Error> {
-        let events: Vec<Event> = serde_json::from_str(json)?;
         Ok(EventLog::from_events(events))
     }
 }
@@ -271,24 +234,10 @@ mod tests {
     fn filtering_and_sources() {
         let log = sample_log();
         assert_eq!(log.with_tag(tags::BE_LOAD_END).count(), 1);
-        assert_eq!(log.from_program("viewer-worker").count(), 1);
-        assert_eq!(log.for_frame(0).count(), 4);
         assert_eq!(log.frames(), vec![0]);
         let sources = log.sources();
         assert_eq!(sources.len(), 2);
         assert!(sources.contains(&("cplant-0".to_string(), "backend-worker".to_string())));
-    }
-
-    #[test]
-    fn span_between_matches_paper_methodology() {
-        let log = sample_log();
-        let load = log
-            .span_between("backend-worker", Some(0), tags::BE_LOAD_START, tags::BE_LOAD_END)
-            .unwrap();
-        assert!((load - 3.0).abs() < 1e-9);
-        assert!(log
-            .span_between("backend-worker", Some(0), tags::BE_HEAVY_SEND, tags::BE_HEAVY_END)
-            .is_none());
     }
 
     #[test]
@@ -299,13 +248,6 @@ mod tests {
         let back = EventLog::read_ulm(std::io::Cursor::new(buf)).unwrap();
         assert_eq!(back.len(), log.len());
         assert_eq!(back.events()[1].tag, log.events()[1].tag);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let log = sample_log();
-        let back = EventLog::from_json(&log.to_json()).unwrap();
-        assert_eq!(back, log);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   simulations.
 //! * [`NetLogger`] — the cheap, cloneable handle application code calls;
 //!   events flow over a channel to a [`Collector`] "daemon".
-//! * [`EventLog`] — the accumulated log with filtering, pairing, and export.
+//! * [`EventLog`] — the accumulated log with filtering, merging, and ULM export.
 //! * [`nlv`] — text lifeline plots in the style of the NLV tool.
 //! * [`analysis`] — phase durations, per-frame summaries, and throughput
 //!   extraction (how the paper turns `BE_LOAD_START`/`BE_LOAD_END` spans into

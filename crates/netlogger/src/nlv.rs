@@ -3,9 +3,8 @@
 //! The NetLogger Visualization tool (NLV) draws each event tag on its own
 //! horizontal lifeline with time along the X axis; the paper's Figures 10 and
 //! 12–17 are NLV plots.  [`LifelinePlot`] renders the same view as monospace
-//! text (suitable for terminals and logs) and as CSV (suitable for external
-//! plotting), with even/odd frames distinguished the way the paper colours
-//! them blue/red.
+//! text (suitable for terminals and logs), with even/odd frames
+//! distinguished the way the paper colours them blue/red.
 
 use crate::collector::EventLog;
 use crate::event::Event;
@@ -133,25 +132,6 @@ impl LifelinePlot {
         out
     }
 
-    /// Export as CSV rows: `time,tag,host,program,frame,bytes`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time,tag,host,program,frame,bytes\n");
-        for (tag, events) in self.options.tag_order.iter().zip(&self.rows) {
-            for e in events {
-                out.push_str(&format!(
-                    "{:.6},{},{},{},{},{}\n",
-                    e.timestamp,
-                    tag,
-                    e.host,
-                    e.program,
-                    e.frame().map(|f| f.to_string()).unwrap_or_default(),
-                    e.bytes().map(|b| b.to_string()).unwrap_or_default(),
-                ));
-            }
-        }
-        out
-    }
-
     /// Number of events that fell on each tag row, in `tag_order` order.
     /// Useful for asserting that a run produced a complete profile.
     pub fn row_counts(&self) -> Vec<(String, usize)> {
@@ -210,16 +190,6 @@ mod tests {
         let text = plot.render();
         assert!(text.contains('o'), "even marker missing");
         assert!(text.contains('x'), "odd marker missing");
-    }
-
-    #[test]
-    fn csv_lists_all_events_on_known_tags() {
-        let log = profile_log(4);
-        let plot = LifelinePlot::new(&log, NlvOptions::default());
-        let csv = plot.to_csv();
-        // 4 events per frame, 4 frames, plus header.
-        assert_eq!(csv.lines().count(), 1 + 16);
-        assert!(csv.starts_with("time,tag,host,program,frame,bytes"));
     }
 
     #[test]

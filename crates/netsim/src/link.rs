@@ -73,18 +73,6 @@ impl Link {
         self
     }
 
-    /// Builder: set the MTU ("jumbo frames" were 9 KB in the paper's era).
-    pub fn with_mtu(mut self, mtu: DataSize) -> Self {
-        self.mtu = mtu;
-        self
-    }
-
-    /// Builder: set protocol overhead fraction.
-    pub fn with_overhead(mut self, overhead: f64) -> Self {
-        self.overhead = overhead.clamp(0.0, 0.5);
-        self
-    }
-
     /// Bandwidth actually available to a foreground application after
     /// background traffic and protocol overhead.
     pub fn available_bandwidth(&self) -> Bandwidth {
@@ -96,15 +84,6 @@ impl Link {
     /// Round-trip time across just this link.
     pub fn rtt(&self) -> SimDuration {
         self.latency + self.latency
-    }
-
-    /// The bandwidth-delay product of this hop: how many bytes must be "in
-    /// flight" to keep the pipe full.  Circa-2000 default 64 KB TCP windows
-    /// were far below this on OC-12 WAN paths, which is why the DPSS client
-    /// stripes multiple sockets.
-    pub fn bandwidth_delay_product(&self) -> DataSize {
-        let bits = self.available_bandwidth().bps() * self.rtt().as_secs_f64();
-        DataSize::from_bytes((bits / 8.0).round() as u64)
     }
 
     /// Serialization delay of one MTU-sized frame at the available bandwidth.
@@ -128,22 +107,14 @@ mod tests {
 
     #[test]
     fn available_bandwidth_discounts_load_and_overhead() {
-        let l = nton().with_background_load(0.5).with_overhead(0.1);
+        let l = nton().with_background_load(0.5);
         let avail = l.available_bandwidth().mbps();
-        assert!((avail - 622.0 * 0.5 * 0.9).abs() < 1e-6);
+        assert!((avail - 622.0 * 0.5 * 0.97).abs() < 1e-6);
     }
 
     #[test]
     fn rtt_is_twice_latency() {
         assert_eq!(nton().rtt(), SimDuration::from_millis(4));
-    }
-
-    #[test]
-    fn bdp_matches_hand_calculation() {
-        let l = nton();
-        // 622e6*0.97 bps * 4ms / 8 ≈ 301,670 bytes
-        let bdp = l.bandwidth_delay_product().bytes() as f64;
-        assert!((bdp - 622e6 * 0.97 * 0.004 / 8.0).abs() < 2.0);
     }
 
     #[test]

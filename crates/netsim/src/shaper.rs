@@ -7,13 +7,12 @@
 //! runs exhibit WAN-like behaviour without needing an actual testbed.
 //!
 //! [`StripePacer`] extends the same idea to a striped link: each of the N
-//! parallel stripes gets its own bucket refilled at its share of a
-//! [`TcpModel`]'s steady-state goodput, so a real in-process striped link
-//! experiences the modeled WAN — including the receiver-window limit that
-//! makes a single untuned stripe slow and parallel striping fast, the effect
-//! the paper's DPSS client relies on.
+//! parallel stripes gets its own bucket refilled at its share of the link's
+//! rate — the caller passes a `TcpModel`'s steady-state goodput, so a real
+//! in-process striped link experiences the modeled WAN, including the
+//! receiver-window limit that makes a single untuned stripe slow and parallel
+//! striping fast, the effect the paper's DPSS client relies on.
 
-use crate::tcp::TcpModel;
 use crate::units::Bandwidth;
 use std::time::{Duration, Instant};
 
@@ -86,7 +85,6 @@ impl TokenBucket {
 #[derive(Debug)]
 pub struct StripePacer {
     buckets: Vec<TokenBucket>,
-    per_stripe: Bandwidth,
 }
 
 impl StripePacer {
@@ -99,26 +97,12 @@ impl StripePacer {
             buckets: (0..stripes)
                 .map(|_| TokenBucket::with_default_burst(per_stripe))
                 .collect(),
-            per_stripe,
         }
-    }
-
-    /// Derive pacing from a TCP throughput model whose `streams` count is the
-    /// stripe count: the aggregate rate is the model's steady-state goodput,
-    /// so an untuned single-stripe link is window-limited and a tuned striped
-    /// link approaches the bottleneck — the modeled WAN, felt for real.
-    pub fn from_model(model: &TcpModel) -> StripePacer {
-        Self::from_rate(model.steady_throughput(), model.streams)
     }
 
     /// Number of stripes being paced.
     pub fn stripes(&self) -> usize {
         self.buckets.len()
-    }
-
-    /// The rate each stripe is paced to.
-    pub fn per_stripe_rate(&self) -> Bandwidth {
-        self.per_stripe
     }
 
     /// Account for `bytes` on `stripe` and return the pacing delay the caller
@@ -181,7 +165,6 @@ mod tests {
     fn stripe_pacer_splits_the_rate_across_stripes() {
         let mut pacer = StripePacer::from_rate(Bandwidth::from_mbps(80.0), 8);
         assert_eq!(pacer.stripes(), 8);
-        assert!((pacer.per_stripe_rate().mbps() - 10.0).abs() < 1e-6);
         // Draining one stripe's burst does not charge the others.
         let burst = (10e6 / 8.0 * 0.010) as u64; // with_default_burst at 10 Mbps
         let _ = pacer.consume(0, burst);
@@ -192,22 +175,5 @@ mod tests {
             "overdrawn stripe must be paced, got {wait0:?}"
         );
         assert_eq!(wait1, Duration::ZERO, "untouched stripe still has its burst");
-    }
-
-    #[test]
-    fn pacer_from_model_reflects_window_limits_and_striping() {
-        use crate::tcp::TcpConfig;
-        use crate::time::SimDuration;
-        // 64 KB untuned windows over a 50 ms WAN: one stripe crawls, eight
-        // stripes multiply the ceiling — the paper's striping effect, turned
-        // into real pacing rates.
-        let rtt = SimDuration::from_millis(50);
-        let bottleneck = Bandwidth::oc12().scale(0.97);
-        let single = StripePacer::from_model(&TcpModel::new(rtt, bottleneck, TcpConfig::untuned(), 1));
-        let striped = StripePacer::from_model(&TcpModel::new(rtt, bottleneck, TcpConfig::untuned(), 8));
-        let single_total = single.per_stripe_rate().bps() * single.stripes() as f64;
-        let striped_total = striped.per_stripe_rate().bps() * striped.stripes() as f64;
-        assert!(single_total < 12e6, "got {single_total}");
-        assert!(striped_total > 6.0 * single_total, "striping should lift the ceiling");
     }
 }

@@ -122,20 +122,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Milliseconds in this span.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
-    /// Multiply the span by a non-negative scalar.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "scale factor must be finite and non-negative"
-        );
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
-
     /// True if this span is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
@@ -279,7 +265,6 @@ mod tests {
     #[test]
     fn duration_scaling_and_sum() {
         let d = SimDuration::from_secs_f64(2.0);
-        assert_eq!(d.mul_f64(0.5).as_secs_f64(), 1.0);
         let total: SimDuration = vec![d, d, d].into_iter().sum();
         assert_eq!(total.as_secs_f64(), 6.0);
     }

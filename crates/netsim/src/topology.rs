@@ -30,8 +30,6 @@ pub struct Route {
 pub struct Topology {
     node_names: Vec<String>,
     links: Vec<Link>,
-    /// Endpoints of each link, parallel to `links`.
-    endpoints: Vec<(NodeId, NodeId)>,
     /// Adjacency: node -> [(neighbor, link)].
     adjacency: HashMap<usize, Vec<(usize, usize)>>,
 }
@@ -57,20 +55,9 @@ impl Topology {
         assert!(b.0 < self.node_names.len(), "unknown node {b:?}");
         let id = self.links.len();
         self.links.push(link);
-        self.endpoints.push((a, b));
         self.adjacency.entry(a.0).or_default().push((b.0, id));
         self.adjacency.entry(b.0).or_default().push((a.0, id));
         LinkId(id)
-    }
-
-    /// Number of hosts.
-    pub fn node_count(&self) -> usize {
-        self.node_names.len()
-    }
-
-    /// Number of links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
     }
 
     /// Name of a host.
@@ -78,30 +65,14 @@ impl Topology {
         &self.node_names[n.0]
     }
 
-    /// Look up a host by name.
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.node_names.iter().position(|n| n == name).map(NodeId)
-    }
-
     /// The link with the given id.
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.0]
     }
 
-    /// Mutable access to a link (e.g. to change its background load between
-    /// campaign phases).
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        &mut self.links[id.0]
-    }
-
     /// All links.
     pub fn links(&self) -> &[Link] {
         &self.links
-    }
-
-    /// Endpoints of a link.
-    pub fn link_endpoints(&self, id: LinkId) -> (NodeId, NodeId) {
-        self.endpoints[id.0]
     }
 
     /// Shortest path (fewest hops) between two hosts, if one exists.
@@ -238,13 +209,6 @@ mod tests {
             t.route_rtt(&r),
             SimDuration::from_micros(400) + SimDuration::from_millis(4)
         );
-    }
-
-    #[test]
-    fn find_node_by_name() {
-        let (t, lbl, ..) = tiny();
-        assert_eq!(t.find_node("lbl-dpss"), Some(lbl));
-        assert_eq!(t.find_node("nope"), None);
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl Bandwidth {
         Self::from_bps(mb * 8e6)
     }
 
-    /// OC-3 SONET payload rate (155 Mbps).
-    pub fn oc3() -> Self {
-        Self::from_mbps(155.0)
-    }
-
     /// OC-12 SONET payload rate (622 Mbps) — the paper's NTON/ESnet links.
     pub fn oc12() -> Self {
         Self::from_mbps(622.0)
@@ -186,11 +181,6 @@ impl DataSize {
     /// From gigabytes (10^9).
     pub const fn from_gb(gb: u64) -> Self {
         DataSize(gb * 1_000_000_000)
-    }
-
-    /// From mebibytes (2^20).
-    pub const fn from_mib(mib: u64) -> Self {
-        DataSize(mib * 1_048_576)
     }
 
     /// Bytes.

@@ -3,8 +3,8 @@
 //! The Visapult back end treats MPI as a rank abstraction: each processing
 //! element knows its rank and the world size, exchanges point-to-point
 //! messages, and meets at barriers between frames.  [`World::run`] spawns one
-//! thread per rank inside a crossbeam scope and hands each a [`Rank`] handle
-//! with exactly those operations, plus the handful of collectives
+//! thread per rank inside a `std::thread::scope` and hands each a [`Rank`]
+//! handle with exactly those operations, plus the handful of collectives
 //! (broadcast, gather, all-gather, all-reduce) the pipeline uses.
 //!
 //! Messages are any `Send + 'static` type; each ordered pair of ranks has its
@@ -178,8 +178,8 @@ impl World {
     /// Run `f` on `size` ranks, each on its own OS thread, and return the
     /// per-rank results in rank order.
     ///
-    /// Panics in any rank propagate (the join unwraps), mirroring an MPI
-    /// abort.
+    /// A panic in any rank is re-raised on the caller once every rank has
+    /// been joined, mirroring an MPI abort.
     pub fn run<M, R, F>(size: usize, f: F) -> Vec<R>
     where
         M: Send + 'static,
@@ -218,11 +218,13 @@ impl World {
         }
 
         let f = &f;
-        crossbeam::thread::scope(|scope| {
-            let joins: Vec<_> = handles.into_iter().map(|h| scope.spawn(move |_| f(h))).collect();
-            joins.into_iter().map(|j| j.join().expect("rank panicked")).collect()
+        std::thread::scope(|scope| {
+            let joins: Vec<_> = handles.into_iter().map(|h| scope.spawn(move || f(h))).collect();
+            joins
+                .into_iter()
+                .map(|j| j.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
         })
-        .expect("communicator scope")
     }
 }
 

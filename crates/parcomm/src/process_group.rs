@@ -49,8 +49,6 @@ struct Shared<T> {
 pub struct ProcessGroup<T: Send + 'static> {
     shared: Arc<Shared<T>>,
     reader: Option<JoinHandle<usize>>,
-    /// Number of `Read` commands issued (for diagnostics and tests).
-    requested: usize,
     /// True while a `Read` command has been issued but not yet waited for.
     outstanding: bool,
 }
@@ -110,7 +108,6 @@ impl<T: Send + 'static> ProcessGroup<T> {
         ProcessGroup {
             shared,
             reader: Some(reader),
-            requested: 0,
             outstanding: false,
         }
     }
@@ -130,7 +127,6 @@ impl<T: Send + 'static> ProcessGroup<T> {
             let mut cmd = self.shared.command.lock();
             *cmd = Some(ReaderCommand::Read { timestep });
         }
-        self.requested += 1;
         self.outstanding = true;
         self.shared.sem_a.post();
     }
@@ -150,11 +146,6 @@ impl<T: Send + 'static> ProcessGroup<T> {
     /// into blocking rather than a data race.
     pub fn buffer(&self, timestep: usize) -> MutexGuard<'_, T> {
         self.shared.buffers[timestep % 2].lock()
-    }
-
-    /// Number of read requests issued so far.
-    pub fn requests_issued(&self) -> usize {
-        self.requested
     }
 
     /// Ask the reader thread to exit and join it.  Returns the number of

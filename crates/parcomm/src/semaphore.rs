@@ -41,17 +41,6 @@ impl Semaphore {
         *count -= 1;
     }
 
-    /// Acquire one permit if available without blocking.
-    pub fn try_wait(&self) -> bool {
-        let mut count = self.count.lock();
-        if *count > 0 {
-            *count -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Acquire one permit, giving up after `timeout`.  Returns `true` if a
     /// permit was acquired.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
@@ -95,10 +84,11 @@ mod tests {
     #[test]
     fn initial_permits_are_available() {
         let s = Semaphore::new(3);
-        assert!(s.try_wait());
-        assert!(s.try_wait());
-        assert!(s.try_wait());
-        assert!(!s.try_wait());
+        s.wait();
+        s.wait();
+        s.wait();
+        assert_eq!(s.available(), 0);
+        assert!(!s.wait_timeout(Duration::from_millis(1)));
     }
 
     #[test]

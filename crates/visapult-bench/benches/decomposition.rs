@@ -3,6 +3,10 @@
 //! Object-order rendering cost per PE for the three Figure 4 decompositions
 //! of the same volume; slabs are what IBRAVR needs, and this bench shows the
 //! raw render cost is comparable, so choosing slabs costs nothing.
+//!
+//! CI compiles this bench and never runs it, and nothing gates its numbers.
+//! It stays because no test, figure bin or ledger probe renders a shaft or a
+//! block: this is the only place the paper's Fig. 4 alternatives are costed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -8,24 +8,14 @@
 
 #![forbid(unsafe_code)]
 
-use netlogger::{MetricsHub, MetricsSnapshot};
+use netlogger::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Record the elapsed microseconds of `f` into `hub`'s `name` histogram —
-/// how the probe examples feed ad-hoc stage timings through the same
-/// metrics plane the service planes use.
-pub fn time_us<T>(hub: &MetricsHub, name: &str, f: impl FnOnce() -> T) -> T {
-    let t = Instant::now();
-    let out = f();
-    hub.histogram(name).record(t.elapsed().as_micros() as u64);
-    out
-}
-
 /// Render a metrics snapshot as a fixed-width text table: histograms with
 /// their percentile summaries first, then counters, then high-water gauges.
-/// The shared formatter behind `telemetry_tour` and the probe examples.
+/// The formatter behind `telemetry_tour`.
 pub fn render_metrics_table(snap: &MetricsSnapshot) -> String {
     let mut out = format!("metrics @ {}\n", snap.at);
     if !snap.histograms.is_empty() {
@@ -254,21 +244,6 @@ impl BaselineDelta {
     }
 }
 
-/// Kept for callers that only want the failures: the vanished entries plus
-/// everything [`BaselineDelta::regressed`] flags.  `ratio` is the normalized
-/// worseness, so `1.5` always reads "50 % worse" regardless of direction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BaselineRegression {
-    /// Dotted JSON path of the entry (e.g. `cases.sessions_8.median_s`).
-    pub path: String,
-    /// The committed (baseline) value.
-    pub committed: f64,
-    /// The freshly measured value (`NaN` when the entry vanished).
-    pub fresh: f64,
-    /// Normalized worseness (`inf` when the entry vanished).
-    pub ratio: f64,
-}
-
 fn as_f64(v: &serde::Value) -> Option<f64> {
     match v {
         serde::Value::F64(f) => Some(*f),
@@ -328,22 +303,6 @@ pub fn baseline_deltas(committed: &serde::Value, fresh: &serde::Value) -> Vec<Ba
     let mut out = Vec::new();
     walk_headlines(committed, fresh, "", &mut out);
     out
-}
-
-/// The failures alone: every headline entry whose fresh value moved in the
-/// wrong direction past `max_ratio`, plus any headline entry the fresh
-/// record lost.
-pub fn headline_regressions(committed: &serde::Value, fresh: &serde::Value, max_ratio: f64) -> Vec<BaselineRegression> {
-    baseline_deltas(committed, fresh)
-        .into_iter()
-        .filter(|d| d.regressed(max_ratio))
-        .map(|d| BaselineRegression {
-            path: d.path,
-            committed: d.committed,
-            fresh: d.fresh,
-            ratio: d.worseness,
-        })
-        .collect()
 }
 
 /// One row of a paper-vs-measured comparison.
@@ -473,6 +432,14 @@ impl ExperimentReport {
 mod tests {
     use super::*;
 
+    /// The gate as `compare_baselines` applies it: the deltas that fail.
+    fn regressed(committed: &serde::Value, fresh: &serde::Value, max_ratio: f64) -> Vec<BaselineDelta> {
+        baseline_deltas(committed, fresh)
+            .into_iter()
+            .filter(|d| d.regressed(max_ratio))
+            .collect()
+    }
+
     #[test]
     fn baselines_land_in_target_and_at_the_workspace_root() {
         let paths = baseline_paths("unit");
@@ -487,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn headline_regressions_gate_on_the_ratio_and_on_vanished_entries() {
+    fn regressed_deltas_gate_on_the_ratio_and_on_vanished_entries() {
         let committed: serde::Value = serde_json::from_str(
             r#"{"cases": {"a": {"median_s": 1.0, "renders": 5}, "b": {"us_per_session_frame": 10.0}}}"#,
         )
@@ -497,16 +464,16 @@ mod tests {
             r#"{"cases": {"a": {"median_s": 1.2, "renders": 500}, "b": {"us_per_session_frame": 9.0}}}"#,
         )
         .unwrap();
-        assert!(headline_regressions(&committed, &fresh, 1.3).is_empty());
+        assert!(regressed(&committed, &fresh, 1.3).is_empty());
         // Past the band on one entry, the other vanished.
         let fresh: serde::Value =
             serde_json::from_str(r#"{"cases": {"a": {"median_s": 1.5, "renders": 5}, "b": {}}}"#).unwrap();
-        let found = headline_regressions(&committed, &fresh, 1.3);
+        let found = regressed(&committed, &fresh, 1.3);
         assert_eq!(found.len(), 2, "{found:?}");
         assert_eq!(found[0].path, "cases.a.median_s");
-        assert!((found[0].ratio - 1.5).abs() < 1e-9);
+        assert!((found[0].worseness - 1.5).abs() < 1e-9);
         assert_eq!(found[1].path, "cases.b.us_per_session_frame");
-        assert!(found[1].fresh.is_nan() && found[1].ratio.is_infinite());
+        assert!(found[1].fresh.is_nan() && found[1].worseness.is_infinite());
     }
 
     #[test]
@@ -515,7 +482,7 @@ mod tests {
             serde_json::from_str(r#"{"t": {"mbytes_per_s": 100.0, "median_s": 1.0}}"#).unwrap();
         // Throughput doubled and latency halved: both are wrong-direction-free.
         let fresh: serde::Value = serde_json::from_str(r#"{"t": {"mbytes_per_s": 200.0, "median_s": 0.5}}"#).unwrap();
-        assert!(headline_regressions(&committed, &fresh, 1.3).is_empty());
+        assert!(regressed(&committed, &fresh, 1.3).is_empty());
         let deltas = baseline_deltas(&committed, &fresh);
         assert_eq!(deltas.len(), 2, "{deltas:?}");
         assert!(deltas.iter().all(|d| d.status(1.3) == "improved"), "{deltas:?}");
@@ -523,10 +490,10 @@ mod tests {
         // Throughput halved: a 2.0x wrong-direction move on a higher-is-better
         // metric, even though the raw value moved "down" like a latency would.
         let fresh: serde::Value = serde_json::from_str(r#"{"t": {"mbytes_per_s": 50.0, "median_s": 1.0}}"#).unwrap();
-        let found = headline_regressions(&committed, &fresh, 1.3);
+        let found = regressed(&committed, &fresh, 1.3);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].path, "t.mbytes_per_s");
-        assert!((found[0].ratio - 2.0).abs() < 1e-9);
+        assert!((found[0].worseness - 2.0).abs() < 1e-9);
 
         let deltas = baseline_deltas(&committed, &fresh);
         let throughput = deltas.iter().find(|d| d.path == "t.mbytes_per_s").unwrap();
@@ -543,12 +510,12 @@ mod tests {
         // A 3x-worse p99 sits inside the widened 1.3 × 4 band; a 3x-worse
         // median does not.
         let fresh: serde::Value = serde_json::from_str(r#"{"f": {"p99_us": 30000, "median_s": 3.0}}"#).unwrap();
-        let found = headline_regressions(&committed, &fresh, 1.3);
+        let found = regressed(&committed, &fresh, 1.3);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].path, "f.median_s");
         // A 6x-worse p99 breaches even the widened band.
         let fresh: serde::Value = serde_json::from_str(r#"{"f": {"p99_us": 60000, "median_s": 1.0}}"#).unwrap();
-        let found = headline_regressions(&committed, &fresh, 1.3);
+        let found = regressed(&committed, &fresh, 1.3);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].path, "f.p99_us");
     }

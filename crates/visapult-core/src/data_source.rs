@@ -8,7 +8,7 @@
 
 use crate::error::VisapultError;
 use dpss::{DatasetDescriptor, DpssClient};
-use volren::{combustion_jet, Axis, Volume};
+use volren::{combustion_jet, Volume};
 
 /// Something the back end can load slab-decomposed timesteps from.
 pub trait DataSource: Send + Sync {
@@ -120,9 +120,6 @@ impl DataSource for SyntheticSource {
         Ok(full.subvolume(origin, dims))
     }
 }
-
-/// The decomposition axis the Z-slab helpers correspond to.
-pub const SLAB_AXIS: Axis = Axis::Z;
 
 #[cfg(test)]
 mod tests {

@@ -25,7 +25,7 @@ use crate::error::VisapultError;
 use crate::protocol::{FramePayload, FrameSegments, LightPayload};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, ReadyHook, Receiver, Sender, TryRecvError};
-use netsim::{Bandwidth, StripePacer, TcpConfig, TcpModel};
+use netsim::{Bandwidth, StripePacer, TcpConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -96,14 +96,6 @@ impl TransportConfig {
     /// Builder: set the chunk size.
     pub fn with_chunk_bytes(mut self, chunk_bytes: usize) -> Self {
         self.chunk_bytes = chunk_bytes.max(1);
-        self
-    }
-
-    /// Builder: pace the link to the steady-state goodput of a TCP model
-    /// (its `streams` should be this config's stripe count) — the real link
-    /// then experiences the modeled WAN behaviour.
-    pub fn paced_by(mut self, model: &TcpModel) -> Self {
-        self.pace_rate_mbps = Some(model.steady_throughput().mbps());
         self
     }
 
@@ -280,15 +272,6 @@ impl TransportStats {
         for (mine, theirs) in self.per_stripe.iter_mut().zip(&other.per_stripe) {
             mine.chunks += theirs.chunks;
             mine.bytes += theirs.bytes;
-        }
-    }
-
-    /// Mean payload bytes per stripe (how evenly the fan-out spread).
-    pub fn mean_stripe_bytes(&self) -> f64 {
-        if self.per_stripe.is_empty() {
-            0.0
-        } else {
-            self.bytes as f64 / self.per_stripe.len() as f64
         }
     }
 }
@@ -597,16 +580,6 @@ impl StripeReceiver {
     /// fan-out pumps for the backend-inlet depth gauge.
     pub fn queued_chunks(&self) -> usize {
         self.rxs.iter().map(|rx| rx.len()).sum()
-    }
-
-    /// Convenience: pump chunks through `assembler` until the next complete
-    /// frame.
-    pub fn recv_frame(&mut self, assembler: &mut FrameAssembler) -> Result<FramePayload, TransportError> {
-        loop {
-            if let AssemblyEvent::Complete { payload, .. } = assembler.accept(self.recv_chunk()?)? {
-                return Ok(payload);
-            }
-        }
     }
 }
 
@@ -1102,7 +1075,11 @@ mod tests {
         let f = sample_frame(0, 0, 8);
         tx.send_frame(&f).unwrap();
         let mut asm = FrameAssembler::new();
-        let payload = rx.recv_frame(&mut asm).unwrap();
+        let payload = loop {
+            if let AssemblyEvent::Complete { payload, .. } = asm.accept(rx.recv_chunk().unwrap()).unwrap() {
+                break payload;
+            }
+        };
         assert_eq!(payload, f);
         // A stripe delivers a stale chunk after the frame completed.
         tx.send_raw_chunk(FrameChunk {

@@ -175,11 +175,6 @@ impl AmrHierarchy {
         self.levels.iter().map(Vec::len).sum()
     }
 
-    /// Number of refinement levels actually populated.
-    pub fn populated_levels(&self) -> usize {
-        self.levels.iter().filter(|l| !l.is_empty()).count()
-    }
-
     /// All boxes as line segments in volume cell coordinates — the geometry
     /// shipped to the viewer's scene graph ("typically tens of kilobytes for
     /// the AMR grid data per timestep", Appendix A).
@@ -190,12 +185,6 @@ impl AmrHierarchy {
         }
         segments
     }
-
-    /// Serialized size of the line geometry in bytes (twelve segments per
-    /// box, two 3-float endpoints per segment).
-    pub fn geometry_bytes(&self) -> u64 {
-        (self.total_boxes() * 12 * 24) as u64
-    }
 }
 
 #[cfg(test)]
@@ -203,11 +192,15 @@ mod tests {
     use super::*;
     use crate::data::combustion_jet;
 
+    fn levels_with_boxes(h: &AmrHierarchy) -> usize {
+        h.levels.iter().filter(|l| !l.is_empty()).count()
+    }
+
     #[test]
     fn uniform_volume_never_refines() {
         let v = Volume::from_data((16, 16, 16), vec![1.0; 16 * 16 * 16]);
         let h = AmrHierarchy::from_volume(&v, 8, 0.1, 3);
-        assert_eq!(h.populated_levels(), 1);
+        assert_eq!(levels_with_boxes(&h), 1);
         assert_eq!(h.levels[0].len(), 8);
         assert_eq!(h.total_boxes(), 8);
     }
@@ -217,9 +210,9 @@ mod tests {
         let v = combustion_jet((32, 32, 32), 0.5, 3);
         let h = AmrHierarchy::from_volume(&v, 16, 0.25, 3);
         assert!(
-            h.populated_levels() >= 2,
+            levels_with_boxes(&h) >= 2,
             "expected refinement, got {:?}",
-            h.populated_levels()
+            levels_with_boxes(&h)
         );
         // Finer levels should be concentrated where the jet is (centre in Y/Z).
         let fine_boxes = &h.levels[1];
@@ -249,7 +242,8 @@ mod tests {
         // timestep"; a moderately refined hierarchy should land in that range.
         let v = combustion_jet((64, 32, 32), 0.6, 4);
         let h = AmrHierarchy::from_volume(&v, 16, 0.15, 3);
-        let bytes = h.geometry_bytes();
+        // Two 3-float endpoints per segment.
+        let bytes = h.to_line_segments().len() * 2 * 3 * 4;
         assert!(bytes > 5_000 && bytes < 1_000_000, "got {bytes} bytes");
     }
 
@@ -260,14 +254,13 @@ mod tests {
         // box's twelve edges in `edges()` order.
         let v = combustion_jet((32, 32, 32), 0.5, 3);
         let h = AmrHierarchy::from_volume(&v, 16, 0.25, 3);
-        assert!(h.populated_levels() >= 2);
+        assert!(levels_with_boxes(&h) >= 2);
         let expected: Vec<_> = h.levels.iter().flatten().flat_map(AmrBox::edges).collect();
         let segments = h.to_line_segments();
         assert_eq!(segments, expected);
         assert_eq!(segments[0], ([0.0, 0.0, 0.0], [16.0, 0.0, 0.0]));
         assert_eq!(segments[11], ([0.0, 16.0, 0.0], [0.0, 16.0, 16.0]));
         assert_eq!(segments[12].0, [16.0, 0.0, 0.0], "second level-0 box follows in X");
-        assert_eq!(h.geometry_bytes(), (segments.len() * 2 * 3 * 4) as u64);
     }
 
     #[test]

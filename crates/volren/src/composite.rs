@@ -105,17 +105,6 @@ impl RgbaImage {
         }
     }
 
-    /// Composite a back-to-front ordered sequence of images into one.
-    pub fn composite_back_to_front<'a>(images: impl IntoIterator<Item = &'a RgbaImage>) -> Option<RgbaImage> {
-        let mut iter = images.into_iter();
-        let first = iter.next()?;
-        let mut out = first.clone();
-        for img in iter {
-            out.composite_over(img);
-        }
-        Some(out)
-    }
-
     /// Convert to 8-bit RGBA bytes (the heavy-payload wire format).
     pub fn to_rgba8(&self) -> Vec<u8> {
         self.data.iter().map(|&v| quantize_channel(v)).collect()
@@ -208,20 +197,25 @@ mod tests {
         let a = solid(2, 2, [1.0, 0.0, 0.0, 0.3]);
         let b = solid(2, 2, [0.0, 1.0, 0.0, 0.5]);
         let c = solid(2, 2, [0.0, 0.0, 1.0, 0.7]);
-        // ((a over-ed by b) over-ed by c) vs compositing helper.
-        let mut manual = a.clone();
-        manual.composite_over(&b);
-        manual.composite_over(&c);
-        let helper = RgbaImage::composite_back_to_front([&a, &b, &c]).unwrap();
-        assert!(manual.rms_diff(&helper) < 1e-6);
+        // (a, then b, then c in front) vs (a, then the pre-composited b-c pair).
+        let mut left = a.clone();
+        left.composite_over(&b);
+        left.composite_over(&c);
+        let mut bc = b.clone();
+        bc.composite_over(&c);
+        let mut right = a.clone();
+        right.composite_over(&bc);
+        assert!(left.rms_diff(&right) < 1e-6);
     }
 
     #[test]
     fn compositing_order_matters() {
         let red = solid(2, 2, [1.0, 0.0, 0.0, 0.6]);
         let blue = solid(2, 2, [0.0, 0.0, 1.0, 0.6]);
-        let red_then_blue = RgbaImage::composite_back_to_front([&red, &blue]).unwrap();
-        let blue_then_red = RgbaImage::composite_back_to_front([&blue, &red]).unwrap();
+        let mut red_then_blue = red.clone();
+        red_then_blue.composite_over(&blue);
+        let mut blue_then_red = blue.clone();
+        blue_then_red.composite_over(&red);
         assert!(red_then_blue.rms_diff(&blue_then_red) > 0.1);
     }
 
@@ -244,11 +238,6 @@ mod tests {
         assert!(a.mean_abs_diff(&c) > 0.0);
         assert!(a.coverage() > 0.99);
         assert_eq!(RgbaImage::new(4, 4).coverage(), 0.0);
-    }
-
-    #[test]
-    fn empty_sequence_composites_to_none() {
-        assert!(RgbaImage::composite_back_to_front(std::iter::empty()).is_none());
     }
 
     #[test]

@@ -134,12 +134,6 @@ impl Volume {
         out
     }
 
-    /// Extract the Z-axis slab covering planes `[z0, z0+nz)` — the unit of
-    /// data each back-end PE loads under the slab decomposition.
-    pub fn z_slab(&self, z0: usize, nz: usize) -> Volume {
-        self.subvolume((0, 0, z0), (self.dims.0, self.dims.1, nz))
-    }
-
     /// Mean of all samples.
     pub fn mean(&self) -> f32 {
         if self.data.is_empty() {
@@ -198,20 +192,6 @@ mod tests {
         assert_eq!(bytes.len(), 5 * 4 * 3 * 4);
         let back = Volume::from_le_bytes(v.dims(), &bytes);
         assert_eq!(back, v);
-    }
-
-    #[test]
-    fn z_slab_extraction_matches_manual_indexing() {
-        let v = ramp_volume((4, 4, 8));
-        let slab = v.z_slab(2, 3);
-        assert_eq!(slab.dims(), (4, 4, 3));
-        for z in 0..3 {
-            for y in 0..4 {
-                for x in 0..4 {
-                    assert_eq!(slab.get(x, y, z), v.get(x, y, z + 2));
-                }
-            }
-        }
     }
 
     #[test]

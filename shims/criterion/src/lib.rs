@@ -145,11 +145,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Shim accepts and ignores measurement-time tuning.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
     /// Benchmark a closure.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self {
         let label = format!("{}/{}", self.name, id.into());

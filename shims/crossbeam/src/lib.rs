@@ -1,5 +1,5 @@
 //! Offline stand-in for `crossbeam`, vendored so the workspace builds without
-//! registry access.  Two modules are provided, covering exactly what this
+//! registry access.  One module is provided, covering exactly what this
 //! workspace uses:
 //!
 //! * [`channel`] — unbounded MPMC channels (clonable senders *and* receivers,
@@ -7,8 +7,6 @@
 //!   `Mutex` + `Condvar`.  Slower than the real lock-free crossbeam under
 //!   contention, but semantically equivalent for the pipeline's
 //!   one-queue-per-PE pattern.
-//! * [`thread`] — `scope`/`spawn` with crossbeam's closure signature (the
-//!   closure receives `&Scope`), implemented over `std::thread::scope`.
 
 #![forbid(unsafe_code)]
 
@@ -668,90 +666,6 @@ pub mod channel {
             }
             tx.send(1u8).unwrap();
             assert_eq!(fired.load(Ordering::SeqCst), 3);
-        }
-    }
-}
-
-pub mod thread {
-    //! Crossbeam-style scoped threads over `std::thread::scope`.
-
-    /// A scope handle; crossbeam passes one to `scope` closures and to every
-    /// spawned closure.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Join handle for a scoped thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Wait for the thread; `Err` carries the panic payload.
-        pub fn join(self) -> std::thread::Result<T> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a thread inside the scope.  The closure receives the scope
-        /// (crossbeam's signature) so it can spawn further threads.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            ScopedJoinHandle {
-                inner: inner.spawn(move || f(&Scope { inner })),
-            }
-        }
-    }
-
-    /// Run `f` with a scope; all spawned threads are joined before returning.
-    /// `Err` carries a panic payload, as in crossbeam.
-    pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|s| f(&Scope { inner: s }))
-        }))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        #[test]
-        fn scoped_threads_borrow_and_join() {
-            let counter = AtomicUsize::new(0);
-            let counter_ref = &counter;
-            let sum = scope(|s| {
-                let handles: Vec<_> = (0..4)
-                    .map(|i| {
-                        s.spawn(move |_| {
-                            counter_ref.fetch_add(1, Ordering::SeqCst);
-                            i * 2
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum::<usize>()
-            })
-            .unwrap();
-            assert_eq!(sum, 12);
-            assert_eq!(counter.load(Ordering::SeqCst), 4);
-        }
-
-        #[test]
-        fn panics_surface_as_err() {
-            let r = scope(|s| {
-                let h = s.spawn(|_| panic!("boom"));
-                h.join().expect_err("thread panicked");
-                panic!("propagate");
-            });
-            assert!(r.is_err());
         }
     }
 }

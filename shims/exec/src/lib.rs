@@ -338,11 +338,6 @@ impl Executor {
         Executor { shared, cells, workers }
     }
 
-    /// A pool sized to the machine: available parallelism clamped to 2..=8.
-    pub fn with_default_workers() -> Executor {
-        Executor::new(default_workers())
-    }
-
     /// Number of worker threads in the pool.
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -466,7 +461,7 @@ impl Drop for Executor {
     }
 }
 
-/// The worker-pool size [`Executor::with_default_workers`] uses.
+/// A pool size fitted to the machine: available parallelism clamped to 2..=8.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -728,8 +723,6 @@ mod tests {
     fn default_workers_is_bounded() {
         let w = default_workers();
         assert!((2..=8).contains(&w));
-        let exec = Executor::with_default_workers();
-        assert_eq!(exec.workers(), w);
     }
 
     #[test]

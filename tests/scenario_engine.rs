@@ -322,3 +322,136 @@ fn every_spec_knob_has_traffic_or_a_named_driver() {
         "DRIVEN_ONLY_BY entries {stale:?} now have traffic (or no longer exist): drop them"
     );
 }
+
+/// What keeps a `visapult-bench` program alive.
+enum Driver {
+    /// A `ci.yml` step runs it and fails on its verdict.
+    Ci,
+    /// A `ci.yml` step runs it and `compare_baselines` gates the committed
+    /// baseline it writes.
+    Baseline(&'static str),
+    /// `BENCHMARK.json`'s command builds and runs it.
+    Benchmark,
+    /// Nothing runs it: CI only compiles it.
+    CompiledOnly,
+}
+
+/// Every program under `crates/visapult-bench/{src/bin,benches,examples}/`,
+/// its driver, and what it stands for (the paper artefact it regenerates, or
+/// why it stays with nothing running it).  A program with no entry fails the
+/// census below (drive it or delete it); so does an entry whose program or
+/// driver is gone.
+const DRIVEN_BY: [(&str, &str, Driver, &str); 18] = [
+    (
+        "src/bin",
+        "compare_baselines",
+        Driver::Ci,
+        "the committed-baseline gate",
+    ),
+    ("src/bin", "fig6_ibravr_artifacts", Driver::Ci, "Fig. 6, §3.3"),
+    ("src/bin", "fig10_ntoncplant_profile", Driver::Ci, "Fig. 10"),
+    ("src/bin", "fig11_overlap_model", Driver::Ci, "Fig. 11, §4.3"),
+    ("src/bin", "fig12_13_serial_vs_overlap_lan", Driver::Ci, "Figs. 12 & 13"),
+    ("src/bin", "fig14_15_cplant_nton", Driver::Ci, "Figs. 14 & 15"),
+    ("src/bin", "fig16_17_smp_esnet", Driver::Ci, "Figs. 16 & 17"),
+    ("src/bin", "fig_dpss_throughput", Driver::Ci, "§2, §3.5 DPSS rates"),
+    ("src/bin", "sc99_throughput", Driver::Ci, "§4.1 SC99 rates"),
+    ("src/bin", "tbl_playback_time", Driver::Ci, "§5 playback table"),
+    ("src/bin", "tbl_strategy_bandwidth", Driver::Ci, "§2 strategy table"),
+    ("src/bin", "ledger", Driver::Benchmark, "the repo's benchmark"),
+    (
+        "benches",
+        "cache",
+        Driver::Baseline("BENCH_cache.json"),
+        "block-cache read path",
+    ),
+    (
+        "benches",
+        "service",
+        Driver::Baseline("BENCH_service.json"),
+        "fan-out plane, 10k floor, shard sweep",
+    ),
+    (
+        "benches",
+        "transport",
+        Driver::Baseline("BENCH_transport.json"),
+        "striped link and reassembly",
+    ),
+    (
+        "benches",
+        "volren",
+        Driver::Baseline("BENCH_volren.json"),
+        "render kernel",
+    ),
+    (
+        "benches",
+        "decomposition",
+        Driver::CompiledOnly,
+        "Fig. 4 design ablation: the only place shaft and block render cost is compared with slab",
+    ),
+    (
+        "examples",
+        "telemetry_tour",
+        Driver::CompiledOnly,
+        "EXPERIMENTS.md's walk through the [telemetry] table; the only caller of render_metrics_table",
+    ),
+];
+
+#[test]
+fn every_bench_crate_program_has_a_named_driver() {
+    use std::collections::BTreeSet;
+    let root = env!("CARGO_MANIFEST_DIR");
+    let read = |file: &str| std::fs::read_to_string(format!("{root}/{file}")).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let ci = read(".github/workflows/ci.yml");
+    let benchmark = read("BENCHMARK.json");
+
+    let mut on_disk = BTreeSet::new();
+    for dir in ["src/bin", "benches", "examples"] {
+        let path = format!("{root}/crates/visapult-bench/{dir}");
+        for entry in std::fs::read_dir(&path).unwrap_or_else(|e| panic!("{path}: {e}")) {
+            let file = entry.unwrap().path();
+            // A `.rs` file is a program; so is a directory holding a `main.rs`.
+            if file.extension().and_then(|e| e.to_str()) == Some("rs") || file.join("main.rs").exists() {
+                on_disk.insert((dir, file.file_stem().unwrap().to_string_lossy().to_string()));
+            }
+        }
+    }
+    let listed: BTreeSet<(&str, String)> = DRIVEN_BY.iter().map(|(d, n, ..)| (*d, n.to_string())).collect();
+    assert_eq!(listed.len(), DRIVEN_BY.len(), "DRIVEN_BY names a program twice");
+    let undriven: Vec<_> = on_disk.difference(&listed).collect();
+    assert!(
+        undriven.is_empty(),
+        "{undriven:?}: nothing is named as running these — gate them in ci.yml, or delete them"
+    );
+    let stale: Vec<_> = listed.difference(&on_disk).collect();
+    assert!(
+        stale.is_empty(),
+        "DRIVEN_BY entries {stale:?} name no program: drop them"
+    );
+
+    for (dir, name, driver, what) in DRIVEN_BY {
+        let run_by_ci = if dir == "benches" {
+            ci.contains(&format!("--bench {name}"))
+        } else {
+            ci.contains(name)
+        };
+        match driver {
+            Driver::Ci => assert!(run_by_ci, "ci.yml no longer runs {name} ({what})"),
+            Driver::Baseline(file) => {
+                assert!(run_by_ci, "ci.yml no longer runs the {name} bench ({what})");
+                assert!(
+                    std::path::Path::new(&format!("{root}/{file}")).exists(),
+                    "{file} is not committed"
+                );
+            }
+            Driver::Benchmark => assert!(
+                benchmark.contains(&format!("{dir}/{name}")),
+                "BENCHMARK.json no longer names {dir}/{name} ({what})"
+            ),
+            Driver::CompiledOnly => assert!(
+                !run_by_ci,
+                "ci.yml runs {name} now: make that step its driver (it was kept as: {what})"
+            ),
+        }
+    }
+}
