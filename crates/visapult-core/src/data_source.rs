@@ -8,7 +8,7 @@
 
 use crate::error::VisapultError;
 use dpss::{DatasetDescriptor, DpssClient};
-use volren::{combustion_jet, Volume};
+use volren::{CombustionSeries, Volume};
 
 /// Something the back end can load slab-decomposed timesteps from.
 pub trait DataSource: Send + Sync {
@@ -24,18 +24,43 @@ pub trait DataSource: Send + Sync {
     }
 }
 
+/// Z planes `[start, end)` of slab `pe` of `total_pes` of a dataset.
+fn slab_z_range(descriptor: &DatasetDescriptor, pe: usize, total_pes: usize) -> std::ops::Range<usize> {
+    let z = descriptor.dims.2;
+    pe * z / total_pes..(pe + 1) * z / total_pes
+}
+
 /// Dimensions of slab `pe` of `total_pes` of a dataset (Z decomposition).
 pub fn slab_dims(descriptor: &DatasetDescriptor, pe: usize, total_pes: usize) -> (usize, usize, usize) {
-    let (x, y, z) = descriptor.dims;
-    let z_start = pe * z / total_pes;
-    let z_end = (pe + 1) * z / total_pes;
-    (x, y, z_end - z_start)
+    let (x, y, _) = descriptor.dims;
+    (x, y, slab_z_range(descriptor, pe, total_pes).len())
 }
 
 /// Origin (in voxel coordinates) of slab `pe` of `total_pes` (Z decomposition).
 pub fn slab_origin(descriptor: &DatasetDescriptor, pe: usize, total_pes: usize) -> (usize, usize, usize) {
-    let z_start = pe * descriptor.dims.2 / total_pes;
-    (0, 0, z_start)
+    (0, 0, slab_z_range(descriptor, pe, total_pes).start)
+}
+
+/// Refuse a slab address the dataset does not have, before it reaches the
+/// descriptor's asserting byte-range arithmetic.
+fn check_slab(
+    descriptor: &DatasetDescriptor,
+    timestep: usize,
+    pe: usize,
+    total_pes: usize,
+) -> Result<(), VisapultError> {
+    if timestep >= descriptor.timesteps {
+        return Err(VisapultError::Config(format!(
+            "timestep {timestep} out of range: dataset {:?} has {}",
+            descriptor.name, descriptor.timesteps
+        )));
+    }
+    if pe >= total_pes {
+        return Err(VisapultError::Config(format!(
+            "slab {pe} of {total_pes} does not exist"
+        )));
+    }
+    Ok(())
 }
 
 /// A data source backed by the DPSS client API: each slab load is a
@@ -66,6 +91,7 @@ impl DpssDataSource {
         pe: usize,
         total_pes: usize,
     ) -> Result<dpss::Block, VisapultError> {
+        check_slab(&self.descriptor, timestep, pe, total_pes)?;
         let (offset, len) = self.descriptor.z_slab_range(timestep, pe, total_pes);
         Ok(self.client.read_range(&self.descriptor.name, offset, len)?)
     }
@@ -88,23 +114,19 @@ impl DataSource for DpssDataSource {
 /// no cache is involved.
 pub struct SyntheticSource {
     descriptor: DatasetDescriptor,
-    seed: u64,
+    series: CombustionSeries,
 }
 
 impl SyntheticSource {
     /// A synthetic combustion source with the given descriptor and seed.
     pub fn new(descriptor: DatasetDescriptor, seed: u64) -> Self {
-        SyntheticSource { descriptor, seed }
+        let series = CombustionSeries::new(descriptor.dims, descriptor.timesteps, seed);
+        SyntheticSource { descriptor, series }
     }
 
     /// The full volume for a timestep (used by baselines and ground truth).
     pub fn full_volume(&self, timestep: usize) -> Volume {
-        let time = if self.descriptor.timesteps <= 1 {
-            0.0
-        } else {
-            timestep as f32 / (self.descriptor.timesteps - 1) as f32
-        };
-        combustion_jet(self.descriptor.dims, time, self.seed)
+        self.series.slab(timestep, 0..self.descriptor.dims.2)
     }
 }
 
@@ -113,11 +135,12 @@ impl DataSource for SyntheticSource {
         &self.descriptor
     }
 
+    /// Generates only the PE's Z planes, not the volume around them.
     fn load_slab(&self, timestep: usize, pe: usize, total_pes: usize) -> Result<Volume, VisapultError> {
-        let full = self.full_volume(timestep);
-        let origin = slab_origin(&self.descriptor, pe, total_pes);
-        let dims = slab_dims(&self.descriptor, pe, total_pes);
-        Ok(full.subvolume(origin, dims))
+        check_slab(&self.descriptor, timestep, pe, total_pes)?;
+        Ok(self
+            .series
+            .slab(timestep, slab_z_range(&self.descriptor, pe, total_pes)))
     }
 }
 
@@ -174,20 +197,29 @@ mod tests {
     fn synthetic_source_slabs_tile_the_full_volume() {
         let (_, synth) = dpss_source();
         let full = synth.full_volume(2);
-        let pes = 4;
-        for pe in 0..pes {
-            let slab = synth.load_slab(2, pe, pes).unwrap();
-            let origin = slab_origin(synth.descriptor(), pe, pes);
-            assert_eq!(slab.get(1, 2, 0), full.get(1, 2, origin.2));
+        for pes in [1, 3, 4] {
+            for pe in 0..pes {
+                let slab = synth.load_slab(2, pe, pes).unwrap();
+                let origin = slab_origin(synth.descriptor(), pe, pes);
+                let dims = slab_dims(synth.descriptor(), pe, pes);
+                assert_eq!(slab, full.subvolume(origin, dims), "slab {pe} of {pes}");
+            }
         }
     }
 
     #[test]
     fn out_of_range_timestep_is_an_error_not_a_crash() {
-        let (dpss_src, _) = dpss_source();
-        // timestep 5 does not exist (descriptor has 3); z_slab_range panics on
-        // invalid timesteps, so guard with catch_unwind to document behaviour.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dpss_src.load_slab(5, 0, 4)));
-        assert!(result.is_err());
+        // The descriptor has 3 timesteps and its byte-range arithmetic
+        // asserts; both sources must refuse the address before reaching it.
+        let (dpss_src, synth_src) = dpss_source();
+        let sources: [&dyn DataSource; 2] = [&dpss_src, &synth_src];
+        for source in sources {
+            for (timestep, pe, total_pes) in [(5, 0, 4), (3, 0, 4), (0, 4, 4), (0, 0, 0)] {
+                assert!(
+                    matches!(source.load_slab(timestep, pe, total_pes), Err(VisapultError::Config(_))),
+                    "timestep {timestep}, slab {pe} of {total_pes}"
+                );
+            }
+        }
     }
 }

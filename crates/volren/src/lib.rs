@@ -38,7 +38,7 @@ pub mod volume;
 pub use amr::{AmrBox, AmrHierarchy};
 pub use camera::{Axis, ViewOrientation};
 pub use composite::RgbaImage;
-pub use data::{combustion_jet, combustion_series_bytes, cosmology_density};
+pub use data::{combustion_jet, combustion_series_bytes, cosmology_density, CombustionSeries};
 pub use decomp::{decompose, Decomposition, Region};
 pub use render::{
     render_cost_samples, render_region, render_region_rgba8, render_view, render_volume_full, RenderSettings,

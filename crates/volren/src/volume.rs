@@ -6,6 +6,16 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Append `values` to `out` as little-endian IEEE-754 bytes (the DPSS wire
+/// format).
+pub(crate) fn extend_le_bytes(out: &mut Vec<u8>, values: &[f32]) {
+    let start = out.len();
+    out.resize(start + values.len() * 4, 0);
+    for (bytes, value) in out[start..].chunks_exact_mut(4).zip(values) {
+        bytes.copy_from_slice(&value.to_le_bytes());
+    }
+}
+
 /// A dense scalar field on a regular grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Volume {
@@ -49,10 +59,8 @@ impl Volume {
 
     /// Serialize to little-endian IEEE-754 bytes.
     pub fn to_le_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.data.len() * 4);
-        for v in &self.data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        let mut out = Vec::new();
+        extend_le_bytes(&mut out, &self.data);
         out
     }
 
