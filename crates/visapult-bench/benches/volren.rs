@@ -8,12 +8,16 @@
 //! `BENCH_volren.json` baseline: median seconds per `render_region` call for
 //! the three slab-to-image shapes the ledger's workloads run the kernel in —
 //! image larger than the slab's footprint, a small multiple of it, and smaller
-//! — so the distinct-ray kernel's cost is committed and gated in each regime.
+//! — plus the middle one at half a voxel per step, so the row kernel's cost is
+//! committed and gated in each regime and on both sides of the unit-spacing
+//! identity.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use visapult_bench::{median_secs, report_baseline};
-use volren::{combustion_jet, render_region, render_region_rgba8, Axis, RenderSettings, TransferFunction};
+use volren::{
+    combustion_jet, render_cost_samples, render_region, render_region_rgba8, Axis, RenderSettings, TransferFunction,
+};
 
 fn bench_slab_sizes(c: &mut Criterion) {
     let tf = TransferFunction::combustion_default();
@@ -55,15 +59,23 @@ fn bench_image_sizes(c: &mut Criterion) {
 
 criterion_group!(benches, bench_slab_sizes, bench_image_sizes);
 
-/// The kernel's three regimes, each the per-PE slab and image of a ledger
-/// workload: (name, slab dims, image edge).
-const SHAPES: [(&str, (usize, usize, usize), usize); 3] = [
+/// (name, slab dims, image edge, step).
+type Shape = (&'static str, (usize, usize, usize), usize, f32);
+
+/// The kernel's regimes.  The first three are each the per-PE slab and image
+/// of a ledger workload, at the unit step every scenario uses — where the
+/// opacity correction needs no `powf`.
+const SHAPES: [Shape; 4] = [
     // wan_wire: every voxel column is named by 64 pixels.
-    ("upsampled", (64, 64, 4), 512),
+    ("upsampled", (64, 64, 4), 512, 1.0),
     // corridor_stream: every column is named by 4 pixels.
-    ("matched", (128, 128, 32), 256),
+    ("matched", (128, 128, 32), 256, 1.0),
     // The playbacks: one column in 16 is named at all.
-    ("downsampled", (128, 128, 16), 32),
+    ("downsampled", (128, 128, 16), 32, 1.0),
+    // `matched` at two samples per voxel: no workload's shape, but the only
+    // committed number for a spacing other than 1, which keeps one libm
+    // `powf` per sample.
+    ("fine_step", (128, 128, 32), 256, 0.5),
 ];
 
 fn write_baseline() {
@@ -71,10 +83,13 @@ fn write_baseline() {
     let samples = 30;
     let cases: Vec<String> = SHAPES
         .iter()
-        .map(|&(name, dims, edge)| {
+        .map(|&(name, dims, edge, step)| {
             let slab = combustion_jet(dims, 0.5, 9);
             let range = slab.value_range();
-            let settings = RenderSettings::with_size(edge, edge);
+            let settings = RenderSettings {
+                step,
+                ..RenderSettings::with_size(edge, edge)
+            };
             render_region(&slab, Axis::Z, &tf, range, &settings); // warm
             let median_s = median_secs(samples, || {
                 black_box(render_region(black_box(&slab), Axis::Z, &tf, range, &settings));
@@ -82,11 +97,11 @@ fn write_baseline() {
             let rgba8_s = median_secs(samples, || {
                 black_box(render_region_rgba8(black_box(&slab), Axis::Z, &tf, range, &settings));
             });
-            // One ray per distinct column, one sample per voxel along it at
-            // the default unit step, before early termination.
-            let cast_samples = dims.0.min(edge) * dims.1.min(edge) * dims.2;
+            // One ray per distinct column, `1 / step` samples per voxel along
+            // it, before early termination.
+            let cast_samples = render_cost_samples(dims.0.min(edge) * dims.1.min(edge) * dims.2, &settings);
             format!(
-                "    \"{name}\": {{ \"median_s\": {median_s:.9}, \"rgba8_s\": {rgba8_s:.9}, \"slab\": \"{}x{}x{}\", \"image\": {edge}, \"cast_samples\": {cast_samples}, \"ns_per_cast_sample\": {:.2} }}",
+                "    \"{name}\": {{ \"median_s\": {median_s:.9}, \"rgba8_s\": {rgba8_s:.9}, \"slab\": \"{}x{}x{}\", \"image\": {edge}, \"step\": {step}, \"cast_samples\": {cast_samples}, \"ns_per_cast_sample\": {:.2} }}",
                 dims.0,
                 dims.1,
                 dims.2,

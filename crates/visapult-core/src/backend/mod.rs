@@ -22,6 +22,7 @@ use crate::transport::StripeSender;
 use netlogger::{tags, NetLogger};
 use parcomm::{ProcessGroup, Rank, World};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use volren::{render_region_rgba8, AmrHierarchy, Axis, Volume};
@@ -151,62 +152,168 @@ fn send_frame(
     Ok(wire)
 }
 
+/// One rank's running totals, and the rule by which all ranks leave together
+/// when any of them fails.
+///
+/// Every rank reaches every frame's barrier whatever happened to its own
+/// frame: a rank that returned early would park the others in
+/// `Barrier::wait` for good.  A failing rank instead publishes the frame it
+/// failed in, and after the barrier every rank reads the same answer — some
+/// rank failed in this frame, or none did — so all stop at the same frame.
+struct PeProgress<'a> {
+    rank: &'a Rank<()>,
+    /// The earliest frame any rank failed in; `usize::MAX` while none has.  A
+    /// frame number, not a flag: a rank already past this barrier may fail in
+    /// the *next* frame before a slower rank reads the answer for this one.
+    first_failed_frame: &'a AtomicUsize,
+    report: PeReport,
+    failure: Option<VisapultError>,
+}
+
+impl<'a> PeProgress<'a> {
+    fn new(rank: &'a Rank<()>, first_failed_frame: &'a AtomicUsize) -> Self {
+        PeProgress {
+            rank,
+            first_failed_frame,
+            report: PeReport {
+                rank: rank.rank(),
+                frames: 0,
+                bytes_loaded: 0,
+                wire_bytes: 0,
+            },
+            failure: None,
+        }
+    }
+
+    /// Close `frame`: book the `(loaded, wire)` bytes it moved or publish its
+    /// failure, then meet the other ranks at the frame barrier.  True if the
+    /// run goes on, false — on every rank alike — if any rank failed.
+    fn end_frame(&mut self, frame: usize, outcome: Result<(u64, u64), VisapultError>) -> bool {
+        match outcome {
+            Ok((loaded, wire)) => {
+                self.report.frames += 1;
+                self.report.bytes_loaded += loaded;
+                self.report.wire_bytes += wire;
+            }
+            Err(error) => {
+                self.failure = Some(error);
+                self.first_failed_frame.fetch_min(frame, Ordering::SeqCst);
+            }
+        }
+        self.rank.barrier();
+        self.first_failed_frame.load(Ordering::SeqCst) > frame
+    }
+
+    /// This rank's own error if it had one, else its (possibly cut short)
+    /// report.
+    fn finish(self) -> Result<PeReport, VisapultError> {
+        match self.failure {
+            Some(error) => Err(error),
+            None => Ok(self.report),
+        }
+    }
+}
+
+/// One serial frame on one PE: load, then render, then send.  Returns the
+/// `(loaded, wire)` bytes moved.
+fn serial_frame(
+    config: &PipelineConfig,
+    source: &dyn DataSource,
+    r: usize,
+    link: &StripeSender,
+    log: Option<&NetLogger>,
+    frame: usize,
+) -> Result<(u64, u64), VisapultError> {
+    if let Some(l) = log {
+        l.log_with(
+            tags::BE_FRAME_START,
+            [(tags::FIELD_FRAME, frame as u64), (tags::FIELD_RANK, r as u64)],
+        );
+        l.log_with(tags::BE_LOAD_START, [(tags::FIELD_FRAME, frame as u64)]);
+    }
+    let volume = source.load_slab(frame, r, config.pes)?;
+    let loaded = source.slab_bytes(frame, r, config.pes);
+    if let Some(l) = log {
+        l.log_with(
+            tags::BE_LOAD_END,
+            [(tags::FIELD_FRAME, frame as u64), (tags::FIELD_BYTES, loaded)],
+        );
+        l.log_with(tags::BE_RENDER_START, [(tags::FIELD_FRAME, frame as u64)]);
+    }
+    let payload = render_and_package(config, r, frame, &volume);
+    if let Some(l) = log {
+        l.log_with(tags::BE_RENDER_END, [(tags::FIELD_FRAME, frame as u64)]);
+    }
+    let wire = send_frame(link, payload, log, frame)?;
+    if let Some(l) = log {
+        l.log_with(tags::BE_FRAME_END, [(tags::FIELD_FRAME, frame as u64)]);
+    }
+    Ok((loaded, wire))
+}
+
 /// Run one PE in serial (load, then render, then send, per frame).
 fn run_pe_serial(
     config: &PipelineConfig,
     source: &Arc<dyn DataSource>,
-    rank: &Rank<()>,
+    mut progress: PeProgress<'_>,
     link: &StripeSender,
     log: Option<&NetLogger>,
 ) -> Result<PeReport, VisapultError> {
-    let r = rank.rank();
-    let mut bytes_loaded = 0u64;
-    let mut wire_bytes = 0u64;
+    let r = progress.report.rank;
     for frame in 0..config.timesteps {
-        if let Some(l) = log {
-            l.log_with(
-                tags::BE_FRAME_START,
-                [(tags::FIELD_FRAME, frame as u64), (tags::FIELD_RANK, r as u64)],
-            );
-            l.log_with(tags::BE_LOAD_START, [(tags::FIELD_FRAME, frame as u64)]);
+        let outcome = serial_frame(config, source.as_ref(), r, link, log, frame);
+        if !progress.end_frame(frame, outcome) {
+            break;
         }
-        let volume = source.load_slab(frame, r, config.pes)?;
-        let loaded = source.slab_bytes(frame, r, config.pes);
-        bytes_loaded += loaded;
-        if let Some(l) = log {
-            l.log_with(
-                tags::BE_LOAD_END,
-                [(tags::FIELD_FRAME, frame as u64), (tags::FIELD_BYTES, loaded)],
-            );
-            l.log_with(tags::BE_RENDER_START, [(tags::FIELD_FRAME, frame as u64)]);
-        }
-        let payload = render_and_package(config, r, frame, &volume);
-        if let Some(l) = log {
-            l.log_with(tags::BE_RENDER_END, [(tags::FIELD_FRAME, frame as u64)]);
-        }
-        wire_bytes += send_frame(link, payload, log, frame)?;
-        if let Some(l) = log {
-            l.log_with(tags::BE_FRAME_END, [(tags::FIELD_FRAME, frame as u64)]);
-        }
-        rank.barrier();
     }
-    Ok(PeReport {
-        rank: r,
-        frames: config.timesteps,
-        bytes_loaded,
-        wire_bytes,
-    })
+    progress.finish()
+}
+
+/// The double buffer an overlapped PE's reader thread fills: the slab, or why
+/// its load failed.
+type SlabSlot = Option<Result<Volume, VisapultError>>;
+
+/// One overlapped frame on one PE, its slab already resident: render, then
+/// send.  Returns the `(loaded, wire)` bytes moved.
+fn overlapped_frame(
+    config: &PipelineConfig,
+    source: &dyn DataSource,
+    group: &ProcessGroup<SlabSlot>,
+    r: usize,
+    link: &StripeSender,
+    log: Option<&NetLogger>,
+    frame: usize,
+) -> Result<(u64, u64), VisapultError> {
+    // Taking the slab out releases the slot for timestep N+2; a load that
+    // failed on the reader thread surfaces here, as `?` does in serial mode.
+    let volume = group
+        .buffer(frame)
+        .take()
+        .ok_or_else(|| VisapultError::Protocol(format!("PE {r}: slab for timestep {frame} is not resident")))??;
+    if let Some(l) = log {
+        l.log_with(tags::BE_RENDER_START, [(tags::FIELD_FRAME, frame as u64)]);
+    }
+    let payload = render_and_package(config, r, frame, &volume);
+    if let Some(l) = log {
+        l.log_with(tags::BE_RENDER_END, [(tags::FIELD_FRAME, frame as u64)]);
+    }
+    let loaded = source.slab_bytes(frame, r, config.pes);
+    let wire = send_frame(link, payload, log, frame)?;
+    if let Some(l) = log {
+        l.log_with(tags::BE_FRAME_END, [(tags::FIELD_FRAME, frame as u64)]);
+    }
+    Ok((loaded, wire))
 }
 
 /// Run one PE with overlapped loading and rendering (Appendix B).
 fn run_pe_overlapped(
     config: &PipelineConfig,
     source: &Arc<dyn DataSource>,
-    rank: &Rank<()>,
+    mut progress: PeProgress<'_>,
     link: &StripeSender,
     log: Option<&NetLogger>,
 ) -> Result<PeReport, VisapultError> {
-    let r = rank.rank();
+    let r = progress.report.rank;
     let pes = config.pes;
     let reader_source = Arc::clone(source);
     let reader_log = log.cloned();
@@ -214,7 +321,7 @@ fn run_pe_overlapped(
     // into its half of the buffer and emits the load-phase NetLogger events.
     // A failed load is stored, not raised: the reader must return so that
     // semaphore B is posted, or the renderer would wait for it forever.
-    let mut group: ProcessGroup<Option<Result<Volume, VisapultError>>> = ProcessGroup::spawn(
+    let mut group: ProcessGroup<SlabSlot> = ProcessGroup::spawn(
         || None,
         move |timestep, slot| {
             if let Some(l) = &reader_log {
@@ -232,8 +339,6 @@ fn run_pe_overlapped(
         },
     );
 
-    let mut bytes_loaded = 0u64;
-    let mut wire_bytes = 0u64;
     if config.timesteps > 0 {
         group.request(0);
         group.wait_ready();
@@ -251,41 +356,25 @@ fn run_pe_overlapped(
         if frame + 1 < config.timesteps {
             group.request(frame + 1);
         }
-        // Taking the slab out releases the slot for timestep N+2; a load that
-        // failed on the reader thread surfaces here, as `?` does in serial mode.
-        let volume = group
-            .buffer(frame)
-            .take()
-            .ok_or_else(|| VisapultError::Protocol(format!("PE {r}: slab for timestep {frame} is not resident")))??;
-        if let Some(l) = log {
-            l.log_with(tags::BE_RENDER_START, [(tags::FIELD_FRAME, frame as u64)]);
-        }
-        let payload = render_and_package(config, r, frame, &volume);
-        if let Some(l) = log {
-            l.log_with(tags::BE_RENDER_END, [(tags::FIELD_FRAME, frame as u64)]);
-        }
-        bytes_loaded += source.slab_bytes(frame, r, pes);
-        wire_bytes += send_frame(link, payload, log, frame)?;
-        if let Some(l) = log {
-            l.log_with(tags::BE_FRAME_END, [(tags::FIELD_FRAME, frame as u64)]);
-        }
+        let outcome = overlapped_frame(config, source.as_ref(), &group, r, link, log, frame);
         if frame + 1 < config.timesteps {
             group.wait_ready();
         }
-        rank.barrier();
+        if !progress.end_frame(frame, outcome) {
+            break;
+        }
     }
-    let reads = group.terminate();
-    debug_assert_eq!(reads, config.timesteps);
-    Ok(PeReport {
-        rank: r,
-        frames: config.timesteps,
-        bytes_loaded,
-        wire_bytes,
-    })
+    // Joins the reader thread, on the way out of a failed run as well.
+    group.terminate();
+    progress.finish()
 }
 
 /// Run the full back end: one rank per PE, each shipping its payloads down
 /// its own viewer link, all paced by one per-frame barrier.
+///
+/// A slab load or a send that fails on any rank ends the run for all of them
+/// at that frame's barrier; the error returned is the failing rank's own (the
+/// lowest such rank's, if several failed in the same frame).
 ///
 /// `viewer_links` must contain exactly `config.pes` striped senders (one per
 /// PE).  `logger`, when provided, is specialized per PE into
@@ -305,15 +394,17 @@ pub fn run_backend(
         )));
     }
     let start = Instant::now();
+    let first_failed_frame = AtomicUsize::new(usize::MAX);
     let per_pe = World::run::<(), _, _>(config.pes, |rank| {
         let r = rank.rank();
         let pe_log = logger
             .as_ref()
             .map(|l| l.for_program(format!("backend-worker-{r}")).for_host(format!("pe-{r}")));
         let link = &viewer_links[r];
+        let progress = PeProgress::new(&rank, &first_failed_frame);
         match config.mode {
-            ExecutionMode::Serial => run_pe_serial(config, &source, &rank, link, pe_log.as_ref()),
-            ExecutionMode::Overlapped => run_pe_overlapped(config, &source, &rank, link, pe_log.as_ref()),
+            ExecutionMode::Serial => run_pe_serial(config, &source, progress, link, pe_log.as_ref()),
+            ExecutionMode::Overlapped => run_pe_overlapped(config, &source, progress, link, pe_log.as_ref()),
         }
     })
     .into_iter()
@@ -445,10 +536,11 @@ mod tests {
     }
 
     /// A source whose load of one timestep fails, as a DPSS server going away
-    /// mid-run does.
+    /// mid-run does — on every PE, or on `fail_pe` alone.
     struct FailingSource {
         inner: SyntheticSource,
         fail_at: usize,
+        fail_pe: Option<usize>,
     }
 
     impl DataSource for FailingSource {
@@ -457,7 +549,7 @@ mod tests {
         }
 
         fn load_slab(&self, timestep: usize, pe: usize, total_pes: usize) -> Result<Volume, VisapultError> {
-            if timestep == self.fail_at {
+            if timestep == self.fail_at && self.fail_pe.is_none_or(|failing| failing == pe) {
                 return Err(VisapultError::Dpss(dpss::DpssError::Closed));
             }
             self.inner.load_slab(timestep, pe, total_pes)
@@ -466,30 +558,37 @@ mod tests {
 
     #[test]
     fn a_failed_slab_load_is_an_error_not_a_hang_in_both_modes() {
-        for mode in [ExecutionMode::Serial, ExecutionMode::Overlapped] {
-            let config = PipelineConfig::small(2, 4, mode);
-            let source: Arc<dyn DataSource> = Arc::new(FailingSource {
-                inner: SyntheticSource::new(DatasetDescriptor::small_combustion(4), 7),
-                fail_at: 2,
-            });
-            let (senders, receivers) = links(2, &TransportConfig::default());
-            let drains = spawn_drains(receivers);
-            // Run on a thread so a PE stuck waiting for its reader fails the
-            // test instead of hanging it.
-            let (done, outcome) = std::sync::mpsc::channel();
-            let backend_source = Arc::clone(&source);
-            let backend = std::thread::spawn(move || {
-                let _ = done.send(run_backend(&config, backend_source, senders, None));
-            });
-            let result = outcome
-                .recv_timeout(Duration::from_secs(60))
-                .unwrap_or_else(|_| panic!("{mode:?} back end hung on a failed slab load"));
-            assert!(matches!(result, Err(VisapultError::Dpss(_))), "{mode:?}: {result:?}");
-            backend.join().unwrap();
-            // Timesteps 0 and 1 were shipped by both PEs before the failure.
-            assert_eq!(join_drains(drains).len(), 4, "{mode:?}");
-            // Each reader thread owned a clone of the source; all are joined.
-            assert_eq!(Arc::strong_count(&source), 1, "{mode:?} leaked a reader thread");
+        // Timestep 2 fails on both PEs, or on PE 1 alone — the case that used
+        // to park PE 0 in the frame barrier for good.  Either way timesteps 0
+        // and 1 were shipped by both PEs before it; when only PE 1 fails, PE 0
+        // ships its timestep 2 as well and both leave at that frame's barrier.
+        for (fail_pe, shipped) in [(None, 4), (Some(1), 5)] {
+            for mode in [ExecutionMode::Serial, ExecutionMode::Overlapped] {
+                let case = format!("{mode:?}, failing PE {fail_pe:?}");
+                let config = PipelineConfig::small(2, 4, mode);
+                let source: Arc<dyn DataSource> = Arc::new(FailingSource {
+                    inner: SyntheticSource::new(DatasetDescriptor::small_combustion(4), 7),
+                    fail_at: 2,
+                    fail_pe,
+                });
+                let (senders, receivers) = links(2, &TransportConfig::default());
+                let drains = spawn_drains(receivers);
+                // Run on a thread so a PE stuck waiting for its reader or for
+                // the other PE fails the test instead of hanging it.
+                let (done, outcome) = std::sync::mpsc::channel();
+                let backend_source = Arc::clone(&source);
+                let backend = std::thread::spawn(move || {
+                    let _ = done.send(run_backend(&config, backend_source, senders, None));
+                });
+                let result = outcome
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("back end hung on a failed slab load ({case})"));
+                assert!(matches!(result, Err(VisapultError::Dpss(_))), "{case}: {result:?}");
+                backend.join().unwrap();
+                assert_eq!(join_drains(drains).len(), shipped, "{case}");
+                // Each reader thread owned a clone of the source; all are joined.
+                assert_eq!(Arc::strong_count(&source), 1, "{case}: leaked a reader thread");
+            }
         }
     }
 

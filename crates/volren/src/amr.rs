@@ -8,7 +8,7 @@
 //! segments that travel to the viewer as the geometric part of the heavy
 //! payload.
 
-use crate::volume::Volume;
+use crate::volume::{min_max, Volume};
 use serde::{Deserialize, Serialize};
 
 /// One refinement box, in level-0 cell coordinates.
@@ -79,6 +79,7 @@ impl AmrHierarchy {
         assert!(block > 0, "block size must be positive");
         assert!(max_levels > 0, "need at least one level");
         let dims = volume.dims();
+        let data = volume.data();
         let (vmin, vmax) = volume.value_range();
         let full_span = (vmax - vmin).max(1e-20);
 
@@ -94,11 +95,10 @@ impl AmrHierarchy {
             let mut hi = f32::NEG_INFINITY;
             for z in z0..z1 {
                 for y in y0..y1 {
-                    for x in x0..x1 {
-                        let v = volume.get(x, y, z);
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
+                    let row = (z * dims.1 + y) * dims.0;
+                    let (row_lo, row_hi) = min_max(&data[row + x0..row + x1]);
+                    lo = lo.min(row_lo);
+                    hi = hi.max(row_hi);
                 }
             }
             if lo > hi {

@@ -16,6 +16,32 @@ pub(crate) fn extend_le_bytes(out: &mut Vec<u8>, values: &[f32]) {
     }
 }
 
+/// Smallest and largest of `values`, `(INFINITY, NEG_INFINITY)` when there is
+/// nothing to compare.
+///
+/// Eight independent accumulators, folded at the end: one `min`/`max` chain is
+/// bound by the latency of each comparison, eight are not.  NaNs are skipped,
+/// as `f32::min`/`f32::max` skip them (all-NaN input gives the empty result),
+/// and the extremes of the remaining values do not depend on the order they
+/// are visited in — with one caveat inherited from those functions: `-0.0` and
+/// `0.0` compare equal, so when zero is the extreme and both signs occur,
+/// which sign comes back is unspecified.
+pub(crate) fn min_max(values: &[f32]) -> (f32, f32) {
+    let mut lo = [f32::INFINITY; 8];
+    let mut hi = [f32::NEG_INFINITY; 8];
+    // The last chunk may be short; `zip` stops with it.
+    for chunk in values.chunks(8) {
+        for ((lo, hi), &v) in lo.iter_mut().zip(&mut hi).zip(chunk) {
+            *lo = lo.min(v);
+            *hi = hi.max(v);
+        }
+    }
+    (
+        lo.into_iter().fold(f32::INFINITY, f32::min),
+        hi.into_iter().fold(f32::NEG_INFINITY, f32::max),
+    )
+}
+
 /// A dense scalar field on a regular grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Volume {
@@ -110,12 +136,7 @@ impl Volume {
 
     /// Minimum and maximum sample values.
     pub fn value_range(&self) -> (f32, f32) {
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
-        for &v in &self.data {
-            min = min.min(v);
-            max = max.max(v);
-        }
+        let (min, max) = min_max(&self.data);
         if min > max {
             (0.0, 0.0)
         } else {
@@ -223,6 +244,55 @@ mod tests {
         // Constant volume normalizes to itself.
         let c = Volume::from_data((2, 2, 2), vec![3.0; 8]);
         assert_eq!(c.normalized(), c);
+    }
+
+    /// The single `min`/`max` chain `min_max` replaced.
+    fn min_max_one_chain(values: &[f32]) -> (f32, f32) {
+        values.iter().fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        })
+    }
+
+    #[test]
+    fn min_max_matches_a_single_chain_at_every_length() {
+        // Every length around the eight-lane chunking, the extremes planted
+        // at every position in turn.
+        let ramp = ramp_volume((7, 3, 2));
+        for len in 0..=ramp.len() {
+            let values = &ramp.data()[..len];
+            assert_eq!(min_max(values), min_max_one_chain(values), "len {len}");
+            for at in 0..len {
+                let mut planted = values.to_vec();
+                planted[at] = -5.0;
+                planted[len - 1 - at] = 1e9;
+                assert_eq!(min_max(&planted), min_max_one_chain(&planted), "len {len}, at {at}");
+            }
+        }
+        assert_eq!(min_max(&[]), (f32::INFINITY, f32::NEG_INFINITY));
+    }
+
+    #[test]
+    fn min_max_skips_nan_and_treats_the_zeros_as_equal() {
+        // NaN is skipped wherever it sits: lane heads, tail, everywhere.
+        let mut values: Vec<f32> = (0..19).map(|i| i as f32 - 4.0).collect();
+        for at in [0, 7, 8, 18] {
+            values[at] = f32::NAN;
+        }
+        assert_eq!(min_max(&values), (-3.0, 13.0));
+        let (lo, hi) = min_max(&[f32::NAN; 11]);
+        assert_eq!((lo, hi), (f32::INFINITY, f32::NEG_INFINITY));
+        assert_eq!(
+            Volume::from_data((11, 1, 1), vec![f32::NAN; 11]).value_range(),
+            (0.0, 0.0)
+        );
+        // -0.0 == 0.0: whichever sign comes back, it is zero.
+        let (lo, hi) = min_max(&[0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0]);
+        assert_eq!((lo, hi), (0.0, 0.0));
+        // Infinities are values like any other.
+        assert_eq!(
+            min_max(&[1.0, f32::NEG_INFINITY, f32::INFINITY]),
+            (f32::NEG_INFINITY, f32::INFINITY)
+        );
     }
 
     #[test]
