@@ -97,7 +97,8 @@ impl SceneGraph {
 
     /// A consistent copy of the graph contents, in id order.  The render
     /// thread calls this once per frame; the copy means rendering proceeds
-    /// without holding the lock while I/O threads keep updating.
+    /// without holding the lock while I/O threads keep updating.  Textures
+    /// and line sets are shared, so the copy is a refcount bump per node.
     pub fn snapshot(&self) -> Vec<(NodeId, SceneNode)> {
         self.snapshots.fetch_add(1, Ordering::Relaxed);
         let inner = self.inner.read();
@@ -140,7 +141,7 @@ mod tests {
 
     fn texture_node(size: usize, z: f32) -> SceneNode {
         SceneNode::TextureQuad {
-            image: RgbaImage::new(size, size),
+            image: RgbaImage::new(size, size).into(),
             quad: Quad3::axis_aligned(2, [0.0, 0.0, z], 1.0, 1.0),
         }
     }

@@ -141,14 +141,14 @@ impl IbravrModel {
                     Some(offsets) => {
                         let side = (offsets.len() as f32).sqrt().round() as usize;
                         SceneNode::QuadMesh {
-                            image: s.image.clone(),
+                            image: s.image.clone().into(),
                             quad,
                             offsets: offsets.clone(),
                             mesh_dims: (side.max(1), side.max(1)),
                         }
                     }
                     None => SceneNode::TextureQuad {
-                        image: s.image.clone(),
+                        image: s.image.clone().into(),
                         quad,
                     },
                 }

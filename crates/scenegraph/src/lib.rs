@@ -7,9 +7,10 @@
 //! on:
 //!
 //! * [`node`] — displayable node types: 2-D textures placed on 3-D quads
-//!   (the IBRAVR slab images), line sets (the AMR grids of Figure 3), quad
-//!   meshes with per-vertex depth offsets (the IBRAVR depth extension), and
-//!   text annotations.
+//!   (the IBRAVR slab images, held as float images or as the wire's own
+//!   RGBA8 bytes), line sets (the AMR grids of Figure 3), quad meshes with
+//!   per-vertex depth offsets (the IBRAVR depth extension), and text
+//!   annotations.
 //! * [`graph`] — the semaphore-protected retained scene graph with
 //!   asynchronous updates: viewer I/O threads update textures as they arrive
 //!   from the back end while the render thread takes consistent snapshots at
@@ -32,5 +33,5 @@ pub mod raster;
 
 pub use graph::{NodeId, SceneGraph, SceneGraphStats};
 pub use ibravr::{IbravrModel, SlabImage};
-pub use node::{Quad3, SceneNode};
+pub use node::{Quad3, Rgba8Texture, SceneNode, Texture, TextureError};
 pub use raster::{RasterSettings, Rasterizer};

@@ -6,9 +6,217 @@
 //! node set here covers what Visapult actually puts in the graph: textured
 //! quads (one per back-end PE), line sets for the AMR grids, quad meshes for
 //! the IBRAVR depth extension, and text annotations.
+//!
+//! # Two texel formats, one loop
+//!
+//! A quad's [`Texture`] is held in whichever format it was made in.  The
+//! back end ships slab textures as RGBA8 and the paper's viewer hands them to
+//! the texturing hardware as they arrive (§3.3), so the viewer's nodes keep
+//! the payload's own [`Bytes`] — placing or re-showing a texture, and every
+//! [`crate::SceneGraph::snapshot`] of it, is a refcount bump, never a
+//! conversion or a copy.  A progressive update is the same thing with fewer
+//! bytes: the buffer is the *received prefix* of the texture and every texel
+//! past it is transparent black.  Imagery rendered in this process
+//! ([`crate::IbravrModel`], Figure 6) is a float [`RgbaImage`] and stays one,
+//! shared behind an `Arc`.
+//!
+//! Which format a quad has is read off the node; nothing selects it.  The
+//! rasterizer's one quad loop is generic over a texel accessor (`Texels`) and
+//! reads an RGBA8 channel as `b as f32 / 255.0` — the expression
+//! [`RgbaImage::from_rgba8`] uses, from a 256-entry table — so a wire-format
+//! quad draws the very floats the expanded image would have, and every
+//! blended and quantised value after them.
 
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::Arc;
 use volren::RgbaImage;
+
+/// Every RGBA8 channel value as the float [`RgbaImage::from_rgba8`] decodes
+/// it to: `UNORM8[b] == b as f32 / 255.0`, bit for bit.  The one texel-decode
+/// expression of the wire-format sampling path.
+pub(crate) static UNORM8: [f32; 256] = {
+    let mut table = [0.0f32; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = b as f32 / 255.0;
+        b += 1;
+    }
+    table
+};
+
+/// One RGBA8 channel as a float: the only place a wire byte becomes one.
+#[inline]
+fn unorm8(b: u8) -> f32 {
+    UNORM8[b as usize]
+}
+
+/// Read access to a texture's texels as straight-alpha floats — what the
+/// rasterizer's quad loop is generic over, one implementation per format.
+pub(crate) trait Texels {
+    /// Width in texels (never zero).
+    fn width(&self) -> usize;
+    /// Height in texels (never zero).
+    fn height(&self) -> usize;
+    /// The texel at `(x, y)`, `x < width`, `y < height`.
+    fn texel(&self, x: usize, y: usize) -> [f32; 4];
+}
+
+impl Texels for RgbaImage {
+    fn width(&self) -> usize {
+        RgbaImage::width(self)
+    }
+
+    fn height(&self) -> usize {
+        RgbaImage::height(self)
+    }
+
+    #[inline]
+    fn texel(&self, x: usize, y: usize) -> [f32; 4] {
+        self.get(x, y)
+    }
+}
+
+/// Why [`Texture::rgba8`] refused a buffer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TextureError {
+    /// A dimension was zero, or `width × height × 4` overflows `usize`.
+    BadDimensions {
+        /// The width asked for.
+        width: usize,
+        /// The height asked for.
+        height: usize,
+    },
+    /// The buffer holds more bytes than the texture has.
+    TooManyBytes {
+        /// Bytes offered.
+        len: usize,
+        /// `width × height × 4`.
+        full: usize,
+    },
+}
+
+impl fmt::Display for TextureError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TextureError::BadDimensions { width, height } => {
+                write!(f, "a {width}x{height} RGBA8 texture has no addressable texels")
+            }
+            TextureError::TooManyBytes { len, full } => {
+                write!(f, "{len} texture bytes offered for a texture of {full}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TextureError {}
+
+/// `width × height` RGBA8 texels held as the wire payload's own buffer.
+///
+/// The buffer may be shorter than the texture: it is then the received
+/// prefix, in row-major byte order, and every byte past it reads as zero —
+/// transparent black, exactly the zero-padded image a partial frame used to
+/// be expanded into.  Built only by [`Texture::rgba8`], which is what keeps
+/// `width × height × 4` representable and the dimensions non-zero.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rgba8Texture {
+    width: usize,
+    height: usize,
+    texels: Bytes,
+}
+
+impl Rgba8Texture {
+    /// The received bytes — shared with the payload that delivered them.
+    pub fn bytes(&self) -> &Bytes {
+        &self.texels
+    }
+}
+
+impl Texels for Rgba8Texture {
+    fn width(&self) -> usize {
+        self.width
+    }
+
+    fn height(&self) -> usize {
+        self.height
+    }
+
+    #[inline]
+    fn texel(&self, x: usize, y: usize) -> [f32; 4] {
+        debug_assert!(x < self.width && y < self.height);
+        let received: &[u8] = &self.texels;
+        let i = (y * self.width + x) * 4;
+        match received.get(i..i + 4) {
+            Some(px) => [unorm8(px[0]), unorm8(px[1]), unorm8(px[2]), unorm8(px[3])],
+            // The prefix ends inside or before this texel: what is missing
+            // reads as zero.
+            None => {
+                let channel = |c: usize| received.get(i + c).map_or(0.0, |&b| unorm8(b));
+                [channel(0), channel(1), channel(2), channel(3)]
+            }
+        }
+    }
+}
+
+/// The image on a [`SceneNode::TextureQuad`] or [`SceneNode::QuadMesh`], in
+/// the format it was made in (see the module docs).  Cloning either variant
+/// bumps a refcount.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Texture {
+    /// A float image rendered in this process, shared.
+    Float(Arc<RgbaImage>),
+    /// RGBA8 texels as they crossed the wire — possibly only a prefix.
+    Rgba8(Rgba8Texture),
+}
+
+impl Texture {
+    /// A `width × height` RGBA8 texture over `texels`, sharing the buffer.
+    /// A buffer shorter than `width × height × 4` is a prefix (the rest is
+    /// transparent black); a zero dimension, a size that overflows, or a
+    /// buffer *longer* than the texture is refused.  Nothing is allocated.
+    pub fn rgba8(width: usize, height: usize, texels: Bytes) -> Result<Texture, TextureError> {
+        let full = width
+            .checked_mul(height)
+            .and_then(|texels| texels.checked_mul(4))
+            .filter(|&full| full > 0)
+            .ok_or(TextureError::BadDimensions { width, height })?;
+        if texels.len() > full {
+            return Err(TextureError::TooManyBytes {
+                len: texels.len(),
+                full,
+            });
+        }
+        Ok(Texture::Rgba8(Rgba8Texture { width, height, texels }))
+    }
+
+    /// Width in texels.
+    pub fn width(&self) -> usize {
+        match self {
+            Texture::Float(image) => image.width(),
+            Texture::Rgba8(texture) => texture.width,
+        }
+    }
+
+    /// Height in texels.
+    pub fn height(&self) -> usize {
+        match self {
+            Texture::Float(image) => image.height(),
+            Texture::Rgba8(texture) => texture.height,
+        }
+    }
+
+    /// Size of the whole texture as 8-bit RGBA, whatever it is held as.
+    pub fn byte_len(&self) -> usize {
+        self.width() * self.height() * 4
+    }
+}
+
+impl From<RgbaImage> for Texture {
+    fn from(image: RgbaImage) -> Texture {
+        Texture::Float(Arc::new(image))
+    }
+}
 
 /// A quadrilateral in 3-D given by its centre and two half-extent vectors.
 /// The quad's corners are `center ± u ± v`.
@@ -54,13 +262,13 @@ impl Quad3 {
 }
 
 /// One displayable node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SceneNode {
     /// A 2-D texture mapped onto a quad in 3-D — the fundamental IBRAVR
     /// primitive (one per back-end PE slab).
     TextureQuad {
         /// The texture image.
-        image: RgbaImage,
+        image: Texture,
         /// Where the quad sits in model space.
         quad: Quad3,
     },
@@ -69,7 +277,7 @@ pub enum SceneNode {
     /// with a quadrilateral mesh using offsets from the base plane".
     QuadMesh {
         /// The texture image.
-        image: RgbaImage,
+        image: Texture,
         /// The base quad.
         quad: Quad3,
         /// Offsets along the quad normal, row-major `mesh_dims.1 × mesh_dims.0`.
@@ -82,7 +290,7 @@ pub enum SceneNode {
         /// Segment endpoints, shared with the payload that delivered them
         /// (updating the scene graph bumps a refcount instead of copying the
         /// geometry every frame).
-        segments: std::sync::Arc<Vec<([f32; 3], [f32; 3])>>,
+        segments: Arc<Vec<([f32; 3], [f32; 3])>>,
         /// RGBA colour.
         color: [f32; 4],
     },
@@ -154,7 +362,7 @@ mod tests {
     fn payload_bytes_reflect_texture_size() {
         let img = RgbaImage::new(64, 64);
         let node = SceneNode::TextureQuad {
-            image: img.clone(),
+            image: img.clone().into(),
             quad: Quad3::axis_aligned(2, [0.0; 3], 1.0, 1.0),
         };
         assert_eq!(node.payload_bytes(), 64 * 64 * 4);
@@ -171,13 +379,71 @@ mod tests {
     }
 
     #[test]
+    fn rgba8_textures_refuse_what_they_cannot_address() {
+        let bytes = |n: usize| Bytes::from(vec![7u8; n]);
+        for (w, h) in [(0, 16), (16, 0), (0, 0)] {
+            assert_eq!(
+                Texture::rgba8(w, h, Bytes::new()),
+                Err(TextureError::BadDimensions { width: w, height: h })
+            );
+        }
+        assert!(matches!(
+            Texture::rgba8(usize::MAX / 2, 3, Bytes::new()),
+            Err(TextureError::BadDimensions { .. })
+        ));
+        assert_eq!(
+            Texture::rgba8(2, 2, bytes(17)),
+            Err(TextureError::TooManyBytes { len: 17, full: 16 })
+        );
+        // A huge announced size with nothing received is fine: no allocation
+        // is made from it.
+        let huge = Texture::rgba8(65_535, 65_535, Bytes::new()).unwrap();
+        assert_eq!(huge.byte_len(), 65_535 * 65_535 * 4);
+        // Whole, partial and empty buffers are all textures, and keep the
+        // buffer they were given.
+        let whole = bytes(16);
+        match Texture::rgba8(2, 2, whole.clone()).unwrap() {
+            Texture::Rgba8(texture) => assert!(texture.bytes().ptr_eq(&whole)),
+            other => panic!("expected RGBA8, got {other:?}"),
+        }
+        assert_eq!(Texture::rgba8(2, 2, bytes(5)).unwrap().byte_len(), 16);
+    }
+
+    #[test]
+    fn texels_past_the_received_prefix_are_transparent_black() {
+        // 2×2, six bytes in: texel 0 whole, texel 1 cut mid-pixel, row 1 absent.
+        let Texture::Rgba8(texture) = Texture::rgba8(2, 2, Bytes::from(vec![255, 0, 51, 255, 102, 255])).unwrap()
+        else {
+            panic!("expected RGBA8");
+        };
+        assert_eq!(texture.texel(0, 0), [1.0, 0.0, 0.2, 1.0]);
+        assert_eq!(texture.texel(1, 0), [0.4, 1.0, 0.0, 0.0]);
+        assert_eq!(texture.texel(0, 1), [0.0; 4]);
+        assert_eq!(texture.texel(1, 1), [0.0; 4]);
+    }
+
+    #[test]
+    fn cloning_a_texture_shares_it() {
+        let float = Texture::from(RgbaImage::new(4, 4));
+        match (&float, &float.clone()) {
+            (Texture::Float(a), Texture::Float(b)) => assert!(Arc::ptr_eq(a, b)),
+            _ => panic!("expected float textures"),
+        }
+        let wire = Texture::rgba8(4, 4, Bytes::from(vec![1u8; 64])).unwrap();
+        match (&wire, &wire.clone()) {
+            (Texture::Rgba8(a), Texture::Rgba8(b)) => assert!(a.bytes().ptr_eq(b.bytes())),
+            _ => panic!("expected RGBA8 textures"),
+        }
+    }
+
+    #[test]
     fn depth_ordering_follows_view_direction() {
         let near = SceneNode::TextureQuad {
-            image: RgbaImage::new(2, 2),
+            image: RgbaImage::new(2, 2).into(),
             quad: Quad3::axis_aligned(2, [0.0, 0.0, 1.0], 1.0, 1.0),
         };
         let far = SceneNode::TextureQuad {
-            image: RgbaImage::new(2, 2),
+            image: RgbaImage::new(2, 2).into(),
             quad: Quad3::axis_aligned(2, [0.0, 0.0, 10.0], 1.0, 1.0),
         };
         let dir = [0.0, 0.0, 1.0];

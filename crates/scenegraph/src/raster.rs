@@ -7,8 +7,13 @@
 //! DDA, and text nodes are ignored (they have no pixels here).  The
 //! projection conventions match `volren::render_view` so that IBRAVR output
 //! can be compared pixel-for-pixel with ground-truth volume renderings.
+//!
+//! There is one quad loop.  It is generic over the texel accessor and
+//! compiled once per [`Texture`] format, and the RGBA8 accessor yields the
+//! floats [`RgbaImage::from_rgba8`] would have: a wire-format quad and its
+//! expanded float image draw identical framebuffers, bit for bit.
 
-use crate::node::{Quad3, SceneNode};
+use crate::node::{Quad3, SceneNode, Texels, Texture};
 use serde::{Deserialize, Serialize};
 use volren::{RgbaImage, ViewOrientation};
 
@@ -66,7 +71,8 @@ fn sub(a: [f32; 3], b: [f32; 3]) -> [f32; 3] {
 }
 
 /// Bilinear sample of a texture at normalized coordinates in `[0, 1]²`.
-fn sample_texture(img: &RgbaImage, u: f32, v: f32) -> [f32; 4] {
+#[inline]
+fn sample_texture<T: Texels>(img: &T, u: f32, v: f32) -> [f32; 4] {
     let x = (u.clamp(0.0, 1.0) * (img.width() - 1) as f32).max(0.0);
     let y = (v.clamp(0.0, 1.0) * (img.height() - 1) as f32).max(0.0);
     let x0 = x.floor() as usize;
@@ -76,10 +82,10 @@ fn sample_texture(img: &RgbaImage, u: f32, v: f32) -> [f32; 4] {
     let fx = x - x0 as f32;
     let fy = y - y0 as f32;
     let mut out = [0.0f32; 4];
-    let p00 = img.get(x0, y0);
-    let p10 = img.get(x1, y0);
-    let p01 = img.get(x0, y1);
-    let p11 = img.get(x1, y1);
+    let p00 = img.texel(x0, y0);
+    let p10 = img.texel(x1, y0);
+    let p01 = img.texel(x0, y1);
+    let p11 = img.texel(x1, y1);
     for c in 0..4 {
         let a = p00[c] + (p10[c] - p00[c]) * fx;
         let b = p01[c] + (p11[c] - p01[c]) * fx;
@@ -147,13 +153,13 @@ impl Rasterizer {
         });
         for idx in order {
             match &nodes[idx] {
-                SceneNode::TextureQuad { image, quad } => self.draw_quad(&mut framebuffer, image, quad),
-                SceneNode::QuadMesh { image, quad, .. } => {
-                    // The depth offsets displace geometry along the quad
-                    // normal; under orthographic projection the silhouette is
-                    // unchanged, so the mesh rasterizes like its base quad.
-                    self.draw_quad(&mut framebuffer, image, quad)
-                }
+                // A mesh's depth offsets displace geometry along the quad
+                // normal; under orthographic projection the silhouette is
+                // unchanged, so the mesh rasterizes like its base quad.
+                SceneNode::TextureQuad { image, quad } | SceneNode::QuadMesh { image, quad, .. } => match image {
+                    Texture::Float(texels) => self.draw_quad(&mut framebuffer, &**texels, quad),
+                    Texture::Rgba8(texels) => self.draw_quad(&mut framebuffer, texels, quad),
+                },
                 SceneNode::Lines { segments, color } => self.draw_lines(&mut framebuffer, segments, *color),
                 SceneNode::Text { .. } => {}
             }
@@ -161,7 +167,7 @@ impl Rasterizer {
         framebuffer
     }
 
-    fn draw_quad(&self, fb: &mut RgbaImage, image: &RgbaImage, quad: &Quad3) {
+    fn draw_quad<T: Texels>(&self, fb: &mut RgbaImage, image: &T, quad: &Quad3) {
         // Projected centre and axis vectors (orthographic projection is
         // affine, so p(center + a*u + b*v) = p(center) + a*P(u) + b*P(v)).
         let (cx, cy, _) = self.project(quad.center);
@@ -277,7 +283,7 @@ mod tests {
     #[test]
     fn quad_facing_the_camera_covers_pixels() {
         let node = SceneNode::TextureQuad {
-            image: solid_texture(8, [1.0, 0.0, 0.0, 1.0]),
+            image: solid_texture(8, [1.0, 0.0, 0.0, 1.0]).into(),
             quad: Quad3::axis_aligned(2, [31.5, 31.5, 31.5], 20.0, 20.0),
         };
         let r = Rasterizer::new(&ViewOrientation::axis_aligned(), framing());
@@ -292,7 +298,7 @@ mod tests {
     fn edge_on_quad_draws_nothing() {
         // A Z-aligned quad viewed along X is edge-on.
         let node = SceneNode::TextureQuad {
-            image: solid_texture(8, [1.0, 1.0, 1.0, 1.0]),
+            image: solid_texture(8, [1.0, 1.0, 1.0, 1.0]).into(),
             quad: Quad3::axis_aligned(2, [31.5, 31.5, 31.5], 20.0, 20.0),
         };
         let r = Rasterizer::new(&ViewOrientation::new(90.0, 0.0), framing());
@@ -303,11 +309,11 @@ mod tests {
     #[test]
     fn back_to_front_blending_puts_near_quad_on_top() {
         let far = SceneNode::TextureQuad {
-            image: solid_texture(4, [0.0, 0.0, 1.0, 1.0]),
+            image: solid_texture(4, [0.0, 0.0, 1.0, 1.0]).into(),
             quad: Quad3::axis_aligned(2, [31.5, 31.5, 50.0], 20.0, 20.0),
         };
         let near = SceneNode::TextureQuad {
-            image: solid_texture(4, [1.0, 0.0, 0.0, 1.0]),
+            image: solid_texture(4, [1.0, 0.0, 0.0, 1.0]).into(),
             quad: Quad3::axis_aligned(2, [31.5, 31.5, 10.0], 20.0, 20.0),
         };
         // Canonical view looks down -Z from +Z... view_direction is (0,0,-1),
@@ -330,11 +336,11 @@ mod tests {
     #[test]
     fn semi_transparent_quads_blend() {
         let back = SceneNode::TextureQuad {
-            image: solid_texture(4, [0.0, 0.0, 1.0, 0.5]),
+            image: solid_texture(4, [0.0, 0.0, 1.0, 0.5]).into(),
             quad: Quad3::axis_aligned(2, [31.5, 31.5, 45.0], 20.0, 20.0),
         };
         let front = SceneNode::TextureQuad {
-            image: solid_texture(4, [1.0, 0.0, 0.0, 0.5]),
+            image: solid_texture(4, [1.0, 0.0, 0.0, 0.5]).into(),
             quad: Quad3::axis_aligned(2, [31.5, 31.5, 15.0], 20.0, 20.0),
         };
         let r = Rasterizer::new(&ViewOrientation::axis_aligned(), framing());
@@ -365,6 +371,92 @@ mod tests {
         let r = Rasterizer::new(&ViewOrientation::axis_aligned(), framing());
         let fb = r.render(&[node]);
         assert_eq!(fb.coverage(), 0.0);
+    }
+
+    #[test]
+    fn the_decode_table_is_the_from_rgba8_expression() {
+        for b in 0..=255u8 {
+            let table = crate::node::UNORM8[b as usize];
+            assert_eq!(table.to_bits(), (b as f32 / 255.0).to_bits(), "entry {b}");
+            // And `from_rgba8` itself, the reference the table stands in for.
+            let reference = RgbaImage::from_rgba8(1, 1, &[b; 4]).get(0, 0)[0];
+            assert_eq!(table.to_bits(), reference.to_bits(), "entry {b} vs from_rgba8");
+        }
+    }
+
+    #[test]
+    fn an_rgba8_quad_renders_the_floats_of_its_expanded_image() {
+        // Every texture is drawn twice — as wire bytes (whole, and as prefixes
+        // ending on a row, mid-row, mid-pixel and before the first texel) and
+        // as `from_rgba8` of the same bytes zero-padded — over an opaque
+        // backdrop so the blend's every term is live, and the framebuffers
+        // must agree float for float.
+        let settings = RasterSettings::framing_volume((32, 32, 32), 56, 44);
+        let views = [
+            ViewOrientation::new(8.0, 4.0),
+            ViewOrientation::axis_aligned(),
+            ViewOrientation::new(37.0, -21.0),
+        ];
+        let quads = [
+            Quad3::axis_aligned(2, [15.5, 15.5, 10.0], 16.0, 16.0),
+            Quad3::axis_aligned(2, [4.0, 22.0, 20.0], 9.5, 3.25),
+            Quad3 {
+                center: [15.5, 15.5, 15.5],
+                u: [11.0, 4.0, 2.0],
+                v: [-3.0, 12.0, 5.0],
+            },
+        ];
+        let backdrop = SceneNode::TextureQuad {
+            image: solid_texture(2, [0.2, 0.5, 0.7, 1.0]).into(),
+            quad: Quad3::axis_aligned(2, [15.5, 15.5, -40.0], 40.0, 40.0),
+        };
+        let mut compared = 0usize;
+        for (w, h) in [(1, 1), (1, 9), (7, 1), (2, 2), (3, 5), (16, 16), (64, 48)] {
+            let full = w * h * 4;
+            // Multiplicative hashing of the index: every byte value, no pattern
+            // aligned with texels or rows.
+            let bytes: Vec<u8> = (0..full)
+                .map(|i: usize| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+                .collect();
+            let row = w * 4;
+            let mut prefixes = vec![
+                full,
+                0,
+                1,
+                full - 1,
+                full - 2,
+                row * (h / 2),
+                row * (h / 2) + 4,
+                row / 2 + 2,
+            ];
+            prefixes.retain(|&len| len <= full);
+            prefixes.sort_unstable();
+            prefixes.dedup();
+            for len in prefixes {
+                let mut padded = bytes[..len].to_vec();
+                padded.resize(full, 0);
+                let float = Texture::from(RgbaImage::from_rgba8(w, h, &padded));
+                let wire = Texture::rgba8(w, h, bytes[..len].to_vec().into()).unwrap();
+                for view in &views {
+                    let raster = Rasterizer::new(view, settings);
+                    for quad in &quads {
+                        let draw = |image: &Texture| {
+                            let node = SceneNode::TextureQuad {
+                                image: image.clone(),
+                                quad: *quad,
+                            };
+                            raster.render(&[backdrop.clone(), node])
+                        };
+                        let (a, b) = (draw(&wire), draw(&float));
+                        let same = a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits());
+                        assert!(same, "{w}x{h}, {len} of {full} bytes, {view:?}, {quad:?}");
+                        assert_eq!(a.to_rgba8(), b.to_rgba8());
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(compared > 300, "only {compared} renders compared");
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! Measures one frame's trip across the striped link — zero-copy segment
 //! encode, chunking, stripe fan-out, out-of-order reassembly, decode — at
 //! stripe counts 1/4/8 (unshaped, so the numbers are the transport's own
-//! overhead, not the pacing).
+//! overhead, not the pacing), and `progressive_1k`: what a viewer link thread
+//! asks of one `FrameAssembler` per frame on the `wan_wire` shape (a 512²
+//! texture in 1 KB chunks over 8 stripes, the light and the texture prefix
+//! polled after every chunk).
 //!
 //! Besides the criterion output, a custom `main` writes a
 //! `target/BENCH_transport.json` baseline (median seconds per frame and
@@ -15,19 +18,19 @@ use std::hint::black_box;
 use std::sync::Arc;
 use visapult_bench::{median_secs, report_baseline};
 use visapult_core::protocol::{FramePayload, HeavyPayload, LightPayload};
-use visapult_core::transport::{striped_link, TransportConfig};
+use visapult_core::transport::{striped_link, AssemblyEvent, FrameAssembler, FrameChunk, TransportConfig};
 
 const TEX: usize = 256; // 256x256 RGBA8 = 256 KB per frame
 
-fn sample_frame() -> FramePayload {
-    let texture: Vec<u8> = (0..TEX * TEX * 4).map(|i| (i % 251) as u8).collect();
+fn frame_of(tex: usize) -> FramePayload {
+    let texture: Vec<u8> = (0..tex * tex * 4).map(|i| (i % 251) as u8).collect();
     let geometry: Vec<([f32; 3], [f32; 3])> = (0..256).map(|i| ([i as f32, 0.0, 0.0], [i as f32, 1.0, 1.0])).collect();
     FramePayload {
         light: LightPayload {
             frame: 0,
             rank: 0,
-            texture_width: TEX as u32,
-            texture_height: TEX as u32,
+            texture_width: tex as u32,
+            texture_height: tex as u32,
             bytes_per_pixel: 4,
             quad_center: [0.5; 3],
             quad_u: [1.0, 0.0, 0.0],
@@ -61,7 +64,7 @@ fn roundtrip(frame: &FramePayload, stripes: u32) -> usize {
 }
 
 fn bench_striped_roundtrip(c: &mut Criterion) {
-    let frame = sample_frame();
+    let frame = frame_of(TEX);
     let bytes = frame.wire_bytes();
     let mut group = c.benchmark_group("transport_frame_roundtrip");
     group.throughput(Throughput::Bytes(bytes));
@@ -73,10 +76,43 @@ fn bench_striped_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_striped_roundtrip);
+/// A 512² frame as one link delivers it: 1 KB chunks dealt over 8 stripes,
+/// in the order the receiver drains them.
+fn progressive_chunks() -> Vec<FrameChunk> {
+    let mut config = TransportConfig::default().with_stripes(8).with_chunk_bytes(1024);
+    config.queue_depth = 2048;
+    let (tx, mut rx) = striped_link(&config);
+    tx.send_frame(&frame_of(512)).unwrap();
+    drop(tx);
+    std::iter::from_fn(|| rx.try_recv_chunk()).collect()
+}
+
+/// The viewer's per-chunk calls on one assembler: `accept`, then the partial
+/// light and the texture prefix.  Returns the prefix bytes seen, summed.
+fn progressive(chunks: &[FrameChunk]) -> usize {
+    let mut assembler = FrameAssembler::new();
+    let mut seen = 0;
+    for chunk in chunks {
+        if let Ok(AssemblyEvent::Progress { rank, frame, .. }) = assembler.accept(chunk.clone()) {
+            if assembler.partial_light(rank, frame).is_some() {
+                seen += assembler.partial_texture(rank, frame).map_or(0, |prefix| prefix.len());
+            }
+        }
+    }
+    seen
+}
+
+fn bench_progressive(c: &mut Criterion) {
+    let chunks = progressive_chunks();
+    c.bench_function("transport_progressive_1k", |b| {
+        b.iter(|| black_box(progressive(&chunks)));
+    });
+}
+
+criterion_group!(benches, bench_striped_roundtrip, bench_progressive);
 
 fn write_baseline() {
-    let frame = sample_frame();
+    let frame = frame_of(TEX);
     let bytes = frame.wire_bytes();
     let samples = 30;
 
@@ -89,15 +125,21 @@ fn write_baseline() {
         })
         .collect();
 
+    let chunks = progressive_chunks();
+    let progressive_s = median_secs(samples, || {
+        black_box(progressive(&chunks));
+    });
+
     let mbps = |s: f64| bytes as f64 / s / 1e6;
     let json = format!(
-        "{{\n  \"bench\": \"transport_frame_roundtrip\",\n  \"bytes_per_op\": {bytes},\n  \"samples\": {samples},\n  \"cases\": {{\n    \"stripes_1\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_4\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_8\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"transport_frame_roundtrip\",\n  \"bytes_per_op\": {bytes},\n  \"samples\": {samples},\n  \"cases\": {{\n    \"stripes_1\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_4\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_8\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"progressive_1k\": {{ \"median_s\": {progressive_s:.9}, \"chunks\": {} }}\n  }}\n}}\n",
         stripe_s[0],
         mbps(stripe_s[0]),
         stripe_s[1],
         mbps(stripe_s[1]),
         stripe_s[2],
         mbps(stripe_s[2]),
+        chunks.len(),
     );
     report_baseline("transport", &json);
 }

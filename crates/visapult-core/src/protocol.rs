@@ -324,7 +324,10 @@ impl FrameSegments {
                 light.frame, light.rank
             )));
         }
-        if tex_len != light.texture_width as usize * light.texture_height as usize * light.bytes_per_pixel as usize {
+        let promised = (light.texture_width as usize)
+            .checked_mul(light.texture_height as usize)
+            .and_then(|texels| texels.checked_mul(light.bytes_per_pixel as usize));
+        if promised != Some(tex_len) {
             return Err(VisapultError::Protocol(format!(
                 "texture is {tex_len} bytes but the metadata promises {}x{}x{}",
                 light.texture_width, light.texture_height, light.bytes_per_pixel
@@ -557,6 +560,11 @@ mod tests {
         // Metadata promising a different texture size.
         let mut wrong = f.clone();
         wrong.light.texture_width += 1;
+        assert!(FrameSegments::encode(&wrong).decode().is_err());
+        // Metadata whose product does not fit: an error, not an overflow.
+        let mut wrong = f.clone();
+        (wrong.light.texture_width, wrong.light.texture_height) = (u32::MAX, u32::MAX);
+        wrong.light.bytes_per_pixel = u32::MAX;
         assert!(FrameSegments::encode(&wrong).decode().is_err());
     }
 

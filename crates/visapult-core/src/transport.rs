@@ -16,6 +16,28 @@
 //! per-stripe sequence numbers; reassembly tolerates arbitrary arrival
 //! interleavings and surfaces out-of-order and late-chunk telemetry.
 //!
+//! # What a chunk costs the receiver
+//!
+//! [`FrameAssembler::accept`] is O(1): one slot store, and on the frame's
+//! last chunk one pass over the slots.  The progressive views a viewer polls
+//! between chunks — [`FrameAssembler::partial_light`] and
+//! [`FrameAssembler::partial_texture`] — are O(1) amortised as well: a
+//! pending frame keeps one cursor over its slots that folds each newly
+//! contiguous slot into the joined light bytes or the texture prefix exactly
+//! once, so polling after every one of a frame's *n* chunks costs *n* slot
+//! visits, not *n²*/2.  The cursor is allocated by the first poll; an
+//! assembler nobody polls (every session endpoint of the fan-out plane)
+//! never pays for it.  The prefix rules, in slot order from slot 0:
+//!
+//! * a gap (a chunk not yet received) stops the cursor — it resumes there;
+//! * the **light** message is the run of segment-0 slots up to the first
+//!   slot of another segment; parts that are not adjacent windows of one
+//!   buffer cannot be joined and the frame then has no partial light;
+//!   the joined bytes are decoded once, as soon as they decode;
+//! * the **texture prefix** joins the segment-2 slots in order, skipping
+//!   segments 0 and 1, and ends for good at a slot of a later segment or at
+//!   the first part that is not adjacent to the prefix so far.
+//!
 //! Both campaign paths consume the same configuration: the real pipeline runs
 //! the link, the virtual-time path replays [`plan_chunks`] over the modeled
 //! payload sizes, so the two report structurally identical
@@ -654,6 +676,75 @@ struct FrameAssembly {
     total: u32,
     received: u32,
     slots: Vec<Option<(u8, Bytes)>>,
+    /// The progressive-view cursor, allocated by the first `partial_*` call:
+    /// `accept` never touches it, so frames nobody polls carry one null word.
+    prefix: Option<Box<PrefixCursor>>,
+}
+
+/// One pass over a pending frame's slots, resumed on every poll (the module
+/// docs give the rules it applies).  A slot is set once and never changes, so
+/// nothing folded is ever revisited.
+#[derive(Default)]
+struct PrefixCursor {
+    /// First slot not folded yet.
+    next: usize,
+    /// The light parts joined so far.
+    light_bytes: Option<Bytes>,
+    /// The light message can no longer grow.
+    light_closed: bool,
+    /// The decoded light payload, once `light_bytes` decodes.
+    light: Option<LightPayload>,
+    /// The texture parts joined so far.
+    texture: Option<Bytes>,
+    /// The texture prefix can no longer grow.
+    texture_closed: bool,
+}
+
+impl PrefixCursor {
+    /// Fold every slot that has become contiguous since the last call.
+    fn advance(&mut self, slots: &[Option<(u8, Bytes)>]) {
+        let mut light_grew = false;
+        while let Some(Some((segment, part))) = slots.get(self.next) {
+            self.next += 1;
+            if *segment == 0 {
+                if !self.light_closed {
+                    self.light_bytes = match &self.light_bytes {
+                        None => Some(part.clone()),
+                        Some(prev) => prev.try_join(part),
+                    };
+                    if self.light_bytes.is_none() {
+                        // Not adjacent windows of one buffer: this frame has
+                        // no partial light, whatever decoded before.
+                        self.light = None;
+                        self.light_closed = true;
+                    }
+                    light_grew = true;
+                }
+                continue;
+            }
+            self.light_closed = true;
+            if self.texture_closed {
+                continue;
+            }
+            match segment {
+                1 => {}
+                2 => match &self.texture {
+                    None => self.texture = Some(part.clone()),
+                    Some(prev) => match prev.try_join(part) {
+                        Some(joined) => self.texture = Some(joined),
+                        None => self.texture_closed = true,
+                    },
+                },
+                _ => self.texture_closed = true,
+            }
+        }
+        if light_grew && self.light.is_none() {
+            self.light = self
+                .light_bytes
+                .as_ref()
+                .and_then(|bytes| crate::protocol::decode_light(bytes).ok());
+        }
+    }
 }
 
 /// One memoized decode: the segments that were decoded (held so their buffer
@@ -753,6 +844,9 @@ pub struct FrameAssembler {
     /// Receiver-side telemetry (chunks/bytes by stripe, out-of-order count,
     /// reassembly fallback copies, frames completed).
     pub stats: TransportStats,
+    /// Slots the prefix cursors have folded — what pins "once per slot".
+    #[cfg(test)]
+    prefix_folds: usize,
 }
 
 impl FrameAssembler {
@@ -790,6 +884,7 @@ impl FrameAssembler {
             total: chunk.total,
             received: 0,
             slots: vec![None; chunk.total as usize],
+            prefix: None,
         });
         if assembly.total != chunk.total {
             return Err(TransportError::Corrupt(format!(
@@ -847,49 +942,34 @@ impl FrameAssembler {
         self.completed.contains(&(rank, frame))
     }
 
+    /// Bring a pending frame's prefix cursor up to date with its slots.
+    fn prefix_cursor(&mut self, rank: u32, frame: u32) -> Option<&PrefixCursor> {
+        let assembly = self.pending.get_mut(&(rank, frame))?;
+        let cursor = assembly.prefix.get_or_insert_with(Box::default);
+        #[cfg(test)]
+        let folded_before = cursor.next;
+        cursor.advance(&assembly.slots);
+        #[cfg(test)]
+        {
+            self.prefix_folds += cursor.next - folded_before;
+        }
+        Some(cursor)
+    }
+
     /// The light payload of a pending frame, as soon as its chunks are in —
     /// the viewer uses this to place the quad before any pixels arrive.
-    pub fn partial_light(&self, rank: u32, frame: u32) -> Option<LightPayload> {
-        let assembly = self.pending.get(&(rank, frame))?;
-        let mut light: Option<Bytes> = None;
-        for slot in &assembly.slots {
-            match slot {
-                Some((0, part)) => {
-                    light = Some(match light {
-                        None => part.clone(),
-                        Some(prev) => prev.try_join(part)?,
-                    });
-                }
-                Some((_, _)) => break, // past the light segment: it is complete
-                None => break,         // gap: decode below fails if light is truncated
-            }
-        }
-        crate::protocol::decode_light(&light?).ok()
+    /// `None` until the light message has arrived whole and in order, and for
+    /// a frame that is not pending.
+    pub fn partial_light(&mut self, rank: u32, frame: u32) -> Option<LightPayload> {
+        self.prefix_cursor(rank, frame)?.light.clone()
     }
 
     /// The contiguous texture prefix of a pending frame: joined zero-copy
     /// from the received chunks, stopping at the first gap.  Returns the
-    /// prefix bytes (empty before any texture chunk lands).
-    pub fn partial_texture(&self, rank: u32, frame: u32) -> Option<Bytes> {
-        let assembly = self.pending.get(&(rank, frame))?;
-        let mut texture: Option<Bytes> = None;
-        for slot in &assembly.slots {
-            match slot {
-                Some((2, part)) => {
-                    texture = Some(match texture {
-                        None => part.clone(),
-                        Some(prev) => match prev.try_join(part) {
-                            Some(joined) => joined,
-                            None => return Some(prev), // non-adjacent: stop at the prefix
-                        },
-                    });
-                }
-                Some((s, _)) if *s > 2 => break,
-                Some(_) => {}
-                None => break, // gap: everything after is not a prefix
-            }
-        }
-        Some(texture.unwrap_or_default())
+    /// prefix bytes (empty before any texture chunk lands), `None` for a
+    /// frame that is not pending.
+    pub fn partial_texture(&mut self, rank: u32, frame: u32) -> Option<Bytes> {
+        Some(self.prefix_cursor(rank, frame)?.texture.clone().unwrap_or_default())
     }
 }
 
@@ -1189,6 +1269,12 @@ mod tests {
     /// Chunk `frame` the way a fan-out endpoint does: one set of `Bytes`
     /// slices of the sender's buffers, cloneable to any number of sessions.
     fn multicast_chunks(frame: &FramePayload) -> Vec<FrameChunk> {
+        chunk_frame(frame, 1000, 3)
+    }
+
+    /// `frame` cut into the chunks a sender would put on the wire, in
+    /// sequence order.
+    fn chunk_frame(frame: &FramePayload, chunk_bytes: usize, stripes: u32) -> Vec<FrameChunk> {
         let segments = FrameSegments::encode(frame);
         let bufs = [
             segments.light.clone(),
@@ -1196,7 +1282,7 @@ mod tests {
             segments.texture.clone(),
             segments.geometry.clone(),
         ];
-        let plans = plan_chunks(segments.lens(), 1000, 3);
+        let plans = plan_chunks(segments.lens(), chunk_bytes, stripes);
         let total = plans.len() as u32;
         plans
             .iter()
@@ -1280,6 +1366,216 @@ mod tests {
             .unwrap()
             .expect("frame completes");
         assert_eq!(decoded, good);
+    }
+
+    /// The scan `partial_light` used to be: from slot 0 on every call.  Kept
+    /// as the oracle the cursor is held to; `visits` counts slots walked.
+    fn scan_partial_light(asm: &FrameAssembler, rank: u32, frame: u32, visits: &mut usize) -> Option<LightPayload> {
+        let assembly = asm.pending.get(&(rank, frame))?;
+        let mut light: Option<Bytes> = None;
+        for slot in &assembly.slots {
+            *visits += 1;
+            match slot {
+                Some((0, part)) => {
+                    light = Some(match light {
+                        None => part.clone(),
+                        Some(prev) => prev.try_join(part)?,
+                    });
+                }
+                Some((_, _)) => break, // past the light segment: it is complete
+                None => break,         // gap: decode below fails if light is truncated
+            }
+        }
+        crate::protocol::decode_light(&light?).ok()
+    }
+
+    /// The scan `partial_texture` used to be, likewise.
+    fn scan_partial_texture(asm: &FrameAssembler, rank: u32, frame: u32, visits: &mut usize) -> Option<Bytes> {
+        let assembly = asm.pending.get(&(rank, frame))?;
+        let mut texture: Option<Bytes> = None;
+        for slot in &assembly.slots {
+            *visits += 1;
+            match slot {
+                Some((2, part)) => {
+                    texture = Some(match texture {
+                        None => part.clone(),
+                        Some(prev) => match prev.try_join(part) {
+                            Some(joined) => joined,
+                            None => return Some(prev), // non-adjacent: stop at the prefix
+                        },
+                    });
+                }
+                Some((s, _)) if *s > 2 => break,
+                Some(_) => {}
+                None => break, // gap: everything after is not a prefix
+            }
+        }
+        Some(texture.unwrap_or_default())
+    }
+
+    /// Feed `chunks` in the order given and hold both incremental views to
+    /// the scans after every single `accept`: equal light, equal texture
+    /// bytes in the very same window of the very same buffer, nothing
+    /// copied, no slot folded twice.  Returns (folds, scan visits).
+    fn assert_prefixes_match_the_scans(chunks: Vec<FrameChunk>) -> (usize, usize) {
+        let (rank, frame, total) = (chunks[0].rank, chunks[0].frame, chunks[0].total as usize);
+        let mut asm = FrameAssembler::new();
+        let mut visits = 0usize;
+        let copies_before = bytes::deep_copy_count();
+        for chunk in chunks {
+            let seq = chunk.seq;
+            asm.accept(chunk).unwrap();
+            let light = scan_partial_light(&asm, rank, frame, &mut visits);
+            let texture = scan_partial_texture(&asm, rank, frame, &mut visits);
+            assert_eq!(asm.partial_light(rank, frame), light, "light after chunk {seq}");
+            match (asm.partial_texture(rank, frame), texture) {
+                (None, None) => {}
+                (Some(got), Some(want)) => {
+                    assert_eq!(got, want, "texture prefix after chunk {seq}");
+                    assert!(
+                        got.ptr_eq(&want) || want.is_empty(),
+                        "prefix after chunk {seq} is not the scan's window"
+                    );
+                }
+                (got, want) => panic!("texture prefix after chunk {seq}: {got:?} vs the scan's {want:?}"),
+            }
+        }
+        assert_eq!(bytes::deep_copy_count(), copies_before, "a prefix view copied bytes");
+        assert!(asm.prefix_folds <= total, "{} folds of {total} slots", asm.prefix_folds);
+        (asm.prefix_folds, visits)
+    }
+
+    /// A deterministic Fisher–Yates shuffle, one arrival order per `seed`.
+    fn shuffle<T>(items: &mut [T], seed: u64) {
+        let mut rng = proptest::TestRng::for_test(&format!("arrival order {seed}"));
+        for i in (1..items.len()).rev() {
+            items.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn incremental_prefixes_equal_the_scans_under_any_arrival_order(
+            tex in 1usize..65,
+            chunk_pow in 0u32..9,
+            chunk_jitter in 0usize..64,
+            stripes in 1u32..9,
+            seed in proptest::any::<u64>(),
+        ) {
+            // 64 B … 16 KB chunks of a 4 B … 16 KB texture: from one chunk
+            // per segment to a light message split in two and hundreds of
+            // texture parts.
+            let chunk_bytes = ((64usize << chunk_pow) + chunk_jitter).min(16 * 1024);
+            let mut chunks = chunk_frame(&sample_frame(5, 9, tex), chunk_bytes, stripes);
+            shuffle(&mut chunks, seed);
+            assert_prefixes_match_the_scans(chunks);
+        }
+    }
+
+    #[test]
+    fn a_split_light_arriving_second_half_first_matches_the_scan() {
+        // 64-byte chunks cut the 69-byte light message in two.
+        let mut chunks = chunk_frame(&sample_frame(0, 3, 8), 64, 2);
+        assert_eq!((chunks[0].segment, chunks[1].segment, chunks[2].segment), (0, 0, 1));
+        chunks.swap(0, 1);
+        assert_prefixes_match_the_scans(chunks);
+    }
+
+    /// A frame in 64-byte chunks (slots 0-1 light, 2 heavy header, 3.. texture)
+    /// left one chunk short of complete, so only the progressive views ever
+    /// look at it.
+    fn unfinished_frame() -> Vec<FrameChunk> {
+        let mut chunks = chunk_frame(&sample_frame(4, 0, 16), 64, 4);
+        chunks.pop();
+        assert!(chunks[1].segment == 0 && (3..8).all(|slot| chunks[slot].segment == 2));
+        chunks
+    }
+
+    #[test]
+    fn texture_parts_that_are_not_adjacent_end_the_prefix_like_the_scan() {
+        // Slot 5 is replaced by a buffer of its own, and slot 6 by the window
+        // that follows slot 4 in the sender's texture: a cursor that kept
+        // going past the foreign part would join it and show bytes the scan
+        // never does.
+        let trapped = || {
+            let mut chunks = unfinished_frame();
+            let follows_slot_4 = chunks[5].payload.clone();
+            chunks[5].payload = Bytes::from(follows_slot_4.as_slice().to_vec());
+            chunks[6].payload = follows_slot_4;
+            chunks
+        };
+        assert_prefixes_match_the_scans(trapped());
+        for seed in 0..16 {
+            let mut chunks = trapped();
+            shuffle(&mut chunks, seed);
+            assert_prefixes_match_the_scans(chunks);
+        }
+        // In order, the prefix is exactly slots 3 and 4.
+        let chunks = trapped();
+        let want = chunks[3].payload.try_join(&chunks[4].payload).unwrap();
+        let mut asm = FrameAssembler::new();
+        for chunk in chunks {
+            asm.accept(chunk).unwrap();
+        }
+        assert!(asm.partial_texture(4, 0).unwrap().ptr_eq(&want));
+    }
+
+    #[test]
+    fn light_parts_that_are_not_adjacent_yield_no_partial_light_like_the_scan() {
+        let foreign_second_half = || {
+            let mut chunks = unfinished_frame();
+            chunks[1].payload = Bytes::from(chunks[1].payload.as_slice().to_vec());
+            chunks
+        };
+        for seed in 0..8 {
+            let mut chunks = foreign_second_half();
+            shuffle(&mut chunks, seed);
+            assert_prefixes_match_the_scans(chunks);
+        }
+        let mut asm = FrameAssembler::new();
+        for chunk in foreign_second_half() {
+            asm.accept(chunk).unwrap();
+        }
+        assert_eq!(asm.partial_light(4, 0), None);
+    }
+
+    #[test]
+    fn polling_after_every_chunk_folds_each_slot_once() {
+        // The `wan_wire` shape: a 512² texture in 1 KB chunks with ~14 KB of
+        // grid lines is 1 + 1 + 1024 + 14 = 1040 chunks.
+        let mut frame = sample_frame(0, 0, 512);
+        frame.heavy.geometry = Arc::new(vec![([0.0; 3], [1.0; 3]); 576]);
+        frame.light.geometry_segments = 576;
+        let chunks = chunk_frame(&frame, 1024, 8);
+        assert_eq!(chunks.len(), 1040);
+        // In order, every chunk extends the prefix and the poll after it folds
+        // exactly that one slot; the 1040th completes the frame, which leaves
+        // nothing pending to poll.  The scans walked the whole prefix again
+        // on each of those polls.
+        let (folds, scan_visits) = assert_prefixes_match_the_scans(chunks.clone());
+        assert_eq!(folds, 1039);
+        assert!(scan_visits > 540_000, "the scans visited {scan_visits} slots");
+        // Backwards, slot 0 arrives last: nothing is ever contiguous.
+        let (folds, _) = assert_prefixes_match_the_scans(chunks.into_iter().rev().collect());
+        assert_eq!(folds, 0);
+    }
+
+    #[test]
+    fn a_frame_nobody_polls_allocates_no_cursor() {
+        let mut chunks = chunk_frame(&sample_frame(1, 1, 16), 256, 2);
+        chunks.pop();
+        let mut asm = FrameAssembler::new();
+        for chunk in chunks {
+            asm.accept(chunk).unwrap();
+        }
+        assert!(
+            asm.pending[&(1, 1)].prefix.is_none(),
+            "accept must not touch the cursor"
+        );
+        asm.partial_texture(1, 1).unwrap();
+        assert!(asm.pending[&(1, 1)].prefix.is_some());
     }
 
     #[test]

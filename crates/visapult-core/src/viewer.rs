@@ -15,11 +15,40 @@
 //! display is never blocked on the WAN).  Out-of-order completions, late
 //! stripes after a frame's final composite, and frames lost to a dying link
 //! are surfaced as typed [`ViewerError`]s, never silently dropped.
+//!
+//! # What a chunk costs a link thread
+//!
+//! A kilobyte chunk costs a kilobyte's worth of work.  Each chunk is one
+//! [`FrameAssembler::accept`] and one poll of the assembler's incremental
+//! prefix (both O(1) amortised — see [`crate::transport`]); nothing per chunk
+//! is proportional to the frame.  A texture is never expanded, padded or
+//! copied on its way to the pixel: the quad's [`Texture`] *is* the received
+//! prefix (and on completion the payload's own buffer), handed over by
+//! refcount, sampled as RGBA8 by the rasterizer, and snapshotted by the
+//! render thread by refcount again.  Nothing is allocated from a size the
+//! wire announced.
+//!
+//! The progressive rule: the quad is placed when the light lands; the
+//! texture is re-shown when the contiguous prefix has grown by at least a
+//! quarter of the texture; a frame older than the newest one shown never
+//! rolls the scene back.
+//!
+//! # Hostile headers
+//!
+//! The light payload's texture header comes straight off the wire, so it is
+//! checked where it is first seen and again on the completed frame: four
+//! bytes per pixel, no zero dimension, a size that fits, no more texture
+//! bytes than it announces.  A frame that fails is reported as
+//! [`ViewerError::Corrupt`] once and counted as received but never shown; a
+//! link thread that panics anyway is reported the same way instead of
+//! vanishing with its statistics.
 
 use crate::pipeline::{Clock, WallClock};
+use crate::protocol::LightPayload;
 use crate::transport::{AssemblyEvent, FrameAssembler, StripeReceiver, TransportStats};
+use bytes::Bytes;
 use netlogger::{tags, NetLogger};
-use scenegraph::{NodeId, Quad3, RasterSettings, Rasterizer, SceneGraph, SceneGraphStats, SceneNode};
+use scenegraph::{NodeId, Quad3, RasterSettings, Rasterizer, SceneGraph, SceneGraphStats, SceneNode, Texture};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -117,6 +146,56 @@ pub struct ViewerReport {
     pub final_image: RgbaImage,
 }
 
+/// The texture a light payload announces, holding `texels` — the received
+/// prefix, or all of it — by refcount.  This is the check on the wire's
+/// texture header: anything but four bytes per pixel, a zero dimension, a
+/// size that does not fit, or more bytes than the header announces is refused
+/// with the reason.  Nothing is allocated either way.
+fn announced_texture(light: &LightPayload, texels: Bytes) -> Result<Texture, String> {
+    if light.bytes_per_pixel != 4 {
+        return Err(format!(
+            "texture header announces {} bytes per pixel; the viewer shows RGBA8",
+            light.bytes_per_pixel
+        ));
+    }
+    let (Ok(width), Ok(height)) = (
+        usize::try_from(light.texture_width),
+        usize::try_from(light.texture_height),
+    ) else {
+        return Err("texture dimensions do not fit this platform".to_string());
+    };
+    Texture::rgba8(width, height, texels).map_err(|e| format!("texture header: {e}"))
+}
+
+fn texture_quad(light: &LightPayload, image: Texture) -> SceneNode {
+    SceneNode::TextureQuad {
+        image,
+        quad: Quad3 {
+            center: light.quad_center,
+            u: light.quad_u,
+            v: light.quad_v,
+        },
+    }
+}
+
+/// What a link thread has done with a frame that is still arriving.
+enum Shown {
+    /// The quad is up, textured with this many bytes of contiguous prefix.
+    Prefix(usize),
+    /// Its texture header was refused — reported once, never shown.
+    Refused,
+}
+
+/// What a panicked link thread was carrying, as text for the report.
+fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)");
+    format!("link thread panicked: {message}")
+}
+
 /// The viewer application.
 pub struct Viewer {
     config: ViewerConfig,
@@ -161,7 +240,7 @@ impl Viewer {
         let mut newest_shown: Option<u32> = None;
         let mut started: HashSet<u32> = HashSet::new();
         let mut light_logged: HashSet<u32> = HashSet::new();
-        let mut partial_shown: HashMap<u32, usize> = HashMap::new();
+        let mut shown: HashMap<u32, Shown> = HashMap::new();
         let mut partials = 0u64;
 
         while completed < expected_frames {
@@ -188,12 +267,25 @@ impl Viewer {
                     let Some(light) = assembler.partial_light(rank, frame) else {
                         continue;
                     };
+                    let shown_len = match shown.get(&frame) {
+                        Some(Shown::Refused) => continue,
+                        Some(Shown::Prefix(len)) => Some(*len),
+                        None => None,
+                    };
+                    let prefix = assembler.partial_texture(rank, frame).unwrap_or_default();
+                    let prefix_len = prefix.len();
+                    let image = match announced_texture(&light, prefix) {
+                        Ok(image) => image,
+                        Err(detail) => {
+                            errors.push(ViewerError::Corrupt { rank, detail });
+                            shown.insert(frame, Shown::Refused);
+                            continue;
+                        }
+                    };
+                    let full = image.byte_len();
                     if let Some(l) = log {
                         if light_logged.insert(frame) {
-                            let promised = u64::from(light.texture_width)
-                                * u64::from(light.texture_height)
-                                * u64::from(light.bytes_per_pixel)
-                                + u64::from(light.geometry_segments) * 24;
+                            let promised = full as u64 + u64::from(light.geometry_segments) * 24;
                             l.log_with(tags::V_LIGHTPAYLOAD_END, [(tags::FIELD_FRAME, u64::from(frame))]);
                             l.log_with(
                                 tags::V_HEAVYPAYLOAD_START,
@@ -202,30 +294,16 @@ impl Viewer {
                         }
                     }
                     // Progressive integration: never roll back past a newer
-                    // frame.  Rebuild the partial texture when the quad first
+                    // frame.  Show the partial texture when the quad first
                     // appears (light landed) and thereafter only when the
                     // contiguous prefix grew by at least a quarter of the
-                    // texture — bounding scene rebuilds per frame regardless
+                    // texture — bounding scene updates per frame regardless
                     // of how finely the link chunked it.
                     if newest_shown.map(|n| frame >= n).unwrap_or(true) {
-                        let width = light.texture_width as usize;
-                        let height = light.texture_height as usize;
-                        let full = width * height * light.bytes_per_pixel as usize;
-                        let prefix = assembler.partial_texture(rank, frame).unwrap_or_default();
-                        let shown = partial_shown.get(&frame).copied();
-                        let grown = prefix.len().saturating_sub(shown.unwrap_or(0));
-                        if shown.is_none() || grown * 4 >= full.max(1) {
-                            let mut buf = Vec::with_capacity(full);
-                            buf.extend_from_slice(&prefix);
-                            buf.resize(full, 0);
-                            let image = RgbaImage::from_rgba8(width, height, &buf);
-                            let quad = Quad3 {
-                                center: light.quad_center,
-                                u: light.quad_u,
-                                v: light.quad_v,
-                            };
-                            scene.update(texture_node, SceneNode::TextureQuad { image, quad });
-                            partial_shown.insert(frame, prefix.len());
+                        let grown = prefix_len.saturating_sub(shown_len.unwrap_or(0));
+                        if shown_len.is_none() || grown.saturating_mul(4) >= full {
+                            scene.update(texture_node, texture_quad(&light, image));
+                            shown.insert(frame, Shown::Prefix(prefix_len));
                             partials += 1;
                         }
                     }
@@ -247,22 +325,31 @@ impl Viewer {
                             );
                         }
                     }
-                    match newest_shown {
-                        Some(newest) if frame < newest => {
+                    let already_refused = matches!(shown.remove(&frame), Some(Shown::Refused));
+                    // The whole texture, still the payload's own buffer.
+                    let texels = payload.heavy.texture_rgba8.clone();
+                    let image = announced_texture(&payload.light, texels).and_then(|image| {
+                        let have = payload.heavy.texture_rgba8.len();
+                        if image.byte_len() == have {
+                            Ok(image)
+                        } else {
+                            Err(format!(
+                                "texture is {have} bytes but its header announces {}",
+                                image.byte_len()
+                            ))
+                        }
+                    });
+                    match (image, newest_shown) {
+                        (Err(detail), _) => {
+                            if !already_refused {
+                                errors.push(ViewerError::Corrupt { rank, detail });
+                            }
+                        }
+                        (Ok(_), Some(newest)) if frame < newest => {
                             errors.push(ViewerError::StaleFrame { rank, frame, newest });
                         }
-                        _ => {
-                            let image = RgbaImage::from_rgba8(
-                                payload.light.texture_width as usize,
-                                payload.light.texture_height as usize,
-                                &payload.heavy.texture_rgba8,
-                            );
-                            let quad = Quad3 {
-                                center: payload.light.quad_center,
-                                u: payload.light.quad_u,
-                                v: payload.light.quad_v,
-                            };
-                            scene.update(texture_node, SceneNode::TextureQuad { image, quad });
+                        (Ok(image), _) => {
+                            scene.update(texture_node, texture_quad(&payload.light, image));
                             scene.update(
                                 grid_node,
                                 SceneNode::Lines {
@@ -275,7 +362,6 @@ impl Viewer {
                             newest_shown = Some(frame);
                         }
                     }
-                    partial_shown.remove(&frame);
                     if let Some(l) = log {
                         l.log_with(tags::V_HEAVYPAYLOAD_END, [(tags::FIELD_FRAME, u64::from(frame))]);
                         l.log_with(tags::V_FRAME_END, [(tags::FIELD_FRAME, u64::from(frame))]);
@@ -423,10 +509,17 @@ impl Viewer {
             });
             // Join the I/O threads (they exit once every expected frame has
             // arrived or their sender hangs up), then stop the render thread.
-            for handle in io_handles {
-                if let Ok((stats, errs)) = handle.join() {
-                    transport.merge(&stats);
-                    errors.extend(errs);
+            for (pe, handle) in io_handles.into_iter().enumerate() {
+                match handle.join() {
+                    Ok((stats, errs)) => {
+                        transport.merge(&stats);
+                        errors.extend(errs);
+                    }
+                    // Its frames are lost with it, but not silently.
+                    Err(panic) => errors.push(ViewerError::Corrupt {
+                        rank: pe as u32,
+                        detail: panic_detail(panic.as_ref()),
+                    }),
                 }
             }
             done.store(true, Ordering::Relaxed);
@@ -594,6 +687,136 @@ mod tests {
                 newest: 1
             }]
         );
+    }
+
+    /// Run a two-link viewer expecting one frame per link: link 0 carries
+    /// whatever `hostile` puts on it, link 1 one healthy frame.
+    fn run_beside_a_healthy_link(hostile: impl FnOnce(&StripeSender)) -> ViewerReport {
+        let (mut senders, receivers) = links(2);
+        let healthy = senders.pop().unwrap();
+        let bad = senders.pop().unwrap();
+        hostile(&bad);
+        healthy.send_frame(&payload(1, 0, 16)).unwrap();
+        drop((bad, healthy));
+        Viewer::new(ViewerConfig::new((32, 32, 32), 1)).run(receivers, None)
+    }
+
+    /// The hostile link produced exactly one typed error and no picture; the
+    /// healthy link's frame arrived and is on screen.
+    fn assert_refused_once(report: &ViewerReport, needle: &str) {
+        match report.errors.as_slice() {
+            [ViewerError::Corrupt { rank: 0, detail }] => assert!(detail.contains(needle), "{detail}"),
+            other => panic!("expected one Corrupt on rank 0, got {other:?}"),
+        }
+        assert!(
+            report.final_image.coverage() > 0.05,
+            "the healthy link still composites"
+        );
+        assert_eq!(report.transport.reassembly_copies, 0);
+    }
+
+    #[test]
+    fn a_light_header_announcing_three_bytes_per_pixel_is_refused_not_panicked_on() {
+        // Consistent with its own 16×16×3 texture, so the frame decodes — and
+        // used to reach `from_rgba8`'s length assertion on the link thread.
+        let report = run_beside_a_healthy_link(|tx| {
+            let mut frame = payload(0, 0, 16);
+            frame.light.bytes_per_pixel = 3;
+            frame.heavy.texture_rgba8 = vec![200u8; 16 * 16 * 3].into();
+            tx.send_frame(&frame).unwrap();
+        });
+        assert_refused_once(&report, "3 bytes per pixel");
+        assert_eq!(report.frames_received, 2, "a refused frame is counted, not shown");
+    }
+
+    #[test]
+    fn a_light_header_announcing_a_zero_dimension_is_refused() {
+        // 0×16 with an empty texture decodes too — and used to put a texture
+        // with no texels in front of the sampler's `width() - 1`.
+        let report = run_beside_a_healthy_link(|tx| {
+            let mut frame = payload(0, 0, 16);
+            frame.light.texture_width = 0;
+            frame.heavy.texture_rgba8 = Bytes::new();
+            tx.send_frame(&frame).unwrap();
+        });
+        assert_refused_once(&report, "0x16");
+        assert_eq!(report.frames_received, 2);
+    }
+
+    #[test]
+    fn a_light_header_announcing_sixteen_gigabytes_reserves_nothing() {
+        // Two chunks: the light message, then a heavy header that admits to an
+        // empty texture.  Between them the viewer used to reserve — and zero —
+        // 65 535 × 65 535 × 4 bytes on the header's word alone; now the quad
+        // goes up over the bytes received (none) and the frame fails its
+        // decode as any inconsistent frame does.
+        let report = run_beside_a_healthy_link(|tx| {
+            let mut frame = payload(0, 0, 16);
+            (frame.light.texture_width, frame.light.texture_height) = (65_535, 65_535);
+            frame.heavy.texture_rgba8 = Bytes::new();
+            let segments = crate::protocol::FrameSegments::encode(&frame);
+            for (seq, (segment, bytes)) in [(0u8, segments.light), (1, segments.heavy_header)]
+                .into_iter()
+                .enumerate()
+            {
+                tx.send_raw_chunk(FrameChunk {
+                    frame: 0,
+                    rank: 0,
+                    seq: seq as u32,
+                    total: 2,
+                    stripe: 0,
+                    stripe_seq: seq as u64,
+                    segment,
+                    payload: bytes,
+                })
+                .unwrap();
+            }
+        });
+        assert_refused_once(&report, "corrupt transport chunk");
+        assert_eq!(
+            report.frames_received, 1,
+            "a frame that fails its decode never completes"
+        );
+        assert!(report.partial_updates >= 1, "the quad was placed on the light alone");
+    }
+
+    #[test]
+    fn a_prefix_longer_than_the_announced_texture_is_refused() {
+        // The light says 2×2; the texture segment keeps coming.
+        let report = run_beside_a_healthy_link(|tx| {
+            let mut frame = payload(0, 0, 16);
+            (frame.light.texture_width, frame.light.texture_height) = (2, 2);
+            tx.send_frame(&frame).unwrap();
+        });
+        match report.errors.as_slice() {
+            // Refused when the prefix outgrew the header, and the completed
+            // frame then fails its decode on the same disagreement.
+            [ViewerError::Corrupt { rank: 0, detail }, ViewerError::Corrupt { rank: 0, .. }] => {
+                assert!(detail.contains("texture bytes offered"), "{detail}")
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(report.final_image.coverage() > 0.05);
+    }
+
+    #[test]
+    fn a_panicked_link_thread_is_reported_with_its_message() {
+        for (panic, want) in [
+            (
+                std::thread::spawn(|| panic!("plain")).join(),
+                "link thread panicked: plain",
+            ),
+            (
+                std::thread::spawn(|| panic!("formatted {}", 7)).join(),
+                "link thread panicked: formatted 7",
+            ),
+            (
+                std::thread::spawn(|| std::panic::panic_any(7u8)).join(),
+                "link thread panicked: (no message)",
+            ),
+        ] {
+            assert_eq!(panic_detail(panic.unwrap_err().as_ref()), want);
+        }
     }
 
     #[test]

@@ -9,7 +9,13 @@
 //! even higher bar: zero deep copies end to end, asserted via the `bytes`
 //! shim's process-wide copy counter.
 
-use visapult::core::{run_scenario, CacheSpec, ScenarioSpec, TransportSpec};
+use std::sync::Arc;
+use visapult::core::viewer::ViewerConfig;
+use visapult::core::{
+    run_scenario, striped_link, CacheSpec, FramePayload, HeavyPayload, LightPayload, ScenarioSpec, TransportConfig,
+    TransportSpec, Viewer,
+};
+use visapult::scenegraph::{SceneGraph, SceneNode, Texture};
 
 fn assert_zero_copy_run(spec: &ScenarioSpec, label: &str) {
     let before = bytes::deep_copy_count();
@@ -80,4 +86,77 @@ fn cached_pipeline_is_copy_free_and_hits_on_replay() {
     assert_eq!(bytes::deep_copy_count() - before, 0, "cached run must not copy");
     let cache = report.cache.expect("cache telemetry present");
     assert!(cache.totals.misses > 0);
+}
+
+/// The one RGBA8 texture buffer on screen in `scene`.
+fn shown_texture(scene: &SceneGraph) -> bytes::Bytes {
+    let mut shown = scene.snapshot().into_iter().filter_map(|(_, node)| match node {
+        SceneNode::TextureQuad {
+            image: Texture::Rgba8(texture),
+            ..
+        } => Some(texture.bytes().clone()),
+        _ => None,
+    });
+    let texture = shown.next().expect("a wire-format texture quad is in the scene");
+    assert!(shown.next().is_none());
+    texture
+}
+
+/// The last hop: link → scene graph → render thread.  The texture quad the
+/// viewer leaves in the scene holds the *sender's* buffer — not an expanded
+/// float image, not a padded copy — and a snapshot of the scene (what the
+/// render thread takes per composite) shares it again.
+#[test]
+fn the_viewer_shows_and_snapshots_the_payloads_own_texture_buffer() {
+    let size = 64u32;
+    let texture: bytes::Bytes = (0..size * size * 4)
+        .map(|i| (i % 253) as u8)
+        .collect::<Vec<u8>>()
+        .into();
+    let frame = FramePayload {
+        light: LightPayload {
+            frame: 0,
+            rank: 0,
+            texture_width: size,
+            texture_height: size,
+            bytes_per_pixel: 4,
+            quad_center: [15.5, 15.5, 8.0],
+            quad_u: [16.0, 0.0, 0.0],
+            quad_v: [0.0, 16.0, 0.0],
+            geometry_segments: 1,
+        },
+        heavy: HeavyPayload {
+            frame: 0,
+            rank: 0,
+            texture_rgba8: texture.clone(),
+            geometry: Arc::new(vec![([0.0; 3], [31.0; 3])]),
+        },
+    };
+    // 16 KB in 1 KB chunks over 8 stripes: the progressive path runs too.
+    let (tx, rx) = striped_link(&TransportConfig::default().with_stripes(8).with_chunk_bytes(1024));
+    tx.send_frame(&frame).unwrap();
+    drop(tx);
+
+    let viewer = Viewer::new(ViewerConfig::new((32, 32, 32), 1));
+    let scene = viewer.scene().clone();
+    let before = bytes::deep_copy_count();
+    let report = viewer.run(vec![rx], None);
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    assert!(report.partial_updates >= 1, "prefixes were shown on the way");
+    assert!(report.final_image.coverage() > 0.05);
+
+    let on_screen = shown_texture(&scene);
+    assert!(
+        on_screen.ptr_eq(&texture),
+        "the scene graph must hold the payload's own buffer"
+    );
+    assert!(
+        shown_texture(&scene).ptr_eq(&on_screen),
+        "a snapshot shares the texture"
+    );
+    assert_eq!(
+        bytes::deep_copy_count() - before,
+        0,
+        "link to scene graph to snapshot copied bytes"
+    );
 }
