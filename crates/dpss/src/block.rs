@@ -6,8 +6,6 @@
 //! disks — so that a large sequential read engages every disk of every server
 //! in parallel.
 
-use serde::{Deserialize, Serialize};
-
 /// A shared, immutable view of block data — the unit the zero-copy data
 /// plane moves around.  Backed by the reference-counted [`bytes::Bytes`], so
 /// reads hand out O(1) slices of the per-disk arenas instead of fresh
@@ -17,11 +15,11 @@ use serde::{Deserialize, Serialize};
 pub type Block = bytes::Bytes;
 
 /// Index of a logical block within a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u64);
 
 /// Where a logical block physically lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhysicalLocation {
     /// Server index within the cluster.
     pub server: usize,
@@ -32,7 +30,7 @@ pub struct PhysicalLocation {
 }
 
 /// Round-robin striping of logical blocks across servers and disks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripeLayout {
     /// Bytes per logical block (the DPSS used 64 KB blocks).
     pub block_size: u64,

@@ -24,11 +24,10 @@
 
 use crate::block::{Block, BlockId};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Configuration of a [`BlockCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in logical blocks (split evenly across shards).
     pub capacity_blocks: usize,
@@ -55,7 +54,7 @@ impl CacheConfig {
 }
 
 /// Aggregated cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,

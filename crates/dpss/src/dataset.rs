@@ -7,11 +7,10 @@
 //! the back end can address "timestep t, slab s" as byte ranges.
 
 use netsim::DataSize;
-use serde::{Deserialize, Serialize};
 
 /// A time-varying volumetric dataset stored as a sequence of timesteps, each
 /// a dense X-fastest array of `bytes_per_value`-sized values.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatasetDescriptor {
     /// Dataset name (the key used with `dpss_open`).
     pub name: String,

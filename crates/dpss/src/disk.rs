@@ -9,10 +9,9 @@
 //! simulation.
 
 use netsim::{Bandwidth, DataSize, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// A simple disk performance model: positioning time plus sustained transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Average seek time.
     pub seek: SimDuration,

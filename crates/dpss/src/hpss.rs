@@ -17,11 +17,10 @@ use crate::client::DpssClient;
 use crate::dataset::DatasetDescriptor;
 use crate::error::DpssError;
 use netsim::{Bandwidth, DataSize, SimDuration};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One file held in the archive.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HpssFile {
     /// File (dataset) name.
     pub name: String,
@@ -33,7 +32,7 @@ pub struct HpssFile {
 }
 
 /// Report produced by staging a file from the archive into the DPSS cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StagingReport {
     /// File that was staged.
     pub file: String,
@@ -48,7 +47,7 @@ pub struct StagingReport {
 }
 
 /// A model of an HPSS-class tertiary storage system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HpssArchive {
     files: HashMap<String, HpssFile>,
     /// Time to mount and position a tape before any bytes flow.

@@ -10,11 +10,10 @@
 use crate::block::{BlockId, StripeLayout};
 use crate::dataset::DatasetDescriptor;
 use crate::error::DpssError;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// One physical block request produced by the master for a byte-range read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhysicalBlockRequest {
     /// The logical block this request addresses.
     pub block: BlockId,
@@ -33,7 +32,7 @@ pub struct PhysicalBlockRequest {
 }
 
 /// Registry entry for one cached dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct DatasetEntry {
     descriptor: DatasetDescriptor,
     /// First logical block assigned to this dataset.
@@ -41,7 +40,7 @@ struct DatasetEntry {
 }
 
 /// The DPSS master process.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DpssMaster {
     layout: StripeLayout,
     datasets: HashMap<String, DatasetEntry>,

@@ -12,10 +12,9 @@
 use crate::block::StripeLayout;
 use crate::disk::DiskModel;
 use netsim::{Bandwidth, DataSize, SimDuration, TcpModel};
-use serde::{Deserialize, Serialize};
 
 /// Performance model of one DPSS deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpssSimModel {
     /// Striping layout (servers × disks).
     pub layout: StripeLayout,
@@ -112,7 +111,7 @@ impl DpssSimModel {
 }
 
 /// One row of the DPSS throughput table (experiment E1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpssThroughputRow {
     /// Number of servers.
     pub servers: usize,

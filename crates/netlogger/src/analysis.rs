@@ -10,11 +10,10 @@
 use crate::collector::EventLog;
 use crate::event::Event;
 use crate::tags;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Aggregate statistics over one kind of phase (load, render, send, frame).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStats {
     /// Phase name.
     pub name: String,
@@ -59,7 +58,7 @@ impl PhaseStats {
 }
 
 /// Per-frame summary of the back-end pipeline phases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameSummary {
     /// Frame (timestep) number.
     pub frame: i64,
@@ -137,7 +136,7 @@ impl SourceFrame {
 }
 
 /// Analysis of one run's event log.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileAnalysis {
     /// Per-frame summaries in frame order.
     pub frames: Vec<FrameSummary>,

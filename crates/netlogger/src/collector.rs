@@ -12,12 +12,11 @@ use crate::clock::Clock;
 use crate::event::Event;
 use crate::logger::NetLogger;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::io::{BufRead, Write};
 
 /// An accumulated, sortable set of NetLogger events.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventLog {
     events: Vec<Event>,
 }

@@ -4,14 +4,13 @@
 //! which host it ran on, which program (e.g. `backend-worker`,
 //! `viewer-master`), the event tag (e.g. `BE_LOAD_END`) and any typed fields
 //! such as the frame number or a byte count.  Events serialize to NetLogger's
-//! ULM-style `KEY=value` text lines and to JSON.
+//! ULM-style `KEY=value` text lines.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A typed field value attached to an [`Event`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// Integer field (frame numbers, ranks, byte counts).
     Int(i64),
@@ -139,7 +138,7 @@ fn ulm_unescape(s: &str) -> String {
 }
 
 /// One NetLogger event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Seconds since the start of the run (wall or virtual clock).
     pub timestamp: f64,
@@ -308,13 +307,5 @@ mod tests {
         assert_eq!(FieldValue::Int(4).as_float(), Some(4.0));
         assert_eq!(FieldValue::from("x").as_str(), Some("x"));
         assert_eq!(FieldValue::from("x").as_int(), None);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let e = Event::new(1.25, "host", "prog", "TAG").with_field("k", 9u64);
-        let json = serde_json::to_string(&e).unwrap();
-        let back: Event = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
     }
 }

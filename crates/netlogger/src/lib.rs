@@ -7,8 +7,8 @@
 //! the event stream.
 //!
 //! * [`Event`] — one timestamped event: host, program, tag, and typed fields
-//!   (frame number, byte counts, …), serializable both as ULM key=value text
-//!   (NetLogger's native format) and as JSON.
+//!   (frame number, byte counts, …), serializable as ULM key=value text
+//!   (NetLogger's native format).
 //! * [`Clock`] — wall-clock or virtual-clock time sources, so the same
 //!   instrumentation works in real-socket runs and in virtual-time
 //!   simulations.

@@ -9,10 +9,9 @@
 use crate::collector::EventLog;
 use crate::event::Event;
 use crate::tags;
-use serde::{Deserialize, Serialize};
 
 /// Options controlling lifeline rendering.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NlvOptions {
     /// Plot width in character columns (time axis resolution).
     pub width: usize,

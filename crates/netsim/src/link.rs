@@ -8,15 +8,14 @@
 
 use crate::units::{Bandwidth, DataSize};
 use crate::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a link within a [`crate::Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub usize);
 
 /// Broad classification of a link; used by reports and to pick sensible
 /// defaults for MTU and framing overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// Local-area ethernet (100 Mbps / 1000 Mbps).
     Lan,
@@ -29,7 +28,7 @@ pub enum LinkKind {
 }
 
 /// A single network hop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// Human-readable name, e.g. `"NTON OC-12 LBL<->SNL"`.
     pub name: String,

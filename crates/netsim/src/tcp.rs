@@ -19,11 +19,10 @@
 use crate::link::Link;
 use crate::time::SimDuration;
 use crate::units::{Bandwidth, DataSize};
-use serde::{Deserialize, Serialize};
 
 /// Static TCP parameters for one connection (or one stripe of a striped
 /// connection).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
     /// Maximum segment size in bytes.
     pub mss: u32,
@@ -78,7 +77,7 @@ impl TcpConfig {
 }
 
 /// One sample of cumulative progress during a modelled transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelinePoint {
     /// Elapsed time since the transfer began.
     pub elapsed: SimDuration,
@@ -87,7 +86,7 @@ pub struct TimelinePoint {
 }
 
 /// The result of modelling one (possibly striped) transfer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferTimeline {
     /// Total payload size requested.
     pub total: DataSize,
@@ -104,7 +103,7 @@ pub struct TransferTimeline {
 }
 
 /// A TCP throughput model over a fixed network path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TcpModel {
     /// Round-trip time of the path.
     pub rtt: SimDuration,

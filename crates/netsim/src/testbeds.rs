@@ -42,7 +42,7 @@ pub enum TestbedKind {
 }
 
 /// A reconstructed network testbed with the hosts a campaign needs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Testbed {
     /// Human-readable name.
     pub name: String,

@@ -7,15 +7,14 @@
 use crate::link::{Link, LinkId};
 use crate::time::SimDuration;
 use crate::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// Identifier of a host in a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// A path between two hosts, as an ordered list of link hops.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Route {
     /// Source host.
     pub from: NodeId,
@@ -26,7 +25,7 @@ pub struct Route {
 }
 
 /// A small network graph of hosts and links.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     node_names: Vec<String>,
     links: Vec<Link>,

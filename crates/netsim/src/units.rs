@@ -5,12 +5,11 @@
 //! newtypes keep the conversions explicit and in one place.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A bandwidth, stored in bits per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {
@@ -156,7 +155,7 @@ impl fmt::Display for Bandwidth {
 }
 
 /// An amount of data, stored in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DataSize(u64);
 
 impl DataSize {

@@ -15,14 +15,13 @@
 
 use crate::node::{Quad3, SceneNode};
 use crate::raster::{RasterSettings, Rasterizer};
-use serde::{Deserialize, Serialize};
 use volren::{
     decompose, render_region, render_view, Axis, Decomposition, RenderSettings, RgbaImage, TransferFunction,
     ViewOrientation, Volume,
 };
 
 /// One slab's worth of IBR source imagery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlabImage {
     /// Index of the slab along the decomposition axis (0 = lowest coordinate).
     pub slab_index: usize,
@@ -36,7 +35,7 @@ pub struct SlabImage {
 }
 
 /// The viewer-side IBRAVR model: slab imagery plus the geometry to hang it on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IbravrModel {
     /// Decomposition axis the slabs are perpendicular to.
     pub axis: Axis,

@@ -28,7 +28,6 @@
 //! blended and quantised value after them.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 use volren::RgbaImage;
@@ -220,7 +219,7 @@ impl From<RgbaImage> for Texture {
 
 /// A quadrilateral in 3-D given by its centre and two half-extent vectors.
 /// The quad's corners are `center ± u ± v`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quad3 {
     /// Quad centre.
     pub center: [f32; 3],

@@ -14,11 +14,10 @@
 //! expanded float image draw identical framebuffers, bit for bit.
 
 use crate::node::{Quad3, SceneNode, Texels, Texture};
-use serde::{Deserialize, Serialize};
 use volren::{RgbaImage, ViewOrientation};
 
 /// Rasterization parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RasterSettings {
     /// Output width in pixels.
     pub width: usize,

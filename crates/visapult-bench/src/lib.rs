@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 
 use netlogger::MetricsSnapshot;
-use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -120,7 +119,7 @@ pub fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
 /// *direction-aware*: a throughput that climbs and a latency that falls are
 /// both improvements, and neither may fail CI — only movement in the wrong
 /// direction beyond the tolerance does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Time- or space-per-unit: smaller fresh values are improvements.
     LowerIsBetter,
@@ -195,7 +194,7 @@ pub fn headline_tolerance(key: &str) -> f64 {
 
 /// One gated entry's committed-vs-fresh comparison — the full table, not just
 /// the failures, so CI can print every metric's movement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineDelta {
     /// Dotted JSON path of the entry (e.g. `cases.sessions_8.median_s`).
     pub path: String,
@@ -306,7 +305,7 @@ pub fn baseline_deltas(committed: &serde::Value, fresh: &serde::Value) -> Vec<Ba
 }
 
 /// One row of a paper-vs-measured comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonRow {
     /// What is being compared (e.g. "NTON aggregate load throughput").
     pub quantity: String,
@@ -348,7 +347,7 @@ impl ComparisonRow {
 
 /// A full experiment report: header, free-form table body, and the
 /// paper-vs-measured rows.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExperimentReport {
     /// Experiment id (e.g. "E2 / Figure 10").
     pub id: String,
@@ -420,11 +419,6 @@ impl ExperimentReport {
             }
         ));
         out
-    }
-
-    /// Serialize to JSON (appended to bench output records).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("reports serialize")
     }
 }
 
@@ -543,6 +537,5 @@ mod tests {
         r.compare(ComparisonRow::claim("loser", "x", "y", false));
         assert!(!r.all_shapes_hold());
         assert!(r.render().contains("MISMATCH"));
-        assert!(r.to_json().contains("\"id\""));
     }
 }

@@ -21,14 +21,13 @@ use crate::protocol::{FramePayload, HeavyPayload, LightPayload};
 use crate::transport::StripeSender;
 use netlogger::{tags, NetLogger};
 use parcomm::{ProcessGroup, Rank, World};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use volren::{render_region_rgba8, AmrHierarchy, Axis, Volume};
 
 /// Per-PE execution summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeReport {
     /// PE rank.
     pub rank: usize,
@@ -41,7 +40,7 @@ pub struct PeReport {
 }
 
 /// Whole-back-end execution summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackendReport {
     /// Frames processed (same for every PE).
     pub frames_rendered: usize,

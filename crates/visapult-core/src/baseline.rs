@@ -17,10 +17,9 @@
 
 use dpss::DatasetDescriptor;
 use netsim::{Bandwidth, DataSize};
-use serde::{Deserialize, Serialize};
 
 /// Which end-to-end strategy is being costed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VisualizationStrategy {
     /// Full images rendered remotely and streamed to the desktop.
     RenderRemote,
@@ -31,7 +30,7 @@ pub enum VisualizationStrategy {
 }
 
 /// Bandwidth requirement of one strategy for one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrategyBandwidth {
     /// The strategy.
     pub strategy: VisualizationStrategy,

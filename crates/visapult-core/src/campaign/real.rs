@@ -20,12 +20,11 @@ use crate::service::{ServiceConfig, SessionSpec};
 use dpss::{BlockCache, CacheConfig, CacheStats, DatasetDescriptor, DpssClient, DpssCluster, DpssError, StripeLayout};
 use netlogger::Collector;
 use netsim::Bandwidth;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use volren::CombustionSeries;
 
 /// Where the back end reads its data from in a real campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RealDataPath {
     /// Stage synthetic data onto an in-process DPSS and read it back through
     /// the multi-threaded client API (the paper's architecture).
@@ -41,7 +40,7 @@ pub enum RealDataPath {
 
 /// The multi-session service layer of one campaign: broker capacity plus the
 /// frame-indexed session schedule the broker serves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServicePlan {
     /// Modeled capacity the broker admits against.
     pub config: ServiceConfig,

@@ -21,7 +21,6 @@ use crate::service::{shard_overprovision, QualityTier, ServiceConfig, SessionSpe
 use crate::transport::{TcpTuning, TransportConfig};
 use dpss::{CacheConfig, DatasetDescriptor, DpssSimModel};
 use netsim::{TcpModel, TestbedKind};
-use serde::{Deserialize, Serialize};
 use volren::{RenderSettings, TransferFunction};
 
 impl ScenarioSpec {
@@ -350,7 +349,7 @@ impl ScenarioSpec {
 /// `sample_every` shapes which lifecycle events reach the log (identically on
 /// both paths), so it is part of the deterministic configuration; `enable`
 /// only gates wall-clock-dependent metrics and never affects fingerprints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolvedTelemetry {
     /// Whether the metrics plane records at all.
     pub enable: bool,
@@ -380,7 +379,7 @@ fn session_tcp_model(kind: TestbedKind, pes: usize, tuning: TcpTuning, stripes: 
 }
 
 /// One stage after share resolution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedStage {
     /// Stage name.
     pub name: String,
@@ -395,7 +394,7 @@ pub struct ResolvedStage {
 /// The resolved service layer: broker capacity plus one session schedule per
 /// stage (sessions never span stages; a stage end is a campaign end for its
 /// sessions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedService {
     /// Capacity the broker admits against (farm egress filled in from the
     /// testbed model).
@@ -408,7 +407,7 @@ pub struct ResolvedService {
 }
 
 /// A validated scenario with every default filled in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedScenario {
     /// Scenario name.
     pub name: String,

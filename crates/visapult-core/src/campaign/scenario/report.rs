@@ -16,11 +16,10 @@ use crate::transport::{TransportConfig, TransportStats};
 use dpss::{CacheConfig, CacheStats};
 use netlogger::metrics::{HistogramSummary, MetricsSnapshot};
 use netlogger::EventLog;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Deterministic per-stage metrics shared by both execution paths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageMetrics {
     /// End-to-end stage time in seconds (virtual time, or wall clock).
     pub total_time: f64,
@@ -63,7 +62,7 @@ pub struct StageMetrics {
 }
 
 /// One stage's outcome inside a [`CampaignReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageReport {
     /// Stage name from the spec.
     pub name: String,
@@ -80,7 +79,7 @@ pub struct StageReport {
 /// Summary of the block cache across a whole campaign: the configuration it
 /// ran with and the summed per-stage counters.  Covered by the replay
 /// fingerprint, so a cache-config change is a fingerprint change.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheReport {
     /// The cache configuration the scenario resolved to.
     pub config: CacheConfig,
@@ -98,7 +97,7 @@ impl CacheReport {
 /// Summary of the service layer across a whole campaign: the capacity it ran
 /// with and the counters summed across every stage.  Covered by the replay
 /// fingerprint, so a capacity change is a fingerprint change.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// The broker capacity the scenario resolved to.
     pub config: ServiceConfig,
@@ -115,7 +114,7 @@ impl ServiceReport {
 
 /// Summary of the striped transport across a whole campaign: the base
 /// configuration it resolved to and the counters summed over every stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransportReport {
     /// The base transport configuration (stages may have overridden stripes).
     pub config: TransportConfig,
@@ -140,7 +139,7 @@ impl TransportReport {
 /// telemetry, and the periodic snapshot series.  Everything here is
 /// wall-clock-dependent and deliberately excluded from replay fingerprints,
 /// like the timing counters in [`ServiceStats`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryReport {
     /// Whether the metrics plane recorded (false means every map below is
     /// empty — the no-op hub was handed out).
@@ -197,7 +196,7 @@ impl TelemetryReport {
 }
 
 /// Everything a scenario run produced, whichever path executed it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Scenario name.
     pub scenario: String,
@@ -272,11 +271,6 @@ impl CampaignReport {
         } else {
             self.bytes_loaded() as f64 / wire
         }
-    }
-
-    /// Serialize the whole report as pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("reports serialize")
     }
 
     /// Hash of the *deterministic* content of this report: same spec + same

@@ -213,7 +213,7 @@ fn virtual_time_runs_are_bit_identical() {
     let spec = minimal_spec(ExecutionPath::VirtualTime);
     let a = run_scenario(&spec).unwrap();
     let b = run_scenario(&spec).unwrap();
-    assert_eq!(a.to_json(), b.to_json());
+    assert_eq!(a, b);
     assert_eq!(a.replay_fingerprint(), b.replay_fingerprint());
     let c = run_scenario(&spec.clone().with_seed(99)).unwrap();
     assert_ne!(a.replay_fingerprint(), c.replay_fingerprint());

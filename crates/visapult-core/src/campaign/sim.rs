@@ -25,7 +25,6 @@ use netlogger::{tags, Collector, EventLog, FieldValue, ProfileAnalysis};
 use netsim::{Bandwidth, DataSize, LinkKind, TcpModel, Testbed};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Fraction of the nominal WAN bottleneck a circa-2000 application actually
 /// realized for bulk TCP data movement (SONET/ATM/IP framing, TCP behaviour
@@ -35,7 +34,7 @@ pub const DEFAULT_WAN_EFFICIENCY: f64 = 0.75;
 
 /// The striped back-end -> viewer transport, as the virtual-time path models
 /// it: the same stripe count and TCP tuning the real link paces itself by.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTransportModel {
     /// Parallel stripes per PE link.
     pub stripes: u32,
@@ -44,7 +43,7 @@ pub struct SimTransportModel {
 }
 
 /// Configuration of one virtual-time campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimCampaignConfig {
     /// Campaign name used in reports.
     pub name: String,
@@ -69,7 +68,7 @@ pub struct SimCampaignConfig {
 }
 
 /// Timing of one frame through the back end, in seconds from campaign start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameTiming {
     /// Frame number.
     pub frame: usize,
@@ -103,7 +102,7 @@ impl FrameTiming {
 }
 
 /// Results of a virtual-time campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimCampaignReport {
     /// Campaign name.
     pub name: String,

@@ -29,7 +29,7 @@ impl ExecutionMode {
 
 /// Configuration of one Visapult pipeline run (independent of whether it is
 /// executed for real or simulated in virtual time).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// The dataset to visualize.
     pub dataset: DatasetDescriptor,

@@ -7,10 +7,8 @@
 //! contrast, the time required for N time steps using an overlapped
 //! implementation is: `To = N × max(L, R) + min(L, R)`."
 
-use serde::{Deserialize, Serialize};
-
 /// The two-parameter (L, R) pipeline model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapModel {
     /// Per-timestep data loading time, seconds.
     pub load: f64,

@@ -17,11 +17,10 @@
 //! doc comments on each constructor and EXPERIMENTS.md).
 
 use netsim::Bandwidth;
-use serde::{Deserialize, Serialize};
 use volren::RenderSettings;
 
 /// A back-end compute platform model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputePlatform {
     /// Human-readable name.
     pub name: String,

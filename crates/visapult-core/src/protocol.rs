@@ -13,7 +13,6 @@
 
 use crate::error::VisapultError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -26,7 +25,7 @@ pub const TYPE_HEAVY: u8 = 2;
 
 /// Visualization metadata for one (PE, timestep): everything the viewer needs
 /// to place the incoming texture in its scene graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LightPayload {
     /// Timestep number.
     pub frame: u32,
@@ -60,7 +59,7 @@ impl LightPayload {
 /// the geometry an `Arc`'d segment list, so a frame payload moves from the
 /// back-end render loop through the per-PE channel into the viewer's scene
 /// graph without its bytes ever being memcpy'd.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeavyPayload {
     /// Timestep number.
     pub frame: u32,
@@ -80,7 +79,7 @@ impl HeavyPayload {
 }
 
 /// One timestep's complete transmission from one PE.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FramePayload {
     /// The metadata (sent first).
     pub light: LightPayload,

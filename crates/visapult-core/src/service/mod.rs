@@ -102,7 +102,7 @@ impl QualityTier {
 }
 
 /// One session the broker is asked to serve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
     /// Session name (used in reports).
     pub name: String,
@@ -164,7 +164,7 @@ impl SessionSpec {
 }
 
 /// Modeled capacity the broker admits against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Hard cap on concurrently admitted sessions.
     pub max_sessions: usize,
@@ -211,7 +211,7 @@ impl Default for ServiceConfig {
 // ---------------------------------------------------------------------------
 
 /// Why the broker turned a session away.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// Every session slot is taken by equal-or-higher tiers.
     SessionSlots,
@@ -234,7 +234,7 @@ impl RejectReason {
 
 /// One lifecycle transition the broker decided, tagged with the session's
 /// schedule index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionEvent {
     /// The session was admitted and is now live.
     Admitted {
@@ -292,7 +292,7 @@ impl SessionEvent {
 /// deterministic per path.  The delivery counters below them depend on queue
 /// timing and are excluded from fingerprints, exactly as wall-clock values
 /// are.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
     /// Sessions in the schedule.
     pub sessions_offered: u64,
@@ -678,7 +678,7 @@ impl SessionBroker {
 // ---------------------------------------------------------------------------
 
 /// What one session actually received (real path only).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionDelivery {
     /// Session name from the spec.
     pub name: String,
@@ -701,7 +701,7 @@ pub struct SessionDelivery {
 }
 
 /// Everything the real fan-out plane produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceRunReport {
     /// Deterministic broker counters with the plane's timing counters merged
     /// in.

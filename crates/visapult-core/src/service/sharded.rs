@@ -22,7 +22,6 @@
 
 use super::{ServiceConfig, ServiceStats, SessionBroker, SessionEvent, SessionSpec};
 use parking_lot::{Mutex, MutexGuard};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -338,7 +337,7 @@ fn remap_event(event: SessionEvent, globals: &[usize]) -> SessionEvent {
 /// Timing-dependent (like the delivery counters), so never fingerprinted;
 /// reported so a shard sweep can prove whether the single-lock serialization
 /// actually dissolved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardLockStats {
     /// Which shard this lock guarded.
     pub shard: usize,

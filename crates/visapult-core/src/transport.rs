@@ -82,7 +82,7 @@ impl TcpTuning {
 }
 
 /// Configuration of one striped back-end → viewer link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransportConfig {
     /// Parallel stripes per PE link.
     pub stripes: u32,
@@ -219,7 +219,7 @@ pub fn plan_chunks(segment_lens: [usize; 4], chunk_bytes: usize, stripes: u32) -
 }
 
 /// Per-stripe counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StripeStats {
     /// Chunks this stripe carried.
     pub chunks: u64,
@@ -234,7 +234,7 @@ pub struct StripeStats {
 /// payload); `out_of_order_chunks`, `partial_updates` and `reassembly_copies`
 /// depend on thread timing and are excluded from replay fingerprints, exactly
 /// as wall-clock timestamps are.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TransportStats {
     /// Frames fully carried (sender) or reassembled (receiver).
     pub frames: u64,

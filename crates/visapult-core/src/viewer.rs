@@ -49,14 +49,13 @@ use crate::transport::{AssemblyEvent, FrameAssembler, StripeReceiver, TransportS
 use bytes::Bytes;
 use netlogger::{tags, NetLogger};
 use scenegraph::{NodeId, Quad3, RasterSettings, Rasterizer, SceneGraph, SceneGraphStats, SceneNode, Texture};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use volren::{RgbaImage, ViewOrientation};
 
 /// Viewer configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViewerConfig {
     /// Dimensions of the source volume (for framing the composite).
     pub volume_dims: (usize, usize, usize),
@@ -82,7 +81,7 @@ impl ViewerConfig {
 
 /// A delivery anomaly the viewer observed and handled.  These are reported,
 /// not panicked on: a WAN viewer must keep compositing through them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ViewerError {
     /// A stripe delivered a chunk for a frame whose final composite was
     /// already integrated.
@@ -125,7 +124,7 @@ pub enum ViewerError {
 }
 
 /// What the viewer observed during a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ViewerReport {
     /// Complete frame payloads received across all PE links.
     pub frames_received: usize,

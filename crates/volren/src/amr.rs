@@ -9,10 +9,9 @@
 //! payload.
 
 use crate::volume::{min_max, Volume};
-use serde::{Deserialize, Serialize};
 
 /// One refinement box, in level-0 cell coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AmrBox {
     /// Refinement level (0 = coarsest).
     pub level: usize,
@@ -62,7 +61,7 @@ impl AmrBox {
 }
 
 /// An AMR hierarchy: boxes grouped by level.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AmrHierarchy {
     /// Boxes at each level (index = level).
     pub levels: Vec<Vec<AmrBox>>,

@@ -5,10 +5,8 @@
 //! this information in order to select from either X-, Y-, or Z-axis aligned
 //! data slabs for use in volume rendering."
 
-use serde::{Deserialize, Serialize};
-
 /// A principal axis of the volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// The X axis.
     X,
@@ -44,7 +42,7 @@ impl Axis {
 /// A view orientation given as yaw (rotation about +Y) and pitch (rotation
 /// about +X), in degrees.  Yaw = pitch = 0 looks down the −Z axis, the
 /// canonical axis-aligned IBRAVR view.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ViewOrientation {
     /// Rotation about the Y axis, degrees.
     pub yaw_deg: f64,

@@ -6,8 +6,6 @@
 //! (back-to-front or front-to-back)" (§3.2).  The same `over` operator is the
 //! heart of the IBRAVR viewer compositor.
 
-use serde::{Deserialize, Serialize};
-
 /// One channel of the 8-bit wire format: the single quantisation expression
 /// behind [`RgbaImage::to_rgba8`] and the renderer's direct RGBA8 output.
 #[inline]
@@ -16,7 +14,7 @@ pub(crate) fn quantize_channel(v: f32) -> u8 {
 }
 
 /// A floating-point RGBA image (straight, non-premultiplied alpha).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RgbaImage {
     width: usize,
     height: usize,

@@ -6,10 +6,9 @@
 //! the other two are implemented for the decomposition ablation benchmark.
 
 use crate::camera::Axis;
-use serde::{Deserialize, Serialize};
 
 /// A rectangular region of a volume assigned to one processing element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Region {
     /// Origin of the region (x, y, z).
     pub origin: (usize, usize, usize),
@@ -49,7 +48,7 @@ impl Region {
 }
 
 /// Which decomposition of Figure 4 to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decomposition {
     /// 1-D partitioning into slabs perpendicular to `axis` (Visapult's choice).
     Slab(Axis),

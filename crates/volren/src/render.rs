@@ -67,10 +67,9 @@ use crate::camera::{Axis, ViewOrientation};
 use crate::composite::{quantize_channel, RgbaImage};
 use crate::transfer::{RgbaRows, TransferFunction};
 use crate::volume::Volume;
-use serde::{Deserialize, Serialize};
 
 /// Settings shared by the renderers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RenderSettings {
     /// Output image width in pixels.
     pub image_width: usize,

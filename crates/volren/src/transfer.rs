@@ -39,13 +39,11 @@
 //! whole row of samples per call through `classify_row`, which matches them
 //! lane for lane.
 
-use serde::{Deserialize, Serialize};
-
 /// An RGBA colour with premultiplication *not* applied (alpha is opacity).
 pub type Rgba = [f32; 4];
 
 /// A transfer function mapping normalized scalars in `[0, 1]` to RGBA.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TransferFunction {
     /// Greyscale ramp: value → grey level, opacity proportional to value.
     Grayscale {

@@ -4,8 +4,6 @@
 //! the same layout the combustion simulation writes and the DPSS caches, so a
 //! slab read from the cache can be reinterpreted in place.
 
-use serde::{Deserialize, Serialize};
-
 /// Append `values` to `out` as little-endian IEEE-754 bytes (the DPSS wire
 /// format).
 pub(crate) fn extend_le_bytes(out: &mut Vec<u8>, values: &[f32]) {
@@ -43,7 +41,7 @@ pub(crate) fn min_max(values: &[f32]) -> (f32, f32) {
 }
 
 /// A dense scalar field on a regular grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Volume {
     dims: (usize, usize, usize),
     data: Vec<f32>,

@@ -223,18 +223,6 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
-impl serde::Serialize for Bytes {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Seq(self.as_slice().iter().map(|b| serde::Value::I64(*b as i64)).collect())
-    }
-}
-
-impl serde::Deserialize for Bytes {
-    fn deserialize(v: &serde::Value) -> Result<Bytes, serde::DeError> {
-        Ok(Bytes::from_vec(Vec::<u8>::deserialize(v)?))
-    }
-}
-
 /// Consuming big-endian reads from a byte source.
 pub trait Buf {
     /// Bytes left to read.

@@ -6,13 +6,18 @@
 //! [`Serialize`] renders a type into a `Value` and [`Deserialize`] rebuilds it
 //! from one.  The companion `serde_json` and `toml` shims are formatters and
 //! parsers for that tree, and the `serde_derive` proc-macro generates the two
-//! impls for structs and enums with serde's standard data model (maps for
-//! named fields, sequences for tuples, externally tagged enums).
+//! impls for named-field structs (maps) and unit-only enums (variant names).
 //!
-//! Only what this workspace uses is implemented; the API is intentionally
-//! source-compatible for those uses (`#[derive(Serialize, Deserialize)]`,
-//! `serde_json::to_string`, `toml::from_str`, ...) so that swapping the real
-//! crates back in later is a manifest-only change.
+//! The workspace crosses a serde codec in exactly four places, and this shim
+//! carries only what they reach: `ScenarioSpec` ⇄ TOML, `MetricsSnapshot` →
+//! JSONL, `lint.toml` → vlint's config, and a raw [`Value`] ⇄ JSON (bench
+//! baselines and the ledger's result lines).  Hence the impls below: `bool`,
+//! `i64`, `u32`, `u64`, `usize`, `f64`, `String`, `Option`, `Vec`,
+//! string-keyed `BTreeMap`, 2- and 3-tuples, and `Value` itself.
+//! `tests/codec_surface.rs` pins the deriving types.  The API stays
+//! source-compatible with the real crates for those uses
+//! (`#[derive(Serialize, Deserialize)]`, `serde_json::to_string`,
+//! `toml::from_str`, ...).
 
 #![forbid(unsafe_code)]
 
@@ -20,7 +25,6 @@ pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Duration;
 
 /// A self-describing value: the single intermediate representation every
 /// shimmed format reads and writes.
@@ -122,11 +126,6 @@ impl DeError {
     pub fn in_index(self, index: usize) -> Self {
         self.in_field(&format!("[{index}]"))
     }
-
-    /// The message without the path.
-    pub fn message(&self) -> &str {
-        &self.msg
-    }
 }
 
 impl fmt::Display for DeError {
@@ -181,25 +180,20 @@ pub fn variant_matches(candidate: &str, variant: &str) -> bool {
 // Primitive impls
 // ---------------------------------------------------------------------------
 
-macro_rules! ser_de_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize(&self) -> Value { Value::I64(*self as i64) }
-        }
-        impl Deserialize for $t {
-            fn deserialize(v: &Value) -> Result<Self, DeError> {
-                let wide = match v {
-                    Value::I64(i) => *i,
-                    Value::U64(u) => i64::try_from(*u)
-                        .map_err(|_| DeError::custom(format!("{u} out of range for {}", stringify!($t))))?,
-                    other => return Err(DeError::expected(concat!("an integer (", stringify!($t), ")"), other)),
-                };
-                <$t>::try_from(wide).map_err(|_| DeError::custom(format!("{wide} out of range for {}", stringify!($t))))
-            }
-        }
-    )*};
+impl Serialize for i64 {
+    fn serialize(&self) -> Value {
+        Value::I64(*self)
+    }
 }
-ser_de_signed!(i8, i16, i32, i64, isize);
+impl Deserialize for i64 {
+    fn deserialize(v: &Value) -> Result<Self, DeError> {
+        match v {
+            Value::I64(i) => Ok(*i),
+            Value::U64(u) => i64::try_from(*u).map_err(|_| DeError::custom(format!("{u} out of range for i64"))),
+            other => Err(DeError::expected("an integer (i64)", other)),
+        }
+    }
+}
 
 macro_rules! ser_de_unsigned {
     ($($t:ty),*) => {$(
@@ -225,7 +219,7 @@ macro_rules! ser_de_unsigned {
         }
     )*};
 }
-ser_de_unsigned!(u8, u16, u32, u64, usize);
+ser_de_unsigned!(u32, u64, usize);
 
 impl Serialize for f64 {
     fn serialize(&self) -> Value {
@@ -240,17 +234,6 @@ impl Deserialize for f64 {
             Value::U64(u) => Ok(*u as f64),
             other => Err(DeError::expected("a number (f64)", other)),
         }
-    }
-}
-
-impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::F64(f64::from(*self))
-    }
-}
-impl Deserialize for f32 {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        f64::deserialize(v).map(|f| f as f32)
     }
 }
 
@@ -282,22 +265,6 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-impl Deserialize for char {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        let s = String::deserialize(v)?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(DeError::custom(format!("expected a single character, found {s:?}"))),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize(&self) -> Value {
         match self {
@@ -312,17 +279,6 @@ impl<T: Deserialize> Deserialize for Option<T> {
             Value::Null => Ok(None),
             other => T::deserialize(other).map(Some),
         }
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
-}
-impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        T::deserialize(v).map(std::sync::Arc::new)
     }
 }
 
@@ -344,136 +300,20 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
+/// String keys only: the [`Value`] model, like JSON and TOML, has no other.
+impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
+        Value::Map(self.iter().map(|(k, v)| (k.clone(), v.serialize())).collect())
     }
 }
-impl<T: Deserialize + fmt::Debug, const N: usize> Deserialize for [T; N] {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        let items = Vec::<T>::deserialize(v)?;
-        let len = items.len();
-        items
-            .try_into()
-            .map_err(|_| DeError::custom(format!("expected an array of length {N}, found length {len}")))
-    }
-}
-
-/// Types usable as map keys: rendered to / parsed from strings, since the
-/// [`Value`] model (like JSON and TOML) only has string keys.
-pub trait MapKey: Sized {
-    /// The string form of the key.
-    fn to_key(&self) -> String;
-
-    /// Parse the string form back.
-    fn from_key(s: &str) -> Result<Self, DeError>;
-}
-
-impl MapKey for String {
-    fn to_key(&self) -> String {
-        self.clone()
-    }
-
-    fn from_key(s: &str) -> Result<Self, DeError> {
-        Ok(s.to_string())
-    }
-}
-
-macro_rules! int_map_key {
-    ($($t:ty),*) => {$(
-        impl MapKey for $t {
-            fn to_key(&self) -> String {
-                self.to_string()
-            }
-
-            fn from_key(s: &str) -> Result<Self, DeError> {
-                s.parse().map_err(|_| DeError::custom(format!("invalid {} map key `{s}`", stringify!($t))))
-            }
-        }
-    )*};
-}
-int_map_key!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl<K: MapKey + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn serialize(&self) -> Value {
-        Value::Map(self.iter().map(|(k, v)| (k.to_key(), v.serialize())).collect())
-    }
-}
-impl<K: MapKey + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
+impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
         match v {
             Value::Map(m) => m
                 .iter()
-                .map(|(k, x)| Ok((K::from_key(k)?, V::deserialize(x).map_err(|e| e.in_field(k))?)))
+                .map(|(k, x)| Ok((k.clone(), V::deserialize(x).map_err(|e| e.in_field(k))?)))
                 .collect(),
             other => Err(DeError::expected("a map", other)),
-        }
-    }
-}
-
-impl<K: MapKey + Eq + std::hash::Hash, V: Serialize, S: std::hash::BuildHasher> Serialize
-    for std::collections::HashMap<K, V, S>
-{
-    fn serialize(&self) -> Value {
-        // Sort by key so the serialized form is deterministic.
-        let mut entries: Vec<(String, Value)> = self.iter().map(|(k, v)| (k.to_key(), v.serialize())).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Map(entries)
-    }
-}
-impl<K: MapKey + Eq + std::hash::Hash, V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize
-    for std::collections::HashMap<K, V, S>
-{
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Map(m) => m
-                .iter()
-                .map(|(k, x)| Ok((K::from_key(k)?, V::deserialize(x).map_err(|e| e.in_field(k))?)))
-                .collect(),
-            other => Err(DeError::expected("a map", other)),
-        }
-    }
-}
-
-impl<T: Serialize + Ord, S: std::hash::BuildHasher> Serialize for std::collections::HashSet<T, S> {
-    fn serialize(&self) -> Value {
-        // Sort so the serialized form is deterministic.
-        let mut items: Vec<&T> = self.iter().collect();
-        items.sort();
-        Value::Seq(items.into_iter().map(Serialize::serialize).collect())
-    }
-}
-impl<T, S> Deserialize for std::collections::HashSet<T, S>
-where
-    T: Deserialize + Eq + std::hash::Hash,
-    S: std::hash::BuildHasher + Default,
-{
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Seq(s) => s
-                .iter()
-                .enumerate()
-                .map(|(i, x)| T::deserialize(x).map_err(|e| e.in_index(i)))
-                .collect(),
-            other => Err(DeError::expected("a sequence", other)),
-        }
-    }
-}
-
-impl<T: Serialize + Ord> Serialize for std::collections::BTreeSet<T> {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
-    }
-}
-impl<T: Deserialize + Ord> Deserialize for std::collections::BTreeSet<T> {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Seq(s) => s
-                .iter()
-                .enumerate()
-                .map(|(i, x)| T::deserialize(x).map_err(|e| e.in_index(i)))
-                .collect(),
-            other => Err(DeError::expected("a sequence", other)),
         }
     }
 }
@@ -498,44 +338,8 @@ macro_rules! ser_de_tuple {
     )*};
 }
 ser_de_tuple! {
-    (0 A)
     (0 A, 1 B)
     (0 A, 1 B, 2 C)
-    (0 A, 1 B, 2 C, 3 D)
-    (0 A, 1 B, 2 C, 3 D, 4 E)
-}
-
-impl Serialize for Duration {
-    fn serialize(&self) -> Value {
-        Value::Map(vec![
-            ("secs".to_string(), Value::U64(self.as_secs())),
-            ("nanos".to_string(), Value::I64(i64::from(self.subsec_nanos()))),
-        ])
-    }
-}
-impl Deserialize for Duration {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Map(m) => {
-                let secs = u64::deserialize(field(m, "secs")).map_err(|e| e.in_field("secs"))?;
-                let nanos = u32::deserialize(field(m, "nanos")).map_err(|e| e.in_field("nanos"))?;
-                Ok(Duration::new(secs, nanos))
-            }
-            other => Err(DeError::expected("a {secs, nanos} map for Duration", other)),
-        }
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
-}
-
-impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
-    }
 }
 
 impl Serialize for Value {
@@ -560,15 +364,15 @@ mod tests {
         assert_eq!(f64::deserialize(&1.5f64.serialize()).unwrap(), 1.5);
         assert_eq!(f64::deserialize(&Value::I64(7)).unwrap(), 7.0);
         assert!(u32::deserialize(&Value::I64(-1)).is_err());
-        assert_eq!(String::deserialize(&"x".serialize()).unwrap(), "x");
+        assert_eq!(String::deserialize(&"x".to_string().serialize()).unwrap(), "x");
         assert_eq!(Option::<u64>::deserialize(&Value::Null).unwrap(), None);
         assert_eq!(
             <(usize, usize)>::deserialize(&(3usize, 4usize).serialize()).unwrap(),
             (3, 4)
         );
         assert_eq!(
-            <[f32; 3]>::deserialize(&[1.0f32, 2.0, 3.0].serialize()).unwrap(),
-            [1.0, 2.0, 3.0]
+            <(u32, bool, String)>::deserialize(&(7u32, true, "y".to_string()).serialize()).unwrap(),
+            (7, true, "y".to_string())
         );
     }
 
@@ -592,11 +396,5 @@ mod tests {
     fn errors_carry_paths() {
         let e = DeError::custom("boom").in_field("x").in_field("outer");
         assert_eq!(e.to_string(), "outer.x: boom");
-    }
-
-    #[test]
-    fn duration_round_trips() {
-        let d = Duration::new(3, 250_000_000);
-        assert_eq!(Duration::deserialize(&d.serialize()).unwrap(), d);
     }
 }

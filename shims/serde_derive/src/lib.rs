@@ -2,41 +2,27 @@
 //!
 //! This workspace builds with no registry access, so `syn`/`quote` are not
 //! available; the derive input is parsed directly from the compiler's token
-//! stream.  The supported shapes are exactly what the workspace uses:
+//! stream.  The supported shapes are exactly the two every deriving type in
+//! the workspace has (`tests/codec_surface.rs` pins the list):
 //!
-//! * structs with named fields, tuple structs (a 1-tuple serializes
-//!   transparently as its inner value, like serde newtypes), unit structs;
-//! * enums with unit, newtype, tuple and struct variants, externally tagged
-//!   like serde (`"Variant"`, `{"Variant": ...}`).
+//! * structs with named fields, which serialize as a map keyed by field name;
+//! * enums whose variants are all units, which serialize as the variant name
+//!   (and deserialize from it, matched by `serde::variant_matches`).
 //!
-//! Generic types are not supported (none of the workspace's serialized types
-//! are generic); encountering one produces a compile error naming this file.
+//! Anything else — a generic type, a tuple or unit struct, a variant carrying
+//! data — produces a compile error naming this file.
 //!
 //! Field types never need to be parsed: generated code places every
-//! `Deserialize::deserialize` call in a position (struct literal field,
-//! variant constructor argument) where the compiler infers the target type.
+//! `Deserialize::deserialize` call in a struct-literal field, where the
+//! compiler infers the target type.
 
 #![forbid(unsafe_code)]
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[derive(Debug)]
-enum Fields {
-    Unit,
-    Named(Vec<String>),
-    Tuple(usize),
-}
-
-#[derive(Debug)]
 enum Item {
-    Struct {
-        name: String,
-        fields: Fields,
-    },
-    Enum {
-        name: String,
-        variants: Vec<(String, Fields)>,
-    },
+    Struct { name: String, fields: Vec<String> },
+    Enum { name: String, variants: Vec<String> },
 }
 
 /// Generate `impl serde::Serialize`.
@@ -70,7 +56,7 @@ fn compile_error(msg: &str) -> TokenStream {
 // ---------------------------------------------------------------------------
 
 fn parse_item(input: TokenStream) -> Result<Item, String> {
-    let mut toks: Vec<TokenTree> = input.into_iter().collect();
+    let toks: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
     skip_attrs_and_vis(&toks, &mut i);
 
@@ -93,33 +79,25 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             "serde shim derive: generic type `{name}` is not supported (see shims/serde_derive)"
         ));
     }
+    let body = match toks.get(i) {
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g.stream(),
+        _ => {
+            return Err(format!(
+                "serde shim derive: `{name}` must be a struct with named fields or an enum \
+                 (see shims/serde_derive)"
+            ))
+        }
+    };
 
     match keyword.as_str() {
-        "struct" => {
-            let fields = match toks.get(i) {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    Fields::Named(parse_named_fields(g.stream())?)
-                }
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    Fields::Tuple(count_tuple_fields(g.stream()))
-                }
-                Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
-                other => return Err(format!("serde shim derive: unexpected struct body {other:?}")),
-            };
-            Ok(Item::Struct { name, fields })
-        }
-        "enum" => {
-            let body = match toks.get(i) {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g.stream(),
-                other => return Err(format!("serde shim derive: expected an enum body, found {other:?}")),
-            };
-            // Detach from `toks` to appease the borrow in the loop below.
-            drop(toks.drain(..));
-            Ok(Item::Enum {
-                name,
-                variants: parse_variants(body)?,
-            })
-        }
+        "struct" => Ok(Item::Struct {
+            fields: parse_named_fields(body)?,
+            name,
+        }),
+        "enum" => Ok(Item::Enum {
+            variants: parse_unit_variants(&name, body)?,
+            name,
+        }),
         other => Err(format!("serde shim derive: cannot derive for `{other}` items")),
     }
 }
@@ -191,23 +169,8 @@ fn skip_type_until_comma(toks: &[TokenTree], i: &mut usize) {
     }
 }
 
-/// Arity of a tuple-struct / tuple-variant body.
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    let toks: Vec<TokenTree> = stream.into_iter().collect();
-    let mut arity = 0usize;
-    let mut i = 0;
-    while i < toks.len() {
-        skip_attrs_and_vis(&toks, &mut i);
-        if i >= toks.len() {
-            break;
-        }
-        arity += 1;
-        skip_type_until_comma(&toks, &mut i);
-    }
-    arity
-}
-
-fn parse_variants(stream: TokenStream) -> Result<Vec<(String, Fields)>, String> {
+/// Variant names of an enum body whose variants all carry no data.
+fn parse_unit_variants(enum_name: &str, stream: TokenStream) -> Result<Vec<String>, String> {
     let toks: Vec<TokenTree> = stream.into_iter().collect();
     let mut i = 0;
     let mut variants = Vec::new();
@@ -219,19 +182,12 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<(String, Fields)>, String> 
             other => return Err(format!("serde shim derive: expected a variant name, found {other:?}")),
         };
         i += 1;
-        let fields = match toks.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let f = Fields::Named(parse_named_fields(g.stream())?);
-                i += 1;
-                f
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let f = Fields::Tuple(count_tuple_fields(g.stream()));
-                i += 1;
-                f
-            }
-            _ => Fields::Unit,
-        };
+        if matches!(toks.get(i), Some(TokenTree::Group(_))) {
+            return Err(format!(
+                "serde shim derive: variant `{enum_name}::{name}` carries data; only unit variants \
+                 are supported (see shims/serde_derive)"
+            ));
+        }
         // Skip a discriminant (`= expr`) and the separating comma.
         while let Some(t) = toks.get(i) {
             i += 1;
@@ -239,7 +195,7 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<(String, Fields)>, String> 
                 break;
             }
         }
-        variants.push((name, fields));
+        variants.push(name);
     }
     Ok(variants)
 }
@@ -249,186 +205,70 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<(String, Fields)>, String> 
 // ---------------------------------------------------------------------------
 
 fn gen_serialize(item: &Item) -> String {
-    match item {
+    let (name, body) = match item {
         Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Unit => "::serde::Value::Null".to_string(),
-                Fields::Named(names) => {
-                    let entries: Vec<String> = names
-                        .iter()
-                        .map(|f| format!("({f:?}.to_string(), ::serde::Serialize::serialize(&self.{f}))"))
-                        .collect();
-                    format!("::serde::Value::Map(vec![{}])", entries.join(", "))
-                }
-                Fields::Tuple(1) => "::serde::Serialize::serialize(&self.0)".to_string(),
-                Fields::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::serialize(&self.{i})"))
-                        .collect();
-                    format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-                }
-            };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n    fn serialize(&self) -> ::serde::Value {{ {body} }}\n}}\n"
-            )
+            let entries: Vec<String> = fields
+                .iter()
+                .map(|f| format!("({f:?}.to_string(), ::serde::Serialize::serialize(&self.{f}))"))
+                .collect();
+            (name, format!("::serde::Value::Map(vec![{}])", entries.join(", ")))
         }
         Item::Enum { name, variants } => {
-            let arms: Vec<String> = variants
-                .iter()
-                .map(|(v, fields)| match fields {
-                    Fields::Unit => {
-                        format!("{name}::{v} => ::serde::Value::Str({v:?}.to_string()),")
-                    }
-                    Fields::Tuple(1) => format!(
-                        "{name}::{v}(x0) => ::serde::Value::Map(vec![({v:?}.to_string(), \
-                         ::serde::Serialize::serialize(x0))]),"
-                    ),
-                    Fields::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|i| format!("x{i}")).collect();
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Serialize::serialize(x{i})"))
-                            .collect();
-                        format!(
-                            "{name}::{v}({}) => ::serde::Value::Map(vec![({v:?}.to_string(), \
-                             ::serde::Value::Seq(vec![{}]))]),",
-                            binds.join(", "),
-                            items.join(", ")
-                        )
-                    }
-                    Fields::Named(field_names) => {
-                        let binds = field_names.join(", ");
-                        let entries: Vec<String> = field_names
-                            .iter()
-                            .map(|f| format!("({f:?}.to_string(), ::serde::Serialize::serialize({f}))"))
-                            .collect();
-                        format!(
-                            "{name}::{v} {{ {binds} }} => ::serde::Value::Map(vec![({v:?}.to_string(), \
-                             ::serde::Value::Map(vec![{}]))]),",
-                            entries.join(", ")
-                        )
-                    }
-                })
-                .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n    fn serialize(&self) -> ::serde::Value {{\n        \
-                 match self {{\n            {}\n        }}\n    }}\n}}\n",
-                arms.join("\n            ")
+            let arms: Vec<String> = variants.iter().map(|v| format!("{name}::{v} => {v:?},")).collect();
+            (
+                name,
+                format!(
+                    "::serde::Value::Str(match self {{\n            {}\n        }}.to_string())",
+                    arms.join("\n            ")
+                ),
             )
         }
-    }
+    };
+    format!("impl ::serde::Serialize for {name} {{\n    fn serialize(&self) -> ::serde::Value {{\n        {body}\n    }}\n}}\n")
 }
 
 fn gen_deserialize(item: &Item) -> String {
-    match item {
+    let (name, body) = match item {
         Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Unit => format!("{{ let _ = v; Ok({name}) }}"),
-                Fields::Named(names) => {
-                    let inits: Vec<String> = names
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "{f}: ::serde::Deserialize::deserialize(::serde::field(m, {f:?}))\
-                                 .map_err(|e| e.in_field({f:?}))?,"
-                            )
-                        })
-                        .collect();
+            let inits: Vec<String> = fields
+                .iter()
+                .map(|f| {
                     format!(
-                        "{{\n        let m = match v {{\n            ::serde::Value::Map(m) => m,\n            \
-                         other => return Err(::serde::DeError::expected(\"a map for struct {name}\", other)),\n        \
-                         }};\n        Ok({name} {{\n            {}\n        }})\n    }}",
-                        inits.join("\n            ")
+                        "{f}: ::serde::Deserialize::deserialize(::serde::field(m, {f:?}))\
+                         .map_err(|e| e.in_field({f:?}))?,"
                     )
-                }
-                Fields::Tuple(1) => format!("Ok({name}(::serde::Deserialize::deserialize(v)?))"),
-                Fields::Tuple(n) => {
-                    let inits: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Deserialize::deserialize(&s[{i}]).map_err(|e| e.in_index({i}))?,"))
-                        .collect();
-                    format!(
-                        "{{\n        let s = match v {{\n            ::serde::Value::Seq(s) if s.len() == {n} => s,\n            \
-                         other => return Err(::serde::DeError::expected(\"a sequence of {n} for {name}\", other)),\n        \
-                         }};\n        Ok({name}(\n            {}\n        ))\n    }}",
-                        inits.join("\n            ")
-                    )
-                }
-            };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n    fn deserialize(v: &::serde::Value) -> \
-                 ::std::result::Result<Self, ::serde::DeError> {{\n        {body}\n    }}\n}}\n"
+                })
+                .collect();
+            (
+                name,
+                format!(
+                    "let m = match v {{\n            ::serde::Value::Map(m) => m,\n            \
+                     other => return Err(::serde::DeError::expected(\"a map for struct {name}\", other)),\n        \
+                     }};\n        Ok({name} {{\n            {}\n        }})",
+                    inits.join("\n            ")
+                ),
             )
         }
         Item::Enum { name, variants } => {
-            let unit_checks: Vec<String> = variants
+            let checks: Vec<String> = variants
                 .iter()
-                .filter(|(_, f)| matches!(f, Fields::Unit))
-                .map(|(v, _)| format!("if ::serde::variant_matches(s, {v:?}) {{ return Ok({name}::{v}); }}"))
+                .map(|v| format!("if ::serde::variant_matches(s, {v:?}) {{ return Ok({name}::{v}); }}"))
                 .collect();
-            let data_checks: Vec<String> = variants
-                .iter()
-                .filter_map(|(v, fields)| match fields {
-                    Fields::Unit => None,
-                    Fields::Tuple(1) => Some(format!(
-                        "if ::serde::variant_matches(k, {v:?}) {{\n                return Ok({name}::{v}(\
-                         ::serde::Deserialize::deserialize(inner).map_err(|e| e.in_field({v:?}))?));\n            }}"
-                    )),
-                    Fields::Tuple(n) => {
-                        let inits: Vec<String> = (0..*n)
-                            .map(|i| {
-                                format!("::serde::Deserialize::deserialize(&s[{i}]).map_err(|e| e.in_index({i}).in_field({v:?}))?,")
-                            })
-                            .collect();
-                        Some(format!(
-                            "if ::serde::variant_matches(k, {v:?}) {{\n                let s = match inner {{\n                    \
-                             ::serde::Value::Seq(s) if s.len() == {n} => s,\n                    \
-                             other => return Err(::serde::DeError::expected(\"a sequence of {n} for variant {v}\", other)),\n                \
-                             }};\n                return Ok({name}::{v}({}));\n            }}",
-                            inits.join(" ")
-                        ))
-                    }
-                    Fields::Named(field_names) => {
-                        let inits: Vec<String> = field_names
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::deserialize(::serde::field(m2, {f:?}))\
-                                     .map_err(|e| e.in_field({f:?}).in_field({v:?}))?,"
-                                )
-                            })
-                            .collect();
-                        Some(format!(
-                            "if ::serde::variant_matches(k, {v:?}) {{\n                let m2 = match inner {{\n                    \
-                             ::serde::Value::Map(m2) => m2,\n                    \
-                             other => return Err(::serde::DeError::expected(\"a map for variant {v}\", other)),\n                \
-                             }};\n                return Ok({name}::{v} {{ {} }});\n            }}",
-                            inits.join(" ")
-                        ))
-                    }
-                })
-                .collect();
-            let variant_list: String = variants.iter().map(|(v, _)| v.as_str()).collect::<Vec<_>>().join("|");
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n    fn deserialize(v: &::serde::Value) -> \
-                 ::std::result::Result<Self, ::serde::DeError> {{\n        match v {{\n            \
-                 ::serde::Value::Str(s) => {{\n                {unit}\n                \
-                 Err(::serde::DeError::custom(format!(\"unknown variant `{{s}}` of {name}, expected one of {list}\")))\n            }}\n            \
-                 ::serde::Value::Map(m) if m.len() == 1 => {{\n                let (k, inner) = (&m[0].0, &m[0].1);\n                \
-                 let _ = inner;\n                {data}\n                \
-                 Err(::serde::DeError::custom(format!(\"unknown variant `{{k}}` of {name}, expected one of {list}\")))\n            }}\n            \
-                 other => Err(::serde::DeError::expected(\"a string or single-key map for enum {name}\", other)),\n        \
-                 }}\n    }}\n}}\n",
-                unit = if unit_checks.is_empty() {
-                    "let _ = s;".to_string()
-                } else {
-                    unit_checks.join("\n                ")
-                },
-                data = if data_checks.is_empty() {
-                    String::new()
-                } else {
-                    data_checks.join("\n                ")
-                },
-                list = variant_list,
+            (
+                name,
+                format!(
+                    "let s = match v {{\n            ::serde::Value::Str(s) => s,\n            \
+                     other => return Err(::serde::DeError::expected(\"a variant name of enum {name}\", other)),\n        \
+                     }};\n        {}\n        \
+                     Err(::serde::DeError::custom(format!(\"unknown variant `{{s}}` of {name}, expected one of {}\")))",
+                    checks.join("\n        "),
+                    variants.join("|")
+                ),
             )
         }
-    }
+    };
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n    fn deserialize(v: &::serde::Value) -> \
+         ::std::result::Result<Self, ::serde::DeError> {{\n        {body}\n    }}\n}}\n"
+    )
 }

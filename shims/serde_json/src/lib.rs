@@ -1,9 +1,16 @@
 //! Offline stand-in for `serde_json`: a JSON formatter/parser for the
 //! vendored serde shim's [`serde::Value`] model.
 //!
-//! Floats are emitted with Rust's shortest round-trippable representation
-//! (`{:?}`), so `f64` survives `to_string` → `from_str` bit-exactly — the
-//! NetLogger event log round-trip test depends on that.
+//! Two things cross it: `MetricsSnapshot`'s JSONL lines (written only) and
+//! raw [`Value`] trees — the `BENCH_*.json` baselines `compare_baselines`
+//! reads and the ledger's result lines, both ways.  The writer is compact
+//! only.  Floats are emitted with Rust's shortest round-trippable
+//! representation (`{:?}`), so `f64` survives `to_string` → `from_str`
+//! bit-exactly.
+//!
+//! The parser takes hostile text: malformed input, lone or mismatched
+//! surrogate escapes and nesting past `MAX_DEPTH` are errors, never panics,
+//! and it runs in time linear in the input.
 
 #![forbid(unsafe_code)]
 
@@ -34,30 +41,25 @@ impl From<DeError> for Error {
     }
 }
 
+/// Deepest array/object nesting [`from_str`] accepts.  Every document the
+/// workspace reads nests at most four levels; the limit turns hostile input
+/// like `"[".repeat(200_000)` into an error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 /// Serialize to compact JSON.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.serialize(), None, 0);
-    Ok(out)
-}
-
-/// Serialize to indented JSON.
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.serialize(), Some(2), 0);
+    write_value(&mut out, &value.serialize());
     Ok(out)
 }
 
 /// Deserialize from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: s, pos: 0 };
     p.skip_ws();
-    let value = p.parse_value()?;
+    let value = p.parse_value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != s.len() {
         return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
     }
     Ok(T::deserialize(&value)?)
@@ -67,7 +69,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 // Writer
 // ---------------------------------------------------------------------------
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
+fn write_value(out: &mut String, v: &Value) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -75,49 +77,29 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
         Value::U64(u) => out.push_str(&u.to_string()),
         Value::F64(f) => write_f64(out, *f),
         Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => write_compound(out, indent, depth, '[', ']', items.len(), |out, i, d| {
-            write_value(out, &items[i], indent, d);
-        }),
-        Value::Map(entries) => write_compound(out, indent, depth, '{', '}', entries.len(), |out, i, d| {
-            write_string(out, &entries[i].0);
-            out.push(':');
-            if indent.is_some() {
-                out.push(' ');
+        Value::Seq(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_value(out, item);
             }
-            write_value(out, &entries[i].1, indent, d);
-        }),
-    }
-}
-
-fn write_compound(
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
+            out.push(']');
         }
-        if let Some(w) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(w * (depth + 1)));
+        Value::Map(entries) => {
+            out.push('{');
+            for (i, (key, item)) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_string(out, key);
+                out.push(':');
+                write_value(out, item);
+            }
+            out.push('}');
         }
-        item(out, i, depth + 1);
     }
-    if let Some(w) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
-    }
-    out.push(close);
 }
 
 fn write_f64(out: &mut String, f: f64) {
@@ -150,19 +132,19 @@ fn write_string(out: &mut String, s: &str) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset into `src`; always on a character boundary.
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
+        let rest = &self.src[self.pos..];
+        self.pos += rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_whitespace()).len();
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -180,7 +162,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             true
         } else {
@@ -188,13 +170,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
+    /// One value; `depth` counts the arrays and objects around it.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ))),
             Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
@@ -204,7 +191,7 @@ impl<'a> Parser<'a> {
                     return Ok(Value::Seq(items));
                 }
                 loop {
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => {
@@ -231,7 +218,7 @@ impl<'a> Parser<'a> {
                     let key = self.parse_string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    let value = self.parse_value()?;
+                    let value = self.parse_value(depth + 1)?;
                     entries.push((key, value));
                     self.skip_ws();
                     match self.peek() {
@@ -255,59 +242,66 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let c = *rest.first().ok_or_else(|| Error::new("unterminated string"))?;
-            match c {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    let esc = *rest.get(1).ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 2;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hi = self.parse_hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if !self.eat_literal("\\u") {
-                                    return Err(Error::new("unpaired surrogate"));
-                                }
-                                let lo = self.parse_hex4()?;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(code).ok_or_else(|| Error::new("invalid \\u escape"))?);
-                        }
-                        other => return Err(Error::new(format!("invalid escape `\\{}`", other as char))),
-                    }
-                }
-                _ => {
-                    // Copy one UTF-8 scalar.
-                    let s = std::str::from_utf8(rest).map_err(|_| Error::new("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("nonempty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash in one go: both
+            // are ASCII, so the run ends on a character boundary.
+            let rest = &self.src[self.pos..];
+            let run = rest
+                .find(['"', '\\'])
+                .ok_or_else(|| Error::new("unterminated string"))?;
+            out.push_str(&rest[..run]);
+            self.pos += run;
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(out);
+            }
+            let esc = *self
+                .src
+                .as_bytes()
+                .get(self.pos + 1)
+                .ok_or_else(|| Error::new("unterminated escape"))?;
+            self.pos += 2;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => out.push(self.parse_unicode_escape()?),
+                other => return Err(Error::new(format!("invalid escape `\\{}`", other.escape_ascii()))),
             }
         }
     }
 
+    /// The character of a `\u` escape whose `\u` is already consumed: one
+    /// code unit, or a high surrogate followed by `\u` and a low surrogate.
+    fn parse_unicode_escape(&mut self) -> Result<char, Error> {
+        let hi = self.parse_hex4()?;
+        let code = if (0xD800..0xDC00).contains(&hi) {
+            if !self.eat_literal("\\u") {
+                return Err(Error::new("unpaired surrogate"));
+            }
+            let lo = self.parse_hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(Error::new(format!(
+                    "high surrogate \\u{hi:04x} followed by \\u{lo:04x}, not a low surrogate"
+                )));
+            }
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        } else {
+            hi
+        };
+        char::from_u32(code).ok_or_else(|| Error::new(format!("invalid \\u escape {code:04x}")))
+    }
+
     fn parse_hex4(&mut self) -> Result<u32, Error> {
         let hex = self
-            .bytes
+            .src
             .get(self.pos..self.pos + 4)
-            .and_then(|b| std::str::from_utf8(b).ok())
-            .ok_or_else(|| Error::new("truncated \\u escape"))?;
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| Error::new(format!("truncated or invalid \\u escape at byte {}", self.pos)))?;
         self.pos += 4;
         u32::from_str_radix(hex, 16).map_err(|_| Error::new(format!("invalid \\u escape `{hex}`")))
     }
@@ -328,7 +322,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Value::I64(i));
@@ -369,7 +363,7 @@ mod tests {
     #[test]
     fn collections_round_trip() {
         let v = vec![(1u64, "a".to_string()), (2, "b".to_string())];
-        let s = to_string_pretty(&v).unwrap();
+        let s = to_string(&v).unwrap();
         let back: Vec<(u64, String)> = from_str(&s).unwrap();
         assert_eq!(back, v);
     }
@@ -379,5 +373,45 @@ mod tests {
         assert!(from_str::<u64>("[1").is_err());
         assert!(from_str::<u64>("1 trailing").is_err());
         assert!(from_str::<u64>("\"x\"").is_err());
+    }
+
+    /// A JSON string literal from `text` with each `%` standing for a
+    /// backslash, so the escapes under test read as they would in a file.
+    fn escaped(text: &str) -> String {
+        format!("\"{}\"", text.replace('%', "\\"))
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_mismatches_are_errors() {
+        assert_eq!(from_str::<String>(&escaped("%ud83d%ude00")).unwrap(), "\u{1F600}");
+        assert_eq!(from_str::<String>(&escaped("%udbff%udfff")).unwrap(), "\u{10FFFF}");
+        // A high surrogate must be followed by a low one (DC00..=DFFF): not
+        // by a plain code unit or another high surrogate (both once panicked
+        // on a subtraction overflow), nor by a unit above that range (which
+        // once decoded silently to U+10400).
+        for bad in ["%ud800%u0041", "%ud800%udbff", "%ud800%ue000"] {
+            assert!(from_str::<String>(&escaped(bad)).is_err(), "{bad}");
+        }
+        // Lone surrogates, a signed or short hex field, a non-ASCII escape.
+        for bad in ["%ud800", "%udc00", "%u+041", "%u00", "%\u{e9}"] {
+            assert!(from_str::<String>(&escaped(bad)).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn long_strings_copy_in_runs() {
+        let text = "ab\u{e9}\u{1F600}\"\\\n".repeat(20_000);
+        let back: String = from_str(&to_string(&text).unwrap()).unwrap();
+        assert_eq!(back, text);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(from_str::<Value>(&deep).is_err());
+        assert!(from_str::<Value>(&"[{\"a\":".repeat(MAX_DEPTH)).is_err());
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
     }
 }

@@ -7,9 +7,12 @@
 //! brackets stay open), comments.  Not implemented: inline tables `{...}`,
 //! dates, multi-line strings.
 //!
-//! The emitter writes scalars first, then sub-tables, then arrays of tables,
-//! so emitted documents parse back into the same tree (round-trip tested in
-//! `visapult-core`'s scenario module).
+//! Two documents cross it: scenario specs (both ways) and vlint's
+//! `lint.toml` (read only).  The emitter writes scalars first, then
+//! sub-tables, then arrays of tables, so emitted documents parse back into
+//! the same tree (round-trip tested in `visapult-core`'s scenario module).
+//! The parser takes hostile text: malformed input and arrays nested past
+//! `MAX_DEPTH` are errors, never panics (`tests/hostile_text.rs`).
 
 #![forbid(unsafe_code)]
 
@@ -71,11 +74,6 @@ pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
     emit_table(&mut out, &[], map)?;
     Ok(out)
-}
-
-/// Alias for [`to_string`] (the emitter is always "pretty").
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
-    to_string(value)
 }
 
 // ---------------------------------------------------------------------------
@@ -264,7 +262,7 @@ pub fn parse_document(s: &str) -> Result<Value, Error> {
             if table.iter().any(|(k, _)| k == leaf) {
                 return Err(Error::at(format!("duplicate key `{leaf}`"), line_no));
             }
-            let (value, rest) = parse_value(value_part.trim()).map_err(|m| Error::at(m, line_no))?;
+            let (value, rest) = parse_value(value_part.trim(), 0).map_err(|m| Error::at(m, line_no))?;
             if !rest.trim().is_empty() {
                 return Err(Error::at(
                     format!("trailing characters after value: `{}`", rest.trim()),
@@ -481,8 +479,14 @@ fn unescape_basic(s: &str) -> Result<String, String> {
     Ok(out)
 }
 
+/// Deepest inline-array nesting the parser accepts.  Every document the
+/// workspace reads nests at most four levels; the limit turns hostile input
+/// like 200 000 balanced `[`…`]` into an error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one inline value, returning it plus any unconsumed remainder.
-fn parse_value(s: &str) -> Result<(Value, &str), String> {
+/// `depth` counts the arrays around it.
+fn parse_value(s: &str, depth: usize) -> Result<(Value, &str), String> {
     let s = s.trim_start();
     if let Some(stripped) = s.strip_prefix('"') {
         let end = find_string_end(stripped, '"')?;
@@ -493,13 +497,16 @@ fn parse_value(s: &str) -> Result<(Value, &str), String> {
         return Ok((Value::Str(stripped[..end].to_string()), &stripped[end + 1..]));
     }
     if let Some(stripped) = s.strip_prefix('[') {
+        if depth == MAX_DEPTH {
+            return Err(format!("arrays nested deeper than {MAX_DEPTH}"));
+        }
         let mut items = Vec::new();
         let mut rest = stripped.trim_start();
         loop {
             if let Some(after) = rest.strip_prefix(']') {
                 return Ok((Value::Seq(items), after));
             }
-            let (item, after) = parse_value(rest)?;
+            let (item, after) = parse_value(rest, depth + 1)?;
             items.push(item);
             rest = after.trim_start();
             if let Some(after_comma) = rest.strip_prefix(',') {
@@ -609,6 +616,14 @@ share = 60
         assert!(parse_document("a = \"unterminated").is_err());
         assert!(parse_document("a = {x = 1}").is_err());
         assert!(parse_document("a = 1 garbage").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("a = {}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_document(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_document(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse_document(&nested(200_000)).is_err());
     }
 
     #[test]
