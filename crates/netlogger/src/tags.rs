@@ -98,17 +98,6 @@ pub const SERVICE_REJECT: &str = "SERVICE_REJECT";
 /// byte field reflects each path's own payload sizing (real encoded
 /// geometry vs. the modeled allowance).
 pub const SERVICE_STATS: &str = "SERVICE_STATS";
-/// Service layer: advisory — the stage provisioned more broker shards than
-/// its schedule has distinct viewpoints, so the surplus shards can never own
-/// a session under viewpoint-hash partitioning.  Emitted once per affected
-/// stage by both execution paths.
-pub const SERVICE_SHARDS_IDLE: &str = "SERVICE_SHARDS_IDLE";
-/// Service layer: per-shard lock telemetry (acquisitions, contended
-/// acquisitions, cumulative hold time) emitted once per shard by both
-/// execution paths.  Wall-clock-dependent where the threaded plane measures
-/// real hold times, so replay fingerprints exclude it — like the timing
-/// counters in `ServiceStats`.
-pub const SERVICE_TELEMETRY: &str = "SERVICE_TELEMETRY";
 
 /// Standard field name: frame (timestep) number.
 pub const FIELD_FRAME: &str = "NL.frame";
@@ -148,19 +137,6 @@ pub const FIELD_SERVICE_RENDER_REQUESTS: &str = "NL.service.render_requests";
 pub const FIELD_SERVICE_SHARED_HITS: &str = "NL.service.shared_hits";
 /// Standard field name: schedule index of the session an event concerns.
 pub const FIELD_SERVICE_SESSION: &str = "NL.service.session";
-/// Standard field name: broker shards the service plane provisioned.
-pub const FIELD_SERVICE_SHARDS: &str = "NL.service.shards";
-/// Standard field name: distinct session viewpoints in a stage's schedule.
-pub const FIELD_SERVICE_VIEWPOINTS: &str = "NL.service.viewpoints";
-/// Standard field name: index of one broker shard.
-pub const FIELD_SERVICE_SHARD: &str = "NL.service.shard";
-/// Standard field name: lock acquisitions on one broker shard.
-pub const FIELD_SERVICE_LOCK_ACQUISITIONS: &str = "NL.service.lock.acquisitions";
-/// Standard field name: contended lock acquisitions on one broker shard.
-pub const FIELD_SERVICE_LOCK_CONTENDED: &str = "NL.service.lock.contended";
-/// Standard field name: cumulative nanoseconds one broker shard's lock was
-/// held.
-pub const FIELD_SERVICE_LOCK_HOLD_NS: &str = "NL.service.lock.hold_ns";
 
 #[cfg(test)]
 mod tests {

@@ -12,12 +12,12 @@
 //! per-session-frame fan-out cost, and the shared-render hit rate at each
 //! scale — the broker's 1-vs-64 "more with less" number) to `target/` and
 //! the workspace root so successive runs can be diffed mechanically.  The
-//! headline additions are the 10 000-session `exhibit_floor` variant, with
+//! headline addition is the 10 000-session `exhibit_floor` variant, with
 //! the process's peak thread count recorded alongside the per-session-frame
-//! cost, and a broker shard sweep that climbs to the 50 000- and
-//! 100 000-session floors.  The `async_cases` / `*_async` key names date from
-//! when a second, thread-per-session plane ran beside this one; they stay so
-//! the committed baseline gates continuously across its retirement.
+//! cost and the metrics plane's overhead.  The `async_cases` / `*_async` key
+//! names date from when a second, thread-per-session plane ran beside this
+//! one; they stay so the committed baseline gates continuously across its
+//! retirement.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use netlogger::{MetricsHub, MetricsSnapshot};
@@ -28,7 +28,7 @@ use std::time::Instant;
 use visapult_core::protocol::{FramePayload, HeavyPayload, LightPayload};
 use visapult_core::transport::{striped_link, TransportConfig};
 use visapult_core::{
-    FanoutPlane, QualityTier, ServiceConfig, ServiceRunReport, ServiceStats, SessionSpec, ShardedBroker,
+    FanoutPlane, QualityTier, ServiceConfig, ServiceRunReport, ServiceStats, SessionBroker, SessionSpec,
 };
 
 const TEX: usize = 128; // 128x128 RGBA8 = 64 KB per frame
@@ -74,27 +74,20 @@ fn schedule(sessions: u32) -> Vec<SessionSpec> {
 }
 
 /// One 8-frame campaign through the plane at `sessions` concurrent sessions
-/// with the broker split into `shards` viewpoint-hash shards.  Wave
-/// latencies, queue depths and executor introspection land in `hub` when it
-/// is enabled; pass [`MetricsHub::disabled`] for an unmetered run.  The
-/// worker budget is fixed: the `WORKERS` pool splits across per-shard
-/// executors, so up to `shards = WORKERS` a shard sweep measures
-/// serialization, not extra threads.  Past that each shard still needs its
-/// one mandatory worker (a shard's consumers must poll somewhere), so
-/// `shards = 8` runs 8 single-worker pools — part of what sharding buys, but
-/// a caveat the crossover analysis must carry.
-fn fan_out(sessions: u32, shards: usize, hub: &MetricsHub) -> ServiceRunReport {
+/// on a `WORKERS` pool.  Wave latencies, queue depths and executor
+/// introspection land in `hub` when it is enabled; pass
+/// [`MetricsHub::disabled`] for an unmetered run.
+fn fan_out(sessions: u32, hub: &MetricsHub) -> ServiceRunReport {
     let transport = TransportConfig::default().with_stripes(4).with_chunk_bytes(16 * 1024);
     let config = ServiceConfig {
         max_sessions: sessions.max(128) as usize,
         link_capacity_units: u64::from(sessions.max(128)) * 8,
         render_slots: VIEWPOINTS,
         queue_depth: 4096,
-        shards: Some(shards),
         ..ServiceConfig::default()
     };
     let (tx, rx) = striped_link(&transport);
-    let broker = ShardedBroker::new(config, schedule(sessions));
+    let broker = SessionBroker::new(config, schedule(sessions));
     let handle = {
         let transport = transport.clone();
         let hub = hub.clone();
@@ -113,7 +106,7 @@ fn bench_service_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_fanout_8_frames");
     for sessions in [1u32, 8, 64] {
         group.bench_with_input(BenchmarkId::from_parameter(sessions), &sessions, |b, &n| {
-            b.iter(|| black_box(fan_out(n, 1, &MetricsHub::disabled()).stats.frames_completed));
+            b.iter(|| black_box(fan_out(n, &MetricsHub::disabled()).stats.frames_completed));
         });
     }
     group.finish();
@@ -156,9 +149,9 @@ fn baseline_cases(samples: usize) -> Vec<(u32, f64, ServiceStats)> {
     [1u32, 8, 64]
         .iter()
         .map(|&n| {
-            let stats = fan_out(n, 1, &MetricsHub::disabled()).stats;
+            let stats = fan_out(n, &MetricsHub::disabled()).stats;
             let median = median_secs(samples, || {
-                black_box(fan_out(n, 1, &MetricsHub::disabled()).stats.frames_completed);
+                black_box(fan_out(n, &MetricsHub::disabled()).stats.frames_completed);
             });
             (n, median, stats)
         })
@@ -251,15 +244,15 @@ fn exhibit_floor_10k(samples: usize) -> FloorReport {
     };
     let off = MetricsHub::disabled();
     let hub = MetricsHub::enabled();
-    let stats = fan_out(SESSIONS, 1, &off).stats;
+    let stats = fan_out(SESSIONS, &off).stats;
     let mut off_times = Vec::with_capacity(samples);
     let mut on_times = Vec::with_capacity(samples);
     for sample_no in 1..=samples {
         off_times.push(timed_secs(|| {
-            black_box(fan_out(SESSIONS, 1, &off).stats.frames_completed);
+            black_box(fan_out(SESSIONS, &off).stats.frames_completed);
         }));
         on_times.push(timed_secs(|| {
-            black_box(fan_out(SESSIONS, 1, &hub).stats.frames_completed);
+            black_box(fan_out(SESSIONS, &hub).stats.frames_completed);
             hub.record_snapshot(&format!("floor:sample:{sample_no}"));
         }));
     }
@@ -274,85 +267,6 @@ fn exhibit_floor_10k(samples: usize) -> FloorReport {
     }
 }
 
-/// The shard sweep: S ∈ {1, 2, 4, 8} broker shards at 64 / 1 000 / 10 000
-/// sessions, all under the same fixed worker budget, then
-/// S ∈ {1, 2, 4} at the 50 000 and 100 000 floors (fewer samples — each
-/// campaign is seconds long, and the regime question at that scale is shard
-/// scaling, not run-to-run noise).  Finds where the crossover sits — at
-/// small scale the extra locks cost more than they save; at the 10k exhibit
-/// floor the per-shard executors shard the task-queue serialization that
-/// dominates; at 100k a single unsharded endpoint list falls out of cache
-/// and sharding becomes the difference between linear and superlinear cost.
-/// Emits one JSON cell per (sessions, shards) with the per-shard lock
-/// counters alongside the headline medians.  At the 10k and 100k floors each
-/// cell also carries the wave-latency percentiles (`latency_us`), measured
-/// with the metrics plane live across every sample of that cell, and one
-/// snapshot per metered cell is appended to `snapshots` for the JSONL
-/// artifact.
-fn shard_sweep(snapshots: &mut Vec<MetricsSnapshot>) -> String {
-    let rows_spec: &[(u32, usize, &[usize])] = &[
-        (64, 15, &[1, 2, 4, 8]),
-        (1_000, 7, &[1, 2, 4, 8]),
-        (10_000, 5, &[1, 2, 4, 8]),
-        (50_000, 3, &[1, 2, 4]),
-        (100_000, 1, &[1, 2, 4]),
-    ];
-    let mut rows = Vec::new();
-    let mut floor_best: Option<(usize, f64)> = None;
-    let mut floor_one = 0.0f64;
-    for &(sessions, samples, shard_counts) in rows_spec {
-        let mut cells = Vec::new();
-        for &shards in shard_counts {
-            let hub = MetricsHub::when(sessions >= 10_000);
-            let report = fan_out(sessions, shards, &hub);
-            let median = median_secs(samples, || {
-                black_box(fan_out(sessions, shards, &hub).stats.frames_completed);
-            });
-            if hub.is_enabled() {
-                snapshots.push(hub.snapshot(&format!("sweep:{sessions}x{shards}")));
-            }
-            let us = median / (f64::from(sessions) * f64::from(FRAMES)) * 1e6;
-            if sessions == 10_000 {
-                if shards == 1 {
-                    floor_one = median;
-                }
-                if floor_best.is_none() || median < floor_best.unwrap().1 {
-                    floor_best = Some((shards, median));
-                }
-            }
-            let locks = report
-                .shard_locks
-                .iter()
-                .map(|l| {
-                    format!(
-                        "{{ \"shard\": {}, \"acquisitions\": {}, \"contended\": {}, \"hold_ns\": {} }}",
-                        l.shard, l.acquisitions, l.contended, l.hold_ns
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            let latency = if hub.is_enabled() {
-                format!("{}, ", latency_json(&hub))
-            } else {
-                String::new()
-            };
-            cells.push(format!(
-                "      \"shards_{shards}\": {{ \"median_s\": {median:.9}, \"us_per_session_frame\": {us:.3}, {latency}\"locks\": [{locks}] }}"
-            ));
-        }
-        rows.push(format!(
-            "    \"sessions_{sessions}\": {{\n{}\n    }}",
-            cells.join(",\n")
-        ));
-    }
-    let (best_shards, best_median) = floor_best.expect("10k row ran");
-    format!(
-        "  \"shard_sweep_async\": {{\n{}\n  }},\n  \"shard_sweep_best_at_10k\": {{ \"shards\": {best_shards}, \"speedup_vs_1_shard\": {:.3} }}",
-        rows.join(",\n"),
-        floor_one / best_median,
-    )
-}
-
 fn write_baseline() {
     let samples = 15;
     let cases = baseline_cases(samples);
@@ -364,11 +278,9 @@ fn write_baseline() {
     let floor_overhead = (floor.telemetry_median_s - floor.median_s) / floor.median_s * 100.0;
 
     let scaling = cases[2].1 / cases[0].1;
-    let mut snapshots = floor.hub.take_snapshots();
-    let sweep = shard_sweep(&mut snapshots);
-    persist_snapshots(&snapshots);
+    persist_snapshots(&floor.hub.take_snapshots());
     let json = format!(
-        "{{\n  \"bench\": \"service_fanout_8_frames\",\n  \"frames\": {FRAMES},\n  \"viewpoints\": {VIEWPOINTS},\n  \"samples\": {samples},\n  \"async_workers\": {WORKERS},\n  \"async_cases\": {{\n{}\n  }},\n  \"exhibit_floor_10k_async\": {{\n    \"sessions\": 10000,\n    \"workers\": {WORKERS},\n    \"samples\": {floor_samples},\n    \"median_s\": {:.9},\n    \"us_per_session_frame\": {:.3},\n    \"peak_process_threads\": {},\n    \"shared_render_hit_rate\": {:.4},\n    \"telemetry_median_s\": {:.9},\n    \"telemetry_overhead_percent\": {floor_overhead:.2},\n    {},\n    {}\n  }},\n{sweep},\n  \"wall_time_64x_vs_1x\": {scaling:.2},\n  \"render_ratio_at_64\": {:.4}\n}}\n",
+        "{{\n  \"bench\": \"service_fanout_8_frames\",\n  \"frames\": {FRAMES},\n  \"viewpoints\": {VIEWPOINTS},\n  \"samples\": {samples},\n  \"async_workers\": {WORKERS},\n  \"async_cases\": {{\n{}\n  }},\n  \"exhibit_floor_10k_async\": {{\n    \"sessions\": 10000,\n    \"workers\": {WORKERS},\n    \"samples\": {floor_samples},\n    \"median_s\": {:.9},\n    \"us_per_session_frame\": {:.3},\n    \"peak_process_threads\": {},\n    \"shared_render_hit_rate\": {:.4},\n    \"telemetry_median_s\": {:.9},\n    \"telemetry_overhead_percent\": {floor_overhead:.2},\n    {},\n    {}\n  }},\n  \"wall_time_64x_vs_1x\": {scaling:.2},\n  \"render_ratio_at_64\": {:.4}\n}}\n",
         case_json(&cases),
         floor.median_s,
         floor.median_s / floor_session_frames * 1e6,
@@ -383,8 +295,7 @@ fn write_baseline() {
 }
 
 /// The JSONL snapshot time series the CI run uploads as an artifact: one
-/// line per recorded snapshot (floor samples first, then one line per
-/// metered sweep cell).
+/// line per metered floor sample.
 fn persist_snapshots(snapshots: &[MetricsSnapshot]) {
     if snapshots.is_empty() {
         return;

@@ -5,8 +5,8 @@
 //! enabled, then prints everything the metrics plane recorded: per-stage
 //! latency histograms (load/render/stripe/composite percentiles), fan-out
 //! wave latencies, cache shard counters, queue-depth high-waters, and the
-//! per-shard broker lock telemetry, followed by the periodic JSONL snapshot
-//! series the `snapshot_frames` knob produces.
+//! executor's introspection counters, followed by the periodic JSONL
+//! snapshot series the `snapshot_frames` knob produces.
 //!
 //! Run with: `cargo run --release -p visapult-bench --example telemetry_tour`
 

@@ -172,7 +172,6 @@ pub const HEADLINE_METRICS: &[(&str, Direction)] = &[
     ("mbytes_per_s", Direction::HigherIsBetter),
     ("shared_render_hit_rate", Direction::HigherIsBetter),
     ("warm_speedup_vs_uncached", Direction::HigherIsBetter),
-    ("speedup_vs_1_shard", Direction::HigherIsBetter),
     ("p50_us", Direction::LowerIsBetter),
     ("p99_us", Direction::LowerIsBetter),
 ];

@@ -17,7 +17,7 @@ use crate::campaign::sim::{SimCampaignConfig, SimTransportModel, DEFAULT_WAN_EFF
 use crate::config::{ExecutionMode, PipelineConfig};
 use crate::error::VisapultError;
 use crate::pipeline::Pipeline;
-use crate::service::{shard_overprovision, QualityTier, ServiceConfig, SessionSpec};
+use crate::service::{ServiceConfig, SessionSpec};
 use crate::transport::{TcpTuning, TransportConfig};
 use dpss::{CacheConfig, DatasetDescriptor, DpssSimModel};
 use netsim::{TcpModel, TestbedKind};
@@ -198,15 +198,6 @@ impl ScenarioSpec {
                 if svc.workers == Some(0) {
                     return Err(bad("service workers must be positive".to_string()));
                 }
-                let shard_count = svc.shards.unwrap_or(1);
-                if shard_count == 0 {
-                    return Err(bad("service shards must be positive".to_string()));
-                }
-                if shard_count > max_sessions {
-                    return Err(bad(format!(
-                        "service shards ({shard_count}) cannot exceed max_sessions ({max_sessions})"
-                    )));
-                }
                 let farm_egress = session_tcp_model(
                     self.testbed.kind,
                     self.pipeline.pes,
@@ -221,7 +212,6 @@ impl ScenarioSpec {
                     render_slots,
                     queue_depth,
                     farm_egress_mbps: Some(farm_egress),
-                    shards: svc.shards,
                 };
                 let mut by_stage: Vec<Vec<SessionSpec>> = vec![Vec::new(); stages.len()];
                 for (ai, arrival) in svc.arrivals.as_deref().unwrap_or_default().iter().enumerate() {
@@ -238,7 +228,7 @@ impl ScenarioSpec {
                     if viewpoints == 0 {
                         return Err(bad(format!("service arrival `{}` has zero viewpoints", arrival.stage)));
                     }
-                    let tier = arrival.tier.unwrap_or(QualityTier::Standard);
+                    let tier = arrival.tier.unwrap_or_default();
                     let tuning = arrival.tuning.unwrap_or(transport.tuning);
                     let session_stripes = arrival.stripes.unwrap_or(base_stripes);
                     if session_stripes == 0 || session_stripes > 64 {
@@ -451,30 +441,6 @@ pub struct ResolvedScenario {
 }
 
 impl ResolvedScenario {
-    /// Advisory validation notes: configurations that resolve (and run)
-    /// correctly but cannot deliver what they provision.  Currently one
-    /// check: a `[service]` table whose broker shards exceed a stage
-    /// schedule's distinct viewpoints — sessions partition into shards by
-    /// viewpoint hash, so the surplus shards are guaranteed idle.  Surfaced
-    /// as `note:` lines in the campaign report and mirrored by the
-    /// `SERVICE_SHARDS_IDLE` NetLogger event both execution paths emit.
-    pub fn validation_notes(&self) -> Vec<String> {
-        let mut notes = Vec::new();
-        if let Some(svc) = &self.service {
-            for (i, sessions) in svc.by_stage.iter().enumerate() {
-                if let Some((shards, viewpoints)) = shard_overprovision(&svc.config, sessions) {
-                    notes.push(format!(
-                        "stage `{}`: {shards} broker shards but only {viewpoints} distinct session viewpoint(s) — \
-                         {} shard(s) can never own a session under viewpoint-hash partitioning",
-                        self.stages[i].name,
-                        shards - viewpoints,
-                    ));
-                }
-            }
-        }
-        notes
-    }
-
     /// The shared pipeline configuration for one stage — the single builder
     /// both execution paths consume (this is the de-duplication the seed's
     /// twin config structs lacked).

@@ -11,7 +11,7 @@
 
 use super::spec::ExecutionPath;
 use crate::config::ExecutionMode;
-use crate::service::{ServiceConfig, ServiceStats, ShardLockStats};
+use crate::service::{ServiceConfig, ServiceStats};
 use crate::transport::{TransportConfig, TransportStats};
 use dpss::{CacheConfig, CacheStats};
 use netlogger::metrics::{HistogramSummary, MetricsSnapshot};
@@ -135,8 +135,8 @@ impl TransportReport {
 }
 
 /// The campaign-level fold of the always-on metrics plane: per-stage latency
-/// distributions, component counters, queue high-waters, broker shard-lock
-/// telemetry, and the periodic snapshot series.  Everything here is
+/// distributions, component counters, queue high-waters, and the periodic
+/// snapshot series.  Everything here is
 /// wall-clock-dependent and deliberately excluded from replay fingerprints,
 /// like the timing counters in [`ServiceStats`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -154,8 +154,6 @@ pub struct TelemetryReport {
     pub counters: BTreeMap<String, u64>,
     /// Named high-water gauges (stripe-queue depth, executor run queue, …).
     pub high_waters: BTreeMap<String, u64>,
-    /// Per-shard broker lock telemetry, in shard order, summed over stages.
-    pub shard_locks: Vec<ShardLockStats>,
     /// The periodic snapshot series (one entry per `snapshot_frames` tick
     /// plus one per stage end), exported as JSONL by [`snapshots_jsonl`].
     ///
@@ -177,21 +175,6 @@ impl TelemetryReport {
     /// The latency summary for one `"<stage>/<phase>"` key, if recorded.
     pub fn latency(&self, key: &str) -> Option<&HistogramSummary> {
         self.latencies.get(key)
-    }
-
-    /// Fold per-shard lock telemetry in, summing by shard index.
-    pub fn merge_shard_locks(&mut self, locks: &[ShardLockStats]) {
-        for l in locks {
-            match self.shard_locks.iter_mut().find(|s| s.shard == l.shard) {
-                Some(s) => {
-                    s.acquisitions += l.acquisitions;
-                    s.contended += l.contended;
-                    s.hold_ns += l.hold_ns;
-                }
-                None => self.shard_locks.push(*l),
-            }
-        }
-        self.shard_locks.sort_unstable_by_key(|s| s.shard);
     }
 }
 
@@ -219,11 +202,6 @@ pub struct CampaignReport {
     /// callers; the pipeline always fills it in, disabled or not).
     /// Wall-clock-dependent, never fingerprinted.
     pub telemetry: Option<TelemetryReport>,
-    /// Advisory validation notes from scenario resolution (see
-    /// [`super::compile::ResolvedScenario::validation_notes`]); empty for a
-    /// well-provisioned spec.  Not fingerprinted — notes describe the
-    /// configuration, not the run.
-    pub notes: Vec<String>,
 }
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -355,13 +333,6 @@ impl CampaignReport {
             ] {
                 fnv1a(&mut h, &v.to_le_bytes());
             }
-            // Sharding changes the broker's capacity partitioning, so it is
-            // replayable identity — but only when engaged, so single-shard
-            // fingerprints stay stable.
-            if svc.config.shard_count() > 1 {
-                fnv1a(&mut h, b"shards");
-                fnv1a(&mut h, &(svc.config.shard_count() as u64).to_le_bytes());
-            }
         }
         // The cache configuration and totals are part of the replayable
         // identity of a run: changing the capacity or sharding must change
@@ -379,16 +350,11 @@ impl CampaignReport {
             }
         }
         // Event multiset, order-independent: sort rendered lines first.
-        // SERVICE_TELEMETRY carries wall-clock-dependent lock hold times on
-        // the real path, so it is excluded like the timing counters —
-        // which is also what keeps fingerprints byte-identical with the
-        // metrics plane on or off.
         let deterministic_times = self.path == ExecutionPath::VirtualTime;
         let mut lines: Vec<String> = self
             .log
             .events()
             .iter()
-            .filter(|e| e.tag != netlogger::tags::SERVICE_TELEMETRY)
             .map(|e| {
                 let mut line = String::new();
                 if deterministic_times {
@@ -489,21 +455,9 @@ impl CampaignReport {
                         key, h.count, h.p50, h.p90, h.p99, h.max,
                     ));
                 }
-                for l in &t.shard_locks {
-                    out.push_str(&format!(
-                        "  shard {:<2} lock: {} acquisitions ({} contended), {:.2}ms held\n",
-                        l.shard,
-                        l.acquisitions,
-                        l.contended,
-                        l.hold_ns as f64 / 1e6,
-                    ));
-                }
             } else {
                 out.push_str("telemetry: disabled\n");
             }
-        }
-        for note in &self.notes {
-            out.push_str(&format!("note: {note}\n"));
         }
         out
     }

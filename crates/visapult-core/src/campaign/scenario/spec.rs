@@ -209,9 +209,6 @@ pub struct ServiceTableSpec {
     /// machine's parallelism, clamped to 2..=8).  Scheduling only:
     /// deterministic telemetry and replay fingerprints do not depend on it.
     pub workers: Option<usize>,
-    /// Independent broker shards sessions partition into by viewpoint hash
-    /// (defaults to 1).  Must be at least 1 and at most `max_sessions`.
-    pub shards: Option<usize>,
     /// Staged session-arrival mixes, each bound to a stage by name.
     pub arrivals: Option<Vec<SessionArrivalSpec>>,
 }

@@ -65,7 +65,6 @@ fn spec_round_trips_through_toml() {
             dwell_frames: Some(1),
         }]),
         workers: None,
-        shards: None,
     });
     spec.stages = Some(vec![
         StageSpec {
@@ -643,7 +642,6 @@ fn invalid_service_specs_are_rejected() {
             queue_depth: None,
             arrivals: None,
             workers: None,
-            shards: None,
         });
         spec
     };
@@ -688,103 +686,6 @@ fn invalid_service_specs_are_rejected() {
 }
 
 #[test]
-fn invalid_shard_shapes_are_rejected() {
-    let err = |spec: &ScenarioSpec| spec.resolve().unwrap_err().to_string();
-    // Zero shards.
-    let mut spec = service_spec(ExecutionPath::VirtualTime);
-    spec.service.as_mut().unwrap().shards = Some(0);
-    assert!(err(&spec).contains("service shards must be positive"), "{}", err(&spec));
-    // More shards than sessions: at least one shard would own nothing.
-    let mut spec = service_spec(ExecutionPath::VirtualTime);
-    spec.service.as_mut().unwrap().shards = Some(9);
-    assert!(err(&spec).contains("cannot exceed max_sessions"), "{}", err(&spec));
-    // The boundary case resolves: shards == max_sessions.
-    let mut spec = service_spec(ExecutionPath::VirtualTime);
-    spec.service.as_mut().unwrap().shards = Some(8);
-    let resolved = spec.resolve().unwrap();
-    assert_eq!(resolved.service.as_ref().unwrap().config.shard_count(), 8);
-}
-
-#[test]
-fn sharded_service_lifecycle_telemetry_is_identical_across_paths() {
-    // With the broker sharded, both execution paths still drive the same
-    // per-shard state machines: the deterministic lifecycle half of the
-    // stats must agree between real and virtual time.
-    let sharded = |path| {
-        let mut spec = service_spec(path);
-        spec.service.as_mut().unwrap().shards = Some(2);
-        run_scenario(&spec).unwrap()
-    };
-    let real = sharded(ExecutionPath::Real);
-    let sim = sharded(ExecutionPath::VirtualTime);
-    let (r, s) = (
-        &real.service.as_ref().unwrap().totals,
-        &sim.service.as_ref().unwrap().totals,
-    );
-    assert_eq!(
-        (
-            r.sessions_offered,
-            r.sessions_admitted,
-            r.sessions_rejected,
-            r.sessions_evicted
-        ),
-        (
-            s.sessions_offered,
-            s.sessions_admitted,
-            s.sessions_rejected,
-            s.sessions_evicted
-        )
-    );
-    assert_eq!(
-        (r.render_requests, r.renders_performed, r.peak_live_sessions),
-        (s.render_requests, s.renders_performed, s.peak_live_sessions)
-    );
-    assert_eq!(
-        real.log.with_tag(tags::SERVICE_JOIN).count(),
-        sim.log.with_tag(tags::SERVICE_JOIN).count()
-    );
-}
-
-#[test]
-fn overprovisioned_shards_warn_without_failing() {
-    // 4 broker shards over a schedule with 2 distinct viewpoints: sessions
-    // partition into shards by viewpoint hash, so two shards can never own a
-    // session.  The spec still resolves and runs — but the advisory surfaces
-    // as a validation note, a report `note:` line, and the
-    // SERVICE_SHARDS_IDLE NetLogger event, identically on both paths.
-    let overprovisioned = |path| {
-        let mut spec = service_spec(path);
-        spec.service.as_mut().unwrap().shards = Some(4);
-        spec
-    };
-    let resolved = overprovisioned(ExecutionPath::VirtualTime).resolve().unwrap();
-    let notes = resolved.validation_notes();
-    assert_eq!(notes.len(), 1, "{notes:?}");
-    assert!(notes[0].contains("4 broker shards"), "{}", notes[0]);
-    assert!(notes[0].contains("2 distinct"), "{}", notes[0]);
-
-    let real = run_scenario(&overprovisioned(ExecutionPath::Real)).unwrap();
-    let sim = run_scenario(&overprovisioned(ExecutionPath::VirtualTime)).unwrap();
-    for report in [&real, &sim] {
-        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
-        assert_eq!(report.log.with_tag(tags::SERVICE_SHARDS_IDLE).count(), 1);
-        assert!(
-            report.to_table().contains("note: stage `full`"),
-            "{}",
-            report.to_table()
-        );
-    }
-
-    // A shard count the viewpoints can populate stays silent.
-    let mut quiet = service_spec(ExecutionPath::VirtualTime);
-    quiet.service.as_mut().unwrap().shards = Some(2);
-    let report = run_scenario(&quiet).unwrap();
-    assert!(report.notes.is_empty(), "{:?}", report.notes);
-    assert_eq!(report.log.with_tag(tags::SERVICE_SHARDS_IDLE).count(), 0);
-    assert!(!report.to_table().contains("note:"));
-}
-
-#[test]
 fn a_caller_supplied_farm_that_delegates_to_the_thread_farm_matches_the_default_builder() {
     use crate::pipeline::{FabricLinks, FarmRun, Pipeline, RenderFarm, StageContext, ThreadFarm};
 
@@ -815,24 +716,6 @@ fn a_caller_supplied_farm_that_delegates_to_the_thread_farm_matches_the_default_
         swapped.stages[0].metrics.image_hash
     );
     assert_eq!(default.replay_fingerprint(), swapped.replay_fingerprint());
-}
-
-#[test]
-fn an_engaged_shard_knob_is_replay_identity() {
-    let fp = |spec: &ScenarioSpec| run_scenario(spec).unwrap().replay_fingerprint();
-    let base = service_spec(ExecutionPath::VirtualTime);
-    let base_fp = fp(&base);
-
-    // An explicit single shard is the default spelled out: the fingerprint
-    // must not move.
-    let mut explicit = base.clone();
-    explicit.service.as_mut().unwrap().shards = Some(1);
-    assert_eq!(base_fp, fp(&explicit), "shards=1 must stay byte-identical");
-
-    // Engaging the knob partitions capacity, so it is replay identity.
-    let mut sharded = base.clone();
-    sharded.service.as_mut().unwrap().shards = Some(2);
-    assert_ne!(base_fp, fp(&sharded), "fingerprint misses the shards knob");
 }
 
 fn service_spec(path: ExecutionPath) -> ScenarioSpec {
@@ -868,7 +751,6 @@ fn service_spec(path: ExecutionPath) -> ScenarioSpec {
             },
         ]),
         workers: None,
-        shards: None,
     });
     spec
 }

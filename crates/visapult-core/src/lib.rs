@@ -74,8 +74,8 @@ pub use pipeline::{
 pub use platform::ComputePlatform;
 pub use protocol::{FramePayload, FrameSegments, HeavyPayload, LightPayload};
 pub use service::{
-    log_service_telemetry, QualityTier, RejectReason, ServiceConfig, ServiceRunReport, ServiceStats, SessionBroker,
-    SessionDelivery, SessionEvent, SessionSpec, ShardLockStats, ShardedBroker,
+    QualityTier, RejectReason, ServiceConfig, ServiceRunReport, ServiceStats, SessionBroker, SessionDelivery,
+    SessionEvent, SessionSpec,
 };
 pub use transport::{
     drain_frames, plan_chunks, striped_link, FrameAssembler, FrameChunk, StripeReceiver, StripeSender, TcpTuning,

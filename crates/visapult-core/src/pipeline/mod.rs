@@ -22,7 +22,7 @@
 //! [`crate::ExecutionPath`] is nothing more than a choice of trait impls
 //! ([`PathCapabilities::for_path`]); [`crate::run_scenario`] compiles a
 //! [`ScenarioSpec`] into a [`Pipeline`] and runs it.  Swapping one seam —
-//! an async farm, a sharded broker plane, a socket-backed fabric — now means
+//! an async farm, a socket-backed fabric — now means
 //! implementing one trait, not editing two hand-synchronized drivers.
 //!
 //! The non-negotiable invariant, enforced by `tests/golden_fingerprints.rs`:
@@ -550,9 +550,6 @@ impl Pipeline {
             };
             let artifacts = drive_stage(&self.caps, &ctx)?;
             fold_stage_latencies(&artifacts.log, &hub, &stage.name);
-            if let Some(svc) = &artifacts.service {
-                telemetry.merge_shard_locks(&svc.shard_locks);
-            }
             hub.record_snapshot(&format!("stage:{}", stage.name));
             let metrics = artifacts.stage_metrics();
             cache_totals.hits += metrics.cache.hits;
@@ -613,7 +610,6 @@ impl Pipeline {
             service,
             log: merged,
             telemetry: Some(telemetry),
-            notes: resolved.validation_notes(),
         })
     }
 }

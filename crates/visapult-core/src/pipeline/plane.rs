@@ -4,8 +4,8 @@
 //! splices the shared-render broker between the backend links and the
 //! primary viewer: chunks forward to the primary under backpressure while
 //! zero-copy clones multicast onto per-session bounded queues.  The replay
-//! plane ([`ReplayPlane`]) advances the *identical* deterministic broker
-//! state machine over the same frame counter without moving a byte, and
+//! plane ([`ReplayPlane`]) advances the *identical* deterministic
+//! [`SessionBroker`] over the same frame counter without moving a byte, and
 //! folds the offered fan-out load in from the modeled chunk plan — so the
 //! lifecycle and shared-render telemetry is byte-identical across paths.
 
@@ -14,13 +14,12 @@ use crate::campaign::real::ServicePlan;
 use crate::error::VisapultError;
 use crate::service::asyncplane::drive_fanout_on;
 use crate::service::fanout::PlaneTelemetry;
-use crate::service::{
-    log_service_stats_sampled, log_service_telemetry, log_shard_overprovision, shard_overprovision, ServiceRunReport,
-    SessionBroker, ShardedBroker,
-};
+use crate::service::{log_service_stats_sampled, ServiceRunReport, SessionBroker};
 use crate::transport::{plan_chunks, striped_link, StripeReceiver, StripeSender, TransportConfig};
+use crate::viewer::panic_detail;
 use netlogger::{Collector, MetricsHub};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// The fan-out capability: given the fabric's links, optionally splice a
 /// session-serving plane between the farm and the viewer.
@@ -60,13 +59,10 @@ impl FanoutPlane {
     /// supported entry point for harnesses that drive the plane without a
     /// full pipeline (benchmarks, plane-level tests).  Chunks forward to the
     /// primary viewer links (when given) and multicast as zero-copy clones
-    /// to every admitted session.  A plain [`SessionBroker`] is the
-    /// one-shard [`ShardedBroker`].  The call blocks until the campaign
+    /// to every session `broker` admits.  The call blocks until the campaign
     /// drains; the work runs on the default worker pool, unmetered.
-    ///
-    /// [`SessionBroker`]: crate::service::SessionBroker
     pub fn drive(
-        broker: impl Into<ShardedBroker>,
+        broker: SessionBroker,
         inputs: Vec<StripeReceiver>,
         primary: Vec<StripeSender>,
         transport: &TransportConfig,
@@ -75,13 +71,13 @@ impl FanoutPlane {
     }
 
     /// [`FanoutPlane::drive`] with an explicit worker-pool size (`None` =
-    /// sized to the machine, clamped 2..=8; split evenly across broker
-    /// shards) and a [`MetricsHub`]: wave latencies, queue-depth high-waters,
-    /// fan-out counters and the executors' introspection counters (`exec/*`)
-    /// land in `hub` — how the benchmarks extract per-stage percentiles
-    /// without a full pipeline.  The disabled hub costs nothing.
+    /// sized to the machine, clamped 2..=8) and a [`MetricsHub`]: wave
+    /// latencies, queue-depth high-waters, fan-out counters and the
+    /// executor's introspection counters (`exec/*`) land in `hub` — how the
+    /// benchmarks extract per-stage percentiles without a full pipeline.
+    /// The disabled hub costs nothing.
     pub fn drive_with(
-        broker: impl Into<ShardedBroker>,
+        broker: SessionBroker,
         inputs: Vec<StripeReceiver>,
         primary: Vec<StripeSender>,
         transport: &TransportConfig,
@@ -90,7 +86,7 @@ impl FanoutPlane {
     ) -> ServiceRunReport {
         drive_fanout_on(
             Arc::new(WallClock),
-            broker.into(),
+            broker,
             inputs,
             primary,
             transport,
@@ -139,7 +135,7 @@ impl ServicePlane for FanoutPlane {
         // in the same hub the pipeline folds into the campaign's
         // TelemetryReport.
         let plane_telemetry = PlaneTelemetry::new(ctx.metrics.clone(), ctx.telemetry.snapshot_frames);
-        let broker = ShardedBroker::new(plan.config.clone(), plan.sessions.clone());
+        let broker = SessionBroker::new(plan.config.clone(), plan.sessions.clone());
         let handle = std::thread::Builder::new()
             .name("visapult-service-plane".to_string())
             .spawn(move || {
@@ -166,7 +162,15 @@ impl ServicePlane for FanoutPlane {
 
 /// A live fan-out plane thread, joined once the farm completes.
 struct FanoutSession {
-    handle: std::thread::JoinHandle<ServiceRunReport>,
+    handle: JoinHandle<ServiceRunReport>,
+}
+
+/// Join the plane thread; a panic in it becomes an error carrying the panic
+/// message instead of taking the caller down with it.
+fn join_plane(handle: JoinHandle<ServiceRunReport>) -> Result<ServiceRunReport, VisapultError> {
+    handle
+        .join()
+        .map_err(|panic| VisapultError::Io(std::io::Error::other(panic_detail("service plane", panic.as_ref()))))
 }
 
 impl PlaneSession for FanoutSession {
@@ -176,24 +180,13 @@ impl PlaneSession for FanoutSession {
         _run: &FarmRun,
         collector: &Collector,
     ) -> Result<Option<ServiceRunReport>, VisapultError> {
-        let report = self.handle.join().expect("service plane panicked");
+        let report = join_plane(self.handle)?;
         let logger = collector.logger("service", "session-broker");
         // Lifeline sampling thins only the per-session lifecycle events —
         // deterministically by session id, so both paths keep (or drop)
         // exactly the same lifelines; the aggregate SERVICE_STATS summary is
         // never sampled.
         log_service_stats_sampled(&logger, None, &report.stats, &report.events, ctx.telemetry.sample_every);
-        if ctx.telemetry.enable {
-            let shard_count = ctx.service.as_ref().map(|plan| plan.config.shard_count()).unwrap_or(1);
-            log_service_telemetry(&logger, None, shard_count, &report.shard_locks);
-        }
-        if let Some((shards, viewpoints)) = ctx
-            .service
-            .as_ref()
-            .and_then(|plan| shard_overprovision(&plan.config, &plan.sessions))
-        {
-            log_shard_overprovision(&logger, None, shards, viewpoints);
-        }
         Ok(Some(report))
     }
 }
@@ -236,16 +229,15 @@ impl PlaneSession for ReplaySession {
         let chunks = plans.len() as u64 * ctx.pipeline.pes as u64;
         let bytes = plans.iter().map(|p| p.len as u64).sum::<u64>() * ctx.pipeline.pes as u64;
         let per_frame = vec![(chunks, bytes); timesteps];
-        // The identical ShardedBroker composite the real plane drives (one
-        // shard unless the plan asks for more), so fingerprinted telemetry
-        // matches the real path.
-        let mut broker = ShardedBroker::new(plan.config.clone(), plan.sessions.clone());
+        // The identical broker the real plane drives, so fingerprinted
+        // telemetry matches the real path.
+        let mut broker = SessionBroker::new(plan.config.clone(), plan.sessions.clone());
         if timesteps > 0 {
             broker.advance_to(timesteps as u32 - 1);
         }
         broker.finish();
         broker.fold_fanout_load(&per_frame);
-        let (stats, events) = (broker.stats(), broker.events());
+        let (stats, events) = (broker.stats().clone(), broker.events().to_vec());
         let logger = collector.logger("service", "session-broker");
         // The identical deterministic sampling as the real path: the same
         // session ids keep their lifelines, so NLV overlays line up.
@@ -256,21 +248,10 @@ impl PlaneSession for ReplaySession {
             &events,
             ctx.telemetry.sample_every,
         );
-        if ctx.telemetry.enable {
-            // The replay twin of the per-shard lock summary: structurally
-            // identical SERVICE_TELEMETRY events with deterministic zero
-            // lock counters (lock contention is wall-clock noise, exactly
-            // what the fingerprint filter excludes).
-            log_service_telemetry(&logger, Some(run.total_time), plan.config.shard_count(), &[]);
-        }
-        if let Some((shards, viewpoints)) = shard_overprovision(&plan.config, &plan.sessions) {
-            log_shard_overprovision(&logger, Some(run.total_time), shards, viewpoints);
-        }
         Ok(Some(ServiceRunReport {
             stats,
             sessions: Vec::new(),
             events,
-            shard_locks: Vec::new(),
         }))
     }
 }
@@ -338,5 +319,18 @@ impl AsyncPlane {
             self.workers,
             &MetricsHub::disabled(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicked_plane_thread_is_an_error_carrying_its_message() {
+        let handle = std::thread::spawn(|| -> ServiceRunReport { panic!("lane {} wedged", 3) });
+        let err = join_plane(handle).unwrap_err();
+        assert!(matches!(err, VisapultError::Io(_)), "{err:?}");
+        assert_eq!(err.to_string(), "I/O error: service plane panicked: lane 3 wedged");
     }
 }

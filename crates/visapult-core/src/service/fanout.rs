@@ -7,7 +7,7 @@
 //! `surface_pending_frames`, `fold_report` — plus the telemetry wiring a
 //! plane run carries.
 
-use super::{ServiceRunReport, SessionDelivery, SessionSpec, ShardLockStats, ShardedBroker};
+use super::{ServiceRunReport, SessionBroker, SessionDelivery, SessionSpec};
 use crate::transport::{
     striped_link, AssemblyEvent, FrameAssembler, FrameChunk, StripeReceiver, StripeSender, TransportConfig,
     TransportError,
@@ -25,15 +25,13 @@ use std::time::Instant;
 // ---------------------------------------------------------------------------
 
 /// Telemetry wiring threaded through a plane run: the metrics hub, the
-/// frame-cadence snapshot knob, and the gate that makes each cadence boundary
-/// snapshot exactly once no matter how many fan tasks observe it.
+/// frame-cadence snapshot knob, and the last cadence boundary snapshotted.
 #[derive(Clone)]
 pub(crate) struct PlaneTelemetry {
     pub(crate) hub: MetricsHub,
     snapshot_frames: u32,
-    /// Highest frame boundary a periodic snapshot has been recorded for,
-    /// shared by every fan task: `fetch_max` elects exactly one snapshotter.
-    snap_gate: Arc<AtomicU32>,
+    /// Highest frame boundary a periodic snapshot has been recorded for.
+    snapshotted: u32,
 }
 
 impl PlaneTelemetry {
@@ -41,18 +39,19 @@ impl PlaneTelemetry {
         PlaneTelemetry {
             hub,
             snapshot_frames,
-            snap_gate: Arc::new(AtomicU32::new(0)),
+            snapshotted: 0,
         }
     }
 
     /// Record the `frame:<n>` time-series snapshot when `frame` crosses a
-    /// cadence boundary no pump has snapshotted yet.
-    pub(crate) fn observe_frame(&self, frame: u32) {
+    /// cadence boundary not yet snapshotted.
+    pub(crate) fn observe_frame(&mut self, frame: u32) {
         if self.snapshot_frames == 0 || !self.hub.is_enabled() {
             return;
         }
         let boundary = frame - frame % self.snapshot_frames;
-        if boundary > 0 && self.snap_gate.fetch_max(boundary, Ordering::Relaxed) < boundary {
+        if boundary > self.snapshotted {
+            self.snapshotted = boundary;
             self.hub.record_snapshot(&format!("frame:{boundary}"));
         }
     }
@@ -117,7 +116,7 @@ impl WaveMeter {
 // Endpoints, waves and the degradation seam
 // ---------------------------------------------------------------------------
 
-/// A session's fan-out endpoint, shared by its shard's fan task snapshots.
+/// A session's fan-out endpoint, shared by the fan task's snapshots.
 ///
 /// Endpoints are never removed mid-run: stripe interleaving means a chunk of
 /// frame `f` can be observed after the broker has already processed frame
@@ -177,6 +176,7 @@ pub(crate) fn session_link(
 }
 
 /// What one pump or fan task observed.
+#[derive(Default)]
 pub(crate) struct PeOutcome {
     /// (chunks, bytes) emitted per frame by this PE (deterministic).
     pub(crate) per_frame: Vec<(u64, u64)>,
@@ -186,15 +186,6 @@ pub(crate) struct PeOutcome {
 }
 
 impl PeOutcome {
-    pub(crate) fn new() -> PeOutcome {
-        PeOutcome {
-            per_frame: Vec::new(),
-            delivered: 0,
-            dropped: HashMap::new(),
-            skipped: HashMap::new(),
-        }
-    }
-
     /// Account one chunk of offered backend load.
     pub(crate) fn record_offered(&mut self, chunk: &FrameChunk) {
         let frame = chunk.frame as usize;
@@ -362,10 +353,9 @@ pub(crate) fn empty_delivery(spec: &SessionSpec) -> SessionDelivery {
 /// Fold the deterministic offered load and the timing-dependent delivery
 /// outcomes into the final report.  `broker` must already be finished.
 pub(crate) fn fold_report(
-    mut broker: ShardedBroker,
+    mut broker: SessionBroker,
     outcomes: &[PeOutcome],
     mut deliveries: Vec<(usize, SessionDelivery)>,
-    shard_locks: Vec<ShardLockStats>,
 ) -> ServiceRunReport {
     deliveries.sort_by_key(|&(session, _)| session);
     let frames = outcomes.iter().map(|o| o.per_frame.len()).max().unwrap_or(0);
@@ -377,8 +367,8 @@ pub(crate) fn fold_report(
         }
     }
     broker.fold_fanout_load(&per_frame);
-    let events = broker.events();
-    let mut stats = broker.stats();
+    let events = broker.events().to_vec();
+    let mut stats = broker.stats().clone();
     for o in outcomes {
         stats.chunks_delivered += o.delivered;
         stats.chunks_dropped += o.dropped.values().sum::<u64>();
@@ -397,6 +387,5 @@ pub(crate) fn fold_report(
         stats,
         sessions,
         events,
-        shard_locks,
     }
 }

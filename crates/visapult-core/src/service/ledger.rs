@@ -3,9 +3,9 @@
 //! The original [`super::SessionBroker`] answered every admission question by
 //! scanning its `live` vector — re-summing all live tier costs and rebuilding
 //! a viewpoint `HashSet` per join, and `retain`-ing the vector per eviction
-//! or leave.  A frame-0 burst of N joins was therefore O(N²), which the PR 7
-//! shard sweep measured as the dominant cost at 10k sessions (`contended=0`
-//! everywhere: the lock was never the problem, the scan was).
+//! or leave.  A frame-0 burst of N joins was therefore O(N²), which a
+//! lock-contention sweep measured as the dominant cost at 10k sessions
+//! (`contended=0` everywhere: the lock was never the problem, the scan was).
 //!
 //! [`AdmissionLedger`] replaces the scans with indexed state kept exact on
 //! every insert/remove:

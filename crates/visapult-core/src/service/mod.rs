@@ -25,8 +25,7 @@
 //!   is one implementation, [`asyncplane`]: every consumer, pump, and pacer
 //!   is a polled task over a bounded worker pool, so session count buys
 //!   memory, not OS threads; the behaviour-defining seam functions it calls
-//!   live in [`fanout`].  The broker it drives is always a [`ShardedBroker`]
-//!   — a plain [`SessionBroker`] is the one-shard case.
+//!   live in [`fanout`].  It drives one [`SessionBroker`] behind one lock.
 //! * Per-session flow adaptation: each session drains its queue through its
 //!   own [`netsim::StripePacer`] (derived from a per-session
 //!   [`netsim::TcpModel`] by the scenario layer), so every session
@@ -52,21 +51,19 @@ pub mod fanout;
 mod ledger;
 #[cfg(test)]
 mod oracle;
-pub mod sharded;
-
-pub use sharded::{ShardLockStats, ShardedBroker};
 
 // ---------------------------------------------------------------------------
 // Session specifications
 // ---------------------------------------------------------------------------
 
 /// What a session is entitled to — and what it costs the shared farm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QualityTier {
     /// A driving console: full frames, partial composites, first claim on
     /// capacity (may evict lower tiers).
     Interactive,
-    /// A standard remote viewer.
+    /// A standard remote viewer (the tier a scenario arrival defaults to).
+    #[default]
     Standard,
     /// A cheap thumbnail/overview consumer; first to be evicted.
     Preview,
@@ -179,18 +176,6 @@ pub struct ServiceConfig {
     /// slower are counted flow-limited (they will be degraded, not waited
     /// for).
     pub farm_egress_mbps: Option<f64>,
-    /// Independent broker shards the service layer partitions sessions into
-    /// by viewpoint hash (`None` = 1).  At 1 the sharded broker is
-    /// byte-identical to the plain [`SessionBroker`]; above
-    /// 1 each shard owns a proportional share of the capacity below.
-    pub shards: Option<usize>,
-}
-
-impl ServiceConfig {
-    /// Broker shards the service layer runs (at least 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.unwrap_or(1).max(1)
-    }
 }
 
 impl Default for ServiceConfig {
@@ -201,7 +186,6 @@ impl Default for ServiceConfig {
             render_slots: 8,
             queue_depth: 64,
             farm_egress_mbps: None,
-            shards: None,
         }
     }
 }
@@ -464,11 +448,6 @@ impl SessionBroker {
         &self.schedule[session]
     }
 
-    /// Number of sessions in the schedule.
-    pub fn session_count(&self) -> usize {
-        self.schedule.len()
-    }
-
     /// The next frame `advance_to` will process.
     pub fn next_frame(&self) -> u32 {
         self.next_frame
@@ -678,7 +657,7 @@ impl SessionBroker {
 // ---------------------------------------------------------------------------
 
 /// What one session actually received (real path only).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionDelivery {
     /// Session name from the spec.
     pub name: String,
@@ -710,9 +689,6 @@ pub struct ServiceRunReport {
     pub sessions: Vec<SessionDelivery>,
     /// Every broker lifecycle decision, with the frame it occurred at.
     pub events: Vec<(u32, SessionEvent)>,
-    /// Per-shard lock acquisition/contention/hold counters, one entry per
-    /// broker shard (timing-dependent; empty on replay).
-    pub shard_locks: Vec<ShardLockStats>,
 }
 
 // ---------------------------------------------------------------------------
@@ -725,40 +701,6 @@ pub struct ServiceRunReport {
 /// logs at the collector's clock (`at = None`), the virtual-time path replays
 /// the same emitter at explicit virtual timestamps, so either log reads
 /// identically by construction.
-/// Distinct viewpoints across a session schedule — the upper bound on how
-/// many broker shards viewpoint-hash partitioning can ever populate.
-pub fn distinct_viewpoints(sessions: &[SessionSpec]) -> usize {
-    sessions.iter().map(|s| s.viewpoint).collect::<HashSet<_>>().len()
-}
-
-/// `Some((shards, distinct_viewpoints))` when a service plan provisions more
-/// broker shards than its schedule has distinct viewpoints.  Sessions map to
-/// shards by viewpoint hash, so the surplus shards are guaranteed idle: they
-/// pay their lock, executor, and fan-lane overhead without ever owning a
-/// session.  Advisory — an over-provisioned plan still runs correctly.
-pub fn shard_overprovision(config: &ServiceConfig, sessions: &[SessionSpec]) -> Option<(usize, usize)> {
-    let shards = config.shard_count();
-    let viewpoints = distinct_viewpoints(sessions);
-    (shards > 1 && shards > viewpoints).then_some((shards, viewpoints))
-}
-
-/// Emit the advisory `SERVICE_SHARDS_IDLE` event (see
-/// [`shard_overprovision`]), once per affected stage, identically on both
-/// execution paths.
-pub fn log_shard_overprovision(logger: &NetLogger, at: Option<f64>, shards: usize, viewpoints: usize) {
-    let fields = vec![
-        (tags::FIELD_SERVICE_SHARDS.to_string(), FieldValue::Int(shards as i64)),
-        (
-            tags::FIELD_SERVICE_VIEWPOINTS.to_string(),
-            FieldValue::Int(viewpoints as i64),
-        ),
-    ];
-    match at {
-        Some(t) => logger.log_at(t, tags::SERVICE_SHARDS_IDLE, fields),
-        None => logger.log_with(tags::SERVICE_SHARDS_IDLE, fields),
-    }
-}
-
 pub fn log_service_stats(logger: &NetLogger, at: Option<f64>, stats: &ServiceStats, events: &[(u32, SessionEvent)]) {
     log_service_stats_sampled(logger, at, stats, events, 1);
 }
@@ -832,44 +774,6 @@ pub fn log_service_stats_sampled(
             ),
         ],
     );
-}
-
-/// Emit the per-shard `SERVICE_TELEMETRY` summary — one event per broker
-/// shard with that shard's lock counters.  Both execution paths call this
-/// one emitter (real with measured lock stats, virtual-time with the
-/// deterministic zeros its replay has no locks to measure), so the event is
-/// structurally present on either log.  Excluded from replay fingerprints:
-/// hold times are wall-clock.
-pub fn log_service_telemetry(logger: &NetLogger, at: Option<f64>, shard_count: usize, locks: &[ShardLockStats]) {
-    for shard in 0..shard_count.max(1) {
-        let stats = locks
-            .iter()
-            .find(|l| l.shard == shard)
-            .copied()
-            .unwrap_or(ShardLockStats {
-                shard,
-                ..ShardLockStats::default()
-            });
-        let fields = vec![
-            (tags::FIELD_SERVICE_SHARD.to_string(), FieldValue::Int(shard as i64)),
-            (
-                tags::FIELD_SERVICE_LOCK_ACQUISITIONS.to_string(),
-                FieldValue::Int(stats.acquisitions as i64),
-            ),
-            (
-                tags::FIELD_SERVICE_LOCK_CONTENDED.to_string(),
-                FieldValue::Int(stats.contended as i64),
-            ),
-            (
-                tags::FIELD_SERVICE_LOCK_HOLD_NS.to_string(),
-                FieldValue::Int(stats.hold_ns as i64),
-            ),
-        ];
-        match at {
-            Some(t) => logger.log_at(t, tags::SERVICE_TELEMETRY, fields),
-            None => logger.log_with(tags::SERVICE_TELEMETRY, fields),
-        }
-    }
 }
 
 #[cfg(test)]

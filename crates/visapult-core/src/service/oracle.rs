@@ -11,8 +11,8 @@
 //! fall out of sync.
 //!
 //! The differential property tests at the bottom drive both brokers over
-//! randomized arrival mixes (joins, dwells, tiers, viewpoints, capacities,
-//! shard counts) and require decision-for-decision equality: identical event
+//! randomized arrival mixes (joins, dwells, tiers, viewpoints, capacities)
+//! and require decision-for-decision equality: identical event
 //! streams (admission order, reject reasons, eviction victim order including
 //! the spare-minimization pass), identical per-advance returns, identical
 //! stats, identical live sets.
@@ -228,7 +228,7 @@ impl ScanBroker {
 
 #[cfg(test)]
 mod differential {
-    use super::super::{QualityTier, SessionBroker, ShardedBroker};
+    use super::super::{QualityTier, SessionBroker};
     use super::*;
     use proptest::prelude::*;
 
@@ -304,48 +304,6 @@ mod differential {
                 ..ServiceConfig::default()
             };
             assert_identical(&config, &schedule_from(&mix, frames), frames);
-        }
-
-        /// Sharded: every shard of a [`ShardedBroker`] must replay its
-        /// scan-oracle twin decision for decision, over the same partition
-        /// and per-shard capacity split the sharded broker computes.
-        #[test]
-        fn every_shard_matches_its_scan_oracle(
-            mix in arrival_mix(),
-            frames in 3u32..8,
-            shards in 1usize..5,
-        ) {
-            let config = ServiceConfig {
-                max_sessions: 9,
-                link_capacity_units: 16,
-                render_slots: 4,
-                queue_depth: 8,
-                shards: Some(shards),
-                ..ServiceConfig::default()
-            };
-            let schedule = schedule_from(&mix, frames);
-            let mut sharded = ShardedBroker::new(config.clone(), schedule.clone());
-            let mut oracles: Vec<ScanBroker> = sharded
-                .shard_configs()
-                .into_iter()
-                .zip(sharded.shard_schedules())
-                .map(|(cfg, sched)| ScanBroker::new(cfg, sched))
-                .collect();
-            for f in 0..frames {
-                sharded.advance_to(f);
-                for o in &mut oracles {
-                    o.advance_to(f);
-                }
-            }
-            sharded.finish();
-            for (i, o) in oracles.iter_mut().enumerate() {
-                o.finish();
-                prop_assert_eq!(
-                    sharded.shard_events(i),
-                    o.events(),
-                    "shard {}/{} diverged from its oracle", i, shards
-                );
-            }
         }
     }
 }

@@ -185,14 +185,14 @@ enum Shown {
     Refused,
 }
 
-/// What a panicked link thread was carrying, as text for the report.
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
+/// What a panicked `thread` was carrying, as text for a report or error.
+pub(crate) fn panic_detail(thread: &str, payload: &(dyn std::any::Any + Send)) -> String {
     let message = payload
         .downcast_ref::<&str>()
         .copied()
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("(no message)");
-    format!("link thread panicked: {message}")
+    format!("{thread} panicked: {message}")
 }
 
 /// The viewer application.
@@ -517,7 +517,7 @@ impl Viewer {
                     // Its frames are lost with it, but not silently.
                     Err(panic) => errors.push(ViewerError::Corrupt {
                         rank: pe as u32,
-                        detail: panic_detail(panic.as_ref()),
+                        detail: panic_detail("link thread", panic.as_ref()),
                     }),
                 }
             }
@@ -814,7 +814,7 @@ mod tests {
                 "link thread panicked: (no message)",
             ),
         ] {
-            assert_eq!(panic_detail(panic.unwrap_err().as_ref()), want);
+            assert_eq!(panic_detail("link thread", panic.unwrap_err().as_ref()), want);
         }
     }
 

@@ -255,15 +255,6 @@ impl ExecutorStats {
     pub fn total_idle_sweeps(&self) -> u64 {
         self.workers.iter().map(|w| w.idle_sweeps).sum()
     }
-
-    /// Fold another pool's counters into this one (how the sharded plane
-    /// aggregates its per-shard executors).
-    pub fn merge(&mut self, other: &ExecutorStats) {
-        self.workers.extend(other.workers.iter().copied());
-        self.wakes += other.wakes;
-        self.spawns += other.spawns;
-        self.run_queue_high_water = self.run_queue_high_water.max(other.run_queue_high_water);
-    }
 }
 
 /// The idle-park backoff knob pair.  After a fully idle sweep workers park
@@ -748,12 +739,6 @@ mod tests {
         assert_eq!(stats.total_polls(), 24);
         assert!(stats.total_poll_ns() > 0);
         assert!(stats.run_queue_high_water >= 1);
-        let mut merged = ExecutorStats::default();
-        merged.merge(&stats);
-        merged.merge(&stats);
-        assert_eq!(merged.spawns, 12);
-        assert_eq!(merged.workers.len(), 4);
-        assert_eq!(merged.run_queue_high_water, stats.run_queue_high_water);
     }
 
     #[test]

@@ -59,8 +59,6 @@ const EXPECTED: &[&str] = &[
     "SessionDelivery",
     "SessionEvent",
     "SessionSpec",
-    "ShardLockStats",
-    "ShardedBroker",
     "SimCampaignConfig",
     "SimCampaignReport",
     "SimTransportModel",
@@ -90,7 +88,6 @@ const EXPECTED: &[&str] = &[
     "VisualizationStrategy",
     "WallClock",
     "drain_frames",
-    "log_service_telemetry",
     "plan_chunks",
     "run_scenario",
     "striped_link",

@@ -181,7 +181,7 @@ fn key_paths(value: &serde::Value, prefix: &str, out: &mut std::collections::BTr
 /// Knobs nothing under `scenarios/` or the ledger's `workloads/` sets, each
 /// with the one caller that keeps it alive.  A knob with no traffic and no
 /// entry here fails the census below; so does an entry that gained traffic.
-const DRIVEN_ONLY_BY: [(&str, &str); 4] = [
+const DRIVEN_ONLY_BY: [(&str, &str); 3] = [
     (
         "real.stream_rate_mbps",
         "tests/end_to_end.rs::shaped_dpss_link_slows_loading_but_not_correctness",
@@ -194,8 +194,18 @@ const DRIVEN_ONLY_BY: [(&str, &str); 4] = [
         "service.arrivals.stripes",
         "tests/service.rs::service_layer_leaves_the_primary_composite_untouched",
     ),
-    ("service.shards", "crates/visapult-bench/benches/service.rs"),
 ];
+
+/// Keys a scenario or workload file spells out that no spec knob reads, each
+/// with why it may stay.  A key the spec does not know is silently ignored
+/// when the file loads, so a stray one runs as if it were absent; any key
+/// with no knob and no entry here fails the census below, and so does an
+/// entry that became a knob or left every file.
+const IGNORED_KEYS: [(&str, &str); 1] = [(
+    "service.plane",
+    "crates/visapult-bench/src/bin/ledger/workloads/exhibit_floor.toml, frozen with the benchmark: \
+     drop it with the benchmark's next revision",
+)];
 
 #[test]
 fn every_spec_knob_has_traffic_or_a_named_driver() {
@@ -259,7 +269,6 @@ fn every_spec_knob_has_traffic_or_a_named_driver() {
             render_slots: Some(2),
             queue_depth: Some(16),
             workers: Some(2),
-            shards: Some(1),
             arrivals: Some(vec![SessionArrivalSpec {
                 stage: "full".to_string(),
                 sessions: 2,
@@ -321,6 +330,23 @@ fn every_spec_knob_has_traffic_or_a_named_driver() {
         stale.is_empty(),
         "DRIVEN_ONLY_BY entries {stale:?} now have traffic (or no longer exist): drop them"
     );
+
+    // The other direction: every key a file spells out is a knob.
+    let ignored: BTreeSet<String> = IGNORED_KEYS.iter().map(|(k, _)| k.to_string()).collect();
+    let unknown: Vec<&String> = traffic.difference(&knobs).filter(|k| !ignored.contains(*k)).collect();
+    assert!(
+        unknown.is_empty(),
+        "{unknown:?} are set by a scenario or workload but read by no spec knob, so they are silently ignored: \
+         delete them"
+    );
+    let stale: Vec<&String> = ignored
+        .iter()
+        .filter(|k| knobs.contains(*k) || !traffic.contains(*k))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "IGNORED_KEYS entries {stale:?} are knobs now (or no file sets them): drop them"
+    );
 }
 
 /// What keeps a `visapult-bench` program alive.
@@ -369,7 +395,7 @@ const DRIVEN_BY: [(&str, &str, Driver, &str); 18] = [
         "benches",
         "service",
         Driver::Baseline("BENCH_service.json"),
-        "fan-out plane, 10k floor, shard sweep",
+        "fan-out plane, 10k floor, telemetry overhead",
     ),
     (
         "benches",

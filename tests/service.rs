@@ -9,7 +9,7 @@ use visapult::core::transport::striped_link;
 use visapult::core::{
     plan_chunks, run_scenario, ExecutionPath, FanoutPlane, FramePayload, FrameSegments, HeavyPayload, LightPayload,
     QualityTier, ScenarioSpec, ServiceConfig, ServiceRunReport, ServiceStats, SessionBroker, SessionSpec,
-    ShardedBroker, TransportConfig, ViewerError,
+    TransportConfig, ViewerError,
 };
 use visapult::netlogger::MetricsHub;
 
@@ -69,9 +69,9 @@ fn payload(rank: u32, frame: u32, tex: usize) -> FramePayload {
 }
 
 /// Drive `frames` timesteps from `pes` PEs through the fan-out plane (on a
-/// pool of `workers`), over whichever broker shape the caller built.
+/// pool of `workers`), over the broker the caller built.
 fn run_plane_over(
-    broker: impl Into<ShardedBroker> + Send + 'static,
+    broker: SessionBroker,
     workers: usize,
     transport: &TransportConfig,
     frames: u32,
@@ -423,66 +423,6 @@ proptest! {
             "accounting leaked"
         );
     }
-
-    /// A plain [`SessionBroker`] handed to the plane *is* the one-shard
-    /// [`ShardedBroker`]: both shapes report identical events and
-    /// deterministic stats, behind exactly one shard lock.
-    #[test]
-    fn a_session_broker_and_its_one_shard_equivalent_drive_identically(
-        mix in proptest::collection::vec((0u32..5, 1u32..6, 0u32..4, 0usize..3), 1..12),
-        frames in 4u32..7,
-    ) {
-        let schedule = schedule_of(&mix, frames);
-        let config = ServiceConfig {
-            max_sessions: 6,
-            link_capacity_units: 10,
-            render_slots: 2,
-            queue_depth: 64,
-            shards: Some(1),
-            ..ServiceConfig::default()
-        };
-        let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(512);
-        let plain = run_plane_over(SessionBroker::new(config.clone(), schedule.clone()), 2, &transport, frames, 8, 1);
-        let sharded = run_plane_over(ShardedBroker::new(config, schedule), 2, &transport, frames, 8, 1);
-        prop_assert_eq!(&plain.events, &sharded.events, "lifecycle event streams diverged");
-        prop_assert_eq!(deterministic(&plain.stats), deterministic(&sharded.stats));
-        prop_assert_eq!(plain.shard_locks.len(), 1);
-        prop_assert_eq!(sharded.shard_locks.len(), 1);
-    }
-
-    /// `shards = 1` is not "approximately" the plain broker — it IS the
-    /// plain broker: whatever the arrival mix (random joins, dwells, tiers,
-    /// viewpoints, over-subscription forcing rejections and evictions), the
-    /// single-shard [`ShardedBroker`] replays byte-identical lifecycle event
-    /// streams, per-frame advance returns, and deterministic stats.
-    #[test]
-    fn a_single_shard_broker_is_byte_identical_to_the_plain_broker(
-        mix in proptest::collection::vec((0u32..5, 1u32..6, 0u32..4, 0usize..3), 1..16),
-        frames in 3u32..8,
-    ) {
-        let schedule = schedule_of(&mix, frames);
-        // Tight capacity so bigger mixes exercise rejection and eviction.
-        let config = ServiceConfig {
-            max_sessions: 6,
-            link_capacity_units: 10,
-            render_slots: 2,
-            queue_depth: 64,
-            shards: Some(1),
-            ..ServiceConfig::default()
-        };
-        let mut plain = SessionBroker::new(config.clone(), schedule.clone());
-        let mut sharded = ShardedBroker::new(config, schedule);
-        for f in 0..frames {
-            prop_assert_eq!(plain.advance_to(f), sharded.advance_to(f), "frame {} diverged", f);
-        }
-        plain.finish();
-        sharded.finish();
-        let per_frame: Vec<(u64, u64)> = (0..frames).map(|f| (u64::from(f) + 3, (u64::from(f) + 1) * 512)).collect();
-        plain.fold_fanout_load(&per_frame);
-        sharded.fold_fanout_load(&per_frame);
-        prop_assert_eq!(plain.stats(), &sharded.stats(), "stats diverged");
-        prop_assert_eq!(plain.events(), &sharded.events()[..], "event streams diverged");
-    }
 }
 
 /// The headline scale smoke: ten thousand sessions multiplexed over the
@@ -546,35 +486,32 @@ fn ten_thousand_sessions_ride_the_plane_on_a_bounded_pool() {
 }
 
 /// The exhibit-floor ceiling: one hundred thousand sessions over 4
-/// viewpoint-hash shards (one per distinct viewpoint).  At
-/// this scale the indexed admission ledger is load-bearing — the old
-/// every-session-every-frame scan would spend its whole budget in
-/// `advance_to`.  Ignored by default — run it in release with
-/// `cargo test --release --test service -- --ignored`.
+/// viewpoints, all behind the one broker.  At this scale the indexed
+/// admission ledger is load-bearing — the old every-session-every-frame scan
+/// would spend its whole budget in `advance_to`.  Ignored by default — run
+/// it in release with `cargo test --release --test service -- --ignored`.
 #[test]
 #[ignore = "100k-session scale smoke; run in release with -- --ignored"]
-fn one_hundred_thousand_sessions_ride_four_shards() {
+fn one_hundred_thousand_sessions_ride_one_broker() {
     const SESSIONS: usize = 100_000;
-    const SHARDS: usize = 4;
+    const VIEWPOINTS: usize = 4;
     const FRAMES: u32 = 2;
     let schedule: Vec<SessionSpec> = (0..SESSIONS)
-        .map(|i| SessionSpec::new(format!("s{i}"), (i % SHARDS) as u32, QualityTier::Preview))
+        .map(|i| SessionSpec::new(format!("s{i}"), (i % VIEWPOINTS) as u32, QualityTier::Preview))
         .collect();
     let config = ServiceConfig {
         max_sessions: SESSIONS,
         link_capacity_units: SESSIONS as u64,
-        render_slots: SHARDS as u32,
+        render_slots: VIEWPOINTS as u32,
         queue_depth: 16,
-        shards: Some(SHARDS),
         ..ServiceConfig::default()
     };
     let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(4096);
-    let report = run_plane_over(ShardedBroker::new(config, schedule), 4, &transport, FRAMES, 16, 1);
+    let report = run_plane_over(SessionBroker::new(config, schedule), 4, &transport, FRAMES, 16, 1);
     assert_eq!(report.stats.sessions_admitted, SESSIONS as u64);
     assert_eq!(report.stats.peak_live_sessions, SESSIONS as u64);
     assert_eq!(
         report.stats.fanout_chunks,
         report.stats.chunks_delivered + report.stats.chunks_dropped
     );
-    assert_eq!(report.shard_locks.len(), SHARDS);
 }
