@@ -37,8 +37,6 @@ pub enum DpssError {
         /// The layout's block size.
         block_size: u64,
     },
-    /// A network-level failure (real-socket mode).
-    Network(String),
     /// The file handle was already closed.
     Closed,
 }
@@ -63,7 +61,6 @@ impl fmt::Display for DpssError {
                 f,
                 "request for {len} bytes at in-block offset {in_block_offset} overruns the {block_size}-byte stripe slot"
             ),
-            DpssError::Network(msg) => write!(f, "network error: {msg}"),
             DpssError::Closed => write!(f, "file handle is closed"),
         }
     }

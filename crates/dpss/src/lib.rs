@@ -22,9 +22,8 @@
 //!   runs.
 //! * [`client`] — the client API library (`dpss_open`, `dpss_read`,
 //!   `dpss_lseek`, `dpss_write`, `dpss_close`) with one worker thread per
-//!   server, exactly as described in §3.5.
-//! * [`net`] — a TCP block service and striped-socket client so the pipeline
-//!   can run over real sockets.
+//!   server, exactly as described in §3.5; `read_range` is the one path a
+//!   block takes to the back end.
 //! * [`hpss`] — the HPSS archival system model and the HPSS→DPSS staging path
 //!   the paper motivates ("we can migrate the files from HPSS to a nearby
 //!   DPSS cache").
@@ -41,7 +40,6 @@ pub mod disk;
 pub mod error;
 pub mod hpss;
 pub mod master;
-pub mod net;
 pub mod server;
 pub mod sim;
 

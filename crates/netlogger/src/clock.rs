@@ -1,7 +1,7 @@
 //! Time sources for instrumentation.
 //!
-//! The same NetLogger instrumentation is used whether the pipeline runs over
-//! real sockets (wall-clock time) or inside the virtual-time campaign
+//! The same NetLogger instrumentation is used whether the pipeline runs on
+//! real threads (wall-clock time) or inside the virtual-time campaign
 //! simulator (a shared, manually advanced clock).  Timestamps are seconds
 //! since the start of the run, like the horizontal axes of the paper's NLV
 //! plots.

@@ -15,8 +15,9 @@
 //!   used by the DPSS client.
 //! * [`topology`] / [`testbeds`] — named reconstructions of the paper's
 //!   network configurations.
-//! * [`shaper`] — token-bucket shaping used when the pipeline runs over real
-//!   loopback sockets, so that real-mode runs exhibit WAN-like pacing.
+//! * [`shaper`] — token-bucket shaping of the real path's in-process DPSS
+//!   server streams and striped viewer links, so that real-mode runs exhibit
+//!   WAN-like pacing.
 //!
 //! All models are deterministic given a seed; randomness is confined to
 //! explicitly requested jitter.

@@ -1,10 +1,10 @@
-//! Token-bucket bandwidth shaping for real-socket runs.
+//! Token-bucket bandwidth shaping for real-path runs.
 //!
-//! When the Visapult pipeline runs over real loopback TCP sockets (the
-//! functional examples and integration tests), loopback bandwidth is orders
-//! of magnitude higher than any circa-2000 WAN.  A [`TokenBucket`] inserted
-//! in the send path paces traffic down to a configured rate so that real-mode
-//! runs exhibit WAN-like behaviour without needing an actual testbed.
+//! When the Visapult pipeline runs for real, its DPSS server streams are
+//! in-process reads, orders of magnitude faster than any circa-2000 WAN.  A
+//! [`TokenBucket`] on each stream paces it down to a configured rate so that
+//! real-mode runs exhibit WAN-like behaviour without needing an actual
+//! testbed.
 //!
 //! [`StripePacer`] extends the same idea to a striped link: each of the N
 //! parallel stripes gets its own bucket refilled at its share of the link's

@@ -18,7 +18,9 @@
 //! bytes: the buffer is the *received prefix* of the texture and every texel
 //! past it is transparent black.  Imagery rendered in this process
 //! ([`crate::IbravrModel`], Figure 6) is a float [`RgbaImage`] and stays one,
-//! shared behind an `Arc`.
+//! shared behind an `Arc`: quantising it to RGBA8 would drop every alpha
+//! below 1/510, which is a third of the covered pixels of a small IBRAVR
+//! composite.
 //!
 //! Which format a quad has is read off the node; nothing selects it.  The
 //! rasterizer's one quad loop is generic over a texel accessor (`Texels`) and

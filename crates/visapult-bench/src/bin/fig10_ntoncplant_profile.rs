@@ -4,11 +4,13 @@
 //! over NTON in ≈3 s (≈433 Mbps, ≈70 % of the OC-12), followed by 8–9 s of
 //! software rendering on the four PEs.
 
+use netsim::TestbedKind;
 use visapult_bench::{ComparisonRow, ExperimentReport};
-use visapult_core::{ExecutionMode, SimCampaignConfig};
+use visapult_core::{ExecutionMode, ScenarioSpec};
 
 fn main() {
-    let config = SimCampaignConfig::nton_cplant(4, 10, ExecutionMode::Serial);
+    let config = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 4, 10, ExecutionMode::Serial)
+        .expect("paper scenario resolves");
     let report = config.model().expect("campaign failed");
 
     let mut out = ExperimentReport::new("E2 / Figure 10", "LBL DPSS -> CPlant over NTON, serial back end, 4 PEs");

@@ -6,8 +6,9 @@
 //! overlapped load times are slightly higher and more variable because reader
 //! thread and renderer share each node's single CPU.
 
+use netsim::TestbedKind;
 use visapult_bench::{ComparisonRow, ExperimentReport};
-use visapult_core::{ExecutionMode, SimCampaignConfig};
+use visapult_core::{ExecutionMode, ScenarioSpec};
 
 fn load_cv(frames: &[visapult_core::campaign::sim::FrameTiming]) -> f64 {
     let times: Vec<f64> = frames.iter().skip(1).map(|f| f.load_time()).collect();
@@ -17,13 +18,16 @@ fn load_cv(frames: &[visapult_core::campaign::sim::FrameTiming]) -> f64 {
 }
 
 fn main() {
-    let four_serial = SimCampaignConfig::nton_cplant(4, 10, ExecutionMode::Serial)
+    let four_serial = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 4, 10, ExecutionMode::Serial)
+        .unwrap()
         .model()
         .unwrap();
-    let eight_serial = SimCampaignConfig::nton_cplant(8, 10, ExecutionMode::Serial)
+    let eight_serial = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 8, 10, ExecutionMode::Serial)
+        .unwrap()
         .model()
         .unwrap();
-    let eight_overlap = SimCampaignConfig::nton_cplant(8, 10, ExecutionMode::Overlapped)
+    let eight_overlap = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 8, 10, ExecutionMode::Overlapped)
+        .unwrap()
         .model()
         .unwrap();
 

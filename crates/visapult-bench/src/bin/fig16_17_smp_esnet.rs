@@ -6,14 +6,17 @@
 //! until the TCP window opens; overlapped load times are only slightly higher
 //! than serial because every reader thread gets its own CPU on the SMP.
 
+use netsim::TestbedKind;
 use visapult_bench::{ComparisonRow, ExperimentReport};
-use visapult_core::{ExecutionMode, SimCampaignConfig};
+use visapult_core::{ExecutionMode, ScenarioSpec};
 
 fn main() {
-    let serial = SimCampaignConfig::esnet_anl(8, 10, ExecutionMode::Serial)
+    let serial = ScenarioSpec::paper_sim_config(TestbedKind::EsnetAnlSmp, 8, 10, ExecutionMode::Serial)
+        .unwrap()
         .model()
         .unwrap();
-    let overlapped = SimCampaignConfig::esnet_anl(8, 10, ExecutionMode::Overlapped)
+    let overlapped = ScenarioSpec::paper_sim_config(TestbedKind::EsnetAnlSmp, 8, 10, ExecutionMode::Overlapped)
+        .unwrap()
         .model()
         .unwrap();
 

@@ -10,21 +10,24 @@
 //! approximately a dedicated OC192 link."
 
 use dpss::DatasetDescriptor;
-use netsim::Bandwidth;
+use netsim::{Bandwidth, TestbedKind};
 use visapult_bench::{ComparisonRow, ExperimentReport};
 use visapult_core::baseline::raw_data_bandwidth;
-use visapult_core::{ExecutionMode, SimCampaignConfig};
+use visapult_core::{ExecutionMode, ScenarioSpec};
 
 fn main() {
     let dataset = DatasetDescriptor::paper_combustion();
     // Cadence measured from a 10-step campaign, extrapolated to 265 steps.
-    let nton = SimCampaignConfig::nton_cplant(8, 10, ExecutionMode::Overlapped)
+    let nton = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 8, 10, ExecutionMode::Overlapped)
+        .unwrap()
         .model()
         .unwrap();
-    let esnet = SimCampaignConfig::esnet_anl(8, 10, ExecutionMode::Overlapped)
+    let esnet = ScenarioSpec::paper_sim_config(TestbedKind::EsnetAnlSmp, 8, 10, ExecutionMode::Overlapped)
+        .unwrap()
         .model()
         .unwrap();
-    let oc192 = SimCampaignConfig::future_oc192(16, 10, ExecutionMode::Overlapped)
+    let oc192 = ScenarioSpec::paper_sim_config(TestbedKind::FutureOc192, 16, 10, ExecutionMode::Overlapped)
+        .unwrap()
         .model()
         .unwrap();
 

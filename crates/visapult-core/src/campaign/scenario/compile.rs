@@ -24,6 +24,25 @@ use netsim::{TcpModel, TestbedKind};
 use volren::{RenderSettings, TransferFunction};
 
 impl ScenarioSpec {
+    /// The virtual-time model of one paper-scale run in `mode`: a one-stage
+    /// [`ScenarioSpec::paper_virtual`], resolved, as the stage model whose
+    /// per-frame schedule the figure binaries print.
+    pub fn paper_sim_config(
+        kind: TestbedKind,
+        pes: usize,
+        timesteps: usize,
+        mode: ExecutionMode,
+    ) -> Result<SimCampaignConfig, VisapultError> {
+        let stage = StageSpec {
+            name: mode.label().to_string(),
+            share: 100.0,
+            execution: Some(mode),
+            stripes: None,
+        };
+        let resolved = Self::paper_virtual(kind, pes, timesteps, vec![stage]).resolve()?;
+        Ok(resolved.stage_sim_config(&resolved.stages[0], 0))
+    }
+
     /// Validate the spec and resolve every default.
     pub fn resolve(&self) -> Result<ResolvedScenario, VisapultError> {
         let bad = |msg: String| VisapultError::Config(format!("scenario `{}`: {msg}", self.scenario.name));

@@ -924,12 +924,26 @@ fn bundled_scenarios_parse_and_resolve() {
 }
 
 #[test]
-fn paper_preset_matches_the_legacy_sim_config() {
-    // The unified builder must reproduce what SimCampaignConfig::lan_e4500
-    // produced, so the figure binaries keep matching the paper.
+fn a_paper_scenario_runs_the_model_the_figure_bins_read() {
+    // `run_scenario` on a paper-scale spec and `paper_sim_config(..).model()`
+    // are one model, and it keeps §4.3's L ≈ 15 s and R ≈ 12 s on the E4500.
     let spec = ScenarioSpec::paper_virtual(TestbedKind::LanSmp, 8, 10, Vec::new());
     let report = run_scenario(&spec).unwrap();
     let m = &report.stages[0].metrics;
+    let config = ScenarioSpec::paper_sim_config(TestbedKind::LanSmp, 8, 10, ExecutionMode::Serial).unwrap();
+    let model = config.model().unwrap();
+    assert_eq!(
+        (m.total_time, m.mean_load_time, m.mean_render_time, m.mean_send_time),
+        (
+            model.total_time,
+            model.mean_load_time,
+            model.mean_render_time,
+            model.mean_send_time
+        )
+    );
+    // The paper's dataset: 160 MB a timestep, ≈21 MB per PE over 8 PEs.
+    assert!((config.pipeline.bytes_per_pe_per_step() as f64 / 1e6 - 20.97).abs() < 0.1);
+    assert_eq!(config.pipeline.cells_per_pe(), 640 * 256 * 256 / 8);
     assert!(
         m.mean_load_time > 13.0 && m.mean_load_time < 17.0,
         "L {}",

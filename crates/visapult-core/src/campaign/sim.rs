@@ -3,13 +3,18 @@
 //! A [`SimCampaignConfig`] names a network testbed reconstruction
 //! ([`netsim::Testbed`]), a compute-platform model
 //! ([`crate::platform::ComputePlatform`]), a pipeline configuration and an
-//! execution mode.  [`SimCampaignConfig::model`] computes, per timestep, the data
-//! loading time (bounded by the WAN path, the per-PE ingest ceiling and the
-//! DPSS serve rate, with TCP slow-start on the first frame and CPU-contention
-//! inflation in overlapped mode), the render time (from the platform's
-//! per-PE sample rate) and the payload send time, then schedules the frames
-//! exactly as the serial or overlapped (Appendix B) control flow would and
-//! emits the corresponding NetLogger events on a virtual clock.
+//! execution mode.  Exactly one place builds one:
+//! `ResolvedScenario::stage_sim_config`, per scenario stage (the paper's own
+//! runs come through `ScenarioSpec::paper_sim_config`, a one-stage
+//! `paper_virtual` scenario).
+//!
+//! [`SimCampaignConfig::model`] computes, per timestep, the data loading time
+//! (bounded by the WAN path, the per-PE ingest ceiling and the DPSS serve
+//! rate, with TCP slow-start on the first frame and CPU-contention inflation
+//! in overlapped mode), the render time (from the platform's per-PE sample
+//! rate) and the payload send time, then schedules the frames exactly as the
+//! serial or overlapped (Appendix B) control flow would and emits the
+//! corresponding NetLogger events on a virtual clock.
 //!
 //! The output is an event log structurally identical to what a real campaign
 //! produces, so the same NLV lifeline plots and phase analysis apply — this
@@ -143,84 +148,6 @@ impl SimCampaignReport {
 }
 
 impl SimCampaignConfig {
-    fn base(name: impl Into<String>, testbed: Testbed, platform: ComputePlatform, pipeline: PipelineConfig) -> Self {
-        SimCampaignConfig {
-            name: name.into(),
-            testbed,
-            platform,
-            pipeline,
-            dpss: DpssSimModel::four_server_2000(),
-            transport: None,
-            app_efficiency: 1.0,
-            wan_efficiency: DEFAULT_WAN_EFFICIENCY,
-            jitter_seed: 2000,
-        }
-    }
-
-    /// §4.2 / §4.4.1: LBL DPSS → CPlant over NTON (Figures 10, 14, 15).
-    pub fn nton_cplant(pes: usize, timesteps: usize, mode: ExecutionMode) -> Self {
-        Self::base(
-            format!("NTON/CPlant {} x{} PEs", mode.label(), pes),
-            Testbed::nton_cplant(pes),
-            ComputePlatform::cplant(),
-            PipelineConfig::paper_scale(pes, timesteps, mode),
-        )
-    }
-
-    /// §4.4.2: LBL DPSS → ANL Onyx2 over ESnet (Figures 16, 17).
-    pub fn esnet_anl(pes: usize, timesteps: usize, mode: ExecutionMode) -> Self {
-        Self::base(
-            format!("ESnet/Onyx2 {} x{} PEs", mode.label(), pes),
-            Testbed::esnet_anl_smp(pes),
-            ComputePlatform::onyx2_smp(),
-            PipelineConfig::paper_scale(pes, timesteps, mode),
-        )
-    }
-
-    /// §4.3: LBL DPSS → Sun E4500 over the LAN (Figures 12, 13).
-    pub fn lan_e4500(pes: usize, timesteps: usize, mode: ExecutionMode) -> Self {
-        Self::base(
-            format!("LAN/E4500 {} x{} PEs", mode.label(), pes),
-            Testbed::lan_smp(pes),
-            ComputePlatform::e4500(),
-            PipelineConfig::paper_scale(pes, timesteps, mode),
-        )
-    }
-
-    /// §4.1: the SC99 demonstration, DPSS → CPlant over NTON with the
-    /// pre-streamlining data staging (250 Mbps achieved).
-    pub fn sc99_cplant(pes: usize, timesteps: usize) -> Self {
-        let mut c = Self::base(
-            format!("SC99 NTON/CPlant x{pes} PEs"),
-            Testbed::sc99_cplant(pes),
-            ComputePlatform::cplant(),
-            PipelineConfig::paper_scale(pes, timesteps, ExecutionMode::Serial),
-        );
-        c.app_efficiency = 0.56;
-        c
-    }
-
-    /// §4.1: the SC99 demonstration, DPSS → LBL booth cluster over SciNet
-    /// (150 Mbps achieved, limited by the shared show-floor network).
-    pub fn sc99_booth(pes: usize, timesteps: usize) -> Self {
-        Self::base(
-            format!("SC99 SciNet/booth x{pes} PEs"),
-            Testbed::sc99_booth(pes),
-            ComputePlatform::babel_cluster(),
-            PipelineConfig::paper_scale(pes, timesteps, ExecutionMode::Serial),
-        )
-    }
-
-    /// §5: the hypothetical dedicated OC-192 future network.
-    pub fn future_oc192(pes: usize, timesteps: usize, mode: ExecutionMode) -> Self {
-        Self::base(
-            format!("Future OC-192 {} x{} PEs", mode.label(), pes),
-            Testbed::future_oc192(pes),
-            ComputePlatform::cplant(),
-            PipelineConfig::paper_scale(pes, timesteps, mode),
-        )
-    }
-
     /// The effective aggregate rate at which the back end can pull one frame
     /// of data out of the cache: the minimum of the WAN path (discounted for
     /// circa-2000 protocol efficiency), the per-PE ingest ceilings, and the
@@ -291,7 +218,8 @@ impl SimCampaignConfig {
     /// the emitted event log.
     ///
     /// This is the supported entry point for *raw model access* — figure
-    /// binaries and analyses that need the [`FrameTiming`] schedule itself.
+    /// binaries and analyses that need the [`FrameTiming`] schedule itself,
+    /// on a config from `ScenarioSpec::paper_sim_config`.
     /// Whole campaigns should be driven through the
     /// [`crate::pipeline::Pipeline`] builder instead, where this model is
     /// the virtual-time [`crate::pipeline::RenderFarm`].
@@ -480,12 +408,14 @@ pub(crate) fn model_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScenarioSpec;
+    use netsim::TestbedKind;
 
     #[test]
     fn fig10_nton_profile_shape() {
         // Fig. 10: 4 PEs, serial, NTON: 160 MB loaded in ~3 s (~433 Mbps,
         // ~70% of OC-12), rendering 8-9 s.
-        let config = SimCampaignConfig::nton_cplant(4, 5, ExecutionMode::Serial);
+        let config = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 4, 5, ExecutionMode::Serial).unwrap();
         let report = config.model().unwrap();
         assert!(
             report.mean_load_time > 2.4 && report.mean_load_time < 3.6,
@@ -510,10 +440,12 @@ mod tests {
     #[test]
     fn fig12_13_lan_serial_vs_overlapped_totals() {
         // §4.3: ten timesteps, serial ≈265 s, overlapped ≈169 s, L≈15, R≈12.
-        let serial = SimCampaignConfig::lan_e4500(8, 10, ExecutionMode::Serial)
+        let serial = ScenarioSpec::paper_sim_config(TestbedKind::LanSmp, 8, 10, ExecutionMode::Serial)
+            .unwrap()
             .model()
             .unwrap();
-        let overlapped = SimCampaignConfig::lan_e4500(8, 10, ExecutionMode::Overlapped)
+        let overlapped = ScenarioSpec::paper_sim_config(TestbedKind::LanSmp, 8, 10, ExecutionMode::Overlapped)
+            .unwrap()
             .model()
             .unwrap();
         assert!(
@@ -534,10 +466,12 @@ mod tests {
 
     #[test]
     fn fig14_adding_nodes_does_not_speed_loading_but_halves_rendering() {
-        let four = SimCampaignConfig::nton_cplant(4, 5, ExecutionMode::Serial)
+        let four = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 4, 5, ExecutionMode::Serial)
+            .unwrap()
             .model()
             .unwrap();
-        let eight = SimCampaignConfig::nton_cplant(8, 5, ExecutionMode::Serial)
+        let eight = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 8, 5, ExecutionMode::Serial)
+            .unwrap()
             .model()
             .unwrap();
         let load_ratio = eight.mean_load_time / four.mean_load_time;
@@ -548,10 +482,12 @@ mod tests {
 
     #[test]
     fn fig15_overlapped_cluster_loads_are_slower_and_more_variable() {
-        let serial = SimCampaignConfig::nton_cplant(8, 8, ExecutionMode::Serial)
+        let serial = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 8, 8, ExecutionMode::Serial)
+            .unwrap()
             .model()
             .unwrap();
-        let overlapped = SimCampaignConfig::nton_cplant(8, 8, ExecutionMode::Overlapped)
+        let overlapped = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 8, 8, ExecutionMode::Overlapped)
+            .unwrap()
             .model()
             .unwrap();
         assert!(
@@ -576,7 +512,8 @@ mod tests {
     fn fig16_17_esnet_profile_shape() {
         // §4.4.2: ~10 s to move 160 MB over ESnet (~128 Mbps), first frame
         // slower until the TCP window opens; overlapped loads slightly higher.
-        let serial = SimCampaignConfig::esnet_anl(8, 6, ExecutionMode::Serial)
+        let serial = ScenarioSpec::paper_sim_config(TestbedKind::EsnetAnlSmp, 8, 6, ExecutionMode::Serial)
+            .unwrap()
             .model()
             .unwrap();
         assert!(
@@ -592,7 +529,8 @@ mod tests {
         // Cold first frame.
         assert!(serial.frames[0].load_time() > serial.frames[1].load_time() * 1.05);
 
-        let overlapped = SimCampaignConfig::esnet_anl(8, 6, ExecutionMode::Overlapped)
+        let overlapped = ScenarioSpec::paper_sim_config(TestbedKind::EsnetAnlSmp, 8, 6, ExecutionMode::Overlapped)
+            .unwrap()
             .model()
             .unwrap();
         assert!(overlapped.mean_load_time >= serial.mean_load_time * 0.98);
@@ -606,13 +544,19 @@ mod tests {
 
     #[test]
     fn sc99_throughputs_match_the_paper() {
-        let cplant = SimCampaignConfig::sc99_cplant(4, 4).model().unwrap();
+        let cplant = ScenarioSpec::paper_sim_config(TestbedKind::Sc99Cplant, 4, 4, ExecutionMode::Serial)
+            .unwrap()
+            .model()
+            .unwrap();
         assert!(
             cplant.mean_load_throughput_mbps > 210.0 && cplant.mean_load_throughput_mbps < 290.0,
             "NTON SC99 throughput {}",
             cplant.mean_load_throughput_mbps
         );
-        let booth = SimCampaignConfig::sc99_booth(8, 4).model().unwrap();
+        let booth = ScenarioSpec::paper_sim_config(TestbedKind::Sc99Booth, 8, 4, ExecutionMode::Serial)
+            .unwrap()
+            .model()
+            .unwrap();
         assert!(
             booth.mean_load_throughput_mbps > 120.0 && booth.mean_load_throughput_mbps < 180.0,
             "SciNet SC99 throughput {}",
@@ -624,10 +568,12 @@ mod tests {
     #[test]
     fn playback_cadence_matches_section5() {
         // §5: a new timestep every ~3 s over NTON, every ~10 s over ESnet.
-        let nton = SimCampaignConfig::nton_cplant(8, 6, ExecutionMode::Overlapped)
+        let nton = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 8, 6, ExecutionMode::Overlapped)
+            .unwrap()
             .model()
             .unwrap();
-        let esnet = SimCampaignConfig::esnet_anl(8, 6, ExecutionMode::Overlapped)
+        let esnet = ScenarioSpec::paper_sim_config(TestbedKind::EsnetAnlSmp, 8, 6, ExecutionMode::Overlapped)
+            .unwrap()
             .model()
             .unwrap();
         // Overlapped steady-state cadence is governed by max(L, R) + send.
@@ -646,10 +592,12 @@ mod tests {
 
     #[test]
     fn oc192_supports_much_faster_playback() {
-        let future = SimCampaignConfig::future_oc192(16, 6, ExecutionMode::Overlapped)
+        let future = ScenarioSpec::paper_sim_config(TestbedKind::FutureOc192, 16, 6, ExecutionMode::Overlapped)
+            .unwrap()
             .model()
             .unwrap();
-        let nton = SimCampaignConfig::nton_cplant(8, 6, ExecutionMode::Overlapped)
+        let nton = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 8, 6, ExecutionMode::Overlapped)
+            .unwrap()
             .model()
             .unwrap();
         assert!(future.mean_load_time < nton.mean_load_time * 0.6);
@@ -657,7 +605,7 @@ mod tests {
 
     #[test]
     fn emitted_log_supports_the_standard_analysis() {
-        let config = SimCampaignConfig::nton_cplant(4, 3, ExecutionMode::Serial);
+        let config = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 4, 3, ExecutionMode::Serial).unwrap();
         let report = config.model().unwrap();
         let analysis = report.analysis();
         assert_eq!(analysis.frames.len(), 3);
@@ -678,7 +626,7 @@ mod tests {
         // With the transport modeled, an untuned single-stripe viewer link is
         // window-limited over the ESnet RTT; eight stripes lift the ceiling —
         // the striping effect, visible in virtual time.
-        let base = SimCampaignConfig::esnet_anl(4, 3, ExecutionMode::Serial);
+        let base = ScenarioSpec::paper_sim_config(TestbedKind::EsnetAnlSmp, 4, 3, ExecutionMode::Serial).unwrap();
         let mut single = base.clone();
         single.transport = Some(SimTransportModel {
             stripes: 1,
@@ -705,7 +653,7 @@ mod tests {
 
     #[test]
     fn invalid_pipeline_is_rejected() {
-        let mut config = SimCampaignConfig::nton_cplant(4, 3, ExecutionMode::Serial);
+        let mut config = ScenarioSpec::paper_sim_config(TestbedKind::NtonCplant, 4, 3, ExecutionMode::Serial).unwrap();
         config.pipeline.timesteps = 10_000;
         assert!(config.model().is_err());
     }

@@ -65,21 +65,6 @@ impl PipelineConfig {
         }
     }
 
-    /// The paper-scale configuration (640×256×256 × 265 steps); used by the
-    /// virtual-time campaigns, far too large for real-mode laptop runs.
-    pub fn paper_scale(pes: usize, timesteps: usize, mode: ExecutionMode) -> Self {
-        PipelineConfig {
-            dataset: DatasetDescriptor::paper_combustion(),
-            pes: pes.max(1),
-            timesteps: timesteps.max(1),
-            mode,
-            render: RenderSettings::with_size(512, 512),
-            transfer: TransferFunction::combustion_default(),
-            streams_per_pe: 4,
-            value_range: (0.0, 1.5),
-        }
-    }
-
     /// Validate internal consistency; returns a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
@@ -134,15 +119,6 @@ mod tests {
             c.bytes_per_pe_per_step() * c.pes as u64,
             c.dataset.bytes_per_timestep().bytes()
         );
-    }
-
-    #[test]
-    fn paper_scale_matches_paper_numbers() {
-        let c = PipelineConfig::paper_scale(8, 10, ExecutionMode::Overlapped);
-        assert!(c.validate().is_ok());
-        // 160 MB over 8 PEs -> ~21 MB per PE per step.
-        assert!((c.bytes_per_pe_per_step() as f64 / 1e6 - 20.97).abs() < 0.1);
-        assert_eq!(c.cells_per_pe(), 640 * 256 * 256 / 8);
     }
 
     #[test]

@@ -26,8 +26,10 @@
 //! more than the two bundled capability sets
 //! ([`pipeline::PathCapabilities`]); both produce byte-identical
 //! [`CampaignReport::replay_fingerprint`]s for the same spec.  There is no
-//! other campaign entry point; [`SimCampaignConfig::model`] gives the figure
-//! binaries raw access to the calibrated stage model.
+//! other campaign entry point.  The figure binaries that print a per-frame
+//! schedule read the calibrated stage model of the same scenarios:
+//! [`ScenarioSpec::paper_sim_config`] resolves a one-stage paper-scale spec
+//! and [`SimCampaignConfig::model`] runs that stage alone.
 //!
 //! Supporting modules: the light/heavy payload wire [`protocol`], the
 //! multi-session [`service`] layer (session broker, shared-render fan-out,

@@ -8,7 +8,7 @@
 //! on the virtual clock, emitting the NetLogger events the real pipeline
 //! would have produced.
 
-use super::{hash_image, FabricLinks, FarmRun, PhaseMeans, StageContext};
+use super::{hash_image, join_thread, FabricLinks, FarmRun, PhaseMeans, StageContext};
 use crate::backend::run_backend;
 use crate::campaign::real::RealDataPath;
 use crate::campaign::sim::model_stage;
@@ -75,10 +75,9 @@ impl RenderFarm for ThreadFarm {
         let viewer_logger = collector.logger("desktop", "viewer-master");
         let viewer_handle = std::thread::Builder::new()
             .name("visapult-viewer".to_string())
-            .spawn(move || viewer.run(receivers, Some(viewer_logger)))
-            .expect("spawn viewer thread");
+            .spawn(move || viewer.run(receivers, Some(viewer_logger)))?;
         let backend = run_backend(&ctx.pipeline, source, senders, Some(backend_logger))?;
-        let viewer_report = viewer_handle.join().expect("viewer thread panicked");
+        let viewer_report = join_thread("viewer", viewer_handle)?;
         Ok(FarmRun {
             total_time: backend.elapsed.as_secs_f64(),
             frames_rendered: backend.frames_rendered,

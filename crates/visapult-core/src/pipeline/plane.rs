@@ -9,14 +9,13 @@
 //! folds the offered fan-out load in from the modeled chunk plan — so the
 //! lifecycle and shared-render telemetry is byte-identical across paths.
 
-use super::{modeled_segment_lens, FabricLinks, FarmRun, StageContext, WallClock};
+use super::{join_thread, modeled_segment_lens, FabricLinks, FarmRun, StageContext, WallClock};
 use crate::campaign::real::ServicePlan;
 use crate::error::VisapultError;
 use crate::service::asyncplane::drive_fanout_on;
 use crate::service::fanout::PlaneTelemetry;
 use crate::service::{log_service_stats_sampled, ServiceRunReport, SessionBroker};
 use crate::transport::{plan_chunks, striped_link, StripeReceiver, StripeSender, TransportConfig};
-use crate::viewer::panic_detail;
 use netlogger::{Collector, MetricsHub};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -165,14 +164,6 @@ struct FanoutSession {
     handle: JoinHandle<ServiceRunReport>,
 }
 
-/// Join the plane thread; a panic in it becomes an error carrying the panic
-/// message instead of taking the caller down with it.
-fn join_plane(handle: JoinHandle<ServiceRunReport>) -> Result<ServiceRunReport, VisapultError> {
-    handle
-        .join()
-        .map_err(|panic| VisapultError::Io(std::io::Error::other(panic_detail("service plane", panic.as_ref()))))
-}
-
 impl PlaneSession for FanoutSession {
     fn finish(
         self: Box<Self>,
@@ -180,7 +171,7 @@ impl PlaneSession for FanoutSession {
         _run: &FarmRun,
         collector: &Collector,
     ) -> Result<Option<ServiceRunReport>, VisapultError> {
-        let report = join_plane(self.handle)?;
+        let report = join_thread("service plane", self.handle)?;
         let logger = collector.logger("service", "session-broker");
         // Lifeline sampling thins only the per-session lifecycle events —
         // deterministically by session id, so both paths keep (or drop)
@@ -325,12 +316,25 @@ impl AsyncPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::viewer::ViewerReport;
 
     #[test]
     fn a_panicked_plane_thread_is_an_error_carrying_its_message() {
-        let handle = std::thread::spawn(|| -> ServiceRunReport { panic!("lane {} wedged", 3) });
-        let err = join_plane(handle).unwrap_err();
-        assert!(matches!(err, VisapultError::Io(_)), "{err:?}");
-        assert_eq!(err.to_string(), "I/O error: service plane panicked: lane 3 wedged");
+        // The fan-out plane and the viewer are the two threads a stage joins.
+        let plane = std::thread::spawn(|| -> ServiceRunReport { panic!("lane {} wedged", 3) });
+        let viewer = std::thread::spawn(|| -> ViewerReport { panic!("scene {} lost", 7) });
+        for (err, want) in [
+            (
+                join_thread("service plane", plane).unwrap_err(),
+                "I/O error: service plane panicked: lane 3 wedged",
+            ),
+            (
+                join_thread("viewer", viewer).unwrap_err(),
+                "I/O error: viewer panicked: scene 7 lost",
+            ),
+        ] {
+            assert!(matches!(err, VisapultError::Io(_)), "{err:?}");
+            assert_eq!(err.to_string(), want);
+        }
     }
 }

@@ -7,13 +7,14 @@
 //! "raw pixel data, as well as any geometric data", typically 0.25–1 MB of
 //! texture plus tens of kilobytes of AMR grid lines.
 //!
-//! Messages are length-prefixed and carry a magic word and type byte so the
-//! same encoding works over in-process channels (as `FramePayload` structs)
-//! and over real TCP sockets (via [`write_frame`]/[`read_frame`]).
+//! Messages are length-prefixed and carry a magic word and type byte.  A
+//! frame crosses the wire one way: [`FrameSegments::encode`] splits it into
+//! shared segments, `transport::striped_link` chunks them onto stripes, and
+//! the receiving `FrameAssembler` rejoins them and calls
+//! [`FrameSegments::decode`].
 
 use crate::error::VisapultError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// Protocol magic word ("VSPL").
@@ -190,13 +191,10 @@ fn split_message(msg: &[u8]) -> Result<(u8, &[u8]), VisapultError> {
 /// the zero-copy encoding the striped transport ships.
 ///
 /// Concatenated in order the four segments are the wire format — the light
-/// message followed by the heavy message, which is what [`write_frame`] puts
-/// on a byte stream — but the texture segment is an O(1) refcount bump of the
-/// payload's own buffer rather than a copy, so a frame can be chunked onto
-/// stripes and reassembled on the far side without its pixel data ever being
-/// memcpy'd.  This is the only heavy-payload codec: [`read_frame`] slices the
-/// received message back into segments and decodes through
-/// [`FrameSegments::decode`].
+/// message followed by the heavy message — but the texture segment is an O(1)
+/// refcount bump of the payload's own buffer rather than a copy, so a frame
+/// is chunked onto stripes and reassembled on the far side without its pixel
+/// data ever being memcpy'd.  This is the only frame codec.
 #[derive(Debug, Clone)]
 pub struct FrameSegments {
     /// The complete light-payload message (header + body).
@@ -239,26 +237,6 @@ impl FrameSegments {
             texture: heavy.texture_rgba8.clone(),
             geometry: geometry.freeze(),
         }
-    }
-
-    /// Slice a received light message and heavy message back into wire
-    /// segments (O(1) windows into `heavy`, no copy).  Only the split points
-    /// are checked here; [`FrameSegments::decode`] validates the content.
-    fn from_messages(light: Bytes, heavy: &Bytes) -> Result<FrameSegments, VisapultError> {
-        if heavy.len() < HEAVY_HEADER_LEN {
-            return Err(VisapultError::Protocol("heavy header truncated".to_string()));
-        }
-        let mut tex_len_word = &heavy[HEAVY_HEADER_LEN - 4..HEAVY_HEADER_LEN];
-        let texture_end = HEAVY_HEADER_LEN + tex_len_word.get_u32() as usize;
-        if heavy.len() < texture_end {
-            return Err(VisapultError::Protocol("heavy payload texture truncated".to_string()));
-        }
-        Ok(FrameSegments {
-            light,
-            heavy_header: heavy.slice(..HEAVY_HEADER_LEN),
-            texture: heavy.slice(HEAVY_HEADER_LEN..texture_end),
-            geometry: heavy.slice(texture_end..),
-        })
     }
 
     /// True when `other` views the exact same four buffer windows — the
@@ -364,67 +342,13 @@ impl FrameSegments {
     }
 }
 
-/// Write one frame (light then heavy, the order the paper prescribes) to a
-/// byte stream — used when the back-end → viewer link is a real TCP socket.
-pub fn write_frame<W: Write>(w: &mut W, frame: &FramePayload) -> Result<(), VisapultError> {
-    let segments = FrameSegments::encode(frame);
-    for segment in [
-        &segments.light,
-        &segments.heavy_header,
-        &segments.texture,
-        &segments.geometry,
-    ] {
-        w.write_all(segment)?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// The largest message body [`read_frame`] accepts.  The paper's heavy
-/// payloads are 0.25–1 MB of texture plus tens of kilobytes of grid lines;
-/// this leaves two orders of magnitude of headroom while keeping what a
-/// hostile length word can make the reader allocate small.
-const MAX_MESSAGE_LEN: usize = 64 << 20;
-
-/// Read one complete message (header + body) of type `expected` from a byte
-/// stream into a shared buffer, so decoders can slice it zero-copy.  The
-/// header is validated before the body is allocated.
-fn read_message<R: Read>(r: &mut R, expected: u8) -> Result<Bytes, VisapultError> {
-    let mut header = [0u8; 9];
-    r.read_exact(&mut header)?;
-    let (msg_type, len) = parse_header(&header)?;
-    if msg_type != expected {
-        return Err(VisapultError::Protocol(format!(
-            "expected message type {expected}, got type {msg_type}"
-        )));
-    }
-    if len > MAX_MESSAGE_LEN {
-        return Err(VisapultError::Protocol(format!(
-            "message body of {len} bytes exceeds the {MAX_MESSAGE_LEN}-byte limit"
-        )));
-    }
-    let mut msg = Vec::with_capacity(9 + len);
-    msg.extend_from_slice(&header);
-    msg.resize(9 + len, 0);
-    r.read_exact(&mut msg[9..])?;
-    Ok(Bytes::from(msg))
-}
-
-/// Read one frame (light then heavy) from a byte stream.  The heavy texture
-/// is decoded as a zero-copy slice of the received message buffer.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<FramePayload, VisapultError> {
-    let light = read_message(r, TYPE_LIGHT)?;
-    let heavy = read_message(r, TYPE_HEAVY)?;
-    FrameSegments::from_messages(light, &heavy)?.decode()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The stream encoding of a heavy payload, written the way the stream
-    /// codec [`FrameSegments`] replaced wrote it: one copied buffer.  Kept as
-    /// the byte-identity oracle that pins the wire format.
+    /// The heavy message written as one copied buffer, the way the codec
+    /// [`FrameSegments`] replaced wrote it.  Kept as the byte-identity oracle
+    /// that pins the wire format.
     fn encode_heavy(p: &HeavyPayload) -> Vec<u8> {
         let mut body = BytesMut::with_capacity(16 + p.texture_rgba8.len() + p.geometry.len() * 24);
         body.put_u32(p.frame);
@@ -461,12 +385,6 @@ mod tests {
         }
     }
 
-    fn stream_of(frame: &FramePayload) -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, frame).unwrap();
-        buf
-    }
-
     #[test]
     fn light_payload_roundtrip_and_size() {
         let f = sample_frame();
@@ -475,26 +393,6 @@ mod tests {
         assert!(enc.len() < 256, "light payload is {} bytes", enc.len());
         let dec = decode_light(&enc).unwrap();
         assert_eq!(dec, f.light);
-    }
-
-    #[test]
-    fn received_messages_split_into_zero_copy_segments() {
-        let f = sample_frame();
-        let light = Bytes::from(encode_light(&f.light));
-        let heavy = Bytes::from(encode_heavy(&f.heavy));
-        let segments = FrameSegments::from_messages(light, &heavy).unwrap();
-        // The texture segment literally is a window into the message buffer,
-        // and decode passes it through.
-        let window = heavy.slice(HEAVY_HEADER_LEN..HEAVY_HEADER_LEN + f.heavy.texture_rgba8.len());
-        assert!(segments.texture.ptr_eq(&window));
-        let back = segments.decode().unwrap();
-        assert_eq!(back, f);
-        assert!(back.heavy.texture_rgba8.ptr_eq(&window));
-        // A heavy message cut short of its header, or of its texture, has no
-        // split points.
-        let light = Bytes::from(encode_light(&f.light));
-        assert!(FrameSegments::from_messages(light.clone(), &heavy.slice(..HEAVY_HEADER_LEN - 1)).is_err());
-        assert!(FrameSegments::from_messages(light, &heavy.slice(..HEAVY_HEADER_LEN + 10)).is_err());
     }
 
     #[test]
@@ -512,8 +410,7 @@ mod tests {
         ] {
             concat.extend_from_slice(seg);
         }
-        assert_eq!(concat, oracle, "segments concatenate to the stream encoding");
-        assert_eq!(stream_of(&f), concat, "write_frame writes exactly the segments");
+        assert_eq!(concat, oracle, "segments concatenate to the wire encoding");
         assert_eq!(segments.wire_bytes(), oracle.len() as u64);
         assert_eq!(segments.heavy_header.len(), HEAVY_HEADER_LEN);
         // The payload-side accessor agrees with the encoded reality, so
@@ -548,10 +445,20 @@ mod tests {
         let mut s = FrameSegments::encode(&f);
         s.texture = s.texture.slice(..s.texture.len() - 4);
         assert!(s.decode().is_err());
-        // Light and heavy disagreeing on identity.
-        let mut wrong = f.clone();
-        wrong.light.frame += 1;
-        assert!(FrameSegments::encode(&wrong).decode().is_err());
+        // A heavy header cut short.
+        let mut s = FrameSegments::encode(&f);
+        s.heavy_header = s.heavy_header.slice(..HEAVY_HEADER_LEN - 1);
+        assert!(s.decode().is_err());
+        // Light and heavy disagreeing on identity, by frame or by rank.
+        for (frame, rank) in [(f.light.frame + 1, f.light.rank), (f.light.frame, f.light.rank + 1)] {
+            let mut wrong = f.clone();
+            (wrong.heavy.frame, wrong.heavy.rank) = (frame, rank);
+            let err = FrameSegments::encode(&wrong).decode().unwrap_err();
+            assert!(
+                matches!(&err, VisapultError::Protocol(m) if m.contains("identity")),
+                "{err:?}"
+            );
+        }
         // Geometry truncated.
         let mut s = FrameSegments::encode(&f);
         s.geometry = s.geometry.slice(..s.geometry.len() - 1);
@@ -572,9 +479,14 @@ mod tests {
         let f = sample_frame();
         let (light, heavy) = (encode_light(&f.light), encode_heavy(&f.heavy));
         assert!(decode_light(&heavy).is_err());
-        // A stream carrying the two messages in the wrong order.
-        let swapped = [heavy, light].concat();
-        assert!(read_frame(&mut swapped.as_slice()).is_err());
+        // A light message where the heavy header belongs.
+        let mut s = FrameSegments::encode(&f);
+        s.heavy_header = Bytes::from(light).slice(..HEAVY_HEADER_LEN);
+        let err = s.decode().unwrap_err();
+        assert!(
+            matches!(&err, VisapultError::Protocol(m) if m.contains("expected heavy")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -584,86 +496,16 @@ mod tests {
         enc[0] ^= 0xff; // break the magic
         assert!(decode_light(&enc).is_err());
         assert!(decode_light(&[1, 2, 3]).is_err());
-    }
-
-    #[test]
-    fn a_hostile_length_word_is_refused_before_anything_is_allocated() {
-        let mut stream = MAGIC.to_be_bytes().to_vec();
-        stream.push(TYPE_LIGHT);
-        stream.extend_from_slice(&[0xff; 4]);
-        let err = read_frame(&mut stream.as_slice()).unwrap_err();
-        // Refused on the length itself: had the 4 GiB body been allocated and
-        // read, the error would be the stream running dry instead.
-        assert!(
-            matches!(&err, VisapultError::Protocol(m) if m.contains("exceeds")),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn a_stream_with_bad_magic_is_refused() {
-        let mut stream = stream_of(&sample_frame());
-        stream[0] ^= 0xff;
-        let err = read_frame(&mut stream.as_slice()).unwrap_err();
+        // The heavy header's magic is checked too.
+        let mut s = FrameSegments::encode(&f);
+        let mut header = s.heavy_header.to_vec();
+        header[0] ^= 0xff;
+        s.heavy_header = Bytes::from(header);
+        let err = s.decode().unwrap_err();
         assert!(
             matches!(&err, VisapultError::Protocol(m) if m.contains("magic")),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn a_stream_truncated_mid_body_is_an_error() {
-        let stream = stream_of(&sample_frame());
-        // Cut inside the heavy body, inside the light body, and inside a header.
-        for keep in [stream.len() - 10, 30, 4] {
-            assert!(read_frame(&mut &stream[..keep]).is_err(), "kept {keep} bytes");
-        }
-    }
-
-    #[test]
-    fn a_light_heavy_pair_that_disagree_on_identity_is_refused() {
-        let f = sample_frame();
-        for (frame, rank) in [(f.light.frame + 1, f.light.rank), (f.light.frame, f.light.rank + 1)] {
-            let mut other = f.heavy.clone();
-            other.frame = frame;
-            other.rank = rank;
-            let stream = [encode_light(&f.light), encode_heavy(&other)].concat();
-            let err = read_frame(&mut stream.as_slice()).unwrap_err();
-            assert!(
-                matches!(&err, VisapultError::Protocol(m) if m.contains("identity")),
-                "{err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn stream_roundtrip_over_a_cursor() {
-        let f = sample_frame();
-        let mut cursor = std::io::Cursor::new(stream_of(&f));
-        let back = read_frame(&mut cursor).unwrap();
-        assert_eq!(back, f);
-    }
-
-    #[test]
-    fn stream_roundtrip_over_real_tcp() {
-        let f = sample_frame();
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let sender = std::thread::spawn({
-            let f = f.clone();
-            move || {
-                let mut stream = std::net::TcpStream::connect(addr).unwrap();
-                for _ in 0..3 {
-                    write_frame(&mut stream, &f).unwrap();
-                }
-            }
-        });
-        let (mut conn, _) = listener.accept().unwrap();
-        for _ in 0..3 {
-            let got = read_frame(&mut conn).unwrap();
-            assert_eq!(got, f);
-        }
-        sender.join().unwrap();
     }
 
     #[test]

@@ -49,6 +49,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, ReadyHook, Receiver, Sender, TryRecvError};
 use netsim::{Bandwidth, StripePacer, TcpConfig};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
@@ -797,7 +798,9 @@ impl SharedDecode {
     /// decoded.  The error `String` is the `Display` text of the underlying
     /// decode error, identical on hit and miss.
     fn decode(&self, rank: u32, frame: u32, segments: FrameSegments) -> Result<FramePayload, String> {
-        let mut st = self.state.lock().expect("shared decode lock");
+        // Every entry is inserted whole, so a memo poisoned by a session that
+        // panicked under this lock is still a correct one.
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(entry) = st.frames.get(&(rank, frame)) {
             if entry.segments.same_regions(&segments) {
                 return entry.result.clone();
@@ -880,12 +883,16 @@ impl FrameAssembler {
                 chunk.seq, chunk.total, chunk.rank, chunk.frame
             )));
         }
-        let assembly = self.pending.entry(key).or_insert_with(|| FrameAssembly {
-            total: chunk.total,
-            received: 0,
-            slots: vec![None; chunk.total as usize],
-            prefix: None,
-        });
+        let mut entry = match self.pending.entry(key) {
+            Entry::Occupied(entry) => entry,
+            Entry::Vacant(entry) => entry.insert_entry(FrameAssembly {
+                total: chunk.total,
+                received: 0,
+                slots: vec![None; chunk.total as usize],
+                prefix: None,
+            }),
+        };
+        let assembly = entry.get_mut();
         if assembly.total != chunk.total {
             return Err(TransportError::Corrupt(format!(
                 "frame {} chunk totals disagree: {} vs {}",
@@ -912,7 +919,7 @@ impl FrameAssembler {
                 total: assembly.total,
             });
         }
-        let assembly = self.pending.remove(&key).expect("assembly present");
+        let assembly = entry.remove();
         self.completed.insert(key);
         let (segments, copies) = assemble_segments(assembly.slots);
         self.stats.reassembly_copies += copies;
@@ -1366,6 +1373,24 @@ mod tests {
             .unwrap()
             .expect("frame completes");
         assert_eq!(decoded, good);
+    }
+
+    #[test]
+    fn a_poisoned_decode_memo_still_decodes() {
+        // A thread that panics holding the memo's lock poisons it; the next
+        // session's decode must still hand back the payload.
+        let memo = Arc::new(SharedDecode::new());
+        let holder = Arc::clone(&memo);
+        let poisoner = std::thread::spawn(move || {
+            let _held = holder.state.lock();
+            panic!("a session died mid-decode");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(memo.state.is_poisoned());
+        let frame = sample_frame(2, 0, 16);
+        let wave = multicast_chunks(&frame);
+        let decoded = feed(&mut FrameAssembler::with_shared_decode(memo), &wave).unwrap();
+        assert_eq!(decoded, Some(frame));
     }
 
     /// The scan `partial_light` used to be: from slot 0 on every call.  Kept

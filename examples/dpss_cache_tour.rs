@@ -3,16 +3,15 @@
 //! Shows the full data-staging story the paper tells: a large time-varying
 //! dataset archived on HPSS (full-file access only, tape latency) is migrated
 //! onto a four-server DPSS, after which Visapult-style block-level slab reads
-//! are served in parallel by every server — including over real striped TCP
-//! sockets — and the capacity model reproduces the paper's headline 980 Mbps
-//! LAN / 570 Mbps WAN numbers.
+//! are served in parallel by every server — as zero-copy shared buffers
+//! through the client's one data path, `read_range` — and the capacity model
+//! reproduces the paper's headline 980 Mbps LAN / 570 Mbps WAN numbers.
 //!
 //! Run with: `cargo run --release --example dpss_cache_tour`
 
 use std::sync::Arc;
 use visapult::dpss::{
-    net::serve_cluster, BlockCache, CacheConfig, DatasetDescriptor, DpssClient, DpssCluster, DpssSimModel, HpssArchive,
-    StripeLayout,
+    BlockCache, CacheConfig, DatasetDescriptor, DpssClient, DpssCluster, DpssSimModel, HpssArchive, StripeLayout,
 };
 use visapult::netsim::{Bandwidth, DataSize, Link, LinkKind, SimDuration, TcpConfig, TcpModel};
 use visapult::volren::combustion_series_bytes;
@@ -58,23 +57,14 @@ fn main() {
         client.threads_per_request()
     );
 
-    // 4. The same read over real striped TCP sockets.
-    let (_servers, tcp_client) = serve_cluster(&cluster, "visapult-backend", None).unwrap();
-    let mut tcp_slab = vec![0u8; len as usize];
-    tcp_client.read_at(&descriptor.name, offset, &mut tcp_slab).unwrap();
-    assert_eq!(slab, tcp_slab);
-    println!(
-        "striped TCP read over {} sockets returned identical bytes\n",
-        tcp_client.stripe_count()
-    );
-
-    // 5. The zero-copy data plane and the sharded block cache.
-    let (slab_offset, slab_len) = descriptor.z_slab_range(2, 3, 8);
+    // 4. The same slab through the zero-copy data plane (the path the back
+    //    end reads by), then the sharded block cache.
     let copies_before = bytes::deep_copy_count();
-    let shared = client.read_range(&descriptor.name, slab_offset, slab_len).unwrap();
-    let again = client.read_range(&descriptor.name, slab_offset, slab_len).unwrap();
+    let shared = client.read_range(&descriptor.name, offset, len).unwrap();
+    let again = client.read_range(&descriptor.name, offset, len).unwrap();
+    assert_eq!(&shared[..], &slab[..]);
     println!(
-        "zero-copy plane: two {} KB read_range calls performed {} deep byte copies{}",
+        "zero-copy plane: two {} KB read_range calls matched read_at with {} deep byte copies{}",
         shared.len() / 1000,
         bytes::deep_copy_count() - copies_before,
         if again.ptr_eq(&shared) {
@@ -99,7 +89,7 @@ fn main() {
         stats.hit_rate() * 100.0
     );
 
-    // 6. Capacity model: the paper's headline numbers.
+    // 5. Capacity model: the paper's headline numbers.
     let model = DpssSimModel::four_server_2000();
     let lan = TcpModel::from_path(
         &[Link::new(

@@ -1,21 +1,21 @@
-//! Integration tests of the distributed substrates working together:
-//! DPSS-over-TCP feeding the renderer, HPSS staging feeding a campaign, and
-//! the virtual-time campaigns agreeing with the analytic model and with each
-//! other across modes.
+//! Integration tests of the distributed substrates working together: the
+//! striped DPSS client feeding the renderer, HPSS staging feeding a campaign,
+//! and the virtual-time campaigns agreeing with the analytic model and with
+//! each other across modes.
 
-use visapult::core::{ExecutionMode, OverlapModel, SimCampaignConfig};
-use visapult::dpss::{net::serve_cluster, DatasetDescriptor, DpssClient, DpssCluster, HpssArchive, StripeLayout};
-use visapult::netsim::Bandwidth;
+use visapult::core::{ExecutionMode, OverlapModel, ScenarioSpec};
+use visapult::dpss::{DatasetDescriptor, DpssClient, DpssCluster, HpssArchive, StripeLayout};
+use visapult::netsim::{Bandwidth, TestbedKind};
 use visapult::scenegraph::IbravrModel;
 use visapult::volren::{
     combustion_series_bytes, render_view, Axis, RenderSettings, TransferFunction, ViewOrientation, Volume,
 };
 
 #[test]
-fn striped_tcp_dpss_feeds_the_volume_renderer() {
-    // Stage synthetic data, serve it over real TCP sockets, read a slab back
-    // through the striped client, and render it: the image must match the one
-    // rendered straight from the generator.
+fn striped_dpss_feeds_the_volume_renderer() {
+    // Stage synthetic data on three servers, read a slab back through the
+    // striped client (one worker per server), and render it: the image must
+    // match the one rendered straight from the generator.
     let descriptor = DatasetDescriptor::small_combustion(2);
     let cluster = DpssCluster::new(StripeLayout::new(32 * 1024, 3, 2));
     cluster.register_dataset(descriptor.clone());
@@ -24,10 +24,11 @@ fn striped_tcp_dpss_feeds_the_volume_renderer() {
         .write_at(&descriptor.name, 0, &bytes)
         .unwrap();
 
-    let (_servers, tcp_client) = serve_cluster(&cluster, "backend", None).unwrap();
+    let client = DpssClient::new(cluster, "backend");
+    assert_eq!(client.threads_per_request(), 3);
     let (offset, len) = descriptor.z_slab_range(1, 1, 4);
-    let mut slab_bytes = vec![0u8; len as usize];
-    tcp_client.read_at(&descriptor.name, offset, &mut slab_bytes).unwrap();
+    assert!(len > 2 * 32 * 1024, "the slab must span blocks on every server");
+    let slab_bytes = client.read_range(&descriptor.name, offset, len).unwrap();
 
     let (x, y, _) = descriptor.dims;
     let nz = len as usize / (x * y * 4);
@@ -78,7 +79,7 @@ fn sim_campaigns_track_the_analytic_model() {
     // The virtual-time scheduler must agree with the closed-form §4.3 model
     // when fed the same L and R (up to the cold start, jitter and send time).
     for mode in ExecutionMode::ALL {
-        let config = SimCampaignConfig::lan_e4500(8, 10, mode);
+        let config = ScenarioSpec::paper_sim_config(TestbedKind::LanSmp, 8, 10, mode).unwrap();
         let report = config.model().unwrap();
         let model = OverlapModel::new(report.mean_load_time, report.mean_render_time);
         let predicted = match mode {
@@ -102,13 +103,15 @@ fn overlap_speedup_shrinks_when_loading_dominates() {
     // On the LAN, L and R are balanced and overlapping pays ~1.5x; on ESnet,
     // loading dominates so the speedup is smaller — the trend the paper
     // predicts from the Ts/To analysis.
-    let speedup = |make: fn(usize, usize, ExecutionMode) -> SimCampaignConfig| {
-        let serial = make(8, 8, ExecutionMode::Serial).model().unwrap();
-        let overlapped = make(8, 8, ExecutionMode::Overlapped).model().unwrap();
-        serial.total_time / overlapped.total_time
+    let speedup = |kind: TestbedKind| {
+        let total = |mode| {
+            let config = ScenarioSpec::paper_sim_config(kind, 8, 8, mode).unwrap();
+            config.model().unwrap().total_time
+        };
+        total(ExecutionMode::Serial) / total(ExecutionMode::Overlapped)
     };
-    let lan = speedup(SimCampaignConfig::lan_e4500);
-    let esnet = speedup(SimCampaignConfig::esnet_anl);
+    let lan = speedup(TestbedKind::LanSmp);
+    let esnet = speedup(TestbedKind::EsnetAnlSmp);
     assert!(
         lan > esnet,
         "LAN speedup {lan:.2} should exceed ESnet speedup {esnet:.2}"
