@@ -6,7 +6,10 @@
 //! overhead, not the pacing), and `progressive_1k`: what a viewer link thread
 //! asks of one `FrameAssembler` per frame on the `wan_wire` shape (a 512²
 //! texture in 1 KB chunks over 8 stripes, the light and the texture prefix
-//! polled after every chunk).
+//! polled after every chunk).  `codec_geometry` is the codec alone on the
+//! `playback_warm` shape, where the AMR grid, not the texture, is the
+//! payload: encode plus decode of a frame with a 32² texture and 2 880 grid
+//! segments (69 KB of geometry against 4 KB of pixels).
 //!
 //! Besides the criterion output, a custom `main` writes a
 //! `target/BENCH_transport.json` baseline (median seconds per frame and
@@ -17,14 +20,19 @@ use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
 use visapult_bench::{median_secs, report_baseline};
-use visapult_core::protocol::{FramePayload, HeavyPayload, LightPayload};
+use visapult_core::protocol::{FramePayload, FrameSegments, HeavyPayload, LightPayload};
 use visapult_core::transport::{striped_link, AssemblyEvent, FrameAssembler, FrameChunk, TransportConfig};
 
 const TEX: usize = 256; // 256x256 RGBA8 = 256 KB per frame
 
-fn frame_of(tex: usize) -> FramePayload {
+/// Grid segments in a `codec_geometry` frame: 240 boxes of twelve edges.
+const CODEC_SEGMENTS: usize = 2880;
+
+fn frame_of(tex: usize, segments: usize) -> FramePayload {
     let texture: Vec<u8> = (0..tex * tex * 4).map(|i| (i % 251) as u8).collect();
-    let geometry: Vec<([f32; 3], [f32; 3])> = (0..256).map(|i| ([i as f32, 0.0, 0.0], [i as f32, 1.0, 1.0])).collect();
+    let geometry: Vec<([f32; 3], [f32; 3])> = (0..segments)
+        .map(|i| ([i as f32, 0.0, 0.0], [i as f32, 1.0, 1.0]))
+        .collect();
     FramePayload {
         light: LightPayload {
             frame: 0,
@@ -35,7 +43,7 @@ fn frame_of(tex: usize) -> FramePayload {
             quad_center: [0.5; 3],
             quad_u: [1.0, 0.0, 0.0],
             quad_v: [0.0, 1.0, 0.0],
-            geometry_segments: 256,
+            geometry_segments: segments as u32,
         },
         heavy: HeavyPayload {
             frame: 0,
@@ -64,7 +72,7 @@ fn roundtrip(frame: &FramePayload, stripes: u32) -> usize {
 }
 
 fn bench_striped_roundtrip(c: &mut Criterion) {
-    let frame = frame_of(TEX);
+    let frame = frame_of(TEX, 256);
     let bytes = frame.wire_bytes();
     let mut group = c.benchmark_group("transport_frame_roundtrip");
     group.throughput(Throughput::Bytes(bytes));
@@ -82,7 +90,7 @@ fn progressive_chunks() -> Vec<FrameChunk> {
     let mut config = TransportConfig::default().with_stripes(8).with_chunk_bytes(1024);
     config.queue_depth = 2048;
     let (tx, mut rx) = striped_link(&config);
-    tx.send_frame(&frame_of(512)).unwrap();
+    tx.send_frame(&frame_of(512, 256)).unwrap();
     drop(tx);
     std::iter::from_fn(|| rx.try_recv_chunk()).collect()
 }
@@ -109,10 +117,24 @@ fn bench_progressive(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_striped_roundtrip, bench_progressive);
+/// What the back end's `send_frame` and a viewer link's `accept` spend on
+/// the codec for one frame: encode, then decode the segments.
+fn codec(frame: &FramePayload) -> usize {
+    let decoded = FrameSegments::encode(frame).decode().unwrap();
+    decoded.heavy.geometry.len()
+}
+
+fn bench_codec(c: &mut Criterion) {
+    let frame = frame_of(32, CODEC_SEGMENTS);
+    c.bench_function("transport_codec_geometry", |b| {
+        b.iter(|| black_box(codec(&frame)));
+    });
+}
+
+criterion_group!(benches, bench_striped_roundtrip, bench_progressive, bench_codec);
 
 fn write_baseline() {
-    let frame = frame_of(TEX);
+    let frame = frame_of(TEX, 256);
     let bytes = frame.wire_bytes();
     let samples = 30;
 
@@ -130,9 +152,14 @@ fn write_baseline() {
         black_box(progressive(&chunks));
     });
 
+    let codec_frame = frame_of(32, CODEC_SEGMENTS);
+    let codec_s = median_secs(samples, || {
+        black_box(codec(&codec_frame));
+    });
+
     let mbps = |s: f64| bytes as f64 / s / 1e6;
     let json = format!(
-        "{{\n  \"bench\": \"transport_frame_roundtrip\",\n  \"bytes_per_op\": {bytes},\n  \"samples\": {samples},\n  \"cases\": {{\n    \"stripes_1\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_4\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_8\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"progressive_1k\": {{ \"median_s\": {progressive_s:.9}, \"chunks\": {} }}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"transport_frame_roundtrip\",\n  \"bytes_per_op\": {bytes},\n  \"samples\": {samples},\n  \"cases\": {{\n    \"stripes_1\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_4\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_8\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"progressive_1k\": {{ \"median_s\": {progressive_s:.9}, \"chunks\": {} }},\n    \"codec_geometry\": {{ \"median_s\": {codec_s:.9}, \"segments\": {CODEC_SEGMENTS}, \"wire_bytes\": {} }}\n  }}\n}}\n",
         stripe_s[0],
         mbps(stripe_s[0]),
         stripe_s[1],
@@ -140,6 +167,7 @@ fn write_baseline() {
         stripe_s[2],
         mbps(stripe_s[2]),
         chunks.len(),
+        codec_frame.framed_wire_bytes(),
     );
     report_baseline("transport", &json);
 }

@@ -12,9 +12,17 @@
 //! shared segments, `transport::striped_link` chunks them onto stripes, and
 //! the receiving `FrameAssembler` rejoins them and calls
 //! [`FrameSegments::decode`].
+//!
+//! Every field is big-endian.  The codec reads them in place, off the
+//! received bytes, with a reader whose every read is bounds-checked: a field
+//! cut short is a [`VisapultError::Protocol`], never a panic, and no count
+//! off the wire sizes an allocation before it has been checked against the
+//! bytes actually present.  The AMR grid — 24 bytes a segment and, on small
+//! textures, most of the frame — is written into one buffer sized up front
+//! and read back 24 bytes at a time.
 
 use crate::error::VisapultError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use std::sync::Arc;
 
 /// Protocol magic word ("VSPL").
@@ -105,86 +113,150 @@ impl FramePayload {
     }
 }
 
-fn put_vec3(buf: &mut BytesMut, v: [f32; 3]) {
-    for c in v {
-        buf.put_f32(c);
-    }
+/// Start a message: its 9-byte header (magic, type, body length) in a buffer
+/// with room for `capacity` bytes in all.
+fn message_header(msg_type: u8, body_len: usize, capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    out.extend_from_slice(&MAGIC.to_be_bytes());
+    out.push(msg_type);
+    out.extend_from_slice(&(body_len as u32).to_be_bytes());
+    out
 }
 
-fn get_vec3(buf: &mut impl Buf) -> [f32; 3] {
-    [buf.get_f32(), buf.get_f32(), buf.get_f32()]
+/// Append big-endian words.
+fn put_u32s(out: &mut Vec<u8>, words: impl IntoIterator<Item = u32>) {
+    for word in words {
+        out.extend_from_slice(&word.to_be_bytes());
+    }
 }
 
 /// Encode a light payload (including the message header).
 pub fn encode_light(p: &LightPayload) -> Vec<u8> {
-    let mut body = BytesMut::with_capacity(LightPayload::ENCODED_LEN);
-    body.put_u32(p.frame);
-    body.put_u32(p.rank);
-    body.put_u32(p.texture_width);
-    body.put_u32(p.texture_height);
-    body.put_u32(p.bytes_per_pixel);
-    put_vec3(&mut body, p.quad_center);
-    put_vec3(&mut body, p.quad_u);
-    put_vec3(&mut body, p.quad_v);
-    body.put_u32(p.geometry_segments);
-    frame_message(TYPE_LIGHT, &body)
+    let mut out = message_header(TYPE_LIGHT, LightPayload::ENCODED_LEN, 9 + LightPayload::ENCODED_LEN);
+    put_u32s(
+        &mut out,
+        [p.frame, p.rank, p.texture_width, p.texture_height, p.bytes_per_pixel],
+    );
+    put_u32s(
+        &mut out,
+        [p.quad_center, p.quad_u, p.quad_v]
+            .into_iter()
+            .flatten()
+            .map(f32::to_bits),
+    );
+    put_u32s(&mut out, [p.geometry_segments]);
+    out
 }
 
-fn frame_message(msg_type: u8, body: &[u8]) -> Vec<u8> {
-    let mut out = BytesMut::with_capacity(9 + body.len());
-    out.put_u32(MAGIC);
-    out.put_u8(msg_type);
-    out.put_u32(body.len() as u32);
-    out.put_slice(body);
-    out.to_vec()
+/// Wire bytes of one geometry segment: two 3-vectors of big-endian `f32`.
+const SEGMENT_LEN: usize = 24;
+
+/// The geometry block — segment count, then every segment's six
+/// coordinates — written into one buffer sized up front.
+fn encode_geometry(geometry: &[([f32; 3], [f32; 3])]) -> Vec<u8> {
+    let mut out = vec![0u8; 4 + geometry.len() * SEGMENT_LEN];
+    let (count, points) = out.split_at_mut(4);
+    count.copy_from_slice(&(geometry.len() as u32).to_be_bytes());
+    for (bytes, (a, b)) in points.chunks_exact_mut(SEGMENT_LEN).zip(geometry) {
+        let coords = [a[0], a[1], a[2], b[0], b[1], b[2]];
+        for (word, c) in bytes.chunks_exact_mut(4).zip(coords) {
+            word.copy_from_slice(&c.to_be_bytes());
+        }
+    }
+    out
+}
+
+/// One geometry segment back off its wire bytes.
+fn decode_segment(bytes: &[u8; SEGMENT_LEN]) -> ([f32; 3], [f32; 3]) {
+    let c = |i: usize| f32::from_be_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
+    ([c(0), c(4), c(8)], [c(12), c(16), c(20)])
+}
+
+/// Big-endian fields read in place off the front of a byte slice.  A field
+/// the slice is too short for is a [`VisapultError::Protocol`] carrying the
+/// reader's `truncated` message — never a panic, and never a copy.
+struct Reader<'a> {
+    rest: &'a [u8],
+    truncated: &'static str,
+}
+
+impl<'a> Reader<'a> {
+    fn new(bytes: &'a [u8], truncated: &'static str) -> Self {
+        Reader { rest: bytes, truncated }
+    }
+
+    fn short(&self) -> VisapultError {
+        VisapultError::Protocol(self.truncated.to_string())
+    }
+
+    fn u8(&mut self) -> Result<u8, VisapultError> {
+        let (&byte, rest) = self.rest.split_first().ok_or_else(|| self.short())?;
+        self.rest = rest;
+        Ok(byte)
+    }
+
+    fn u32(&mut self) -> Result<u32, VisapultError> {
+        let (word, rest) = self.rest.split_first_chunk::<4>().ok_or_else(|| self.short())?;
+        self.rest = rest;
+        Ok(u32::from_be_bytes(*word))
+    }
+
+    fn vec3(&mut self) -> Result<[f32; 3], VisapultError> {
+        Ok([
+            f32::from_bits(self.u32()?),
+            f32::from_bits(self.u32()?),
+            f32::from_bits(self.u32()?),
+        ])
+    }
+
+    /// A message header: `(magic, type, body length)`.
+    fn header(&mut self) -> Result<(u32, u8, usize), VisapultError> {
+        Ok((self.u32()?, self.u8()?, self.u32()? as usize))
+    }
+}
+
+fn check_magic(magic: u32) -> Result<(), VisapultError> {
+    if magic != MAGIC {
+        return Err(VisapultError::Protocol(format!("bad magic {magic:#x}")));
+    }
+    Ok(())
 }
 
 /// Decode a light payload from a full message (header included).
 pub fn decode_light(msg: &[u8]) -> Result<LightPayload, VisapultError> {
-    let (msg_type, mut body) = split_message(msg)?;
+    let (msg_type, body) = split_message(msg)?;
     if msg_type != TYPE_LIGHT {
         return Err(VisapultError::Protocol(format!(
             "expected light payload, got type {msg_type}"
         )));
     }
-    if body.remaining() < LightPayload::ENCODED_LEN {
-        return Err(VisapultError::Protocol("light payload truncated".to_string()));
-    }
+    let mut body = Reader::new(body, "light payload truncated");
     Ok(LightPayload {
-        frame: body.get_u32(),
-        rank: body.get_u32(),
-        texture_width: body.get_u32(),
-        texture_height: body.get_u32(),
-        bytes_per_pixel: body.get_u32(),
-        quad_center: get_vec3(&mut body),
-        quad_u: get_vec3(&mut body),
-        quad_v: get_vec3(&mut body),
-        geometry_segments: body.get_u32(),
+        frame: body.u32()?,
+        rank: body.u32()?,
+        texture_width: body.u32()?,
+        texture_height: body.u32()?,
+        bytes_per_pixel: body.u32()?,
+        quad_center: body.vec3()?,
+        quad_u: body.vec3()?,
+        quad_v: body.vec3()?,
+        geometry_segments: body.u32()?,
     })
 }
 
-/// Parse a 9-byte message header into `(type, body length)`, checking the
-/// magic word.
-fn parse_header(mut header: &[u8]) -> Result<(u8, usize), VisapultError> {
-    if header.remaining() < 9 {
-        return Err(VisapultError::Protocol("message shorter than header".to_string()));
-    }
-    let magic = header.get_u32();
-    if magic != MAGIC {
-        return Err(VisapultError::Protocol(format!("bad magic {magic:#x}")));
-    }
-    Ok((header.get_u8(), header.get_u32() as usize))
-}
-
+/// Split a message into its type and its body, checking the magic word and
+/// that the body the header announces is all there.
 fn split_message(msg: &[u8]) -> Result<(u8, &[u8]), VisapultError> {
-    let (msg_type, len) = parse_header(msg)?;
-    if msg.len() < 9 + len {
-        return Err(VisapultError::Protocol(format!(
+    let mut r = Reader::new(msg, "message shorter than header");
+    let (magic, msg_type, len) = r.header()?;
+    check_magic(magic)?;
+    let body = r.rest.get(..len).ok_or_else(|| {
+        VisapultError::Protocol(format!(
             "message body truncated: expected {len} bytes, have {}",
-            msg.len() - 9
-        )));
-    }
-    Ok((msg_type, &msg[9..9 + len]))
+            r.rest.len()
+        ))
+    })?;
+    Ok((msg_type, body))
 }
 
 /// One frame split into its wire segments, each a shared [`Bytes`] buffer —
@@ -215,27 +287,15 @@ pub const HEAVY_HEADER_LEN: usize = 9 + 12;
 impl FrameSegments {
     /// Encode a frame into its wire segments without copying the texture.
     pub fn encode(frame: &FramePayload) -> FrameSegments {
-        let light = Bytes::from(encode_light(&frame.light));
         let heavy = &frame.heavy;
-        let body_len = 12 + heavy.texture_rgba8.len() + 4 + heavy.geometry.len() * 24;
-        let mut header = BytesMut::with_capacity(HEAVY_HEADER_LEN);
-        header.put_u32(MAGIC);
-        header.put_u8(TYPE_HEAVY);
-        header.put_u32(body_len as u32);
-        header.put_u32(heavy.frame);
-        header.put_u32(heavy.rank);
-        header.put_u32(heavy.texture_rgba8.len() as u32);
-        let mut geometry = BytesMut::with_capacity(4 + heavy.geometry.len() * 24);
-        geometry.put_u32(heavy.geometry.len() as u32);
-        for (a, b) in heavy.geometry.iter() {
-            put_vec3(&mut geometry, *a);
-            put_vec3(&mut geometry, *b);
-        }
+        let body_len = 12 + heavy.texture_rgba8.len() + 4 + heavy.geometry.len() * SEGMENT_LEN;
+        let mut header = message_header(TYPE_HEAVY, body_len, HEAVY_HEADER_LEN);
+        put_u32s(&mut header, [heavy.frame, heavy.rank, heavy.texture_rgba8.len() as u32]);
         FrameSegments {
-            light,
-            heavy_header: header.freeze(),
+            light: Bytes::from(encode_light(&frame.light)),
+            heavy_header: Bytes::from(header),
             texture: heavy.texture_rgba8.clone(),
-            geometry: geometry.freeze(),
+            geometry: Bytes::from(encode_geometry(&heavy.geometry)),
         }
     }
 
@@ -272,20 +332,15 @@ impl FrameSegments {
     /// sender's buffers this is a fully zero-copy decode.
     pub fn decode(self) -> Result<FramePayload, VisapultError> {
         let light = decode_light(&self.light)?;
-        let mut h: &[u8] = &self.heavy_header;
-        if h.remaining() < HEAVY_HEADER_LEN {
-            return Err(VisapultError::Protocol("heavy header truncated".to_string()));
-        }
-        let (msg_type, body_len) = parse_header(h)?;
+        let mut h = Reader::new(&self.heavy_header, "heavy header truncated");
+        let (magic, msg_type, body_len) = h.header()?;
+        let (frame, rank, tex_len) = (h.u32()?, h.u32()?, h.u32()? as usize);
+        check_magic(magic)?;
         if msg_type != TYPE_HEAVY {
             return Err(VisapultError::Protocol(format!(
                 "expected heavy payload, got type {msg_type}"
             )));
         }
-        h = &h[9..];
-        let frame = h.get_u32();
-        let rank = h.get_u32();
-        let tex_len = h.get_u32() as usize;
         if tex_len != self.texture.len() {
             return Err(VisapultError::Protocol(format!(
                 "texture segment is {} bytes but the header says {tex_len}",
@@ -310,7 +365,219 @@ impl FrameSegments {
                 light.texture_width, light.texture_height, light.bytes_per_pixel
             )));
         }
-        let mut g: &[u8] = &self.geometry;
+        let mut g = Reader::new(&self.geometry, "heavy payload geometry count missing");
+        let seg_count = g.u32()? as usize;
+        if seg_count.checked_mul(SEGMENT_LEN) != Some(g.rest.len()) {
+            return Err(VisapultError::Protocol("heavy payload geometry truncated".to_string()));
+        }
+        if seg_count != light.geometry_segments as usize {
+            return Err(VisapultError::Protocol(format!(
+                "geometry has {seg_count} segments but the metadata promises {}",
+                light.geometry_segments
+            )));
+        }
+        // Sized by the bytes present, which the count was just checked
+        // against.  `chunks_exact` in array form: with slice chunks the
+        // length was not known at the reads and decode took 7x as long.
+        let (segments, _) = g.rest.as_chunks::<SEGMENT_LEN>();
+        let geometry: Vec<_> = segments.iter().map(decode_segment).collect();
+        Ok(FramePayload {
+            heavy: HeavyPayload {
+                frame,
+                rank,
+                texture_rgba8: self.texture,
+                geometry: Arc::new(geometry),
+            },
+            light,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn put_u32(buf: &mut Vec<u8>, v: u32) {
+        buf.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_vec3(buf: &mut Vec<u8>, v: [f32; 3]) {
+        for c in v {
+            put_u32(buf, c.to_bits());
+        }
+    }
+
+    fn frame_message(msg_type: u8, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(9 + body.len());
+        put_u32(&mut out, MAGIC);
+        out.push(msg_type);
+        put_u32(&mut out, body.len() as u32);
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// The light message written field by field into a body that is then
+    /// copied behind its header, the way the codec wrote it before
+    /// [`encode_light`] wrote in place.  Byte-identity oracle.
+    fn encode_light_per_field(p: &LightPayload) -> Vec<u8> {
+        let mut body = Vec::with_capacity(LightPayload::ENCODED_LEN);
+        put_u32(&mut body, p.frame);
+        put_u32(&mut body, p.rank);
+        put_u32(&mut body, p.texture_width);
+        put_u32(&mut body, p.texture_height);
+        put_u32(&mut body, p.bytes_per_pixel);
+        put_vec3(&mut body, p.quad_center);
+        put_vec3(&mut body, p.quad_u);
+        put_vec3(&mut body, p.quad_v);
+        put_u32(&mut body, p.geometry_segments);
+        frame_message(TYPE_LIGHT, &body)
+    }
+
+    /// The heavy message written as one copied buffer, the way the codec
+    /// [`FrameSegments`] replaced wrote it.  Kept as the byte-identity oracle
+    /// that pins the wire format.
+    fn encode_heavy(p: &HeavyPayload) -> Vec<u8> {
+        let mut body = Vec::with_capacity(16 + p.texture_rgba8.len() + p.geometry.len() * 24);
+        put_u32(&mut body, p.frame);
+        put_u32(&mut body, p.rank);
+        put_u32(&mut body, p.texture_rgba8.len() as u32);
+        body.extend_from_slice(&p.texture_rgba8);
+        put_u32(&mut body, p.geometry.len() as u32);
+        for (a, b) in p.geometry.iter() {
+            put_vec3(&mut body, *a);
+            put_vec3(&mut body, *b);
+        }
+        frame_message(TYPE_HEAVY, &body)
+    }
+
+    /// The byte-source trait the codec read through before [`Reader`]: every
+    /// field through an owned copy of its bytes, the caller checking lengths
+    /// up front.  Here only for the per-field decode below.
+    trait Buf {
+        fn remaining(&self) -> usize;
+
+        fn copy_to_bytes(&mut self, n: usize) -> Vec<u8>;
+
+        fn get_u8(&mut self) -> u8 {
+            self.copy_to_bytes(1)[0]
+        }
+
+        fn get_u32(&mut self) -> u32 {
+            let b = self.copy_to_bytes(4);
+            u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+        }
+
+        fn get_f32(&mut self) -> f32 {
+            f32::from_bits(self.get_u32())
+        }
+    }
+
+    impl Buf for &[u8] {
+        fn remaining(&self) -> usize {
+            self.len()
+        }
+
+        fn copy_to_bytes(&mut self, n: usize) -> Vec<u8> {
+            let (head, tail) = self.split_at(n);
+            *self = tail;
+            head.to_vec()
+        }
+    }
+
+    fn get_vec3(buf: &mut impl Buf) -> [f32; 3] {
+        [buf.get_f32(), buf.get_f32(), buf.get_f32()]
+    }
+
+    fn parse_header_per_field(mut header: &[u8]) -> Result<(u8, usize), VisapultError> {
+        if header.remaining() < 9 {
+            return Err(VisapultError::Protocol("message shorter than header".to_string()));
+        }
+        let magic = header.get_u32();
+        if magic != MAGIC {
+            return Err(VisapultError::Protocol(format!("bad magic {magic:#x}")));
+        }
+        Ok((header.get_u8(), header.get_u32() as usize))
+    }
+
+    fn split_message_per_field(msg: &[u8]) -> Result<(u8, &[u8]), VisapultError> {
+        let (msg_type, len) = parse_header_per_field(msg)?;
+        if msg.len() < 9 + len {
+            return Err(VisapultError::Protocol(format!(
+                "message body truncated: expected {len} bytes, have {}",
+                msg.len() - 9
+            )));
+        }
+        Ok((msg_type, &msg[9..9 + len]))
+    }
+
+    /// [`decode_light`] as it read before [`Reader`]: the oracle.
+    fn decode_light_per_field(msg: &[u8]) -> Result<LightPayload, VisapultError> {
+        let (msg_type, mut body) = split_message_per_field(msg)?;
+        if msg_type != TYPE_LIGHT {
+            return Err(VisapultError::Protocol(format!(
+                "expected light payload, got type {msg_type}"
+            )));
+        }
+        if body.remaining() < LightPayload::ENCODED_LEN {
+            return Err(VisapultError::Protocol("light payload truncated".to_string()));
+        }
+        Ok(LightPayload {
+            frame: body.get_u32(),
+            rank: body.get_u32(),
+            texture_width: body.get_u32(),
+            texture_height: body.get_u32(),
+            bytes_per_pixel: body.get_u32(),
+            quad_center: get_vec3(&mut body),
+            quad_u: get_vec3(&mut body),
+            quad_v: get_vec3(&mut body),
+            geometry_segments: body.get_u32(),
+        })
+    }
+
+    /// [`FrameSegments::decode`] as it read before [`Reader`] — one allocation
+    /// per field, one `push` per segment: the oracle.
+    fn decode_per_field(s: FrameSegments) -> Result<FramePayload, VisapultError> {
+        let light = decode_light_per_field(&s.light)?;
+        let mut h: &[u8] = &s.heavy_header;
+        if h.remaining() < HEAVY_HEADER_LEN {
+            return Err(VisapultError::Protocol("heavy header truncated".to_string()));
+        }
+        let (msg_type, body_len) = parse_header_per_field(h)?;
+        if msg_type != TYPE_HEAVY {
+            return Err(VisapultError::Protocol(format!(
+                "expected heavy payload, got type {msg_type}"
+            )));
+        }
+        h = &h[9..];
+        let frame = h.get_u32();
+        let rank = h.get_u32();
+        let tex_len = h.get_u32() as usize;
+        if tex_len != s.texture.len() {
+            return Err(VisapultError::Protocol(format!(
+                "texture segment is {} bytes but the header says {tex_len}",
+                s.texture.len()
+            )));
+        }
+        if body_len != 12 + tex_len + s.geometry.len() {
+            return Err(VisapultError::Protocol("heavy body length mismatch".to_string()));
+        }
+        if frame != light.frame || rank != light.rank {
+            return Err(VisapultError::Protocol(format!(
+                "light ({}, {}) and heavy ({frame}, {rank}) payloads disagree on identity",
+                light.frame, light.rank
+            )));
+        }
+        let promised = (light.texture_width as usize)
+            .checked_mul(light.texture_height as usize)
+            .and_then(|texels| texels.checked_mul(light.bytes_per_pixel as usize));
+        if promised != Some(tex_len) {
+            return Err(VisapultError::Protocol(format!(
+                "texture is {tex_len} bytes but the metadata promises {}x{}x{}",
+                light.texture_width, light.texture_height, light.bytes_per_pixel
+            )));
+        }
+        let mut g: &[u8] = &s.geometry;
         if g.remaining() < 4 {
             return Err(VisapultError::Protocol(
                 "heavy payload geometry count missing".to_string(),
@@ -334,33 +601,111 @@ impl FrameSegments {
             heavy: HeavyPayload {
                 frame,
                 rank,
-                texture_rgba8: self.texture,
+                texture_rgba8: s.texture,
                 geometry: Arc::new(geometry),
             },
             light,
         })
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// A decode outcome in a form two decoders can be compared by: the
+    /// payload as its oracle-encoded wire bytes (so NaN coordinates compare by
+    /// their bits), or the error text.
+    fn outcome(result: Result<FramePayload, VisapultError>) -> Result<Vec<u8>, String> {
+        result
+            .map(|f| [encode_light_per_field(&f.light), encode_heavy(&f.heavy)].concat())
+            .map_err(|e| e.to_string())
+    }
 
-    /// The heavy message written as one copied buffer, the way the codec
-    /// [`FrameSegments`] replaced wrote it.  Kept as the byte-identity oracle
-    /// that pins the wire format.
-    fn encode_heavy(p: &HeavyPayload) -> Vec<u8> {
-        let mut body = BytesMut::with_capacity(16 + p.texture_rgba8.len() + p.geometry.len() * 24);
-        body.put_u32(p.frame);
-        body.put_u32(p.rank);
-        body.put_u32(p.texture_rgba8.len() as u32);
-        body.put_slice(&p.texture_rgba8);
-        body.put_u32(p.geometry.len() as u32);
-        for (a, b) in p.geometry.iter() {
-            put_vec3(&mut body, *a);
-            put_vec3(&mut body, *b);
+    /// A frame whose coordinates are arbitrary bit patterns — NaNs,
+    /// infinities and signed zeros included.
+    fn arbitrary_frame(tex: (u32, u32), coords: &[f32], light_frame: u32) -> FramePayload {
+        let (w, h) = tex;
+        let at = |i: usize| coords[i % coords.len()];
+        let vec3 = |i: usize| [at(i), at(i + 1), at(i + 2)];
+        let geometry: Vec<_> = (0..coords.len() / 6).map(|s| (vec3(6 * s), vec3(6 * s + 3))).collect();
+        FramePayload {
+            light: LightPayload {
+                frame: light_frame,
+                rank: 1,
+                texture_width: w,
+                texture_height: h,
+                bytes_per_pixel: 4,
+                quad_center: vec3(0),
+                quad_u: vec3(1),
+                quad_v: vec3(2),
+                geometry_segments: geometry.len() as u32,
+            },
+            heavy: HeavyPayload {
+                frame: 9,
+                rank: 1,
+                texture_rgba8: (0..w * h * 4).map(|i| (i * 7) as u8).collect::<Vec<u8>>().into(),
+                geometry: Arc::new(geometry),
+            },
         }
-        frame_message(TYPE_HEAVY, &body)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        /// The in-place decode is the per-field decode: the same payload bit
+        /// for bit, or the same error text, on valid frames and on frames
+        /// truncated, bit-flipped or overwritten in any one segment.
+        #[test]
+        fn decode_matches_the_per_field_oracle(
+            tex in (0u32..6, 0u32..6),
+            coords in proptest::collection::vec(any::<f32>(), 1..60),
+            identity_agrees in any::<bool>(),
+            edit in (0usize..4, 0u8..4, any::<u64>(), 0u8..8),
+            noise in proptest::collection::vec(any::<u8>(), 0..80),
+        ) {
+            let (segment, mutation, at, bit) = edit;
+            let frame = arbitrary_frame(tex, &coords, if identity_agrees { 9 } else { 8 });
+            let mut s = FrameSegments::encode(&frame);
+            let seg = match segment {
+                0 => &mut s.light,
+                1 => &mut s.heavy_header,
+                2 => &mut s.texture,
+                _ => &mut s.geometry,
+            };
+            let len = seg.len() as u64;
+            match mutation {
+                0 => {}
+                1 => *seg = seg.slice(..(at % (len + 1)) as usize),
+                2 if len > 0 => {
+                    let mut bytes = seg[..].to_vec();
+                    bytes[(at % len) as usize] ^= 1 << bit;
+                    *seg = Bytes::from(bytes);
+                }
+                _ => *seg = Bytes::from(noise),
+            }
+            let light = |decoded: Result<LightPayload, VisapultError>| {
+                decoded.map(|l| encode_light_per_field(&l)).map_err(|e| e.to_string())
+            };
+            prop_assert_eq!(light(decode_light(&s.light)), light(decode_light_per_field(&s.light)));
+            prop_assert_eq!(outcome(s.clone().decode()), outcome(decode_per_field(s)));
+        }
+    }
+
+    #[test]
+    fn hostile_counts_are_refused_before_anything_is_sized_by_them() {
+        let mut s = FrameSegments::encode(&sample_frame());
+        let mut geometry = s.geometry[..].to_vec();
+        geometry[..4].copy_from_slice(&u32::MAX.to_be_bytes());
+        s.geometry = Bytes::from(geometry);
+        let err = s.decode().unwrap_err();
+        assert!(
+            matches!(&err, VisapultError::Protocol(m) if m.contains("geometry truncated")),
+            "{err:?}"
+        );
+        // A light header announcing a 4 GB body: refused, not read past.
+        let mut light = encode_light(&sample_frame().light);
+        light[5..9].copy_from_slice(&u32::MAX.to_be_bytes());
+        let err = decode_light(&light).unwrap_err();
+        assert!(
+            matches!(&err, VisapultError::Protocol(m) if m.contains("message body truncated")),
+            "{err:?}"
+        );
     }
 
     fn sample_frame() -> FramePayload {

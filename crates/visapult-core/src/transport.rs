@@ -835,6 +835,16 @@ impl Default for SharedDecode {
     }
 }
 
+/// The most chunks [`FrameAssembler::accept`] reserves slots for in one
+/// frame; a chunk announcing more is [`TransportError::Corrupt`] before
+/// anything is allocated.  `total` comes off the wire, and the slot table is
+/// sized by it: unbounded, one chunk announcing `u32::MAX` asks for ~137 GB.
+/// At 2¹⁶ the worst a hostile chunk can reserve is 2 MB of slots, while the
+/// bound is 63× the largest frame any workload sends (`wan_wire`: a 1 MB
+/// frame in 1 KB chunks, 1 040 of them) and 16× a 1024² RGBA8 texture at the
+/// smallest chunk a scenario can set (1 KB).
+pub(crate) const MAX_FRAME_CHUNKS: u32 = 1 << 16;
+
 /// Reassembles out-of-order chunks into complete frames, one instance per PE
 /// link.  Late and duplicate chunks are surfaced, never silently dropped.
 #[derive(Default)]
@@ -881,6 +891,13 @@ impl FrameAssembler {
             return Err(TransportError::Corrupt(format!(
                 "chunk seq {}/{} out of range (rank {}, frame {})",
                 chunk.seq, chunk.total, chunk.rank, chunk.frame
+            )));
+        }
+        // The slot table below is sized by `total`: bound it before it is.
+        if chunk.total > MAX_FRAME_CHUNKS {
+            return Err(TransportError::Corrupt(format!(
+                "frame {} (rank {}) announces {} chunks, more than the {MAX_FRAME_CHUNKS} a frame may have",
+                chunk.frame, chunk.rank, chunk.total
             )));
         }
         let mut entry = match self.pending.entry(key) {
@@ -1205,6 +1222,39 @@ mod tests {
         };
         asm.accept(chunk.clone()).unwrap();
         assert!(matches!(asm.accept(chunk), Err(TransportError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_chunk_announcing_too_many_chunks_is_refused_before_anything_is_reserved() {
+        let chunk = |frame: u32, total: u32| FrameChunk {
+            frame,
+            rank: 0,
+            seq: 0,
+            total,
+            stripe: 0,
+            stripe_seq: 0,
+            segment: 0,
+            payload: Bytes::from(vec![1u8; 4]),
+        };
+        let mut asm = FrameAssembler::new();
+        for (frame, total) in [(1, u32::MAX), (2, MAX_FRAME_CHUNKS + 1)] {
+            let err = asm.accept(chunk(frame, total)).unwrap_err();
+            assert!(
+                matches!(&err, TransportError::Corrupt(m) if m.contains("more than the")),
+                "{err:?}"
+            );
+        }
+        assert_eq!(asm.pending_frames(), vec![], "a refused frame leaves nothing pending");
+        assert_eq!(asm.stats.chunks, 0);
+        // The bound itself is a frame like any other.
+        assert!(matches!(
+            asm.accept(chunk(3, MAX_FRAME_CHUNKS)),
+            Ok(AssemblyEvent::Progress {
+                received: 1,
+                total: MAX_FRAME_CHUNKS,
+                ..
+            })
+        ));
     }
 
     #[test]

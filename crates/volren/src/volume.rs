@@ -40,6 +40,16 @@ pub(crate) fn min_max(values: &[f32]) -> (f32, f32) {
     )
 }
 
+/// A [`min_max`] result as a value range: `(0, 0)` when there was nothing to
+/// compare (no values, or only NaNs).
+pub(crate) fn value_range_of((min, max): (f32, f32)) -> (f32, f32) {
+    if min > max {
+        (0.0, 0.0)
+    } else {
+        (min, max)
+    }
+}
+
 /// A dense scalar field on a regular grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Volume {
@@ -134,12 +144,7 @@ impl Volume {
 
     /// Minimum and maximum sample values.
     pub fn value_range(&self) -> (f32, f32) {
-        let (min, max) = min_max(&self.data);
-        if min > max {
-            (0.0, 0.0)
-        } else {
-            (min, max)
-        }
+        value_range_of(min_max(&self.data))
     }
 
     /// Extract the sub-volume covering `[x0, x0+nx) × [y0, y0+ny) × [z0, z0+nz)`.

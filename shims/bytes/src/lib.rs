@@ -1,7 +1,5 @@
 //! Offline stand-in for `bytes`, vendored so the workspace builds without
-//! registry access.  Covers the wire-protocol subset this workspace uses:
-//! [`Buf`] for `&[u8]` (consuming reads, big-endian like the real crate),
-//! [`BufMut`]/[`BytesMut`] for building messages, and [`Bytes`] — the
+//! registry access.  Covers the one type this workspace uses: [`Bytes`], the
 //! reference-counted immutable buffer the zero-copy data plane is built on.
 //!
 //! Like the real crate, [`Bytes`] clones and slices in O(1) by sharing one
@@ -21,8 +19,8 @@ static DEEP_COPIES: AtomicU64 = AtomicU64::new(0);
 
 /// Number of deep byte-buffer copies [`Bytes`] has performed process-wide
 /// (via [`Bytes::to_vec`], [`Bytes::copy_from_slice`] or [`Bytes::gather`]).
-/// Zero-copy operations — `clone`, `slice`, `From<Vec<u8>>`,
-/// [`BytesMut::freeze`] — never bump it.
+/// Zero-copy operations — `clone`, `slice`, `try_join`, `From<Vec<u8>>` —
+/// never bump it.
 pub fn deep_copy_count() -> u64 {
     DEEP_COPIES.load(Ordering::Relaxed)
 }
@@ -223,152 +221,6 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
-/// Consuming big-endian reads from a byte source.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-
-    /// Read the next `n` bytes as an owned buffer.
-    fn copy_to_bytes(&mut self, n: usize) -> Vec<u8>;
-
-    /// Read one byte.
-    fn get_u8(&mut self) -> u8 {
-        self.copy_to_bytes(1)[0]
-    }
-
-    /// Read a big-endian `u32`.
-    fn get_u32(&mut self) -> u32 {
-        let b = self.copy_to_bytes(4);
-        u32::from_be_bytes([b[0], b[1], b[2], b[3]])
-    }
-
-    /// Read a big-endian `u64`.
-    fn get_u64(&mut self) -> u64 {
-        let b = self.copy_to_bytes(8);
-        u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-    }
-
-    /// Read a big-endian `f32`.
-    fn get_f32(&mut self) -> f32 {
-        f32::from_bits(self.get_u32())
-    }
-
-    /// Read a big-endian `f64`.
-    fn get_f64(&mut self) -> f64 {
-        f64::from_bits(self.get_u64())
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn copy_to_bytes(&mut self, n: usize) -> Vec<u8> {
-        assert!(n <= self.len(), "copy_to_bytes past end of buffer");
-        let (head, tail) = self.split_at(n);
-        *self = tail;
-        head.to_vec()
-    }
-}
-
-/// Big-endian appends onto a growable byte buffer.
-pub trait BufMut {
-    /// Append raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Append one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Append a big-endian `u32`.
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Append a big-endian `u64`.
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Append a big-endian `f32`.
-    fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
-    /// Append a big-endian `f64`.
-    fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
-/// A growable byte buffer (a thin `Vec<u8>` wrapper here).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    inner: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            inner: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when no bytes have been written.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Copy out as a plain `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.inner.clone()
-    }
-
-    /// Convert into an immutable shared [`Bytes`] without copying.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from_vec(self.inner)
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.inner.extend_from_slice(src);
-    }
-}
-
-impl std::ops::Deref for BytesMut {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.inner
-    }
-}
-
-impl From<BytesMut> for Vec<u8> {
-    fn from(b: BytesMut) -> Vec<u8> {
-        b.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,34 +280,5 @@ mod tests {
         assert!(a.try_join(&c).is_none());
         assert!(a.try_join(&Bytes::from(vec![1, 2, 3])).is_none());
         assert!(b.try_join(&a).is_none(), "joins are ordered");
-    }
-
-    #[test]
-    fn freeze_is_zero_copy() {
-        let _turn = counter_turn();
-        let mut buf = BytesMut::with_capacity(8);
-        buf.put_u32(0xAABBCCDD);
-        let before = deep_copy_count();
-        let frozen = buf.freeze();
-        assert_eq!(&frozen[..], &[0xAA, 0xBB, 0xCC, 0xDD]);
-        assert_eq!(deep_copy_count(), before);
-    }
-
-    #[test]
-    fn round_trip_big_endian() {
-        let mut buf = BytesMut::with_capacity(32);
-        buf.put_u32(0xDEADBEEF);
-        buf.put_u8(7);
-        buf.put_f32(1.5);
-        buf.put_slice(&[1, 2, 3]);
-        let bytes = buf.to_vec();
-        assert_eq!(bytes[..4], [0xDE, 0xAD, 0xBE, 0xEF]);
-        let mut r: &[u8] = &bytes;
-        assert_eq!(r.get_u32(), 0xDEADBEEF);
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_f32(), 1.5);
-        assert_eq!(r.remaining(), 3);
-        assert_eq!(r.copy_to_bytes(3), vec![1, 2, 3]);
-        assert_eq!(r.remaining(), 0);
     }
 }
