@@ -39,6 +39,9 @@ pub enum DpssError {
     },
     /// The file handle was already closed.
     Closed,
+    /// The client's fetch thread for this server could not be started, or
+    /// ended (panicked) before answering a read.
+    FetchThreadGone(usize),
 }
 
 impl fmt::Display for DpssError {
@@ -62,6 +65,7 @@ impl fmt::Display for DpssError {
                 "request for {len} bytes at in-block offset {in_block_offset} overruns the {block_size}-byte stripe slot"
             ),
             DpssError::Closed => write!(f, "file handle is closed"),
+            DpssError::FetchThreadGone(id) => write!(f, "the client's fetch thread for DPSS server {id} is gone"),
         }
     }
 }

@@ -21,9 +21,10 @@
 //! * [`server`] — in-memory block servers holding actual data for real-mode
 //!   runs.
 //! * [`client`] — the client API library (`dpss_open`, `dpss_read`,
-//!   `dpss_lseek`, `dpss_write`, `dpss_close`) with one worker thread per
-//!   server, exactly as described in §3.5; `read_range` is the one path a
-//!   block takes to the back end.
+//!   `dpss_lseek`, `dpss_write`, `dpss_close`) with one fetch thread per
+//!   server for the client's life, exactly as described in §3.5;
+//!   `read_pieces` (and `read_range`, which gathers its pieces) is the one
+//!   path a block takes to the back end.
 //! * [`hpss`] — the HPSS archival system model and the HPSS→DPSS staging path
 //!   the paper motivates ("we can migrate the files from HPSS to a nearby
 //!   DPSS cache").

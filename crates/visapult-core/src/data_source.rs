@@ -64,12 +64,14 @@ fn check_slab(
 }
 
 /// A data source backed by the DPSS client API: each slab load is a
-/// block-level `read_range` of exactly the slab's byte range, which is the
-/// access pattern the cache exists to serve.  The range comes back as a
-/// shared `Block` — zero-copy straight out of the server arenas (or the
-/// block cache) when the slab doesn't straddle block boundaries — and the
-/// only transformation after that is the little-endian float decode into the
-/// render volume.
+/// block-level read of exactly the slab's byte range, which is the access
+/// pattern the cache exists to serve.  The range comes back as its block
+/// pieces (`DpssClient::read_pieces`) — zero-copy slices of the server
+/// arenas or the block cache, never gathered — and the one pass over the
+/// bytes is the little-endian float decode from those pieces into the render
+/// volume (`Volume::from_le_parts`).  A byte count that does not decode to
+/// the slab (a dataset whose voxels are not 4-byte floats) is
+/// `VisapultError::Decode`.
 pub struct DpssDataSource {
     client: DpssClient,
     descriptor: DatasetDescriptor,
@@ -82,9 +84,8 @@ impl DpssDataSource {
         DpssDataSource { client, descriptor }
     }
 
-    /// The raw bytes of one slab, as the shared buffer the zero-copy plane
-    /// produced (exposed for tests and tooling that want the bytes without
-    /// the float decode).
+    /// The raw bytes of one slab, gathered into one shared buffer (exposed
+    /// for tests and tooling that want the bytes without the float decode).
     pub fn slab_bytes_shared(
         &self,
         timestep: usize,
@@ -103,9 +104,11 @@ impl DataSource for DpssDataSource {
     }
 
     fn load_slab(&self, timestep: usize, pe: usize, total_pes: usize) -> Result<Volume, VisapultError> {
-        let bytes = self.slab_bytes_shared(timestep, pe, total_pes)?;
+        check_slab(&self.descriptor, timestep, pe, total_pes)?;
+        let (offset, len) = self.descriptor.z_slab_range(timestep, pe, total_pes);
+        let pieces = self.client.read_pieces(&self.descriptor.name, offset, len)?;
         let dims = slab_dims(&self.descriptor, pe, total_pes);
-        Ok(Volume::from_le_bytes(dims, &bytes))
+        Ok(Volume::from_le_parts(dims, &pieces)?)
     }
 }
 
@@ -176,11 +179,35 @@ mod tests {
     fn dpss_source_round_trips_the_synthetic_data() {
         // What the back end reads from the cache must be bit-identical to
         // what the generator produced (staging + block reads are lossless).
+        // 8 KB blocks: a slab of 4 spans ten of them, a slab of 3 starts and
+        // ends inside one, so the decode runs across piece boundaries.
         let (dpss_src, synth_src) = dpss_source();
-        for pe in 0..4 {
-            let from_cache = dpss_src.load_slab(1, pe, 4).unwrap();
-            let from_generator = synth_src.load_slab(1, pe, 4).unwrap();
-            assert_eq!(from_cache, from_generator, "slab {pe} differs");
+        for pes in [3, 4] {
+            for pe in 0..pes {
+                let from_cache = dpss_src.load_slab(1, pe, pes).unwrap();
+                let from_generator = synth_src.load_slab(1, pe, pes).unwrap();
+                assert_eq!(from_cache, from_generator, "slab {pe} of {pes} differs");
+            }
+        }
+    }
+
+    #[test]
+    fn a_slab_that_is_not_four_bytes_a_voxel_is_an_error_not_a_panic() {
+        // 2-byte voxels: every slab range is half the bytes its dims decode
+        // from.  The parent's decode asserted on the length.
+        let descriptor = DatasetDescriptor::new("halves", (16, 16, 8), 2, 1);
+        let cluster = DpssCluster::new(StripeLayout::new(1024, 4, 1));
+        cluster.register_dataset(descriptor.clone());
+        let source = DpssDataSource::new(DpssClient::new(cluster, "backend"), descriptor);
+        for (pe, pes) in [(0, 1), (1, 2), (3, 4)] {
+            let dims = slab_dims(source.descriptor(), pe, pes);
+            match source.load_slab(0, pe, pes) {
+                Err(VisapultError::Decode(mismatch)) => {
+                    assert_eq!(mismatch.dims, dims);
+                    assert_eq!(mismatch.bytes, dims.0 * dims.1 * dims.2 * 2);
+                }
+                other => panic!("slab {pe} of {pes}: {other:?}"),
+            }
         }
     }
 

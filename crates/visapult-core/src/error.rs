@@ -15,6 +15,8 @@ pub enum VisapultError {
     Io(std::io::Error),
     /// A configuration error detected before running.
     Config(String),
+    /// Bytes read for a volume did not decode to it.
+    Decode(volren::ByteCountMismatch),
 }
 
 impl fmt::Display for VisapultError {
@@ -25,6 +27,7 @@ impl fmt::Display for VisapultError {
             VisapultError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             VisapultError::Io(e) => write!(f, "I/O error: {e}"),
             VisapultError::Config(msg) => write!(f, "configuration error: {msg}"),
+            VisapultError::Decode(e) => write!(f, "decode error: {e}"),
         }
     }
 }
@@ -40,6 +43,12 @@ impl From<dpss::DpssError> for VisapultError {
 impl From<parcomm::CommError> for VisapultError {
     fn from(e: parcomm::CommError) -> Self {
         VisapultError::Comm(e)
+    }
+}
+
+impl From<volren::ByteCountMismatch> for VisapultError {
+    fn from(e: volren::ByteCountMismatch) -> Self {
+        VisapultError::Decode(e)
     }
 }
 
@@ -63,5 +72,11 @@ mod tests {
         assert!(e.to_string().contains("boom"));
         assert!(VisapultError::Config("bad".into()).to_string().contains("bad"));
         assert!(VisapultError::Protocol("short".into()).to_string().contains("short"));
+        let e: VisapultError = volren::ByteCountMismatch {
+            dims: (2, 2, 2),
+            bytes: 31,
+        }
+        .into();
+        assert!(e.to_string().contains("31 bytes"));
     }
 }

@@ -44,4 +44,4 @@ pub use render::{
     render_cost_samples, render_region, render_region_rgba8, render_view, render_volume_full, RenderSettings,
 };
 pub use transfer::TransferFunction;
-pub use volume::Volume;
+pub use volume::{ByteCountMismatch, Volume};

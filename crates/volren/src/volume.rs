@@ -3,16 +3,47 @@
 //! A [`Volume`] is a dense 3-D grid of `f32` samples in X-fastest (C) order —
 //! the same layout the combustion simulation writes and the DPSS caches, so a
 //! slab read from the cache can be reinterpreted in place.
+//!
+//! Both directions of that byte format go through `[u8; 4]` words
+//! (`as_chunks`).  The decode with `chunks_exact` measured 6.7× slower (91
+//! against 13.6 µs for a 512 KB slab on a 2-core x86-64 Xeon); the encode
+//! measured the same either way and uses words to match.
+
+use std::fmt;
 
 /// Append `values` to `out` as little-endian IEEE-754 bytes (the DPSS wire
 /// format).
 pub(crate) fn extend_le_bytes(out: &mut Vec<u8>, values: &[f32]) {
     let start = out.len();
     out.resize(start + values.len() * 4, 0);
-    for (bytes, value) in out[start..].chunks_exact_mut(4).zip(values) {
-        bytes.copy_from_slice(&value.to_le_bytes());
+    let (words, _) = out[start..].as_chunks_mut::<4>();
+    for (word, value) in words.iter_mut().zip(values) {
+        *word = value.to_le_bytes();
     }
 }
+
+/// Bytes that do not decode to a volume of the dimensions asked for: there
+/// are not `x·y·z·4` of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ByteCountMismatch {
+    /// The grid dimensions the bytes were decoded at.
+    pub dims: (usize, usize, usize),
+    /// The number of bytes present.
+    pub bytes: usize,
+}
+
+impl fmt::Display for ByteCountMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (x, y, z) = self.dims;
+        write!(
+            f,
+            "{} bytes do not decode to a {x}×{y}×{z} volume of 4-byte floats",
+            self.bytes
+        )
+    }
+}
+
+impl std::error::Error for ByteCountMismatch {}
 
 /// Smallest and largest of `values`, `(INFINITY, NEG_INFINITY)` when there is
 /// nothing to compare.
@@ -78,17 +109,53 @@ impl Volume {
     }
 
     /// Reconstruct from little-endian IEEE-754 bytes (the DPSS wire format).
+    ///
+    /// # Panics
+    ///
+    /// When `bytes` is not `x·y·z·4` bytes long; [`Self::from_le_parts`]
+    /// returns that as an error instead.
     pub fn from_le_bytes(dims: (usize, usize, usize), bytes: &[u8]) -> Self {
-        assert_eq!(
-            bytes.len(),
-            dims.0 * dims.1 * dims.2 * 4,
-            "byte length must match dimensions"
-        );
-        let data = bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Volume { dims, data }
+        Self::from_le_parts(dims, &[bytes])
+            .unwrap_or_else(|mismatch| panic!("byte length must match dimensions: {mismatch}"))
+    }
+
+    /// Reconstruct from little-endian IEEE-754 bytes that arrive in `parts`
+    /// (a DPSS read's block pieces), decoding each part in place — the parts
+    /// are never gathered into one buffer.  The result is bit-identical to
+    /// [`Self::from_le_bytes`] on the parts concatenated, wherever the part
+    /// boundaries fall, inside a float included.
+    pub fn from_le_parts<P: AsRef<[u8]>>(dims: (usize, usize, usize), parts: &[P]) -> Result<Self, ByteCountMismatch> {
+        let bytes = parts.iter().map(|part| part.as_ref().len()).sum();
+        let samples = dims
+            .0
+            .checked_mul(dims.1)
+            .and_then(|n| n.checked_mul(dims.2))
+            .filter(|n| n.checked_mul(4) == Some(bytes))
+            .ok_or(ByteCountMismatch { dims, bytes })?;
+        let mut data = Vec::with_capacity(samples);
+        // The head of a float a part boundary cut through, completed from
+        // the front of the next part.
+        let mut straddling = [0u8; 4];
+        let mut held = 0;
+        for part in parts {
+            let mut part = part.as_ref();
+            if held > 0 {
+                let take = part.len().min(4 - held);
+                straddling[held..held + take].copy_from_slice(&part[..take]);
+                held += take;
+                part = &part[take..];
+                if held < 4 {
+                    continue;
+                }
+                data.push(f32::from_le_bytes(straddling));
+            }
+            let (words, tail) = part.as_chunks::<4>();
+            data.extend(words.iter().map(|&word| f32::from_le_bytes(word)));
+            straddling[..tail.len()].copy_from_slice(tail);
+            held = tail.len();
+        }
+        debug_assert_eq!((held, data.len()), (0, samples));
+        Ok(Volume { dims, data })
     }
 
     /// Serialize to little-endian IEEE-754 bytes.
@@ -192,6 +259,170 @@ impl Volume {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The decode `from_le_bytes` ran before the word kernel, verbatim.
+    fn from_le_bytes_chunks_exact(dims: (usize, usize, usize), bytes: &[u8]) -> Volume {
+        assert_eq!(
+            bytes.len(),
+            dims.0 * dims.1 * dims.2 * 4,
+            "byte length must match dimensions"
+        );
+        let data = bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+        Volume { dims, data }
+    }
+
+    /// The encode `extend_le_bytes` ran before the word kernel, verbatim.
+    fn extend_le_bytes_chunks_exact(out: &mut Vec<u8>, values: &[f32]) {
+        let start = out.len();
+        out.resize(start + values.len() * 4, 0);
+        for (bytes, value) in out[start..].chunks_exact_mut(4).zip(values) {
+            bytes.copy_from_slice(&value.to_le_bytes());
+        }
+    }
+
+    /// A float bit pattern of class `kind`, drawn from `bits`: NaN with a
+    /// payload, ±0, a subnormal, ±∞, or arbitrary bits.
+    fn bit_pattern(kind: u8, bits: u32) -> u32 {
+        let sign = bits & 0x8000_0000;
+        let mantissa = (bits & 0x007F_FFFF).max(1);
+        match kind {
+            0 => sign | 0x7F80_0000 | mantissa,
+            1 => sign,
+            2 => sign | mantissa,
+            3 => sign | 0x7F80_0000,
+            _ => bits,
+        }
+    }
+
+    /// `bytes` cut at `cuts`, each taken modulo one past its length: cuts
+    /// fall inside floats as often as between them, and repeated cuts make
+    /// empty parts.
+    fn split_at_cuts<'a>(bytes: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
+        let mut ends: Vec<usize> = cuts.iter().map(|cut| cut % (bytes.len() + 1)).collect();
+        ends.sort_unstable();
+        let mut start = 0;
+        let mut parts: Vec<&[u8]> = ends
+            .into_iter()
+            .map(|end| {
+                let part = &bytes[start..end];
+                start = end;
+                part
+            })
+            .collect();
+        parts.push(&bytes[start..]);
+        parts
+    }
+
+    fn bits_of(volume: &Volume) -> Vec<u32> {
+        volume.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Encode `words` behind `lead` bytes already in the buffer, decode them
+    /// from the parts `cuts` makes, and hold both kernels to their oracles
+    /// bit for bit; one byte short or over is a mismatch, not a panic.
+    fn check_kernels(words: &[(u8, u32)], cuts: &[usize], lead: usize) {
+        let values: Vec<f32> = words
+            .iter()
+            .map(|&(kind, bits)| f32::from_bits(bit_pattern(kind, bits)))
+            .collect();
+        let mut encoded = vec![0xA5; lead];
+        let mut oracle = encoded.clone();
+        extend_le_bytes(&mut encoded, &values);
+        extend_le_bytes_chunks_exact(&mut oracle, &values);
+        assert_eq!(encoded, oracle, "encode");
+
+        let bytes = &encoded[lead..];
+        let dims = (values.len(), 1, 1);
+        let expected = bits_of(&from_le_bytes_chunks_exact(dims, bytes));
+        assert_eq!(expected, values.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        assert_eq!(bits_of(&Volume::from_le_bytes(dims, bytes)), expected, "whole");
+        let parts = split_at_cuts(bytes, cuts);
+        let decoded = Volume::from_le_parts(dims, &parts).unwrap();
+        assert_eq!(decoded.dims(), dims);
+        assert_eq!(
+            bits_of(&decoded),
+            expected,
+            "parts {:?}",
+            parts.iter().map(|p| p.len()).collect::<Vec<_>>()
+        );
+
+        let over = [bytes, &[0]].concat();
+        for wrong in [&bytes[..bytes.len() - 1], &over[..]] {
+            let parts = split_at_cuts(wrong, cuts);
+            assert_eq!(
+                Volume::from_le_parts(dims, &parts),
+                Err(ByteCountMismatch {
+                    dims,
+                    bytes: wrong.len()
+                })
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        #[test]
+        fn the_word_kernels_match_their_oracles_over_any_bits_and_any_split(
+            words in vec((0u8..5, any::<u32>()), 1..200),
+            cuts in vec(any::<usize>(), 0..12),
+            lead in 0usize..4,
+        ) {
+            check_kernels(&words, &cuts, lead);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100_000))]
+
+        #[test]
+        #[ignore = "10^5 cases; run in release with --ignored"]
+        fn the_word_kernels_match_their_oracles_over_any_bits_and_any_split_sweep(
+            words in vec((0u8..5, any::<u32>()), 1..200),
+            cuts in vec(any::<usize>(), 0..12),
+            lead in 0usize..4,
+        ) {
+            check_kernels(&words, &cuts, lead);
+        }
+    }
+
+    #[test]
+    fn a_byte_count_that_is_not_four_per_voxel_is_an_error() {
+        let bytes = [0u8; 64];
+        assert!(Volume::from_le_parts((2, 2, 4), &[&bytes[..]]).is_ok());
+        for (dims, parts) in [
+            ((2, 2, 4), vec![&bytes[..60]]),
+            ((2, 2, 4), vec![&bytes[..32], &bytes[..33]]),
+            ((2, 2, 2), vec![&bytes[..]]),
+            ((0, 2, 2), vec![&bytes[..]]),
+            ((usize::MAX, 2, 1), vec![&bytes[..]]),
+            ((1 << 62, 1, 1), vec![&bytes[..0]]),
+        ] {
+            let bytes = parts.iter().map(|p| p.len()).sum();
+            assert_eq!(
+                Volume::from_le_parts(dims, &parts),
+                Err(ByteCountMismatch { dims, bytes }),
+                "{dims:?}"
+            );
+        }
+        let message = ByteCountMismatch {
+            dims: (2, 2, 4),
+            bytes: 60,
+        }
+        .to_string();
+        assert!(message.contains("60 bytes") && message.contains("2×2×4"), "{message}");
+    }
+
+    #[test]
+    #[should_panic(expected = "byte length must match dimensions")]
+    fn from_le_bytes_still_panics_on_a_wrong_length() {
+        Volume::from_le_bytes((2, 2, 2), &[0u8; 31]);
+    }
 
     fn ramp_volume(dims: (usize, usize, usize)) -> Volume {
         let mut v = Volume::zeros(dims);

@@ -4,7 +4,8 @@
 //! dataset archived on HPSS (full-file access only, tape latency) is migrated
 //! onto a four-server DPSS, after which Visapult-style block-level slab reads
 //! are served in parallel by every server — as zero-copy shared buffers
-//! through the client's one data path, `read_range` — and the capacity model
+//! through the client's one data path, `read_pieces`, here through
+//! `read_range`, which gathers the pieces — and the capacity model
 //! reproduces the paper's headline 980 Mbps LAN / 570 Mbps WAN numbers.
 //!
 //! Run with: `cargo run --release --example dpss_cache_tour`

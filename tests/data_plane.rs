@@ -1,10 +1,14 @@
 //! Property tests over the zero-copy data plane: the new shared-buffer
 //! `read_range` path must be byte-identical to the legacy copying
 //! `dpss_read`/`read_at` API on arbitrary datasets, layouts and offsets —
-//! with and without the sharded block cache mounted.
+//! with and without the sharded block cache mounted.  And many readers on
+//! one client — one set of fetch threads — must each get their bytes, with
+//! the cache's counters exact, and never hang.  The large concurrent run is
+//! `#[ignore]`d: `cargo test --release -q --test data_plane -- --ignored`.
 
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 use visapult::dpss::{BlockCache, CacheConfig, DatasetDescriptor, DpssClient, DpssCluster, SeekFrom, StripeLayout};
 
 /// Build a cluster with the given layout, register a dataset of `dims` ×
@@ -100,4 +104,75 @@ proptest! {
             prop_assert_eq!(&block[..], &data[start as usize..(start + expect_len) as usize]);
         }
     }
+}
+
+/// `readers` threads each make `reads` random slab reads — any timestep, 1–7
+/// slabs, any slab, through `read_range` and `read_pieces` in turn — on one
+/// shared client whose cache holds a quarter of the dataset, so fills race
+/// evictions.  Every read must equal the staged bytes, and hits plus misses
+/// must equal the pieces requested.  Runs on its own thread: a reader stuck
+/// on a fetch thread fails the test at the deadline instead of hanging it.
+fn concurrent_readers(readers: u64, reads: u64) {
+    let (cluster, descriptor, data) = populated(4096, 4, 2, (64, 32, 16), 4, 7);
+    let blocks = cluster.layout().blocks_for(descriptor.total_size().bytes()) as usize;
+    let cache = Arc::new(BlockCache::new(CacheConfig::new(blocks / 4, 4)));
+    let client = DpssClient::new(cluster.clone(), "readers").with_cache(Arc::clone(&cache));
+    let (done, outcome) = mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let requested: usize = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..readers)
+                .map(|reader| {
+                    let (client, cluster, descriptor, data) = (&client, &cluster, &descriptor, &data);
+                    scope.spawn(move || {
+                        let mut state = reader.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                        let mut draw = |n: u64| {
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            (state % n) as usize
+                        };
+                        let mut requested = 0;
+                        for read in 0..reads {
+                            let slabs = 1 + draw(7);
+                            let (timestep, slab) = (draw(descriptor.timesteps as u64), draw(slabs as u64));
+                            let (offset, len) = descriptor.z_slab_range(timestep, slab, slabs);
+                            let expected = &data[offset as usize..(offset + len) as usize];
+                            if read % 2 == 0 {
+                                assert_eq!(&client.read_range("prop", offset, len).unwrap()[..], expected);
+                            } else {
+                                let pieces = client.read_pieces("prop", offset, len).unwrap();
+                                assert_eq!(pieces.iter().map(|p| &p[..]).collect::<Vec<_>>().concat(), expected);
+                            }
+                            requested += cluster.layout().split_range(offset, len).len();
+                        }
+                        requested
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|reader| reader.join().unwrap()).sum()
+        });
+        let _ = done.send(requested);
+    });
+    let requested = outcome
+        .recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{readers} readers on one client hung (or one failed)"));
+    run.join().unwrap();
+    let stats = cache.stats();
+    assert_eq!(
+        stats.hits + stats.misses,
+        requested as u64,
+        "every piece is one hit or one miss"
+    );
+    assert!(stats.misses > 0 && stats.evictions > 0, "{stats:?}");
+}
+
+#[test]
+fn concurrent_readers_on_one_client_get_their_bytes_and_exact_counts() {
+    concurrent_readers(8, 25);
+}
+
+#[test]
+#[ignore = "8 readers × 20 000 reads; run in release with --ignored"]
+fn concurrent_readers_on_one_client_get_their_bytes_and_exact_counts_at_length() {
+    concurrent_readers(8, 20_000);
 }

@@ -10,6 +10,7 @@
 //! shim's process-wide copy counter.
 
 use std::sync::Arc;
+use visapult::core::campaign::scenario::DatasetSpec;
 use visapult::core::viewer::ViewerConfig;
 use visapult::core::{
     run_scenario, striped_link, CacheSpec, FramePayload, HeavyPayload, LightPayload, ScenarioSpec, TransportConfig,
@@ -86,6 +87,25 @@ fn cached_pipeline_is_copy_free_and_hits_on_replay() {
     assert_eq!(bytes::deep_copy_count() - before, 0, "cached run must not copy");
     let cache = report.cache.expect("cache telemetry present");
     assert!(cache.totals.misses > 0);
+}
+
+/// Slabs that span blocks: 128×128×16 floats over 2 PEs is 512 KB a slab,
+/// eight 64 KB blocks.  Each load reads the slab as its block pieces and
+/// decodes the floats straight out of them (a gather per load would be one
+/// deep copy each), so the multi-block pipeline is copy-free end to end too.
+#[test]
+fn multi_block_slabs_load_without_a_gather_copy() {
+    let mut spec = ScenarioSpec::bundled("quickstart_lan").unwrap();
+    spec.pipeline.pes = 2;
+    spec.dataset = Some(DatasetSpec {
+        dims: Some((128, 128, 16)),
+        name: None,
+    });
+    spec.cache = Some(CacheSpec {
+        capacity_blocks: Some(64),
+        shards: Some(4),
+    });
+    assert_zero_copy_run(&spec, "multi-block cached slabs");
 }
 
 /// The one RGBA8 texture buffer on screen in `scene`.
