@@ -71,8 +71,10 @@ impl DatasetDescriptor {
     }
 
     /// Byte range (offset, length) of a Z-axis slab of a timestep: slab `i`
-    /// of `n` covers Z planes `[i*z/n, (i+1)*z/n)`.  Z-slabs are contiguous in
-    /// the X-fastest layout, which is why the back end's default
+    /// of `n` covers Z planes `[i*z/n, (i+1)*z/n)` — `volren::slab_planes`,
+    /// the back end's rule, which this crate does not depend on
+    /// (`tests/pipeline_properties.rs` pins the two equal).  Z-slabs are
+    /// contiguous in the X-fastest layout, which is why the back end's
     /// decomposition axis is Z.
     pub fn z_slab_range(&self, timestep: usize, slab: usize, slabs: usize) -> (u64, u64) {
         assert!(slabs > 0 && slab < slabs, "slab {slab} of {slabs} is invalid");

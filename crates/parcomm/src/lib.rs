@@ -5,9 +5,8 @@
 //! overlapped data loading (paper Appendix B).  This crate supplies both
 //! halves of that substrate as safe Rust:
 //!
-//! * [`communicator`] — an MPI-like world of ranks running on OS threads with
-//!   point-to-point messaging, barriers and the collectives the back end
-//!   needs (broadcast, gather, all-reduce).
+//! * [`communicator`] — a world of ranks running on OS threads that meet at
+//!   a barrier between frames, the one thing the back end asks of MPI.
 //! * [`semaphore`] — counting semaphores equivalent to the System V IPC
 //!   semaphores the paper uses for reader/render hand-off.
 //! * [`process_group`] — the Appendix B "process group": a render process and
@@ -22,6 +21,6 @@ pub mod communicator;
 pub mod process_group;
 pub mod semaphore;
 
-pub use communicator::{CommError, Rank, World};
+pub use communicator::{Rank, World};
 pub use process_group::{ProcessGroup, ReaderCommand};
 pub use semaphore::Semaphore;

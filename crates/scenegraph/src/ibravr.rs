@@ -16,8 +16,7 @@
 use crate::node::{Quad3, SceneNode};
 use crate::raster::{RasterSettings, Rasterizer};
 use volren::{
-    decompose, render_region, render_view, Axis, Decomposition, RenderSettings, RgbaImage, TransferFunction,
-    ViewOrientation, Volume,
+    decompose, render_region, render_view, Axis, RenderSettings, RgbaImage, TransferFunction, ViewOrientation, Volume,
 };
 
 /// One slab's worth of IBR source imagery.
@@ -37,7 +36,7 @@ pub struct SlabImage {
 /// The viewer-side IBRAVR model: slab imagery plus the geometry to hang it on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IbravrModel {
-    /// Decomposition axis the slabs are perpendicular to.
+    /// The axis the slabs are perpendicular to.
     pub axis: Axis,
     /// Dimensions of the source volume in voxels.
     pub volume_dims: (usize, usize, usize),
@@ -57,7 +56,8 @@ impl IbravrModel {
 
     /// Render every slab of `volume` along `axis` and build the model — the
     /// single-process equivalent of what the parallel back end produces one
-    /// slab per PE.
+    /// slab per PE, cut by the same `volren::slab_planes` rule.  Panics if
+    /// `slabs` exceeds the planes along `axis` (a slab would be empty).
     pub fn from_volume(
         volume: &Volume,
         axis: Axis,
@@ -66,7 +66,7 @@ impl IbravrModel {
         settings: &RenderSettings,
     ) -> Self {
         let dims = volume.dims();
-        let regions = decompose(dims, slabs, Decomposition::Slab(axis));
+        let regions = decompose(dims, slabs, axis);
         let range = volume.value_range();
         let mut model = IbravrModel::new(axis, dims);
         for (i, region) in regions.iter().enumerate() {

@@ -16,7 +16,7 @@
 
 use crate::config::{ExecutionMode, PipelineConfig};
 use crate::data_source::{slab_origin, DataSource};
-use crate::error::VisapultError;
+use crate::error::{panicked, VisapultError};
 use crate::protocol::{FramePayload, HeavyPayload, LightPayload};
 use crate::transport::StripeSender;
 use netlogger::{tags, NetLogger};
@@ -24,7 +24,7 @@ use parcomm::{ProcessGroup, Rank, World};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use volren::{render_region_rgba8, AmrHierarchy, Axis, Volume};
+use volren::{render_region_rgba8, slab_planes, AmrHierarchy, Axis, Volume};
 
 /// Per-PE execution summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,13 +65,12 @@ impl BackendReport {
 /// The quad (centre + half extents) slab `pe` of `total` maps onto, matching
 /// `scenegraph::IbravrModel::slab_quad` for a Z decomposition.
 fn slab_quad_vectors(dims: (usize, usize, usize), pe: usize, total: usize) -> ([f32; 3], [f32; 3], [f32; 3]) {
-    let (nx, ny, _) = (dims.0 as f32, dims.1 as f32, dims.2 as f32);
-    let origin_z = pe * dims.2 / total;
-    let size_z = (pe + 1) * dims.2 / total - origin_z;
+    let (nx, ny) = (dims.0 as f32, dims.1 as f32);
+    let planes = slab_planes(dims.2, pe, total);
     let center = [
         (nx - 1.0) / 2.0,
         (ny - 1.0) / 2.0,
-        origin_z as f32 + size_z as f32 / 2.0 - 0.5,
+        planes.start as f32 + planes.len() as f32 / 2.0 - 0.5,
     ];
     let u = [nx / 2.0, 0.0, 0.0];
     let v = [0.0, ny / 2.0, 0.0];
@@ -160,7 +159,7 @@ fn send_frame(
 /// failed in, and after the barrier every rank reads the same answer — some
 /// rank failed in this frame, or none did — so all stop at the same frame.
 struct PeProgress<'a> {
-    rank: &'a Rank<()>,
+    rank: &'a Rank,
     /// The earliest frame any rank failed in; `usize::MAX` while none has.  A
     /// frame number, not a flag: a rank already past this barrier may fail in
     /// the *next* frame before a slower rank reads the answer for this one.
@@ -170,7 +169,7 @@ struct PeProgress<'a> {
 }
 
 impl<'a> PeProgress<'a> {
-    fn new(rank: &'a Rank<()>, first_failed_frame: &'a AtomicUsize) -> Self {
+    fn new(rank: &'a Rank, first_failed_frame: &'a AtomicUsize) -> Self {
         PeProgress {
             rank,
             first_failed_frame,
@@ -211,6 +210,18 @@ impl<'a> PeProgress<'a> {
             None => Ok(self.report),
         }
     }
+}
+
+/// Run `body`, one frame's work on PE `who` (or its reader thread); a panic
+/// in it becomes that PE's error, "`who` panicked: message".  The rank then
+/// still reaches the frame barrier and every rank leaves together — a rank
+/// that unwound past the barrier would strand the others in it for good.
+fn contain<T>(
+    who: std::fmt::Arguments<'_>,
+    body: impl FnOnce() -> Result<T, VisapultError>,
+) -> Result<T, VisapultError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body))
+        .unwrap_or_else(|panic| Err(panicked(&who.to_string(), panic.as_ref())))
 }
 
 /// One serial frame on one PE: load, then render, then send.  Returns the
@@ -260,7 +271,9 @@ fn run_pe_serial(
 ) -> Result<PeReport, VisapultError> {
     let r = progress.report.rank;
     for frame in 0..config.timesteps {
-        let outcome = serial_frame(config, source.as_ref(), r, link, log, frame);
+        let outcome = contain(format_args!("PE {r}"), || {
+            serial_frame(config, source.as_ref(), r, link, log, frame)
+        });
         if !progress.end_frame(frame, outcome) {
             break;
         }
@@ -318,15 +331,18 @@ fn run_pe_overlapped(
     let reader_log = log.cloned();
     // The double-buffered reader thread: loads the requested timestep's slab
     // into its half of the buffer and emits the load-phase NetLogger events.
-    // A failed load is stored, not raised: the reader must return so that
-    // semaphore B is posted, or the renderer would wait for it forever.
+    // A failed or panicking load is stored, not raised: the reader must
+    // return so that semaphore B is posted, or the renderer would wait for it
+    // forever.
     let mut group: ProcessGroup<SlabSlot> = ProcessGroup::spawn(
         || None,
         move |timestep, slot| {
             if let Some(l) = &reader_log {
                 l.log_with(tags::BE_LOAD_START, [(tags::FIELD_FRAME, timestep as u64)]);
             }
-            let loaded = reader_source.load_slab(timestep, r, pes);
+            let loaded = contain(format_args!("PE {r} reader"), || {
+                reader_source.load_slab(timestep, r, pes)
+            });
             if let (Some(l), Ok(_)) = (&reader_log, &loaded) {
                 let bytes = reader_source.slab_bytes(timestep, r, pes);
                 l.log_with(
@@ -355,7 +371,9 @@ fn run_pe_overlapped(
         if frame + 1 < config.timesteps {
             group.request(frame + 1);
         }
-        let outcome = overlapped_frame(config, source.as_ref(), &group, r, link, log, frame);
+        let outcome = contain(format_args!("PE {r}"), || {
+            overlapped_frame(config, source.as_ref(), &group, r, link, log, frame)
+        });
         if frame + 1 < config.timesteps {
             group.wait_ready();
         }
@@ -371,9 +389,11 @@ fn run_pe_overlapped(
 /// Run the full back end: one rank per PE, each shipping its payloads down
 /// its own viewer link, all paced by one per-frame barrier.
 ///
-/// A slab load or a send that fails on any rank ends the run for all of them
-/// at that frame's barrier; the error returned is the failing rank's own (the
-/// lowest such rank's, if several failed in the same frame).
+/// A slab load, render or send that fails or panics on any rank ends the run
+/// for all of them at that frame's barrier; the error returned is the failing
+/// rank's own (the lowest such rank's, if several failed in the same frame),
+/// and a panic is `VisapultError::Io` reading "PE r panicked: message" ("PE r
+/// reader panicked: …" for an overlapped PE's reader thread).
 ///
 /// `viewer_links` must contain exactly `config.pes` striped senders (one per
 /// PE).  `logger`, when provided, is specialized per PE into
@@ -535,11 +555,13 @@ mod tests {
     }
 
     /// A source whose load of one timestep fails, as a DPSS server going away
-    /// mid-run does — on every PE, or on `fail_pe` alone.
+    /// mid-run does — on every PE, or on `fail_pe` alone — with an error, or
+    /// with a panic when `panics` is set.
     struct FailingSource {
         inner: SyntheticSource,
         fail_at: usize,
         fail_pe: Option<usize>,
+        panics: bool,
     }
 
     impl DataSource for FailingSource {
@@ -549,6 +571,7 @@ mod tests {
 
         fn load_slab(&self, timestep: usize, pe: usize, total_pes: usize) -> Result<Volume, VisapultError> {
             if timestep == self.fail_at && self.fail_pe.is_none_or(|failing| failing == pe) {
+                assert!(!self.panics, "DPSS server for slab {pe} vanished");
                 return Err(VisapultError::Dpss(dpss::DpssError::Closed));
             }
             self.inner.load_slab(timestep, pe, total_pes)
@@ -561,14 +584,24 @@ mod tests {
         // to park PE 0 in the frame barrier for good.  Either way timesteps 0
         // and 1 were shipped by both PEs before it; when only PE 1 fails, PE 0
         // ships its timestep 2 as well and both leave at that frame's barrier.
+        // A load that panics (on the PE's own thread in serial mode, on its
+        // reader thread when overlapped) is that PE's error in the same way:
+        // it used to strand the other PE in the barrier, or its own renderer
+        // waiting for a reader that never posted.
         for (fail_pe, shipped) in [(None, 4), (Some(1), 5)] {
-            for mode in [ExecutionMode::Serial, ExecutionMode::Overlapped] {
-                let case = format!("{mode:?}, failing PE {fail_pe:?}");
+            for (mode, panics) in [
+                (ExecutionMode::Serial, false),
+                (ExecutionMode::Overlapped, false),
+                (ExecutionMode::Serial, true),
+                (ExecutionMode::Overlapped, true),
+            ] {
+                let case = format!("{mode:?}, failing PE {fail_pe:?}, panics {panics}");
                 let config = PipelineConfig::small(2, 4, mode);
                 let source: Arc<dyn DataSource> = Arc::new(FailingSource {
                     inner: SyntheticSource::new(DatasetDescriptor::small_combustion(4), 7),
                     fail_at: 2,
                     fail_pe,
+                    panics,
                 });
                 let (senders, receivers) = links(2, &TransportConfig::default());
                 let drains = spawn_drains(receivers);
@@ -582,7 +615,20 @@ mod tests {
                 let result = outcome
                     .recv_timeout(Duration::from_secs(60))
                     .unwrap_or_else(|_| panic!("back end hung on a failed slab load ({case})"));
-                assert!(matches!(result, Err(VisapultError::Dpss(_))), "{case}: {result:?}");
+                let failing = fail_pe.unwrap_or(0);
+                let who = match mode {
+                    ExecutionMode::Serial => format!("PE {failing}"),
+                    ExecutionMode::Overlapped => format!("PE {failing} reader"),
+                };
+                match &result {
+                    Err(VisapultError::Io(e)) if panics => assert_eq!(
+                        e.to_string(),
+                        format!("{who} panicked: DPSS server for slab {failing} vanished"),
+                        "{case}"
+                    ),
+                    Err(VisapultError::Dpss(_)) if !panics => {}
+                    other => panic!("{case}: {other:?}"),
+                }
                 backend.join().unwrap();
                 assert_eq!(join_drains(drains).len(), shipped, "{case}");
                 // Each reader thread owned a clone of the source; all are joined.

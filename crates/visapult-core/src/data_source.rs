@@ -8,7 +8,7 @@
 
 use crate::error::VisapultError;
 use dpss::{DatasetDescriptor, DpssClient};
-use volren::{CombustionSeries, Volume};
+use volren::{slab_planes, CombustionSeries, Volume};
 
 /// Something the back end can load slab-decomposed timesteps from.
 pub trait DataSource: Send + Sync {
@@ -24,21 +24,15 @@ pub trait DataSource: Send + Sync {
     }
 }
 
-/// Z planes `[start, end)` of slab `pe` of `total_pes` of a dataset.
-fn slab_z_range(descriptor: &DatasetDescriptor, pe: usize, total_pes: usize) -> std::ops::Range<usize> {
-    let z = descriptor.dims.2;
-    pe * z / total_pes..(pe + 1) * z / total_pes
-}
-
 /// Dimensions of slab `pe` of `total_pes` of a dataset (Z decomposition).
 pub fn slab_dims(descriptor: &DatasetDescriptor, pe: usize, total_pes: usize) -> (usize, usize, usize) {
-    let (x, y, _) = descriptor.dims;
-    (x, y, slab_z_range(descriptor, pe, total_pes).len())
+    let (x, y, z) = descriptor.dims;
+    (x, y, slab_planes(z, pe, total_pes).len())
 }
 
 /// Origin (in voxel coordinates) of slab `pe` of `total_pes` (Z decomposition).
 pub fn slab_origin(descriptor: &DatasetDescriptor, pe: usize, total_pes: usize) -> (usize, usize, usize) {
-    (0, 0, slab_z_range(descriptor, pe, total_pes).start)
+    (0, 0, slab_planes(descriptor.dims.2, pe, total_pes).start)
 }
 
 /// Refuse a slab address the dataset does not have, before it reaches the
@@ -143,7 +137,7 @@ impl DataSource for SyntheticSource {
         check_slab(&self.descriptor, timestep, pe, total_pes)?;
         Ok(self
             .series
-            .slab(timestep, slab_z_range(&self.descriptor, pe, total_pes)))
+            .slab(timestep, slab_planes(self.descriptor.dims.2, pe, total_pes)))
     }
 }
 

@@ -7,8 +7,6 @@ use std::fmt;
 pub enum VisapultError {
     /// A storage-cache operation failed.
     Dpss(dpss::DpssError),
-    /// A communicator operation failed.
-    Comm(parcomm::CommError),
     /// A wire-protocol decode failed.
     Protocol(String),
     /// An I/O error (sockets, files).
@@ -23,7 +21,6 @@ impl fmt::Display for VisapultError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VisapultError::Dpss(e) => write!(f, "DPSS error: {e}"),
-            VisapultError::Comm(e) => write!(f, "communicator error: {e}"),
             VisapultError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             VisapultError::Io(e) => write!(f, "I/O error: {e}"),
             VisapultError::Config(msg) => write!(f, "configuration error: {msg}"),
@@ -34,15 +31,15 @@ impl fmt::Display for VisapultError {
 
 impl std::error::Error for VisapultError {}
 
+/// The error a panic in `who` becomes ("`who` panicked: message"), so the
+/// caller reports it instead of going down with it.
+pub(crate) fn panicked(who: &str, payload: &(dyn std::any::Any + Send)) -> VisapultError {
+    VisapultError::Io(std::io::Error::other(crate::viewer::panic_detail(who, payload)))
+}
+
 impl From<dpss::DpssError> for VisapultError {
     fn from(e: dpss::DpssError) -> Self {
         VisapultError::Dpss(e)
-    }
-}
-
-impl From<parcomm::CommError> for VisapultError {
-    fn from(e: parcomm::CommError) -> Self {
-        VisapultError::Comm(e)
     }
 }
 
@@ -66,8 +63,6 @@ mod tests {
     fn conversions_and_display() {
         let e: VisapultError = dpss::DpssError::Closed.into();
         assert!(e.to_string().contains("DPSS"));
-        let e: VisapultError = parcomm::CommError::UnknownRank(3).into();
-        assert!(e.to_string().contains("communicator"));
         let e: VisapultError = std::io::Error::other("boom").into();
         assert!(e.to_string().contains("boom"));
         assert!(VisapultError::Config("bad".into()).to_string().contains("bad"));

@@ -63,11 +63,11 @@ use crate::campaign::scenario::{
 };
 use crate::campaign::sim::SimCampaignConfig;
 use crate::config::PipelineConfig;
-use crate::error::VisapultError;
+use crate::error::{panicked, VisapultError};
 use crate::protocol::{LightPayload, HEAVY_HEADER_LEN};
 use crate::service::{ServiceRunReport, ServiceStats};
 use crate::transport::{TransportConfig, TransportStats};
-use crate::viewer::{panic_detail, ViewerReport};
+use crate::viewer::ViewerReport;
 use dpss::{BlockCache, CacheStats, DatasetDescriptor, StripeLayout};
 use netlogger::metrics::MetricsHub;
 use netlogger::{tags, Collector, Event, EventLog, FieldValue, NetLogger, ProfileAnalysis};
@@ -432,9 +432,7 @@ pub(crate) fn hash_image(rgba8: &[u8]) -> u64 {
 /// Join a stage thread named `thread`; a panic in it becomes an error
 /// carrying the panic message instead of taking the caller down with it.
 fn join_thread<T>(thread: &str, handle: std::thread::JoinHandle<T>) -> Result<T, VisapultError> {
-    handle
-        .join()
-        .map_err(|panic| VisapultError::Io(std::io::Error::other(panic_detail(thread, panic.as_ref()))))
+    handle.join().map_err(|panic| panicked(thread, panic.as_ref()))
 }
 
 /// Shift every event in a log by a time offset (merging stages onto one

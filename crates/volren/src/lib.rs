@@ -7,8 +7,8 @@
 //! * [`volume`] — dense scalar volumes with X-fastest layout, byte
 //!   (de)serialization matching what is cached on the DPSS, and sub-volume
 //!   extraction.
-//! * [`decomp`] — the slab / shaft / block domain decompositions of Figure 4,
-//!   used to partition a volume across back-end processing elements.
+//! * [`decomp`] — the slab decomposition of Figure 4 and the one rule for
+//!   which planes each back-end processing element's slab owns.
 //! * [`transfer`] — transfer functions mapping scalar values to colour and
 //!   opacity.
 //! * [`composite`] — RGBA images and Porter–Duff `over` compositing
@@ -39,7 +39,7 @@ pub use amr::{AmrBox, AmrHierarchy};
 pub use camera::{Axis, ViewOrientation};
 pub use composite::RgbaImage;
 pub use data::{combustion_jet, combustion_series_bytes, cosmology_density, CombustionSeries};
-pub use decomp::{decompose, Decomposition, Region};
+pub use decomp::{decompose, slab_planes, Region};
 pub use render::{
     render_cost_samples, render_region, render_region_rgba8, render_view, render_volume_full, RenderSettings,
 };

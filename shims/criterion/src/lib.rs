@@ -2,7 +2,7 @@
 //! registry access.
 //!
 //! Implements the API surface the `visapult-bench` benches use —
-//! `criterion_group!`/`criterion_main!`, benchmark groups, `bench_function`,
+//! `criterion_group!`, benchmark groups, `bench_function`,
 //! `bench_with_input`, `BenchmarkId`, `Throughput`, `sample_size`, `b.iter` —
 //! with a simple warmup-then-measure harness that prints mean time per
 //! iteration (and derived throughput when declared).  No statistics engine,
@@ -224,23 +224,6 @@ macro_rules! criterion_group {
             let mut criterion = $crate::Criterion::default();
             $(
                 $target(&mut criterion);
-            )+
-        }
-    };
-}
-
-/// Entry point running every group, mirroring criterion's macro.  Accepts and
-/// ignores harness CLI arguments (`cargo bench` passes `--bench`).
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            // `cargo test` runs bench targets with `--test`; do nothing there.
-            if std::env::args().any(|a| a == "--test") {
-                return;
-            }
-            $(
-                $group();
             )+
         }
     };

@@ -11,9 +11,9 @@
 //! |--------|----------|
 //! | [`netsim`]      | WAN testbed models, TCP dynamics, token-bucket shaping |
 //! | [`netlogger`]   | NetLogger-style event logging, NLV lifeline plots, phase analysis |
-//! | [`parcomm`]     | MPI-like rank communicator and the Appendix B reader/render process groups |
+//! | [`parcomm`]     | barrier-paced ranks and the Appendix B reader/render process groups |
 //! | [`dpss`]        | the Distributed Parallel Storage System: master, block servers, client API, HPSS staging |
-//! | [`volren`]      | parallel software volume rendering, domain decomposition, synthetic combustion/cosmology data |
+//! | [`volren`]      | parallel software volume rendering, slab decomposition, synthetic combustion/cosmology data |
 //! | [`scenegraph`]  | retained-mode scene graph, software rasterizer, IBR-assisted volume rendering |
 //! | [`core`]        | the Visapult back end, viewer, wire protocol, the declarative scenario engine, and baselines |
 //!

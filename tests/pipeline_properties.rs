@@ -2,10 +2,12 @@
 //! spanning crates.
 
 use proptest::prelude::*;
+use visapult::core::data_source::{slab_dims, slab_origin};
 use visapult::core::protocol::{decode_light, encode_light};
 use visapult::core::{FramePayload, FrameSegments, HeavyPayload, LightPayload, OverlapModel};
+use visapult::dpss::DatasetDescriptor;
 use visapult::dpss::StripeLayout;
-use visapult::volren::{decompose, Axis, Decomposition, RgbaImage};
+use visapult::volren::{decompose, Axis, RgbaImage};
 
 proptest! {
     /// Every slab decomposition is an exact partition: cells sum to the total
@@ -14,33 +16,30 @@ proptest! {
     fn slab_decomposition_partitions(
         nx in 1usize..64,
         ny in 1usize..64,
-        nz in 4usize..64,
+        nz in 1usize..64,
         parts in 1usize..4,
+        axis in 0usize..3,
     ) {
-        let parts = parts.min(nz);
-        let regions = decompose((nx, ny, nz), parts, Decomposition::Slab(Axis::Z));
+        let axis = Axis::ALL[axis];
+        let full = [nx, ny, nz];
+        let parts = parts.min(full[axis.index()]);
+        let regions = decompose((nx, ny, nz), parts, axis);
         prop_assert_eq!(regions.len(), parts);
-        let total: usize = regions.iter().map(|r| r.cells()).sum();
+        let total: usize = regions.iter().map(|r| r.dims.0 * r.dims.1 * r.dims.2).sum();
         prop_assert_eq!(total, nx * ny * nz);
-        let mut expected_z = 0;
+        let mut next = 0;
         for r in &regions {
-            prop_assert_eq!(r.origin.2, expected_z);
-            prop_assert_eq!((r.dims.0, r.dims.1), (nx, ny));
-            expected_z += r.dims.2;
+            let (origin, size) = ([r.origin.0, r.origin.1, r.origin.2], [r.dims.0, r.dims.1, r.dims.2]);
+            for a in Axis::ALL {
+                if a == axis {
+                    prop_assert_eq!(origin[a.index()], next);
+                    next += size[a.index()];
+                } else {
+                    prop_assert_eq!((origin[a.index()], size[a.index()]), (0, full[a.index()]));
+                }
+            }
         }
-        prop_assert_eq!(expected_z, nz);
-    }
-
-    /// Block decomposition also partitions exactly for awkward processor counts.
-    #[test]
-    fn block_decomposition_partitions(
-        n in 8usize..48,
-        parts in 1usize..9,
-    ) {
-        let regions = decompose((n, n, n), parts, Decomposition::Block);
-        prop_assert_eq!(regions.len(), parts);
-        let total: usize = regions.iter().map(|r| r.cells()).sum();
-        prop_assert_eq!(total, n * n * n);
+        prop_assert_eq!(next, full[axis.index()]);
     }
 
     /// The DPSS striping layout covers any byte range exactly once and maps
@@ -202,6 +201,39 @@ proptest! {
         let mut unchanged = back.clone();
         unchanged.composite_over(&transparent);
         prop_assert!(unchanged.rms_diff(&back) < 1e-6);
+    }
+}
+
+/// One slab rule across the layers, for every z in 1..64, every n in 1..=z
+/// and every slab i: the DPSS byte range the back end reads (in planes), the
+/// data source's slab origin and dims, and volren's slab region agree.
+#[test]
+fn every_layer_gives_a_slab_the_same_planes() {
+    for z in 1..64 {
+        // Odd plane dimensions and 2-byte values, so no factor of the plane
+        // size hides an off-by-one.
+        let descriptor = DatasetDescriptor::new("slabs", (3, 5, z), 2, 2);
+        let plane_bytes = 3 * 5 * 2;
+        for n in 1..=z {
+            let regions = decompose(descriptor.dims, n, Axis::Z);
+            assert_eq!(regions.len(), n);
+            for (i, region) in regions.iter().enumerate() {
+                let (offset, len) = descriptor.z_slab_range(1, i, n);
+                let first = offset - descriptor.timestep_offset(1);
+                let dpss = (first / plane_bytes) as usize..((first + len) / plane_bytes) as usize;
+                let source = (slab_origin(&descriptor, i, n), slab_dims(&descriptor, i, n));
+                assert_eq!(
+                    (region.origin, region.dims),
+                    source,
+                    "volren and data_source disagree on slab {i} of {n} over {z} planes"
+                );
+                assert_eq!(
+                    region.origin.2..region.origin.2 + region.dims.2,
+                    dpss,
+                    "volren and dpss disagree on slab {i} of {n} over {z} planes"
+                );
+            }
+        }
     }
 }
 

@@ -367,7 +367,7 @@ enum Driver {
 /// why it stays with nothing running it).  A program with no entry fails the
 /// census below (drive it or delete it); so does an entry whose program or
 /// driver is gone.
-const DRIVEN_BY: [(&str, &str, Driver, &str); 18] = [
+const DRIVEN_BY: [(&str, &str, Driver, &str); 17] = [
     (
         "src/bin",
         "compare_baselines",
@@ -408,12 +408,6 @@ const DRIVEN_BY: [(&str, &str, Driver, &str); 18] = [
         "volren",
         Driver::Baseline("BENCH_volren.json"),
         "render kernel",
-    ),
-    (
-        "benches",
-        "decomposition",
-        Driver::CompiledOnly,
-        "Fig. 4 design ablation: the only place shaft and block render cost is compared with slab",
     ),
     (
         "examples",
