@@ -299,18 +299,6 @@ impl FrameSegments {
         }
     }
 
-    /// True when `other` views the exact same four buffer windows — the
-    /// identity test a shared decode memo uses to prove two reassemblies are
-    /// byte-for-byte the same frame without comparing the bytes.  Same
-    /// allocation at the same window means same content (the buffers are
-    /// immutable), so a hit is exact, never probabilistic.
-    pub fn same_regions(&self, other: &FrameSegments) -> bool {
-        self.light.ptr_eq(&other.light)
-            && self.heavy_header.ptr_eq(&other.heavy_header)
-            && self.texture.ptr_eq(&other.texture)
-            && self.geometry.ptr_eq(&other.geometry)
-    }
-
     /// Segment lengths in wire order.
     pub fn lens(&self) -> [usize; 4] {
         [
@@ -766,6 +754,7 @@ mod tests {
     #[test]
     fn segment_encode_shares_the_texture_and_decode_round_trips() {
         let f = sample_frame();
+        let _turn = crate::test_support::copy_counter_turn();
         let before = bytes::deep_copy_count();
         let segments = FrameSegments::encode(&f);
         assert!(

@@ -22,7 +22,10 @@
 //!
 //! Each task holds its outcome by value and hands it over with
 //! [`std::mem::take`] on the poll that returns `Ready` — the executor never
-//! polls a task again after that.
+//! polls a task again after that.  A task that panics instead is caught by
+//! the executor and its outcome is missing: a consumer's session is reported
+//! failed ([`ViewerError::ReceiverFailed`]), and the sessions a dead pump or
+//! fan task starved report the frames it left unfinished as `MissingFrame`s.
 //!
 //! The deterministic half of [`super::ServiceStats`] is byte-identical to the
 //! virtual-time replay because both advance the identical broker state
@@ -34,7 +37,8 @@ use super::fanout::{
 };
 use super::{ServiceRunReport, SessionBroker, SessionDelivery, SessionEvent};
 use crate::pipeline::Clock;
-use crate::transport::{FrameChunk, StripeReceiver, StripeSender, TransportConfig, TransportError};
+use crate::transport::{FrameChunk, SharedDecode, StripeReceiver, StripeSender, TransportConfig, TransportError};
+use crate::viewer::ViewerError;
 use crossbeam::channel::{bounded, ReadyHook, Receiver, Sender, TryRecvError, TrySendError};
 use exec::{Executor, Poll, Spawner, Task, TaskHandle, Waker};
 use netsim::StripePacer;
@@ -68,6 +72,12 @@ fn take<T>(s: &Slot<T>) -> Option<T> {
     s.lock().unwrap_or_else(|e| e.into_inner()).take()
 }
 
+/// Wait for a task and take its outcome; `Err` carries why there is none.
+fn outcome<T>(handle: &TaskHandle, out: &Slot<T>) -> Result<T, String> {
+    handle.wait().map_err(|panic| panic.0)?;
+    take(out).ok_or_else(|| "finished without an outcome".to_string())
+}
+
 /// A channel readiness hook that fires a task's [`Waker`] — how every task
 /// below turns "my queue moved" into a targeted re-schedule instead of an
 /// executor sweep finding it eventually.
@@ -83,13 +93,32 @@ struct AsyncState {
     /// Position in `endpoints` per schedule index (endpoints are
     /// append-only): O(1) Left/Evicted closes instead of an O(live) scan.
     endpoint_of: HashMap<usize, usize>,
-    consumers: Vec<(usize, TaskHandle, Slot<SessionDelivery>)>,
-    /// Decode memo shared by every consumer: sessions all receive the same
-    /// multicast chunks, so each frame decodes once.
-    decode: Arc<crate::transport::SharedDecode>,
+    consumers: Vec<Consumer>,
+    /// Frame memo shared by every consumer: sessions all receive the same
+    /// multicast chunks, so each frame is assembled and decoded once.
+    decode: Arc<SharedDecode>,
+}
+
+/// A consumer task as the plane tracks it.
+struct Consumer {
+    session: usize,
+    handle: TaskHandle,
+    out: Slot<SessionDelivery>,
+    /// The session's empty delivery: what it reports if the task dies.
+    failed: SessionDelivery,
 }
 
 impl AsyncState {
+    fn new(broker: SessionBroker, decode: Arc<SharedDecode>) -> Self {
+        AsyncState {
+            broker,
+            endpoints: Vec::new(),
+            endpoint_of: HashMap::new(),
+            consumers: Vec::new(),
+            decode,
+        }
+    }
+
     /// Advance the broker to `frame`, materializing queues and consumer
     /// tasks for admissions and closing the delivery window for
     /// leaves/evictions.
@@ -115,7 +144,12 @@ impl AsyncState {
                         assembler: crate::transport::FrameAssembler::with_shared_decode(Arc::clone(&self.decode)),
                         out: Arc::clone(&out),
                     }));
-                    self.consumers.push((session, handle, out));
+                    self.consumers.push(Consumer {
+                        session,
+                        handle,
+                        out,
+                        failed: empty_delivery(&spec),
+                    });
                     self.endpoint_of.insert(session, self.endpoints.len());
                     self.endpoints.push(SessionEndpoint::new(session, spec, tx));
                 }
@@ -368,6 +402,8 @@ impl Task for ConsumerTask {
                         pace = p.consume(chunk.stripe as usize, chunk.payload.len() as u64);
                     }
                     consume_chunk(&mut self.delivery, &mut self.assembler, chunk);
+                    #[cfg(test)]
+                    tests::panic_if_told(&self.delivery);
                     if !pace.is_zero() {
                         self.ready_at = self.clock.monotonic_now() + pace;
                         return Poll::Progress;
@@ -434,14 +470,22 @@ pub(crate) fn drive_fanout_on(
     workers: Option<usize>,
     telemetry: &PlaneTelemetry,
 ) -> ServiceRunReport {
+    let state = AsyncState::new(broker, Arc::new(SharedDecode::new()));
+    run_plane(clock, state, inputs, primary, transport, workers, telemetry)
+}
+
+/// [`drive_fanout_on`] from a plane state built by the caller.
+fn run_plane(
+    clock: Arc<dyn Clock>,
+    state: AsyncState,
+    inputs: Vec<StripeReceiver>,
+    primary: Vec<StripeSender>,
+    transport: &TransportConfig,
+    workers: Option<usize>,
+    telemetry: &PlaneTelemetry,
+) -> ServiceRunReport {
     let executor = Executor::new(workers.unwrap_or_else(exec::default_workers).max(1));
-    let state = Arc::new(Mutex::new(AsyncState {
-        broker,
-        endpoints: Vec::new(),
-        endpoint_of: HashMap::new(),
-        consumers: Vec::new(),
-        decode: Arc::new(crate::transport::SharedDecode::new()),
-    }));
+    let state = Arc::new(Mutex::new(state));
     state.lockdep_label("async-plane");
     let spawner = executor.spawner();
     let outcomes = run_pumps(&clock, &state, &spawner, inputs, primary, transport, telemetry);
@@ -458,7 +502,9 @@ pub(crate) fn drive_fanout_on(
 /// fan task* finish — the fan task holds endpoint clones that keep session
 /// queues open, so it must drain before deliveries are waited.  Returns the
 /// pump outcomes (offered load + primary) followed by the fan outcome
-/// (delivery counters); `fold_report` sums them.
+/// (delivery counters); `fold_report` sums them.  A task that died adds
+/// nothing.  Primary links pair with inputs in order; an input without one
+/// forwards to no viewer.
 fn run_pumps(
     clock: &Arc<dyn Clock>,
     state: &Arc<Mutex<AsyncState>>,
@@ -468,10 +514,6 @@ fn run_pumps(
     transport: &TransportConfig,
     telemetry: &PlaneTelemetry,
 ) -> Vec<PeOutcome> {
-    assert!(
-        primary.is_empty() || primary.len() == inputs.len(),
-        "primary forwarding needs one link per PE"
-    );
     // Frame 0 joins happen before any chunk moves.
     state.lock().observe_frame(0, transport, spawner, clock);
     let (lane, rx) = bounded::<FrameChunk>(FAN_LANE_DEPTH);
@@ -513,13 +555,9 @@ fn run_pumps(
     drop(lane);
     let mut outcomes: Vec<PeOutcome> = pumps
         .iter()
-        .map(|(handle, out)| {
-            handle.wait();
-            take(out).expect("pump wrote its outcome")
-        })
+        .map(|(handle, out)| outcome(handle, out).unwrap_or_default())
         .collect();
-    fan.wait();
-    outcomes.push(take(&fan_out).expect("fan task wrote its outcome"));
+    outcomes.push(outcome(&fan, &fan_out).unwrap_or_default());
     outcomes
 }
 
@@ -528,7 +566,8 @@ fn run_pumps(
 /// queues dry and finish.  No further spawns can happen — the fan task was
 /// the only spawner — so the consumer list is complete.  The finished broker
 /// is taken out under the same lock; deliveries come back keyed by schedule
-/// index.
+/// index; a consumer that died reports its session failed, with nothing
+/// delivered.
 fn wait_deliveries(state: &Mutex<AsyncState>) -> (SessionBroker, Vec<(usize, SessionDelivery)>) {
     let (broker, consumers) = {
         let mut st = state.lock();
@@ -542,9 +581,15 @@ fn wait_deliveries(state: &Mutex<AsyncState>) -> (SessionBroker, Vec<(usize, Ses
     };
     let deliveries = consumers
         .into_iter()
-        .map(|(session, handle, out)| {
-            handle.wait();
-            (session, take(&out).expect("consumer wrote its delivery"))
+        .map(|consumer| {
+            let delivery = outcome(&consumer.handle, &consumer.out).unwrap_or_else(|why| {
+                let mut failed = consumer.failed;
+                failed.errors.push(ViewerError::ReceiverFailed {
+                    detail: format!("session consumer died: {why}"),
+                });
+                failed
+            });
+            (consumer.session, delivery)
         })
         .collect();
     (broker, deliveries)
@@ -558,11 +603,19 @@ mod tests {
     use crate::protocol::{FramePayload, FrameSegments};
     use crate::test_support::sample_frame;
     use crate::transport::{drain_frames, plan_chunks, striped_link};
-    use crate::viewer::ViewerError;
     use netlogger::metrics::MetricsHub;
 
     fn spec(name: &str, viewpoint: u32, tier: QualityTier) -> SessionSpec {
         SessionSpec::new(name, viewpoint, tier)
+    }
+
+    /// A session of this name has its consumer panic on its fourth chunk.
+    const PANICS: &str = "panics mid-stage";
+
+    pub(super) fn panic_if_told(delivery: &SessionDelivery) {
+        if delivery.name == PANICS && delivery.chunks_delivered == 4 {
+            panic!("the consumer of {PANICS} was told to");
+        }
     }
 
     fn tiny_config(queue_depth: usize) -> ServiceConfig {
@@ -766,6 +819,7 @@ mod tests {
             spec("b", 0, QualityTier::Standard),
             spec("c", 1, QualityTier::Standard),
         ];
+        let _turn = crate::test_support::copy_counter_turn();
         let before = bytes::deep_copy_count();
         let (report, _) = fan_out(schedule, tiny_config(64), 2, 1);
         assert_eq!(
@@ -774,6 +828,102 @@ mod tests {
             "fan-out must multicast by refcount, not memcpy"
         );
         assert_eq!(report.stats.frames_completed, 6);
+    }
+
+    #[test]
+    fn a_frame_is_assembled_once_for_the_floor_and_each_wave_wakes_a_session_once() {
+        // N sessions × P PEs × F frames, every queue deep enough to never
+        // fill, nothing paced; the whole campaign waits in the backend links
+        // before the plane starts, so the pumps and the fan task wake a few
+        // times in all and the count is the consumers'.
+        let (n, p, f) = (16usize, 2usize, 8u32);
+        let transport = TransportConfig {
+            queue_depth: 1024,
+            ..TransportConfig::default().with_stripes(2).with_chunk_bytes(256)
+        };
+        let schedule: Vec<SessionSpec> = (0..n)
+            .map(|i| spec(&format!("s{i}"), (i % 4) as u32, QualityTier::Standard))
+            .collect();
+        let config = ServiceConfig {
+            max_sessions: n,
+            link_capacity_units: 4 * n as u64,
+            render_slots: 4,
+            queue_depth: 4096,
+            ..ServiceConfig::default()
+        };
+        let inputs = (0..p as u32)
+            .map(|pe| {
+                let (tx, rx) = striped_link(&transport);
+                for frame in 0..f {
+                    tx.send_frame(&sample_frame(pe, frame, 16)).unwrap();
+                }
+                rx
+            })
+            .collect();
+        let memo = Arc::new(SharedDecode::new());
+        let telemetry = PlaneTelemetry::new(MetricsHub::enabled(), 0);
+        let state = AsyncState::new(SessionBroker::new(config, schedule), Arc::clone(&memo));
+        let report = run_plane(
+            Arc::new(WallClock),
+            state,
+            inputs,
+            Vec::new(),
+            &transport,
+            Some(2),
+            &telemetry,
+        );
+        let pf = p * f as usize;
+        let npf = n * pf;
+        assert_eq!(report.stats.frames_completed, npf as u64);
+        assert_eq!(report.stats.frames_skipped, 0);
+        assert_eq!(
+            memo.assemblies(),
+            pf,
+            "segment assemblies on the session path: one per (rank, frame); the parent made N·P·F = {npf}"
+        );
+        if telemetry.hub.is_enabled() {
+            let wakes = telemetry.hub.counter("exec/wakes").get();
+            assert!(
+                wakes <= (npf + 4 * pf) as u64,
+                "{wakes} wakes for {npf} session-waves; the bound is N·P·F + 4·P·F = {}, the parent made 446–518",
+                npf + 4 * pf
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_consumer_is_one_failed_session_not_a_hang() {
+        let mut schedule: Vec<SessionSpec> = (0..64u32)
+            .map(|i| spec(&format!("s{i}"), i % 4, QualityTier::Standard))
+            .collect();
+        schedule[17].name = PANICS.to_string();
+        let config = ServiceConfig {
+            max_sessions: 64,
+            link_capacity_units: 256,
+            render_slots: 4,
+            queue_depth: 256,
+            ..ServiceConfig::default()
+        };
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(fan_out(schedule, config, 4, 2));
+        });
+        let (report, primary_frames) = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the plane finishes within 60 s of a consumer panicking");
+        assert_eq!(primary_frames.len(), 8);
+        assert_eq!(report.sessions.len(), 64);
+        let failed: Vec<&SessionDelivery> = report.sessions.iter().filter(|s| !s.errors.is_empty()).collect();
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert_eq!(failed[0].name, PANICS);
+        assert_eq!(failed[0].frames_completed, 0);
+        match &failed[0].errors[..] {
+            [ViewerError::ReceiverFailed { detail }] => assert!(detail.contains("was told to"), "{detail}"),
+            other => panic!("expected one ReceiverFailed, got {other:?}"),
+        }
+        for s in report.sessions.iter().filter(|s| s.name != PANICS) {
+            assert_eq!(s.frames_completed, 8, "session {}", s.name);
+        }
     }
 
     #[test]

@@ -204,8 +204,8 @@ impl PeOutcome {
 /// wake → poll → park cycle *per chunk* — at 7 chunks a frame that's 7× the
 /// scheduler traffic the frame needs, and on a small host it dominates the
 /// fan-out cost.  Buffering a frame's chunks and bursting them per session
-/// collapses that to one wake per wave: the first push fires the queue's
-/// data hook, the rest land while the consumer is still scheduled.  Per
+/// collapses that to at most one wake per wave: the burst queues the whole
+/// run and then fires the session's readiness once ([`multicast_wave`]).  Per
 /// session the chunk sequence (and thus every stat and degradation decision)
 /// is exactly what the chunk-by-chunk path produced — only cross-session
 /// interleaving changes, which nothing observes.
@@ -276,6 +276,9 @@ pub(crate) fn multicast_wave(
         }
         let stripes = ep.spec.stripes.max(1);
         let mut skipped = !skips.is_empty() && skips.contains(&(ep.session, frame));
+        // The session's run goes out as one burst: its consumer wakes once
+        // for the wave, not once per stripe the run makes non-empty.
+        let mut burst = ep.sender.burst();
         for chunk in chunks {
             if skipped {
                 *outcome.dropped.entry(ep.session).or_default() += 1;
@@ -287,7 +290,7 @@ pub(crate) fn multicast_wave(
                 stripe: chunk.seq % stripes,
                 ..chunk.clone()
             };
-            match ep.sender.try_send_raw_chunk(fanned) {
+            match burst.try_send_raw_chunk(fanned) {
                 Ok(true) => outcome.delivered += 1,
                 Ok(false) => {
                     skips.insert((ep.session, frame));
@@ -303,13 +306,14 @@ pub(crate) fn multicast_wave(
     }
 }
 
-/// Fold one delivered chunk into a session's delivery: reassemble, and record
-/// every anomaly as the typed [`ViewerError`] the viewer itself would report.
+/// Fold one delivered chunk into a session's delivery: reassemble (a session
+/// keeps no payload, so a frame completes as a verdict), and record every
+/// anomaly as the typed [`ViewerError`] the viewer itself would report.
 pub(crate) fn consume_chunk(delivery: &mut SessionDelivery, assembler: &mut FrameAssembler, chunk: FrameChunk) {
     delivery.chunks_delivered += 1;
     delivery.bytes_delivered += chunk.payload.len() as u64;
     let rank = chunk.rank;
-    match assembler.accept(chunk) {
+    match assembler.accept_verdict(chunk) {
         Ok(AssemblyEvent::Complete { .. }) => delivery.frames_completed += 1,
         Ok(AssemblyEvent::Progress { .. }) => {}
         Ok(AssemblyEvent::Late { rank, frame, stripe }) => {

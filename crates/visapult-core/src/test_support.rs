@@ -9,9 +9,17 @@
 use crate::protocol::{FramePayload, HeavyPayload, LightPayload};
 use crate::transport::{drain_frames, striped_link, StripeReceiver, StripeSender, TransportConfig};
 use bytes::Bytes;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use volren::RgbaImage;
+
+/// `bytes::deep_copy_count` is process-global and tests run on parallel
+/// threads: the tests that diff it, and the ones that make counted copies,
+/// take turns through this.
+pub(crate) fn copy_counter_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A frame with a byte-pattern texture (`tex_size`² RGBA8) and a small fixed
 /// geometry block — exact enough for round-trip equality assertions.

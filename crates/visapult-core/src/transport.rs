@@ -19,7 +19,10 @@
 //! # What a chunk costs the receiver
 //!
 //! [`FrameAssembler::accept`] is O(1): one slot store, and on the frame's
-//! last chunk one pass over the slots.  The progressive views a viewer polls
+//! last chunk one pass over the slots.  That pass assembles and decodes the
+//! frame — except on the fan-out plane, where a session assembler holding
+//! the plane's [`SharedDecode`] only checks its slots against the windows of
+//! the one assembly the whole floor shares.  The progressive views a viewer polls
 //! between chunks — [`FrameAssembler::partial_light`] and
 //! [`FrameAssembler::partial_texture`] — are O(1) amortised as well: a
 //! pending frame keeps one cursor over its slots that folds each newly
@@ -46,11 +49,12 @@
 use crate::error::VisapultError;
 use crate::protocol::{FramePayload, FrameSegments, LightPayload};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, ReadyHook, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{bounded, ReadyHook, Receiver, Sender, TryRecvError, TrySendError};
 use netsim::{Bandwidth, StripePacer, TcpConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -466,8 +470,18 @@ impl StripeSender {
         let stripe = chunk.stripe as usize % self.txs.len();
         match self.txs[stripe].try_send(chunk) {
             Ok(()) => Ok(true),
-            Err(crossbeam::channel::TrySendError::Full(_)) => Ok(false),
-            Err(crossbeam::channel::TrySendError::Disconnected(_)) => Err(TransportError::Closed),
+            Err(TrySendError::Full(_)) => Ok(false),
+            Err(TrySendError::Disconnected(_)) => Err(TransportError::Closed),
+        }
+    }
+
+    /// A run of [`StripeSender::try_send_raw_chunk`]s that wakes the receiver
+    /// at most once, when the burst is dropped, instead of once per stripe it
+    /// makes non-empty.
+    pub(crate) fn burst(&self) -> SendBurst<'_> {
+        SendBurst {
+            sender: self,
+            owed: None,
         }
     }
 
@@ -486,6 +500,55 @@ impl StripeSender {
     pub fn set_space_hook(&self, hook: ReadyHook) {
         for tx in &self.txs {
             tx.set_space_hook(Arc::clone(&hook));
+        }
+    }
+}
+
+impl Drop for StripeSender {
+    /// Every stripe carries the receiver's same data hooks (see
+    /// [`StripeReceiver::set_data_hook`]), so the close is announced once, by
+    /// the last stripe to disconnect, instead of once per stripe.
+    fn drop(&mut self) {
+        let mut txs = std::mem::take(&mut self.txs);
+        let last = txs.pop();
+        for tx in txs {
+            tx.disconnect_quietly();
+        }
+        drop(last);
+    }
+}
+
+/// Non-blocking sends onto one link that owe the receiver one wake, paid when
+/// the burst drops ([`StripeSender::burst`]).  The receiver's data hooks are
+/// registered on every stripe alike, so firing the hooks of the first stripe
+/// the burst made non-empty wakes it exactly as firing each would, once.
+pub(crate) struct SendBurst<'a> {
+    sender: &'a StripeSender,
+    /// The first stripe this burst took from empty to non-empty.
+    owed: Option<usize>,
+}
+
+impl SendBurst<'_> {
+    /// [`StripeSender::try_send_raw_chunk`], with the wake deferred.
+    pub(crate) fn try_send_raw_chunk(&mut self, chunk: FrameChunk) -> Result<bool, TransportError> {
+        let stripe = chunk.stripe as usize % self.sender.txs.len();
+        match self.sender.txs[stripe].try_send_deferred(chunk) {
+            Ok(was_empty) => {
+                if was_empty && self.owed.is_none() {
+                    self.owed = Some(stripe);
+                }
+                Ok(true)
+            }
+            Err(TrySendError::Full(_)) => Ok(false),
+            Err(TrySendError::Disconnected(_)) => Err(TransportError::Closed),
+        }
+    }
+}
+
+impl Drop for SendBurst<'_> {
+    fn drop(&mut self) {
+        if let Some(stripe) = self.owed {
+            self.sender.txs[stripe].fire_data_hooks();
         }
     }
 }
@@ -641,9 +704,11 @@ pub fn striped_link(config: &TransportConfig) -> (StripeSender, StripeReceiver) 
     )
 }
 
-/// What [`FrameAssembler::accept`] observed about one chunk.
+/// What [`FrameAssembler::accept`] observed about one chunk.  `P` is what a
+/// completed frame carries: the payload, or `()` for a consumer that only
+/// counts frames.
 #[derive(Debug)]
-pub enum AssemblyEvent {
+pub enum AssemblyEvent<P = FramePayload> {
     /// Chunk stored; its frame is still incomplete.
     Progress {
         /// Sending PE rank.
@@ -658,7 +723,7 @@ pub enum AssemblyEvent {
     /// The chunk completed its frame; here is the reassembled payload.
     Complete {
         /// The frame, reassembled and validated.
-        payload: FramePayload,
+        payload: P,
         /// Framed bytes the frame occupied on the wire.
         wire_bytes: u64,
     },
@@ -673,10 +738,13 @@ pub enum AssemblyEvent {
     },
 }
 
+/// A frame's chunks by sequence number: `(segment, bytes)` once received.
+type Slots = Vec<Option<(u8, Bytes)>>;
+
 struct FrameAssembly {
     total: u32,
     received: u32,
-    slots: Vec<Option<(u8, Bytes)>>,
+    slots: Slots,
     /// The progressive-view cursor, allocated by the first `partial_*` call:
     /// `accept` never touches it, so frames nobody polls carry one null word.
     prefix: Option<Box<PrefixCursor>>,
@@ -748,31 +816,62 @@ impl PrefixCursor {
     }
 }
 
-/// One memoized decode: the segments that were decoded (held so their buffer
-/// identity stays valid — a live `Arc` can't be recycled by the allocator)
-/// and the outcome, error text preserved verbatim.
+/// One memoized frame: the chunk windows it was assembled from (held, so
+/// their buffers stay live and their identity means what it meant) and the
+/// payload they decoded to.  Only copy-free assemblies that decoded are kept.
 struct DecodedFrame {
-    segments: FrameSegments,
-    result: Result<FramePayload, String>,
+    slots: Slots,
+    wire_bytes: u64,
+    payload: FramePayload,
+}
+
+impl DecodedFrame {
+    /// True when `slots` hold exactly the windows this frame was assembled
+    /// from: per slot the same segment and the same buffer, offset and length
+    /// (`Bytes::ptr_eq`).  Assembly is a function of those windows alone, so a
+    /// match would assemble, and decode, to exactly this frame.
+    fn assembled_from(&self, slots: &[Option<(u8, Bytes)>]) -> bool {
+        self.slots.len() == slots.len()
+            && self.slots.iter().zip(slots).all(|(mine, theirs)| match (mine, theirs) {
+                (Some((a, mine)), Some((b, theirs))) => a == b && mine.ptr_eq(theirs),
+                _ => false,
+            })
+    }
 }
 
 struct SharedDecodeState {
-    frames: HashMap<(u32, u32), DecodedFrame>,
+    /// Keyed by the wire's `(rank, frame)`: an ordered map, so no hash a
+    /// sender could make collide.
+    frames: BTreeMap<(u32, u32), DecodedFrame>,
     /// Insertion order of `frames` keys, for bounded eviction.
-    order: std::collections::VecDeque<(u32, u32)>,
+    order: VecDeque<(u32, u32)>,
+    /// Segment assemblies made by the assemblers sharing this memo.
+    #[cfg(test)]
+    assemblies: usize,
 }
 
-/// A decode memo shared by every session assembler of one fan-out plane.
+/// What completing one frame came to: its payload as the caller keeps it (or
+/// the decode error's text), its wire size, and the gather copies made.
+struct Settled<P> {
+    result: Result<P, String>,
+    wire_bytes: u64,
+    copies: u64,
+}
+
+/// A frame memo shared by every session assembler of one fan-out plane.
 ///
 /// On the exhibit floor every session receives the *same* chunks — O(1)
-/// slices of the sender's own buffers — so each session's reassembled
-/// segments view identical memory.  Decoding (geometry parse, validation)
-/// that frame once and sharing the `FramePayload` turns the per-frame decode
-/// cost from O(sessions) into O(1) without changing a single observable:
-/// hits are proven by buffer identity ([`FrameSegments::same_regions`]), so a
-/// shared decode returns bit-identical payloads, stats, and error text to a
-/// private one.  Misses (a genuinely different reassembly for the same
-/// `(rank, frame)`, or an evicted entry) simply decode again.
+/// slices of the sender's own buffers.  The first session to complete a
+/// `(rank, frame)` assembles and decodes it and records the chunk windows it
+/// used; every other session completes the frame by checking its own slots
+/// against those windows (segment id and `Bytes::ptr_eq`) and takes the
+/// recorded verdict, with no assembly, decode or payload copy of its own.  So
+/// the per-frame cost is one assembly and one decode for the whole floor, and
+/// a hit is exact, never probabilistic: the same windows of the same
+/// immutable buffers cannot decode to anything else.  Anything else — another
+/// window, an evicted entry, an assembly that needed a gather copy, a frame
+/// that does not decode — is assembled and decoded by the session itself,
+/// exactly as a private assembler would.
 pub struct SharedDecode {
     state: Mutex<SharedDecodeState>,
 }
@@ -787,45 +886,85 @@ impl SharedDecode {
     pub fn new() -> Self {
         SharedDecode {
             state: Mutex::new(SharedDecodeState {
-                frames: HashMap::new(),
-                order: std::collections::VecDeque::new(),
+                frames: BTreeMap::new(),
+                order: VecDeque::new(),
+                #[cfg(test)]
+                assemblies: 0,
             }),
         }
     }
 
-    /// Decode `segments` for `(rank, frame)`, reusing the memoized result
-    /// when an identical reassembly (same buffers, same windows) was already
-    /// decoded.  The error `String` is the `Display` text of the underlying
-    /// decode error, identical on hit and miss.
-    fn decode(&self, rank: u32, frame: u32, segments: FrameSegments) -> Result<FramePayload, String> {
+    /// Complete `key` from its full slot table: the recorded verdict when the
+    /// slots are the windows of the memoized frame, else an assembly and
+    /// decode of this table, recorded for the siblings when it is copy-free
+    /// and decodes (the table then moves into the memo).  Both run under the
+    /// lock, so concurrent sessions completing one frame assemble it once.
+    fn settle<P>(
+        &self,
+        key: (u32, u32),
+        slots: &mut Slots,
+        keep: impl FnOnce(Cow<'_, FramePayload>) -> P,
+    ) -> Settled<P> {
         // Every entry is inserted whole, so a memo poisoned by a session that
         // panicked under this lock is still a correct one.
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = st.frames.get(&(rank, frame)) {
-            if entry.segments.same_regions(&segments) {
-                return entry.result.clone();
+        if let Some(entry) = st.frames.get(&key) {
+            if entry.assembled_from(slots) {
+                return Settled {
+                    result: Ok(keep(Cow::Borrowed(&entry.payload))),
+                    wire_bytes: entry.wire_bytes,
+                    copies: 0,
+                };
             }
         }
-        let result = segments.clone().decode().map_err(|e| e.to_string());
-        if st
-            .frames
-            .insert(
-                (rank, frame),
-                DecodedFrame {
-                    segments,
-                    result: result.clone(),
-                },
-            )
-            .is_none()
+        #[cfg(test)]
         {
-            st.order.push_back((rank, frame));
+            st.assemblies += 1;
+        }
+        let (segments, copies) = assemble_segments(slots.iter().flatten().cloned());
+        let wire_bytes = segments.wire_bytes();
+        let payload = match segments.decode() {
+            Ok(payload) => payload,
+            Err(e) => {
+                return Settled {
+                    result: Err(e.to_string()),
+                    wire_bytes,
+                    copies,
+                }
+            }
+        };
+        if copies != 0 {
+            return Settled {
+                result: Ok(keep(Cow::Owned(payload))),
+                wire_bytes,
+                copies,
+            };
+        }
+        let result = Ok(keep(Cow::Borrowed(&payload)));
+        let entry = DecodedFrame {
+            slots: std::mem::take(slots),
+            wire_bytes,
+            payload,
+        };
+        if st.frames.insert(key, entry).is_none() {
+            st.order.push_back(key);
             if st.order.len() > SHARED_DECODE_CAP {
                 if let Some(old) = st.order.pop_front() {
                     st.frames.remove(&old);
                 }
             }
         }
-        result
+        Settled {
+            result,
+            wire_bytes,
+            copies,
+        }
+    }
+
+    /// Segment assemblies made so far by the assemblers sharing this memo.
+    #[cfg(test)]
+    pub(crate) fn assemblies(&self) -> usize {
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).assemblies
     }
 }
 
@@ -845,13 +984,21 @@ impl Default for SharedDecode {
 /// smallest chunk a scenario can set (1 KB).
 pub(crate) const MAX_FRAME_CHUNKS: u32 = 1 << 16;
 
+/// Emptied slot tables an assembler keeps for its next frames.  A session
+/// has at most a frame or two per PE in flight, so a few cover steady state.
+const SPARE_SLOT_TABLES: usize = 4;
+
 /// Reassembles out-of-order chunks into complete frames, one instance per PE
 /// link.  Late and duplicate chunks are surfaced, never silently dropped.
 #[derive(Default)]
 pub struct FrameAssembler {
-    pending: HashMap<(u32, u32), FrameAssembly>,
-    completed: HashSet<(u32, u32)>,
-    /// Decode memo shared with sibling assemblers, when this assembler is one
+    /// Keyed by the wire's `(rank, frame)`, like `completed`: ordered sets,
+    /// so no hash a sender could make collide, and no hashing per chunk.
+    pending: BTreeMap<(u32, u32), FrameAssembly>,
+    completed: BTreeSet<(u32, u32)>,
+    /// Slot tables of completed frames, cleared, for the next frames.
+    spare: Vec<Slots>,
+    /// Frame memo shared with sibling assemblers, when this assembler is one
     /// of many receiving the same multicast frames.
     shared: Option<Arc<SharedDecode>>,
     /// Receiver-side telemetry (chunks/bytes by stripe, out-of-order count,
@@ -868,8 +1015,8 @@ impl FrameAssembler {
         Self::default()
     }
 
-    /// An assembler that consults `shared` before decoding a completed frame
-    /// — for session consumers that all receive the same multicast chunks.
+    /// An assembler that completes frames against `shared` — for session
+    /// consumers that all receive the same multicast chunks.
     pub fn with_shared_decode(shared: Arc<SharedDecode>) -> Self {
         FrameAssembler {
             shared: Some(shared),
@@ -879,8 +1026,25 @@ impl FrameAssembler {
 
     /// Feed one chunk in; returns what happened.
     pub fn accept(&mut self, chunk: FrameChunk) -> Result<AssemblyEvent, TransportError> {
+        self.settle(chunk, |payload| payload.into_owned())
+    }
+
+    /// [`FrameAssembler::accept`] for a consumer that keeps no payload: a
+    /// completed frame is reported without one, so a frame the shared memo
+    /// already holds costs this assembler no assembly, decode or clone.
+    pub(crate) fn accept_verdict(&mut self, chunk: FrameChunk) -> Result<AssemblyEvent<()>, TransportError> {
+        self.settle(chunk, |_| ())
+    }
+
+    fn settle<P>(
+        &mut self,
+        chunk: FrameChunk,
+        keep: impl FnOnce(Cow<'_, FramePayload>) -> P,
+    ) -> Result<AssemblyEvent<P>, TransportError> {
         let key = (chunk.rank, chunk.frame);
-        if self.completed.contains(&key) {
+        // A pending frame has not completed, and `pending` holds a frame or
+        // two where `completed` holds every frame so far: ask it first.
+        if !self.pending.contains_key(&key) && self.completed.contains(&key) {
             return Ok(AssemblyEvent::Late {
                 rank: chunk.rank,
                 frame: chunk.frame,
@@ -902,12 +1066,16 @@ impl FrameAssembler {
         }
         let mut entry = match self.pending.entry(key) {
             Entry::Occupied(entry) => entry,
-            Entry::Vacant(entry) => entry.insert_entry(FrameAssembly {
-                total: chunk.total,
-                received: 0,
-                slots: vec![None; chunk.total as usize],
-                prefix: None,
-            }),
+            Entry::Vacant(entry) => {
+                let mut slots = self.spare.pop().unwrap_or_default();
+                slots.resize(chunk.total as usize, None);
+                entry.insert_entry(FrameAssembly {
+                    total: chunk.total,
+                    received: 0,
+                    slots,
+                    prefix: None,
+                })
+            }
         };
         let assembly = entry.get_mut();
         if assembly.total != chunk.total {
@@ -936,29 +1104,44 @@ impl FrameAssembler {
                 total: assembly.total,
             });
         }
-        let assembly = entry.remove();
+        let mut slots = entry.remove().slots;
         self.completed.insert(key);
-        let (segments, copies) = assemble_segments(assembly.slots);
-        self.stats.reassembly_copies += copies;
-        let wire_bytes = segments.wire_bytes();
-        let payload = match &self.shared {
-            Some(memo) => memo.decode(key.0, key.1, segments).map_err(TransportError::Corrupt)?,
-            None => segments.decode().map_err(|e| TransportError::Corrupt(e.to_string()))?,
+        let settled = match &self.shared {
+            Some(memo) => memo.settle(key, &mut slots, keep),
+            None => {
+                let (segments, copies) = assemble_segments(slots.drain(..).flatten());
+                let wire_bytes = segments.wire_bytes();
+                Settled {
+                    result: segments
+                        .decode()
+                        .map(|p| keep(Cow::Owned(p)))
+                        .map_err(|e| e.to_string()),
+                    wire_bytes,
+                    copies,
+                }
+            }
         };
+        // A table the memo kept moved out, leaving an empty `Vec`.
+        if slots.capacity() > 0 && self.spare.len() < SPARE_SLOT_TABLES {
+            slots.clear();
+            self.spare.push(slots);
+        }
+        self.stats.reassembly_copies += settled.copies;
+        let payload = settled.result.map_err(TransportError::Corrupt)?;
         self.stats.frames += 1;
-        Ok(AssemblyEvent::Complete { payload, wire_bytes })
+        Ok(AssemblyEvent::Complete {
+            payload,
+            wire_bytes: settled.wire_bytes,
+        })
     }
 
     /// Frames currently mid-assembly, as `(rank, frame, received, total)` —
     /// what a closing link leaves behind.
     pub fn pending_frames(&self) -> Vec<(u32, u32, u32, u32)> {
-        let mut v: Vec<(u32, u32, u32, u32)> = self
-            .pending
+        self.pending
             .iter()
             .map(|(&(rank, frame), a)| (rank, frame, a.received, a.total))
-            .collect();
-        v.sort_unstable();
-        v
+            .collect()
     }
 
     /// True once `(rank, frame)` has fully assembled.
@@ -997,42 +1180,60 @@ impl FrameAssembler {
     }
 }
 
-/// Join each segment's slices back into one buffer (zero-copy when the
-/// slices are contiguous windows of one allocation, which they are on the
-/// in-process link) and count any gather fallbacks.
-fn assemble_segments(slots: Vec<Option<(u8, Bytes)>>) -> (FrameSegments, u64) {
-    let mut copies = 0u64;
-    let mut segments: [Vec<Bytes>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-    for slot in slots {
-        let (segment, part) = slot.expect("assembly is complete");
+/// Join each segment's slices, in slot order, back into one buffer
+/// (zero-copy when the slices are contiguous windows of one allocation, which
+/// they are on the in-process link) and count any gather fallbacks.
+fn assemble_segments(parts: impl Iterator<Item = (u8, Bytes)>) -> (FrameSegments, u64) {
+    let mut segments: [SegmentJoin; 4] = Default::default();
+    for (segment, part) in parts {
         segments[(segment as usize).min(3)].push(part);
     }
-    let mut join = |parts: Vec<Bytes>| -> Bytes {
-        let mut merged: Vec<Bytes> = Vec::with_capacity(parts.len());
-        for part in parts {
-            match merged.last_mut() {
-                Some(prev) => match prev.try_join(&part) {
-                    Some(joined) => *prev = joined,
-                    None => merged.push(part),
-                },
-                None => merged.push(part),
-            }
-        }
-        if merged.len() > 1 {
-            copies += 1;
-            Bytes::gather(&merged)
-        } else {
-            merged.pop().unwrap_or_default()
-        }
-    };
-    let [light, header, texture, geometry] = segments;
+    let mut copies = 0u64;
+    let [light, header, texture, geometry] = segments.map(|joined| joined.finish(&mut copies));
     let segs = FrameSegments {
-        light: join(light),
-        heavy_header: join(header),
-        texture: join(texture),
-        geometry: join(geometry),
+        light,
+        heavy_header: header,
+        texture,
+        geometry,
     };
     (segs, copies)
+}
+
+/// One segment's parts, greedily rejoined in order: `last` is the window
+/// still growing, `done` the windows before it that it could not extend.
+#[derive(Default)]
+struct SegmentJoin {
+    done: Vec<Bytes>,
+    last: Option<Bytes>,
+}
+
+impl SegmentJoin {
+    fn push(&mut self, part: Bytes) {
+        self.last = Some(match self.last.take() {
+            None => part,
+            Some(prev) => match prev.try_join(&part) {
+                Some(joined) => joined,
+                None => {
+                    self.done.push(prev);
+                    part
+                }
+            },
+        });
+    }
+
+    /// The segment as one buffer: the one window, or a gather copy of
+    /// several (counted in `copies`).
+    fn finish(mut self, copies: &mut u64) -> Bytes {
+        let Some(last) = self.last else {
+            return Bytes::default();
+        };
+        if self.done.is_empty() {
+            return last;
+        }
+        self.done.push(last);
+        *copies += 1;
+        Bytes::gather(&self.done)
+    }
 }
 
 /// Pump a receiver until its link closes, returning every frame completed in
@@ -1056,7 +1257,7 @@ pub fn drain_frames(rx: &mut StripeReceiver) -> Result<Vec<FramePayload>, Transp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::sample_frame;
+    use crate::test_support::{copy_counter_turn, sample_frame};
     use std::time::Instant;
 
     #[test]
@@ -1086,6 +1287,7 @@ mod tests {
         let config = TransportConfig::default().with_stripes(4).with_chunk_bytes(1000);
         let (tx, mut rx) = striped_link(&config);
         let frames: Vec<FramePayload> = (0..3).map(|f| sample_frame(7, f, 16)).collect();
+        let _turn = copy_counter_turn();
         let before = bytes::deep_copy_count();
         let mut wire = 0;
         for f in &frames {
@@ -1300,6 +1502,35 @@ mod tests {
     }
 
     #[test]
+    fn a_burst_and_a_close_each_wake_the_receiver_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (tx, mut rx) = striped_link(&TransportConfig::default().with_stripes(4));
+        let fired = Arc::new(AtomicUsize::new(0));
+        let hook_fired = Arc::clone(&fired);
+        rx.set_data_hook(Arc::new(move || {
+            hook_fired.fetch_add(1, Ordering::SeqCst);
+        }));
+        let chunks = chunk_frame(&sample_frame(0, 0, 16), 64, 4);
+        assert!(chunks.len() > 4, "the run covers every stripe");
+        {
+            let mut burst = tx.burst();
+            for chunk in chunks {
+                assert!(burst.try_send_raw_chunk(chunk).unwrap());
+            }
+            assert_eq!(fired.load(Ordering::SeqCst), 0, "nothing fires mid-burst");
+        }
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "four stripes made non-empty, one wake");
+        while rx.try_recv_chunk().is_some() {}
+        drop(tx);
+        assert_eq!(
+            fired.load(Ordering::SeqCst),
+            2,
+            "the close is announced once, not per stripe"
+        );
+        assert!(rx.try_recv_chunk().is_none() && rx.is_closed());
+    }
+
+    #[test]
     fn pacing_throttles_the_link() {
         // 1 MB of texture over a 8 Mbps (1 MB/s) paced link must take close
         // to a second; unpaced it is effectively instant.
@@ -1496,6 +1727,7 @@ mod tests {
         let (rank, frame, total) = (chunks[0].rank, chunks[0].frame, chunks[0].total as usize);
         let mut asm = FrameAssembler::new();
         let mut visits = 0usize;
+        let _turn = copy_counter_turn();
         let copies_before = bytes::deep_copy_count();
         for chunk in chunks {
             let seq = chunk.seq;
@@ -1651,6 +1883,358 @@ mod tests {
         );
         asm.partial_texture(1, 1).unwrap();
         assert!(asm.pending[&(1, 1)].prefix.is_some());
+    }
+
+    /// The assembler as it was before completions went through the shared
+    /// memo, whole: hashed maps, and every completed frame assembled from its
+    /// slots and decoded on the spot.  The oracle the other two are held to.
+    mod oracle {
+        use super::*;
+        use std::collections::{HashMap, HashSet};
+
+        struct Pending {
+            total: u32,
+            received: u32,
+            slots: Vec<Option<(u8, Bytes)>>,
+        }
+
+        #[derive(Default)]
+        pub(super) struct ParentAssembler {
+            pending: HashMap<(u32, u32), Pending>,
+            completed: HashSet<(u32, u32)>,
+            pub(super) stats: TransportStats,
+        }
+
+        impl ParentAssembler {
+            pub(super) fn accept(&mut self, chunk: FrameChunk) -> Result<AssemblyEvent, TransportError> {
+                let key = (chunk.rank, chunk.frame);
+                if self.completed.contains(&key) {
+                    return Ok(AssemblyEvent::Late {
+                        rank: chunk.rank,
+                        frame: chunk.frame,
+                        stripe: chunk.stripe,
+                    });
+                }
+                if chunk.total == 0 || chunk.seq >= chunk.total {
+                    return Err(TransportError::Corrupt(format!(
+                        "chunk seq {}/{} out of range (rank {}, frame {})",
+                        chunk.seq, chunk.total, chunk.rank, chunk.frame
+                    )));
+                }
+                if chunk.total > MAX_FRAME_CHUNKS {
+                    return Err(TransportError::Corrupt(format!(
+                        "frame {} (rank {}) announces {} chunks, more than the {MAX_FRAME_CHUNKS} a frame may have",
+                        chunk.frame, chunk.rank, chunk.total
+                    )));
+                }
+                let assembly = self.pending.entry(key).or_insert_with(|| Pending {
+                    total: chunk.total,
+                    received: 0,
+                    slots: vec![None; chunk.total as usize],
+                });
+                if assembly.total != chunk.total {
+                    return Err(TransportError::Corrupt(format!(
+                        "frame {} chunk totals disagree: {} vs {}",
+                        chunk.frame, assembly.total, chunk.total
+                    )));
+                }
+                if assembly.slots[chunk.seq as usize].is_some() {
+                    return Err(TransportError::Corrupt(format!(
+                        "duplicate chunk {} for frame {} (rank {})",
+                        chunk.seq, chunk.frame, chunk.rank
+                    )));
+                }
+                if chunk.seq != assembly.received {
+                    self.stats.out_of_order_chunks += 1;
+                }
+                self.stats.record_chunk(chunk.stripe, chunk.payload.len());
+                assembly.slots[chunk.seq as usize] = Some((chunk.segment, chunk.payload));
+                assembly.received += 1;
+                if assembly.received < assembly.total {
+                    return Ok(AssemblyEvent::Progress {
+                        rank: chunk.rank,
+                        frame: chunk.frame,
+                        received: assembly.received,
+                        total: assembly.total,
+                    });
+                }
+                let assembly = self.pending.remove(&key).expect("the frame is pending");
+                self.completed.insert(key);
+                let (segments, copies) = assemble_segments(assembly.slots);
+                self.stats.reassembly_copies += copies;
+                let wire_bytes = segments.wire_bytes();
+                let payload = segments.decode().map_err(|e| TransportError::Corrupt(e.to_string()))?;
+                self.stats.frames += 1;
+                Ok(AssemblyEvent::Complete { payload, wire_bytes })
+            }
+
+            pub(super) fn pending_frames(&self) -> Vec<(u32, u32, u32, u32)> {
+                let mut v: Vec<(u32, u32, u32, u32)> = self
+                    .pending
+                    .iter()
+                    .map(|(&(rank, frame), a)| (rank, frame, a.received, a.total))
+                    .collect();
+                v.sort_unstable();
+                v
+            }
+        }
+
+        fn assemble_segments(slots: Vec<Option<(u8, Bytes)>>) -> (FrameSegments, u64) {
+            let mut copies = 0u64;
+            let mut segments: [Vec<Bytes>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
+            for slot in slots {
+                let (segment, part) = slot.expect("assembly is complete");
+                segments[(segment as usize).min(3)].push(part);
+            }
+            let mut join = |parts: Vec<Bytes>| -> Bytes {
+                let mut merged: Vec<Bytes> = Vec::with_capacity(parts.len());
+                for part in parts {
+                    match merged.last_mut() {
+                        Some(prev) => match prev.try_join(&part) {
+                            Some(joined) => *prev = joined,
+                            None => merged.push(part),
+                        },
+                        None => merged.push(part),
+                    }
+                }
+                if merged.len() > 1 {
+                    copies += 1;
+                    Bytes::gather(&merged)
+                } else {
+                    merged.pop().unwrap_or_default()
+                }
+            };
+            let [light, header, texture, geometry] = segments;
+            let segs = FrameSegments {
+                light: join(light),
+                heavy_header: join(header),
+                texture: join(texture),
+                geometry: join(geometry),
+            };
+            (segs, copies)
+        }
+    }
+
+    /// What an assembler reported for one chunk, comparable across the
+    /// assemblers (a verdict-only completion carries no payload).
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Progress(u32, u32, u32, u32),
+        Complete(Option<FramePayload>, u64),
+        Late(u32, u32, u32),
+        Error(String),
+    }
+
+    fn seen<P>(event: &Result<AssemblyEvent<P>, TransportError>, payload: impl Fn(&P) -> Option<FramePayload>) -> Seen {
+        match event {
+            Ok(AssemblyEvent::Progress {
+                rank,
+                frame,
+                received,
+                total,
+            }) => Seen::Progress(*rank, *frame, *received, *total),
+            Ok(AssemblyEvent::Complete { payload: p, wire_bytes }) => Seen::Complete(payload(p), *wire_bytes),
+            Ok(AssemblyEvent::Late { rank, frame, stripe }) => Seen::Late(*rank, *frame, *stripe),
+            Err(e) => Seen::Error(e.to_string()),
+        }
+    }
+
+    /// `frame`'s chunks cut from fresh copies of its segments: the same
+    /// bytes and windows as [`chunk_frame`]'s, in buffers nobody else holds.
+    fn foreign_chunks(frame: &FramePayload, chunk_bytes: usize, stripes: u32) -> Vec<FrameChunk> {
+        let mut chunks = chunk_frame(frame, chunk_bytes, stripes);
+        let segments = FrameSegments::encode(frame);
+        let copies = [
+            Bytes::from(segments.light.as_slice().to_vec()),
+            Bytes::from(segments.heavy_header.as_slice().to_vec()),
+            Bytes::from(segments.texture.as_slice().to_vec()),
+            Bytes::from(segments.geometry.as_slice().to_vec()),
+        ];
+        let mut at = [0usize; 4];
+        for chunk in &mut chunks {
+            let segment = chunk.segment as usize;
+            let len = chunk.payload.len();
+            chunk.payload = copies[segment].slice(at[segment]..at[segment] + len);
+            at[segment] += len;
+        }
+        chunks
+    }
+
+    /// What the memo did across a batch of hostile cases.
+    #[derive(Default)]
+    struct MemoUse {
+        /// Shared-assembler completions taken from the memo.
+        hits: usize,
+        /// Completions of foreign frames, every one of which must miss.
+        foreign: usize,
+    }
+
+    /// One hostile chunk sequence, drawn from `seed`, through a private
+    /// assembler, two sharing a memo a sibling session primed (one keeping
+    /// payloads, one only verdicts), and the oracle: every event, error text,
+    /// pending list and stat must agree, and nothing may panic.
+    fn hostile_case(seed: u64, memo_use: &mut MemoUse) {
+        // Gather copies are counted process-wide.
+        let _turn = copy_counter_turn();
+        let mut rng = proptest::TestRng::for_test(&format!("hostile chunks {seed}"));
+        let mut below = |n: u64| rng.next_u64() % n.max(1);
+        let (tex, chunk_bytes, stripes) = (1 + below(10) as usize, 16 + below(240) as usize, 1 + below(4) as u32);
+        // 2 ranks × 3 frames; each either arrives whole (0), as a foreign
+        // copy (1), with one foreign chunk (2), in part (3), not at all (4),
+        // or whole but lying about its geometry, so it cannot decode (5).
+        let mut sequence = Vec::new();
+        let mut foreign = BTreeSet::new();
+        let memo = Arc::new(SharedDecode::new());
+        let mut sibling = FrameAssembler::with_shared_decode(Arc::clone(&memo));
+        for rank in 0..2 {
+            for frame in 0..3 {
+                let mut payload = sample_frame(rank, frame, tex);
+                let mode = below(6);
+                if mode == 5 {
+                    payload.light.geometry_segments += 1;
+                }
+                let canonical = chunk_frame(&payload, chunk_bytes, stripes);
+                for chunk in &canonical {
+                    let _ = sibling.accept_verdict(chunk.clone());
+                }
+                let mut chunks = match mode {
+                    1 => {
+                        foreign.insert((rank, frame));
+                        foreign_chunks(&payload, chunk_bytes, stripes)
+                    }
+                    4 => Vec::new(),
+                    _ => canonical,
+                };
+                if mode == 2 {
+                    let i = below(chunks.len() as u64) as usize;
+                    chunks[i].payload = Bytes::from(chunks[i].payload.as_slice().to_vec());
+                }
+                if mode == 3 {
+                    let keep = below(chunks.len() as u64) as usize;
+                    chunks.truncate(keep);
+                }
+                sequence.extend(chunks);
+            }
+        }
+        shuffle(&mut sequence, seed);
+        for _ in 0..below(12) {
+            let at = below(sequence.len() as u64 + 1) as usize;
+            let mut chunk = match sequence.get(below(sequence.len() as u64) as usize) {
+                Some(chunk) => chunk.clone(),
+                None => FrameChunk {
+                    frame: 0,
+                    rank: 0,
+                    seq: 0,
+                    total: 1,
+                    stripe: 0,
+                    stripe_seq: 0,
+                    segment: 0,
+                    payload: Bytes::from(vec![0u8; 4]),
+                },
+            };
+            match below(9) {
+                0 => {}                                                       // a duplicate, or a late chunk
+                1 => chunk.seq = chunk.total.saturating_add(below(3) as u32), // seq ≥ total
+                2 => chunk.total = chunk.total.wrapping_add(1),               // totals disagree
+                3 => chunk.total = chunk.total.wrapping_sub(1),
+                4 => chunk.total = [MAX_FRAME_CHUNKS, MAX_FRAME_CHUNKS + 1, u32::MAX][below(3) as usize],
+                5 => chunk.total = 0,
+                6 => chunk.segment = 4 + below(252) as u8,
+                7 => chunk.payload = Bytes::from(chunk.payload.as_slice().to_vec()), // a foreign window
+                _ => {
+                    // Another (rank, frame) altogether, interleaved.
+                    chunk.rank = below(4) as u32;
+                    chunk.frame = 3 + below(3) as u32;
+                    chunk.total = 1 + below(3) as u32;
+                    chunk.seq = below(chunk.total as u64) as u32;
+                }
+            }
+            sequence.insert(at, chunk);
+        }
+
+        let mut oracle = oracle::ParentAssembler::default();
+        let mut private = FrameAssembler::new();
+        let mut shared = FrameAssembler::with_shared_decode(Arc::clone(&memo));
+        let mut verdicts = FrameAssembler::with_shared_decode(Arc::clone(&memo));
+        for chunk in sequence {
+            let key = (chunk.rank, chunk.frame);
+            let assemblies = memo.assemblies();
+            let want = oracle.accept(chunk.clone());
+            let private_event = private.accept(chunk.clone());
+            let shared_event = shared.accept(chunk.clone());
+            let shared_assembled = memo.assemblies() > assemblies;
+            let verdict = verdicts.accept_verdict(chunk);
+            let want_seen = seen(&want, |p| Some(p.clone()));
+            assert_eq!(
+                seen(&private_event, |p| Some(p.clone())),
+                want_seen,
+                "private, case {seed}"
+            );
+            assert_eq!(
+                seen(&shared_event, |p| Some(p.clone())),
+                want_seen,
+                "shared, case {seed}"
+            );
+            let mut stripped = want_seen;
+            if let Seen::Complete(payload, _) = &mut stripped {
+                *payload = None;
+            }
+            assert_eq!(seen(&verdict, |_| None), stripped, "verdict only, case {seed}");
+            if let (
+                Ok(AssemblyEvent::Complete { payload: mine, .. }),
+                Ok(AssemblyEvent::Complete { payload: theirs, .. }),
+            ) = (&shared_event, &private_event)
+            {
+                if foreign.contains(&key) {
+                    memo_use.foreign += 1;
+                    assert!(
+                        shared_assembled,
+                        "a foreign frame was served from the memo, case {seed}"
+                    );
+                }
+                if !shared_assembled {
+                    // A hit hands back the very texture window a private
+                    // decode of these chunks makes, not just equal bytes.
+                    memo_use.hits += 1;
+                    assert!(
+                        mine.heavy.texture_rgba8.ptr_eq(&theirs.heavy.texture_rgba8),
+                        "case {seed}"
+                    );
+                }
+            }
+            let pending = oracle.pending_frames();
+            assert_eq!(private.pending_frames(), pending, "case {seed}");
+            assert_eq!(shared.pending_frames(), pending, "case {seed}");
+            assert_eq!(verdicts.pending_frames(), pending, "case {seed}");
+        }
+        for stats in [&private.stats, &shared.stats, &verdicts.stats] {
+            assert_eq!(stats, &oracle.stats, "case {seed}");
+        }
+    }
+
+    #[test]
+    fn hostile_chunk_sequences_agree_with_the_oracle() {
+        let mut memo_use = MemoUse::default();
+        for seed in 0..500 {
+            hostile_case(seed, &mut memo_use);
+        }
+        assert!(
+            memo_use.hits > 0 && memo_use.foreign > 0,
+            "the cases must reach both memo paths"
+        );
+    }
+
+    #[test]
+    #[ignore = "10^5 cases; run in release"]
+    fn hostile_chunk_sequences_agree_with_the_oracle_at_scale() {
+        let mut memo_use = MemoUse::default();
+        for seed in 0..100_000 {
+            hostile_case(seed, &mut memo_use);
+        }
+        assert!(
+            memo_use.hits > 0 && memo_use.foreign > 0,
+            "the cases must reach both memo paths"
+        );
     }
 
     #[test]

@@ -121,6 +121,12 @@ pub enum ViewerError {
         /// What failed.
         detail: String,
     },
+    /// The receiver serving every PE of this session died (a panic); what
+    /// it had received is lost with it.
+    ReceiverFailed {
+        /// How it died.
+        detail: String,
+    },
 }
 
 /// What the viewer observed during a run.

@@ -61,6 +61,8 @@ pub mod channel {
     /// The sending half; clonable.
     pub struct Sender<T> {
         shared: Arc<Shared<T>>,
+        /// Set by [`Sender::disconnect_quietly`]: this drop fires no hooks.
+        quiet: bool,
     }
 
     /// The receiving half; clonable (any one receiver gets each message).
@@ -208,6 +210,7 @@ pub mod channel {
         (
             Sender {
                 shared: Arc::clone(&shared),
+                quiet: false,
             },
             Receiver { shared },
         )
@@ -264,6 +267,27 @@ pub mod channel {
         /// fan-out plane uses to degrade a slow consumer rather than stall
         /// every other consumer behind it.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+            self.push_now(value, true).map(|_| ())
+        }
+
+        /// [`Sender::try_send`] that leaves the data hooks unfired: `Ok(true)`
+        /// when this send took the channel from empty to non-empty, so the
+        /// caller owes one [`Sender::fire_data_hooks`].  For a producer that
+        /// queues a run of messages and wakes the consumer once for the run.
+        /// A receiver blocked in `recv` is still woken here.
+        pub fn try_send_deferred(&self, value: T) -> Result<bool, TrySendError<T>> {
+            self.push_now(value, false)
+        }
+
+        /// Fire the data hooks now — what a [`Sender::try_send_deferred`]
+        /// that returned `Ok(true)` owes.
+        pub fn fire_data_hooks(&self) {
+            let hooks = snapshot_hooks(&self.shared.state.lock().unwrap_or_else(|e| e.into_inner()).data_hooks);
+            fire_hooks(hooks);
+        }
+
+        /// Queue without blocking; returns whether the queue was empty.
+        fn push_now(&self, value: T, fire: bool) -> Result<bool, TrySendError<T>> {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             if state.receivers == 0 {
                 return Err(TrySendError::Disconnected(value));
@@ -276,7 +300,7 @@ pub mod channel {
             let was_empty = state.queue.is_empty();
             state.queue.push_back(value);
             let wake = state.ready_waiters > 0;
-            let hooks = if was_empty {
+            let hooks = if was_empty && fire {
                 snapshot_hooks(&state.data_hooks)
             } else {
                 None
@@ -286,7 +310,15 @@ pub mod channel {
                 self.shared.ready.notify_one();
             }
             fire_hooks(hooks);
-            Ok(())
+            Ok(was_empty)
+        }
+
+        /// Drop this sender without firing the data hooks, even when it is
+        /// the last one.  Receivers blocked in `recv` still see the
+        /// disconnect; a receiver parked on hooks hears of it only through
+        /// another channel that shares them — the caller's to guarantee.
+        pub fn disconnect_quietly(mut self) {
+            self.quiet = true;
         }
 
         /// Number of queued messages right now (telemetry; racy by nature).
@@ -318,6 +350,7 @@ pub mod channel {
             self.shared.state.lock().unwrap_or_else(|e| e.into_inner()).senders += 1;
             Sender {
                 shared: Arc::clone(&self.shared),
+                quiet: false,
             }
         }
     }
@@ -331,7 +364,7 @@ pub mod channel {
             // waiting, so gating on current waiters loses nothing.)
             let disconnected = state.senders == 0;
             let wake = disconnected && state.ready_waiters > 0;
-            let hooks = if disconnected {
+            let hooks = if disconnected && !self.quiet {
                 snapshot_hooks(&state.data_hooks)
             } else {
                 None
@@ -651,6 +684,30 @@ pub mod channel {
             assert_eq!(fired.load(Ordering::SeqCst), 1);
             drop(rx); // disconnect fires so a parked producer can observe it
             assert_eq!(fired.load(Ordering::SeqCst), 2);
+        }
+
+        #[test]
+        fn deferred_sends_owe_the_hooks_once_and_a_quiet_disconnect_fires_none() {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            let (tx, rx) = bounded(2);
+            let fired = Arc::new(AtomicUsize::new(0));
+            let hook_fired = Arc::clone(&fired);
+            rx.set_data_hook(Arc::new(move || {
+                hook_fired.fetch_add(1, Ordering::SeqCst);
+            }));
+            assert_eq!(tx.try_send_deferred(1u8), Ok(true)); // empty → non-empty: owed
+            assert_eq!(tx.try_send_deferred(2), Ok(false));
+            assert_eq!(tx.try_send_deferred(3), Err(TrySendError::Full(3)));
+            assert_eq!(fired.load(Ordering::SeqCst), 0, "a deferred send fires nothing");
+            tx.fire_data_hooks();
+            assert_eq!(fired.load(Ordering::SeqCst), 1);
+            let last = tx.clone();
+            tx.disconnect_quietly();
+            last.disconnect_quietly();
+            assert_eq!(fired.load(Ordering::SeqCst), 1, "a quiet disconnect fires nothing");
+            assert_eq!(rx.try_recv(), Ok(1));
+            assert_eq!(rx.try_recv(), Ok(2));
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "but it is a disconnect");
         }
 
         #[test]

@@ -13,7 +13,9 @@
 //! sweepable (live minus blocked) tasks comes back idle, workers park on a
 //! condvar for a bounded interval (near-zero CPU) before sweeping again.
 //! A `Progress` poll or a `wake` re-arms the hot sweep; a `spawn` wakes one
-//! worker to poll just the new task, leaving the idle pile parked.
+//! worker to poll just the new task, leaving the idle pile parked.  A task
+//! whose `poll` panics ends there: the worker catches the panic, drops the
+//! task, and its [`TaskHandle`] reports [`Panicked`].
 //!
 //! The intended use is N-thousands of cheap cooperatively-scheduled units
 //! (session consumers, stripe pumps, pacers) multiplexed over a worker pool
@@ -23,7 +25,9 @@
 #![forbid(unsafe_code)]
 
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
+use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,7 +85,7 @@ pub trait Task: Send {
 #[derive(Clone)]
 pub struct Waker {
     shared: Arc<Shared>,
-    id: u64,
+    cell: CellId,
 }
 
 impl Waker {
@@ -93,36 +97,66 @@ impl Waker {
             return;
         }
         self.shared.wakes.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = st.parked.remove(&self.id) {
-            // A wake is proof of new work: re-arm the hot sweep so parked
-            // workers pick it up immediately instead of on backoff expiry.
-            // Notify only when the queue was empty — the same gate `spawn`
-            // uses: with tasks already queued the workers are either mid-
-            // cycle or parked on a bounded interval, and a wake storm (a
-            // fan-out burst re-queueing thousands of consumers) must not pay
-            // a futex syscall per task.
-            let notify = st.runnable.is_empty();
-            st.runnable.push_back(slot);
-            st.unproductive = 0;
-            st.park = IDLE_PARK_MIN;
-            self.shared.observe_queue_depth(st.runnable.len());
-            drop(st);
-            if notify {
-                self.shared.work.notify_one();
-            }
-        } else {
-            st.pending_wakes.insert(self.id);
+        // A generation past ours: the task finished and the cell moved on.
+        let Some(cell) = st
+            .tasks
+            .get_mut(self.cell.index)
+            .filter(|cell| cell.generation == self.cell.generation)
+        else {
+            return;
+        };
+        let Some(slot) = cell.parked.take() else {
+            cell.pending_wake = true;
+            return;
+        };
+        st.parked -= 1;
+        // A wake is proof of new work: re-arm the hot sweep so parked
+        // workers pick it up immediately instead of on backoff expiry.
+        // Notify only when the queue was empty — the same gate `spawn`
+        // uses: with tasks already queued the workers are either mid-cycle
+        // or parked on a bounded interval, and a wake storm (a fan-out
+        // burst re-queueing thousands of consumers) must not pay a futex
+        // syscall per task.
+        let notify = st.runnable.is_empty();
+        st.runnable.push_back(slot);
+        st.unproductive = 0;
+        st.park = IDLE_PARK_MIN;
+        self.shared.observe_queue_depth(st.runnable.len());
+        drop(st);
+        if notify {
+            self.shared.work.notify_one();
         }
     }
 }
 
+/// A task ended in a panic rather than [`Poll::Ready`]: the panic's message.
+/// The executor caught it at the poll, dropped the task, and kept running.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Panicked(pub String);
+
+impl fmt::Display for Panicked {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "task panicked: {}", self.0)
+    }
+}
+
+impl std::error::Error for Panicked {}
+
 struct HandleState {
-    done: Mutex<bool>,
+    /// `None` until the task finishes.
+    outcome: Mutex<Option<Result<(), Panicked>>>,
     cv: Condvar,
 }
 
+impl HandleState {
+    fn finish(&self, outcome: Result<(), Panicked>) {
+        *self.outcome.lock() = Some(outcome);
+        self.cv.notify_all();
+    }
+}
+
 /// Completion handle for a spawned task: `wait` blocks until the task's
-/// `poll` returned [`Poll::Ready`].
+/// `poll` returned [`Poll::Ready`] or panicked.
 #[derive(Clone)]
 pub struct TaskHandle {
     state: Arc<HandleState>,
@@ -131,36 +165,60 @@ pub struct TaskHandle {
 impl TaskHandle {
     /// True once the task has finished.
     pub fn is_done(&self) -> bool {
-        *self.state.done.lock()
+        self.state.outcome.lock().is_some()
     }
 
-    /// Block until the task finishes.
-    pub fn wait(&self) {
-        let mut done = self.state.done.lock();
-        while !*done {
-            self.state.cv.wait(&mut done);
+    /// Block until the task finishes: `Ok` when its `poll` returned
+    /// [`Poll::Ready`], [`Panicked`] when a `poll` panicked instead.
+    pub fn wait(&self) -> Result<(), Panicked> {
+        let mut outcome = self.state.outcome.lock();
+        loop {
+            if let Some(outcome) = outcome.as_ref() {
+                return outcome.clone();
+            }
+            self.state.cv.wait(&mut outcome);
         }
     }
 }
 
+/// Where a task's bookkeeping lives: its index in the executor's slab of
+/// [`TaskCell`]s, and the cell's generation while the task owns it.
+#[derive(Clone, Copy)]
+struct CellId {
+    index: usize,
+    generation: u64,
+}
+
+/// One task's bookkeeping, found by index — no hashing on a wake.
+#[derive(Default)]
+struct TaskCell {
+    /// Bumped when the task finishes, so a waker that outlives it (a source
+    /// hook still firing) misses the cell's next task.
+    generation: u64,
+    /// The task while it is parked: it returned [`Poll::Blocked`] and costs
+    /// nothing until its [`Waker`] fires.
+    parked: Option<Slot>,
+    /// A wake arrived while the task was runnable or mid-poll; its next
+    /// `Blocked` return re-queues instead of parking.  This closes the
+    /// classic race where a channel fills between a task's last emptiness
+    /// check and its `Blocked` return.
+    pending_wake: bool,
+}
+
 struct Slot {
-    id: u64,
+    cell: usize,
     task: Box<dyn Task>,
     handle: Arc<HandleState>,
 }
 
 struct State {
     runnable: VecDeque<Slot>,
-    /// Tasks that returned [`Poll::Blocked`]: off the run queue, keyed by
-    /// task id, costing nothing until their [`Waker`] fires.
-    parked: HashMap<u64, Slot>,
-    /// Wakes that arrived while their task was runnable or mid-poll; the
-    /// task's next `Blocked` return re-queues instead of parking.  This
-    /// closes the classic race where a channel fills between a task's last
-    /// emptiness check and its `Blocked` return.
-    pending_wakes: HashSet<u64>,
-    /// Monotonic task-id source for [`Waker`] addressing.
-    next_id: u64,
+    /// Every task's cell, indexed by [`CellId::index`]; finished tasks'
+    /// cells are reused through `free`.
+    tasks: Vec<TaskCell>,
+    free: Vec<usize>,
+    /// Tasks parked in their cells.
+    parked: usize,
     /// Spawned tasks that have not yet returned `Ready` (including blocked
     /// ones and ones currently being polled by a worker).
     live: usize,
@@ -300,9 +358,9 @@ impl Executor {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 runnable: VecDeque::new(),
-                parked: HashMap::new(),
-                pending_wakes: HashSet::new(),
-                next_id: 0,
+                tasks: Vec::new(),
+                free: Vec::new(),
+                parked: 0,
                 live: 0,
                 unproductive: 0,
                 park: IDLE_PARK_MIN,
@@ -341,7 +399,8 @@ impl Executor {
 
     /// A cheap cloneable handle that can spawn onto this pool — including
     /// from inside a running task's `poll`.  The handle does not keep the
-    /// pool alive; spawning after the [`Executor`] dropped panics.
+    /// pool alive; a task spawned after the [`Executor`] dropped never runs,
+    /// and its handle reports [`Panicked`].
     pub fn spawner(&self) -> Spawner {
         Spawner {
             shared: Arc::clone(&self.shared),
@@ -385,24 +444,44 @@ impl Spawner {
     /// Schedule a task; it starts being polled immediately.  [`Task::bind`]
     /// runs here, before the task is queued, so waker registration can never
     /// miss an event that post-dates the task's first view of its sources.
+    /// On a shut-down executor the task is dropped unpolled and its handle
+    /// reports [`Panicked`].
     pub fn spawn(&self, mut task: Box<dyn Task>) -> TaskHandle {
         let handle = Arc::new(HandleState {
-            done: Mutex::new(false),
+            outcome: Mutex::new(None),
             cv: Condvar::new(),
         });
-        let id = {
+        let refused = || {
+            handle.finish(Err(Panicked("spawn on a shut-down executor".to_string())));
+            TaskHandle {
+                state: Arc::clone(&handle),
+            }
+        };
+        let cell = {
             let mut st = self.shared.state.lock();
-            assert!(!st.shutdown, "spawn on a shut-down executor");
-            let id = st.next_id;
-            st.next_id += 1;
-            id
+            if st.shutdown {
+                return refused();
+            }
+            let index = match st.free.pop() {
+                Some(index) => index,
+                None => {
+                    st.tasks.push(TaskCell::default());
+                    st.tasks.len() - 1
+                }
+            };
+            CellId {
+                index,
+                generation: st.tasks[index].generation,
+            }
         };
         task.bind(Waker {
             shared: Arc::clone(&self.shared),
-            id,
+            cell,
         });
         let mut st = self.shared.state.lock();
-        assert!(!st.shutdown, "spawn on a shut-down executor");
+        if st.shutdown {
+            return refused();
+        }
         st.live += 1;
         // Front of the queue: the next worker polls the *new* task first,
         // not the pile of already-idle ones.  Deliberately no reset of
@@ -419,7 +498,7 @@ impl Spawner {
         // admitted session consumer, has nothing to do yet anyway.
         let wake = st.runnable.is_empty();
         st.runnable.push_front(Slot {
-            id,
+            cell: cell.index,
             task,
             handle: Arc::clone(&handle),
         });
@@ -435,21 +514,33 @@ impl Spawner {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        {
+        // Abandon anything still queued or blocked (the plane waits for its
+        // handles before dropping the pool, so this only fires on failure
+        // paths).  Late `wake` calls see `shutdown` and no-op; the tasks drop
+        // after the lock does, since a dropping task may fire a wake.
+        let abandoned: Vec<Slot> = {
             let mut st = self.shared.state.lock();
             st.shutdown = true;
-            // Abandon anything still queued or blocked (the plane waits for
-            // its handles before dropping the pool, so this only fires on
-            // panic paths).  Late `wake` calls see `shutdown` and no-op.
-            st.runnable.clear();
-            st.parked.clear();
-            st.pending_wakes.clear();
-        }
+            let mut abandoned: Vec<Slot> = st.runnable.drain(..).collect();
+            abandoned.extend(st.tasks.iter_mut().filter_map(|cell| cell.parked.take()));
+            abandoned
+        };
+        drop(abandoned);
         self.shared.work.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
+}
+
+/// A caught panic's message, as the handle reports it.
+fn panicked(payload: &(dyn std::any::Any + Send)) -> Panicked {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)");
+    Panicked(message.to_string())
 }
 
 /// A pool size fitted to the machine: available parallelism clamped to 2..=8.
@@ -470,8 +561,8 @@ const POLL_BATCH: usize = 16;
 
 fn worker_loop(shared: &Shared, cell: &WorkerCell) {
     let mut batch: Vec<Slot> = Vec::with_capacity(POLL_BATCH);
-    let mut settled: Vec<(Slot, Poll)> = Vec::with_capacity(POLL_BATCH);
-    let mut finished: Vec<Slot> = Vec::new();
+    let mut settled: Vec<(Slot, Result<Poll, Panicked>)> = Vec::with_capacity(POLL_BATCH);
+    let mut finished: Vec<(Slot, Result<(), Panicked>)> = Vec::new();
     loop {
         let mut st = shared.state.lock();
         loop {
@@ -481,7 +572,7 @@ fn worker_loop(shared: &Shared, cell: &WorkerCell) {
             // Blocked tasks are not sweepable: a sweep is "poll everything
             // that might have work", and a blocked task by definition has
             // none until its waker fires.
-            let sweepable = st.live - st.parked.len();
+            let sweepable = st.live - st.parked;
             if sweepable > 0 && st.unproductive >= sweepable {
                 // A full sweep of the live tasks produced nothing: park for
                 // the current backoff interval, then double it.  `spawn` /
@@ -531,7 +622,9 @@ fn worker_loop(shared: &Shared, cell: &WorkerCell) {
         let started = Instant::now();
         let polled = batch.len() as u64;
         for mut slot in batch.drain(..) {
-            let outcome = slot.task.poll();
+            // A panicking task ends there, as a failure its handle reports;
+            // the worker, and every other task, carry on.
+            let outcome = catch_unwind(AssertUnwindSafe(|| slot.task.poll())).map_err(|payload| panicked(&*payload));
             settled.push((slot, outcome));
         }
         cell.polls.fetch_add(polled, Ordering::Relaxed);
@@ -542,51 +635,55 @@ fn worker_loop(shared: &Shared, cell: &WorkerCell) {
         let mut notify = false;
         for (slot, outcome) in settled.drain(..) {
             match outcome {
-                Poll::Ready => {
-                    st.live -= 1;
-                    st.unproductive = 0;
-                    st.park = IDLE_PARK_MIN;
-                    // A source hook may outlive the task and keep firing
-                    // wakes; clearing here keeps `pending_wakes` from
-                    // accreting ids that nothing will ever consume.
-                    st.pending_wakes.remove(&slot.id);
-                    notify = true;
-                    // Handle completion signals after the pool lock drops.
-                    finished.push(slot);
-                }
-                Poll::Progress => {
+                Ok(Poll::Progress) => {
                     st.unproductive = 0;
                     st.park = IDLE_PARK_MIN;
                     st.runnable.push_back(slot);
                     notify = true;
                 }
-                Poll::Idle => {
+                Ok(Poll::Idle) => {
                     // Clamped so a later spawn or wake (sweepable + 1)
                     // always drops the count strictly below the threshold
                     // and gets its first poll.
-                    let sweepable = st.live - st.parked.len();
+                    let sweepable = st.live - st.parked;
                     st.unproductive = (st.unproductive + 1).min(sweepable);
                     st.runnable.push_back(slot);
                 }
-                Poll::Blocked => {
+                Ok(Poll::Blocked) => {
                     // The wake-before-block race: the source fired mid-poll
                     // (after this task last looked at it).  Treat that as an
                     // immediate wake instead of parking on an event that
                     // already happened.
-                    if st.pending_wakes.remove(&slot.id) {
+                    let cell = &mut st.tasks[slot.cell];
+                    if std::mem::take(&mut cell.pending_wake) {
                         st.runnable.push_back(slot);
                     } else {
-                        st.parked.insert(slot.id, slot);
+                        cell.parked = Some(slot);
+                        st.parked += 1;
                     }
+                }
+                // `Ready`, or a panic: the task is done.
+                end => {
+                    st.live -= 1;
+                    st.unproductive = 0;
+                    st.park = IDLE_PARK_MIN;
+                    // Free the cell; a source hook that outlives the task
+                    // and keeps firing its waker finds a newer generation.
+                    let cell = &mut st.tasks[slot.cell];
+                    cell.generation += 1;
+                    cell.pending_wake = false;
+                    st.free.push(slot.cell);
+                    notify = true;
+                    // Handle completion signals, and the task drops, after
+                    // the pool lock drops (a dropping task may fire wakes).
+                    finished.push((slot, end.map(drop)));
                 }
             }
         }
         shared.observe_queue_depth(st.runnable.len());
         drop(st);
-        for slot in finished.drain(..) {
-            let mut done = slot.handle.done.lock();
-            *done = true;
-            slot.handle.cv.notify_all();
+        for (slot, end) in finished.drain(..) {
+            slot.handle.finish(end);
         }
         if notify {
             shared.work.notify_one();
@@ -630,7 +727,7 @@ mod tests {
             })
             .collect();
         for h in &handles {
-            h.wait();
+            h.wait().unwrap();
             assert!(h.is_done());
         }
         assert_eq!(total.load(Ordering::SeqCst), 4 * 55);
@@ -668,7 +765,7 @@ mod tests {
         assert_eq!(exec.live_tasks(), 8, "idle tasks must stay scheduled");
         flag.store(1, Ordering::SeqCst);
         for h in handles {
-            h.wait();
+            h.wait().unwrap();
         }
         assert_eq!(exec.live_tasks(), 0);
     }
@@ -703,9 +800,9 @@ mod tests {
             inner: Arc::clone(&inner),
             total: Arc::clone(&total),
         }));
-        h.wait();
+        h.wait().unwrap();
         let inner = inner.lock().take().expect("inner task spawned");
-        inner.wait();
+        inner.wait().unwrap();
         assert_eq!(total.load(Ordering::SeqCst), 7);
         assert_eq!(exec.live_tasks(), 0);
     }
@@ -730,7 +827,7 @@ mod tests {
             })
             .collect();
         for h in handles {
-            h.wait();
+            h.wait().unwrap();
         }
         let stats = exec.stats();
         assert_eq!(stats.workers.len(), 2);
@@ -824,7 +921,7 @@ mod tests {
             waker.wake();
             std::thread::sleep(Duration::from_millis(2));
         }
-        h.wait();
+        h.wait().unwrap();
         assert_eq!(exec.live_tasks(), 0);
     }
 
@@ -865,8 +962,42 @@ mod tests {
         // first poll ever runs, exercising the pending-wake path.
         events.fetch_add(1, Ordering::SeqCst);
         waker.wake();
-        h.wait();
+        h.wait().unwrap();
         assert_eq!(exec.live_tasks(), 0);
+    }
+
+    /// Panics on its first poll.
+    struct Panics;
+
+    impl Task for Panics {
+        fn poll(&mut self) -> Poll {
+            panic!("a task's poll panicked");
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_is_a_failed_handle_and_the_pool_carries_on() {
+        let exec = Executor::new(1);
+        let panics = exec.spawn(Box::new(Panics));
+        assert_eq!(panics.wait(), Err(Panicked("a task's poll panicked".to_string())));
+        // The one worker survived it: the next task still runs.
+        let total = Arc::new(AtomicUsize::new(0));
+        let after = exec.spawn(Box::new(Counter {
+            n: 1,
+            left: 2,
+            total: Arc::clone(&total),
+        }));
+        after.wait().unwrap();
+        assert_eq!(total.load(Ordering::SeqCst), 2);
+        assert_eq!(exec.live_tasks(), 0);
+    }
+
+    #[test]
+    fn spawning_on_a_shut_down_pool_is_a_failed_handle() {
+        let exec = Executor::new(1);
+        let spawner = exec.spawner();
+        drop(exec);
+        assert!(spawner.spawn(Box::new(Panics)).wait().is_err());
     }
 
     #[test]
