@@ -34,4 +34,4 @@ pub mod raster;
 pub use graph::{NodeId, SceneGraph, SceneGraphStats};
 pub use ibravr::{IbravrModel, SlabImage};
 pub use node::{Quad3, Rgba8Texture, SceneNode, Texture, TextureError};
-pub use raster::{RasterSettings, Rasterizer};
+pub use raster::{RasterCounts, RasterSettings, Rasterizer};

@@ -27,7 +27,9 @@
 //! reads an RGBA8 channel as `b as f32 / 255.0` — the expression
 //! [`RgbaImage::from_rgba8`] uses, from a 256-entry table — so a wire-format
 //! quad draws the very floats the expanded image would have, and every
-//! blended and quantised value after them.
+//! blended and quantised value after them.  The accessor also answers
+//! whether a texel's alpha is zero without decoding the texel: one byte of
+//! an RGBA8 texel, the bits of a float's alpha.
 
 use bytes::Bytes;
 use std::fmt;
@@ -55,13 +57,17 @@ fn unorm8(b: u8) -> f32 {
 
 /// Read access to a texture's texels as straight-alpha floats — what the
 /// rasterizer's quad loop is generic over, one implementation per format.
+/// Texels are addressed by their row-major index `y × width + x`.
 pub(crate) trait Texels {
     /// Width in texels (never zero).
     fn width(&self) -> usize;
     /// Height in texels (never zero).
     fn height(&self) -> usize;
-    /// The texel at `(x, y)`, `x < width`, `y < height`.
-    fn texel(&self, x: usize, y: usize) -> [f32; 4];
+    /// Zero exactly when texel `i`'s alpha is zero (`±0.0` for a float), read
+    /// without decoding the texel.
+    fn alpha_bits(&self, i: usize) -> u32;
+    /// Texel `i`, `i < width × height`.
+    fn texel(&self, i: usize) -> [f32; 4];
 }
 
 impl Texels for RgbaImage {
@@ -74,8 +80,13 @@ impl Texels for RgbaImage {
     }
 
     #[inline]
-    fn texel(&self, x: usize, y: usize) -> [f32; 4] {
-        self.get(x, y)
+    fn alpha_bits(&self, i: usize) -> u32 {
+        self.data()[i * 4 + 3].to_bits() & !(1 << 31)
+    }
+
+    #[inline]
+    fn texel(&self, i: usize) -> [f32; 4] {
+        self.data().as_chunks::<4>().0[i]
     }
 }
 
@@ -132,9 +143,26 @@ impl Rgba8Texture {
     pub fn bytes(&self) -> &Bytes {
         &self.texels
     }
+
+    /// The texels as a draw reads them: the received bytes borrowed once,
+    /// not looked up through the shared buffer at every texel.
+    pub(crate) fn texels(&self) -> Rgba8Texels<'_> {
+        Rgba8Texels {
+            width: self.width,
+            height: self.height,
+            received: &self.texels,
+        }
+    }
 }
 
-impl Texels for Rgba8Texture {
+/// An [`Rgba8Texture`]'s received bytes, borrowed for one draw.
+pub(crate) struct Rgba8Texels<'a> {
+    width: usize,
+    height: usize,
+    received: &'a [u8],
+}
+
+impl Texels for Rgba8Texels<'_> {
     fn width(&self) -> usize {
         self.width
     }
@@ -144,10 +172,16 @@ impl Texels for Rgba8Texture {
     }
 
     #[inline]
-    fn texel(&self, x: usize, y: usize) -> [f32; 4] {
-        debug_assert!(x < self.width && y < self.height);
-        let received: &[u8] = &self.texels;
-        let i = (y * self.width + x) * 4;
+    fn alpha_bits(&self, i: usize) -> u32 {
+        // Past the received prefix the alpha byte reads as zero.
+        self.received.get(i * 4 + 3).map_or(0, |&a| u32::from(a))
+    }
+
+    #[inline]
+    fn texel(&self, i: usize) -> [f32; 4] {
+        debug_assert!(i < self.width * self.height);
+        let received = self.received;
+        let i = i * 4;
         match received.get(i..i + 4) {
             Some(px) => [unorm8(px[0]), unorm8(px[1]), unorm8(px[2]), unorm8(px[3])],
             // The prefix ends inside or before this texel: what is missing
@@ -417,10 +451,17 @@ mod tests {
         else {
             panic!("expected RGBA8");
         };
-        assert_eq!(texture.texel(0, 0), [1.0, 0.0, 0.2, 1.0]);
-        assert_eq!(texture.texel(1, 0), [0.4, 1.0, 0.0, 0.0]);
-        assert_eq!(texture.texel(0, 1), [0.0; 4]);
-        assert_eq!(texture.texel(1, 1), [0.0; 4]);
+        let texture = texture.texels();
+        assert_eq!(texture.texel(0), [1.0, 0.0, 0.2, 1.0]);
+        assert_eq!(texture.texel(1), [0.4, 1.0, 0.0, 0.0]);
+        assert_eq!(texture.texel(2), [0.0; 4]);
+        assert_eq!(texture.texel(3), [0.0; 4]);
+        // Alpha is read from one byte, and is zero wherever that byte is
+        // missing — even when the texel's colour channels arrived.
+        assert_eq!(
+            (0..4).map(|i| texture.alpha_bits(i)).collect::<Vec<_>>(),
+            [255, 0, 0, 0]
+        );
     }
 
     #[test]

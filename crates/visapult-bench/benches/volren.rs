@@ -11,12 +11,22 @@
 //! — plus the middle one at half a voxel per step, so the row kernel's cost is
 //! committed and gated in each regime and on both sides of the unit-spacing
 //! identity.
+//!
+//! It also commits the viewer's composite on the scene four workloads put in
+//! front of it — two PEs' RGBA8 slab textures and AMR grids, rendered and
+//! placed as the back end does — in the window each one uses: cold (a fresh
+//! rasterizer, so every sampling plan is built and the framebuffer
+//! allocated) and warm (a kept rasterizer, as the viewer's render thread
+//! composites), plus `IbravrModel`'s one-shot float composite.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use scenegraph::{IbravrModel, Quad3, RasterSettings, Rasterizer, SceneNode, Texture};
 use std::hint::black_box;
+use std::sync::Arc;
 use visapult_bench::{median_secs, report_baseline};
 use volren::{
-    combustion_jet, render_cost_samples, render_region, render_region_rgba8, Axis, RenderSettings, TransferFunction,
+    combustion_jet, render_cost_samples, render_region, render_region_rgba8, slab_planes, AmrHierarchy, Axis,
+    RenderSettings, TransferFunction, ViewOrientation,
 };
 
 fn bench_slab_sizes(c: &mut Criterion) {
@@ -78,6 +88,104 @@ const SHAPES: [Shape; 4] = [
     ("fine_step", (128, 128, 32), 256, 0.5),
 ];
 
+/// (name, volume dims, per-PE texture edge, viewer window edge).
+type SceneShape = (&'static str, (usize, usize, usize), usize, usize);
+
+/// The viewer's scene on four ledger workloads (2 PEs each).
+const SCENES: [SceneShape; 4] = [
+    ("wan_wire", (64, 64, 4), 512, 384),
+    ("corridor_stream", (128, 128, 64), 256, 192),
+    ("playback", (128, 128, 16), 32, 96),
+    ("exhibit_floor", (32, 32, 16), 64, 192),
+];
+
+/// What the viewer's scene graph holds once both PEs' frames are in: per PE,
+/// the slab's RGBA8 texture on its quad and its AMR grid, built the way the
+/// back end builds them.
+fn viewer_scene(dims: (usize, usize, usize), edge: usize) -> Vec<SceneNode> {
+    let (pes, tf) = (2, TransferFunction::combustion_default());
+    let volume = combustion_jet(dims, 0.5, 11);
+    let mut nodes = Vec::new();
+    for pe in 0..pes {
+        let planes = slab_planes(dims.2, pe, pes);
+        let slab = volume.subvolume((0, 0, planes.start), (dims.0, dims.1, planes.len()));
+        let texels = render_region_rgba8(&slab, Axis::Z, &tf, (0.0, 1.5), &RenderSettings::with_size(edge, edge));
+        let (nx, ny) = (dims.0 as f32, dims.1 as f32);
+        let quad = Quad3 {
+            center: [
+                (nx - 1.0) / 2.0,
+                (ny - 1.0) / 2.0,
+                planes.start as f32 + planes.len() as f32 / 2.0 - 0.5,
+            ],
+            u: [nx / 2.0, 0.0, 0.0],
+            v: [0.0, ny / 2.0, 0.0],
+        };
+        let z0 = planes.start as f32;
+        let segments = AmrHierarchy::from_volume(&slab, 16, 0.3, 2)
+            .to_line_segments()
+            .into_iter()
+            .map(|(a, b)| ([a[0], a[1], a[2] + z0], [b[0], b[1], b[2] + z0]))
+            .collect();
+        nodes.push(SceneNode::TextureQuad {
+            image: Texture::rgba8(edge, edge, texels.into()).expect("a whole texture"),
+            quad,
+        });
+        nodes.push(SceneNode::Lines {
+            segments: Arc::new(segments),
+            color: [0.4, 0.9, 0.4, 0.8],
+        });
+    }
+    nodes
+}
+
+/// The composite cases of the baseline, one line each.
+fn composite_cases(samples: usize) -> Vec<String> {
+    let view = ViewOrientation::new(8.0, 4.0);
+    let mut cases: Vec<String> = SCENES
+        .iter()
+        .map(|&(name, dims, edge, window)| {
+            let nodes = viewer_scene(dims, edge);
+            let settings = RasterSettings::framing_volume(dims, window, window);
+            let segments: usize = nodes
+                .iter()
+                .map(|n| match n {
+                    SceneNode::Lines { segments, .. } => segments.len(),
+                    _ => 0,
+                })
+                .sum();
+            let cold_s = median_secs(samples, || {
+                let mut raster = Rasterizer::new(&view, settings);
+                black_box(raster.composite(black_box(&nodes)));
+            });
+            let mut raster = Rasterizer::new(&view, settings);
+            raster.composite(&nodes);
+            let warm_s = median_secs(samples, || {
+                black_box(raster.composite(black_box(&nodes)));
+            });
+            format!(
+                "    \"composite_{name}\": {{ \"median_s\": {warm_s:.9}, \"cold_s\": {cold_s:.9}, \"window\": {window}, \"textures\": \"2x{edge}x{edge}\", \"segments\": {segments} }}"
+            )
+        })
+        .collect();
+    // IBRAVR's one-shot float composite (Figure 6): a fresh rasterizer per
+    // call, so nothing is kept.
+    let tf = TransferFunction::combustion_default();
+    let model = IbravrModel::from_volume(
+        &combustion_jet((128, 128, 64), 0.5, 11),
+        Axis::Z,
+        2,
+        &tf,
+        &RenderSettings::with_size(256, 256),
+    );
+    let one_shot_s = median_secs(samples, || {
+        black_box(model.composite(&view, 192, 192));
+    });
+    cases.push(format!(
+        "    \"composite_ibravr_one_shot\": {{ \"median_s\": {one_shot_s:.9}, \"window\": 192, \"textures\": \"2x256x256 float\" }}"
+    ));
+    cases
+}
+
 fn write_baseline() {
     let tf = TransferFunction::combustion_default();
     let samples = 30;
@@ -109,6 +217,7 @@ fn write_baseline() {
             )
         })
         .collect();
+    let cases = [cases, composite_cases(samples)].concat();
     let json = format!(
         "{{\n  \"bench\": \"volren_render_region\",\n  \"samples\": {samples},\n  \"cases\": {{\n{}\n  }}\n}}\n",
         cases.join(",\n")

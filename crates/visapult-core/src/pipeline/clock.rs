@@ -1,6 +1,7 @@
 //! The [`Clock`] capability: where a stage's timestamps come from.
 
 use netlogger::Collector;
+use std::sync::mpsc::Receiver;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -39,6 +40,19 @@ pub trait Clock: Send + Sync {
         if let Some(remaining) = deadline.checked_sub(now) {
             if !remaining.is_zero() {
                 std::thread::sleep(remaining);
+            }
+        }
+    }
+
+    /// [`Clock::pace_until`], cut short the moment `wake` receives or its
+    /// sender hangs up: for a poller that must hear "stop" at once rather
+    /// than at its next deadline.  Virtual clocks return immediately.
+    fn pace_until_woken(&self, deadline: Duration, wake: &Receiver<()>) {
+        let now = self.monotonic_now();
+        if let Some(remaining) = deadline.checked_sub(now) {
+            if !remaining.is_zero() {
+                // A message, a hang-up or the deadline: all three end the wait.
+                let _ = wake.recv_timeout(remaining);
             }
         }
     }
@@ -92,6 +106,8 @@ impl Clock for VirtualClock {
     }
 
     fn pace_until(&self, _deadline: Duration) {}
+
+    fn pace_until_woken(&self, _deadline: Duration, _wake: &Receiver<()>) {}
 }
 
 #[cfg(test)]
@@ -121,11 +137,37 @@ mod tests {
     }
 
     #[test]
+    fn wall_pace_until_woken_ends_when_the_sender_hangs_up() {
+        let clock = WallClock;
+        let (wake, woken) = std::sync::mpsc::channel::<()>();
+        let start = clock.monotonic_now();
+        let waker = std::thread::spawn(move || {
+            WallClock.pace_until(WallClock.monotonic_now() + Duration::from_millis(5));
+            drop(wake);
+        });
+        clock.pace_until_woken(start + Duration::from_secs(60), &woken);
+        waker.join().unwrap();
+        let waited = clock.monotonic_now() - start;
+        assert!(waited >= Duration::from_millis(5), "{waited:?}");
+        assert!(
+            waited < Duration::from_secs(30),
+            "the hang-up must end the wait: {waited:?}"
+        );
+        // Without a wake it is pace_until.
+        let (_wake, woken) = std::sync::mpsc::channel::<()>();
+        let start = clock.monotonic_now();
+        clock.pace_until_woken(start + Duration::from_millis(5), &woken);
+        assert!(clock.monotonic_now() - start >= Duration::from_millis(5));
+    }
+
+    #[test]
     fn virtual_clock_never_blocks_and_pins_now_to_zero() {
         let clock = VirtualClock;
         assert_eq!(clock.monotonic_now(), Duration::ZERO);
         let start = std::time::Instant::now();
         clock.pace_until(Duration::from_secs(3600));
+        let (_wake, woken) = std::sync::mpsc::channel::<()>();
+        clock.pace_until_woken(Duration::from_secs(3600), &woken);
         assert!(start.elapsed() < Duration::from_secs(1));
     }
 }

@@ -50,8 +50,9 @@ use bytes::Bytes;
 use netlogger::{tags, NetLogger};
 use scenegraph::{NodeId, Quad3, RasterSettings, Rasterizer, SceneGraph, SceneGraphStats, SceneNode, Texture};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 use volren::{RgbaImage, ViewOrientation};
 
 /// Viewer configuration.
@@ -429,20 +430,18 @@ impl Viewer {
     }
 
     /// [`Viewer::run`] with an explicit [`Clock`]: the render thread's poll
-    /// interval waits through [`Clock::pace_until`], not a raw sleep, so a
-    /// virtual-clock viewer never blocks on wall time.
+    /// interval waits through [`Clock::pace_until_woken`], not a raw sleep,
+    /// so a virtual-clock viewer never blocks on wall time.
     pub fn run_on(self, clock: &dyn Clock, links: Vec<StripeReceiver>, logger: Option<NetLogger>) -> ViewerReport {
         let frames_received = AtomicU64::new(0);
         let bytes_received = AtomicU64::new(0);
         let partial_updates = AtomicU64::new(0);
-        let renders = AtomicU64::new(0);
-        let done = Arc::new(AtomicBool::new(false));
         let raster_settings = RasterSettings::framing_volume(
             self.config.volume_dims,
             self.config.image_size.0,
             self.config.image_size.1,
         );
-        let rasterizer = Rasterizer::new(&self.config.view, raster_settings);
+        let view = self.config.view;
 
         // Pre-create the per-PE nodes so I/O threads only ever update.
         let node_ids: Vec<(NodeId, NodeId)> = (0..links.len())
@@ -462,7 +461,9 @@ impl Viewer {
 
         let mut transport = TransportStats::default();
         let mut errors = Vec::new();
-        std::thread::scope(|scope| {
+        // The link threads are done when this sender hangs up.
+        let (links_done, links_running) = mpsc::channel::<()>();
+        let (raster, renders) = std::thread::scope(|scope| {
             // I/O service threads, one per back-end PE link.
             let io_handles: Vec<_> = links
                 .into_iter()
@@ -491,25 +492,31 @@ impl Viewer {
                     })
                 })
                 .collect();
-            // The render thread: composites snapshots at its own rate until
-            // the I/O threads are done.
+            // The render thread: composites snapshots at its own rate, into
+            // one framebuffer and over kept sampling plans, until the I/O
+            // threads are done — and then once more if the scene moved, so
+            // its framebuffer is the final composite.
             let scene = &self.scene;
-            let renders = &renders;
-            let done_flag = Arc::clone(&done);
-            let raster_ref = &rasterizer;
-            scope.spawn(move || {
-                let mut last_generation = u64::MAX;
-                while !done_flag.load(Ordering::Relaxed) {
+            let render = scope.spawn(move || {
+                let mut raster = Rasterizer::new(&view, raster_settings);
+                let mut renders = 0u64;
+                let mut last_generation = None;
+                loop {
+                    let finished = matches!(links_running.try_recv(), Err(mpsc::TryRecvError::Disconnected));
                     let generation = scene.generation();
-                    if generation != last_generation {
+                    if last_generation != Some(generation) {
                         let snapshot_nodes: Vec<SceneNode> = scene.snapshot().into_iter().map(|(_, n)| n).collect();
-                        let _ = raster_ref.render(&snapshot_nodes);
-                        renders.fetch_add(1, Ordering::Relaxed);
-                        last_generation = generation;
+                        raster.composite(&snapshot_nodes);
+                        renders += u64::from(!finished);
+                        last_generation = Some(generation);
+                    }
+                    if finished {
+                        return (raster, renders);
                     }
                     // Poll cadence through the Clock seam: the wall clock
-                    // waits out the interval, a virtual clock never blocks.
-                    clock.pace_until(clock.monotonic_now() + std::time::Duration::from_millis(2));
+                    // waits out the interval unless the links finish first, a
+                    // virtual clock never blocks.
+                    clock.pace_until_woken(clock.monotonic_now() + Duration::from_millis(2), &links_running);
                 }
             });
             // Join the I/O threads (they exit once every expected frame has
@@ -527,23 +534,31 @@ impl Viewer {
                     }),
                 }
             }
-            done.store(true, Ordering::Relaxed);
+            drop(links_done);
+            render.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         });
+        #[cfg(test)]
+        LAST_RUN_COUNTS.with(|counts| counts.set(Some(raster.counts())));
 
-        // Final composite of whatever arrived.
-        let snapshot_nodes: Vec<SceneNode> = self.scene.snapshot().into_iter().map(|(_, n)| n).collect();
-        let final_image = rasterizer.render(&snapshot_nodes);
         ViewerReport {
             frames_received: frames_received.load(Ordering::Relaxed) as usize,
-            renders_performed: renders.load(Ordering::Relaxed),
+            renders_performed: renders,
             received_wire_bytes: bytes_received.load(Ordering::Relaxed),
             partial_updates: partial_updates.load(Ordering::Relaxed),
             transport,
             errors,
             scene_stats: self.scene.stats(),
-            final_image,
+            // The final composite of whatever arrived.
+            final_image: raster.into_framebuffer(),
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The render thread's rasterizer counts from this thread's last
+    /// `Viewer::run` (test-only work counter).
+    static LAST_RUN_COUNTS: std::cell::Cell<Option<scenegraph::RasterCounts>> = const { std::cell::Cell::new(None) };
 }
 
 #[cfg(test)]
@@ -883,5 +898,68 @@ mod tests {
             started.elapsed() < std::time::Duration::from_secs(2),
             "virtual-clock viewer must not pace on wall time"
         );
+    }
+
+    #[test]
+    fn a_two_pe_run_builds_two_plans_and_steps_only_the_window() {
+        // Each frame carries a 2·10⁵-unit segment across the window beside
+        // the usual one: about 10⁶ DDA steps at every composite for the old
+        // loop, which also inverted every quad's projection at every one.
+        let (pes, frames) = (2, 6);
+        let (senders, receivers) = links(pes);
+        let viewer = Viewer::new(ViewerConfig::new((32, 32, 32), frames));
+        let scene = viewer.scene().clone();
+        let producer = std::thread::spawn(move || {
+            for f in 0..frames {
+                for (r, tx) in senders.iter().enumerate() {
+                    let mut frame = payload(r as u32, f as u32, 16);
+                    frame.heavy.geometry = Arc::new(vec![
+                        ([0.0; 3], [31.0, 31.0, 31.0]),
+                        ([-1e5, 12.0, 16.0], [1e5, 20.0, 16.0]),
+                    ]);
+                    frame.light.geometry_segments = 2;
+                    tx.send_frame(&frame).unwrap();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+        });
+        let report = viewer.run(receivers, None);
+        producer.join().unwrap();
+        assert_eq!(report.frames_received, pes * frames);
+        let counts = LAST_RUN_COUNTS
+            .with(|counts| counts.get())
+            .expect("a run records its counts");
+        let composites = counts.composites;
+        assert!(composites >= 2, "{counts:?}");
+        assert_eq!(
+            counts.plans_built, 2,
+            "one plan per PE quad for the whole run; the per-pixel rasterizer inverted both quads at every one of {composites} composites"
+        );
+        // One composite of the final scene, from scratch: what building the
+        // two plans inverted.
+        let nodes: Vec<SceneNode> = scene.snapshot().into_iter().map(|(_, n)| n).collect();
+        let mut fresh = Rasterizer::new(
+            &ViewerConfig::new((32, 32, 32), frames).view,
+            RasterSettings::framing_volume((32, 32, 32), 256, 256),
+        );
+        assert!(same_bits(fresh.composite(&nodes), &report.final_image));
+        let per_composite = fresh.counts().inversions;
+        assert!(per_composite > 0);
+        assert_eq!(
+            counts.inversions,
+            per_composite,
+            "no inversion after a quad's first composite; the per-pixel rasterizer made {per_composite} at each of {composites} (= {})",
+            per_composite * composites
+        );
+        let (width, height) = (256, 256);
+        assert!(
+            counts.max_segment_steps <= width + height + 2,
+            "{} DDA steps for one segment; the every-step DDA took ~1.07·10⁶ for the long one ({width}×{height} window)",
+            counts.max_segment_steps
+        );
+    }
+
+    fn same_bits(a: &RgbaImage, b: &RgbaImage) -> bool {
+        a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 }

@@ -53,6 +53,12 @@ impl RgbaImage {
         &mut self.data
     }
 
+    /// The pixels, row-major, each `[r, g, b, a]` — for a compositor that
+    /// keeps one framebuffer and draws into it by pixel index.
+    pub fn pixels_mut(&mut self) -> &mut [[f32; 4]] {
+        self.data.as_chunks_mut::<4>().0
+    }
+
     /// Size of the image when shipped over the wire as 8-bit RGBA.
     pub fn byte_len(&self) -> usize {
         self.width * self.height * 4
