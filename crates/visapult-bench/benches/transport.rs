@@ -6,7 +6,11 @@
 //! overhead, not the pacing), and `progressive_1k`: what a viewer link thread
 //! asks of one `FrameAssembler` per frame on the `wan_wire` shape (a 512²
 //! texture in 1 KB chunks over 8 stripes, the light and the texture prefix
-//! polled after every chunk).  `codec_geometry` is the codec alone on the
+//! polled after every chunk).  `threaded_wan_1k` is the `wan_wire` link
+//! itself: a 1 MB frame in 1 KB chunks over 8 stripes at queue depth 16, the
+//! sender on its own thread and the bench thread receiving and reassembling
+//! as a viewer link thread does, so backpressure and wake-ups are in the
+//! number.  `codec_geometry` is the codec alone on the
 //! `playback_warm` shape, where the AMR grid, not the texture, is the
 //! payload: encode plus decode of a frame with a 32² texture and 2 880 grid
 //! segments (69 KB of geometry against 4 KB of pixels).
@@ -18,10 +22,13 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use visapult_bench::{median_secs, report_baseline};
 use visapult_core::protocol::{FramePayload, FrameSegments, HeavyPayload, LightPayload};
-use visapult_core::transport::{striped_link, AssemblyEvent, FrameAssembler, FrameChunk, TransportConfig};
+use visapult_core::transport::{
+    striped_link, AssemblyEvent, FrameAssembler, FrameChunk, StripeReceiver, TransportConfig,
+};
 
 const TEX: usize = 256; // 256x256 RGBA8 = 256 KB per frame
 
@@ -117,6 +124,75 @@ fn bench_progressive(c: &mut Criterion) {
     });
 }
 
+/// The `wan_wire` link kept open across frames: a sender thread that sends
+/// one numbered frame per order, and the receiving end on the caller's
+/// thread.
+struct ThreadedLink {
+    orders: Option<mpsc::Sender<()>>,
+    sender: Option<JoinHandle<()>>,
+    rx: StripeReceiver,
+    assembler: FrameAssembler,
+}
+
+impl ThreadedLink {
+    fn new(frame: FramePayload) -> Self {
+        let config = TransportConfig {
+            queue_depth: 16,
+            ..TransportConfig::default().with_stripes(8).with_chunk_bytes(1024)
+        };
+        let (tx, rx) = striped_link(&config);
+        let (orders, to_send) = mpsc::channel::<()>();
+        let sender = std::thread::spawn(move || {
+            let mut frame = frame;
+            while to_send.recv().is_ok() {
+                tx.send_frame(&frame).unwrap();
+                frame.light.frame += 1;
+                frame.heavy.frame += 1;
+            }
+        });
+        ThreadedLink {
+            orders: Some(orders),
+            sender: Some(sender),
+            rx,
+            assembler: FrameAssembler::new(),
+        }
+    }
+
+    /// One frame across: order it sent, then receive and reassemble it.
+    /// Returns its wire bytes.
+    fn one_frame(&mut self) -> u64 {
+        if let Some(orders) = &self.orders {
+            orders.send(()).unwrap();
+        }
+        loop {
+            let chunk = self.rx.recv_chunk().unwrap();
+            if let AssemblyEvent::Complete { wire_bytes, .. } = self.assembler.accept(chunk).unwrap() {
+                return wire_bytes;
+            }
+        }
+    }
+}
+
+impl Drop for ThreadedLink {
+    fn drop(&mut self) {
+        self.orders = None;
+        if let Some(sender) = self.sender.take() {
+            sender.join().unwrap();
+        }
+    }
+}
+
+fn bench_threaded(c: &mut Criterion) {
+    let frame = frame_of(512, 256);
+    let mut group = c.benchmark_group("transport_threaded_wan_1k");
+    group.throughput(Throughput::Bytes(frame.wire_bytes()));
+    let mut link = ThreadedLink::new(frame);
+    group.bench_function("8_stripes_depth_16", |b| {
+        b.iter(|| black_box(link.one_frame()));
+    });
+    group.finish();
+}
+
 /// What the back end's `send_frame` and a viewer link's `accept` spend on
 /// the codec for one frame: encode, then decode the segments.
 fn codec(frame: &FramePayload) -> usize {
@@ -131,7 +207,13 @@ fn bench_codec(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_striped_roundtrip, bench_progressive, bench_codec);
+criterion_group!(
+    benches,
+    bench_striped_roundtrip,
+    bench_progressive,
+    bench_threaded,
+    bench_codec
+);
 
 fn write_baseline() {
     let frame = frame_of(TEX, 256);
@@ -152,6 +234,14 @@ fn write_baseline() {
         black_box(progressive(&chunks));
     });
 
+    let wan_frame = frame_of(512, 256);
+    let wan_bytes = wan_frame.wire_bytes();
+    let mut link = ThreadedLink::new(wan_frame);
+    let threaded_s = median_secs(samples, || {
+        black_box(link.one_frame());
+    });
+    drop(link);
+
     let codec_frame = frame_of(32, CODEC_SEGMENTS);
     let codec_s = median_secs(samples, || {
         black_box(codec(&codec_frame));
@@ -159,7 +249,7 @@ fn write_baseline() {
 
     let mbps = |s: f64| bytes as f64 / s / 1e6;
     let json = format!(
-        "{{\n  \"bench\": \"transport_frame_roundtrip\",\n  \"bytes_per_op\": {bytes},\n  \"samples\": {samples},\n  \"cases\": {{\n    \"stripes_1\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_4\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_8\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"progressive_1k\": {{ \"median_s\": {progressive_s:.9}, \"chunks\": {} }},\n    \"codec_geometry\": {{ \"median_s\": {codec_s:.9}, \"segments\": {CODEC_SEGMENTS}, \"wire_bytes\": {} }}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"transport_frame_roundtrip\",\n  \"bytes_per_op\": {bytes},\n  \"samples\": {samples},\n  \"cases\": {{\n    \"stripes_1\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_4\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"stripes_8\": {{ \"median_s\": {:.9}, \"mbytes_per_s\": {:.1} }},\n    \"progressive_1k\": {{ \"median_s\": {progressive_s:.9}, \"chunks\": {} }},\n    \"threaded_wan_1k\": {{ \"median_s\": {threaded_s:.9}, \"mbytes_per_s\": {:.1} }},\n    \"codec_geometry\": {{ \"median_s\": {codec_s:.9}, \"segments\": {CODEC_SEGMENTS}, \"wire_bytes\": {} }}\n  }}\n}}\n",
         stripe_s[0],
         mbps(stripe_s[0]),
         stripe_s[1],
@@ -167,6 +257,7 @@ fn write_baseline() {
         stripe_s[2],
         mbps(stripe_s[2]),
         chunks.len(),
+        wan_bytes as f64 / threaded_s / 1e6,
         codec_frame.framed_wire_bytes(),
     );
     report_baseline("transport", &json);

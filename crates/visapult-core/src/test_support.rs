@@ -1,13 +1,15 @@
 //! Shared `#[cfg(test)]` fixtures for the in-crate unit tests.
 //!
-//! The transport, viewer, backend and service tests all need the same three
-//! things — a deterministic `FramePayload`, a bundle of striped links, and a
-//! way to drain receivers concurrently so bounded queues do not deadlock the
-//! sender under test.  They used to each carry their own copy; this module is
+//! The transport, viewer, backend and service tests all need the same few
+//! things — a deterministic `FramePayload` and its chunks, a bundle of
+//! striped links, and a way to drain receivers concurrently so bounded queues
+//! do not deadlock the sender under test.  They used to each carry their own copy; this module is
 //! the single home.
 
-use crate::protocol::{FramePayload, HeavyPayload, LightPayload};
-use crate::transport::{drain_frames, striped_link, StripeReceiver, StripeSender, TransportConfig};
+use crate::protocol::{FramePayload, FrameSegments, HeavyPayload, LightPayload};
+use crate::transport::{
+    drain_frames, plan_chunks, striped_link, FrameChunk, StripeReceiver, StripeSender, TransportConfig,
+};
 use bytes::Bytes;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -47,6 +49,33 @@ pub(crate) fn sample_frame(rank: u32, frame: u32, tex_size: usize) -> FramePaylo
             geometry: Arc::new(vec![([0.0; 3], [1.0; 3]), ([2.0; 3], [3.0; 3]), ([4.0; 3], [5.0; 3])]),
         },
     }
+}
+
+/// `frame` cut into the chunks a sender would put on the wire, in sequence
+/// order (every `stripe_seq` 0: nothing has carried them yet).
+pub(crate) fn chunk_frame(frame: &FramePayload, chunk_bytes: usize, stripes: u32) -> Vec<FrameChunk> {
+    let segments = FrameSegments::encode(frame);
+    let bufs = [
+        segments.light.clone(),
+        segments.heavy_header.clone(),
+        segments.texture.clone(),
+        segments.geometry.clone(),
+    ];
+    let plans = plan_chunks(segments.lens(), chunk_bytes, stripes);
+    let total = plans.len() as u32;
+    plans
+        .iter()
+        .map(|p| FrameChunk {
+            frame: frame.light.frame,
+            rank: frame.light.rank,
+            seq: p.seq,
+            total,
+            stripe: p.stripe,
+            stripe_seq: 0,
+            segment: p.segment,
+            payload: bufs[p.segment as usize].slice(p.start..p.start + p.len),
+        })
+        .collect()
 }
 
 /// A frame whose solid-color texture maps onto a quad stacked along Z by

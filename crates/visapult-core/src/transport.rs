@@ -16,6 +16,34 @@
 //! per-stripe sequence numbers; reassembly tolerates arbitrary arrival
 //! interleavings and surfaces out-of-order and late-chunk telemetry.
 //!
+//! # What a chunk costs the sender
+//!
+//! Chunks cross a stripe in runs, not one at a time.
+//! [`StripeSender::send_frame`] takes its state lock once per frame: under
+//! it every chunk gets its per-stripe sequence number and joins its stripe's
+//! run, in `seq` order (the run buffers are kept across frames; the payloads
+//! are slices of the frame's own buffers).  It then visits the stripes
+//! round-robin, and each visit moves as much of the stripe's run as fits
+//! under one channel lock, waking the receiver at most once for the run.  A
+//! sweep that moves nothing blocks on the stripe whose next chunk comes
+//! first in the frame, and the next sweep starts there.
+//!
+//! The receiving end mirrors it: [`StripeReceiver`] takes a stripe's whole
+//! queue under one lock when every run it holds is empty, and hands chunks
+//! out of the runs one stripe per turn, the rotation carrying on across
+//! refills, so arrival order stays close to `seq` order.  The backpressure
+//! bound is exact: a stripe holds at most `queue_depth` chunks between the
+//! two ends, and the chunks the receiver holds count against it until they
+//! are given back — a batch of half the queue depth as soon as that many of
+//! a stripe's run are handed out, the rest at the next refill, so the sender
+//! refills a stripe while the receiver is still handing its run out.
+//!
+//! A paced link runs the same loop.  A visit first clears the front of the
+//! run with the pacer, chunk by chunk in stripe order, up to the first chunk
+//! it delays; the cleared chunks go, the sender sleeps out the delay, and
+//! that chunk is cleared for the next visit.  Every chunk is still paced
+//! once, on its own stripe's bucket.
+//!
 //! # What a chunk costs the receiver
 //!
 //! [`FrameAssembler::accept`] is O(1): one slot store, and on the frame's
@@ -56,7 +84,7 @@ use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Which circa-2000 TCP stack the link's stripes model.
@@ -321,30 +349,32 @@ struct SignalState {
 }
 
 struct LinkSignal {
-    state: Mutex<SignalState>,
-    cv: Condvar,
+    state: parking_lot::Mutex<SignalState>,
+    cv: parking_lot::Condvar,
 }
 
 impl LinkSignal {
     fn new() -> Arc<LinkSignal> {
-        Arc::new(LinkSignal {
-            state: Mutex::new(SignalState {
+        let signal = LinkSignal {
+            state: parking_lot::Mutex::new(SignalState {
                 generation: 0,
                 waiters: 0,
             }),
-            cv: Condvar::new(),
-        })
+            cv: parking_lot::Condvar::new(),
+        };
+        signal.state.lockdep_label("link-signal");
+        Arc::new(signal)
     }
 
     /// Current generation; observe *before* scanning the stripes so a bump
     /// that races the scan is caught by [`LinkSignal::wait_past`].
     fn observe(&self) -> u64 {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).generation
+        self.state.lock().generation
     }
 
     /// Record an arrival (or disconnect) and wake every parked receiver.
     fn bump(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock();
         state.generation += 1;
         let wake = state.waiters > 0;
         drop(state);
@@ -354,20 +384,18 @@ impl LinkSignal {
     }
 
     /// Park until the generation advances past `observed` or `timeout`
-    /// elapses.  The timeout is a safety net, not the wakeup mechanism — the
-    /// hooks fire on every empty→non-empty stripe transition and on sender
-    /// disconnect, both of which are the only reasons a fully-drained scan
-    /// would find something new.
+    /// elapses (a spurious wake-up returns early too: the caller re-checks
+    /// the stripes either way).  The timeout is a safety net, not the wakeup
+    /// mechanism — the hooks fire on every empty→non-empty stripe transition
+    /// and on sender disconnect, both of which are the only reasons a
+    /// fully-drained scan would find something new.
     fn wait_past(&self, observed: u64, timeout: Duration) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock();
         if state.generation != observed {
             return;
         }
         state.waiters += 1;
-        let (mut state, _) = self
-            .cv
-            .wait_timeout_while(state, timeout, |s| s.generation == observed)
-            .unwrap_or_else(|e| e.into_inner());
+        self.cv.wait_for(&mut state, timeout);
         state.waiters -= 1;
     }
 }
@@ -375,13 +403,36 @@ impl LinkSignal {
 struct SenderState {
     pacer: Option<StripePacer>,
     stripe_seq: Vec<u64>,
+    /// The frame being sent, one run per stripe in `seq` order.  The buffers
+    /// are kept across frames; the chunks' payloads are the frame's own.
+    runs: Vec<VecDeque<FrameChunk>>,
+    /// Chunks at the front of each run cleared to go: all of them on an
+    /// unpaced link, the ones the pacer has let through on a paced one.
+    cleared: Vec<usize>,
+    #[cfg(test)]
+    counts: SenderCounts,
+}
+
+/// What one sender has spent on locks, for the count pins.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SenderCounts {
+    /// `SenderState` locks taken by `send_frame`.
+    pub(crate) state_locks: usize,
+    /// Channel operations `send_frame` made: runs moved and blocking sends.
+    pub(crate) channel_locks: usize,
+    /// Sweeps that moved nothing and blocked on a full stripe.
+    pub(crate) blocks: usize,
+    /// Pacing delays slept out.
+    pub(crate) sleeps: usize,
 }
 
 /// The sending half of a striped link (one per back-end PE).
 pub struct StripeSender {
     config: TransportConfig,
     txs: Vec<Sender<FrameChunk>>,
-    state: Mutex<SenderState>,
+    /// Held for a whole frame, hook fires included, so lockdep watches it.
+    state: parking_lot::Mutex<SenderState>,
     stats: Arc<Mutex<TransportStats>>,
 }
 
@@ -415,43 +466,121 @@ impl StripeSender {
             segments.geometry,
         ];
         let total = plans.len() as u32;
-        let mut wire = 0u64;
-        for plan in &plans {
-            let payload = seg_bufs[plan.segment as usize].slice(plan.start..plan.start + plan.len);
-            let (stripe_seq, delay) = {
-                let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-                let s = state.stripe_seq[plan.stripe as usize];
-                state.stripe_seq[plan.stripe as usize] += 1;
-                let delay = state
-                    .pacer
-                    .as_mut()
-                    .map(|p| p.consume(plan.stripe as usize, plan.len as u64))
-                    .unwrap_or(Duration::ZERO);
-                (s, delay)
-            };
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-            wire += plan.len as u64;
-            self.txs[plan.stripe as usize]
-                .send(FrameChunk {
-                    frame: frame.light.frame,
-                    rank: frame.light.rank,
-                    seq: plan.seq,
-                    total,
-                    stripe: plan.stripe,
-                    stripe_seq,
-                    segment: plan.segment,
-                    payload,
-                })
-                .map_err(|_| TransportError::Closed)?;
+        // One lock for the frame: every chunk's stripe sequence number is
+        // assigned under it, and it stays held while the runs go out, so two
+        // frames sent at once never interleave on a stripe.
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        #[cfg(test)]
+        {
+            state.counts.state_locks += 1;
         }
+        for plan in &plans {
+            let stripe = plan.stripe as usize;
+            state.runs[stripe].push_back(FrameChunk {
+                frame: frame.light.frame,
+                rank: frame.light.rank,
+                seq: plan.seq,
+                total,
+                stripe: plan.stripe,
+                stripe_seq: state.stripe_seq[stripe],
+                segment: plan.segment,
+                payload: seg_bufs[plan.segment as usize].slice(plan.start..plan.start + plan.len),
+            });
+            state.stripe_seq[stripe] += 1;
+        }
+        let sent = self.send_runs(state);
+        if sent.is_err() {
+            for run in &mut state.runs {
+                run.clear();
+            }
+            state.cleared.fill(0);
+        }
+        drop(guard);
+        sent?;
         let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
         stats.frames += 1;
         for plan in &plans {
             stats.record_chunk(plan.stripe, plan.len);
         }
-        Ok(wire)
+        Ok(plans.iter().map(|plan| plan.len as u64).sum())
+    }
+
+    /// Move every run onto its stripe (the module docs give the rules).
+    fn send_runs(&self, state: &mut SenderState) -> Result<(), TransportError> {
+        let stripes = self.txs.len();
+        let mut start = 0;
+        loop {
+            let mut moved = false;
+            for stripe in (start..start + stripes).map(|i| i % stripes) {
+                let (tx, run) = (&self.txs[stripe], &mut state.runs[stripe]);
+                if run.is_empty() {
+                    continue;
+                }
+                let cleared = &mut state.cleared[stripe];
+                let mut delay = Duration::ZERO;
+                match &mut state.pacer {
+                    None => *cleared = run.len(),
+                    // Clear the run's front chunk by chunk, up to the first
+                    // chunk the pacer delays: that one goes after the sleep.
+                    Some(pacer) => {
+                        while let Some(chunk) = run.get(*cleared) {
+                            delay = pacer.consume(stripe, chunk.payload.len() as u64);
+                            if !delay.is_zero() {
+                                break;
+                            }
+                            *cleared += 1;
+                        }
+                    }
+                }
+                let n = tx.send_some(run, *cleared).map_err(|_| TransportError::Closed)?;
+                #[cfg(test)]
+                {
+                    state.counts.channel_locks += 1;
+                }
+                *cleared -= n;
+                moved |= n > 0;
+                if !delay.is_zero() {
+                    std::thread::sleep(delay);
+                    *cleared += 1;
+                    #[cfg(test)]
+                    {
+                        state.counts.sleeps += 1;
+                    }
+                }
+            }
+            let next = state
+                .runs
+                .iter()
+                .enumerate()
+                .filter_map(|(stripe, run)| run.front().map(|chunk| (chunk.seq, stripe)))
+                .min();
+            let Some((_, stripe)) = next else {
+                return Ok(());
+            };
+            if !moved {
+                // Every stripe with chunks left is full: wait on the one
+                // whose next chunk comes first in the frame, and start the
+                // next sweep there — the receiver frees the stripes in about
+                // the order it hands their chunks out.
+                start = stripe;
+                if let Some(chunk) = state.runs[stripe].pop_front() {
+                    state.cleared[stripe] -= 1;
+                    #[cfg(test)]
+                    {
+                        state.counts.channel_locks += 1;
+                        state.counts.blocks += 1;
+                    }
+                    self.txs[stripe].send(chunk).map_err(|_| TransportError::Closed)?;
+                }
+            }
+        }
+    }
+
+    /// What this sender has spent on locks so far.
+    #[cfg(test)]
+    pub(crate) fn counts(&self) -> SenderCounts {
+        self.state.lock().counts
     }
 
     /// Inject a raw chunk onto its stripe, bypassing framing — the fault
@@ -485,9 +614,10 @@ impl StripeSender {
         }
     }
 
-    /// Chunks currently queued across every stripe of this link — the
-    /// instantaneous stripe-queue depth the telemetry plane samples for its
-    /// high-water gauges.  Racy by nature; never used for control flow.
+    /// Chunks currently occupying every stripe of this link — queued, or
+    /// held by the receiver and not yet released: the instantaneous
+    /// stripe-queue depth the telemetry plane samples for its high-water
+    /// gauges.  Racy by nature; never used for control flow.
     pub fn queued_chunks(&self) -> usize {
         self.txs.iter().map(|tx| tx.len()).sum()
     }
@@ -559,6 +689,15 @@ impl Drop for SendBurst<'_> {
 pub struct StripeReceiver {
     rxs: Vec<Receiver<FrameChunk>>,
     open: Vec<bool>,
+    /// Each stripe's run: its whole queue, taken by the last refill and
+    /// handed out front first.
+    runs: Vec<VecDeque<FrameChunk>>,
+    /// Chunks handed out of each stripe's run and not yet released: until
+    /// then they still count against the stripe's capacity.
+    handed: Vec<usize>,
+    /// Handed-out chunks go back in batches of half the queue depth, so the
+    /// sender refills a stripe while the rest of its run is handed out.
+    release_batch: usize,
     rotation: usize,
     signal: Arc<LinkSignal>,
     /// Whether the stripes' data hooks feed [`StripeReceiver::signal`] yet.
@@ -566,6 +705,23 @@ pub struct StripeReceiver {
     /// drained purely by `try_recv_chunk` (every executor-plane path) never
     /// pay the per-transition bump on their send side.
     signal_armed: bool,
+    #[cfg(test)]
+    counts: ReceiverCounts,
+}
+
+/// What one receiver has spent on locks, and the most chunks any stripe ever
+/// held (queued, in a run, or handed out and not released) when it looked.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ReceiverCounts {
+    /// Channel operations: refills (one per open stripe) and releases.
+    pub(crate) channel_locks: usize,
+    /// Of those, early releases of a batch of handed-out chunks.
+    pub(crate) releases: usize,
+    /// `LinkSignal::observe` calls.
+    pub(crate) observes: usize,
+    /// The in-flight probe's high water, taken on every call.
+    pub(crate) in_flight_high: usize,
 }
 
 /// Safety-net park interval for [`StripeReceiver::recv_chunk`]: the
@@ -589,33 +745,28 @@ impl StripeReceiver {
             }
             self.signal_armed = true;
         }
-        let n = self.rxs.len();
+        if let Some(chunk) = self.next_held() {
+            return Ok(chunk);
+        }
         loop {
-            // Observe the arrival generation *before* scanning: a chunk that
-            // lands on an already-scanned stripe mid-scan bumps it, and the
-            // wait below returns immediately instead of sleeping on a
+            // Observe the arrival generation *before* refilling: a run that
+            // lands on an already-visited stripe mid-refill bumps it, and
+            // the wait below returns immediately instead of sleeping on a
             // delivery that already happened.
+            #[cfg(test)]
+            {
+                self.counts.observes += 1;
+            }
             let observed = self.signal.observe();
-            let mut any_open = false;
-            for i in 0..n {
-                let idx = (self.rotation + i) % n;
-                if !self.open[idx] {
-                    continue;
-                }
-                match self.rxs[idx].try_recv() {
-                    Ok(chunk) => {
-                        self.rotation = (idx + 1) % n;
-                        return Ok(chunk);
-                    }
-                    Err(TryRecvError::Empty) => any_open = true,
-                    Err(TryRecvError::Disconnected) => self.open[idx] = false,
-                }
+            let any_open = self.refill();
+            if let Some(chunk) = self.next_held() {
+                return Ok(chunk);
             }
             if !any_open {
                 return Err(TransportError::Closed);
             }
             // Every open stripe was empty: park until *any* stripe signals
-            // an arrival (or disconnect), then rescan them all.
+            // an arrival (or disconnect), then refill them all.
             self.signal.wait_past(observed, RECV_PARK_SAFETY);
         }
     }
@@ -633,22 +784,73 @@ impl StripeReceiver {
     /// Non-blocking poll: the next already-queued chunk, if any.  Used to
     /// drain stragglers (late stripes) after the expected frames are in.
     pub fn try_recv_chunk(&mut self) -> Option<FrameChunk> {
-        let n = self.rxs.len();
+        if let Some(chunk) = self.next_held() {
+            return Some(chunk);
+        }
+        self.refill();
+        self.next_held()
+    }
+
+    /// The next chunk of the held runs: one stripe per turn, the rotation
+    /// carrying on across refills.  Releases a stripe's handed-out chunks
+    /// once a batch of them is out.
+    fn next_held(&mut self) -> Option<FrameChunk> {
+        #[cfg(test)]
+        self.probe_in_flight();
+        let n = self.runs.len();
         for i in 0..n {
             let idx = (self.rotation + i) % n;
-            if !self.open[idx] {
-                continue;
-            }
-            match self.rxs[idx].try_recv() {
-                Ok(chunk) => {
-                    self.rotation = (idx + 1) % n;
-                    return Some(chunk);
+            if let Some(chunk) = self.runs[idx].pop_front() {
+                self.rotation = (idx + 1) % n;
+                self.handed[idx] += 1;
+                if self.handed[idx] >= self.release_batch {
+                    self.rxs[idx].release(std::mem::take(&mut self.handed[idx]));
+                    #[cfg(test)]
+                    {
+                        self.counts.channel_locks += 1;
+                        self.counts.releases += 1;
+                    }
                 }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => self.open[idx] = false,
+                return Some(chunk);
             }
         }
         None
+    }
+
+    /// Take every open stripe's queue whole — one lock per stripe, which
+    /// also gives back every chunk handed out since the last refill.  Only
+    /// called with every run empty.  False once every stripe has closed.
+    fn refill(&mut self) -> bool {
+        let mut any_open = false;
+        for (idx, rx) in self.rxs.iter().enumerate() {
+            if !self.open[idx] {
+                continue;
+            }
+            self.handed[idx] = 0;
+            #[cfg(test)]
+            {
+                self.counts.channel_locks += 1;
+            }
+            match rx.try_recv_all(&mut self.runs[idx]) {
+                Ok(_) | Err(TryRecvError::Empty) => any_open = true,
+                Err(TryRecvError::Disconnected) => self.open[idx] = false,
+            }
+        }
+        any_open
+    }
+
+    /// The test-only in-flight probe: no stripe may ever hold more than
+    /// `queue_depth` chunks, counting the ones this receiver holds.
+    #[cfg(test)]
+    fn probe_in_flight(&mut self) {
+        let high = self.rxs.iter().map(|rx| rx.len()).max().unwrap_or(0);
+        self.counts.in_flight_high = self.counts.in_flight_high.max(high);
+    }
+
+    /// What this receiver has spent on locks so far.
+    #[cfg(test)]
+    pub(crate) fn counts(&self) -> ReceiverCounts {
+        self.counts
     }
 
     /// True once every stripe has disconnected *and* drained:
@@ -661,9 +863,10 @@ impl StripeReceiver {
         self.open.iter().all(|&open| !open)
     }
 
-    /// Chunks currently queued across every stripe of this link — the
-    /// receiver-side twin of [`StripeSender::queued_chunks`], sampled by the
-    /// fan-out pumps for the backend-inlet depth gauge.
+    /// Chunks occupying every stripe of this link — queued, or held by this
+    /// receiver and not yet released: the receiver-side twin of
+    /// [`StripeSender::queued_chunks`], sampled by the fan-out pumps for the
+    /// backend-inlet depth gauge.
     pub fn queued_chunks(&self) -> usize {
         self.rxs.iter().map(|rx| rx.len()).sum()
     }
@@ -684,22 +887,33 @@ pub fn striped_link(config: &TransportConfig) -> (StripeSender, StripeReceiver) 
     let pacer = config
         .pace_rate_mbps
         .map(|mbps| StripePacer::from_rate(Bandwidth::from_mbps(mbps), config.stripes));
+    let state = parking_lot::Mutex::new(SenderState {
+        pacer,
+        stripe_seq: vec![0; stripes],
+        runs: vec![VecDeque::new(); stripes],
+        cleared: vec![0; stripes],
+        #[cfg(test)]
+        counts: SenderCounts::default(),
+    });
+    state.lockdep_label("link-sender");
     (
         StripeSender {
             config: config.clone(),
             txs,
-            state: Mutex::new(SenderState {
-                pacer,
-                stripe_seq: vec![0; stripes],
-            }),
+            state,
             stats: Arc::new(Mutex::new(TransportStats::with_stripes(stripes))),
         },
         StripeReceiver {
             rxs,
             open: vec![true; stripes],
+            runs: vec![VecDeque::new(); stripes],
+            handed: vec![0; stripes],
+            release_batch: (config.queue_depth / 2).max(1),
             rotation: 0,
             signal,
             signal_armed: false,
+            #[cfg(test)]
+            counts: ReceiverCounts::default(),
         },
     )
 }
@@ -1257,7 +1471,7 @@ pub fn drain_frames(rx: &mut StripeReceiver) -> Result<Vec<FramePayload>, Transp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{copy_counter_turn, sample_frame};
+    use crate::test_support::{chunk_frame, copy_counter_turn, sample_frame};
     use std::time::Instant;
 
     #[test]
@@ -1558,33 +1772,6 @@ mod tests {
     /// slices of the sender's buffers, cloneable to any number of sessions.
     fn multicast_chunks(frame: &FramePayload) -> Vec<FrameChunk> {
         chunk_frame(frame, 1000, 3)
-    }
-
-    /// `frame` cut into the chunks a sender would put on the wire, in
-    /// sequence order.
-    fn chunk_frame(frame: &FramePayload, chunk_bytes: usize, stripes: u32) -> Vec<FrameChunk> {
-        let segments = FrameSegments::encode(frame);
-        let bufs = [
-            segments.light.clone(),
-            segments.heavy_header.clone(),
-            segments.texture.clone(),
-            segments.geometry.clone(),
-        ];
-        let plans = plan_chunks(segments.lens(), chunk_bytes, stripes);
-        let total = plans.len() as u32;
-        plans
-            .iter()
-            .map(|p| FrameChunk {
-                frame: frame.light.frame,
-                rank: frame.light.rank,
-                seq: p.seq,
-                total,
-                stripe: p.stripe,
-                stripe_seq: 0,
-                segment: p.segment,
-                payload: bufs[p.segment as usize].slice(p.start..p.start + p.len),
-            })
-            .collect()
     }
 
     fn feed(assembler: &mut FrameAssembler, chunks: &[FrameChunk]) -> Result<Option<FramePayload>, TransportError> {
@@ -2040,7 +2227,7 @@ mod tests {
     }
 
     /// `frame`'s chunks cut from fresh copies of its segments: the same
-    /// bytes and windows as [`chunk_frame`]'s, in buffers nobody else holds.
+    /// bytes and windows as `chunk_frame`'s, in buffers nobody else holds.
     fn foreign_chunks(frame: &FramePayload, chunk_bytes: usize, stripes: u32) -> Vec<FrameChunk> {
         let mut chunks = chunk_frame(frame, chunk_bytes, stripes);
         let segments = FrameSegments::encode(frame);
@@ -2235,6 +2422,456 @@ mod tests {
             memo_use.hits > 0 && memo_use.foreign > 0,
             "the cases must reach both memo paths"
         );
+    }
+
+    /// The link as it was before runs: per chunk, one `SenderState` lock
+    /// (stripe sequence number and pacer), a sleep when paced and one
+    /// blocking channel send; on the other end one `try_recv` per chunk,
+    /// after a `LinkSignal` observe on every `recv_chunk`.  The oracle the
+    /// striped link is held to.
+    mod link_oracle {
+        use super::*;
+
+        struct SenderState {
+            pacer: Option<StripePacer>,
+            stripe_seq: Vec<u64>,
+        }
+
+        pub(super) struct ParentSender {
+            config: TransportConfig,
+            txs: Vec<Sender<FrameChunk>>,
+            state: Mutex<SenderState>,
+        }
+
+        impl ParentSender {
+            pub(super) fn send_frame(&self, frame: &FramePayload) -> Result<u64, TransportError> {
+                let segments = FrameSegments::encode(frame);
+                let plans = plan_chunks(segments.lens(), self.config.chunk_bytes, self.config.stripes);
+                let seg_bufs = [
+                    segments.light,
+                    segments.heavy_header,
+                    segments.texture,
+                    segments.geometry,
+                ];
+                let total = plans.len() as u32;
+                let mut wire = 0u64;
+                for plan in &plans {
+                    let payload = seg_bufs[plan.segment as usize].slice(plan.start..plan.start + plan.len);
+                    let (stripe_seq, delay) = {
+                        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+                        let s = state.stripe_seq[plan.stripe as usize];
+                        state.stripe_seq[plan.stripe as usize] += 1;
+                        let delay = state
+                            .pacer
+                            .as_mut()
+                            .map(|p| p.consume(plan.stripe as usize, plan.len as u64))
+                            .unwrap_or(Duration::ZERO);
+                        (s, delay)
+                    };
+                    if !delay.is_zero() {
+                        std::thread::sleep(delay);
+                    }
+                    wire += plan.len as u64;
+                    self.txs[plan.stripe as usize]
+                        .send(FrameChunk {
+                            frame: frame.light.frame,
+                            rank: frame.light.rank,
+                            seq: plan.seq,
+                            total,
+                            stripe: plan.stripe,
+                            stripe_seq,
+                            segment: plan.segment,
+                            payload,
+                        })
+                        .map_err(|_| TransportError::Closed)?;
+                }
+                Ok(wire)
+            }
+        }
+
+        pub(super) struct ParentReceiver {
+            rxs: Vec<Receiver<FrameChunk>>,
+            open: Vec<bool>,
+            rotation: usize,
+            signal: Arc<LinkSignal>,
+            signal_armed: bool,
+        }
+
+        impl ParentReceiver {
+            pub(super) fn recv_chunk(&mut self) -> Result<FrameChunk, TransportError> {
+                if !self.signal_armed {
+                    for rx in &self.rxs {
+                        let stripe_signal = Arc::clone(&self.signal);
+                        rx.set_data_hook(Arc::new(move || stripe_signal.bump()));
+                    }
+                    self.signal_armed = true;
+                }
+                loop {
+                    let observed = self.signal.observe();
+                    if let Some(chunk) = self.try_recv_chunk() {
+                        return Ok(chunk);
+                    }
+                    if self.is_closed() {
+                        return Err(TransportError::Closed);
+                    }
+                    self.signal.wait_past(observed, RECV_PARK_SAFETY);
+                }
+            }
+
+            pub(super) fn try_recv_chunk(&mut self) -> Option<FrameChunk> {
+                let n = self.rxs.len();
+                for i in 0..n {
+                    let idx = (self.rotation + i) % n;
+                    if !self.open[idx] {
+                        continue;
+                    }
+                    match self.rxs[idx].try_recv() {
+                        Ok(chunk) => {
+                            self.rotation = (idx + 1) % n;
+                            return Some(chunk);
+                        }
+                        Err(TryRecvError::Empty) => {}
+                        Err(TryRecvError::Disconnected) => self.open[idx] = false,
+                    }
+                }
+                None
+            }
+
+            pub(super) fn is_closed(&self) -> bool {
+                self.open.iter().all(|&open| !open)
+            }
+        }
+
+        pub(super) fn parent_link(config: &TransportConfig) -> (ParentSender, ParentReceiver) {
+            let stripes = config.stripes.max(1) as usize;
+            let (txs, rxs) = (0..stripes).map(|_| bounded(config.queue_depth.max(1))).unzip();
+            let pacer = config
+                .pace_rate_mbps
+                .map(|mbps| StripePacer::from_rate(Bandwidth::from_mbps(mbps), config.stripes));
+            (
+                ParentSender {
+                    config: config.clone(),
+                    txs,
+                    state: Mutex::new(SenderState {
+                        pacer,
+                        stripe_seq: vec![0; stripes],
+                    }),
+                },
+                ParentReceiver {
+                    rxs,
+                    open: vec![true; stripes],
+                    rotation: 0,
+                    signal: LinkSignal::new(),
+                    signal_armed: false,
+                },
+            )
+        }
+    }
+
+    /// A chunk as the differential cases compare it: every field, and the
+    /// payload's bytes.
+    type Arrival = (u32, u32, u32, u32, u32, u64, u8, Vec<u8>);
+
+    fn arrival(chunk: &FrameChunk) -> Arrival {
+        (
+            chunk.frame,
+            chunk.rank,
+            chunk.seq,
+            chunk.total,
+            chunk.stripe,
+            chunk.stripe_seq,
+            chunk.segment,
+            chunk.payload.as_slice().to_vec(),
+        )
+    }
+
+    /// What the differential cases reached, so a run shows it covered every
+    /// path it claims to.
+    #[derive(Default)]
+    struct LinkUse {
+        sequential: usize,
+        paced_sleeps: usize,
+        blocks: usize,
+        releases: usize,
+    }
+
+    /// Every frame over the parent's link, drained on this thread while the
+    /// sender runs on its own.
+    fn oracle_arrivals(config: &TransportConfig, frames: &[FramePayload]) -> Vec<Arrival> {
+        let (tx, mut rx) = link_oracle::parent_link(config);
+        let frames = frames.to_vec();
+        let sender = std::thread::spawn(move || {
+            for frame in &frames {
+                tx.send_frame(frame).unwrap();
+            }
+        });
+        let mut arrivals = Vec::new();
+        while let Ok(chunk) = rx.recv_chunk() {
+            arrivals.push(arrival(&chunk));
+        }
+        sender.join().unwrap();
+        arrivals
+    }
+
+    /// One differential case: 1–8 stripes, chunks of 1 B to 16 KB, a queue
+    /// depth of 1–32 and 1–4 frames of mixed sizes, paced one time in four,
+    /// over the striped link and the per-chunk oracle.
+    fn link_case(seed: u64, reached: &mut LinkUse) {
+        let mut rng = proptest::TestRng::for_test(&format!("striped link {seed}"));
+        let mut below = |n: u64| rng.next_u64() % n.max(1);
+        let stripes = 1 + below(8) as u32;
+        let scale = below(15);
+        let chunk_bytes = ((1usize << scale) + below(1 << scale) as usize).min(16 * 1024);
+        let queue_depth = 1 + below(32) as usize;
+        let config = TransportConfig {
+            stripes,
+            chunk_bytes,
+            queue_depth,
+            tuning: TcpTuning::WanTuned,
+            pace_rate_mbps: (below(4) == 0).then_some(2.0),
+        };
+        let frames: Vec<FramePayload> = (0..1 + below(4) as u32)
+            .map(|f| sample_frame(3, f, 1 + below(24) as usize))
+            .collect();
+        let context = format!("seed {seed}: {config:?}, {} frames", frames.len());
+        let want = oracle_arrivals(&config, &frames);
+
+        // The striped link, its sender on its own thread and this thread a
+        // consumer that yields at random points.
+        let (tx, mut rx) = striped_link(&config);
+        let sender = {
+            let frames = frames.clone();
+            std::thread::spawn(move || {
+                for frame in &frames {
+                    tx.send_frame(frame).unwrap();
+                }
+                tx.counts()
+            })
+        };
+        let mut got = Vec::new();
+        loop {
+            match below(8) {
+                0 => std::thread::yield_now(),
+                1 => std::thread::sleep(Duration::from_micros(below(50))),
+                2 => match rx.try_recv_chunk() {
+                    Some(chunk) => got.push(chunk),
+                    None if rx.is_closed() => break,
+                    None => {}
+                },
+                _ => match rx.recv_chunk() {
+                    Ok(chunk) => got.push(chunk),
+                    Err(_) => break,
+                },
+            }
+        }
+        let sent = sender.join().unwrap();
+        reached.paced_sleeps += sent.sleeps;
+        reached.blocks += sent.blocks;
+        let counts = rx.counts();
+        reached.releases += counts.releases;
+        assert!(
+            counts.in_flight_high <= queue_depth,
+            "{context}: a stripe held {} chunks",
+            counts.in_flight_high
+        );
+        let mut next_stripe_seq = vec![0u64; stripes as usize];
+        for chunk in &got {
+            let next = &mut next_stripe_seq[chunk.stripe as usize];
+            assert_eq!(
+                chunk.stripe_seq, *next,
+                "{context}: stripe {} out of order",
+                chunk.stripe
+            );
+            *next += 1;
+        }
+        let mut assembler = FrameAssembler::new();
+        let mut reassembled = Vec::new();
+        for chunk in &got {
+            if let AssemblyEvent::Complete { payload, .. } = assembler.accept(chunk.clone()).unwrap() {
+                reassembled.push(payload);
+            }
+        }
+        reassembled.sort_by_key(|frame| frame.light.frame);
+        assert_eq!(reassembled, frames, "{context}");
+        let mut got: Vec<Arrival> = got.iter().map(arrival).collect();
+        let mut want = want;
+        got.sort();
+        want.sort();
+        assert!(got == want, "{context}: the chunks differ from the oracle's");
+
+        // When each frame fits in the stripes, send one and drain it dry, frame
+        // by frame, over both links: with nothing racing, the arrival order
+        // itself must match the oracle's, rotation and all.
+        let fits = frames.iter().all(|frame| {
+            let chunks = plan_chunks(FrameSegments::encode(frame).lens(), chunk_bytes, stripes).len();
+            chunks.div_ceil(stripes as usize) <= queue_depth
+        });
+        if fits && config.pace_rate_mbps.is_none() {
+            reached.sequential += 1;
+            let (tx, mut rx) = striped_link(&config);
+            let (oracle_tx, mut oracle_rx) = link_oracle::parent_link(&config);
+            for frame in &frames {
+                tx.send_frame(frame).unwrap();
+                oracle_tx.send_frame(frame).unwrap();
+                let got: Vec<Arrival> = std::iter::from_fn(|| rx.try_recv_chunk())
+                    .map(|c| arrival(&c))
+                    .collect();
+                let want: Vec<Arrival> = std::iter::from_fn(|| oracle_rx.try_recv_chunk())
+                    .map(|c| arrival(&c))
+                    .collect();
+                assert!(
+                    got == want,
+                    "{context}: frame {} arrived in another order",
+                    frame.light.frame
+                );
+            }
+            drop(tx);
+            assert!(rx.try_recv_chunk().is_none() && rx.is_closed(), "{context}");
+        }
+    }
+
+    fn assert_links_agree(cases: u64) {
+        let mut reached = LinkUse::default();
+        for seed in 0..cases {
+            link_case(seed, &mut reached);
+        }
+        assert!(
+            reached.sequential > 0 && reached.paced_sleeps > 0 && reached.blocks > 0 && reached.releases > 0,
+            "the cases must reach the ordered, paced, blocking and releasing paths"
+        );
+    }
+
+    #[test]
+    fn the_striped_link_agrees_with_the_per_chunk_oracle() {
+        assert_links_agree(500);
+    }
+
+    #[test]
+    #[ignore = "10^4 cases; run in release"]
+    fn the_striped_link_agrees_with_the_per_chunk_oracle_at_scale() {
+        assert_links_agree(10_000);
+    }
+
+    #[test]
+    fn one_frame_costs_one_state_lock_a_run_per_stripe_and_two_refills() {
+        // 35 chunks over 4 stripes, at most 9 a stripe: the frame fits in a
+        // queue depth of 32 and stays under half of it, so nothing blocks and
+        // nothing is released early.
+        let config = TransportConfig {
+            queue_depth: 32,
+            ..TransportConfig::default().with_stripes(4).with_chunk_bytes(128)
+        };
+        let frame = sample_frame(0, 0, 32);
+        let chunks = plan_chunks(FrameSegments::encode(&frame).lens(), 128, 4).len();
+        assert_eq!(chunks, 35);
+        for through_recv_chunk in [false, true] {
+            let (tx, mut rx) = striped_link(&config);
+            tx.send_frame(&frame).unwrap();
+            let sent = tx.counts();
+            assert_eq!(
+                sent.state_locks, 1,
+                "SenderState locks for one frame; the parent took one per chunk, {chunks}"
+            );
+            assert!(
+                sent.channel_locks <= 4,
+                "{} sender channel locks for one frame over 4 stripes; the parent took one per chunk, {chunks}",
+                sent.channel_locks
+            );
+            drop(tx);
+            let received = if through_recv_chunk {
+                std::iter::from_fn(|| rx.recv_chunk().ok()).count()
+            } else {
+                std::iter::from_fn(|| rx.try_recv_chunk()).count()
+            };
+            assert_eq!(received, chunks);
+            assert!(rx.is_closed());
+            let counts = rx.counts();
+            assert_eq!(
+                counts.channel_locks,
+                2 * 4,
+                "receiver channel locks, two refills of 4 stripes; the parent took one per chunk and one per \
+                 stripe to see the close, {}",
+                chunks + 4
+            );
+            let observes = if through_recv_chunk { 2 } else { 0 };
+            assert_eq!(
+                counts.observes,
+                observes,
+                "LinkSignal observes, one per refill; the parent observed on every recv_chunk, {}",
+                chunks + 1
+            );
+        }
+        // Every frame takes the state lock once, however many there are.
+        let (tx, rx) = striped_link(&config);
+        let drain = std::thread::spawn(move || {
+            let mut rx = rx;
+            drain_frames(&mut rx).unwrap().len()
+        });
+        for f in 0..3 {
+            tx.send_frame(&sample_frame(0, f, 32)).unwrap();
+        }
+        assert_eq!(tx.counts().state_locks, 3);
+        drop(tx);
+        assert_eq!(drain.join().unwrap(), 3);
+    }
+
+    /// Run `body` on its own thread: a hang fails the test after 60 s instead
+    /// of stalling the suite.
+    fn within_a_minute<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(body());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("finished within 60 s, without a panic")
+    }
+
+    #[test]
+    fn a_sender_blocked_mid_run_hears_the_receiver_drop_while_it_holds_a_run() {
+        within_a_minute(|| {
+            let config = TransportConfig {
+                queue_depth: 2,
+                ..TransportConfig::default().with_stripes(2).with_chunk_bytes(64)
+            };
+            let (tx, mut rx) = striped_link(&config);
+            let sender = std::thread::spawn(move || tx.send_frame(&sample_frame(0, 0, 16)));
+            rx.recv_chunk().unwrap();
+            // Both stripes full, counting the run this receiver holds: the
+            // sender has nowhere to go but a blocking send.
+            while rx.queued_chunks() < 4 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(rx.runs.iter().any(|run| !run.is_empty()), "the receiver holds a run");
+            drop(rx);
+            assert_eq!(sender.join().unwrap(), Err(TransportError::Closed));
+        });
+    }
+
+    #[test]
+    fn a_sender_that_drops_mid_frame_leaves_its_runs_to_be_handed_out_then_closed() {
+        within_a_minute(|| {
+            let config = TransportConfig {
+                queue_depth: 2,
+                ..TransportConfig::default().with_stripes(2).with_chunk_bytes(64)
+            };
+            let (tx, mut rx) = striped_link(&config);
+            let chunks = chunk_frame(&sample_frame(0, 0, 16), 64, 2);
+            let half = chunks.len() / 2;
+            let sender = std::thread::spawn(move || {
+                for chunk in chunks.into_iter().take(half) {
+                    tx.send_raw_chunk(chunk).unwrap();
+                }
+            });
+            let mut received = 0;
+            while rx.recv_chunk().is_ok() {
+                received += 1;
+            }
+            sender.join().unwrap();
+            assert_eq!(received, half, "every chunk sent before the drop is handed out");
+            assert!(rx.is_closed() && rx.try_recv_chunk().is_none());
+        });
     }
 
     #[test]

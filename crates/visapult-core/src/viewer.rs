@@ -564,7 +564,7 @@ thread_local! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{flat_frame as payload, links as support_links};
+    use crate::test_support::{chunk_frame, flat_frame as payload, links as support_links};
     use crate::transport::{striped_link, FrameChunk, StripeSender, TransportConfig};
     use bytes::Bytes;
 
@@ -651,6 +651,45 @@ mod tests {
                 total_chunks: 0
             }
         ));
+    }
+
+    #[test]
+    fn a_back_end_that_dies_mid_frame_leaves_a_typed_missing_frame() {
+        // Two-chunk stripe queues, so the receiver holds runs while the back
+        // end is still sending; it dies half-way through frame 1.  The link
+        // thread hands out what it holds, hears the close, and reports the
+        // frame — within a minute, not never.
+        let config = TransportConfig {
+            queue_depth: 2,
+            ..TransportConfig::default().with_stripes(2).with_chunk_bytes(64)
+        };
+        let (tx, rx) = striped_link(&config);
+        let partial = chunk_frame(&payload(0, 1, 16), 64, 2);
+        let (half, total) = (partial.len() / 2, partial.len() as u32);
+        let producer = std::thread::spawn(move || {
+            tx.send_frame(&payload(0, 0, 16)).unwrap();
+            for chunk in partial.into_iter().take(half) {
+                tx.send_raw_chunk(chunk).unwrap();
+            }
+        });
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(Viewer::new(ViewerConfig::new((32, 32, 32), 2)).run(vec![rx], None));
+        });
+        let report = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the viewer finishes within 60 s of the back end dying");
+        producer.join().unwrap();
+        assert_eq!(report.frames_received, 1);
+        assert_eq!(
+            report.errors,
+            vec![ViewerError::MissingFrame {
+                rank: 0,
+                frame: 1,
+                received_chunks: half as u32,
+                total_chunks: total,
+            }]
+        );
     }
 
     #[test]

@@ -2,11 +2,18 @@
 //! registry access.  One module is provided, covering exactly what this
 //! workspace uses:
 //!
-//! * [`channel`] — unbounded MPMC channels (clonable senders *and* receivers,
-//!   `recv`/`try_recv`/`recv_timeout`, disconnect semantics) implemented over
-//!   `Mutex` + `Condvar`.  Slower than the real lock-free crossbeam under
-//!   contention, but semantically equivalent for the pipeline's
-//!   one-queue-per-PE pattern.
+//! * [`channel`] — bounded and unbounded MPMC channels (clonable senders
+//!   *and* receivers, `recv`/`try_recv`/`recv_timeout`, disconnect
+//!   semantics, readiness hooks) implemented over `Mutex` + `Condvar`.  A
+//!   bounded channel blocks `send` while full (backpressure).  Besides the
+//!   one-message operations there are run operations for a producer and a
+//!   consumer that move many messages per lock: [`channel::Sender::send_some`]
+//!   queues as much of a run as fits, [`channel::Receiver::try_recv_all`]
+//!   takes the whole queue, and [`channel::Receiver::release`] gives taken
+//!   messages' capacity back — taken messages keep occupying a bounded
+//!   channel until then, so the bound covers what the consumer holds too.
+//!   Slower than the real lock-free crossbeam under contention, but
+//!   semantically equivalent for the pipeline's one-queue-per-PE pattern.
 
 #![forbid(unsafe_code)]
 
@@ -22,6 +29,10 @@ pub mod channel {
 
     struct State<T> {
         queue: VecDeque<T>,
+        /// Messages taken by [`Receiver::try_recv_all`] and not yet given back
+        /// ([`Receiver::release`], or the next `try_recv_all`): they occupy
+        /// capacity exactly as queued ones do.
+        held: usize,
         senders: usize,
         receivers: usize,
         /// Fired on every empty→non-empty transition and on sender
@@ -48,13 +59,20 @@ pub mod channel {
         space_waiters: usize,
     }
 
+    impl<T> State<T> {
+        /// Messages occupying capacity: queued plus held.
+        fn occupied(&self) -> usize {
+            self.queue.len() + self.held
+        }
+    }
+
     struct Shared<T> {
         state: Mutex<State<T>>,
         ready: Condvar,
         /// Signalled when a slot frees up in a bounded channel.
         space: Condvar,
         /// `None` for unbounded channels; `Some(cap)` makes `send` block
-        /// while `cap` messages are queued (backpressure).
+        /// while `cap` messages occupy the channel (backpressure).
         capacity: Option<usize>,
     }
 
@@ -71,6 +89,7 @@ pub mod channel {
     }
 
     /// Error returned when sending into a channel with no receivers left.
+    #[derive(PartialEq, Eq)]
     pub struct SendError<T>(pub T);
 
     /// Error returned when receiving from an empty, sender-less channel.
@@ -192,10 +211,21 @@ pub mod channel {
         }
     }
 
+    /// Wake the `waiters` blocked on `cv` that `moved` messages (or freed
+    /// slots) can satisfy: none, one, or all of them.
+    fn notify(cv: &Condvar, waiters: usize, moved: usize) {
+        match (waiters, moved) {
+            (0, _) | (_, 0) => {}
+            (1, _) | (_, 1) => cv.notify_one(),
+            _ => cv.notify_all(),
+        }
+    }
+
     fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
+                held: 0,
                 senders: 1,
                 receivers: 1,
                 ready_waiters: 0,
@@ -221,7 +251,8 @@ pub mod channel {
         channel(None)
     }
 
-    /// A bounded MPMC channel: `send` blocks while `cap` messages are queued,
+    /// A bounded MPMC channel: `send` blocks while `cap` messages occupy it —
+    /// queued, or taken by [`Receiver::try_recv_all`] and not yet given back —
     /// giving producers real backpressure.  A capacity of zero is clamped to
     /// one (this shim has no rendezvous mode).
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
@@ -238,7 +269,7 @@ pub mod channel {
                     return Err(SendError(value));
                 }
                 match self.shared.capacity {
-                    Some(cap) if state.queue.len() >= cap => {
+                    Some(cap) if state.occupied() >= cap => {
                         state.space_waiters += 1;
                         state = self.shared.space.wait(state).unwrap_or_else(|e| e.into_inner());
                         state.space_waiters -= 1;
@@ -286,6 +317,39 @@ pub mod channel {
             fire_hooks(hooks);
         }
 
+        /// Queue messages from the front of `run` under one lock — as many as
+        /// fit, and at most `limit` — without blocking: `Ok(n)` moved the
+        /// first `n`, 0 when a bounded channel is full.  The data hooks fire
+        /// once for the run, when it takes the queue from empty to
+        /// non-empty.  Fails, moving nothing, only when every receiver is
+        /// gone.
+        pub fn send_some(&self, run: &mut VecDeque<T>, limit: usize) -> Result<usize, SendError<()>> {
+            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+            if state.receivers == 0 {
+                return Err(SendError(()));
+            }
+            let room = match self.shared.capacity {
+                Some(cap) => cap.saturating_sub(state.occupied()),
+                None => usize::MAX,
+            };
+            let n = run.len().min(limit).min(room);
+            if n == 0 {
+                return Ok(0);
+            }
+            let was_empty = state.queue.is_empty();
+            state.queue.extend(run.drain(..n));
+            let waiters = state.ready_waiters;
+            let hooks = if was_empty {
+                snapshot_hooks(&state.data_hooks)
+            } else {
+                None
+            };
+            drop(state);
+            notify(&self.shared.ready, waiters, n);
+            fire_hooks(hooks);
+            Ok(n)
+        }
+
         /// Queue without blocking; returns whether the queue was empty.
         fn push_now(&self, value: T, fire: bool) -> Result<bool, TrySendError<T>> {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -293,7 +357,7 @@ pub mod channel {
                 return Err(TrySendError::Disconnected(value));
             }
             if let Some(cap) = self.shared.capacity {
-                if state.queue.len() >= cap {
+                if state.occupied() >= cap {
                     return Err(TrySendError::Full(value));
                 }
             }
@@ -321,12 +385,14 @@ pub mod channel {
             self.quiet = true;
         }
 
-        /// Number of queued messages right now (telemetry; racy by nature).
+        /// Messages occupying the channel right now — queued, plus taken by
+        /// [`Receiver::try_recv_all`] and not yet released (telemetry; racy by
+        /// nature).
         pub fn len(&self) -> usize {
-            self.shared.state.lock().unwrap_or_else(|e| e.into_inner()).queue.len()
+            self.shared.state.lock().unwrap_or_else(|e| e.into_inner()).occupied()
         }
 
-        /// True when no message is queued right now.
+        /// True when no message occupies the channel right now.
         pub fn is_empty(&self) -> bool {
             self.len() == 0
         }
@@ -382,7 +448,7 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                let was_full = self.shared.capacity == Some(state.queue.len());
+                let was_full = self.shared.capacity == Some(state.occupied());
                 if let Some(v) = state.queue.pop_front() {
                     let wake = state.space_waiters > 0;
                     let hooks = if was_full {
@@ -409,7 +475,7 @@ pub mod channel {
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            let was_full = self.shared.capacity == Some(state.queue.len());
+            let was_full = self.shared.capacity == Some(state.occupied());
             match state.queue.pop_front() {
                 Some(v) => {
                     let wake = state.space_waiters > 0;
@@ -435,7 +501,7 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                let was_full = self.shared.capacity == Some(state.queue.len());
+                let was_full = self.shared.capacity == Some(state.occupied());
                 if let Some(v) = state.queue.pop_front() {
                     let wake = state.space_waiters > 0;
                     let hooks = if was_full {
@@ -482,19 +548,79 @@ pub mod channel {
                 .push(hook);
         }
 
-        /// True when no message is queued right now.
-        pub fn is_empty(&self) -> bool {
-            self.shared
-                .state
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .queue
-                .is_empty()
+        /// Take every queued message under one lock, appending them to `run`
+        /// (into an empty `run` this swaps buffers, so nothing is
+        /// allocated).  Messages taken earlier that are no longer in `run`
+        /// are given back first; every message in `run` afterwards is held:
+        /// it occupies a bounded channel's capacity until
+        /// [`Receiver::release`] or the next `try_recv_all` gives it back.
+        /// `Ok(n)` took `n > 0`; `Empty` and `Disconnected` took none.  For a
+        /// channel with one receiver, whose `run` holds only this channel's
+        /// messages.
+        pub fn try_recv_all(&self, run: &mut VecDeque<T>) -> Result<usize, TryRecvError> {
+            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+            let was_full = self.shared.capacity == Some(state.occupied());
+            let given_back = state.held.saturating_sub(run.len());
+            let taken = state.queue.len();
+            if run.is_empty() {
+                std::mem::swap(&mut state.queue, run);
+            } else {
+                run.append(&mut state.queue);
+            }
+            state.held = run.len();
+            let disconnected = state.senders == 0;
+            let (waiters, hooks) = Self::freed(&state, was_full, given_back);
+            drop(state);
+            notify(&self.shared.space, waiters, given_back);
+            fire_hooks(hooks);
+            match taken {
+                0 if disconnected => Err(TryRecvError::Disconnected),
+                0 => Err(TryRecvError::Empty),
+                n => Ok(n),
+            }
         }
 
-        /// Number of queued messages right now.
+        /// Give back the capacity of `n` messages taken by
+        /// [`Receiver::try_recv_all`] (at most what is held): a sender blocked
+        /// on the full channel, or parked on its space hook, hears of it at
+        /// once.
+        pub fn release(&self, n: usize) {
+            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+            let n = n.min(state.held);
+            if n == 0 {
+                return;
+            }
+            let was_full = self.shared.capacity == Some(state.occupied());
+            state.held -= n;
+            let (waiters, hooks) = Self::freed(&state, was_full, n);
+            drop(state);
+            notify(&self.shared.space, waiters, n);
+            fire_hooks(hooks);
+        }
+
+        /// Who hears that `freed` slots came free: the blocked senders, and
+        /// the space hooks when the channel was full.
+        fn freed(state: &State<T>, was_full: bool, freed: usize) -> (usize, Option<HookFire>) {
+            if freed == 0 {
+                return (0, None);
+            }
+            let hooks = if was_full {
+                snapshot_hooks(&state.space_hooks)
+            } else {
+                None
+            };
+            (state.space_waiters, hooks)
+        }
+
+        /// True when no message occupies the channel right now.
+        pub fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
+        /// Messages occupying the channel right now: queued, plus taken by
+        /// [`Receiver::try_recv_all`] and not yet released.
         pub fn len(&self) -> usize {
-            self.shared.state.lock().unwrap_or_else(|e| e.into_inner()).queue.len()
+            self.shared.state.lock().unwrap_or_else(|e| e.into_inner()).occupied()
         }
 
         /// Blocking iterator until disconnection.
@@ -708,6 +834,148 @@ pub mod channel {
             assert_eq!(rx.try_recv(), Ok(1));
             assert_eq!(rx.try_recv(), Ok(2));
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "but it is a disconnect");
+        }
+
+        fn counting_hook(fired: &Arc<std::sync::atomic::AtomicUsize>) -> ReadyHook {
+            let fired = Arc::clone(fired);
+            Arc::new(move || {
+                fired.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            })
+        }
+
+        #[test]
+        fn send_some_moves_what_fits_and_fires_the_data_hook_once_per_run() {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            let (tx, rx) = bounded(4);
+            let fired = Arc::new(AtomicUsize::new(0));
+            rx.set_data_hook(counting_hook(&fired));
+            let mut run: VecDeque<u8> = (1..=6).collect();
+            assert_eq!(tx.send_some(&mut run, 1), Ok(1), "the limit caps the run");
+            assert_eq!(tx.send_some(&mut run, usize::MAX), Ok(3), "then as many as fit");
+            assert_eq!(run, [5, 6]);
+            assert_eq!(fired.load(Ordering::SeqCst), 1, "one empty→non-empty edge, one fire");
+            assert_eq!(
+                tx.send_some(&mut run, usize::MAX),
+                Ok(0),
+                "a full channel moves nothing"
+            );
+            let mut got = VecDeque::new();
+            assert_eq!(rx.try_recv_all(&mut got), Ok(4));
+            assert_eq!(got, [1, 2, 3, 4]);
+            got.clear();
+            assert_eq!(rx.try_recv_all(&mut got), Err(TryRecvError::Empty));
+            assert_eq!(tx.send_some(&mut run, usize::MAX), Ok(2));
+            assert_eq!(fired.load(Ordering::SeqCst), 2, "the next run fires once more");
+            drop(rx);
+            let mut orphan = VecDeque::from([7]);
+            assert!(tx.send_some(&mut orphan, usize::MAX).is_err());
+            assert_eq!(orphan, [7], "a failed run moves nothing");
+        }
+
+        #[test]
+        fn held_messages_count_against_capacity_until_given_back() {
+            let (tx, rx) = bounded(4);
+            for i in 0..4u8 {
+                tx.send(i).unwrap();
+            }
+            let mut run = VecDeque::new();
+            assert_eq!(rx.try_recv_all(&mut run), Ok(4));
+            assert_eq!((tx.len(), rx.len()), (4, 4), "taken is not given back");
+            assert!(matches!(tx.try_send(9), Err(TrySendError::Full(9))));
+            run.pop_front();
+            run.pop_front();
+            assert!(
+                matches!(tx.try_send(9), Err(TrySendError::Full(9))),
+                "consumed is not released"
+            );
+            rx.release(2);
+            assert_eq!(tx.len(), 2);
+            tx.try_send(4).unwrap();
+            tx.try_send(5).unwrap();
+            assert!(matches!(tx.try_send(9), Err(TrySendError::Full(9))));
+            assert_eq!(tx.len(), 4, "the two still in the run stay held");
+            // A refill gives back what left the run and holds what is in it.
+            run.pop_front();
+            assert_eq!(rx.try_recv_all(&mut run), Ok(2));
+            assert_eq!(run, [3, 4, 5]);
+            assert_eq!(rx.len(), 3);
+            run.clear();
+            assert_eq!(rx.try_recv_all(&mut run), Err(TryRecvError::Empty));
+            assert_eq!(rx.len(), 0);
+        }
+
+        #[test]
+        fn the_space_hook_fires_once_when_a_full_channel_frees_space() {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            let (tx, rx) = bounded(2);
+            let fired = Arc::new(AtomicUsize::new(0));
+            tx.set_space_hook(counting_hook(&fired));
+            tx.send(1u8).unwrap();
+            tx.send(2).unwrap();
+            let mut run = VecDeque::new();
+            assert_eq!(rx.try_recv_all(&mut run), Ok(2));
+            assert_eq!(fired.load(Ordering::SeqCst), 0, "taking frees nothing");
+            rx.release(1);
+            assert_eq!(fired.load(Ordering::SeqCst), 1, "full → not full");
+            rx.release(1);
+            assert_eq!(fired.load(Ordering::SeqCst), 1, "was not full: silent");
+            tx.send(3).unwrap();
+            tx.send(4).unwrap();
+            run.clear();
+            assert_eq!(rx.try_recv_all(&mut run), Ok(2));
+            run.clear();
+            assert_eq!(rx.try_recv_all(&mut run), Err(TryRecvError::Empty));
+            assert_eq!(
+                fired.load(Ordering::SeqCst),
+                2,
+                "a refill that gives back a full run fires once"
+            );
+        }
+
+        #[test]
+        fn a_sender_blocked_on_held_messages_wakes_on_release() {
+            let (tx, rx) = bounded(1);
+            tx.send(1u8).unwrap();
+            let mut run = VecDeque::new();
+            assert_eq!(rx.try_recv_all(&mut run), Ok(1));
+            let blocked = std::thread::spawn(move || tx.send(2).is_ok());
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(rx.len(), 1, "the held message still fills the channel");
+            rx.release(1);
+            assert!(blocked.join().unwrap());
+            run.clear();
+            assert_eq!(rx.try_recv_all(&mut run), Ok(1));
+            assert_eq!(run, [2]);
+            run.clear();
+            assert_eq!(rx.try_recv_all(&mut run), Err(TryRecvError::Disconnected));
+        }
+
+        #[test]
+        fn dropping_a_receiver_that_holds_a_run_unblocks_the_sender() {
+            let (tx, rx) = bounded(1);
+            tx.send(1u8).unwrap();
+            let mut run = VecDeque::new();
+            assert_eq!(rx.try_recv_all(&mut run), Ok(1));
+            let blocked = std::thread::spawn(move || tx.send(2).is_err());
+            std::thread::sleep(Duration::from_millis(20));
+            drop(rx);
+            assert!(blocked.join().unwrap(), "the send fails once the receiver is gone");
+        }
+
+        #[test]
+        fn a_quiet_disconnect_reaches_try_recv_all_without_a_hook() {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            let (tx, rx) = bounded(4);
+            let fired = Arc::new(AtomicUsize::new(0));
+            rx.set_data_hook(counting_hook(&fired));
+            let mut run: VecDeque<u8> = VecDeque::from([1, 2]);
+            assert_eq!(tx.send_some(&mut run, usize::MAX), Ok(2));
+            tx.disconnect_quietly();
+            assert_eq!(fired.load(Ordering::SeqCst), 1, "the run fired; the quiet drop did not");
+            assert_eq!(rx.try_recv_all(&mut run), Ok(2), "queued messages outlive the sender");
+            run.clear();
+            assert_eq!(rx.try_recv_all(&mut run), Err(TryRecvError::Disconnected));
+            assert_eq!(fired.load(Ordering::SeqCst), 1);
         }
 
         #[test]
