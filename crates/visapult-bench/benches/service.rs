@@ -270,9 +270,10 @@ fn exhibit_floor_10k(samples: usize) -> FloorReport {
 fn write_baseline() {
     let samples = 15;
     let cases = baseline_cases(samples);
-    // The 10k sweep is one campaign per sample; a handful of samples keeps
-    // the bench minutes-free while the median still rejects a cold outlier.
-    let floor_samples = 3;
+    // The 10k sweep is one off/on campaign pair per sample: ten of them
+    // keep the bench well under a minute and give each median (and the
+    // overhead the CI gate reads from the two) ten samples, not three.
+    let floor_samples = 10;
     let floor = exhibit_floor_10k(floor_samples);
     let floor_session_frames = 10_000.0 * f64::from(FRAMES);
     let floor_overhead = (floor.telemetry_median_s - floor.median_s) / floor.median_s * 100.0;

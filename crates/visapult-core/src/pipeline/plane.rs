@@ -57,9 +57,11 @@ impl FanoutPlane {
     /// Run the fan-out plane over a set of backend links directly — the
     /// supported entry point for harnesses that drive the plane without a
     /// full pipeline (benchmarks, plane-level tests).  Chunks forward to the
-    /// primary viewer links (when given) and multicast as zero-copy clones
-    /// to every session `broker` admits.  The call blocks until the campaign
-    /// drains; the work runs on the default worker pool, unmetered.
+    /// primary viewer links (when given); each (rank, frame) is assembled
+    /// once and published to every session `broker` admits, whose lanes take
+    /// their shape from the sessions' own specs (`transport` describes the
+    /// backend links).  The call blocks until the campaign drains; the work
+    /// runs on the default worker pool, unmetered.
     pub fn drive(
         broker: SessionBroker,
         inputs: Vec<StripeReceiver>,
@@ -79,7 +81,7 @@ impl FanoutPlane {
         broker: SessionBroker,
         inputs: Vec<StripeReceiver>,
         primary: Vec<StripeSender>,
-        transport: &TransportConfig,
+        _transport: &TransportConfig,
         workers: Option<usize>,
         hub: &MetricsHub,
     ) -> ServiceRunReport {
@@ -88,7 +90,6 @@ impl FanoutPlane {
             broker,
             inputs,
             primary,
-            transport,
             workers,
             &PlaneTelemetry::new(hub.clone(), 0),
         )
@@ -128,7 +129,6 @@ impl ServicePlane for FanoutPlane {
             primary_rxs.push(rx);
         }
         let workers = plan.workers;
-        let plane_transport = ctx.transport.clone();
         // The stage's metrics hub rides into the plane thread: wave
         // latencies, queue high-waters and executor introspection all land
         // in the same hub the pipeline folds into the campaign's
@@ -143,7 +143,6 @@ impl ServicePlane for FanoutPlane {
                     broker,
                     plane_inputs,
                     primary_txs,
-                    &plane_transport,
                     workers,
                     &plane_telemetry,
                 )

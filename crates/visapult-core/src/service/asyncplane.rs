@@ -11,39 +11,40 @@
 //!   *this task*, not an OS thread), and pushes one refcounted clone into the
 //!   bounded fan lane.  It never touches the plane lock.
 //! * `FanTask` — one for the plane.  Drains the fan lane, drives the
-//!   broker's churn from the frame counter, and multicasts zero-copy clones
-//!   over the session endpoints through the shared degradation seam
-//!   ([`super::fanout`]).
-//! * `ConsumerTask` — one per admitted session.  Drains the session's own
-//!   bounded queue, paces through the session's [`netsim::StripePacer`]
-//!   against the [`Clock`] (a pacing delay becomes an `Idle` poll with a
-//!   deadline, not a sleeping thread), reassembles frames, and surfaces
-//!   anomalies as the typed errors the viewer itself would report.
+//!   broker's churn from the frame counter, assembles each wave once through
+//!   the plane's assembler and publishes it to the session endpoints through
+//!   the shared degradation seam ([`super::fanout`]).
+//! * `ConsumerTask` — one per admitted session.  Takes the waves sent to its
+//!   session, one message a wave, and folds the plane's verdicts on their
+//!   chunks into its delivery (`fanout::SessionView`), pacing each
+//!   chunk through the session's [`netsim::StripePacer`] against the
+//!   [`Clock`] (a pacing delay becomes an `Idle` poll with a deadline, not a
+//!   sleeping thread).  It never touches a payload.
 //!
 //! Each task holds its outcome by value and hands it over with
 //! [`std::mem::take`] on the poll that returns `Ready` — the executor never
 //! polls a task again after that.  A task that panics instead is caught by
 //! the executor and its outcome is missing: a consumer's session is reported
-//! failed ([`ViewerError::ReceiverFailed`]), and the sessions a dead pump or
-//! fan task starved report the frames it left unfinished as `MissingFrame`s.
+//! failed ([`ViewerError::ReceiverFailed`]), and every session reports each
+//! frame the pumps offered it and a dead fan task never sent as a
+//! `MissingFrame`.
 //!
 //! The deterministic half of [`super::ServiceStats`] is byte-identical to the
 //! virtual-time replay because both advance the identical broker state
 //! machine over the same frame counter.
 
 use super::fanout::{
-    consume_chunk, empty_delivery, fold_report, session_link, surface_pending_frames, PeOutcome, PlaneTelemetry,
-    SessionEndpoint, WaveBuffer, WaveMeter,
+    empty_delivery, fold_report, session_lane, Folded, PeOutcome, PlaneTelemetry, SessionEndpoint, SessionOutcome,
+    SessionReturn, SessionView, WaveBuffer, WaveMeter,
 };
 use super::{ServiceRunReport, SessionBroker, SessionDelivery, SessionEvent};
 use crate::pipeline::Clock;
-use crate::transport::{FrameChunk, SharedDecode, StripeReceiver, StripeSender, TransportConfig, TransportError};
+use crate::transport::{FrameAssembler, FrameChunk, StripeReceiver, StripeSender, TransportError};
 use crate::viewer::ViewerError;
 use crossbeam::channel::{bounded, ReadyHook, Receiver, Sender, TryRecvError, TrySendError};
 use exec::{Executor, Poll, Spawner, Task, TaskHandle, Waker};
-use netsim::StripePacer;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -89,40 +90,37 @@ fn wake_hook(waker: Waker) -> ReadyHook {
 /// endpoints, and the consumer-task registry, all keyed by schedule index.
 struct AsyncState {
     broker: SessionBroker,
+    /// One per admitted session, in admission order, as `consumers` is.
     endpoints: Vec<Arc<SessionEndpoint>>,
     /// Position in `endpoints` per schedule index (endpoints are
     /// append-only): O(1) Left/Evicted closes instead of an O(live) scan.
     endpoint_of: HashMap<usize, usize>,
     consumers: Vec<Consumer>,
-    /// Frame memo shared by every consumer: sessions all receive the same
-    /// multicast chunks, so each frame is assembled and decoded once.
-    decode: Arc<SharedDecode>,
 }
 
 /// A consumer task as the plane tracks it.
 struct Consumer {
     session: usize,
     handle: TaskHandle,
-    out: Slot<SessionDelivery>,
+    out: Slot<SessionOutcome>,
     /// The session's empty delivery: what it reports if the task dies.
     failed: SessionDelivery,
 }
 
 impl AsyncState {
-    fn new(broker: SessionBroker, decode: Arc<SharedDecode>) -> Self {
+    fn new(broker: SessionBroker) -> Self {
         AsyncState {
             broker,
             endpoints: Vec::new(),
             endpoint_of: HashMap::new(),
             consumers: Vec::new(),
-            decode,
         }
     }
 
-    /// Advance the broker to `frame`, materializing queues and consumer
+    /// Advance the broker to `frame`, materializing lanes and consumer
     /// tasks for admissions and closing the delivery window for
     /// leaves/evictions.
-    fn observe_frame(&mut self, frame: u32, transport: &TransportConfig, spawner: &Spawner, clock: &Arc<dyn Clock>) {
+    fn observe_frame(&mut self, frame: u32, spawner: &Spawner, clock: &Arc<dyn Clock>) {
         if frame < self.broker.next_frame() {
             return;
         }
@@ -133,25 +131,23 @@ impl AsyncState {
             match event {
                 SessionEvent::Admitted { session } => {
                     let spec = self.broker.spec(session).clone();
-                    let (tx, rx, pacer) = session_link(&spec, self.broker.config().queue_depth, transport);
+                    let failed = empty_delivery(&spec);
+                    let (endpoint, view) = session_lane(session, spec, self.broker.config().queue_depth);
                     let out = slot();
                     let handle = spawner.spawn(Box::new(ConsumerTask {
-                        rx,
-                        pacer,
+                        view,
                         clock: Arc::clone(clock),
                         ready_at: Duration::ZERO,
-                        delivery: empty_delivery(&spec),
-                        assembler: crate::transport::FrameAssembler::with_shared_decode(Arc::clone(&self.decode)),
                         out: Arc::clone(&out),
                     }));
                     self.consumers.push(Consumer {
                         session,
                         handle,
                         out,
-                        failed: empty_delivery(&spec),
+                        failed,
                     });
                     self.endpoint_of.insert(session, self.endpoints.len());
-                    self.endpoints.push(SessionEndpoint::new(session, spec, tx));
+                    self.endpoints.push(endpoint);
                 }
                 SessionEvent::Left { session } | SessionEvent::Evicted { session } => {
                     if let Some(&i) = self.endpoint_of.get(&session) {
@@ -268,26 +264,37 @@ impl Task for PumpTask {
 }
 
 /// The plane's multicast worker: drains the fan lane, drives the broker's
-/// churn from the frame counter, and multicasts over the session endpoints.
-/// Its outcome carries delivery counters only (offered load is accounted
-/// once, by the pumps), so folding it alongside the pump outcomes never
-/// double-counts.
+/// churn from the frame counter, and publishes each wave to the session
+/// endpoints.  Its outcome carries delivery counters only (offered load is
+/// accounted once, by the pumps), so folding it alongside the pump outcomes
+/// never double-counts.
 struct FanTask {
     rx: Receiver<FrameChunk>,
     state: Arc<Mutex<AsyncState>>,
     spawner: Spawner,
-    transport: TransportConfig,
     clock: Arc<dyn Clock>,
     endpoints: Vec<Arc<SessionEndpoint>>,
     snapshot_frame: Option<u32>,
-    skips: HashSet<(usize, u32)>,
-    /// The current frame's chunks, held back so the multicast can burst each
-    /// session's whole wave contiguously (one consumer wake per frame).
+    /// The current frame's chunks, held back so the plane publishes them as
+    /// one wave (one consumer wake per session per wave).
     wave: WaveBuffer,
+    /// The plane's one assembler: each (rank, frame) is assembled here once,
+    /// for every session.
+    plane: FrameAssembler,
     outcome: PeOutcome,
     out: Slot<PeOutcome>,
     telemetry: PlaneTelemetry,
     meter: WaveMeter,
+}
+
+impl FanTask {
+    /// Publish the buffered wave to the current endpoint snapshot.
+    fn flush(&mut self) {
+        #[cfg(test)]
+        tests::fan_panic_if_told(&self.endpoints, self.outcome.published);
+        self.meter
+            .multicast(&mut self.plane, self.wave.take(), &self.endpoints, &mut self.outcome);
+    }
 }
 
 impl Task for FanTask {
@@ -308,8 +315,7 @@ impl Task for FanTask {
                     // wave: flush it against the snapshot it belongs to,
                     // *before* churn refreshes the endpoints.
                     if self.wave.must_flush_before(&chunk) {
-                        self.meter
-                            .multicast(&self.wave.take(), &self.endpoints, &mut self.skips, &mut self.outcome);
+                        self.flush();
                     }
                     // Drive churn from the frame counter and refresh the
                     // endpoint snapshot only on a new high-water frame.
@@ -318,13 +324,13 @@ impl Task for FanTask {
                     // under the plane lock before this snapshot), so a
                     // snapshot taken at frame f is a superset of the
                     // endpoints any chunk of frame ≤ f can belong to —
-                    // `wants(frame)` does the per-chunk filtering.  The lock
+                    // `wants(frame)` does the per-wave filtering.  The lock
                     // is held only to advance the broker and clone out the
                     // endpoint list; the multicast runs lock-free.
                     if self.snapshot_frame.map(|f| frame > f).unwrap_or(true) {
                         {
                             let mut st = self.state.lock();
-                            st.observe_frame(frame, &self.transport, &self.spawner, &self.clock);
+                            st.observe_frame(frame, &self.spawner, &self.clock);
                             self.endpoints.clear();
                             self.endpoints.extend(st.endpoints.iter().cloned());
                         }
@@ -332,11 +338,10 @@ impl Task for FanTask {
                         self.meter.observe_depths(self.endpoints.len(), self.rx.len());
                         self.telemetry.observe_frame(frame);
                     }
-                    // Session-major wave burst (see [`WaveBuffer`]): one
-                    // consumer wake per wave instead of one per chunk.
+                    // One wave per (rank, frame) run (see [`WaveBuffer`]):
+                    // one consumer wake per wave instead of one per chunk.
                     if self.wave.push(chunk) {
-                        self.meter
-                            .multicast(&self.wave.take(), &self.endpoints, &mut self.skips, &mut self.outcome);
+                        self.flush();
                     }
                 }
                 Err(TryRecvError::Empty) => {
@@ -346,9 +351,12 @@ impl Task for FanTask {
                 Err(TryRecvError::Disconnected) => {
                     // Every pump finished and the lane is dry: flush the
                     // trailing (possibly mid-frame) wave; the plane has
-                    // multicast everything it will ever see.
-                    self.meter
-                        .multicast(&self.wave.take(), &self.endpoints, &mut self.skips, &mut self.outcome);
+                    // published everything it will ever see.
+                    self.flush();
+                    #[cfg(test)]
+                    {
+                        self.outcome.assemblies = self.plane.assemblies();
+                    }
                     fill(&self.out, std::mem::take(&mut self.outcome));
                     return Poll::Ready;
                 }
@@ -362,22 +370,19 @@ impl Task for FanTask {
 /// as a deadline on the [`Clock`] instead of a thread sleep — so the same
 /// body is drivable by a virtual clock without sleeping.
 struct ConsumerTask {
-    rx: StripeReceiver,
-    pacer: Option<StripePacer>,
+    view: SessionView,
     clock: Arc<dyn Clock>,
     /// Pacing deadline: polls before this instant are `Idle`.
     ready_at: Duration,
-    delivery: SessionDelivery,
-    assembler: crate::transport::FrameAssembler,
-    out: Slot<SessionDelivery>,
+    out: Slot<SessionOutcome>,
 }
 
 impl Task for ConsumerTask {
     fn bind(&mut self, waker: Waker) {
-        // The session queue is this task's only input; arrivals and the
-        // endpoints-all-dropped close both fire its data hook.  A pacing
+        // The session lane is this task's only input; a wave's arrival and
+        // the endpoints-all-dropped close both fire its data hook.  A pacing
         // deadline is the one wait with no hook — those polls stay `Idle`.
-        self.rx.set_data_hook(wake_hook(waker));
+        self.view.set_data_hook(wake_hook(waker));
     }
 
     fn poll(&mut self) -> Poll {
@@ -389,42 +394,27 @@ impl Task for ConsumerTask {
             }
             self.ready_at = Duration::ZERO;
         }
-        let mut progressed = false;
-        for _ in 0..POLL_BUDGET {
-            match self.rx.try_recv_chunk() {
-                Some(chunk) => {
-                    progressed = true;
-                    let mut pace = Duration::ZERO;
-                    if let Some(p) = &mut self.pacer {
-                        // The session's own WAN: drain no faster than the
-                        // modeled last mile, which backpressures only this
-                        // queue.
-                        pace = p.consume(chunk.stripe as usize, chunk.payload.len() as u64);
-                    }
-                    consume_chunk(&mut self.delivery, &mut self.assembler, chunk);
-                    #[cfg(test)]
-                    tests::panic_if_told(&self.delivery);
-                    if !pace.is_zero() {
-                        self.ready_at = self.clock.monotonic_now() + pace;
-                        return Poll::Progress;
-                    }
-                }
-                None => {
-                    if self.rx.is_closed() {
-                        // Session over: every endpoint dropped, queue drained.
-                        surface_pending_frames(&self.assembler, &mut self.delivery);
-                        fill(&self.out, std::mem::take(&mut self.delivery));
-                        return Poll::Ready;
-                    }
-                    // Queue empty, no pacing deadline pending (a pace always
-                    // returns `Progress` above): the data hook re-queues this
-                    // task on the next chunk or on close.  This is the poll
-                    // the 10k idle consumers used to burn sweeps on.
-                    return if progressed { Poll::Progress } else { Poll::Blocked };
+        match self.view.fold(POLL_BUDGET) {
+            Folded::More => Poll::Progress,
+            Folded::Paced(pace) => {
+                self.ready_at = self.clock.monotonic_now() + pace;
+                Poll::Progress
+            }
+            // Lane empty, no pacing deadline pending: the data hook
+            // re-queues this task on the next wave or on close.
+            Folded::Drained(progressed) => {
+                if progressed {
+                    Poll::Progress
+                } else {
+                    Poll::Blocked
                 }
             }
+            Folded::Closed => {
+                // Session over: every endpoint dropped, lane drained.
+                fill(&self.out, self.view.finish());
+                Poll::Ready
+            }
         }
-        Poll::Progress
     }
 }
 
@@ -466,41 +456,38 @@ pub(crate) fn drive_fanout_on(
     broker: SessionBroker,
     inputs: Vec<StripeReceiver>,
     primary: Vec<StripeSender>,
-    transport: &TransportConfig,
     workers: Option<usize>,
     telemetry: &PlaneTelemetry,
 ) -> ServiceRunReport {
-    let state = AsyncState::new(broker, Arc::new(SharedDecode::new()));
-    run_plane(clock, state, inputs, primary, transport, workers, telemetry)
+    run_plane(clock, broker, inputs, primary, workers, telemetry).0
 }
 
-/// [`drive_fanout_on`] from a plane state built by the caller.
+/// [`drive_fanout_on`], also handing back the task outcomes it folded.
 fn run_plane(
     clock: Arc<dyn Clock>,
-    state: AsyncState,
+    broker: SessionBroker,
     inputs: Vec<StripeReceiver>,
     primary: Vec<StripeSender>,
-    transport: &TransportConfig,
     workers: Option<usize>,
     telemetry: &PlaneTelemetry,
-) -> ServiceRunReport {
+) -> (ServiceRunReport, Vec<PeOutcome>) {
     let executor = Executor::new(workers.unwrap_or_else(exec::default_workers).max(1));
-    let state = Arc::new(Mutex::new(state));
+    let state = Arc::new(Mutex::new(AsyncState::new(broker)));
     state.lockdep_label("async-plane");
     let spawner = executor.spawner();
-    let outcomes = run_pumps(&clock, &state, &spawner, inputs, primary, transport, telemetry);
-    let (broker, deliveries) = wait_deliveries(&state);
+    let outcomes = run_pumps(&clock, &state, &spawner, inputs, primary, telemetry);
+    let (broker, sessions) = wait_deliveries(&state);
     // All tasks finished; harvest the pool's introspection counters (the
     // cells die with the pool), then tear it down before folding.
     fold_exec_stats(telemetry, &executor.stats());
     drop(executor);
-    fold_report(broker, &outcomes, deliveries)
+    (fold_report(broker, &outcomes, sessions), outcomes)
 }
 
 /// The pump stage: the [`FanTask`], one [`PumpTask`] per backend PE link,
 /// and the bounded fan lane between them.  Blocks until every pump *and the
 /// fan task* finish — the fan task holds endpoint clones that keep session
-/// queues open, so it must drain before deliveries are waited.  Returns the
+/// lanes open, so it must drain before deliveries are waited.  Returns the
 /// pump outcomes (offered load + primary) followed by the fan outcome
 /// (delivery counters); `fold_report` sums them.  A task that died adds
 /// nothing.  Primary links pair with inputs in order; an input without one
@@ -511,23 +498,21 @@ fn run_pumps(
     spawner: &Spawner,
     inputs: Vec<StripeReceiver>,
     primary: Vec<StripeSender>,
-    transport: &TransportConfig,
     telemetry: &PlaneTelemetry,
 ) -> Vec<PeOutcome> {
     // Frame 0 joins happen before any chunk moves.
-    state.lock().observe_frame(0, transport, spawner, clock);
+    state.lock().observe_frame(0, spawner, clock);
     let (lane, rx) = bounded::<FrameChunk>(FAN_LANE_DEPTH);
     let fan_out = slot();
     let fan = spawner.spawn(Box::new(FanTask {
         rx,
         state: Arc::clone(state),
         spawner: spawner.clone(),
-        transport: transport.clone(),
         clock: Arc::clone(clock),
         endpoints: Vec::new(),
         snapshot_frame: None,
-        skips: HashSet::new(),
         wave: WaveBuffer::new(),
+        plane: FrameAssembler::new(),
         outcome: PeOutcome::default(),
         out: Arc::clone(&fan_out),
         telemetry: telemetry.clone(),
@@ -561,60 +546,65 @@ fn run_pumps(
     outcomes
 }
 
-/// Campaign over: the remaining sessions leave, queues disconnect (the fan
-/// task's endpoint snapshot died with the task), consumers drain their
-/// queues dry and finish.  No further spawns can happen — the fan task was
-/// the only spawner — so the consumer list is complete.  The finished broker
-/// is taken out under the same lock; deliveries come back keyed by schedule
-/// index; a consumer that died reports its session failed, with nothing
-/// delivered.
-fn wait_deliveries(state: &Mutex<AsyncState>) -> (SessionBroker, Vec<(usize, SessionDelivery)>) {
+/// Campaign over: the remaining sessions leave, lanes disconnect (the fan
+/// task's endpoint snapshot died with the task), consumers fold what is left
+/// and finish.  No further spawns can happen — the fan task was the only
+/// spawner — so the consumer list is complete.  The finished broker is taken
+/// out under the same lock, with each session's delivery window; outcomes
+/// come back keyed by schedule index; a consumer that died reports its
+/// session failed, with nothing delivered.
+fn wait_deliveries(state: &Mutex<AsyncState>) -> (SessionBroker, Vec<SessionReturn>) {
     let (broker, consumers) = {
         let mut st = state.lock();
         st.broker.finish();
-        st.endpoints.clear();
+        let consumers: Vec<_> = std::mem::take(&mut st.consumers)
+            .into_iter()
+            .zip(st.endpoints.drain(..))
+            .map(|(consumer, endpoint)| (consumer, endpoint.window()))
+            .collect();
         let spent = SessionBroker::new(st.broker.config().clone(), Vec::new());
-        (
-            std::mem::replace(&mut st.broker, spent),
-            std::mem::take(&mut st.consumers),
-        )
+        (std::mem::replace(&mut st.broker, spent), consumers)
     };
-    let deliveries = consumers
+    let sessions = consumers
         .into_iter()
-        .map(|consumer| {
-            let delivery = outcome(&consumer.handle, &consumer.out).unwrap_or_else(|why| {
+        .map(|(consumer, window)| SessionReturn {
+            session: consumer.session,
+            window,
+            outcome: outcome(&consumer.handle, &consumer.out).map_err(|why| {
                 let mut failed = consumer.failed;
                 failed.errors.push(ViewerError::ReceiverFailed {
                     detail: format!("session consumer died: {why}"),
                 });
                 failed
-            });
-            (consumer.session, delivery)
+            }),
         })
         .collect();
-    (broker, deliveries)
+    (broker, sessions)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::fanout::tests::PANICS;
     use super::super::{QualityTier, ServiceConfig, SessionSpec};
     use super::*;
     use crate::pipeline::{VirtualClock, WallClock};
     use crate::protocol::{FramePayload, FrameSegments};
     use crate::test_support::sample_frame;
-    use crate::transport::{drain_frames, plan_chunks, striped_link};
+    use crate::transport::{drain_frames, plan_chunks, striped_link, TransportConfig};
     use netlogger::metrics::MetricsHub;
+    use std::collections::BTreeSet;
 
     fn spec(name: &str, viewpoint: u32, tier: QualityTier) -> SessionSpec {
         SessionSpec::new(name, viewpoint, tier)
     }
 
-    /// A session of this name has its consumer panic on its fourth chunk.
-    const PANICS: &str = "panics mid-stage";
+    /// A plane serving a session of this name has its fan task panic as it
+    /// flushes its fifth wave.
+    const FAN_PANICS: &str = "fan panics mid-run";
 
-    pub(super) fn panic_if_told(delivery: &SessionDelivery) {
-        if delivery.name == PANICS && delivery.chunks_delivered == 4 {
-            panic!("the consumer of {PANICS} was told to");
+    pub(super) fn fan_panic_if_told(endpoints: &[Arc<SessionEndpoint>], published: usize) {
+        if published == 4 && endpoints.iter().any(|ep| ep.spec.name == FAN_PANICS) {
+            panic!("the fan task was told to");
         }
     }
 
@@ -652,13 +642,10 @@ mod tests {
             primary_rxs.push(rx);
         }
         std::thread::scope(|scope| {
-            let plane = {
-                let transport = transport.clone();
-                scope.spawn(move || {
-                    let telemetry = PlaneTelemetry::new(MetricsHub::disabled(), 0);
-                    drive_fanout_on(clock, broker, backend_rxs, primary_txs, &transport, Some(2), &telemetry)
-                })
-            };
+            let plane = scope.spawn(move || {
+                let telemetry = PlaneTelemetry::new(MetricsHub::disabled(), 0);
+                drive_fanout_on(clock, broker, backend_rxs, primary_txs, Some(2), &telemetry)
+            });
             let drains: Vec<_> = primary_rxs
                 .into_iter()
                 .map(|mut rx| scope.spawn(move || drain_frames(&mut rx).unwrap()))
@@ -832,14 +819,15 @@ mod tests {
 
     #[test]
     fn a_frame_is_assembled_once_for_the_floor_and_each_wave_wakes_a_session_once() {
-        // N sessions × P PEs × F frames, every queue deep enough to never
-        // fill, nothing paced; the whole campaign waits in the backend links
-        // before the plane starts.  What wakes a task, in any interleaving:
-        // a wave's burst into a session's queue (once per session per wave),
-        // a session's close (once each), and a chunk into the empty fan lane
-        // (the fan task; the lane never fills, so no pump waits on it).  The
-        // waves are counted, not assumed: two pumps feeding one lane split a
-        // (rank, frame) into more than one wave when they interleave.
+        // N sessions × P PEs × F frames, every lane deep enough to never run
+        // out of credit, nothing paced; the whole campaign waits in the
+        // backend links before the plane starts.  What wakes a task, in any
+        // interleaving: a wave sent into a session's lane (once per session
+        // per wave), a session's close (once each), and a chunk into the
+        // empty fan lane (the fan task; the lane never fills, so no pump
+        // waits on it).  The waves are counted, not assumed: two pumps
+        // feeding one lane split a (rank, frame) into more than one wave when
+        // they interleave.
         let (n, p, f) = (16usize, 2usize, 8u32);
         let transport = TransportConfig {
             queue_depth: 1024,
@@ -864,37 +852,88 @@ mod tests {
                 rx
             })
             .collect();
-        let memo = Arc::new(SharedDecode::new());
         let telemetry = PlaneTelemetry::new(MetricsHub::enabled(), 0);
-        let state = AsyncState::new(SessionBroker::new(config, schedule), Arc::clone(&memo));
-        let report = run_plane(
+        let (report, outcomes) = run_plane(
             Arc::new(WallClock),
-            state,
+            SessionBroker::new(config, schedule),
             inputs,
             Vec::new(),
-            &transport,
             Some(2),
             &telemetry,
         );
+        let fan = outcomes.last().expect("the fan task's outcome comes last");
         let pf = p * f as usize;
         let npf = n * pf;
+        let chunks = pf * plan_chunks(FrameSegments::encode(&sample_frame(0, 0, 16)).lens(), 256, 2).len();
         assert_eq!(report.stats.frames_completed, npf as u64);
         assert_eq!(report.stats.frames_skipped, 0);
         assert_eq!(
-            memo.assemblies(),
-            pf,
-            "segment assemblies on the session path: one per (rank, frame); the parent made N·P·F = {npf}"
+            fan.assemblies, pf,
+            "segment assemblies: one per (rank, frame) for any N; the parent made one per (rank, frame) \
+             in its shared memo, and N·P·F = {npf} before that"
+        );
+        assert!(fan.published >= pf, "{} waves for {pf} (rank, frame)s", fan.published);
+        assert_eq!(
+            fan.lane_sends,
+            n * fan.published,
+            "one send per session-wave delivered; the parent sent one per chunk, N × chunks = {}",
+            n * chunks
         );
         if telemetry.hub.is_enabled() {
-            let chunks = pf * plan_chunks(FrameSegments::encode(&sample_frame(0, 0, 16)).lens(), 256, 2).len();
             assert!(chunks < FAN_LANE_DEPTH, "the fan lane never fills");
             let waves = telemetry.hub.counter("fanout/waves").get() as usize;
-            assert!(waves >= pf, "{waves} waves for {pf} (rank, frame)s");
+            assert!(waves >= fan.published, "{waves} flushes for {} waves", fan.published);
             let wakes = telemetry.hub.counter("exec/wakes").get() as usize;
             let bound = n * waves + n + chunks;
             assert!(
                 wakes <= bound,
                 "{wakes} wakes; the bound is N·waves + N + lane chunks = {n}·{waves} + {n} + {chunks} = {bound}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dead_fan_task_leaves_every_frame_accounted_in_every_session() {
+        // The fan task dies on its fifth wave.  The pumps carry on feeding
+        // the primary viewers, so the pumps offer every (rank, frame); each
+        // session must account for each one as completed or typed missing,
+        // including the frames the fan never started.
+        let (p, f) = (2usize, 8u32);
+        let mut schedule: Vec<SessionSpec> = (0..64u32)
+            .map(|i| spec(&format!("s{i}"), i % 4, QualityTier::Standard))
+            .collect();
+        schedule[9].name = FAN_PANICS.to_string();
+        let config = ServiceConfig {
+            max_sessions: 64,
+            link_capacity_units: 256,
+            render_slots: 4,
+            queue_depth: 256,
+            ..ServiceConfig::default()
+        };
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(fan_out(schedule, config, f, p));
+        });
+        let (report, primary_frames) = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the plane finishes within 60 s of its fan task panicking");
+        assert_eq!(primary_frames.len(), p * f as usize, "the primary viewers lose nothing");
+        assert_eq!(report.sessions.len(), 64);
+        for s in &report.sessions {
+            let mut missing = BTreeSet::new();
+            for e in &s.errors {
+                match e {
+                    ViewerError::MissingFrame { rank, frame, .. } => assert!(missing.insert((*rank, *frame))),
+                    other => panic!("session {}: {other:?}", s.name),
+                }
+            }
+            assert!(!missing.is_empty(), "session {}: the fan died before the end", s.name);
+            assert_eq!(
+                s.frames_completed + missing.len() as u64,
+                (p * f as usize) as u64,
+                "session {} accounts for every (rank, frame): {:?}",
+                s.name,
+                s.errors
             );
         }
     }

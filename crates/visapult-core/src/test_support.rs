@@ -9,6 +9,7 @@
 use crate::protocol::{FramePayload, FrameSegments, HeavyPayload, LightPayload};
 use crate::transport::{
     drain_frames, plan_chunks, striped_link, FrameChunk, StripeReceiver, StripeSender, TransportConfig,
+    MAX_FRAME_CHUNKS,
 };
 use bytes::Bytes;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -76,6 +77,108 @@ pub(crate) fn chunk_frame(frame: &FramePayload, chunk_bytes: usize, stripes: u32
             payload: bufs[p.segment as usize].slice(p.start..p.start + p.len),
         })
         .collect()
+}
+
+/// A deterministic Fisher–Yates shuffle, one arrival order per `seed`.
+pub(crate) fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut rng = proptest::TestRng::for_test(&format!("arrival order {seed}"));
+    for i in (1..items.len()).rev() {
+        items.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+    }
+}
+
+/// `frame`'s chunks cut from fresh copies of its segments: the same bytes
+/// and windows as `chunk_frame`'s, in buffers nobody else holds.
+fn foreign_chunks(frame: &FramePayload, chunk_bytes: usize, stripes: u32) -> Vec<FrameChunk> {
+    let mut chunks = chunk_frame(frame, chunk_bytes, stripes);
+    let segments = FrameSegments::encode(frame);
+    let copies = [
+        Bytes::from(segments.light.as_slice().to_vec()),
+        Bytes::from(segments.heavy_header.as_slice().to_vec()),
+        Bytes::from(segments.texture.as_slice().to_vec()),
+        Bytes::from(segments.geometry.as_slice().to_vec()),
+    ];
+    let mut at = [0usize; 4];
+    for chunk in &mut chunks {
+        let segment = chunk.segment as usize;
+        let len = chunk.payload.len();
+        chunk.payload = copies[segment].slice(at[segment]..at[segment] + len);
+        at[segment] += len;
+    }
+    chunks
+}
+
+/// One hostile chunk sequence per `seed`: 2 ranks × 3 frames, each arriving
+/// whole, as a copy in buffers of its own, with one such chunk, in part, not
+/// at all, or whole but lying about its geometry (so it cannot decode), all
+/// shuffled together; then up to 11 more chunks slipped in anywhere —
+/// duplicates and late chunks, seq ≥ total, disagreeing totals, totals past
+/// [`MAX_FRAME_CHUNKS`] or zero, unknown segments, foreign windows, and
+/// chunks of other (rank, frame)s interleaved.
+pub(crate) fn hostile_chunks(seed: u64) -> Vec<FrameChunk> {
+    let mut rng = proptest::TestRng::for_test(&format!("hostile chunks {seed}"));
+    let mut below = |n: u64| rng.next_u64() % n.max(1);
+    let (tex, chunk_bytes, stripes) = (1 + below(10) as usize, 16 + below(240) as usize, 1 + below(4) as u32);
+    let mut sequence = Vec::new();
+    for rank in 0..2 {
+        for frame in 0..3 {
+            let mut payload = sample_frame(rank, frame, tex);
+            let mode = below(6);
+            if mode == 5 {
+                payload.light.geometry_segments += 1;
+            }
+            let mut chunks = match mode {
+                1 => foreign_chunks(&payload, chunk_bytes, stripes),
+                4 => Vec::new(),
+                _ => chunk_frame(&payload, chunk_bytes, stripes),
+            };
+            if mode == 2 {
+                let i = below(chunks.len() as u64) as usize;
+                chunks[i].payload = Bytes::from(chunks[i].payload.as_slice().to_vec());
+            }
+            if mode == 3 {
+                let keep = below(chunks.len() as u64) as usize;
+                chunks.truncate(keep);
+            }
+            sequence.extend(chunks);
+        }
+    }
+    shuffle(&mut sequence, seed);
+    for _ in 0..below(12) {
+        let at = below(sequence.len() as u64 + 1) as usize;
+        let mut chunk = match sequence.get(below(sequence.len() as u64) as usize) {
+            Some(chunk) => chunk.clone(),
+            None => FrameChunk {
+                frame: 0,
+                rank: 0,
+                seq: 0,
+                total: 1,
+                stripe: 0,
+                stripe_seq: 0,
+                segment: 0,
+                payload: Bytes::from(vec![0u8; 4]),
+            },
+        };
+        match below(9) {
+            0 => {}                                                       // a duplicate, or a late chunk
+            1 => chunk.seq = chunk.total.saturating_add(below(3) as u32), // seq ≥ total
+            2 => chunk.total = chunk.total.wrapping_add(1),               // totals disagree
+            3 => chunk.total = chunk.total.wrapping_sub(1),
+            4 => chunk.total = [MAX_FRAME_CHUNKS, MAX_FRAME_CHUNKS + 1, u32::MAX][below(3) as usize],
+            5 => chunk.total = 0,
+            6 => chunk.segment = 4 + below(252) as u8,
+            7 => chunk.payload = Bytes::from(chunk.payload.as_slice().to_vec()), // a foreign window
+            _ => {
+                // Another (rank, frame) altogether, interleaved.
+                chunk.rank = below(4) as u32;
+                chunk.frame = 3 + below(3) as u32;
+                chunk.total = 1 + below(3) as u32;
+                chunk.seq = below(chunk.total as u64) as u32;
+            }
+        }
+        sequence.insert(at, chunk);
+    }
+    sequence
 }
 
 /// A frame whose solid-color texture maps onto a quad stacked along Z by

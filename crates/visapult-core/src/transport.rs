@@ -47,18 +47,17 @@
 //! # What a chunk costs the receiver
 //!
 //! [`FrameAssembler::accept`] is O(1): one slot store, and on the frame's
-//! last chunk one pass over the slots.  That pass assembles and decodes the
-//! frame — except on the fan-out plane, where a session assembler holding
-//! the plane's [`SharedDecode`] only checks its slots against the windows of
-//! the one assembly the whole floor shares.  The progressive views a viewer polls
-//! between chunks — [`FrameAssembler::partial_light`] and
+//! last chunk one pass over the slots, which assembles and decodes the
+//! frame.  On the fan-out plane that pass runs once per (rank, frame) for
+//! every session, in the plane's own assembler.  The progressive views a
+//! viewer polls between chunks — [`FrameAssembler::partial_light`] and
 //! [`FrameAssembler::partial_texture`] — are O(1) amortised as well: a
 //! pending frame keeps one cursor over its slots that folds each newly
 //! contiguous slot into the joined light bytes or the texture prefix exactly
 //! once, so polling after every one of a frame's *n* chunks costs *n* slot
 //! visits, not *n²*/2.  The cursor is allocated by the first poll; an
-//! assembler nobody polls (every session endpoint of the fan-out plane)
-//! never pays for it.  The prefix rules, in slot order from slot 0:
+//! assembler nobody polls (the fan-out plane's) never pays for it.  The
+//! prefix rules, in slot order from slot 0:
 //!
 //! * a gap (a chunk not yet received) stops the cursor — it resumes there;
 //! * the **light** message is the run of segment-0 slots up to the first
@@ -80,7 +79,6 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, ReadyHook, Receiver, Sender, TryRecvError, TrySendError};
 use netsim::{Bandwidth, StripePacer, TcpConfig};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -592,25 +590,14 @@ impl StripeSender {
 
     /// Non-blocking raw-chunk injection: `Ok(true)` when queued, `Ok(false)`
     /// when the stripe queue is full right now, `Err(Closed)` when the
-    /// receiver is gone.  The service fan-out plane uses this to degrade a
-    /// slow session (skip the rest of its frame) instead of stalling every
-    /// other session behind its queue.
+    /// receiver is gone.  The fan-out plane's pumps forward to the primary
+    /// viewer with it, so a full viewer queue parks a task, not a thread.
     pub fn try_send_raw_chunk(&self, chunk: FrameChunk) -> Result<bool, TransportError> {
         let stripe = chunk.stripe as usize % self.txs.len();
         match self.txs[stripe].try_send(chunk) {
             Ok(()) => Ok(true),
             Err(TrySendError::Full(_)) => Ok(false),
             Err(TrySendError::Disconnected(_)) => Err(TransportError::Closed),
-        }
-    }
-
-    /// A run of [`StripeSender::try_send_raw_chunk`]s that wakes the receiver
-    /// at most once, when the burst is dropped, instead of once per stripe it
-    /// makes non-empty.
-    pub(crate) fn burst(&self) -> SendBurst<'_> {
-        SendBurst {
-            sender: self,
-            owed: None,
         }
     }
 
@@ -630,55 +617,6 @@ impl StripeSender {
     pub fn set_space_hook(&self, hook: ReadyHook) {
         for tx in &self.txs {
             tx.set_space_hook(Arc::clone(&hook));
-        }
-    }
-}
-
-impl Drop for StripeSender {
-    /// Every stripe carries the receiver's same data hooks (see
-    /// [`StripeReceiver::set_data_hook`]), so the close is announced once, by
-    /// the last stripe to disconnect, instead of once per stripe.
-    fn drop(&mut self) {
-        let mut txs = std::mem::take(&mut self.txs);
-        let last = txs.pop();
-        for tx in txs {
-            tx.disconnect_quietly();
-        }
-        drop(last);
-    }
-}
-
-/// Non-blocking sends onto one link that owe the receiver one wake, paid when
-/// the burst drops ([`StripeSender::burst`]).  The receiver's data hooks are
-/// registered on every stripe alike, so firing the hooks of the first stripe
-/// the burst made non-empty wakes it exactly as firing each would, once.
-pub(crate) struct SendBurst<'a> {
-    sender: &'a StripeSender,
-    /// The first stripe this burst took from empty to non-empty.
-    owed: Option<usize>,
-}
-
-impl SendBurst<'_> {
-    /// [`StripeSender::try_send_raw_chunk`], with the wake deferred.
-    pub(crate) fn try_send_raw_chunk(&mut self, chunk: FrameChunk) -> Result<bool, TransportError> {
-        let stripe = chunk.stripe as usize % self.sender.txs.len();
-        match self.sender.txs[stripe].try_send_deferred(chunk) {
-            Ok(was_empty) => {
-                if was_empty && self.owed.is_none() {
-                    self.owed = Some(stripe);
-                }
-                Ok(true)
-            }
-            Err(TrySendError::Full(_)) => Ok(false),
-            Err(TrySendError::Disconnected(_)) => Err(TransportError::Closed),
-        }
-    }
-}
-
-impl Drop for SendBurst<'_> {
-    fn drop(&mut self) {
-        if let Some(stripe) = self.owed {
-            self.sender.txs[stripe].fire_data_hooks();
         }
     }
 }
@@ -1030,164 +968,6 @@ impl PrefixCursor {
     }
 }
 
-/// One memoized frame: the chunk windows it was assembled from (held, so
-/// their buffers stay live and their identity means what it meant) and the
-/// payload they decoded to.  Only copy-free assemblies that decoded are kept.
-struct DecodedFrame {
-    slots: Slots,
-    wire_bytes: u64,
-    payload: FramePayload,
-}
-
-impl DecodedFrame {
-    /// True when `slots` hold exactly the windows this frame was assembled
-    /// from: per slot the same segment and the same buffer, offset and length
-    /// (`Bytes::ptr_eq`).  Assembly is a function of those windows alone, so a
-    /// match would assemble, and decode, to exactly this frame.
-    fn assembled_from(&self, slots: &[Option<(u8, Bytes)>]) -> bool {
-        self.slots.len() == slots.len()
-            && self.slots.iter().zip(slots).all(|(mine, theirs)| match (mine, theirs) {
-                (Some((a, mine)), Some((b, theirs))) => a == b && mine.ptr_eq(theirs),
-                _ => false,
-            })
-    }
-}
-
-struct SharedDecodeState {
-    /// Keyed by the wire's `(rank, frame)`: an ordered map, so no hash a
-    /// sender could make collide.
-    frames: BTreeMap<(u32, u32), DecodedFrame>,
-    /// Insertion order of `frames` keys, for bounded eviction.
-    order: VecDeque<(u32, u32)>,
-    /// Segment assemblies made by the assemblers sharing this memo.
-    #[cfg(test)]
-    assemblies: usize,
-}
-
-/// What completing one frame came to: its payload as the caller keeps it (or
-/// the decode error's text), its wire size, and the gather copies made.
-struct Settled<P> {
-    result: Result<P, String>,
-    wire_bytes: u64,
-    copies: u64,
-}
-
-/// A frame memo shared by every session assembler of one fan-out plane.
-///
-/// On the exhibit floor every session receives the *same* chunks — O(1)
-/// slices of the sender's own buffers.  The first session to complete a
-/// `(rank, frame)` assembles and decodes it and records the chunk windows it
-/// used; every other session completes the frame by checking its own slots
-/// against those windows (segment id and `Bytes::ptr_eq`) and takes the
-/// recorded verdict, with no assembly, decode or payload copy of its own.  So
-/// the per-frame cost is one assembly and one decode for the whole floor, and
-/// a hit is exact, never probabilistic: the same windows of the same
-/// immutable buffers cannot decode to anything else.  Anything else — another
-/// window, an evicted entry, an assembly that needed a gather copy, a frame
-/// that does not decode — is assembled and decoded by the session itself,
-/// exactly as a private assembler would.
-pub struct SharedDecode {
-    state: Mutex<SharedDecodeState>,
-}
-
-/// Entries retained by a [`SharedDecode`] before the oldest is evicted:
-/// enough for every in-flight `(rank, frame)` of a deep pipeline, small
-/// enough that a plane's memo never holds more than a few frames' buffers.
-const SHARED_DECODE_CAP: usize = 256;
-
-impl SharedDecode {
-    /// An empty memo.
-    pub fn new() -> Self {
-        SharedDecode {
-            state: Mutex::new(SharedDecodeState {
-                frames: BTreeMap::new(),
-                order: VecDeque::new(),
-                #[cfg(test)]
-                assemblies: 0,
-            }),
-        }
-    }
-
-    /// Complete `key` from its full slot table: the recorded verdict when the
-    /// slots are the windows of the memoized frame, else an assembly and
-    /// decode of this table, recorded for the siblings when it is copy-free
-    /// and decodes (the table then moves into the memo).  Both run under the
-    /// lock, so concurrent sessions completing one frame assemble it once.
-    fn settle<P>(
-        &self,
-        key: (u32, u32),
-        slots: &mut Slots,
-        keep: impl FnOnce(Cow<'_, FramePayload>) -> P,
-    ) -> Settled<P> {
-        // Every entry is inserted whole, so a memo poisoned by a session that
-        // panicked under this lock is still a correct one.
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = st.frames.get(&key) {
-            if entry.assembled_from(slots) {
-                return Settled {
-                    result: Ok(keep(Cow::Borrowed(&entry.payload))),
-                    wire_bytes: entry.wire_bytes,
-                    copies: 0,
-                };
-            }
-        }
-        #[cfg(test)]
-        {
-            st.assemblies += 1;
-        }
-        let (segments, copies) = assemble_segments(slots.iter().flatten().cloned());
-        let wire_bytes = segments.wire_bytes();
-        let payload = match segments.decode() {
-            Ok(payload) => payload,
-            Err(e) => {
-                return Settled {
-                    result: Err(e.to_string()),
-                    wire_bytes,
-                    copies,
-                }
-            }
-        };
-        if copies != 0 {
-            return Settled {
-                result: Ok(keep(Cow::Owned(payload))),
-                wire_bytes,
-                copies,
-            };
-        }
-        let result = Ok(keep(Cow::Borrowed(&payload)));
-        let entry = DecodedFrame {
-            slots: std::mem::take(slots),
-            wire_bytes,
-            payload,
-        };
-        if st.frames.insert(key, entry).is_none() {
-            st.order.push_back(key);
-            if st.order.len() > SHARED_DECODE_CAP {
-                if let Some(old) = st.order.pop_front() {
-                    st.frames.remove(&old);
-                }
-            }
-        }
-        Settled {
-            result,
-            wire_bytes,
-            copies,
-        }
-    }
-
-    /// Segment assemblies made so far by the assemblers sharing this memo.
-    #[cfg(test)]
-    pub(crate) fn assemblies(&self) -> usize {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).assemblies
-    }
-}
-
-impl Default for SharedDecode {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// The most chunks [`FrameAssembler::accept`] reserves slots for in one
 /// frame; a chunk announcing more is [`TransportError::Corrupt`] before
 /// anything is allocated.  `total` comes off the wire, and the slot table is
@@ -1212,15 +992,15 @@ pub struct FrameAssembler {
     completed: BTreeSet<(u32, u32)>,
     /// Slot tables of completed frames, cleared, for the next frames.
     spare: Vec<Slots>,
-    /// Frame memo shared with sibling assemblers, when this assembler is one
-    /// of many receiving the same multicast frames.
-    shared: Option<Arc<SharedDecode>>,
     /// Receiver-side telemetry (chunks/bytes by stripe, out-of-order count,
     /// reassembly fallback copies, frames completed).
     pub stats: TransportStats,
     /// Slots the prefix cursors have folded — what pins "once per slot".
     #[cfg(test)]
     prefix_folds: usize,
+    /// Frames assembled from their slots.
+    #[cfg(test)]
+    assemblies: usize,
 }
 
 impl FrameAssembler {
@@ -1229,23 +1009,14 @@ impl FrameAssembler {
         Self::default()
     }
 
-    /// An assembler that completes frames against `shared` — for session
-    /// consumers that all receive the same multicast chunks.
-    pub fn with_shared_decode(shared: Arc<SharedDecode>) -> Self {
-        FrameAssembler {
-            shared: Some(shared),
-            ..Self::default()
-        }
-    }
-
     /// Feed one chunk in; returns what happened.
     pub fn accept(&mut self, chunk: FrameChunk) -> Result<AssemblyEvent, TransportError> {
-        self.settle(chunk, |payload| payload.into_owned())
+        self.settle(chunk, |payload| payload)
     }
 
     /// [`FrameAssembler::accept`] for a consumer that keeps no payload: a
-    /// completed frame is reported without one, so a frame the shared memo
-    /// already holds costs this assembler no assembly, decode or clone.
+    /// completed frame is still assembled and decoded (a frame that does not
+    /// decode is `Corrupt`), then reported without its payload.
     pub(crate) fn accept_verdict(&mut self, chunk: FrameChunk) -> Result<AssemblyEvent<()>, TransportError> {
         self.settle(chunk, |_| ())
     }
@@ -1253,7 +1024,7 @@ impl FrameAssembler {
     fn settle<P>(
         &mut self,
         chunk: FrameChunk,
-        keep: impl FnOnce(Cow<'_, FramePayload>) -> P,
+        keep: impl FnOnce(FramePayload) -> P,
     ) -> Result<AssemblyEvent<P>, TransportError> {
         let key = (chunk.rank, chunk.frame);
         // A pending frame has not completed, and `pending` holds a frame or
@@ -1320,33 +1091,28 @@ impl FrameAssembler {
         }
         let mut slots = entry.remove().slots;
         self.completed.insert(key);
-        let settled = match &self.shared {
-            Some(memo) => memo.settle(key, &mut slots, keep),
-            None => {
-                let (segments, copies) = assemble_segments(slots.drain(..).flatten());
-                let wire_bytes = segments.wire_bytes();
-                Settled {
-                    result: segments
-                        .decode()
-                        .map(|p| keep(Cow::Owned(p)))
-                        .map_err(|e| e.to_string()),
-                    wire_bytes,
-                    copies,
-                }
-            }
-        };
-        // A table the memo kept moved out, leaving an empty `Vec`.
-        if slots.capacity() > 0 && self.spare.len() < SPARE_SLOT_TABLES {
-            slots.clear();
+        #[cfg(test)]
+        {
+            self.assemblies += 1;
+        }
+        let (segments, copies) = assemble_segments(slots.drain(..).flatten());
+        if self.spare.len() < SPARE_SLOT_TABLES {
             self.spare.push(slots);
         }
-        self.stats.reassembly_copies += settled.copies;
-        let payload = settled.result.map_err(TransportError::Corrupt)?;
+        self.stats.reassembly_copies += copies;
+        let wire_bytes = segments.wire_bytes();
+        let payload = segments.decode().map_err(|e| TransportError::Corrupt(e.to_string()))?;
         self.stats.frames += 1;
         Ok(AssemblyEvent::Complete {
-            payload,
-            wire_bytes: settled.wire_bytes,
+            payload: keep(payload),
+            wire_bytes,
         })
+    }
+
+    /// Frames this assembler has assembled from their slots.
+    #[cfg(test)]
+    pub(crate) fn assemblies(&self) -> usize {
+        self.assemblies
     }
 
     /// Frames currently mid-assembly, as `(rank, frame, received, total)` —
@@ -1471,7 +1237,7 @@ pub fn drain_frames(rx: &mut StripeReceiver) -> Result<Vec<FramePayload>, Transp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{chunk_frame, copy_counter_turn, sample_frame};
+    use crate::test_support::{chunk_frame, copy_counter_turn, hostile_chunks, sample_frame, shuffle};
     use std::time::Instant;
 
     #[test]
@@ -1716,35 +1482,6 @@ mod tests {
     }
 
     #[test]
-    fn a_burst_and_a_close_each_wake_the_receiver_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let (tx, mut rx) = striped_link(&TransportConfig::default().with_stripes(4));
-        let fired = Arc::new(AtomicUsize::new(0));
-        let hook_fired = Arc::clone(&fired);
-        rx.set_data_hook(Arc::new(move || {
-            hook_fired.fetch_add(1, Ordering::SeqCst);
-        }));
-        let chunks = chunk_frame(&sample_frame(0, 0, 16), 64, 4);
-        assert!(chunks.len() > 4, "the run covers every stripe");
-        {
-            let mut burst = tx.burst();
-            for chunk in chunks {
-                assert!(burst.try_send_raw_chunk(chunk).unwrap());
-            }
-            assert_eq!(fired.load(Ordering::SeqCst), 0, "nothing fires mid-burst");
-        }
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "four stripes made non-empty, one wake");
-        while rx.try_recv_chunk().is_some() {}
-        drop(tx);
-        assert_eq!(
-            fired.load(Ordering::SeqCst),
-            2,
-            "the close is announced once, not per stripe"
-        );
-        assert!(rx.try_recv_chunk().is_none() && rx.is_closed());
-    }
-
-    #[test]
     fn pacing_throttles_the_link() {
         // 1 MB of texture over a 8 Mbps (1 MB/s) paced link must take close
         // to a second; unpaced it is effectively instant.
@@ -1766,99 +1503,6 @@ mod tests {
                 config.is_paced()
             );
         }
-    }
-
-    /// Chunk `frame` the way a fan-out endpoint does: one set of `Bytes`
-    /// slices of the sender's buffers, cloneable to any number of sessions.
-    fn multicast_chunks(frame: &FramePayload) -> Vec<FrameChunk> {
-        chunk_frame(frame, 1000, 3)
-    }
-
-    fn feed(assembler: &mut FrameAssembler, chunks: &[FrameChunk]) -> Result<Option<FramePayload>, TransportError> {
-        let mut out = None;
-        for c in chunks {
-            if let AssemblyEvent::Complete { payload, .. } = assembler.accept(c.clone())? {
-                out = Some(payload);
-            }
-        }
-        Ok(out)
-    }
-
-    #[test]
-    fn shared_decode_matches_private_decode_bit_for_bit() {
-        let frames: Vec<FramePayload> = (0..3).map(|f| sample_frame(2, f, 16)).collect();
-        let waves: Vec<Vec<FrameChunk>> = frames.iter().map(multicast_chunks).collect();
-
-        let memo = Arc::new(SharedDecode::new());
-        let mut private = FrameAssembler::new();
-        let mut shared: Vec<FrameAssembler> = (0..3)
-            .map(|_| FrameAssembler::with_shared_decode(Arc::clone(&memo)))
-            .collect();
-        for (wave, expect) in waves.iter().zip(&frames) {
-            let base = feed(&mut private, wave).unwrap().expect("frame completes");
-            assert_eq!(&base, expect);
-            let decoded: Vec<FramePayload> = shared
-                .iter_mut()
-                .map(|a| feed(a, wave).unwrap().expect("frame completes"))
-                .collect();
-            for d in &decoded {
-                assert_eq!(d, &base, "shared decode must be observationally identical");
-            }
-            // And it really is one decode: every session holds the same
-            // geometry allocation, not a private re-parse.
-            assert!(Arc::ptr_eq(&decoded[0].heavy.geometry, &decoded[1].heavy.geometry));
-            assert!(Arc::ptr_eq(&decoded[1].heavy.geometry, &decoded[2].heavy.geometry));
-            assert!(!Arc::ptr_eq(&base.heavy.geometry, &decoded[0].heavy.geometry));
-        }
-        for a in &shared {
-            assert_eq!(a.stats.frames, private.stats.frames);
-            assert_eq!(a.stats.chunks, private.stats.chunks);
-            assert_eq!(a.stats.bytes, private.stats.bytes);
-            assert_eq!(a.stats.reassembly_copies, private.stats.reassembly_copies);
-        }
-    }
-
-    #[test]
-    fn shared_decode_preserves_error_text_and_rejects_stale_hits() {
-        // A frame whose light metadata lies about the geometry: decode fails
-        // with the same error through the memo as without it.
-        let mut bad = sample_frame(2, 0, 16);
-        bad.light.geometry_segments += 1;
-        let bad_wave = multicast_chunks(&bad);
-        let private_err = feed(&mut FrameAssembler::new(), &bad_wave).unwrap_err();
-        let memo = Arc::new(SharedDecode::new());
-        for _ in 0..2 {
-            let shared_err = feed(&mut FrameAssembler::with_shared_decode(Arc::clone(&memo)), &bad_wave).unwrap_err();
-            assert_eq!(shared_err.to_string(), private_err.to_string());
-        }
-
-        // Different content under the same (rank, frame) key — a re-encoded
-        // frame views fresh buffers, so the memo must decode it, not serve
-        // the stale entry.
-        let good = sample_frame(2, 0, 16);
-        let good_wave = multicast_chunks(&good);
-        let decoded = feed(&mut FrameAssembler::with_shared_decode(Arc::clone(&memo)), &good_wave)
-            .unwrap()
-            .expect("frame completes");
-        assert_eq!(decoded, good);
-    }
-
-    #[test]
-    fn a_poisoned_decode_memo_still_decodes() {
-        // A thread that panics holding the memo's lock poisons it; the next
-        // session's decode must still hand back the payload.
-        let memo = Arc::new(SharedDecode::new());
-        let holder = Arc::clone(&memo);
-        let poisoner = std::thread::spawn(move || {
-            let _held = holder.state.lock();
-            panic!("a session died mid-decode");
-        });
-        assert!(poisoner.join().is_err());
-        assert!(memo.state.is_poisoned());
-        let frame = sample_frame(2, 0, 16);
-        let wave = multicast_chunks(&frame);
-        let decoded = feed(&mut FrameAssembler::with_shared_decode(memo), &wave).unwrap();
-        assert_eq!(decoded, Some(frame));
     }
 
     /// The scan `partial_light` used to be: from slot 0 on every call.  Kept
@@ -1937,14 +1581,6 @@ mod tests {
         assert_eq!(bytes::deep_copy_count(), copies_before, "a prefix view copied bytes");
         assert!(asm.prefix_folds <= total, "{} folds of {total} slots", asm.prefix_folds);
         (asm.prefix_folds, visits)
-    }
-
-    /// A deterministic Fisher–Yates shuffle, one arrival order per `seed`.
-    fn shuffle<T>(items: &mut [T], seed: u64) {
-        let mut rng = proptest::TestRng::for_test(&format!("arrival order {seed}"));
-        for i in (1..items.len()).rev() {
-            items.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
-        }
     }
 
     proptest::proptest! {
@@ -2072,9 +1708,10 @@ mod tests {
         assert!(asm.pending[&(1, 1)].prefix.is_some());
     }
 
-    /// The assembler as it was before completions went through the shared
-    /// memo, whole: hashed maps, and every completed frame assembled from its
-    /// slots and decoded on the spot.  The oracle the other two are held to.
+    /// The assembler as it was before its ordered maps, spare slot tables and
+    /// verdict-only completions, whole: hashed maps, and every completed
+    /// frame assembled from its slots and decoded on the spot.  The oracle
+    /// the assembler is held to.
     mod oracle {
         use super::*;
         use std::collections::{HashMap, HashSet};
@@ -2226,130 +1863,18 @@ mod tests {
         }
     }
 
-    /// `frame`'s chunks cut from fresh copies of its segments: the same
-    /// bytes and windows as `chunk_frame`'s, in buffers nobody else holds.
-    fn foreign_chunks(frame: &FramePayload, chunk_bytes: usize, stripes: u32) -> Vec<FrameChunk> {
-        let mut chunks = chunk_frame(frame, chunk_bytes, stripes);
-        let segments = FrameSegments::encode(frame);
-        let copies = [
-            Bytes::from(segments.light.as_slice().to_vec()),
-            Bytes::from(segments.heavy_header.as_slice().to_vec()),
-            Bytes::from(segments.texture.as_slice().to_vec()),
-            Bytes::from(segments.geometry.as_slice().to_vec()),
-        ];
-        let mut at = [0usize; 4];
-        for chunk in &mut chunks {
-            let segment = chunk.segment as usize;
-            let len = chunk.payload.len();
-            chunk.payload = copies[segment].slice(at[segment]..at[segment] + len);
-            at[segment] += len;
-        }
-        chunks
-    }
-
-    /// What the memo did across a batch of hostile cases.
-    #[derive(Default)]
-    struct MemoUse {
-        /// Shared-assembler completions taken from the memo.
-        hits: usize,
-        /// Completions of foreign frames, every one of which must miss.
-        foreign: usize,
-    }
-
     /// One hostile chunk sequence, drawn from `seed`, through a private
-    /// assembler, two sharing a memo a sibling session primed (one keeping
-    /// payloads, one only verdicts), and the oracle: every event, error text,
-    /// pending list and stat must agree, and nothing may panic.
-    fn hostile_case(seed: u64, memo_use: &mut MemoUse) {
+    /// assembler, one that keeps only verdicts, and the oracle: every event,
+    /// error text, pending list and stat must agree, and nothing may panic.
+    fn hostile_case(seed: u64) {
         // Gather copies are counted process-wide.
         let _turn = copy_counter_turn();
-        let mut rng = proptest::TestRng::for_test(&format!("hostile chunks {seed}"));
-        let mut below = |n: u64| rng.next_u64() % n.max(1);
-        let (tex, chunk_bytes, stripes) = (1 + below(10) as usize, 16 + below(240) as usize, 1 + below(4) as u32);
-        // 2 ranks × 3 frames; each either arrives whole (0), as a foreign
-        // copy (1), with one foreign chunk (2), in part (3), not at all (4),
-        // or whole but lying about its geometry, so it cannot decode (5).
-        let mut sequence = Vec::new();
-        let mut foreign = BTreeSet::new();
-        let memo = Arc::new(SharedDecode::new());
-        let mut sibling = FrameAssembler::with_shared_decode(Arc::clone(&memo));
-        for rank in 0..2 {
-            for frame in 0..3 {
-                let mut payload = sample_frame(rank, frame, tex);
-                let mode = below(6);
-                if mode == 5 {
-                    payload.light.geometry_segments += 1;
-                }
-                let canonical = chunk_frame(&payload, chunk_bytes, stripes);
-                for chunk in &canonical {
-                    let _ = sibling.accept_verdict(chunk.clone());
-                }
-                let mut chunks = match mode {
-                    1 => {
-                        foreign.insert((rank, frame));
-                        foreign_chunks(&payload, chunk_bytes, stripes)
-                    }
-                    4 => Vec::new(),
-                    _ => canonical,
-                };
-                if mode == 2 {
-                    let i = below(chunks.len() as u64) as usize;
-                    chunks[i].payload = Bytes::from(chunks[i].payload.as_slice().to_vec());
-                }
-                if mode == 3 {
-                    let keep = below(chunks.len() as u64) as usize;
-                    chunks.truncate(keep);
-                }
-                sequence.extend(chunks);
-            }
-        }
-        shuffle(&mut sequence, seed);
-        for _ in 0..below(12) {
-            let at = below(sequence.len() as u64 + 1) as usize;
-            let mut chunk = match sequence.get(below(sequence.len() as u64) as usize) {
-                Some(chunk) => chunk.clone(),
-                None => FrameChunk {
-                    frame: 0,
-                    rank: 0,
-                    seq: 0,
-                    total: 1,
-                    stripe: 0,
-                    stripe_seq: 0,
-                    segment: 0,
-                    payload: Bytes::from(vec![0u8; 4]),
-                },
-            };
-            match below(9) {
-                0 => {}                                                       // a duplicate, or a late chunk
-                1 => chunk.seq = chunk.total.saturating_add(below(3) as u32), // seq ≥ total
-                2 => chunk.total = chunk.total.wrapping_add(1),               // totals disagree
-                3 => chunk.total = chunk.total.wrapping_sub(1),
-                4 => chunk.total = [MAX_FRAME_CHUNKS, MAX_FRAME_CHUNKS + 1, u32::MAX][below(3) as usize],
-                5 => chunk.total = 0,
-                6 => chunk.segment = 4 + below(252) as u8,
-                7 => chunk.payload = Bytes::from(chunk.payload.as_slice().to_vec()), // a foreign window
-                _ => {
-                    // Another (rank, frame) altogether, interleaved.
-                    chunk.rank = below(4) as u32;
-                    chunk.frame = 3 + below(3) as u32;
-                    chunk.total = 1 + below(3) as u32;
-                    chunk.seq = below(chunk.total as u64) as u32;
-                }
-            }
-            sequence.insert(at, chunk);
-        }
-
         let mut oracle = oracle::ParentAssembler::default();
         let mut private = FrameAssembler::new();
-        let mut shared = FrameAssembler::with_shared_decode(Arc::clone(&memo));
-        let mut verdicts = FrameAssembler::with_shared_decode(Arc::clone(&memo));
-        for chunk in sequence {
-            let key = (chunk.rank, chunk.frame);
-            let assemblies = memo.assemblies();
+        let mut verdicts = FrameAssembler::new();
+        for chunk in hostile_chunks(seed) {
             let want = oracle.accept(chunk.clone());
             let private_event = private.accept(chunk.clone());
-            let shared_event = shared.accept(chunk.clone());
-            let shared_assembled = memo.assemblies() > assemblies;
             let verdict = verdicts.accept_verdict(chunk);
             let want_seen = seen(&want, |p| Some(p.clone()));
             assert_eq!(
@@ -2357,71 +1882,33 @@ mod tests {
                 want_seen,
                 "private, case {seed}"
             );
-            assert_eq!(
-                seen(&shared_event, |p| Some(p.clone())),
-                want_seen,
-                "shared, case {seed}"
-            );
             let mut stripped = want_seen;
             if let Seen::Complete(payload, _) = &mut stripped {
                 *payload = None;
             }
             assert_eq!(seen(&verdict, |_| None), stripped, "verdict only, case {seed}");
-            if let (
-                Ok(AssemblyEvent::Complete { payload: mine, .. }),
-                Ok(AssemblyEvent::Complete { payload: theirs, .. }),
-            ) = (&shared_event, &private_event)
-            {
-                if foreign.contains(&key) {
-                    memo_use.foreign += 1;
-                    assert!(
-                        shared_assembled,
-                        "a foreign frame was served from the memo, case {seed}"
-                    );
-                }
-                if !shared_assembled {
-                    // A hit hands back the very texture window a private
-                    // decode of these chunks makes, not just equal bytes.
-                    memo_use.hits += 1;
-                    assert!(
-                        mine.heavy.texture_rgba8.ptr_eq(&theirs.heavy.texture_rgba8),
-                        "case {seed}"
-                    );
-                }
-            }
             let pending = oracle.pending_frames();
             assert_eq!(private.pending_frames(), pending, "case {seed}");
-            assert_eq!(shared.pending_frames(), pending, "case {seed}");
             assert_eq!(verdicts.pending_frames(), pending, "case {seed}");
         }
-        for stats in [&private.stats, &shared.stats, &verdicts.stats] {
+        for stats in [&private.stats, &verdicts.stats] {
             assert_eq!(stats, &oracle.stats, "case {seed}");
         }
     }
 
     #[test]
     fn hostile_chunk_sequences_agree_with_the_oracle() {
-        let mut memo_use = MemoUse::default();
         for seed in 0..500 {
-            hostile_case(seed, &mut memo_use);
+            hostile_case(seed);
         }
-        assert!(
-            memo_use.hits > 0 && memo_use.foreign > 0,
-            "the cases must reach both memo paths"
-        );
     }
 
     #[test]
     #[ignore = "10^5 cases; run in release"]
     fn hostile_chunk_sequences_agree_with_the_oracle_at_scale() {
-        let mut memo_use = MemoUse::default();
         for seed in 0..100_000 {
-            hostile_case(seed, &mut memo_use);
+            hostile_case(seed);
         }
-        assert!(
-            memo_use.hits > 0 && memo_use.foreign > 0,
-            "the cases must reach both memo paths"
-        );
     }
 
     /// The link as it was before runs: per chunk, one `SenderState` lock

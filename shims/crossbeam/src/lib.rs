@@ -79,8 +79,6 @@ pub mod channel {
     /// The sending half; clonable.
     pub struct Sender<T> {
         shared: Arc<Shared<T>>,
-        /// Set by [`Sender::disconnect_quietly`]: this drop fires no hooks.
-        quiet: bool,
     }
 
     /// The receiving half; clonable (any one receiver gets each message).
@@ -240,7 +238,6 @@ pub mod channel {
         (
             Sender {
                 shared: Arc::clone(&shared),
-                quiet: false,
             },
             Receiver { shared },
         )
@@ -298,23 +295,29 @@ pub mod channel {
         /// fan-out plane uses to degrade a slow consumer rather than stall
         /// every other consumer behind it.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            self.push_now(value, true).map(|_| ())
-        }
-
-        /// [`Sender::try_send`] that leaves the data hooks unfired: `Ok(true)`
-        /// when this send took the channel from empty to non-empty, so the
-        /// caller owes one [`Sender::fire_data_hooks`].  For a producer that
-        /// queues a run of messages and wakes the consumer once for the run.
-        /// A receiver blocked in `recv` is still woken here.
-        pub fn try_send_deferred(&self, value: T) -> Result<bool, TrySendError<T>> {
-            self.push_now(value, false)
-        }
-
-        /// Fire the data hooks now — what a [`Sender::try_send_deferred`]
-        /// that returned `Ok(true)` owes.
-        pub fn fire_data_hooks(&self) {
-            let hooks = snapshot_hooks(&self.shared.state.lock().unwrap_or_else(|e| e.into_inner()).data_hooks);
+            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+            if state.receivers == 0 {
+                return Err(TrySendError::Disconnected(value));
+            }
+            if let Some(cap) = self.shared.capacity {
+                if state.occupied() >= cap {
+                    return Err(TrySendError::Full(value));
+                }
+            }
+            let was_empty = state.queue.is_empty();
+            state.queue.push_back(value);
+            let wake = state.ready_waiters > 0;
+            let hooks = if was_empty {
+                snapshot_hooks(&state.data_hooks)
+            } else {
+                None
+            };
+            drop(state);
+            if wake {
+                self.shared.ready.notify_one();
+            }
             fire_hooks(hooks);
+            Ok(())
         }
 
         /// Queue messages from the front of `run` under one lock — as many as
@@ -350,41 +353,6 @@ pub mod channel {
             Ok(n)
         }
 
-        /// Queue without blocking; returns whether the queue was empty.
-        fn push_now(&self, value: T, fire: bool) -> Result<bool, TrySendError<T>> {
-            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            if state.receivers == 0 {
-                return Err(TrySendError::Disconnected(value));
-            }
-            if let Some(cap) = self.shared.capacity {
-                if state.occupied() >= cap {
-                    return Err(TrySendError::Full(value));
-                }
-            }
-            let was_empty = state.queue.is_empty();
-            state.queue.push_back(value);
-            let wake = state.ready_waiters > 0;
-            let hooks = if was_empty && fire {
-                snapshot_hooks(&state.data_hooks)
-            } else {
-                None
-            };
-            drop(state);
-            if wake {
-                self.shared.ready.notify_one();
-            }
-            fire_hooks(hooks);
-            Ok(was_empty)
-        }
-
-        /// Drop this sender without firing the data hooks, even when it is
-        /// the last one.  Receivers blocked in `recv` still see the
-        /// disconnect; a receiver parked on hooks hears of it only through
-        /// another channel that shares them — the caller's to guarantee.
-        pub fn disconnect_quietly(mut self) {
-            self.quiet = true;
-        }
-
         /// Messages occupying the channel right now — queued, plus taken by
         /// [`Receiver::try_recv_all`] and not yet released (telemetry; racy by
         /// nature).
@@ -416,7 +384,6 @@ pub mod channel {
             self.shared.state.lock().unwrap_or_else(|e| e.into_inner()).senders += 1;
             Sender {
                 shared: Arc::clone(&self.shared),
-                quiet: false,
             }
         }
     }
@@ -430,7 +397,7 @@ pub mod channel {
             // waiting, so gating on current waiters loses nothing.)
             let disconnected = state.senders == 0;
             let wake = disconnected && state.ready_waiters > 0;
-            let hooks = if disconnected && !self.quiet {
+            let hooks = if disconnected {
                 snapshot_hooks(&state.data_hooks)
             } else {
                 None
@@ -812,30 +779,6 @@ pub mod channel {
             assert_eq!(fired.load(Ordering::SeqCst), 2);
         }
 
-        #[test]
-        fn deferred_sends_owe_the_hooks_once_and_a_quiet_disconnect_fires_none() {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let (tx, rx) = bounded(2);
-            let fired = Arc::new(AtomicUsize::new(0));
-            let hook_fired = Arc::clone(&fired);
-            rx.set_data_hook(Arc::new(move || {
-                hook_fired.fetch_add(1, Ordering::SeqCst);
-            }));
-            assert_eq!(tx.try_send_deferred(1u8), Ok(true)); // empty → non-empty: owed
-            assert_eq!(tx.try_send_deferred(2), Ok(false));
-            assert_eq!(tx.try_send_deferred(3), Err(TrySendError::Full(3)));
-            assert_eq!(fired.load(Ordering::SeqCst), 0, "a deferred send fires nothing");
-            tx.fire_data_hooks();
-            assert_eq!(fired.load(Ordering::SeqCst), 1);
-            let last = tx.clone();
-            tx.disconnect_quietly();
-            last.disconnect_quietly();
-            assert_eq!(fired.load(Ordering::SeqCst), 1, "a quiet disconnect fires nothing");
-            assert_eq!(rx.try_recv(), Ok(1));
-            assert_eq!(rx.try_recv(), Ok(2));
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected), "but it is a disconnect");
-        }
-
         fn counting_hook(fired: &Arc<std::sync::atomic::AtomicUsize>) -> ReadyHook {
             let fired = Arc::clone(fired);
             Arc::new(move || {
@@ -960,22 +903,6 @@ pub mod channel {
             std::thread::sleep(Duration::from_millis(20));
             drop(rx);
             assert!(blocked.join().unwrap(), "the send fails once the receiver is gone");
-        }
-
-        #[test]
-        fn a_quiet_disconnect_reaches_try_recv_all_without_a_hook() {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let (tx, rx) = bounded(4);
-            let fired = Arc::new(AtomicUsize::new(0));
-            rx.set_data_hook(counting_hook(&fired));
-            let mut run: VecDeque<u8> = VecDeque::from([1, 2]);
-            assert_eq!(tx.send_some(&mut run, usize::MAX), Ok(2));
-            tx.disconnect_quietly();
-            assert_eq!(fired.load(Ordering::SeqCst), 1, "the run fired; the quiet drop did not");
-            assert_eq!(rx.try_recv_all(&mut run), Ok(2), "queued messages outlive the sender");
-            run.clear();
-            assert_eq!(rx.try_recv_all(&mut run), Err(TryRecvError::Disconnected));
-            assert_eq!(fired.load(Ordering::SeqCst), 1);
         }
 
         #[test]
