@@ -17,12 +17,18 @@ use crate::units::Bandwidth;
 use std::time::{Duration, Instant};
 
 /// A token bucket: tokens are bytes, refilled continuously at `rate`.
+///
+/// Time is an offset on one monotonic time base: [`TokenBucket::consume`]
+/// reads the wall clock from the bucket's creation, and
+/// [`TokenBucket::consume_at`] takes the instant from its caller.  A bucket
+/// keeps to one of the two.
 #[derive(Debug)]
 pub struct TokenBucket {
     rate_bytes_per_sec: f64,
     capacity_bytes: f64,
     tokens: f64,
-    last_refill: Instant,
+    created: Instant,
+    last_refill: Duration,
 }
 
 impl TokenBucket {
@@ -33,7 +39,8 @@ impl TokenBucket {
             rate_bytes_per_sec,
             capacity_bytes: burst_bytes.max(1) as f64,
             tokens: burst_bytes.max(1) as f64,
-            last_refill: Instant::now(),
+            created: Instant::now(),
+            last_refill: Duration::ZERO,
         }
     }
 
@@ -49,10 +56,10 @@ impl TokenBucket {
         Bandwidth::from_bps(self.rate_bytes_per_sec * 8.0)
     }
 
-    fn refill(&mut self, now: Instant) {
-        let elapsed = now.duration_since(self.last_refill).as_secs_f64();
+    fn refill(&mut self, now: Duration) {
+        let elapsed = now.saturating_sub(self.last_refill).as_secs_f64();
         self.tokens = (self.tokens + elapsed * self.rate_bytes_per_sec).min(self.capacity_bytes);
-        self.last_refill = now;
+        self.last_refill = self.last_refill.max(now);
     }
 
     /// Account for sending `bytes` and return how long the caller should
@@ -61,7 +68,12 @@ impl TokenBucket {
     /// The debt model allows the token count to go negative so that large
     /// writes are paced accurately without splitting them.
     pub fn consume(&mut self, bytes: u64) -> Duration {
-        let now = Instant::now();
+        self.consume_at(bytes, self.created.elapsed())
+    }
+
+    /// [`TokenBucket::consume`] at `now` on the caller's time base: the
+    /// delay is how long after `now` the bucket has paid for `bytes`.
+    pub fn consume_at(&mut self, bytes: u64, now: Duration) -> Duration {
         self.refill(now);
         self.tokens -= bytes as f64;
         if self.tokens >= 0.0 {
@@ -112,6 +124,13 @@ impl StripePacer {
         self.buckets[stripe % n].consume(bytes)
     }
 
+    /// [`StripePacer::consume`] at `now` on the caller's time base
+    /// ([`TokenBucket::consume_at`]).
+    pub fn consume_at(&mut self, stripe: usize, bytes: u64, now: Duration) -> Duration {
+        let n = self.buckets.len();
+        self.buckets[stripe % n].consume_at(bytes, now)
+    }
+
     /// Consume and actually sleep for the computed pacing delay.
     pub fn throttle(&mut self, stripe: usize, bytes: u64) {
         let n = self.buckets.len();
@@ -153,6 +172,23 @@ mod tests {
         // sleep) is roughly 0.5 s minus the 100 KB burst credit.
         let secs = last_wait.as_secs_f64();
         assert!(secs > 0.3 && secs < 0.6, "got {secs}");
+    }
+
+    #[test]
+    fn consume_at_paces_on_the_callers_time_base() {
+        // 8 Mbps = 1 MB/s with a 1 KB burst: the burst goes free, the rest
+        // is debt paid off at the rate, and only time the caller says has
+        // passed refills the bucket.
+        let mut tb = TokenBucket::new(Bandwidth::from_mbps(8.0), 1_000);
+        assert_eq!(tb.consume_at(1_000, Duration::ZERO), Duration::ZERO);
+        let wait = tb.consume_at(500, Duration::ZERO).as_secs_f64();
+        assert!((wait - 500e-6).abs() < 1e-9, "got {wait}");
+        // A millisecond later the debt is paid and 500 bytes are back.
+        assert_eq!(tb.consume_at(500, Duration::from_millis(1)), Duration::ZERO);
+        // An earlier instant refills nothing: the bucket's time never runs
+        // backwards.
+        let wait = tb.consume_at(1, Duration::ZERO).as_secs_f64();
+        assert!((wait - 1e-6).abs() < 1e-9, "got {wait}");
     }
 
     #[test]

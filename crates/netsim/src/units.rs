@@ -167,11 +167,6 @@ impl DataSize {
         DataSize(b)
     }
 
-    /// From kilobytes (10^3).
-    pub const fn from_kb(kb: u64) -> Self {
-        DataSize(kb * 1_000)
-    }
-
     /// From megabytes (10^6), matching the paper's "160 megabytes per time step".
     pub const fn from_mb(mb: u64) -> Self {
         DataSize(mb * 1_000_000)

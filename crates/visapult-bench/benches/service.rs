@@ -1,11 +1,11 @@
 //! Criterion bench: the multi-session service layer.
 //!
 //! Measures the shared-render fan-out plane end to end — broker admission,
-//! zero-copy chunk multicast onto per-session bounded queues, per-session
-//! reassembly — at session counts 1/8/64 (unshaped, deep queues, so the
-//! numbers are the fan-out's own overhead, not WAN pacing), with every
-//! session wave spread over 4 shared viewpoints.  The plane's OS thread
-//! count is the worker-pool size regardless of scale.
+//! one assembly per (rank, frame), one fold of each wave per session — at
+//! session counts 1/8/64 (unshaped, deep queues, so the numbers are the
+//! fan-out's own overhead, not WAN pacing), with every session wave spread
+//! over 4 shared viewpoints.  The plane runs on one thread regardless of
+//! scale.
 //!
 //! Besides the criterion output, a custom `main` writes a
 //! `BENCH_service.json` baseline (median seconds per 8-frame campaign,
@@ -34,9 +34,6 @@ use visapult_core::{
 const TEX: usize = 128; // 128x128 RGBA8 = 64 KB per frame
 const FRAMES: u32 = 8;
 const VIEWPOINTS: u32 = 4;
-/// Worker pool for the baseline runs: fixed so the JSON is comparable across
-/// machines.
-const WORKERS: usize = 4;
 
 fn sample_frame(frame: u32) -> FramePayload {
     let texture: Vec<u8> = (0..TEX * TEX * 4).map(|i| (i % 251) as u8).collect();
@@ -73,9 +70,8 @@ fn schedule(sessions: u32) -> Vec<SessionSpec> {
         .collect()
 }
 
-/// One 8-frame campaign through the plane at `sessions` concurrent sessions
-/// on a `WORKERS` pool.  Wave latencies, queue depths and executor
-/// introspection land in `hub` when it is enabled; pass
+/// One 8-frame campaign through the plane at `sessions` concurrent sessions.
+/// Wave latencies and queue depths land in `hub` when it is enabled; pass
 /// [`MetricsHub::disabled`] for an unmetered run.
 fn fan_out(sessions: u32, hub: &MetricsHub) -> ServiceRunReport {
     let transport = TransportConfig::default().with_stripes(4).with_chunk_bytes(16 * 1024);
@@ -89,11 +85,8 @@ fn fan_out(sessions: u32, hub: &MetricsHub) -> ServiceRunReport {
     let (tx, rx) = striped_link(&transport);
     let broker = SessionBroker::new(config, schedule(sessions));
     let handle = {
-        let transport = transport.clone();
         let hub = hub.clone();
-        std::thread::spawn(move || {
-            FanoutPlane::drive_with(broker, vec![rx], Vec::new(), &transport, Some(WORKERS), &hub)
-        })
+        std::thread::spawn(move || FanoutPlane::drive_with(broker, vec![rx], Vec::new(), &hub))
     };
     for f in 0..FRAMES {
         tx.send_frame(&sample_frame(f)).unwrap();
@@ -193,27 +186,10 @@ fn latency_json(hub: &MetricsHub) -> String {
     )
 }
 
-/// The `"exec"` JSON block: the worker pool's introspection counters folded
-/// out of every metered campaign the hub saw.
-fn exec_json(hub: &MetricsHub) -> String {
-    let snap = hub.snapshot("bench");
-    let c = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
-    format!(
-        "\"exec\": {{ \"polls\": {}, \"poll_ns\": {}, \"parks\": {}, \"idle_sweeps\": {}, \"wakes\": {}, \"spawns\": {}, \"run_queue_high_water\": {} }}",
-        c("exec/polls"),
-        c("exec/poll_ns"),
-        c("exec/parks"),
-        c("exec/idle_sweeps"),
-        c("exec/wakes"),
-        c("exec/spawns"),
-        snap.high_waters.get("exec/run_queue_depth").copied().unwrap_or(0),
-    )
-}
-
 /// What `exhibit_floor_10k` measures: the unmetered median, the same median
 /// with the metrics plane live (their delta is the telemetry overhead the CI
 /// gate holds under 5 %), the thread-count ceiling, and the hub holding the
-/// accumulated wave histogram and executor counters.
+/// accumulated wave histogram.
 struct FloorReport {
     median_s: f64,
     telemetry_median_s: f64,
@@ -281,7 +257,7 @@ fn write_baseline() {
     let scaling = cases[2].1 / cases[0].1;
     persist_snapshots(&floor.hub.take_snapshots());
     let json = format!(
-        "{{\n  \"bench\": \"service_fanout_8_frames\",\n  \"frames\": {FRAMES},\n  \"viewpoints\": {VIEWPOINTS},\n  \"samples\": {samples},\n  \"async_workers\": {WORKERS},\n  \"async_cases\": {{\n{}\n  }},\n  \"exhibit_floor_10k_async\": {{\n    \"sessions\": 10000,\n    \"workers\": {WORKERS},\n    \"samples\": {floor_samples},\n    \"median_s\": {:.9},\n    \"us_per_session_frame\": {:.3},\n    \"peak_process_threads\": {},\n    \"shared_render_hit_rate\": {:.4},\n    \"telemetry_median_s\": {:.9},\n    \"telemetry_overhead_percent\": {floor_overhead:.2},\n    {},\n    {}\n  }},\n  \"wall_time_64x_vs_1x\": {scaling:.2},\n  \"render_ratio_at_64\": {:.4}\n}}\n",
+        "{{\n  \"bench\": \"service_fanout_8_frames\",\n  \"frames\": {FRAMES},\n  \"viewpoints\": {VIEWPOINTS},\n  \"samples\": {samples},\n  \"async_cases\": {{\n{}\n  }},\n  \"exhibit_floor_10k_async\": {{\n    \"sessions\": 10000,\n    \"samples\": {floor_samples},\n    \"median_s\": {:.9},\n    \"us_per_session_frame\": {:.3},\n    \"peak_process_threads\": {},\n    \"shared_render_hit_rate\": {:.4},\n    \"telemetry_median_s\": {:.9},\n    \"telemetry_overhead_percent\": {floor_overhead:.2},\n    {}\n  }},\n  \"wall_time_64x_vs_1x\": {scaling:.2},\n  \"render_ratio_at_64\": {:.4}\n}}\n",
         case_json(&cases),
         floor.median_s,
         floor.median_s / floor_session_frames * 1e6,
@@ -289,7 +265,6 @@ fn write_baseline() {
         floor.stats.shared_render_hit_rate(),
         floor.telemetry_median_s,
         latency_json(&floor.hub),
-        exec_json(&floor.hub),
         cases[2].2.render_ratio(),
     );
     visapult_bench::report_baseline("service", &json);

@@ -4,9 +4,9 @@
 //! through the session broker — on the real path with its telemetry table
 //! enabled, then prints everything the metrics plane recorded: per-stage
 //! latency histograms (load/render/stripe/composite percentiles), fan-out
-//! wave latencies, cache shard counters, queue-depth high-waters, and the
-//! executor's introspection counters, followed by the periodic JSONL
-//! snapshot series the `snapshot_frames` knob produces.
+//! wave latencies and counts, cache shard counters and queue-depth
+//! high-waters, followed by the periodic JSONL snapshot series the
+//! `snapshot_frames` knob produces.
 //!
 //! Run with: `cargo run --release -p visapult-bench --example telemetry_tour`
 

@@ -46,9 +46,8 @@ pub struct ServicePlan {
     pub config: ServiceConfig,
     /// Sessions offered over the campaign, in schedule order.
     pub sessions: Vec<SessionSpec>,
-    /// Worker-pool threads for the fan-out plane (`None` = sized to the
-    /// machine, clamped 2..=8).  Pure execution-cost knob: deterministic
-    /// stats and fingerprints are identical whatever its value.
+    /// Always `None`: the fan-out plane has no worker pool.  Part of the
+    /// ledger compile surface (`crate::pipeline::AsyncPlane`).
     pub workers: Option<usize>,
 }
 

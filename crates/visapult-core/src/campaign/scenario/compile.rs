@@ -17,7 +17,7 @@ use crate::campaign::sim::{SimCampaignConfig, SimTransportModel, DEFAULT_WAN_EFF
 use crate::config::{ExecutionMode, PipelineConfig};
 use crate::error::VisapultError;
 use crate::pipeline::Pipeline;
-use crate::service::{ServiceConfig, SessionSpec};
+use crate::service::{QualityTier, ServiceConfig, SessionSpec};
 use crate::transport::{TcpTuning, TransportConfig};
 use dpss::{CacheConfig, DatasetDescriptor, DpssSimModel};
 use netsim::{TcpModel, TestbedKind};
@@ -214,9 +214,6 @@ impl ScenarioSpec {
                 if max_sessions == 0 || link_capacity_units == 0 || render_slots == 0 || queue_depth == 0 {
                     return Err(bad("service capacities must all be positive".to_string()));
                 }
-                if svc.workers == Some(0) {
-                    return Err(bad("service workers must be positive".to_string()));
-                }
                 let farm_egress = session_tcp_model(
                     self.testbed.kind,
                     self.pipeline.pes,
@@ -232,7 +229,7 @@ impl ScenarioSpec {
                     queue_depth,
                     farm_egress_mbps: Some(farm_egress),
                 };
-                let mut by_stage: Vec<Vec<SessionSpec>> = vec![Vec::new(); stages.len()];
+                let mut arrivals = Vec::new();
                 for (ai, arrival) in svc.arrivals.as_deref().unwrap_or_default().iter().enumerate() {
                     let Some(stage_index) = stages.iter().position(|s| s.name == arrival.stage) else {
                         return Err(bad(format!(
@@ -269,37 +266,25 @@ impl ScenarioSpec {
                             arrival.stage
                         )));
                     }
-                    let timesteps = stages[stage_index].timesteps as u32;
                     let pace = session_tcp_model(self.testbed.kind, self.pipeline.pes, tuning, session_stripes)
                         .steady_throughput()
                         .mbps();
-                    for i in 0..arrival.sessions {
-                        let join = (((timesteps as f64) * (spread / 100.0) * (i as f64)
-                            / (arrival.sessions.max(1) as f64))
-                            .floor() as u32)
-                            .min(timesteps.saturating_sub(1));
-                        let leave = arrival.dwell_frames.and_then(|d| {
-                            let l = join.saturating_add(d);
-                            (l < timesteps).then_some(l)
-                        });
-                        by_stage[stage_index].push(SessionSpec {
-                            name: format!("{}-a{ai}-s{i}", arrival.stage),
-                            viewpoint: i % viewpoints,
-                            tier,
-                            join_frame: join,
-                            leave_frame: leave,
-                            stripes: session_stripes,
-                            queue_depth: None,
-                            tuning,
-                            pace_rate_mbps: Some(pace),
-                        });
-                    }
+                    arrivals.push(ResolvedArrival {
+                        index: ai,
+                        stage_index,
+                        stage: arrival.stage.clone(),
+                        timesteps: stages[stage_index].timesteps as u32,
+                        sessions: arrival.sessions,
+                        viewpoints,
+                        tier,
+                        tuning,
+                        stripes: session_stripes,
+                        join_spread_percent: spread,
+                        dwell_frames: arrival.dwell_frames,
+                        pace_rate_mbps: pace,
+                    });
                 }
-                Some(ResolvedService {
-                    config,
-                    by_stage,
-                    workers: svc.workers,
-                })
+                Some(ResolvedService { config, arrivals })
             }
         };
 
@@ -400,19 +385,69 @@ pub struct ResolvedStage {
     pub stripes: Option<u32>,
 }
 
-/// The resolved service layer: broker capacity plus one session schedule per
-/// stage (sessions never span stages; a stage end is a campaign end for its
-/// sessions).
+/// The resolved service layer: broker capacity plus the validated arrival
+/// mixes every stage's session schedule is generated from (sessions never
+/// span stages; a stage end is a campaign end for its sessions).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedService {
     /// Capacity the broker admits against (farm egress filled in from the
     /// testbed model).
     pub config: ServiceConfig,
-    /// Session schedules, indexed like `ResolvedScenario::stages`.
-    pub by_stage: Vec<Vec<SessionSpec>>,
-    /// Fan-out plane worker-pool size (`None` = sized to the machine).  Not
-    /// part of the deterministic telemetry, so not fingerprinted.
-    pub workers: Option<usize>,
+    /// The arrival mixes, in file order.
+    arrivals: Vec<ResolvedArrival>,
+}
+
+/// One `[[service.arrivals]]` mix, validated, with its defaults and its
+/// sessions' modeled last-mile pace filled in.
+#[derive(Debug, Clone, PartialEq)]
+struct ResolvedArrival {
+    /// Position in the file: part of every generated session name.
+    index: usize,
+    stage_index: usize,
+    stage: String,
+    /// The stage's timesteps, which the join spread and dwell clamp to.
+    timesteps: u32,
+    sessions: u32,
+    viewpoints: u32,
+    tier: QualityTier,
+    tuning: TcpTuning,
+    stripes: u32,
+    join_spread_percent: f64,
+    dwell_frames: Option<u32>,
+    pace_rate_mbps: f64,
+}
+
+impl ResolvedService {
+    /// One stage's session schedule, generated here, where it is used: the
+    /// arrivals bound to the stage in file order, each session in order.
+    pub fn sessions(&self, stage_index: usize) -> Vec<SessionSpec> {
+        let mut schedule = Vec::new();
+        for arrival in self.arrivals.iter().filter(|a| a.stage_index == stage_index) {
+            let (sessions, timesteps) = (arrival.sessions, arrival.timesteps);
+            for i in 0..sessions {
+                let join = (((timesteps as f64) * (arrival.join_spread_percent / 100.0) * (i as f64)
+                    / (sessions.max(1) as f64))
+                    .floor() as u32)
+                    .min(timesteps.saturating_sub(1));
+                let leave = arrival.dwell_frames.and_then(|d| {
+                    let l = join.saturating_add(d);
+                    (l < timesteps).then_some(l)
+                });
+                schedule.push(SessionSpec {
+                    name: format!("{}-a{}-s{i}", arrival.stage, arrival.index),
+                    viewpoint: i % arrival.viewpoints,
+                    tier: arrival.tier,
+                    join_frame: join,
+                    leave_frame: leave,
+                    stripes: arrival.stripes,
+                    queue_depth: None,
+                    tuning: arrival.tuning,
+                    pace_rate_mbps: Some(arrival.pace_rate_mbps),
+                });
+            }
+        }
+        schedule
+    }
 }
 
 /// A validated scenario with every default filled in.
@@ -547,8 +582,8 @@ impl ResolvedScenario {
     pub fn stage_service_plan(&self, stage_index: usize) -> Option<ServicePlan> {
         self.service.as_ref().map(|svc| ServicePlan {
             config: svc.config.clone(),
-            sessions: svc.by_stage.get(stage_index).cloned().unwrap_or_default(),
-            workers: svc.workers,
+            sessions: svc.sessions(stage_index),
+            workers: None,
         })
     }
 

@@ -150,9 +150,9 @@ pub struct TelemetryReport {
     /// `"<stage>/<phase>"` (e.g. `"exhibit-floor/render"`) plus campaign
     /// totals keyed `"total/<phase>"`.
     pub latencies: BTreeMap<String, HistogramSummary>,
-    /// Named counters (executor wakes/parks/polls, cache shard hits, …).
+    /// Named counters (fan-out waves and chunks, cache shard hits, …).
     pub counters: BTreeMap<String, u64>,
-    /// Named high-water gauges (stripe-queue depth, executor run queue, …).
+    /// Named high-water gauges (stripe-queue depth, fan-out sessions, …).
     pub high_waters: BTreeMap<String, u64>,
     /// The periodic snapshot series (one entry per `snapshot_frames` tick
     /// plus one per stage end), exported as JSONL by [`snapshots_jsonl`].

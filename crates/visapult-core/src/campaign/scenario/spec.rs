@@ -205,10 +205,6 @@ pub struct ServiceTableSpec {
     pub render_slots: Option<u32>,
     /// Bounded per-session fan-out queue depth in chunks (defaults to 64).
     pub queue_depth: Option<usize>,
-    /// Worker-pool threads of the real-path fan-out plane (defaults to the
-    /// machine's parallelism, clamped to 2..=8).  Scheduling only:
-    /// deterministic telemetry and replay fingerprints do not depend on it.
-    pub workers: Option<usize>,
     /// Staged session-arrival mixes, each bound to a stage by name.
     pub arrivals: Option<Vec<SessionArrivalSpec>>,
 }

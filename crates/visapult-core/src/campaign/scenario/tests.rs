@@ -64,7 +64,6 @@ fn spec_round_trips_through_toml() {
             join_spread_percent: Some(25.0),
             dwell_frames: Some(1),
         }]),
-        workers: None,
     });
     spec.stages = Some(vec![
         StageSpec {
@@ -613,8 +612,8 @@ share = 50.0
     assert_eq!(svc.config.link_capacity_units, 32);
     assert_eq!(svc.config.render_slots, 2);
     assert!(svc.config.farm_egress_mbps.unwrap() > 0.0);
-    assert!(svc.by_stage[0].is_empty(), "no arrivals in the warmup stage");
-    let crowd = &svc.by_stage[1];
+    assert!(svc.sessions(0).is_empty(), "no arrivals in the warmup stage");
+    let crowd = svc.sessions(1);
     assert_eq!(crowd.len(), 4);
     // Joins staggered across the 4-frame stage, viewpoints round-robin,
     // two-frame dwell, per-session pacing from the testbed model.
@@ -641,7 +640,6 @@ fn invalid_service_specs_are_rejected() {
             render_slots: None,
             queue_depth: None,
             arrivals: None,
-            workers: None,
         });
         spec
     };
@@ -750,7 +748,6 @@ fn service_spec(path: ExecutionPath) -> ScenarioSpec {
                 dwell_frames: None,
             },
         ]),
-        workers: None,
     });
     spec
 }
@@ -817,10 +814,10 @@ fn fingerprint_covers_service_config_and_lifecycle() {
 }
 
 #[test]
-fn service_workers_knob_parses_and_validates() {
+fn retired_service_keys_still_load_and_are_ignored() {
     let doc = r#"
 [scenario]
-name = "svc-async"
+name = "svc-retired"
 seed = 5
 path = "real"
 
@@ -834,7 +831,8 @@ execution = "serial"
 
 [service]
 max_sessions = 4
-# The retired plane selector: files that still carry it must keep loading.
+# The retired plane selector and pool size: files that still carry them must
+# keep loading, and neither changes what runs.
 plane = "async"
 workers = 3
 
@@ -843,74 +841,10 @@ name = "full"
 share = 100.0
 "#;
     let spec = ScenarioSpec::from_toml_str(doc).unwrap();
-    let svc_table = spec.service.as_ref().unwrap();
-    assert_eq!(svc_table.workers, Some(3));
     let resolved = spec.resolve().unwrap();
-    let svc = resolved.service.as_ref().unwrap();
-    assert_eq!(svc.workers, Some(3));
+    assert_eq!(resolved.service.as_ref().unwrap().config.max_sessions, 4);
     let plan = resolved.stage_service_plan(0).expect("service plan");
-    assert_eq!(plan.workers, Some(3));
-    // A zero pool is a config error.
-    let mut zero = spec.clone();
-    zero.service.as_mut().unwrap().workers = Some(0);
-    let err = zero.resolve().unwrap_err().to_string();
-    assert!(err.contains("positive"), "got: {err}");
-}
-
-#[test]
-fn worker_pool_size_moves_neither_fingerprint_nor_deterministic_stats() {
-    // The workers knob sizes the plane's pool; it is scheduling only.  Same
-    // spec, same seed, same fingerprint, same deterministic stats — on the
-    // real path where the plane actually runs, and on the virtual path where
-    // the replay ignores it.
-    for path in ExecutionPath::ALL {
-        let default_pool = run_scenario(&service_spec(path)).unwrap();
-        let mut spec = service_spec(path);
-        spec.service.as_mut().unwrap().workers = Some(2);
-        let two_workers = run_scenario(&spec).unwrap();
-        assert_eq!(
-            default_pool.replay_fingerprint(),
-            two_workers.replay_fingerprint(),
-            "{} workers knob moved the fingerprint",
-            path.label()
-        );
-        let (t, a) = (
-            &default_pool.service.as_ref().unwrap().totals,
-            &two_workers.service.as_ref().unwrap().totals,
-        );
-        assert_eq!(
-            (
-                t.sessions_offered,
-                t.sessions_admitted,
-                t.sessions_rejected,
-                t.sessions_evicted
-            ),
-            (
-                a.sessions_offered,
-                a.sessions_admitted,
-                a.sessions_rejected,
-                a.sessions_evicted
-            ),
-            "{} lifecycle drifted across pool sizes",
-            path.label()
-        );
-        assert_eq!(
-            (
-                t.render_requests,
-                t.renders_performed,
-                t.peak_live_sessions,
-                t.flow_limited_sessions
-            ),
-            (
-                a.render_requests,
-                a.renders_performed,
-                a.peak_live_sessions,
-                a.flow_limited_sessions
-            ),
-            "{} shared-render accounting drifted across pool sizes",
-            path.label()
-        );
-    }
+    assert_eq!(plan.workers, None);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! With a [`ServicePlan`] configured, the real plane ([`FanoutPlane`])
 //! splices the shared-render broker between the backend links and the
 //! primary viewer: chunks forward to the primary under backpressure while
-//! zero-copy clones multicast onto per-session bounded queues.  The replay
+//! each (rank, frame) is assembled once and folded into every session.  The replay
 //! plane ([`ReplayPlane`]) advances the *identical* deterministic
 //! [`SessionBroker`] over the same frame counter without moving a byte, and
 //! folds the offered fan-out load in from the modeled chunk plan — so the
@@ -46,10 +46,10 @@ pub trait PlaneSession {
     ) -> Result<Option<ServiceRunReport>, VisapultError>;
 }
 
-/// The real shared-render fan-out plane: session consumers, stripe pumps and
-/// pacers run as polled tasks over a bounded worker pool
-/// ([`crate::service::asyncplane`]), so OS thread count is the pool size —
-/// independent of session count.
+/// The real shared-render fan-out plane: one thread pulls every backend link
+/// and folds each wave into every session
+/// ([`crate::service::asyncplane`]), so OS thread count is one, independent
+/// of session count.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FanoutPlane;
 
@@ -58,31 +58,27 @@ impl FanoutPlane {
     /// supported entry point for harnesses that drive the plane without a
     /// full pipeline (benchmarks, plane-level tests).  Chunks forward to the
     /// primary viewer links (when given); each (rank, frame) is assembled
-    /// once and published to every session `broker` admits, whose lanes take
+    /// once and folded into every session `broker` admits, whose queues take
     /// their shape from the sessions' own specs (`transport` describes the
-    /// backend links).  The call blocks until the campaign drains; the work
-    /// runs on the default worker pool, unmetered.
+    /// backend links).  The call runs the plane on the calling thread, unmetered,
+    /// until the campaign drains.
     pub fn drive(
         broker: SessionBroker,
         inputs: Vec<StripeReceiver>,
         primary: Vec<StripeSender>,
-        transport: &TransportConfig,
+        _transport: &TransportConfig,
     ) -> ServiceRunReport {
-        Self::drive_with(broker, inputs, primary, transport, None, &MetricsHub::disabled())
+        Self::drive_with(broker, inputs, primary, &MetricsHub::disabled())
     }
 
-    /// [`FanoutPlane::drive`] with an explicit worker-pool size (`None` =
-    /// sized to the machine, clamped 2..=8) and a [`MetricsHub`]: wave
-    /// latencies, queue-depth high-waters, fan-out counters and the
-    /// executor's introspection counters (`exec/*`) land in `hub` — how the
+    /// [`FanoutPlane::drive`] with a [`MetricsHub`]: wave latencies,
+    /// queue-depth high-waters and fan-out counters land in `hub` — how the
     /// benchmarks extract per-stage percentiles without a full pipeline.
     /// The disabled hub costs nothing.
     pub fn drive_with(
         broker: SessionBroker,
         inputs: Vec<StripeReceiver>,
         primary: Vec<StripeSender>,
-        _transport: &TransportConfig,
-        workers: Option<usize>,
         hub: &MetricsHub,
     ) -> ServiceRunReport {
         drive_fanout_on(
@@ -90,7 +86,6 @@ impl FanoutPlane {
             broker,
             inputs,
             primary,
-            workers,
             &PlaneTelemetry::new(hub.clone(), 0),
         )
     }
@@ -128,25 +123,14 @@ impl ServicePlane for FanoutPlane {
             primary_txs.push(tx);
             primary_rxs.push(rx);
         }
-        let workers = plan.workers;
         // The stage's metrics hub rides into the plane thread: wave
-        // latencies, queue high-waters and executor introspection all land
-        // in the same hub the pipeline folds into the campaign's
-        // TelemetryReport.
+        // latencies and queue high-waters land in the same hub the pipeline
+        // folds into the campaign's TelemetryReport.
         let plane_telemetry = PlaneTelemetry::new(ctx.metrics.clone(), ctx.telemetry.snapshot_frames);
         let broker = SessionBroker::new(plan.config.clone(), plan.sessions.clone());
         let handle = std::thread::Builder::new()
             .name("visapult-service-plane".to_string())
-            .spawn(move || {
-                drive_fanout_on(
-                    Arc::new(WallClock),
-                    broker,
-                    plane_inputs,
-                    primary_txs,
-                    workers,
-                    &plane_telemetry,
-                )
-            })?;
+            .spawn(move || drive_fanout_on(Arc::new(WallClock), broker, plane_inputs, primary_txs, &plane_telemetry))?;
         Ok((
             FabricLinks {
                 senders,
@@ -263,10 +247,11 @@ impl PlaneSession for NoSession {
 // ---------------------------------------------------------------------------
 // Ledger compile surface
 // ---------------------------------------------------------------------------
-// `PlaneKind`, `AsyncPlane` and `ServicePlan::plane_kind` exist only because
-// the frozen benchmark (`crates/visapult-bench/src/bin/ledger/`, which a PR
-// may not edit) still names them; nothing in this crate selects on them, and
-// all three go in the next `benchmark` PR.
+// `PlaneKind`, `AsyncPlane`, `ServicePlan::plane_kind` and the always-`None`
+// `ServicePlan::workers` exist only because the frozen benchmark
+// (`crates/visapult-bench/src/bin/ledger/`, which a PR may not edit) still
+// names them; nothing in this crate selects on them, and all four go in the
+// next `benchmark` PR.
 
 /// Which plane a [`ServicePlan`] selects — always [`PlaneKind::Async`]: there
 /// is one fan-out plane.
@@ -274,7 +259,7 @@ impl PlaneSession for NoSession {
 pub enum PlaneKind {
     /// The retired thread-per-session plane (never selected).
     Threaded,
-    /// The executor-backed plane behind [`FanoutPlane`].
+    /// The plane behind [`FanoutPlane`].
     Async,
 }
 
@@ -285,15 +270,15 @@ impl ServicePlan {
     }
 }
 
-/// [`FanoutPlane`] with a worker-pool size attached.
+/// [`FanoutPlane`] with a retired worker-pool size attached.
 #[derive(Debug, Clone, Copy)]
 pub struct AsyncPlane {
-    /// Worker-pool threads (`None` = sized to the machine, clamped 2..=8).
+    /// Ignored: the plane has no worker pool.
     pub workers: Option<usize>,
 }
 
 impl AsyncPlane {
-    /// Forwards to [`FanoutPlane::drive_with`], unmetered.
+    /// Forwards to [`FanoutPlane::drive`].
     pub fn drive(
         &self,
         broker: SessionBroker,
@@ -301,14 +286,7 @@ impl AsyncPlane {
         primary: Vec<StripeSender>,
         transport: &TransportConfig,
     ) -> ServiceRunReport {
-        FanoutPlane::drive_with(
-            broker,
-            inputs,
-            primary,
-            transport,
-            self.workers,
-            &MetricsHub::disabled(),
-        )
+        FanoutPlane::drive(broker, inputs, primary, transport)
     }
 }
 

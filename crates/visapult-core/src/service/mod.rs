@@ -16,21 +16,21 @@
 //!   distinct live viewpoints while `render_requests` counts what a naive
 //!   per-session farm would have paid.
 //! * [`crate::pipeline::FanoutPlane`] — the real-mode shared-render
-//!   fan-out.  It sits
-//!   between the backend's striped links and N concurrent sessions,
-//!   multicasting every stripe chunk zero-copy ([`bytes::Bytes`] clones) onto
-//!   per-session bounded queues.  A slow session's full queue degrades *that
-//!   session* (the rest of the frame is skipped for it, leaving a partial
-//!   composite) instead of stalling the farm or the other sessions.  There
-//!   is one implementation, [`asyncplane`]: every consumer, pump, and pacer
-//!   is a polled task over a bounded worker pool, so session count buys
-//!   memory, not OS threads; the behaviour-defining seam functions it calls
-//!   live in [`fanout`].  It drives one [`SessionBroker`] behind one lock.
+//!   fan-out.  It sits between the backend's striped links and N concurrent
+//!   sessions, assembling each (rank, frame) once and folding the verdicts
+//!   into every session's delivery without copying a payload.  A slow
+//!   session's full queue degrades *that session* (the rest of the frame is
+//!   skipped for it, leaving a partial composite) instead of stalling the
+//!   farm or the other sessions.  There is one implementation,
+//!   [`asyncplane`]: one thread pulls every backend link and folds every
+//!   session, so session count buys memory, not OS threads; the
+//!   behaviour-defining seam functions it calls live in [`fanout`].  It owns
+//!   its one [`SessionBroker`].
 //! * Per-session flow adaptation: each session drains its queue through its
 //!   own [`netsim::StripePacer`] (derived from a per-session
-//!   [`netsim::TcpModel`] by the scenario layer), so every session
-//!   experiences its own WAN — an untuned dial-up-grade session backpressures
-//!   only itself.
+//!   [`netsim::TcpModel`] by the scenario layer), on the plane's clock, so
+//!   every session experiences its own WAN — an untuned dial-up-grade
+//!   session fills only its own queue.
 //!
 //! The virtual-time path replays the identical broker state machine frame by
 //! frame (`pipeline::ReplayPlane`), so the deterministic

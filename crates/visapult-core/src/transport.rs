@@ -76,7 +76,7 @@
 use crate::error::VisapultError;
 use crate::protocol::{FramePayload, FrameSegments, LightPayload};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, ReadyHook, Receiver, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{bounded, ReadyHook, Receiver, Sender, TryRecvError};
 use netsim::{Bandwidth, StripePacer, TcpConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
@@ -581,24 +581,13 @@ impl StripeSender {
         self.state.lock().counts
     }
 
-    /// Inject a raw chunk onto its stripe, bypassing framing — the fault
-    /// hook tests use to exercise duplicate, late and corrupt arrivals.
+    /// Put a raw chunk onto its stripe, bypassing framing, blocking while the
+    /// stripe is full — how the fan-out plane forwards chunks to the primary
+    /// viewer, and the fault hook tests use to exercise duplicate, late and
+    /// corrupt arrivals.
     pub fn send_raw_chunk(&self, chunk: FrameChunk) -> Result<(), TransportError> {
         let stripe = chunk.stripe as usize % self.txs.len();
         self.txs[stripe].send(chunk).map_err(|_| TransportError::Closed)
-    }
-
-    /// Non-blocking raw-chunk injection: `Ok(true)` when queued, `Ok(false)`
-    /// when the stripe queue is full right now, `Err(Closed)` when the
-    /// receiver is gone.  The fan-out plane's pumps forward to the primary
-    /// viewer with it, so a full viewer queue parks a task, not a thread.
-    pub fn try_send_raw_chunk(&self, chunk: FrameChunk) -> Result<bool, TransportError> {
-        let stripe = chunk.stripe as usize % self.txs.len();
-        match self.txs[stripe].try_send(chunk) {
-            Ok(()) => Ok(true),
-            Err(TrySendError::Full(_)) => Ok(false),
-            Err(TrySendError::Disconnected(_)) => Err(TransportError::Closed),
-        }
     }
 
     /// Chunks currently occupying every stripe of this link — queued, or
@@ -607,17 +596,6 @@ impl StripeSender {
     /// gauges.  Racy by nature; never used for control flow.
     pub fn queued_chunks(&self) -> usize {
         self.txs.iter().map(|tx| tx.len()).sum()
-    }
-
-    /// Register a hook fired whenever any full stripe of this link frees a
-    /// slot or the receiver disconnects — the readiness edge an executor-
-    /// parked producer task (one that saw [`StripeSender::try_send_raw_chunk`]
-    /// report full) waits on.  Edge-triggered: retry the send once after
-    /// registering before relying on it.
-    pub fn set_space_hook(&self, hook: ReadyHook) {
-        for tx in &self.txs {
-            tx.set_space_hook(Arc::clone(&hook));
-        }
     }
 }
 
@@ -640,8 +618,8 @@ pub struct StripeReceiver {
     signal: Arc<LinkSignal>,
     /// Whether the stripes' data hooks feed [`StripeReceiver::signal`] yet.
     /// Armed lazily by the first [`StripeReceiver::recv_chunk`] call: links
-    /// drained purely by `try_recv_chunk` (every executor-plane path) never
-    /// pay the per-transition bump on their send side.
+    /// drained purely by `try_recv_chunk` (the fan-out plane's backend links)
+    /// never pay the per-transition bump on their send side.
     signal_armed: bool,
     #[cfg(test)]
     counts: ReceiverCounts,
@@ -710,8 +688,8 @@ impl StripeReceiver {
     }
 
     /// Register a hook fired whenever any stripe of this link transitions
-    /// empty→non-empty or disconnects — the readiness edge an executor-
-    /// parked consumer task waits on.  Edge-triggered: poll the stripes once
+    /// empty→non-empty or disconnects — the readiness edge a consumer that
+    /// polls several links parks on.  Edge-triggered: poll the stripes once
     /// after registering before relying on it.
     pub fn set_data_hook(&self, hook: ReadyHook) {
         for rx in &self.rxs {
@@ -803,7 +781,7 @@ impl StripeReceiver {
 
     /// Chunks occupying every stripe of this link — queued, or held by this
     /// receiver and not yet released: the receiver-side twin of
-    /// [`StripeSender::queued_chunks`], sampled by the fan-out pumps for the
+    /// [`StripeSender::queued_chunks`], sampled by the fan-out plane for the
     /// backend-inlet depth gauge.
     pub fn queued_chunks(&self) -> usize {
         self.rxs.iter().map(|rx| rx.len()).sum()

@@ -24,7 +24,7 @@ pub mod channel {
     use std::time::{Duration, Instant};
 
     /// A readiness callback fired *after* the channel lock is released, so a
-    /// hook may take other locks (e.g. an executor's) without inversion risk.
+    /// hook may take other locks without inversion risk.
     pub type ReadyHook = Arc<dyn Fn() + Send + Sync>;
 
     struct State<T> {
@@ -42,10 +42,6 @@ pub mod channel {
         /// after registering, before relying on hooks (registration does not
         /// fire for data already queued).
         data_hooks: Vec<ReadyHook>,
-        /// Fired when a full bounded channel frees a slot and on receiver
-        /// disconnect: "a producer parked on fullness has a reason to look
-        /// again".  Same edge-trigger contract as `data_hooks`.
-        space_hooks: Vec<ReadyHook>,
         /// Receivers currently blocked in a `ready` wait.  `Condvar::notify`
         /// is a futex syscall even when nobody is waiting, which at fan-out
         /// rates (hundreds of thousands of `try_send`/`try_recv` pairs per
@@ -181,9 +177,9 @@ pub mod channel {
     }
 
     /// Hooks cloned out of the state so they can be fired after the lock
-    /// drops.  The one-hook case (every channel the fan-out planes build) is
-    /// kept allocation-free: transitions happen per chunk burst, and a heap
-    /// allocation per burst would tax the hot multicast path.
+    /// drops.  The one-hook case (every channel the workspace builds) is kept
+    /// allocation-free: transitions happen per chunk burst, and a heap
+    /// allocation per burst would tax the hot send path.
     enum HookFire {
         One(ReadyHook),
         Many(Vec<ReadyHook>),
@@ -229,7 +225,6 @@ pub mod channel {
                 ready_waiters: 0,
                 space_waiters: 0,
                 data_hooks: Vec::new(),
-                space_hooks: Vec::new(),
             }),
             ready: Condvar::new(),
             space: Condvar::new(),
@@ -364,19 +359,6 @@ pub mod channel {
         pub fn is_empty(&self) -> bool {
             self.len() == 0
         }
-
-        /// Register a hook fired whenever a slot frees up in this bounded
-        /// channel (full→not-full transition) or every receiver disconnects.
-        /// For a producer that parks when the channel is full: check
-        /// fullness *after* registering — hooks are edge-triggered.
-        pub fn set_space_hook(&self, hook: ReadyHook) {
-            self.shared
-                .state
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .space_hooks
-                .push(hook);
-        }
     }
 
     impl<T> Clone for Sender<T> {
@@ -415,19 +397,12 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                let was_full = self.shared.capacity == Some(state.occupied());
                 if let Some(v) = state.queue.pop_front() {
                     let wake = state.space_waiters > 0;
-                    let hooks = if was_full {
-                        snapshot_hooks(&state.space_hooks)
-                    } else {
-                        None
-                    };
                     drop(state);
                     if wake {
                         self.shared.space.notify_one();
                     }
-                    fire_hooks(hooks);
                     return Ok(v);
                 }
                 if state.senders == 0 {
@@ -442,20 +417,13 @@ pub mod channel {
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            let was_full = self.shared.capacity == Some(state.occupied());
             match state.queue.pop_front() {
                 Some(v) => {
                     let wake = state.space_waiters > 0;
-                    let hooks = if was_full {
-                        snapshot_hooks(&state.space_hooks)
-                    } else {
-                        None
-                    };
                     drop(state);
                     if wake {
                         self.shared.space.notify_one();
                     }
-                    fire_hooks(hooks);
                     Ok(v)
                 }
                 None if state.senders == 0 => Err(TryRecvError::Disconnected),
@@ -468,19 +436,12 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                let was_full = self.shared.capacity == Some(state.occupied());
                 if let Some(v) = state.queue.pop_front() {
                     let wake = state.space_waiters > 0;
-                    let hooks = if was_full {
-                        snapshot_hooks(&state.space_hooks)
-                    } else {
-                        None
-                    };
                     drop(state);
                     if wake {
                         self.shared.space.notify_one();
                     }
-                    fire_hooks(hooks);
                     return Ok(v);
                 }
                 if state.senders == 0 {
@@ -526,7 +487,6 @@ pub mod channel {
         /// messages.
         pub fn try_recv_all(&self, run: &mut VecDeque<T>) -> Result<usize, TryRecvError> {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            let was_full = self.shared.capacity == Some(state.occupied());
             let given_back = state.held.saturating_sub(run.len());
             let taken = state.queue.len();
             if run.is_empty() {
@@ -536,10 +496,9 @@ pub mod channel {
             }
             state.held = run.len();
             let disconnected = state.senders == 0;
-            let (waiters, hooks) = Self::freed(&state, was_full, given_back);
+            let waiters = state.space_waiters;
             drop(state);
             notify(&self.shared.space, waiters, given_back);
-            fire_hooks(hooks);
             match taken {
                 0 if disconnected => Err(TryRecvError::Disconnected),
                 0 => Err(TryRecvError::Empty),
@@ -549,34 +508,17 @@ pub mod channel {
 
         /// Give back the capacity of `n` messages taken by
         /// [`Receiver::try_recv_all`] (at most what is held): a sender blocked
-        /// on the full channel, or parked on its space hook, hears of it at
-        /// once.
+        /// on the full channel hears of it at once.
         pub fn release(&self, n: usize) {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             let n = n.min(state.held);
             if n == 0 {
                 return;
             }
-            let was_full = self.shared.capacity == Some(state.occupied());
             state.held -= n;
-            let (waiters, hooks) = Self::freed(&state, was_full, n);
+            let waiters = state.space_waiters;
             drop(state);
             notify(&self.shared.space, waiters, n);
-            fire_hooks(hooks);
-        }
-
-        /// Who hears that `freed` slots came free: the blocked senders, and
-        /// the space hooks when the channel was full.
-        fn freed(state: &State<T>, was_full: bool, freed: usize) -> (usize, Option<HookFire>) {
-            if freed == 0 {
-                return (0, None);
-            }
-            let hooks = if was_full {
-                snapshot_hooks(&state.space_hooks)
-            } else {
-                None
-            };
-            (state.space_waiters, hooks)
         }
 
         /// True when no message occupies the channel right now.
@@ -612,18 +554,11 @@ pub mod channel {
             // Wake senders blocked on a full bounded channel so they can
             // observe the disconnect instead of waiting forever.  (Future
             // senders re-check `receivers` under the mutex before waiting.)
-            let disconnected = state.receivers == 0;
-            let wake = disconnected && state.space_waiters > 0;
-            let hooks = if disconnected {
-                snapshot_hooks(&state.space_hooks)
-            } else {
-                None
-            };
+            let wake = state.receivers == 0 && state.space_waiters > 0;
             drop(state);
             if wake {
                 self.shared.space.notify_all();
             }
-            fire_hooks(hooks);
         }
     }
 
@@ -757,28 +692,6 @@ pub mod channel {
             assert_eq!(fired.load(Ordering::SeqCst), 3);
         }
 
-        #[test]
-        fn space_hook_fires_on_full_transition_and_disconnect_only() {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let (tx, rx) = bounded(2);
-            let fired = Arc::new(AtomicUsize::new(0));
-            let hook_fired = Arc::clone(&fired);
-            tx.set_space_hook(Arc::new(move || {
-                hook_fired.fetch_add(1, Ordering::SeqCst);
-            }));
-            tx.send(1u8).unwrap();
-            assert_eq!(rx.try_recv(), Ok(1)); // not full: silent
-            assert_eq!(fired.load(Ordering::SeqCst), 0);
-            tx.send(2).unwrap();
-            tx.send(3).unwrap(); // now full
-            assert_eq!(rx.try_recv(), Ok(2)); // full → not-full: fires
-            assert_eq!(fired.load(Ordering::SeqCst), 1);
-            assert_eq!(rx.try_recv(), Ok(3)); // not full anymore: silent
-            assert_eq!(fired.load(Ordering::SeqCst), 1);
-            drop(rx); // disconnect fires so a parked producer can observe it
-            assert_eq!(fired.load(Ordering::SeqCst), 2);
-        }
-
         fn counting_hook(fired: &Arc<std::sync::atomic::AtomicUsize>) -> ReadyHook {
             let fired = Arc::clone(fired);
             Arc::new(move || {
@@ -845,34 +758,6 @@ pub mod channel {
             run.clear();
             assert_eq!(rx.try_recv_all(&mut run), Err(TryRecvError::Empty));
             assert_eq!(rx.len(), 0);
-        }
-
-        #[test]
-        fn the_space_hook_fires_once_when_a_full_channel_frees_space() {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let (tx, rx) = bounded(2);
-            let fired = Arc::new(AtomicUsize::new(0));
-            tx.set_space_hook(counting_hook(&fired));
-            tx.send(1u8).unwrap();
-            tx.send(2).unwrap();
-            let mut run = VecDeque::new();
-            assert_eq!(rx.try_recv_all(&mut run), Ok(2));
-            assert_eq!(fired.load(Ordering::SeqCst), 0, "taking frees nothing");
-            rx.release(1);
-            assert_eq!(fired.load(Ordering::SeqCst), 1, "full → not full");
-            rx.release(1);
-            assert_eq!(fired.load(Ordering::SeqCst), 1, "was not full: silent");
-            tx.send(3).unwrap();
-            tx.send(4).unwrap();
-            run.clear();
-            assert_eq!(rx.try_recv_all(&mut run), Ok(2));
-            run.clear();
-            assert_eq!(rx.try_recv_all(&mut run), Err(TryRecvError::Empty));
-            assert_eq!(
-                fired.load(Ordering::SeqCst),
-                2,
-                "a refill that gives back a full run fires once"
-            );
         }
 
         #[test]

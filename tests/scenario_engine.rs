@@ -201,11 +201,18 @@ const DRIVEN_ONLY_BY: [(&str, &str); 3] = [
 /// when the file loads, so a stray one runs as if it were absent; any key
 /// with no knob and no entry here fails the census below, and so does an
 /// entry that became a knob or left every file.
-const IGNORED_KEYS: [(&str, &str); 1] = [(
-    "service.plane",
-    "crates/visapult-bench/src/bin/ledger/workloads/exhibit_floor.toml, frozen with the benchmark: \
-     drop it with the benchmark's next revision",
-)];
+const IGNORED_KEYS: [(&str, &str); 2] = [
+    (
+        "service.plane",
+        "crates/visapult-bench/src/bin/ledger/workloads/exhibit_floor.toml, frozen with the benchmark: \
+         drop it with the benchmark's next revision",
+    ),
+    (
+        "service.workers",
+        "crates/visapult-bench/src/bin/ledger/workloads/exhibit_floor.toml, frozen with the benchmark: \
+         the plane has no worker pool; drop it with the benchmark's next revision",
+    ),
+];
 
 #[test]
 fn every_spec_knob_has_traffic_or_a_named_driver() {
@@ -268,7 +275,6 @@ fn every_spec_knob_has_traffic_or_a_named_driver() {
             link_capacity_units: Some(64),
             render_slots: Some(2),
             queue_depth: Some(16),
-            workers: Some(2),
             arrivals: Some(vec![SessionArrivalSpec {
                 stage: "full".to_string(),
                 sessions: 2,

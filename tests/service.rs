@@ -68,11 +68,11 @@ fn payload(rank: u32, frame: u32, tex: usize) -> FramePayload {
     }
 }
 
-/// Drive `frames` timesteps from `pes` PEs through the fan-out plane (on a
-/// pool of `workers`), over the broker the caller built.
+/// Drive `frames` timesteps from `pes` PEs through the fan-out plane, over
+/// the broker the caller built (the plane has no pool for `_workers` to size).
 fn run_plane_over(
     broker: SessionBroker,
-    workers: usize,
+    _workers: usize,
     transport: &TransportConfig,
     frames: u32,
     tex: usize,
@@ -85,19 +85,7 @@ fn run_plane_over(
         txs.push(tx);
         rxs.push(rx);
     }
-    let handle = {
-        let transport = transport.clone();
-        std::thread::spawn(move || {
-            FanoutPlane::drive_with(
-                broker,
-                rxs,
-                Vec::new(),
-                &transport,
-                Some(workers),
-                &MetricsHub::disabled(),
-            )
-        })
-    };
+    let handle = std::thread::spawn(move || FanoutPlane::drive_with(broker, rxs, Vec::new(), &MetricsHub::disabled()));
     let senders: Vec<_> = txs
         .into_iter()
         .enumerate()

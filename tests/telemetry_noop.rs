@@ -54,9 +54,8 @@ fn run_metered(hub: &MetricsHub) -> u64 {
     let (tx, rx) = striped_link(&transport);
     let broker = SessionBroker::new(config, schedule);
     let handle = {
-        let transport = transport.clone();
         let hub = hub.clone();
-        std::thread::spawn(move || FanoutPlane::drive_with(broker, vec![rx], Vec::new(), &transport, Some(2), &hub))
+        std::thread::spawn(move || FanoutPlane::drive_with(broker, vec![rx], Vec::new(), &hub))
     };
     for f in 0..4 {
         tx.send_frame(&payload(f)).unwrap();
