@@ -65,7 +65,7 @@ impl SceneGraph {
     }
 
     /// Replace the node with the given id (inserting it if absent).  This is
-    /// what a viewer I/O thread does when a new texture arrives for its PE.
+    /// what the viewer's receive thread does when a PE's new texture arrives.
     pub fn update(&self, id: NodeId, node: SceneNode) {
         let mut inner = self.inner.write();
         inner.nodes.insert(id, node);

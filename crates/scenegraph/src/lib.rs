@@ -12,10 +12,10 @@
 //!   per-vertex depth offsets (the IBRAVR depth extension), and text
 //!   annotations.
 //! * [`graph`] — the semaphore-protected retained scene graph with
-//!   asynchronous updates: viewer I/O threads update textures as they arrive
-//!   from the back end while the render thread takes consistent snapshots at
-//!   its own rate, which is exactly how "graphics interactivity is
-//!   effectively decoupled from the latency inherent in network
+//!   asynchronous updates: the viewer's receive thread updates textures as
+//!   they arrive from the back end while the render thread takes consistent
+//!   snapshots at its own rate, which is exactly how "graphics interactivity
+//!   is effectively decoupled from the latency inherent in network
 //!   applications".
 //! * [`raster`] — a software rasterizer (orthographic projection, textured
 //!   quads with bilinear sampling and alpha blending, line drawing) standing

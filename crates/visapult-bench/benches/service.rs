@@ -86,7 +86,7 @@ fn fan_out(sessions: u32, hub: &MetricsHub) -> ServiceRunReport {
     let broker = SessionBroker::new(config, schedule(sessions));
     let handle = {
         let hub = hub.clone();
-        std::thread::spawn(move || FanoutPlane::drive_with(broker, vec![rx], Vec::new(), &hub))
+        std::thread::spawn(move || FanoutPlane::drive_with(broker, vec![rx], &hub))
     };
     for f in 0..FRAMES {
         tx.send_frame(&sample_frame(f)).unwrap();

@@ -3,13 +3,13 @@
 //! Measures one frame's trip across the striped link — zero-copy segment
 //! encode, chunking, stripe fan-out, out-of-order reassembly, decode — at
 //! stripe counts 1/4/8 (unshaped, so the numbers are the transport's own
-//! overhead, not the pacing), and `progressive_1k`: what a viewer link thread
-//! asks of one `FrameAssembler` per frame on the `wan_wire` shape (a 512²
+//! overhead, not the pacing), and `progressive_1k`: what the viewer's receive
+//! loop asks of one `FrameAssembler` per frame on the `wan_wire` shape (a 512²
 //! texture in 1 KB chunks over 8 stripes, the light and the texture prefix
 //! polled after every chunk).  `threaded_wan_1k` is the `wan_wire` link
 //! itself: a 1 MB frame in 1 KB chunks over 8 stripes at queue depth 16, the
 //! sender on its own thread and the bench thread receiving and reassembling
-//! as a viewer link thread does, so backpressure and wake-ups are in the
+//! as the viewer's receive loop does, so backpressure and wake-ups are in the
 //! number.  `codec_geometry` is the codec alone on the
 //! `playback_warm` shape, where the AMR grid, not the texture, is the
 //! payload: encode plus decode of a frame with a 32² texture and 2 880 grid

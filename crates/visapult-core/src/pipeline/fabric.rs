@@ -10,6 +10,7 @@
 
 use super::{modeled_segment_lens, FarmRun, StageContext};
 use crate::error::VisapultError;
+use crate::service::asyncplane::SessionFeed;
 use crate::transport::{plan_chunks, striped_link, StripeReceiver, StripeSender, TransportStats};
 use netlogger::{tags, Collector, FieldValue, NetLogger};
 use std::sync::{Arc, Mutex};
@@ -20,12 +21,14 @@ use std::sync::{Arc, Mutex};
 pub struct FabricLinks {
     /// One striped sender per PE (what the back end ships frames into).
     pub senders: Vec<StripeSender>,
-    /// One striped receiver per PE (what the viewer — or the spliced
-    /// service plane — drains).
+    /// One striped receiver per PE (what the viewer drains).
     pub receivers: Vec<StripeReceiver>,
     /// The senders' live counter handles, harvested by [`Fabric::collect`]
     /// after the stage completes.
     pub stats: Vec<Arc<Mutex<TransportStats>>>,
+    /// The stage's sessions, attached by the service plane: whoever drains
+    /// `receivers` serves them from the same receive loop.
+    pub(crate) sessions: Option<SessionFeed>,
 }
 
 /// The striped-link capability: how frames physically (or notionally) cross
@@ -57,6 +60,7 @@ impl Fabric for StripedFabric {
             senders: Vec::with_capacity(pes),
             receivers: Vec::with_capacity(pes),
             stats: Vec::with_capacity(pes),
+            sessions: None,
         };
         for _ in 0..pes {
             let (tx, rx) = striped_link(&ctx.transport);

@@ -8,7 +8,7 @@
 //! on the virtual clock, emitting the NetLogger events the real pipeline
 //! would have produced.
 
-use super::{hash_image, join_thread, FabricLinks, FarmRun, PhaseMeans, StageContext};
+use super::{hash_image, join_thread, FabricLinks, FarmRun, PhaseMeans, StageContext, WallClock};
 use crate::backend::run_backend;
 use crate::campaign::real::RealDataPath;
 use crate::campaign::sim::model_stage;
@@ -62,10 +62,11 @@ impl RenderFarm for ThreadFarm {
     ) -> Result<FarmRun, VisapultError> {
         let source = stage_source(ctx, collector)?;
         let backend_logger = collector.logger("backend-host", "backend-master");
-        let FabricLinks { senders, receivers, .. } = links;
+        let (senders, receivers, sessions) = (links.senders, links.receivers, links.sessions);
 
         // The progressive compositor viewer drains the far end of the fabric
-        // on its own thread while the back end runs here.
+        // on its own thread while the back end runs here, serving the
+        // stage's sessions (if any) from the same receive loop.
         let viewer = Viewer::new(ViewerConfig {
             volume_dims: ctx.pipeline.dataset.dims,
             image_size: ctx.viewer_image,
@@ -75,7 +76,7 @@ impl RenderFarm for ThreadFarm {
         let viewer_logger = collector.logger("desktop", "viewer-master");
         let viewer_handle = std::thread::Builder::new()
             .name("visapult-viewer".to_string())
-            .spawn(move || viewer.run(receivers, Some(viewer_logger)))?;
+            .spawn(move || viewer.serve(&WallClock, receivers, Some(viewer_logger), sessions))?;
         let backend = run_backend(&ctx.pipeline, source, senders, Some(backend_logger))?;
         let viewer_report = join_thread("viewer", viewer_handle)?;
         Ok(FarmRun {

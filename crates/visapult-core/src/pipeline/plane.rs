@@ -1,27 +1,26 @@
 //! The [`ServicePlane`] capability: the multi-session fan-out seam.
 //!
-//! With a [`ServicePlan`] configured, the real plane ([`FanoutPlane`])
-//! splices the shared-render broker between the backend links and the
-//! primary viewer: chunks forward to the primary under backpressure while
-//! each (rank, frame) is assembled once and folded into every session.  The replay
-//! plane ([`ReplayPlane`]) advances the *identical* deterministic
+//! With a [`ServicePlan`] configured, the real plane ([`FanoutPlane`]) hands
+//! the shared-render broker to whoever runs the receive loop over the
+//! stage's links — the viewer, on the real farm — so each (rank, frame) is
+//! assembled once, for the display and for every session.  The replay plane
+//! ([`ReplayPlane`]) advances the *identical* deterministic
 //! [`SessionBroker`] over the same frame counter without moving a byte, and
 //! folds the offered fan-out load in from the modeled chunk plan — so the
 //! lifecycle and shared-render telemetry is byte-identical across paths.
 
-use super::{join_thread, modeled_segment_lens, FabricLinks, FarmRun, StageContext, WallClock};
+use super::{modeled_segment_lens, FabricLinks, FarmRun, StageContext, WallClock};
 use crate::campaign::real::ServicePlan;
 use crate::error::VisapultError;
-use crate::service::asyncplane::drive_fanout_on;
+use crate::service::asyncplane::{receive, Fan};
 use crate::service::fanout::PlaneTelemetry;
 use crate::service::{log_service_stats_sampled, ServiceRunReport, SessionBroker};
-use crate::transport::{plan_chunks, striped_link, StripeReceiver, StripeSender, TransportConfig};
+use crate::transport::{plan_chunks, StripeReceiver, StripeSender, TransportConfig};
 use netlogger::{Collector, MetricsHub};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::mpsc;
 
-/// The fan-out capability: given the fabric's links, optionally splice a
-/// session-serving plane between the farm and the viewer.
+/// The fan-out capability: given the fabric's links, optionally attach the
+/// stage's sessions to them, for whoever drains the links to serve.
 pub trait ServicePlane {
     /// Splice the plane into the stage's links (a no-op when the context
     /// carries no service plan), returning the links the farm should use and
@@ -46,105 +45,57 @@ pub trait PlaneSession {
     ) -> Result<Option<ServiceRunReport>, VisapultError>;
 }
 
-/// The real shared-render fan-out plane: one thread pulls every backend link
-/// and folds each wave into every session
-/// ([`crate::service::asyncplane`]), so OS thread count is one, independent
-/// of session count.
+/// The real shared-render fan-out plane: the receive loop that pulls every
+/// backend link folds each wave into every session
+/// ([`crate::service::asyncplane`]), so OS thread count is independent of
+/// session count — and, in a pipeline stage, the loop is the viewer's own.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FanoutPlane;
 
 impl FanoutPlane {
     /// Run the fan-out plane over a set of backend links directly — the
     /// supported entry point for harnesses that drive the plane without a
-    /// full pipeline (benchmarks, plane-level tests).  Chunks forward to the
-    /// primary viewer links (when given); each (rank, frame) is assembled
-    /// once and folded into every session `broker` admits, whose queues take
-    /// their shape from the sessions' own specs (`transport` describes the
-    /// backend links).  The call runs the plane on the calling thread, unmetered,
-    /// until the campaign drains.
-    pub fn drive(
-        broker: SessionBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        _transport: &TransportConfig,
-    ) -> ServiceRunReport {
-        Self::drive_with(broker, inputs, primary, &MetricsHub::disabled())
-    }
-
-    /// [`FanoutPlane::drive`] with a [`MetricsHub`]: wave latencies,
-    /// queue-depth high-waters and fan-out counters land in `hub` — how the
-    /// benchmarks extract per-stage percentiles without a full pipeline.
-    /// The disabled hub costs nothing.
-    pub fn drive_with(
-        broker: SessionBroker,
-        inputs: Vec<StripeReceiver>,
-        primary: Vec<StripeSender>,
-        hub: &MetricsHub,
-    ) -> ServiceRunReport {
-        drive_fanout_on(
-            Arc::new(WallClock),
-            broker,
-            inputs,
-            primary,
-            &PlaneTelemetry::new(hub.clone(), 0),
-        )
+    /// full pipeline (benchmarks, plane-level tests).  Each (rank, frame) is
+    /// assembled once and folded into every session `broker` admits, whose
+    /// queues take their shape from the sessions' own specs.  The call runs
+    /// the plane on the calling thread, with no display, until every link
+    /// has closed and drained.  Wave latencies, queue-depth high-waters and
+    /// fan-out counters land in `hub` — how the benchmarks extract per-stage
+    /// percentiles; the disabled hub costs nothing.
+    pub fn drive_with(broker: SessionBroker, inputs: Vec<StripeReceiver>, hub: &MetricsHub) -> ServiceRunReport {
+        let mut fan = Fan::new(broker, &PlaneTelemetry::new(hub.clone(), 0), inputs.len());
+        receive(&WallClock, inputs, Some(&mut fan), None);
+        fan.report()
     }
 }
 
 impl ServicePlane for FanoutPlane {
-    /// Wire the plane between the backend links and fresh primary viewer
-    /// links, then run it on its own coordinator thread (the farm must not
-    /// block on the plane).
+    /// Hand the stage's sessions to whoever runs the receive loop over the
+    /// links: the farm's viewer serves them from its own loop and sends the
+    /// report back when its links close.
     fn splice(
         &self,
         ctx: &StageContext<'_>,
-        links: FabricLinks,
+        mut links: FabricLinks,
     ) -> Result<(FabricLinks, Box<dyn PlaneSession>), VisapultError> {
         let Some(plan) = &ctx.service else {
             return Ok((links, Box::new(NoSession)));
         };
-        // The backend links feed the plane; the viewer moves onto fresh
-        // primary links.  The primary links are an unpaced copy of the
-        // transport config: the backend link already applied any WAN
-        // pacing, shaping twice would halve the rate.
-        let FabricLinks {
-            senders,
-            receivers: plane_inputs,
-            stats,
-        } = links;
-        let primary_config = TransportConfig {
-            pace_rate_mbps: None,
-            ..ctx.transport.clone()
-        };
-        let mut primary_txs = Vec::with_capacity(ctx.pipeline.pes);
-        let mut primary_rxs = Vec::with_capacity(ctx.pipeline.pes);
-        for _ in 0..ctx.pipeline.pes {
-            let (tx, rx) = striped_link(&primary_config);
-            primary_txs.push(tx);
-            primary_rxs.push(rx);
-        }
-        // The stage's metrics hub rides into the plane thread: wave
-        // latencies and queue high-waters land in the same hub the pipeline
-        // folds into the campaign's TelemetryReport.
-        let plane_telemetry = PlaneTelemetry::new(ctx.metrics.clone(), ctx.telemetry.snapshot_frames);
         let broker = SessionBroker::new(plan.config.clone(), plan.sessions.clone());
-        let handle = std::thread::Builder::new()
-            .name("visapult-service-plane".to_string())
-            .spawn(move || drive_fanout_on(Arc::new(WallClock), broker, plane_inputs, primary_txs, &plane_telemetry))?;
-        Ok((
-            FabricLinks {
-                senders,
-                receivers: primary_rxs,
-                stats,
-            },
-            Box::new(FanoutSession { handle }),
-        ))
+        // The stage's metrics hub rides into the loop: wave latencies and
+        // queue high-waters land in the same hub the pipeline folds into the
+        // campaign's TelemetryReport.
+        let telemetry = PlaneTelemetry::new(ctx.metrics.clone(), ctx.telemetry.snapshot_frames);
+        let (report, served) = mpsc::sync_channel(1);
+        links.sessions = Some((Fan::new(broker, &telemetry, ctx.pipeline.pes), report));
+        Ok((links, Box::new(FanoutSession { served })))
     }
 }
 
-/// A live fan-out plane thread, joined once the farm completes.
+/// A stage's sessions, served by the farm's receive loop: their report
+/// arrives once the farm's links have closed.
 struct FanoutSession {
-    handle: JoinHandle<ServiceRunReport>,
+    served: mpsc::Receiver<ServiceRunReport>,
 }
 
 impl PlaneSession for FanoutSession {
@@ -154,7 +105,11 @@ impl PlaneSession for FanoutSession {
         _run: &FarmRun,
         collector: &Collector,
     ) -> Result<Option<ServiceRunReport>, VisapultError> {
-        let report = join_thread("service plane", self.handle)?;
+        let report = self.served.try_recv().map_err(|_| {
+            VisapultError::Io(std::io::Error::other(
+                "the stage's sessions were never served: the render farm ran no receive loop over its links",
+            ))
+        })?;
         let logger = collector.logger("service", "session-broker");
         // Lifeline sampling thins only the per-session lifecycle events —
         // deterministically by session id, so both paths keep (or drop)
@@ -247,11 +202,27 @@ impl PlaneSession for NoSession {
 // ---------------------------------------------------------------------------
 // Ledger compile surface
 // ---------------------------------------------------------------------------
+// `FanoutPlane::drive` (with its `primary` and `transport` parameters),
 // `PlaneKind`, `AsyncPlane`, `ServicePlan::plane_kind` and the always-`None`
 // `ServicePlan::workers` exist only because the frozen benchmark
 // (`crates/visapult-bench/src/bin/ledger/`, which a PR may not edit) still
-// names them; nothing in this crate selects on them, and all four go in the
-// next `benchmark` PR.
+// names them; nothing in this crate selects on them, and all of them go in
+// the next `benchmark` PR.
+
+impl FanoutPlane {
+    /// [`FanoutPlane::drive_with`], unmetered.  There is no primary viewer
+    /// to forward to: the senders in `primary` are dropped at once, which
+    /// closes their links, and `transport` is not read.
+    pub fn drive(
+        broker: SessionBroker,
+        inputs: Vec<StripeReceiver>,
+        primary: Vec<StripeSender>,
+        _transport: &TransportConfig,
+    ) -> ServiceRunReport {
+        drop(primary);
+        Self::drive_with(broker, inputs, &MetricsHub::disabled())
+    }
+}
 
 /// Which plane a [`ServicePlan`] selects — always [`PlaneKind::Async`]: there
 /// is one fan-out plane.
@@ -292,12 +263,14 @@ impl AsyncPlane {
 
 #[cfg(test)]
 mod tests {
+    use super::super::join_thread;
     use super::*;
     use crate::viewer::ViewerReport;
 
     #[test]
     fn a_panicked_plane_thread_is_an_error_carrying_its_message() {
-        // The fan-out plane and the viewer are the two threads a stage joins.
+        // A stage joins its viewer, which runs the plane's sessions too; a
+        // panic on any thread a stage joins names that thread.
         let plane = std::thread::spawn(|| -> ServiceRunReport { panic!("lane {} wedged", 3) });
         let viewer = std::thread::spawn(|| -> ViewerReport { panic!("scene {} lost", 7) });
         for (err, want) in [

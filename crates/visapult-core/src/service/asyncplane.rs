@@ -1,42 +1,47 @@
-//! The fan-out plane: every session for the price of memory, not threads.
+//! The receive loop: every backend link pulled on one thread, each chunk
+//! assembled once, for the viewer and for every session.
 //!
-//! One thread — the caller's — runs the plane, for one session or a hundred
-//! thousand.  It pulls the backend PE links in turn (`Pump`): every chunk
-//! is accounted as offered load, forwarded to the primary viewer (a full
-//! primary queue blocks the plane: that is the backpressure) and buffered,
-//! per link, into a wave of one (rank, frame).  The `Fan` drives the
-//! broker's churn from the frame counter, assembles each wave once and folds
-//! it into every session that wants it (`fanout::multicast_wave`).
-//! A session is a value the plane owns — no task, no queue, no thread — and
-//! a paced session's queue drains on the plane's [`Clock`]: the room a chunk
-//! took comes back once the modeled instant it drains at has passed.
+//! One thread — the caller's — runs the loop, for any number of links and
+//! sessions.  It pulls the backend PE links in turn; each chunk goes through
+//! its link's one [`FrameAssembler`], and the event feeds two subscribers:
+//! the viewer's display, which reads payloads, and the link's wave of
+//! verdicts, one (rank, frame)'s run, which the loop's fan folds into every
+//! session that wants it when the wave flushes (`fanout::multicast_wave`).
+//! The fan also drives the broker's churn from the frame counter.
+//! `Viewer::run` runs the loop with no sessions, a pipeline stage with a
+//! `[service]` table runs it on the viewer's thread with both, and
+//! [`crate::pipeline::FanoutPlane::drive_with`] with no display.  A session is
+//! a value the fan owns — no task, no queue, no thread — and a paced
+//! session's queue drains on the loop's [`Clock`]: the room a chunk took
+//! comes back once the modeled instant it drains at has passed.
 //!
-//! When every link is empty the plane parks on one doorbell, which every
+//! When every link is empty the loop parks on one doorbell, which every
 //! link's data hook rings (a run landing on an empty stripe, or a link
-//! closing).
+//! closing).  A link ends when it closes.
 //!
-//! A panic while pulling a link ends that link only: its primary viewer sees
-//! the link close and reports the frames it missed, and the offered load the
-//! link had accounted stays.  A panic while publishing a wave ends the
-//! publishing: the links are still pulled to the end, so the primary viewers
-//! lose nothing, and every session reports each frame it was offered and
-//! never sent as a `MissingFrame`.
+//! A panic while pulling a link ends that link only: its back end hears the
+//! link close, the display reports the panic and the frames the link never
+//! delivered, and the offered load the link had accounted stays.  A panic
+//! while publishing a wave ends the publishing: the links are still pulled to
+//! the end, so the display loses nothing, and every session reports each
+//! frame it was offered and never sent as a `MissingFrame`.
 //!
 //! The deterministic half of [`super::ServiceStats`] is byte-identical to the
 //! virtual-time replay because both advance the identical broker state
 //! machine over the same frame counter.
 
-use super::fanout::{fold_report, PeOutcome, PlaneTelemetry, Session, WaveBuffer, WaveMeter};
+use super::fanout::{fold_report, PeOutcome, PlaneTelemetry, Session, Verdict, Wave, WaveBuffer, WaveChunk, WaveMeter};
 use super::{ServiceRunReport, SessionBroker, SessionEvent};
 use crate::pipeline::Clock;
-use crate::transport::{FrameAssembler, FrameChunk, StripeReceiver, StripeSender};
+use crate::transport::{FrameAssembler, StripeReceiver};
+use crate::viewer::{panic_detail, Display};
 use crossbeam::channel::bounded;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-/// Chunks the plane takes off one link before turning to the next: links
+/// Chunks the loop takes off one link before turning to the next: links
 /// take turns even when one back end outruns the others.
 const PULL_BUDGET: usize = 64;
 
@@ -45,66 +50,87 @@ const PULL_BUDGET: usize = 64;
 /// being missed.
 const PARK_SAFETY: Duration = Duration::from_millis(10);
 
-/// One backend PE link as the plane pulls it, with the primary viewer link
-/// it forwards to (if any) and the wave it is buffering.
-struct Pump {
+/// A stage's sessions, handed to whoever runs the receive loop over the
+/// stage's links: the fan, and the one-shot channel its report goes back on.
+pub(crate) type SessionFeed = (Fan, mpsc::SyncSender<ServiceRunReport>);
+
+/// One backend PE link as the loop pulls it: its assembler, and the wave of
+/// verdicts it is buffering for the sessions.
+struct Link {
     rx: StripeReceiver,
-    primary: Option<StripeSender>,
+    assembler: FrameAssembler,
     wave: WaveBuffer,
 }
 
-impl Pump {
-    /// The next chunk off the link, accounted in `offered` and forwarded to
-    /// the primary viewer; `None` while the link is empty, and once it has
-    /// closed.
-    fn pull(&mut self, offered: &mut PeOutcome) -> Option<FrameChunk> {
-        let chunk = self.rx.try_recv_chunk()?;
-        offered.record_offered(&chunk);
-        #[cfg(test)]
-        tests::pump_panic_if_told(&chunk);
-        if let Some(tx) = &self.primary {
-            // A viewer that hung up got everything it expected: keep serving
-            // the sessions.
-            if tx.send_raw_chunk(chunk.clone()).is_err() {
-                self.primary = None;
+impl Link {
+    /// Pull the next chunk off link `pe` and assemble it, handing the event
+    /// to the display and the verdict to the link's wave; false while the
+    /// link is empty, and once it has closed.
+    fn step(
+        &mut self,
+        pe: usize,
+        mut fan: Option<&mut Fan>,
+        display: Option<&mut Display<'_>>,
+        clock: &dyn Clock,
+    ) -> bool {
+        let Some(chunk) = self.rx.try_recv_chunk() else {
+            return false;
+        };
+        let (rank, frame, seq, total) = (chunk.rank, chunk.frame, chunk.seq, chunk.total);
+        let (stripe, bytes) = (chunk.stripe, chunk.payload.len());
+        if let Some(fan) = fan.as_deref_mut() {
+            fan.offered[pe].record_offered(&chunk);
+            if self.wave.must_flush_before(rank, frame) {
+                fan.publish(self.wave.take(), clock);
             }
-            #[cfg(test)]
-            {
-                offered.sends += 1;
+            if frame >= fan.broker.next_frame() {
+                fan.observe_frame(frame, self.rx.queued_chunks());
             }
         }
-        Some(chunk)
+        #[cfg(test)]
+        tests::pull_panic_if_told(rank, frame);
+        let event = self.assembler.accept(chunk);
+        if let Some(fan) = fan {
+            let verdict = Verdict::of(&event, &self.assembler, rank, frame);
+            if self.wave.push(rank, frame, total, WaveChunk { seq, bytes, verdict }) {
+                fan.publish(self.wave.take(), clock);
+            }
+        }
+        if let Some(display) = display {
+            display.assembled(pe, frame, stripe, &mut self.assembler, event);
+        }
+        true
     }
 }
 
-/// The plane's publishing half: the broker, the sessions it admitted, and
-/// the one assembler every wave goes through.  Its outcome carries delivery
-/// counters only (offered load is accounted by the pumps), so folding it
-/// beside theirs never double-counts.
-struct Fan {
+/// The loop's publishing half: the broker, the sessions it admitted, and
+/// the load each link offered.
+pub(crate) struct Fan {
     broker: SessionBroker,
     /// One per admitted session, in admission order.
     sessions: Vec<Session>,
     /// Position in `sessions` per schedule index (sessions are append-only):
     /// O(1) Left/Evicted closes instead of an O(live) scan.
     index_of: HashMap<usize, usize>,
-    plane: FrameAssembler,
-    clock: Arc<dyn Clock>,
+    /// Offered load, one per link.
+    offered: Vec<PeOutcome>,
+    /// Delivery counters, folded beside the links' offered load (which
+    /// never double-counts).
     outcome: PeOutcome,
     telemetry: PlaneTelemetry,
     meter: WaveMeter,
-    /// False once a publish panicked: the plane publishes nothing more.
+    /// False once a publish panicked: the fan publishes nothing more.
     live: bool,
 }
 
 impl Fan {
-    fn new(broker: SessionBroker, clock: Arc<dyn Clock>, telemetry: &PlaneTelemetry) -> Fan {
+    /// A fan over `links` backend links.
+    pub(crate) fn new(broker: SessionBroker, telemetry: &PlaneTelemetry, links: usize) -> Fan {
         Fan {
             broker,
             sessions: Vec::new(),
             index_of: HashMap::new(),
-            plane: FrameAssembler::new(),
-            clock,
+            offered: (0..links).map(|_| PeOutcome::default()).collect(),
             outcome: PeOutcome::default(),
             telemetry: telemetry.clone(),
             meter: telemetry.meter(),
@@ -140,121 +166,101 @@ impl Fan {
         self.telemetry.observe_frame(frame);
     }
 
-    /// Take `chunk`, pulled off `link`, into the link's wave, publishing the
-    /// wave it closes and the wave it completes.
-    fn absorb(&mut self, wave: &mut WaveBuffer, chunk: FrameChunk, link: &StripeReceiver) {
-        if wave.must_flush_before(&chunk) {
-            self.publish(wave.take());
-        }
-        if chunk.frame >= self.broker.next_frame() {
-            self.observe_frame(chunk.frame, link.queued_chunks());
-        }
-        if wave.push(chunk) {
-            self.publish(wave.take());
-        }
-    }
-
     /// Fold one wave into the sessions at the clock's current instant.
-    fn publish(&mut self, chunks: Vec<FrameChunk>) {
-        if !self.live || chunks.is_empty() {
+    fn publish(&mut self, wave: Option<Wave>, clock: &dyn Clock) {
+        let Some(wave) = wave.filter(|_| self.live) else {
             return;
-        }
-        let now = self.clock.monotonic_now();
+        };
+        let now = clock.monotonic_now();
         let published = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(test)]
             tests::fan_panic_if_told(&self.sessions, self.outcome.published);
-            self.meter
-                .multicast(&mut self.plane, chunks, &mut self.sessions, now, &mut self.outcome);
+            self.meter.multicast(&wave, &mut self.sessions, now, &mut self.outcome);
         }));
         self.live = published.is_ok();
     }
+
+    /// The run is over: finish the broker and fold the offered load and the
+    /// deliveries into the report.
+    pub(crate) fn report(mut self) -> ServiceRunReport {
+        self.broker.finish();
+        self.offered.push(self.outcome);
+        fold_report(self.broker, &self.offered, self.sessions)
+    }
 }
 
-/// The fan-out plane, on an explicit clock: the one driver behind
-/// [`crate::pipeline::FanoutPlane`].  Runs on the calling thread and returns
-/// once every backend link has closed and drained.
-pub(crate) fn drive_fanout_on(
-    clock: Arc<dyn Clock>,
-    broker: SessionBroker,
+/// Run the receive loop over `inputs` on the calling thread until every link
+/// has closed and drained: each chunk assembled once, its event handed to
+/// `display` and its verdict to `fan`'s sessions.
+pub(crate) fn receive(
+    clock: &dyn Clock,
     inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    telemetry: &PlaneTelemetry,
-) -> ServiceRunReport {
-    run_plane(clock, broker, inputs, primary, telemetry).0
-}
-
-/// [`drive_fanout_on`], also handing back the outcomes it folded: one per
-/// link (offered load), then the fan's (delivery).  Primary links pair with
-/// inputs in order; an input without one forwards to no viewer.
-fn run_plane(
-    clock: Arc<dyn Clock>,
-    broker: SessionBroker,
-    inputs: Vec<StripeReceiver>,
-    primary: Vec<StripeSender>,
-    telemetry: &PlaneTelemetry,
-) -> (ServiceRunReport, Vec<PeOutcome>) {
+    mut fan: Option<&mut Fan>,
+    mut display: Option<&mut Display<'_>>,
+) {
     let (ring, doorbell) = bounded::<()>(1);
-    let mut pumps: Vec<Option<Pump>> = inputs
+    let mut links: Vec<Option<Link>> = inputs
         .into_iter()
-        .zip(primary.into_iter().map(Some).chain(std::iter::repeat_with(|| None)))
-        .map(|(rx, primary)| {
+        .map(|rx| {
             let ring = ring.clone();
             rx.set_data_hook(Arc::new(move || {
                 let _ = ring.try_send(());
             }));
-            Some(Pump {
+            Some(Link {
                 rx,
-                primary,
-                wave: WaveBuffer::new(),
+                assembler: FrameAssembler::new(),
+                wave: WaveBuffer::default(),
             })
         })
         .collect();
     drop(ring);
-    let mut outcomes: Vec<PeOutcome> = pumps.iter().map(|_| PeOutcome::default()).collect();
-    let mut fan = Fan::new(broker, clock, telemetry);
-    // Frame 0 joins happen before any chunk moves.
-    fan.observe_frame(0, 0);
-    while pumps.iter().any(Option::is_some) {
+    if let Some(fan) = fan.as_deref_mut() {
+        // Frame 0 joins happen before any chunk moves.
+        fan.observe_frame(0, 0);
+    }
+    #[cfg(test)]
+    let mut assemblies = 0;
+    while links.iter().any(Option::is_some) {
         let mut moved = false;
-        for (slot, offered) in pumps.iter_mut().zip(&mut outcomes) {
-            let Some(pump) = slot else { continue };
-            let mut done = false;
-            for _ in 0..PULL_BUDGET {
-                match catch_unwind(AssertUnwindSafe(|| pump.pull(offered))) {
-                    Ok(Some(chunk)) => {
-                        moved = true;
-                        fan.absorb(&mut pump.wave, chunk, &pump.rx);
+        for (pe, slot) in links.iter_mut().enumerate() {
+            let Some(link) = slot else { continue };
+            let pulled = catch_unwind(AssertUnwindSafe(|| {
+                let mut step = || link.step(pe, fan.as_deref_mut(), display.as_deref_mut(), clock);
+                (0..PULL_BUDGET).take_while(|_| step()).count()
+            }));
+            let panic = match pulled {
+                Ok(pulled) => {
+                    moved |= pulled > 0;
+                    // The link ends once a pull finds it closed and drained.
+                    if pulled == PULL_BUDGET || !link.rx.is_closed() {
+                        continue;
                     }
-                    Ok(None) => {
-                        done = pump.rx.is_closed();
-                        break;
-                    }
-                    // The pump died with the link: its primary viewer and its
-                    // back end hear the link close as the pump drops.
-                    Err(_) => {
-                        done = true;
-                        break;
-                    }
+                    None
                 }
+                // The link dies with the pull: its back end hears it close as
+                // it drops.
+                Err(panic) => Some(panic_detail("link thread", panic.as_ref())),
+            };
+            if let Some(fan) = fan.as_deref_mut() {
+                fan.publish(link.wave.take(), clock);
             }
-            if done {
-                fan.publish(pump.wave.take());
-                *slot = None;
+            if let Some(display) = display.as_deref_mut() {
+                display.ended(pe, &link.assembler, panic);
             }
+            #[cfg(test)]
+            {
+                assemblies += link.assembler.assemblies();
+            }
+            *slot = None;
         }
-        if !moved && pumps.iter().any(Option::is_some) {
+        if !moved && links.iter().any(Option::is_some) {
             // A ring, a hang-up or the safety interval: all three mean look
             // again.
             let _ = doorbell.recv_timeout(PARK_SAFETY);
         }
     }
-    fan.broker.finish();
     #[cfg(test)]
-    {
-        fan.outcome.assemblies = fan.plane.assemblies();
-    }
-    outcomes.push(fan.outcome);
-    (fold_report(fan.broker, &outcomes, fan.sessions), outcomes)
+    tests::record_loop(assemblies, fan.as_deref());
 }
 
 #[cfg(test)]
@@ -263,19 +269,21 @@ mod tests {
     use super::super::{QualityTier, ServiceConfig, SessionDelivery, SessionSpec};
     use super::*;
     use crate::pipeline::{VirtualClock, WallClock};
-    use crate::protocol::{FramePayload, FrameSegments};
+    use crate::protocol::FrameSegments;
     use crate::test_support::sample_frame;
-    use crate::transport::{drain_frames, plan_chunks, striped_link, TransportConfig};
-    use crate::viewer::{Viewer, ViewerConfig, ViewerError};
+    use crate::transport::{plan_chunks, striped_link, TransportConfig};
+    use crate::viewer::tests::LAST_RUN_THREADS;
+    use crate::viewer::{Viewer, ViewerConfig, ViewerError, ViewerReport};
     use netlogger::metrics::MetricsHub;
-    use std::cell::Cell;
-    use std::collections::BTreeSet;
+    use std::cell::{Cell, RefCell};
+    use std::collections::{BTreeSet, HashSet};
+    use std::thread::ThreadId;
 
     fn spec(name: &str, viewpoint: u32, tier: QualityTier) -> SessionSpec {
         SessionSpec::new(name, viewpoint, tier)
     }
 
-    /// A plane serving a session of this name panics as it is about to
+    /// A fan serving a session of this name panics as it is about to
     /// publish its fifth wave.
     const FAN_PANICS: &str = "fan panics mid-run";
 
@@ -286,15 +294,45 @@ mod tests {
     }
 
     thread_local! {
-        /// The (rank, frame) whose first chunk makes a plane on this thread
+        /// The (rank, frame) whose first chunk makes a loop on this thread
         /// panic while pulling it off its link.
-        static PUMP_PANICS_AT: Cell<Option<(u32, u32)>> = const { Cell::new(None) };
+        static PULL_PANICS_AT: Cell<Option<(u32, u32)>> = const { Cell::new(None) };
+        /// What the last receive loop on this thread did.
+        static LAST_LOOP: RefCell<Option<LoopCounts>> = const { RefCell::new(None) };
     }
 
-    pub(super) fn pump_panic_if_told(chunk: &FrameChunk) {
-        if PUMP_PANICS_AT.get() == Some((chunk.rank, chunk.frame)) {
-            panic!("the pump of rank {} was told to", chunk.rank);
+    pub(super) fn pull_panic_if_told(rank: u32, frame: u32) {
+        if PULL_PANICS_AT.get() == Some((rank, frame)) {
+            panic!("the pull of rank {rank} was told to");
         }
+    }
+
+    /// What one receive loop did, counted.
+    #[derive(Debug)]
+    struct LoopCounts {
+        /// Frames assembled from their slots, over every link.
+        assemblies: usize,
+        /// Waves the fan published, and session folds made of them.
+        published: usize,
+        folds: usize,
+        /// The threads that folded waves into sessions.
+        fold_threads: HashSet<ThreadId>,
+    }
+
+    pub(super) fn record_loop(assemblies: usize, fan: Option<&Fan>) {
+        let counts = LoopCounts {
+            assemblies,
+            published: fan.map_or(0, |f| f.outcome.published),
+            folds: fan.map_or(0, |f| f.outcome.folds),
+            fold_threads: fan.map(|f| f.outcome.threads.clone()).unwrap_or_default(),
+        };
+        LAST_LOOP.with(|last| last.replace(Some(counts)));
+    }
+
+    fn last_loop() -> LoopCounts {
+        LAST_LOOP
+            .with(|last| last.take())
+            .expect("a receive loop ran on this thread")
     }
 
     fn tiny_config(queue_depth: usize) -> ServiceConfig {
@@ -307,50 +345,46 @@ mod tests {
         }
     }
 
-    /// Drive the plane end to end over a synthetic backend of `pes` links
-    /// and `frames` frames, draining the primary viewer links alongside.
+    /// Serve `broker`'s sessions from a viewer's receive loop over `links`,
+    /// on the calling thread: the viewer's report, and the sessions'.
+    fn serve_on(
+        clock: &dyn Clock,
+        broker: SessionBroker,
+        links: Vec<StripeReceiver>,
+        frames: u32,
+        telemetry: &PlaneTelemetry,
+    ) -> (ServiceRunReport, ViewerReport) {
+        let (report, served) = mpsc::sync_channel(1);
+        let feed = (Fan::new(broker, telemetry, links.len()), report);
+        let viewer =
+            Viewer::new(ViewerConfig::new((32, 32, 32), frames as usize)).serve(clock, links, None, Some(feed));
+        (served.try_recv().expect("the loop reports on its sessions"), viewer)
+    }
+
+    /// Drive a viewer serving `schedule` end to end over a synthetic backend
+    /// of `pes` links and `frames` frames.
     fn fan_out_on(
         clock: Arc<dyn Clock>,
         schedule: Vec<SessionSpec>,
         config: ServiceConfig,
         frames: u32,
         pes: usize,
-    ) -> (ServiceRunReport, Vec<FramePayload>) {
+    ) -> (ServiceRunReport, ViewerReport) {
         let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(256);
         let broker = SessionBroker::new(config, schedule);
-        let mut backend_txs = Vec::new();
-        let mut backend_rxs = Vec::new();
-        let mut primary_txs = Vec::new();
-        let mut primary_rxs = Vec::new();
-        for _ in 0..pes {
-            let (tx, rx) = striped_link(&transport);
-            backend_txs.push(tx);
-            backend_rxs.push(rx);
-            let (tx, rx) = striped_link(&transport);
-            primary_txs.push(tx);
-            primary_rxs.push(rx);
-        }
+        let (backend_txs, backend_rxs): (Vec<_>, Vec<_>) = (0..pes).map(|_| striped_link(&transport)).unzip();
         std::thread::scope(|scope| {
-            let plane = scope.spawn(move || {
+            let viewer = scope.spawn(move || {
                 let telemetry = PlaneTelemetry::new(MetricsHub::disabled(), 0);
-                drive_fanout_on(clock, broker, backend_rxs, primary_txs, &telemetry)
+                serve_on(clock.as_ref(), broker, backend_rxs, frames, &telemetry)
             });
-            let drains: Vec<_> = primary_rxs
-                .into_iter()
-                .map(|mut rx| scope.spawn(move || drain_frames(&mut rx).unwrap()))
-                .collect();
             for f in 0..frames {
                 for (pe, tx) in backend_txs.iter().enumerate() {
                     tx.send_frame(&sample_frame(pe as u32, f, 16)).unwrap();
                 }
             }
             drop(backend_txs);
-            let report = plane.join().unwrap();
-            let mut primary_frames = Vec::new();
-            for d in drains {
-                primary_frames.extend(d.join().unwrap());
-            }
-            (report, primary_frames)
+            viewer.join().unwrap()
         })
     }
 
@@ -359,7 +393,7 @@ mod tests {
         config: ServiceConfig,
         frames: u32,
         pes: usize,
-    ) -> (ServiceRunReport, Vec<FramePayload>) {
+    ) -> (ServiceRunReport, ViewerReport) {
         fan_out_on(Arc::new(WallClock), schedule, config, frames, pes)
     }
 
@@ -391,9 +425,9 @@ mod tests {
             spec("b", 0, QualityTier::Standard),
             spec("c", 1, QualityTier::Standard),
         ];
-        let (report, primary_frames) = fan_out(schedule, tiny_config(64), 3, 2);
-        // The primary viewer path got every frame untouched.
-        assert_eq!(primary_frames.len(), 6);
+        let (report, viewer) = fan_out(schedule, tiny_config(64), 3, 2);
+        // The viewer got every frame untouched.
+        assert_eq!(viewer.frames_received, 6);
         // Every session assembled every (rank, frame): 3 sessions x 2 PEs x 3.
         assert_eq!(report.sessions.len(), 3);
         for s in &report.sessions {
@@ -416,14 +450,14 @@ mod tests {
     fn slow_session_is_degraded_without_stalling_the_healthy_one() {
         // `slow` drains a single-stripe 16-chunk queue through a
         // dial-up-grade pacer; `healthy` is unpaced, so it drains as it is
-        // sent and can never overflow.  The plane must skip frames for
+        // sent and can never overflow.  The loop must skip frames for
         // `slow` (it keeps partial composites) while `healthy` and the
-        // primary receive everything.
+        // viewer receive everything.
         let mut slow = spec("slow", 0, QualityTier::Standard).paced_at_mbps(0.2);
         slow.stripes = 1;
         let schedule = vec![spec("healthy", 0, QualityTier::Standard), slow];
-        let (report, primary_frames) = fan_out(schedule, tiny_config(16), 6, 1);
-        assert_eq!(primary_frames.len(), 6);
+        let (report, viewer) = fan_out(schedule, tiny_config(16), 6, 1);
+        assert_eq!(viewer.frames_received, 6);
         let healthy = report.sessions.iter().find(|s| s.name == "healthy").unwrap();
         let slow = report.sessions.iter().find(|s| s.name == "slow").unwrap();
         assert_eq!(healthy.frames_completed, 6);
@@ -478,8 +512,8 @@ mod tests {
             queue_depth: 64,
             ..ServiceConfig::default()
         };
-        let (report, primary_frames) = fan_out(schedule.clone(), config.clone(), 3, 2);
-        assert_eq!(primary_frames.len(), 6);
+        let (report, viewer) = fan_out(schedule.clone(), config.clone(), 3, 2);
+        assert_eq!(viewer.frames_received, 6);
         assert_eq!(report.sessions.len(), 6);
         for (i, s) in report.sessions.iter().enumerate() {
             let frames = if i % 2 == 0 { 6 } else { 4 };
@@ -526,70 +560,111 @@ mod tests {
         assert_eq!(report.stats.frames_completed, 6);
     }
 
+    /// `pes` links holding `frames` frames each, their senders hung up.
+    fn prefilled(pes: usize, frames: u32) -> Vec<StripeReceiver> {
+        let transport = TransportConfig {
+            queue_depth: 1024,
+            ..TransportConfig::default().with_stripes(2).with_chunk_bytes(256)
+        };
+        (0..pes as u32)
+            .map(|pe| {
+                let (tx, rx) = striped_link(&transport);
+                for frame in 0..frames {
+                    tx.send_frame(&sample_frame(pe, frame, 16)).unwrap();
+                }
+                rx
+            })
+            .collect()
+    }
+
     #[test]
     fn a_frame_is_assembled_once_for_the_floor_and_folded_once_per_session_on_one_thread() {
         // N sessions × P PEs × F frames, nothing paced; the whole campaign
-        // waits in the backend links before the plane starts.  The plane
-        // runs on the caller's thread alone, for any N; every wave it
-        // publishes is one fold per session; and it sends nothing to a
-        // session.  The waves are counted, not assumed: a link hands its
+        // waits in the backend links before the loop starts.  The loop runs
+        // on the caller's thread alone, for any N, with or without the
+        // viewer's display; every chunk is assembled once, for the display
+        // and every session alike; and every wave it publishes is one fold
+        // per session.  The waves are counted, not assumed: a link hands its
         // stripes out in turns, so a (rank, frame) can arrive as more than
         // one run.
+        let me = std::thread::current().id();
+        let (p, f) = (2usize, 8u32);
+        let pf = p * f as usize;
         for n in [16usize, 256] {
-            let (p, f) = (2usize, 8u32);
-            let transport = TransportConfig {
-                queue_depth: 1024,
-                ..TransportConfig::default().with_stripes(2).with_chunk_bytes(256)
-            };
-            let schedule: Vec<SessionSpec> = (0..n)
-                .map(|i| spec(&format!("s{i}"), (i % 4) as u32, QualityTier::Standard))
-                .collect();
-            let config = ServiceConfig {
-                max_sessions: n,
-                link_capacity_units: 4 * n as u64,
-                render_slots: 4,
-                queue_depth: 4096,
-                ..ServiceConfig::default()
-            };
-            let inputs = (0..p as u32)
-                .map(|pe| {
-                    let (tx, rx) = striped_link(&transport);
-                    for frame in 0..f {
-                        tx.send_frame(&sample_frame(pe, frame, 16)).unwrap();
-                    }
-                    rx
-                })
-                .collect();
-            let telemetry = PlaneTelemetry::new(MetricsHub::enabled(), 0);
-            let (report, outcomes) = run_plane(
-                Arc::new(WallClock),
-                SessionBroker::new(config, schedule),
-                inputs,
-                Vec::new(),
-                &telemetry,
-            );
-            let fan = outcomes.last().expect("the fan's outcome comes last");
-            let pf = p * f as usize;
-            let npf = n * pf;
-            assert_eq!(report.stats.frames_completed, npf as u64);
-            assert_eq!(report.stats.frames_skipped, 0);
-            assert_eq!(
-                fan.assemblies, pf,
-                "segment assemblies: one per (rank, frame) for any N, not one per session-frame ({npf})"
-            );
-            assert!(fan.published >= pf, "{} waves for {pf} (rank, frame)s", fan.published);
-            assert_eq!(fan.folds, n * fan.published, "one fold per session per wave");
-            assert_eq!(
-                fan.threads,
-                [std::thread::current().id()].into_iter().collect(),
-                "N = {n}: the plane folds on the caller's thread and starts none"
-            );
-            let sends: usize = outcomes.iter().map(|o| o.sends).sum();
-            assert_eq!(sends, 0, "no primary attached: the plane sends nothing, to any session");
-            if telemetry.hub.is_enabled() {
-                let waves = telemetry.hub.counter("fanout/waves").get() as usize;
-                assert_eq!(waves, fan.published);
+            for display in [false, true] {
+                let schedule: Vec<SessionSpec> = (0..n)
+                    .map(|i| spec(&format!("s{i}"), (i % 4) as u32, QualityTier::Standard))
+                    .collect();
+                let config = ServiceConfig {
+                    max_sessions: n,
+                    link_capacity_units: 4 * n as u64,
+                    render_slots: 4,
+                    queue_depth: 4096,
+                    ..ServiceConfig::default()
+                };
+                let broker = SessionBroker::new(config, schedule);
+                let telemetry = PlaneTelemetry::new(MetricsHub::enabled(), 0);
+                let report = if display {
+                    let (report, viewer) = serve_on(&WallClock, broker, prefilled(p, f), f, &telemetry);
+                    assert_eq!(viewer.frames_received, pf, "{:?}", viewer.errors);
+                    assert!(viewer.errors.is_empty(), "{:?}", viewer.errors);
+                    report
+                } else {
+                    let mut fan = Fan::new(broker, &telemetry, p);
+                    receive(&WallClock, prefilled(p, f), Some(&mut fan), None);
+                    fan.report()
+                };
+                let counts = last_loop();
+                let npf = n * pf;
+                assert_eq!(report.stats.frames_completed, npf as u64);
+                assert_eq!(report.stats.frames_skipped, 0);
+                assert_eq!(
+                    counts.assemblies,
+                    pf,
+                    "N = {n}, display {display}: segment assemblies are one per (rank, frame) for the display and \
+                     every session together — not {} (a second assembly for the viewer) nor one per session-frame \
+                     ({npf})",
+                    2 * pf
+                );
+                assert!(
+                    counts.published >= pf,
+                    "{} waves for {pf} (rank, frame)s",
+                    counts.published
+                );
+                assert_eq!(counts.folds, n * counts.published, "one fold per session per wave");
+                assert_eq!(
+                    counts.fold_threads,
+                    [me].into_iter().collect(),
+                    "N = {n}, display {display}: sessions fold on the receive loop's thread, the caller's"
+                );
+                if telemetry.hub.is_enabled() {
+                    let waves = telemetry.hub.counter("fanout/waves").get() as usize;
+                    assert_eq!(waves, counts.published);
+                }
             }
+        }
+        // The viewer alone, over any number of links: the display folds on
+        // the caller's thread, and the render thread is the one thread the
+        // run starts.
+        for p in [2usize, 8] {
+            let viewer = Viewer::new(ViewerConfig::new((32, 32, 32), f as usize)).run(prefilled(p, f), None);
+            assert_eq!(viewer.frames_received, p * f as usize, "{:?}", viewer.errors);
+            assert_eq!(last_loop().assemblies, p * f as usize);
+            let (folds, render) = LAST_RUN_THREADS
+                .with(|threads| threads.take())
+                .expect("the run records its threads");
+            assert_eq!(
+                folds,
+                [me].into_iter().collect(),
+                "P = {p}: one receive thread, the caller's"
+            );
+            assert_ne!(render, me);
+            let started: HashSet<ThreadId> = folds.into_iter().chain([render]).filter(|&t| t != me).collect();
+            assert_eq!(
+                started.len(),
+                1,
+                "P = {p}: Viewer::run starts the render thread and nothing else"
+            );
         }
     }
 
@@ -597,8 +672,8 @@ mod tests {
     fn a_dead_fan_leaves_every_frame_accounted_in_every_session() {
         // The fan dies — as it is about to publish its fifth wave, or inside
         // one session's fold of its first.  The links are still pulled to
-        // the end, so the primary viewers lose nothing, and each session
-        // must account for each (rank, frame) as completed or typed missing,
+        // the end, so the viewer loses nothing, and each session must
+        // account for each (rank, frame) as completed or typed missing,
         // including the frames the fan never published.
         let (p, f) = (2usize, 8u32);
         for (at, name) in [(9, FAN_PANICS), (17, PANICS)] {
@@ -613,14 +688,14 @@ mod tests {
                 queue_depth: 256,
                 ..ServiceConfig::default()
             };
-            let (done, finished) = std::sync::mpsc::channel();
+            let (done, finished) = mpsc::channel();
             std::thread::spawn(move || {
                 let _ = done.send(fan_out(schedule, config, f, p));
             });
-            let (report, primary_frames) = finished
+            let (report, viewer) = finished
                 .recv_timeout(Duration::from_secs(60))
-                .unwrap_or_else(|_| panic!("{name}: the plane finishes within 60 s of its fan panicking"));
-            assert_eq!(primary_frames.len(), p * f as usize, "the primary viewers lose nothing");
+                .unwrap_or_else(|_| panic!("{name}: the loop finishes within 60 s of its fan panicking"));
+            assert_eq!(viewer.frames_received, p * f as usize, "the viewer loses nothing");
             assert_eq!(report.sessions.len(), 64);
             for s in &report.sessions {
                 let missing = assert_every_frame_accounted(s, p * f as usize);
@@ -631,11 +706,11 @@ mod tests {
 
     #[test]
     fn a_panic_while_pulling_a_link_ends_that_link_only() {
-        // Rank 1's pump panics on the first chunk of its frame 3.  The plane
-        // must finish; the primary viewer must see rank 1's link close and
-        // report what it missed as typed errors while rank 0 arrives whole;
-        // and every session must account for each (rank, frame) the plane
-        // was offered: all of rank 0's, and rank 1's frames 0 to 3.
+        // Rank 1's pull panics on the first chunk of its frame 3.  The loop
+        // must finish; the viewer must report the panic once and what rank 1
+        // never delivered as typed errors while rank 0 arrives whole; and
+        // every session must account for each (rank, frame) the loop was
+        // offered: all of rank 0's, and rank 1's frames 0 to 3.
         let (p, f) = (2usize, 8u32);
         let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(256);
         let schedule: Vec<SessionSpec> = (0..16u32)
@@ -649,48 +724,37 @@ mod tests {
             ..ServiceConfig::default()
         };
         let broker = SessionBroker::new(config, schedule);
-        let mut backend_txs = Vec::new();
-        let mut backend_rxs = Vec::new();
-        let mut primary_txs = Vec::new();
-        let mut primary_rxs = Vec::new();
-        for _ in 0..p {
-            let (tx, rx) = striped_link(&transport);
-            backend_txs.push(tx);
-            backend_rxs.push(rx);
-            let (tx, rx) = striped_link(&transport);
-            primary_txs.push(tx);
-            primary_rxs.push(rx);
-        }
-        let (done, finished) = std::sync::mpsc::channel();
+        let (backend_txs, backend_rxs): (Vec<_>, Vec<_>) = (0..p).map(|_| striped_link(&transport)).unzip();
+        let (done, finished) = mpsc::channel();
         std::thread::spawn(move || {
-            let plane = std::thread::spawn(move || {
-                PUMP_PANICS_AT.set(Some((1, 3)));
-                let telemetry = PlaneTelemetry::new(MetricsHub::disabled(), 0);
-                drive_fanout_on(Arc::new(WallClock), broker, backend_rxs, primary_txs, &telemetry)
-            });
             let viewer = std::thread::spawn(move || {
-                Viewer::new(ViewerConfig::new((32, 32, 32), f as usize)).run(primary_rxs, None)
+                PULL_PANICS_AT.set(Some((1, 3)));
+                let telemetry = PlaneTelemetry::new(MetricsHub::disabled(), 0);
+                serve_on(&WallClock, broker, backend_rxs, f, &telemetry)
             });
             for frame in 0..f {
                 for (pe, tx) in backend_txs.iter().enumerate() {
-                    // Rank 1's link closes under its sender once the pump dies.
+                    // Rank 1's link closes under its sender once its pull
+                    // dies.
                     let _ = tx.send_frame(&sample_frame(pe as u32, frame, 16));
                 }
             }
             drop(backend_txs);
-            let _ = done.send((plane.join().unwrap(), viewer.join().unwrap()));
+            let _ = done.send(viewer.join().unwrap());
         });
         let (report, viewer) = finished
             .recv_timeout(Duration::from_secs(60))
-            .expect("the plane and the viewer finish within 60 s of a pump panicking");
-        let missed: BTreeSet<(u32, u32)> = viewer
-            .errors
-            .iter()
-            .map(|e| match e {
-                ViewerError::MissingFrame { rank: 1, frame, .. } if *frame >= 2 => (1, *frame),
-                other => panic!("the primary viewer saw {other:?}"),
-            })
-            .collect();
+            .expect("the viewer and its sessions finish within 60 s of a pull panicking");
+        let mut panics = 0;
+        let mut missed = BTreeSet::new();
+        for e in &viewer.errors {
+            match e {
+                ViewerError::Corrupt { rank: 1, detail } if detail.starts_with("link thread panicked: ") => panics += 1,
+                ViewerError::MissingFrame { rank: 1, frame, .. } if *frame >= 2 => assert!(missed.insert((1, *frame))),
+                other => panic!("the viewer saw {other:?}"),
+            }
+        }
+        assert_eq!(panics, 1, "the panic is reported once: {:?}", viewer.errors);
         // Frame 2 may have been cut short too: a link hands its stripes out
         // in turns, so frame 3's first chunk can overtake frame 2's last.
         assert!(
@@ -712,7 +776,7 @@ mod tests {
     #[test]
     fn paced_sessions_on_a_virtual_clock_never_sleep() {
         // A 0.01 Mbps pacer over this campaign would take minutes of wall
-        // time to drain; on the virtual clock the plane must finish at once
+        // time to drain; on the virtual clock the loop must finish at once
         // with the identical deterministic stats — pacing goes through the
         // Clock seam, and nothing sleeps.
         let mut crawl = spec("crawl", 0, QualityTier::Standard).paced_at_mbps(0.01);

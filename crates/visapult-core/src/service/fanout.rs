@@ -1,18 +1,18 @@
 //! The fan-out seam: everything behaviour-defining about serving a session,
 //! independent of how chunks reach the plane.
 //!
-//! The plane's driver ([`super::asyncplane`]) decides *when* a wave moves;
-//! this module decides *what happens* to it.  `multicast_wave` runs each
-//! chunk through the plane's one [`FrameAssembler`] and folds the wave's
-//! verdicts into every session that wants it, as far as the session's queue
-//! has room (the degradation seam); `fold_report` makes the run's report.  A
-//! verdict depends only on its (rank, frame)'s chunks, which a session takes
-//! in the plane's order — all, or a prefix — so each session folds the
-//! events its own assembler would have reported; only a late chunk's stripe
-//! is the session's own.
+//! The receive loop ([`super::asyncplane`]) assembles each chunk once, on
+//! its link's [`FrameAssembler`], and decides *when* a wave of the verdicts
+//! moves; this module decides *what happens* to it.  `multicast_wave` folds
+//! a wave's verdicts into every session that wants it, as far as the
+//! session's queue has room (the degradation seam); `fold_report` makes the
+//! run's report.  A verdict depends only on its (rank, frame)'s chunks, which
+//! a session takes in the loop's order — all, or a prefix — so each session
+//! folds the events its own assembler would have reported; only a late
+//! chunk's stripe is the session's own.
 
 use super::{ServiceRunReport, SessionBroker, SessionDelivery, SessionSpec};
-use crate::transport::{AssemblyEvent, FrameAssembler, FrameChunk};
+use crate::transport::{AssemblyEvent, FrameAssembler, FrameChunk, TransportError};
 use crate::viewer::ViewerError;
 use netlogger::metrics::{CounterHandle, HighWaterHandle, Histo, MetricsHub};
 use netsim::{Bandwidth, StripePacer};
@@ -84,21 +84,14 @@ pub(crate) struct WaveMeter {
 impl WaveMeter {
     /// [`multicast_wave`], timed into the `fanout/wave_us` histogram when
     /// telemetry is live.
-    pub(crate) fn multicast(
-        &self,
-        plane: &mut FrameAssembler,
-        chunks: Vec<FrameChunk>,
-        sessions: &mut [Session],
-        now: Duration,
-        outcome: &mut PeOutcome,
-    ) {
+    pub(crate) fn multicast(&self, wave: &Wave, sessions: &mut [Session], now: Duration, outcome: &mut PeOutcome) {
         if !self.live {
-            multicast_wave(plane, chunks, sessions, now, outcome);
+            multicast_wave(wave, sessions, now, outcome);
             return;
         }
         let started = Instant::now();
-        let n = chunks.len() as u64;
-        multicast_wave(plane, chunks, sessions, now, outcome);
+        let n = wave.chunks.len() as u64;
+        multicast_wave(wave, sessions, now, outcome);
         self.wave_us.record(started.elapsed().as_micros() as u64);
         self.waves.add(1);
         self.chunks.add(n);
@@ -118,7 +111,7 @@ impl WaveMeter {
 // Waves: each (rank, frame) assembled once, folded into every session
 // ---------------------------------------------------------------------------
 
-/// What the plane's assembler made of one chunk.
+/// What a link's assembler made of one chunk, as a session reads it.
 pub(crate) enum Verdict {
     /// Stored; the frame is still incomplete.
     Progress { received: u32, total: u32 },
@@ -132,6 +125,32 @@ pub(crate) enum Verdict {
     Corrupt { detail: String, ends_frame: bool },
 }
 
+impl Verdict {
+    /// The verdict `event` is: what `assembler` made of a chunk of
+    /// `(rank, frame)`.
+    pub(crate) fn of(
+        event: &Result<AssemblyEvent, TransportError>,
+        assembler: &FrameAssembler,
+        rank: u32,
+        frame: u32,
+    ) -> Verdict {
+        match event {
+            Ok(AssemblyEvent::Progress { received, total, .. }) => Verdict::Progress {
+                received: *received,
+                total: *total,
+            },
+            Ok(AssemblyEvent::Complete { .. }) => Verdict::Complete,
+            Ok(AssemblyEvent::Late { .. }) => Verdict::Late,
+            // A chunk of a frame that had ended is `Late`, so a frame that is
+            // complete after an error is the one this chunk failed to decode.
+            Err(e) => Verdict::Corrupt {
+                detail: e.to_string(),
+                ends_frame: assembler.is_complete(rank, frame),
+            },
+        }
+    }
+}
+
 /// One chunk of a wave: what a session needs of it, not its payload.
 pub(crate) struct WaveChunk {
     pub(crate) seq: u32,
@@ -139,31 +158,12 @@ pub(crate) struct WaveChunk {
     pub(crate) verdict: Verdict,
 }
 
-/// A run of one (rank, frame)'s chunks, in the plane's order, with the
-/// plane's verdict on each.
+/// A run of one (rank, frame)'s chunks, in the loop's order, with the
+/// assembler's verdict on each.
 pub(crate) struct Wave {
     pub(crate) rank: u32,
     pub(crate) frame: u32,
     pub(crate) chunks: Vec<WaveChunk>,
-}
-
-/// The plane's verdict on `chunk`, which `plane` assembles.
-fn verdict(plane: &mut FrameAssembler, chunk: FrameChunk) -> WaveChunk {
-    let (rank, frame, seq, bytes) = (chunk.rank, chunk.frame, chunk.seq, chunk.payload.len());
-    // A session reports a late chunk on a stripe of its own, so the plane's
-    // stripe is never read: it must not size the stats either.
-    let verdict = match plane.accept_verdict(FrameChunk { stripe: 0, ..chunk }) {
-        Ok(AssemblyEvent::Progress { received, total, .. }) => Verdict::Progress { received, total },
-        Ok(AssemblyEvent::Complete { .. }) => Verdict::Complete,
-        Ok(AssemblyEvent::Late { .. }) => Verdict::Late,
-        // A chunk of a frame that had ended is `Late`, so a frame that is
-        // complete after an error is the one this chunk failed to decode.
-        Err(e) => Verdict::Corrupt {
-            detail: e.to_string(),
-            ends_frame: plane.is_complete(rank, frame),
-        },
-    };
-    WaveChunk { seq, bytes, verdict }
 }
 
 // ---------------------------------------------------------------------------
@@ -367,12 +367,6 @@ pub(crate) struct PeOutcome {
     pub(crate) published: usize,
     #[cfg(test)]
     pub(crate) folds: usize,
-    /// Channel sends made: chunks forwarded to a primary viewer.
-    #[cfg(test)]
-    pub(crate) sends: usize,
-    /// Segment assemblies the plane's assembler made.
-    #[cfg(test)]
-    pub(crate) assemblies: usize,
     /// The threads that folded waves.
     #[cfg(test)]
     pub(crate) threads: std::collections::HashSet<std::thread::ThreadId>,
@@ -395,14 +389,13 @@ impl PeOutcome {
     }
 }
 
-/// Accumulates the chunks of one `(rank, frame)` so the plane can publish
-/// them as one wave: one verdict pass and one fold per session for the run,
-/// instead of one per chunk.  Per session the chunk sequence (and thus every
-/// stat and degradation decision) is what a chunk-by-chunk plane would
-/// produce.
+/// Accumulates the verdicts on one `(rank, frame)`'s chunks so the loop can
+/// publish them as one wave: one fold per session for the run, instead of
+/// one per chunk.  Per session the chunk sequence (and thus every stat and
+/// degradation decision) is what a chunk-by-chunk plane would produce.
+#[derive(Default)]
 pub(crate) struct WaveBuffer {
-    key: Option<(u32, u32)>,
-    chunks: Vec<FrameChunk>,
+    wave: Option<Wave>,
 }
 
 /// Chunks buffered before a wave flushes even if its `total` never arrives —
@@ -410,39 +403,34 @@ pub(crate) struct WaveBuffer {
 const WAVE_BUFFER_CAP: usize = 4096;
 
 impl WaveBuffer {
-    pub(crate) fn new() -> Self {
-        WaveBuffer {
-            key: None,
+    /// True when a chunk of `(rank, frame)` belongs to a different wave than
+    /// the buffered one — the caller must flush *before* absorbing it.
+    pub(crate) fn must_flush_before(&self, rank: u32, frame: u32) -> bool {
+        self.wave.as_ref().is_some_and(|w| (w.rank, w.frame) != (rank, frame))
+    }
+
+    /// Absorb the verdict on a chunk of `(rank, frame)` that announced
+    /// `total` chunks; returns `true` when the wave is complete (or the safety
+    /// cap is hit) and should be flushed now.
+    pub(crate) fn push(&mut self, rank: u32, frame: u32, total: u32, chunk: WaveChunk) -> bool {
+        let wave = self.wave.get_or_insert_with(|| Wave {
+            rank,
+            frame,
             chunks: Vec::new(),
-        }
-    }
-
-    /// True when `chunk` belongs to a different `(rank, frame)` than the
-    /// buffered wave — the caller must flush *before* absorbing it.
-    pub(crate) fn must_flush_before(&self, chunk: &FrameChunk) -> bool {
-        self.key.is_some_and(|k| k != (chunk.rank, chunk.frame))
-    }
-
-    /// Absorb one chunk; returns `true` when the wave is complete (or the
-    /// safety cap is hit) and should be flushed now.
-    pub(crate) fn push(&mut self, chunk: FrameChunk) -> bool {
-        let total = chunk.total as usize;
-        self.key = Some((chunk.rank, chunk.frame));
-        self.chunks.push(chunk);
-        self.chunks.len() >= total.clamp(1, WAVE_BUFFER_CAP)
+        });
+        wave.chunks.push(chunk);
+        wave.chunks.len() >= (total as usize).clamp(1, WAVE_BUFFER_CAP)
     }
 
     /// Take whatever is buffered (possibly an incomplete trailing wave).
-    pub(crate) fn take(&mut self) -> Vec<FrameChunk> {
-        self.key = None;
-        std::mem::take(&mut self.chunks)
+    pub(crate) fn take(&mut self) -> Option<Wave> {
+        self.wave.take()
     }
 }
 
-/// Assemble a buffered wave — one (rank, frame)'s run of chunks, as a
-/// [`WaveBuffer`] flushes it — through the plane's assembler, and fold it
-/// into every session that wants its frame, as far as the session's queue
-/// has room at `now`.
+/// Fold a wave — one (rank, frame)'s run of verdicts, as a [`WaveBuffer`]
+/// flushes it — into every session that wants its frame, as far as the
+/// session's queue has room at `now`.
 ///
 /// This is *the* degradation seam.  A session's queue holds at most its
 /// queue depth of chunks per stripe: a chunk whose stripe is full degrades
@@ -450,17 +438,8 @@ impl WaveBuffer {
 /// composite and surfaces a typed `MissingFrame` — while the farm and every
 /// other session keep moving.  Chunks withheld from a degraded session are
 /// counted dropped.
-pub(crate) fn multicast_wave(
-    plane: &mut FrameAssembler,
-    chunks: Vec<FrameChunk>,
-    sessions: &mut [Session],
-    now: Duration,
-    outcome: &mut PeOutcome,
-) {
-    let Some(first) = chunks.first() else { return };
-    let (rank, frame) = (first.rank, first.frame);
-    let chunks = chunks.into_iter().map(|chunk| verdict(plane, chunk)).collect();
-    let wave = Wave { rank, frame, chunks };
+pub(crate) fn multicast_wave(wave: &Wave, sessions: &mut [Session], now: Duration, outcome: &mut PeOutcome) {
+    let frame = wave.frame;
     let len = wave.chunks.len();
     #[cfg(test)]
     {
@@ -478,9 +457,9 @@ pub(crate) fn multicast_wave(
             *outcome.dropped.entry(session.session).or_default() += len as u64;
             continue;
         }
-        let n = session.take_prefix(&wave, now);
+        let n = session.take_prefix(wave, now);
         if n > 0 {
-            session.fold(&wave, n);
+            session.fold(wave, n);
             outcome.delivered += n as u64;
             #[cfg(test)]
             {
@@ -671,7 +650,7 @@ pub(crate) mod tests {
                     delivery.chunks_delivered += 1;
                     delivery.bytes_delivered += chunk.payload.len() as u64;
                     let rank = chunk.rank;
-                    match assembler.accept_verdict(chunk) {
+                    match assembler.accept(chunk) {
                         Ok(AssemblyEvent::Complete { .. }) => delivery.frames_completed += 1,
                         Ok(AssemblyEvent::Progress { .. }) => {}
                         Ok(AssemblyEvent::Late { rank, frame, stripe }) => {
@@ -777,18 +756,27 @@ pub(crate) mod tests {
         for (at, chunk) in chunks.iter_mut().enumerate() {
             chunk.stripe_seq = at as u64;
         }
+        // Each wave twice: its chunks, for the oracle, and the verdicts of
+        // the one assembler they went through, as the receive loop buffers
+        // them.
         let mut waves = Vec::new();
-        let mut buffer = WaveBuffer::new();
+        let mut plane = FrameAssembler::new();
+        let mut buffer = WaveBuffer::default();
+        let mut raw = Vec::new();
         for chunk in chunks {
-            if buffer.must_flush_before(&chunk) {
-                waves.push(buffer.take());
+            let (rank, frame, seq, total, bytes) =
+                (chunk.rank, chunk.frame, chunk.seq, chunk.total, chunk.payload.len());
+            if buffer.must_flush_before(rank, frame) {
+                waves.extend(buffer.take().map(|wave| (std::mem::take(&mut raw), wave)));
             }
-            if buffer.push(chunk) || below(4) == 0 {
-                waves.push(buffer.take());
+            raw.push(chunk.clone());
+            let event = plane.accept(chunk);
+            let verdict = Verdict::of(&event, &plane, rank, frame);
+            if buffer.push(rank, frame, total, WaveChunk { seq, bytes, verdict }) || below(4) == 0 {
+                waves.extend(buffer.take().map(|wave| (std::mem::take(&mut raw), wave)));
             }
         }
-        waves.push(buffer.take());
-        waves.retain(|wave| !wave.is_empty());
+        waves.extend(buffer.take().map(|wave| (raw, wave)));
 
         let default_depth = 1 + below(32) as usize;
         let count = 1 + below(64) as usize;
@@ -828,12 +816,11 @@ pub(crate) mod tests {
         }
         reach.closes += closes.len();
 
-        let mut plane = FrameAssembler::new();
         let mut outcome = PeOutcome::default();
         let mut oracle_skips = HashSet::new();
         let mut oracle_outcome = oracle::Outcome::default();
         let mut now = Duration::ZERO;
-        for (at, wave) in waves.into_iter().enumerate() {
+        for (at, (chunks, wave)) in waves.into_iter().enumerate() {
             // The plane's clock between two waves: often not at all, or up
             // to the time a paced stripe takes to drain a few chunks.
             now += Duration::from_micros(below(3) * below(40_000));
@@ -842,14 +829,14 @@ pub(crate) mod tests {
                 endpoints[session].end_frame = frame;
             }
             oracle::multicast_wave(
-                &wave,
+                &chunks,
                 &mut endpoints,
                 now,
                 &mut oracle_skips,
                 &mut oracle_outcome,
                 reach,
             );
-            multicast_wave(&mut plane, wave, &mut sessions, now, &mut outcome);
+            multicast_wave(&wave, &mut sessions, now, &mut outcome);
         }
 
         for (session, (got, ep)) in sessions.into_iter().zip(endpoints).enumerate() {

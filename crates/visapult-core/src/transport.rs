@@ -582,20 +582,11 @@ impl StripeSender {
     }
 
     /// Put a raw chunk onto its stripe, bypassing framing, blocking while the
-    /// stripe is full — how the fan-out plane forwards chunks to the primary
-    /// viewer, and the fault hook tests use to exercise duplicate, late and
-    /// corrupt arrivals.
+    /// stripe is full — the fault hook tests use to exercise duplicate, late
+    /// and corrupt arrivals.
     pub fn send_raw_chunk(&self, chunk: FrameChunk) -> Result<(), TransportError> {
         let stripe = chunk.stripe as usize % self.txs.len();
         self.txs[stripe].send(chunk).map_err(|_| TransportError::Closed)
-    }
-
-    /// Chunks currently occupying every stripe of this link — queued, or
-    /// held by the receiver and not yet released: the instantaneous
-    /// stripe-queue depth the telemetry plane samples for its high-water
-    /// gauges.  Racy by nature; never used for control flow.
-    pub fn queued_chunks(&self) -> usize {
-        self.txs.iter().map(|tx| tx.len()).sum()
     }
 }
 
@@ -780,9 +771,9 @@ impl StripeReceiver {
     }
 
     /// Chunks occupying every stripe of this link — queued, or held by this
-    /// receiver and not yet released: the receiver-side twin of
-    /// [`StripeSender::queued_chunks`], sampled by the fan-out plane for the
-    /// backend-inlet depth gauge.
+    /// receiver and not yet released: the instantaneous stripe-queue depth
+    /// the receive loop samples for the backend-inlet high-water gauge.  Racy
+    /// by nature; never used for control flow.
     pub fn queued_chunks(&self) -> usize {
         self.rxs.iter().map(|rx| rx.len()).sum()
     }
@@ -834,11 +825,9 @@ pub fn striped_link(config: &TransportConfig) -> (StripeSender, StripeReceiver) 
     )
 }
 
-/// What [`FrameAssembler::accept`] observed about one chunk.  `P` is what a
-/// completed frame carries: the payload, or `()` for a consumer that only
-/// counts frames.
+/// What [`FrameAssembler::accept`] observed about one chunk.
 #[derive(Debug)]
-pub enum AssemblyEvent<P = FramePayload> {
+pub enum AssemblyEvent {
     /// Chunk stored; its frame is still incomplete.
     Progress {
         /// Sending PE rank.
@@ -853,7 +842,7 @@ pub enum AssemblyEvent<P = FramePayload> {
     /// The chunk completed its frame; here is the reassembled payload.
     Complete {
         /// The frame, reassembled and validated.
-        payload: P,
+        payload: FramePayload,
         /// Framed bytes the frame occupied on the wire.
         wire_bytes: u64,
     },
@@ -989,21 +978,6 @@ impl FrameAssembler {
 
     /// Feed one chunk in; returns what happened.
     pub fn accept(&mut self, chunk: FrameChunk) -> Result<AssemblyEvent, TransportError> {
-        self.settle(chunk, |payload| payload)
-    }
-
-    /// [`FrameAssembler::accept`] for a consumer that keeps no payload: a
-    /// completed frame is still assembled and decoded (a frame that does not
-    /// decode is `Corrupt`), then reported without its payload.
-    pub(crate) fn accept_verdict(&mut self, chunk: FrameChunk) -> Result<AssemblyEvent<()>, TransportError> {
-        self.settle(chunk, |_| ())
-    }
-
-    fn settle<P>(
-        &mut self,
-        chunk: FrameChunk,
-        keep: impl FnOnce(FramePayload) -> P,
-    ) -> Result<AssemblyEvent<P>, TransportError> {
         let key = (chunk.rank, chunk.frame);
         // A pending frame has not completed, and `pending` holds a frame or
         // two where `completed` holds every frame so far: ask it first.
@@ -1081,10 +1055,7 @@ impl FrameAssembler {
         let wire_bytes = segments.wire_bytes();
         let payload = segments.decode().map_err(|e| TransportError::Corrupt(e.to_string()))?;
         self.stats.frames += 1;
-        Ok(AssemblyEvent::Complete {
-            payload: keep(payload),
-            wire_bytes,
-        })
+        Ok(AssemblyEvent::Complete { payload, wire_bytes })
     }
 
     /// Frames this assembler has assembled from their slots.
@@ -1686,10 +1657,10 @@ mod tests {
         assert!(asm.pending[&(1, 1)].prefix.is_some());
     }
 
-    /// The assembler as it was before its ordered maps, spare slot tables and
-    /// verdict-only completions, whole: hashed maps, and every completed
-    /// frame assembled from its slots and decoded on the spot.  The oracle
-    /// the assembler is held to.
+    /// The assembler as it was before its ordered maps and spare slot
+    /// tables, whole: hashed maps, and every completed frame assembled from
+    /// its slots and decoded on the spot.  The oracle the assembler is held
+    /// to.
     mod oracle {
         use super::*;
         use std::collections::{HashMap, HashSet};
@@ -1818,60 +1789,43 @@ mod tests {
     }
 
     /// What an assembler reported for one chunk, comparable across the
-    /// assemblers (a verdict-only completion carries no payload).
+    /// assemblers.
     #[derive(Debug, PartialEq)]
     enum Seen {
         Progress(u32, u32, u32, u32),
-        Complete(Option<FramePayload>, u64),
+        Complete(FramePayload, u64),
         Late(u32, u32, u32),
         Error(String),
     }
 
-    fn seen<P>(event: &Result<AssemblyEvent<P>, TransportError>, payload: impl Fn(&P) -> Option<FramePayload>) -> Seen {
+    fn seen(event: Result<AssemblyEvent, TransportError>) -> Seen {
         match event {
             Ok(AssemblyEvent::Progress {
                 rank,
                 frame,
                 received,
                 total,
-            }) => Seen::Progress(*rank, *frame, *received, *total),
-            Ok(AssemblyEvent::Complete { payload: p, wire_bytes }) => Seen::Complete(payload(p), *wire_bytes),
-            Ok(AssemblyEvent::Late { rank, frame, stripe }) => Seen::Late(*rank, *frame, *stripe),
+            }) => Seen::Progress(rank, frame, received, total),
+            Ok(AssemblyEvent::Complete { payload, wire_bytes }) => Seen::Complete(payload, wire_bytes),
+            Ok(AssemblyEvent::Late { rank, frame, stripe }) => Seen::Late(rank, frame, stripe),
             Err(e) => Seen::Error(e.to_string()),
         }
     }
 
     /// One hostile chunk sequence, drawn from `seed`, through a private
-    /// assembler, one that keeps only verdicts, and the oracle: every event,
-    /// error text, pending list and stat must agree, and nothing may panic.
+    /// assembler and the oracle: every event, error text, pending list and
+    /// stat must agree, and nothing may panic.
     fn hostile_case(seed: u64) {
         // Gather copies are counted process-wide.
         let _turn = copy_counter_turn();
         let mut oracle = oracle::ParentAssembler::default();
         let mut private = FrameAssembler::new();
-        let mut verdicts = FrameAssembler::new();
         for chunk in hostile_chunks(seed) {
-            let want = oracle.accept(chunk.clone());
-            let private_event = private.accept(chunk.clone());
-            let verdict = verdicts.accept_verdict(chunk);
-            let want_seen = seen(&want, |p| Some(p.clone()));
-            assert_eq!(
-                seen(&private_event, |p| Some(p.clone())),
-                want_seen,
-                "private, case {seed}"
-            );
-            let mut stripped = want_seen;
-            if let Seen::Complete(payload, _) = &mut stripped {
-                *payload = None;
-            }
-            assert_eq!(seen(&verdict, |_| None), stripped, "verdict only, case {seed}");
-            let pending = oracle.pending_frames();
-            assert_eq!(private.pending_frames(), pending, "case {seed}");
-            assert_eq!(verdicts.pending_frames(), pending, "case {seed}");
+            let want = seen(oracle.accept(chunk.clone()));
+            assert_eq!(seen(private.accept(chunk)), want, "case {seed}");
+            assert_eq!(private.pending_frames(), oracle.pending_frames(), "case {seed}");
         }
-        for stats in [&private.stats, &verdicts.stats] {
-            assert_eq!(stats, &oracle.stats, "case {seed}");
-        }
+        assert_eq!(private.stats, oracle.stats, "case {seed}");
     }
 
     #[test]

@@ -5,18 +5,23 @@
 //! receiving data from the Visapult back end visualization processes over
 //! multiple simultaneous network connections" (§3.4).
 //!
-//! [`Viewer::run`] spawns one I/O thread per back-end PE link.  Each thread
-//! services every stripe of its [`StripeReceiver`], reassembling
-//! sequence-numbered chunks as they arrive — and it does not wait for whole
-//! frames: as soon as a frame's light payload lands the quad is placed in the
-//! scene graph, and every contiguous texture prefix that arrives updates it
-//! in place, so the render thread composites *partial* frames while the rest
-//! of the stripes are still in flight (the paper's key UX property: the
-//! display is never blocked on the WAN).  Out-of-order completions, late
-//! stripes after a frame's final composite, and frames lost to a dying link
-//! are surfaced as typed [`ViewerError`]s, never silently dropped.
+//! This code keeps what the quote is for — the render thread never waits on
+//! the network — with two threads, not one per connection.  [`Viewer::run`]
+//! starts the render thread and runs the receive loop
+//! ([`crate::service::asyncplane`]) on the calling thread, over all P links:
+//! each link's sequence-numbered chunks are reassembled as they arrive, and
+//! what the link's [`FrameAssembler`] makes of each chunk goes to the link's
+//! display fold (and, with a `[service]` table, to every session).  The fold
+//! does not wait for whole frames: as soon as a frame's light payload lands
+//! the quad is placed in the scene graph, and every contiguous texture prefix
+//! that arrives updates it in place, so the render thread composites
+//! *partial* frames while the rest of the stripes are still in flight (the
+//! paper's key UX property: the display is never blocked on the WAN).
+//! Out-of-order completions, late stripes after a frame's final composite,
+//! and frames lost to a dying link are surfaced as typed [`ViewerError`]s,
+//! never silently dropped.
 //!
-//! # What a chunk costs a link thread
+//! # What a chunk costs the receive loop
 //!
 //! A kilobyte chunk costs a kilobyte's worth of work.  Each chunk is one
 //! [`FrameAssembler::accept`] and one poll of the assembler's incremental
@@ -40,17 +45,18 @@
 //! bytes per pixel, no zero dimension, a size that fits, no more texture
 //! bytes than it announces.  A frame that fails is reported as
 //! [`ViewerError::Corrupt`] once and counted as received but never shown; a
-//! link thread that panics anyway is reported the same way instead of
-//! vanishing with its statistics.
+//! link whose pull panics anyway is reported the same way ("link thread
+//! panicked: …"), ends, and has the frames it never delivered reported as
+//! missing.
 
 use crate::pipeline::{Clock, WallClock};
 use crate::protocol::LightPayload;
-use crate::transport::{AssemblyEvent, FrameAssembler, StripeReceiver, TransportStats};
+use crate::service::asyncplane::{receive, SessionFeed};
+use crate::transport::{AssemblyEvent, FrameAssembler, StripeReceiver, TransportError, TransportStats};
 use bytes::Bytes;
 use netlogger::{tags, NetLogger};
 use scenegraph::{NodeId, Quad3, RasterSettings, Rasterizer, SceneGraph, SceneGraphStats, SceneNode, Texture};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use volren::{RgbaImage, ViewOrientation};
@@ -184,7 +190,7 @@ fn texture_quad(light: &LightPayload, image: Texture) -> SceneNode {
     }
 }
 
-/// What a link thread has done with a frame that is still arriving.
+/// What the display has done with a frame that is still arriving.
 enum Shown {
     /// The quad is up, textured with this many bytes of contiguous prefix.
     Prefix(usize),
@@ -200,6 +206,263 @@ pub(crate) fn panic_detail(thread: &str, payload: &(dyn std::any::Any + Send)) -
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("(no message)");
     format!("{thread} panicked: {message}")
+}
+
+/// What one link's display has made of the link so far.
+struct LinkDisplay {
+    texture_node: NodeId,
+    grid_node: NodeId,
+    log: Option<NetLogger>,
+    /// Frames completed, counted as received.
+    completed: usize,
+    /// Framed bytes of the completed frames.
+    wire_bytes: u64,
+    newest_shown: Option<u32>,
+    started: HashSet<u32>,
+    light_logged: HashSet<u32>,
+    shown: HashMap<u32, Shown>,
+    /// Scene updates made from incomplete frames.
+    partials: u64,
+    /// Every anomaly observed on the link, in arrival order.
+    errors: Vec<ViewerError>,
+}
+
+impl LinkDisplay {
+    /// Integrate what the link's assembler made of one chunk of an expected
+    /// frame into the scene graph: the progressive rule and the hostile-header
+    /// checks.
+    fn fold(
+        &mut self,
+        scene: &SceneGraph,
+        rank: u32,
+        assembler: &mut FrameAssembler,
+        event: Result<AssemblyEvent, TransportError>,
+    ) {
+        let errors = &mut self.errors;
+        let log = self.log.as_ref();
+        match event {
+            Err(e) => errors.push(ViewerError::Corrupt {
+                rank,
+                detail: e.to_string(),
+            }),
+            Ok(AssemblyEvent::Late { rank, frame, stripe }) => {
+                errors.push(ViewerError::LateStripe { rank, frame, stripe });
+            }
+            Ok(AssemblyEvent::Progress { rank, frame, .. }) => {
+                let Some(light) = assembler.partial_light(rank, frame) else {
+                    return;
+                };
+                let shown_len = match self.shown.get(&frame) {
+                    Some(Shown::Refused) => return,
+                    Some(Shown::Prefix(len)) => Some(*len),
+                    None => None,
+                };
+                let prefix = assembler.partial_texture(rank, frame).unwrap_or_default();
+                let prefix_len = prefix.len();
+                let image = match announced_texture(&light, prefix) {
+                    Ok(image) => image,
+                    Err(detail) => {
+                        errors.push(ViewerError::Corrupt { rank, detail });
+                        self.shown.insert(frame, Shown::Refused);
+                        return;
+                    }
+                };
+                let full = image.byte_len();
+                if let Some(l) = log {
+                    if self.light_logged.insert(frame) {
+                        let promised = full as u64 + u64::from(light.geometry_segments) * 24;
+                        l.log_with(tags::V_LIGHTPAYLOAD_END, [(tags::FIELD_FRAME, u64::from(frame))]);
+                        l.log_with(
+                            tags::V_HEAVYPAYLOAD_START,
+                            [(tags::FIELD_FRAME, u64::from(frame)), (tags::FIELD_BYTES, promised)],
+                        );
+                    }
+                }
+                // Progressive integration: never roll back past a newer
+                // frame.  Show the partial texture when the quad first
+                // appears (light landed) and thereafter only when the
+                // contiguous prefix grew by at least a quarter of the
+                // texture — bounding scene updates per frame regardless of
+                // how finely the link chunked it.
+                if self.newest_shown.map(|n| frame >= n).unwrap_or(true) {
+                    let grown = prefix_len.saturating_sub(shown_len.unwrap_or(0));
+                    if shown_len.is_none() || grown.saturating_mul(4) >= full {
+                        scene.update(self.texture_node, texture_quad(&light, image));
+                        self.shown.insert(frame, Shown::Prefix(prefix_len));
+                        self.partials += 1;
+                    }
+                }
+            }
+            Ok(AssemblyEvent::Complete { payload, wire_bytes }) => {
+                self.completed += 1;
+                let frame = payload.light.frame;
+                self.wire_bytes += wire_bytes;
+                if let Some(l) = log {
+                    if self.light_logged.insert(frame) {
+                        l.log_with(tags::V_LIGHTPAYLOAD_END, [(tags::FIELD_FRAME, u64::from(frame))]);
+                        l.log_with(
+                            tags::V_HEAVYPAYLOAD_START,
+                            [
+                                (tags::FIELD_FRAME, u64::from(frame)),
+                                (tags::FIELD_BYTES, payload.heavy.payload_bytes()),
+                            ],
+                        );
+                    }
+                }
+                let already_refused = matches!(self.shown.remove(&frame), Some(Shown::Refused));
+                // The whole texture, still the payload's own buffer.
+                let texels = payload.heavy.texture_rgba8.clone();
+                let image = announced_texture(&payload.light, texels).and_then(|image| {
+                    let have = payload.heavy.texture_rgba8.len();
+                    if image.byte_len() == have {
+                        Ok(image)
+                    } else {
+                        Err(format!(
+                            "texture is {have} bytes but its header announces {}",
+                            image.byte_len()
+                        ))
+                    }
+                });
+                match (image, self.newest_shown) {
+                    (Err(detail), _) => {
+                        if !already_refused {
+                            errors.push(ViewerError::Corrupt { rank, detail });
+                        }
+                    }
+                    (Ok(_), Some(newest)) if frame < newest => {
+                        errors.push(ViewerError::StaleFrame { rank, frame, newest });
+                    }
+                    (Ok(image), _) => {
+                        scene.update(self.texture_node, texture_quad(&payload.light, image));
+                        scene.update(
+                            self.grid_node,
+                            SceneNode::Lines {
+                                // Refcount bump, not a copy: the scene graph
+                                // shares the payload's segment list.
+                                segments: Arc::clone(&payload.heavy.geometry),
+                                color: [0.4, 0.9, 0.4, 0.8],
+                            },
+                        );
+                        self.newest_shown = Some(frame);
+                    }
+                }
+                if let Some(l) = log {
+                    l.log_with(tags::V_HEAVYPAYLOAD_END, [(tags::FIELD_FRAME, u64::from(frame))]);
+                    l.log_with(tags::V_FRAME_END, [(tags::FIELD_FRAME, u64::from(frame))]);
+                }
+            }
+        }
+    }
+}
+
+/// The viewer's half of the receive loop: per back-end PE link, the
+/// progressive fold of what the link's assembler makes of each chunk into
+/// the scene graph.  Once a link has delivered every expected frame, what
+/// still arrives on it is a straggler: observed, never shown.
+pub(crate) struct Display<'a> {
+    scene: &'a SceneGraph,
+    expected_frames: usize,
+    links: Vec<LinkDisplay>,
+    /// Links that can still move the scene: not ended, and short of their
+    /// expected frames.
+    unsettled: usize,
+    /// Hung up once no link can move the scene, so the render thread makes
+    /// its last composite while the loop drains what is left on the links.
+    scene_final: Option<mpsc::Sender<()>>,
+    /// Receiver-side transport stats summed over the links that ended.
+    transport: TransportStats,
+    /// The threads that folded chunks into the scene.
+    #[cfg(test)]
+    threads: HashSet<std::thread::ThreadId>,
+}
+
+impl Display<'_> {
+    /// What link `pe`'s assembler made of the chunk of `frame` it pulled
+    /// last, which arrived on `stripe`.
+    pub(crate) fn assembled(
+        &mut self,
+        pe: usize,
+        frame: u32,
+        stripe: u32,
+        assembler: &mut FrameAssembler,
+        event: Result<AssemblyEvent, TransportError>,
+    ) {
+        #[cfg(test)]
+        self.threads.insert(std::thread::current().id());
+        let rank = pe as u32;
+        let link = &mut self.links[pe];
+        if link.completed < self.expected_frames {
+            if let Some(l) = &link.log {
+                if link.started.insert(frame) {
+                    l.log_with(tags::V_FRAME_START, [(tags::FIELD_FRAME, u64::from(frame))]);
+                    l.log_with(tags::V_LIGHTPAYLOAD_START, [(tags::FIELD_FRAME, u64::from(frame))]);
+                }
+            }
+            link.fold(self.scene, rank, assembler, event);
+            if link.completed == self.expected_frames {
+                self.settle();
+            }
+            return;
+        }
+        match event {
+            Ok(AssemblyEvent::Late { rank, frame, stripe }) => {
+                link.errors.push(ViewerError::LateStripe { rank, frame, stripe })
+            }
+            Ok(_) => {}
+            Err(e) => link.errors.push(ViewerError::Corrupt {
+                rank,
+                detail: format!("straggler on stripe {stripe}: {e}"),
+            }),
+        }
+    }
+
+    /// Link `pe` ended — it closed, or its pull panicked with `panic`:
+    /// surface what never finished, partially-assembled frames first, then
+    /// expected frames the link never delivered at all.
+    pub(crate) fn ended(&mut self, pe: usize, assembler: &FrameAssembler, panic: Option<String>) {
+        let rank = pe as u32;
+        let link = &mut self.links[pe];
+        // Its frames are lost with it, but not silently.
+        if let Some(detail) = panic {
+            link.errors.push(ViewerError::Corrupt { rank, detail });
+        }
+        let pending = assembler.pending_frames();
+        for &(rank, frame, received, total) in &pending {
+            link.errors.push(ViewerError::MissingFrame {
+                rank,
+                frame,
+                received_chunks: received,
+                total_chunks: total,
+            });
+        }
+        let unsettled = link.completed < self.expected_frames;
+        if unsettled {
+            let pending: HashSet<u32> = pending.iter().map(|&(_, f, _, _)| f).collect();
+            for frame in 0..self.expected_frames as u32 {
+                if !assembler.is_complete(rank, frame) && !pending.contains(&frame) {
+                    link.errors.push(ViewerError::MissingFrame {
+                        rank,
+                        frame,
+                        received_chunks: 0,
+                        total_chunks: 0,
+                    });
+                }
+            }
+        }
+        self.transport.merge(&assembler.stats);
+        self.transport.partial_updates += link.partials;
+        if unsettled {
+            self.settle();
+        }
+    }
+
+    /// One more link can no longer move the scene.
+    fn settle(&mut self) {
+        self.unsettled -= 1;
+        if self.unsettled == 0 {
+            self.scene_final = None;
+        }
+    }
 }
 
 /// The viewer application.
@@ -222,209 +485,22 @@ impl Viewer {
         &self.scene
     }
 
-    /// Service one back-end PE link chunk-by-chunk until it delivers
-    /// `expected_frames` frames or closes, integrating partial and complete
-    /// frames into the scene graph.  Returns the link's receiver-side
-    /// transport stats and every anomaly observed.
-    #[allow(clippy::too_many_arguments)]
-    fn io_thread(
-        scene: &SceneGraph,
-        mut rx: StripeReceiver,
-        pe: usize,
-        texture_node: NodeId,
-        grid_node: NodeId,
-        expected_frames: usize,
-        log: Option<&NetLogger>,
-        frames_received: &AtomicU64,
-        bytes_received: &AtomicU64,
-        partial_updates: &AtomicU64,
-    ) -> (TransportStats, Vec<ViewerError>) {
-        let rank = pe as u32;
-        let mut assembler = FrameAssembler::new();
-        let mut errors = Vec::new();
-        let mut completed = 0usize;
-        let mut newest_shown: Option<u32> = None;
-        let mut started: HashSet<u32> = HashSet::new();
-        let mut light_logged: HashSet<u32> = HashSet::new();
-        let mut shown: HashMap<u32, Shown> = HashMap::new();
-        let mut partials = 0u64;
-
-        while completed < expected_frames {
-            let chunk = match rx.recv_chunk() {
-                Ok(c) => c,
-                Err(_) => break, // back end went away
-            };
-            let frame = chunk.frame;
-            if let Some(l) = log {
-                if started.insert(frame) {
-                    l.log_with(tags::V_FRAME_START, [(tags::FIELD_FRAME, u64::from(frame))]);
-                    l.log_with(tags::V_LIGHTPAYLOAD_START, [(tags::FIELD_FRAME, u64::from(frame))]);
-                }
-            }
-            match assembler.accept(chunk) {
-                Err(e) => errors.push(ViewerError::Corrupt {
-                    rank,
-                    detail: e.to_string(),
-                }),
-                Ok(AssemblyEvent::Late { rank, frame, stripe }) => {
-                    errors.push(ViewerError::LateStripe { rank, frame, stripe });
-                }
-                Ok(AssemblyEvent::Progress { rank, frame, .. }) => {
-                    let Some(light) = assembler.partial_light(rank, frame) else {
-                        continue;
-                    };
-                    let shown_len = match shown.get(&frame) {
-                        Some(Shown::Refused) => continue,
-                        Some(Shown::Prefix(len)) => Some(*len),
-                        None => None,
-                    };
-                    let prefix = assembler.partial_texture(rank, frame).unwrap_or_default();
-                    let prefix_len = prefix.len();
-                    let image = match announced_texture(&light, prefix) {
-                        Ok(image) => image,
-                        Err(detail) => {
-                            errors.push(ViewerError::Corrupt { rank, detail });
-                            shown.insert(frame, Shown::Refused);
-                            continue;
-                        }
-                    };
-                    let full = image.byte_len();
-                    if let Some(l) = log {
-                        if light_logged.insert(frame) {
-                            let promised = full as u64 + u64::from(light.geometry_segments) * 24;
-                            l.log_with(tags::V_LIGHTPAYLOAD_END, [(tags::FIELD_FRAME, u64::from(frame))]);
-                            l.log_with(
-                                tags::V_HEAVYPAYLOAD_START,
-                                [(tags::FIELD_FRAME, u64::from(frame)), (tags::FIELD_BYTES, promised)],
-                            );
-                        }
-                    }
-                    // Progressive integration: never roll back past a newer
-                    // frame.  Show the partial texture when the quad first
-                    // appears (light landed) and thereafter only when the
-                    // contiguous prefix grew by at least a quarter of the
-                    // texture — bounding scene updates per frame regardless
-                    // of how finely the link chunked it.
-                    if newest_shown.map(|n| frame >= n).unwrap_or(true) {
-                        let grown = prefix_len.saturating_sub(shown_len.unwrap_or(0));
-                        if shown_len.is_none() || grown.saturating_mul(4) >= full {
-                            scene.update(texture_node, texture_quad(&light, image));
-                            shown.insert(frame, Shown::Prefix(prefix_len));
-                            partials += 1;
-                        }
-                    }
-                }
-                Ok(AssemblyEvent::Complete { payload, wire_bytes }) => {
-                    completed += 1;
-                    let frame = payload.light.frame;
-                    bytes_received.fetch_add(wire_bytes, Ordering::Relaxed);
-                    frames_received.fetch_add(1, Ordering::Relaxed);
-                    if let Some(l) = log {
-                        if light_logged.insert(frame) {
-                            l.log_with(tags::V_LIGHTPAYLOAD_END, [(tags::FIELD_FRAME, u64::from(frame))]);
-                            l.log_with(
-                                tags::V_HEAVYPAYLOAD_START,
-                                [
-                                    (tags::FIELD_FRAME, u64::from(frame)),
-                                    (tags::FIELD_BYTES, payload.heavy.payload_bytes()),
-                                ],
-                            );
-                        }
-                    }
-                    let already_refused = matches!(shown.remove(&frame), Some(Shown::Refused));
-                    // The whole texture, still the payload's own buffer.
-                    let texels = payload.heavy.texture_rgba8.clone();
-                    let image = announced_texture(&payload.light, texels).and_then(|image| {
-                        let have = payload.heavy.texture_rgba8.len();
-                        if image.byte_len() == have {
-                            Ok(image)
-                        } else {
-                            Err(format!(
-                                "texture is {have} bytes but its header announces {}",
-                                image.byte_len()
-                            ))
-                        }
-                    });
-                    match (image, newest_shown) {
-                        (Err(detail), _) => {
-                            if !already_refused {
-                                errors.push(ViewerError::Corrupt { rank, detail });
-                            }
-                        }
-                        (Ok(_), Some(newest)) if frame < newest => {
-                            errors.push(ViewerError::StaleFrame { rank, frame, newest });
-                        }
-                        (Ok(image), _) => {
-                            scene.update(texture_node, texture_quad(&payload.light, image));
-                            scene.update(
-                                grid_node,
-                                SceneNode::Lines {
-                                    // Refcount bump, not a copy: the scene graph
-                                    // shares the payload's segment list.
-                                    segments: Arc::clone(&payload.heavy.geometry),
-                                    color: [0.4, 0.9, 0.4, 0.8],
-                                },
-                            );
-                            newest_shown = Some(frame);
-                        }
-                    }
-                    if let Some(l) = log {
-                        l.log_with(tags::V_HEAVYPAYLOAD_END, [(tags::FIELD_FRAME, u64::from(frame))]);
-                        l.log_with(tags::V_FRAME_END, [(tags::FIELD_FRAME, u64::from(frame))]);
-                    }
-                }
-            }
-        }
-
-        // Every expected frame is in (or the link died): drain stragglers so
-        // late stripes are observed rather than abandoned in the queues.
-        while let Some(chunk) = rx.try_recv_chunk() {
-            let stripe = chunk.stripe;
-            match assembler.accept(chunk) {
-                Ok(AssemblyEvent::Late { rank, frame, stripe }) => {
-                    errors.push(ViewerError::LateStripe { rank, frame, stripe })
-                }
-                Ok(_) => {}
-                Err(e) => errors.push(ViewerError::Corrupt {
-                    rank,
-                    detail: format!("straggler on stripe {stripe}: {e}"),
-                }),
-            }
-        }
-
-        // Surface what never finished: partially-assembled frames first, then
-        // frames this link never saw at all.
-        for (rank, frame, received, total) in assembler.pending_frames() {
-            errors.push(ViewerError::MissingFrame {
-                rank,
-                frame,
-                received_chunks: received,
-                total_chunks: total,
-            });
-        }
-        if completed < expected_frames {
-            let pending: HashSet<u32> = assembler.pending_frames().iter().map(|&(_, f, _, _)| f).collect();
-            for frame in 0..expected_frames as u32 {
-                if !assembler.is_complete(rank, frame) && !pending.contains(&frame) {
-                    errors.push(ViewerError::MissingFrame {
-                        rank,
-                        frame,
-                        received_chunks: 0,
-                        total_chunks: 0,
-                    });
-                }
-            }
-        }
-        partial_updates.fetch_add(partials, Ordering::Relaxed);
-        let mut stats = assembler.stats.clone();
-        stats.partial_updates = partials;
-        (stats, errors)
+    /// Insert a texture node and a grid node per PE link, so the display
+    /// only ever updates.
+    fn place_nodes(&self, links: usize) -> Vec<(NodeId, NodeId)> {
+        let awaiting = |what: &str| {
+            self.scene.insert(SceneNode::Text {
+                position: [0.0; 3],
+                content: format!("awaiting {what}"),
+            })
+        };
+        (0..links).map(|_| (awaiting("texture"), awaiting("grid"))).collect()
     }
 
     /// Run the viewer against one striped receiver per back-end PE.  Blocks
-    /// until every link has delivered its expected frames (or closed), then
-    /// returns the report with the final composite.  Render-thread pacing
-    /// rides the wall clock — the real path's natural time base.
+    /// until every link has closed and drained, then returns the report with
+    /// the final composite: the caller hangs up its senders.  Render-thread
+    /// pacing rides the wall clock — the real path's natural time base.
     pub fn run(self, links: Vec<StripeReceiver>, logger: Option<NetLogger>) -> ViewerReport {
         self.run_on(&WallClock, links, logger)
     }
@@ -433,76 +509,44 @@ impl Viewer {
     /// interval waits through [`Clock::pace_until_woken`], not a raw sleep,
     /// so a virtual-clock viewer never blocks on wall time.
     pub fn run_on(self, clock: &dyn Clock, links: Vec<StripeReceiver>, logger: Option<NetLogger>) -> ViewerReport {
-        let frames_received = AtomicU64::new(0);
-        let bytes_received = AtomicU64::new(0);
-        let partial_updates = AtomicU64::new(0);
+        self.serve(clock, links, logger, None)
+    }
+
+    /// [`Viewer::run_on`], also serving `sessions` from the same receive
+    /// loop: each chunk is assembled once, for the display and for every
+    /// session, and the sessions' report goes back on the feed's channel.
+    /// The loop runs on the calling thread; the render thread is the one
+    /// thread this starts.
+    pub(crate) fn serve(
+        self,
+        clock: &dyn Clock,
+        links: Vec<StripeReceiver>,
+        logger: Option<NetLogger>,
+        sessions: Option<SessionFeed>,
+    ) -> ViewerReport {
         let raster_settings = RasterSettings::framing_volume(
             self.config.volume_dims,
             self.config.image_size.0,
             self.config.image_size.1,
         );
         let view = self.config.view;
+        let expected_frames = self.config.expected_frames;
+        let nodes = self.place_nodes(links.len());
 
-        // Pre-create the per-PE nodes so I/O threads only ever update.
-        let node_ids: Vec<(NodeId, NodeId)> = (0..links.len())
-            .map(|_| {
-                (
-                    self.scene.insert(SceneNode::Text {
-                        position: [0.0; 3],
-                        content: "awaiting texture".to_string(),
-                    }),
-                    self.scene.insert(SceneNode::Text {
-                        position: [0.0; 3],
-                        content: "awaiting grid".to_string(),
-                    }),
-                )
-            })
-            .collect();
-
-        let mut transport = TransportStats::default();
-        let mut errors = Vec::new();
-        // The link threads are done when this sender hangs up.
-        let (links_done, links_running) = mpsc::channel::<()>();
-        let (raster, renders) = std::thread::scope(|scope| {
-            // I/O service threads, one per back-end PE link.
-            let io_handles: Vec<_> = links
-                .into_iter()
-                .enumerate()
-                .map(|(pe, rx)| {
-                    let scene = &self.scene;
-                    let (texture_node, grid_node) = node_ids[pe];
-                    let log = logger.as_ref().map(|l| l.for_program(format!("viewer-worker-{pe}")));
-                    let frames_received = &frames_received;
-                    let bytes_received = &bytes_received;
-                    let partial_updates = &partial_updates;
-                    let expected = self.config.expected_frames;
-                    scope.spawn(move || {
-                        Self::io_thread(
-                            scene,
-                            rx,
-                            pe,
-                            texture_node,
-                            grid_node,
-                            expected,
-                            log.as_ref(),
-                            frames_received,
-                            bytes_received,
-                            partial_updates,
-                        )
-                    })
-                })
-                .collect();
+        // The scene is final when this sender hangs up.
+        let (scene_final, scene_moving) = mpsc::channel::<()>();
+        let (raster, renders, display) = std::thread::scope(|scope| {
             // The render thread: composites snapshots at its own rate, into
-            // one framebuffer and over kept sampling plans, until the I/O
-            // threads are done — and then once more if the scene moved, so
-            // its framebuffer is the final composite.
+            // one framebuffer and over kept sampling plans, until the scene
+            // is final — and then once more if the scene moved, so its
+            // framebuffer is the final composite.
             let scene = &self.scene;
             let render = scope.spawn(move || {
                 let mut raster = Rasterizer::new(&view, raster_settings);
                 let mut renders = 0u64;
                 let mut last_generation = None;
                 loop {
-                    let finished = matches!(links_running.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+                    let finished = matches!(scene_moving.try_recv(), Err(mpsc::TryRecvError::Disconnected));
                     let generation = scene.generation();
                     if last_generation != Some(generation) {
                         let snapshot_nodes: Vec<SceneNode> = scene.snapshot().into_iter().map(|(_, n)| n).collect();
@@ -514,39 +558,63 @@ impl Viewer {
                         return (raster, renders);
                     }
                     // Poll cadence through the Clock seam: the wall clock
-                    // waits out the interval unless the links finish first, a
-                    // virtual clock never blocks.
-                    clock.pace_until_woken(clock.monotonic_now() + Duration::from_millis(2), &links_running);
+                    // waits out the interval unless the scene is final
+                    // first, a virtual clock never blocks.
+                    clock.pace_until_woken(clock.monotonic_now() + Duration::from_millis(2), &scene_moving);
                 }
             });
-            // Join the I/O threads (they exit once every expected frame has
-            // arrived or their sender hangs up), then stop the render thread.
-            for (pe, handle) in io_handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok((stats, errs)) => {
-                        transport.merge(&stats);
-                        errors.extend(errs);
-                    }
-                    // Its frames are lost with it, but not silently.
-                    Err(panic) => errors.push(ViewerError::Corrupt {
-                        rank: pe as u32,
-                        detail: panic_detail("link thread", panic.as_ref()),
-                    }),
-                }
+            let mut display = Display {
+                scene,
+                expected_frames,
+                links: nodes
+                    .into_iter()
+                    .enumerate()
+                    .map(|(pe, (texture_node, grid_node))| LinkDisplay {
+                        texture_node,
+                        grid_node,
+                        log: logger.as_ref().map(|l| l.for_program(format!("viewer-worker-{pe}"))),
+                        completed: 0,
+                        wire_bytes: 0,
+                        newest_shown: None,
+                        started: HashSet::new(),
+                        light_logged: HashSet::new(),
+                        shown: HashMap::new(),
+                        partials: 0,
+                        errors: Vec::new(),
+                    })
+                    .collect(),
+                unsettled: links.len(),
+                scene_final: Some(scene_final),
+                transport: TransportStats::default(),
+                #[cfg(test)]
+                threads: HashSet::new(),
+            };
+            // The receive loop, on this thread, until every link has closed.
+            let mut sessions = sessions;
+            receive(clock, links, sessions.as_mut().map(|(fan, _)| fan), Some(&mut display));
+            // Every link has ended, whatever it was expected to deliver.
+            display.scene_final = None;
+            if let Some((fan, report)) = sessions {
+                // A stage that stopped waiting has nothing left to hear.
+                let _ = report.send(fan.report());
             }
-            drop(links_done);
-            render.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            #[cfg(test)]
+            tests::LAST_RUN_THREADS.with(|threads| {
+                threads.replace(Some((display.threads.clone(), render.thread().id())));
+            });
+            let (raster, renders) = render.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (raster, renders, display)
         });
         #[cfg(test)]
-        LAST_RUN_COUNTS.with(|counts| counts.set(Some(raster.counts())));
+        tests::LAST_RUN_COUNTS.with(|counts| counts.set(Some(raster.counts())));
 
         ViewerReport {
-            frames_received: frames_received.load(Ordering::Relaxed) as usize,
+            frames_received: display.links.iter().map(|link| link.completed).sum(),
             renders_performed: renders,
-            received_wire_bytes: bytes_received.load(Ordering::Relaxed),
-            partial_updates: partial_updates.load(Ordering::Relaxed),
-            transport,
-            errors,
+            received_wire_bytes: display.links.iter().map(|link| link.wire_bytes).sum(),
+            partial_updates: display.transport.partial_updates,
+            transport: display.transport,
+            errors: display.links.into_iter().flat_map(|link| link.errors).collect(),
             scene_stats: self.scene.stats(),
             // The final composite of whatever arrived.
             final_image: raster.into_framebuffer(),
@@ -555,18 +623,22 @@ impl Viewer {
 }
 
 #[cfg(test)]
-thread_local! {
-    /// The render thread's rasterizer counts from this thread's last
-    /// `Viewer::run` (test-only work counter).
-    static LAST_RUN_COUNTS: std::cell::Cell<Option<scenegraph::RasterCounts>> = const { std::cell::Cell::new(None) };
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::test_support::{chunk_frame, flat_frame as payload, links as support_links};
     use crate::transport::{striped_link, FrameChunk, StripeSender, TransportConfig};
     use bytes::Bytes;
+
+    thread_local! {
+        /// The render thread's rasterizer counts from this thread's last
+        /// `Viewer::run` (test-only work counter).
+        pub(super) static LAST_RUN_COUNTS: std::cell::Cell<Option<scenegraph::RasterCounts>> =
+            const { std::cell::Cell::new(None) };
+        /// The threads this thread's last `Viewer::run` folded chunks on, and
+        /// its render thread.
+        pub(crate) static LAST_RUN_THREADS: std::cell::RefCell<Option<(HashSet<std::thread::ThreadId>, std::thread::ThreadId)>> =
+            const { std::cell::RefCell::new(None) };
+    }
 
     fn links(pes: usize) -> (Vec<StripeSender>, Vec<StripeReceiver>) {
         support_links(pes, &TransportConfig::default().with_chunk_bytes(512))
@@ -996,6 +1068,382 @@ mod tests {
             "{} DDA steps for one segment; the every-step DDA took ~1.07·10⁶ for the long one ({width}×{height} window)",
             counts.max_segment_steps
         );
+    }
+
+    /// The viewer as it was before the receive loop: one I/O thread per
+    /// back-end PE link, each servicing its link chunk by chunk on an
+    /// assembler of its own until the link delivers `expected_frames` frames
+    /// or closes, then draining the stragglers already queued.  The oracle
+    /// the loop-fed display is held to; it runs here on the caller's thread,
+    /// over links that have already closed.
+    mod oracle {
+        use super::super::*;
+
+        /// One link's I/O thread: its receiver-side transport stats, every
+        /// anomaly observed, and the frames and framed bytes it received.
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn io_thread(
+            scene: &SceneGraph,
+            mut rx: StripeReceiver,
+            pe: usize,
+            texture_node: NodeId,
+            grid_node: NodeId,
+            expected_frames: usize,
+            log: Option<&NetLogger>,
+        ) -> (TransportStats, Vec<ViewerError>, usize, u64) {
+            let rank = pe as u32;
+            let mut assembler = FrameAssembler::new();
+            let mut errors = Vec::new();
+            let mut completed = 0usize;
+            let mut bytes_received = 0u64;
+            let mut newest_shown: Option<u32> = None;
+            let mut started: HashSet<u32> = HashSet::new();
+            let mut light_logged: HashSet<u32> = HashSet::new();
+            let mut shown: HashMap<u32, Shown> = HashMap::new();
+            let mut partials = 0u64;
+
+            while completed < expected_frames {
+                let chunk = match rx.recv_chunk() {
+                    Ok(c) => c,
+                    Err(_) => break, // back end went away
+                };
+                let frame = chunk.frame;
+                if let Some(l) = log {
+                    if started.insert(frame) {
+                        l.log_with(tags::V_FRAME_START, [(tags::FIELD_FRAME, u64::from(frame))]);
+                        l.log_with(tags::V_LIGHTPAYLOAD_START, [(tags::FIELD_FRAME, u64::from(frame))]);
+                    }
+                }
+                match assembler.accept(chunk) {
+                    Err(e) => errors.push(ViewerError::Corrupt {
+                        rank,
+                        detail: e.to_string(),
+                    }),
+                    Ok(AssemblyEvent::Late { rank, frame, stripe }) => {
+                        errors.push(ViewerError::LateStripe { rank, frame, stripe });
+                    }
+                    Ok(AssemblyEvent::Progress { rank, frame, .. }) => {
+                        let Some(light) = assembler.partial_light(rank, frame) else {
+                            continue;
+                        };
+                        let shown_len = match shown.get(&frame) {
+                            Some(Shown::Refused) => continue,
+                            Some(Shown::Prefix(len)) => Some(*len),
+                            None => None,
+                        };
+                        let prefix = assembler.partial_texture(rank, frame).unwrap_or_default();
+                        let prefix_len = prefix.len();
+                        let image = match announced_texture(&light, prefix) {
+                            Ok(image) => image,
+                            Err(detail) => {
+                                errors.push(ViewerError::Corrupt { rank, detail });
+                                shown.insert(frame, Shown::Refused);
+                                continue;
+                            }
+                        };
+                        let full = image.byte_len();
+                        if let Some(l) = log {
+                            if light_logged.insert(frame) {
+                                let promised = full as u64 + u64::from(light.geometry_segments) * 24;
+                                l.log_with(tags::V_LIGHTPAYLOAD_END, [(tags::FIELD_FRAME, u64::from(frame))]);
+                                l.log_with(
+                                    tags::V_HEAVYPAYLOAD_START,
+                                    [(tags::FIELD_FRAME, u64::from(frame)), (tags::FIELD_BYTES, promised)],
+                                );
+                            }
+                        }
+                        if newest_shown.map(|n| frame >= n).unwrap_or(true) {
+                            let grown = prefix_len.saturating_sub(shown_len.unwrap_or(0));
+                            if shown_len.is_none() || grown.saturating_mul(4) >= full {
+                                scene.update(texture_node, texture_quad(&light, image));
+                                shown.insert(frame, Shown::Prefix(prefix_len));
+                                partials += 1;
+                            }
+                        }
+                    }
+                    Ok(AssemblyEvent::Complete { payload, wire_bytes }) => {
+                        completed += 1;
+                        let frame = payload.light.frame;
+                        bytes_received += wire_bytes;
+                        if let Some(l) = log {
+                            if light_logged.insert(frame) {
+                                l.log_with(tags::V_LIGHTPAYLOAD_END, [(tags::FIELD_FRAME, u64::from(frame))]);
+                                l.log_with(
+                                    tags::V_HEAVYPAYLOAD_START,
+                                    [
+                                        (tags::FIELD_FRAME, u64::from(frame)),
+                                        (tags::FIELD_BYTES, payload.heavy.payload_bytes()),
+                                    ],
+                                );
+                            }
+                        }
+                        let already_refused = matches!(shown.remove(&frame), Some(Shown::Refused));
+                        let texels = payload.heavy.texture_rgba8.clone();
+                        let image = announced_texture(&payload.light, texels).and_then(|image| {
+                            let have = payload.heavy.texture_rgba8.len();
+                            if image.byte_len() == have {
+                                Ok(image)
+                            } else {
+                                Err(format!(
+                                    "texture is {have} bytes but its header announces {}",
+                                    image.byte_len()
+                                ))
+                            }
+                        });
+                        match (image, newest_shown) {
+                            (Err(detail), _) => {
+                                if !already_refused {
+                                    errors.push(ViewerError::Corrupt { rank, detail });
+                                }
+                            }
+                            (Ok(_), Some(newest)) if frame < newest => {
+                                errors.push(ViewerError::StaleFrame { rank, frame, newest });
+                            }
+                            (Ok(image), _) => {
+                                scene.update(texture_node, texture_quad(&payload.light, image));
+                                scene.update(
+                                    grid_node,
+                                    SceneNode::Lines {
+                                        segments: Arc::clone(&payload.heavy.geometry),
+                                        color: [0.4, 0.9, 0.4, 0.8],
+                                    },
+                                );
+                                newest_shown = Some(frame);
+                            }
+                        }
+                        if let Some(l) = log {
+                            l.log_with(tags::V_HEAVYPAYLOAD_END, [(tags::FIELD_FRAME, u64::from(frame))]);
+                            l.log_with(tags::V_FRAME_END, [(tags::FIELD_FRAME, u64::from(frame))]);
+                        }
+                    }
+                }
+            }
+
+            while let Some(chunk) = rx.try_recv_chunk() {
+                let stripe = chunk.stripe;
+                match assembler.accept(chunk) {
+                    Ok(AssemblyEvent::Late { rank, frame, stripe }) => {
+                        errors.push(ViewerError::LateStripe { rank, frame, stripe })
+                    }
+                    Ok(_) => {}
+                    Err(e) => errors.push(ViewerError::Corrupt {
+                        rank,
+                        detail: format!("straggler on stripe {stripe}: {e}"),
+                    }),
+                }
+            }
+
+            for (rank, frame, received, total) in assembler.pending_frames() {
+                errors.push(ViewerError::MissingFrame {
+                    rank,
+                    frame,
+                    received_chunks: received,
+                    total_chunks: total,
+                });
+            }
+            if completed < expected_frames {
+                let pending: HashSet<u32> = assembler.pending_frames().iter().map(|&(_, f, _, _)| f).collect();
+                for frame in 0..expected_frames as u32 {
+                    if !assembler.is_complete(rank, frame) && !pending.contains(&frame) {
+                        errors.push(ViewerError::MissingFrame {
+                            rank,
+                            frame,
+                            received_chunks: 0,
+                            total_chunks: 0,
+                        });
+                    }
+                }
+            }
+            let mut stats = assembler.stats.clone();
+            stats.partial_updates = partials;
+            (stats, errors, completed, bytes_received)
+        }
+
+        /// A viewer run through the I/O threads, one link after another,
+        /// and one composite of the scene they left.
+        pub(super) fn run(viewer: Viewer, links: Vec<StripeReceiver>, logger: Option<NetLogger>) -> ViewerReport {
+            let nodes = viewer.place_nodes(links.len());
+            let mut report = ViewerReport {
+                frames_received: 0,
+                renders_performed: 0,
+                received_wire_bytes: 0,
+                partial_updates: 0,
+                transport: TransportStats::default(),
+                errors: Vec::new(),
+                scene_stats: SceneGraphStats::default(),
+                final_image: RgbaImage::new(1, 1),
+            };
+            for (pe, rx) in links.into_iter().enumerate() {
+                let log = logger.as_ref().map(|l| l.for_program(format!("viewer-worker-{pe}")));
+                let (texture_node, grid_node) = nodes[pe];
+                let (stats, errors, frames, bytes) = io_thread(
+                    &viewer.scene,
+                    rx,
+                    pe,
+                    texture_node,
+                    grid_node,
+                    viewer.config.expected_frames,
+                    log.as_ref(),
+                );
+                report.frames_received += frames;
+                report.received_wire_bytes += bytes;
+                report.partial_updates += stats.partial_updates;
+                report.transport.merge(&stats);
+                report.errors.extend(errors);
+            }
+            let config = &viewer.config;
+            let settings = RasterSettings::framing_volume(config.volume_dims, config.image_size.0, config.image_size.1);
+            let nodes: Vec<SceneNode> = viewer.scene.snapshot().into_iter().map(|(_, n)| n).collect();
+            report.final_image = Rasterizer::new(&config.view, settings).render(&nodes);
+            report
+        }
+    }
+
+    /// What a batch of display cases reached: each must be reached for the
+    /// batch to mean anything.
+    #[derive(Debug, Default)]
+    struct DisplayReach {
+        /// Cases over more than one link.
+        multi_link: usize,
+        completed: usize,
+        partial_updates: usize,
+        late: usize,
+        stale: usize,
+        refused: usize,
+        /// Errors reported on chunks that arrived after every expected
+        /// frame.
+        stragglers: usize,
+        missing: usize,
+        never_seen: usize,
+    }
+
+    /// Every event each program logged, in order, without its timestamp.
+    fn events_by_program(log: &netlogger::EventLog) -> std::collections::BTreeMap<String, Vec<String>> {
+        let mut programs: std::collections::BTreeMap<String, Vec<String>> = std::collections::BTreeMap::new();
+        for e in log.events() {
+            programs
+                .entry(e.program.clone())
+                .or_default()
+                .push(format!("{} {:?}", e.tag, e.fields));
+        }
+        programs
+    }
+
+    /// One case, drawn from `seed`: a hostile chunk sequence dealt at random
+    /// over 1–4 links of 1–4 stripes, each link pre-filled and its sender
+    /// hung up, shown by a viewer expecting 0–6 frames per link — through the
+    /// receive loop and through the I/O-thread oracle.  Errors per link and
+    /// in order, the frame, byte and update counts, the receiver-side
+    /// transport stats, the logged events and the final image's bits must
+    /// agree.
+    fn display_case(seed: u64, reach: &mut DisplayReach) {
+        // Foreign windows make gather copies, which are counted process-wide.
+        let _turn = crate::test_support::copy_counter_turn();
+        let mut rng = proptest::TestRng::for_test(&format!("display {seed}"));
+        let mut below = |n: u64| (rng.next_u64() % n.max(1)) as usize;
+        let chunks = crate::test_support::hostile_chunks(seed);
+        let links = 1 + below(4);
+        let deal: Vec<usize> = chunks.iter().map(|_| below(links as u64)).collect();
+        let transport = TransportConfig {
+            queue_depth: chunks.len().max(1),
+            ..TransportConfig::default().with_stripes(1 + below(4) as u32)
+        };
+        let config = ViewerConfig {
+            image_size: (48, 48),
+            ..ViewerConfig::new((32, 32, 32), below(7))
+        };
+        let prefilled = || {
+            let (senders, receivers) = support_links(links, &transport);
+            for (chunk, &link) in chunks.iter().zip(&deal) {
+                senders[link].send_raw_chunk(chunk.clone()).unwrap();
+            }
+            receivers
+        };
+        let (got_log, want_log) = (netlogger::Collector::wall(), netlogger::Collector::wall());
+        let got = Viewer::new(config.clone()).run(prefilled(), Some(got_log.logger("desktop", "viewer-master")));
+        let want = oracle::run(
+            Viewer::new(config.clone()),
+            prefilled(),
+            Some(want_log.logger("desktop", "viewer-master")),
+        );
+        assert_eq!(got.errors, want.errors, "case {seed}");
+        assert_eq!(
+            (got.frames_received, got.received_wire_bytes, got.partial_updates),
+            (want.frames_received, want.received_wire_bytes, want.partial_updates),
+            "case {seed}"
+        );
+        assert_eq!(
+            (got.transport.out_of_order_chunks, got.transport.reassembly_copies),
+            (want.transport.out_of_order_chunks, want.transport.reassembly_copies),
+            "case {seed}"
+        );
+        assert_eq!(got.transport, want.transport, "case {seed}");
+        assert_eq!(
+            events_by_program(&got_log.finish()),
+            events_by_program(&want_log.finish()),
+            "case {seed}"
+        );
+        assert!(same_bits(&got.final_image, &want.final_image), "case {seed}");
+
+        reach.multi_link += usize::from(links > 1);
+        reach.completed += got.frames_received;
+        reach.partial_updates += got.partial_updates as usize;
+        for e in &got.errors {
+            match e {
+                ViewerError::LateStripe { .. } => reach.late += 1,
+                ViewerError::StaleFrame { .. } => reach.stale += 1,
+                ViewerError::Corrupt { detail, .. } if detail.starts_with("straggler") => reach.stragglers += 1,
+                ViewerError::Corrupt { .. } => reach.refused += 1,
+                ViewerError::MissingFrame { total_chunks: 0, .. } => reach.never_seen += 1,
+                ViewerError::MissingFrame { .. } => reach.missing += 1,
+                ViewerError::ReceiverFailed { .. } => panic!("case {seed}: {e:?}"),
+            }
+        }
+    }
+
+    fn display_cases(seeds: std::ops::Range<u64>) {
+        let mut reach = DisplayReach::default();
+        for seed in seeds {
+            display_case(seed, &mut reach);
+        }
+        let DisplayReach {
+            multi_link,
+            completed,
+            partial_updates,
+            late,
+            stale,
+            refused,
+            stragglers,
+            missing,
+            never_seen,
+        } = reach;
+        assert!(
+            [
+                multi_link,
+                completed,
+                partial_updates,
+                late,
+                stale,
+                refused,
+                stragglers,
+                missing,
+                never_seen
+            ]
+            .iter()
+            .all(|&n| n > 0),
+            "{reach:?}"
+        );
+    }
+
+    #[test]
+    fn the_loop_fed_display_agrees_with_the_io_thread_oracle() {
+        display_cases(0..500);
+    }
+
+    #[test]
+    #[ignore = "10^4 cases; run in release"]
+    fn the_loop_fed_display_agrees_with_the_io_thread_oracle_at_scale() {
+        display_cases(0..10_000);
     }
 
     fn same_bits(a: &RgbaImage, b: &RgbaImage) -> bool {

@@ -69,10 +69,9 @@ fn payload(rank: u32, frame: u32, tex: usize) -> FramePayload {
 }
 
 /// Drive `frames` timesteps from `pes` PEs through the fan-out plane, over
-/// the broker the caller built (the plane has no pool for `_workers` to size).
+/// the broker the caller built.
 fn run_plane_over(
     broker: SessionBroker,
-    _workers: usize,
     transport: &TransportConfig,
     frames: u32,
     tex: usize,
@@ -85,7 +84,7 @@ fn run_plane_over(
         txs.push(tx);
         rxs.push(rx);
     }
-    let handle = std::thread::spawn(move || FanoutPlane::drive_with(broker, rxs, Vec::new(), &MetricsHub::disabled()));
+    let handle = std::thread::spawn(move || FanoutPlane::drive_with(broker, rxs, &MetricsHub::disabled()));
     let senders: Vec<_> = txs
         .into_iter()
         .enumerate()
@@ -103,7 +102,7 @@ fn run_plane_over(
     handle.join().unwrap()
 }
 
-/// [`run_plane_over`] a plain [`SessionBroker`] on three workers.
+/// [`run_plane_over`] a plain [`SessionBroker`].
 fn run_plane(
     schedule: Vec<SessionSpec>,
     config: ServiceConfig,
@@ -112,7 +111,7 @@ fn run_plane(
     tex: usize,
     pes: usize,
 ) -> ServiceRunReport {
-    run_plane_over(SessionBroker::new(config, schedule), 3, transport, frames, tex, pes)
+    run_plane_over(SessionBroker::new(config, schedule), transport, frames, tex, pes)
 }
 
 #[test]
@@ -413,8 +412,8 @@ proptest! {
     }
 }
 
-/// The headline scale smoke: ten thousand sessions multiplexed over the
-/// plane's bounded worker pool.  Ignored by default — run it in
+/// The headline scale smoke: ten thousand sessions folded by the plane's
+/// one thread.  Ignored by default — run it in
 /// release with `cargo test --release --test service -- --ignored`.
 #[test]
 #[ignore = "10k-session scale smoke; run in release with -- --ignored"]
@@ -467,8 +466,8 @@ fn ten_thousand_sessions_ride_the_plane_on_a_bounded_pool() {
         report.stats.chunks_delivered + report.stats.chunks_dropped
     );
     let peak = peak.load(Ordering::Relaxed);
-    // Thread-per-session would sit at ~10k threads; the pool keeps the whole
-    // process within a few dozen (workers + PEs + harness).
+    // Thread-per-session would sit at ~10k threads; the plane's one thread
+    // keeps the whole process within a few dozen (plane + PEs + harness).
     assert!(peak > 0, "thread monitor never sampled");
     assert!(peak < 64, "the plane leaked threads: peak {peak}");
 }
@@ -495,7 +494,7 @@ fn one_hundred_thousand_sessions_ride_one_broker() {
         ..ServiceConfig::default()
     };
     let transport = TransportConfig::default().with_stripes(2).with_chunk_bytes(4096);
-    let report = run_plane_over(SessionBroker::new(config, schedule), 4, &transport, FRAMES, 16, 1);
+    let report = run_plane_over(SessionBroker::new(config, schedule), &transport, FRAMES, 16, 1);
     assert_eq!(report.stats.sessions_admitted, SESSIONS as u64);
     assert_eq!(report.stats.peak_live_sessions, SESSIONS as u64);
     assert_eq!(

@@ -79,7 +79,7 @@ fn metered_snapshot() -> MetricsSnapshot {
     let broker = SessionBroker::new(config, schedule);
     let handle = {
         let hub = hub.clone();
-        std::thread::spawn(move || FanoutPlane::drive_with(broker, vec![rx], Vec::new(), &hub))
+        std::thread::spawn(move || FanoutPlane::drive_with(broker, vec![rx], &hub))
     };
     for f in 0..4 {
         tx.send_frame(&payload(f)).unwrap();
